@@ -16,7 +16,6 @@
 #include "core/meters.hpp"
 #include "crypto/md5.hpp"
 #include "crypto/sha256.hpp"
-#include "crypto/sha512.hpp"
 #include "kernel/cfs_scheduler.hpp"
 #include "exec/program_base.hpp"
 #include "kernel/kernel.hpp"
@@ -47,16 +46,6 @@ void BM_Sha256Throughput(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256Throughput)->Arg(64)->Arg(16384);
-
-void BM_Sha512Throughput(benchmark::State& state) {
-  const std::string msg(static_cast<std::size_t>(state.range(0)), 'x');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::sha512(msg));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Sha512Throughput)->Arg(64)->Arg(16384);
 
 /// Virtual seconds simulated per real second: boot a machine, run one
 /// Whetstone through the shell, measure wall cost per simulated run.

@@ -7,10 +7,10 @@ types, numeric timestamps, metadata naming every referenced track, a
 consistent per-attack "cat" category when tagged), and have a consistent
 recorded/dropped accounting: counter ("C") samples are derived views, so
 only spans + instants balance against the ring. Metrics files (mtr_sweep
---metrics, or mtr_merge --metrics) must carry metrics schema v1 or v2 with
-the full kernel counter set, phase entries, and pool utilization per
-sweep; v2 files additionally carry the telemetry sections (time-series
-gauge buckets and quantile sketches) with internally consistent counts.
+--metrics, or mtr_merge --metrics) must carry metrics schema v2 with the
+full kernel counter set, phase entries, pool utilization, and the
+telemetry sections (time-series gauge buckets and quantile sketches, with
+internally consistent counts) per sweep.
 
 usage: validate_trace.py [TRACE.json...] [--metrics METRICS.json]...
                          [--expect-shards N]
@@ -24,7 +24,7 @@ import json
 import sys
 
 TRACE_SCHEMA = "mtr-trace-1"
-METRICS_SCHEMAS = (1, 2)
+METRICS_SCHEMA = 2
 
 SERIES_NAMES = [
     "run_queue",
@@ -273,9 +273,9 @@ def validate_metrics(path: str, expect_shards: int | None) -> dict:
     require(isinstance(doc, dict), path, "top level is not an object")
     schema = doc.get("schema")
     require(
-        schema in METRICS_SCHEMAS,
+        schema == METRICS_SCHEMA,
         path,
-        f"metrics schema {schema!r} not in {METRICS_SCHEMAS}",
+        f"metrics schema {schema!r} != {METRICS_SCHEMA}",
     )
     require(doc.get("record") == "metrics", path, "record tag is not 'metrics'")
     require(
@@ -367,29 +367,28 @@ def validate_metrics(path: str, expect_shards: int | None) -> dict:
             f"{where}: more busy slots than pool threads",
         )
 
-        # v1 predates telemetry; v2 must carry the full fixed section layout
-        # even when a series or sketch recorded nothing.
-        if schema >= 2:
-            series = s.get("series")
-            require(isinstance(series, dict), path, f"{where}: series block missing")
-            require(
-                list(series.keys()) == SERIES_NAMES,
-                path,
-                f"{where}: series {list(series.keys())} != {SERIES_NAMES}",
-            )
-            for name, entry in series.items():
-                validate_series(path, where, name, entry)
-            sketches = s.get("sketches")
-            require(
-                isinstance(sketches, dict), path, f"{where}: sketches block missing"
-            )
-            require(
-                list(sketches.keys()) == SKETCH_NAMES,
-                path,
-                f"{where}: sketches {list(sketches.keys())} != {SKETCH_NAMES}",
-            )
-            for name, entry in sketches.items():
-                validate_sketch(path, where, name, entry)
+        # The full fixed section layout, even when a series or sketch
+        # recorded nothing.
+        series = s.get("series")
+        require(isinstance(series, dict), path, f"{where}: series block missing")
+        require(
+            list(series.keys()) == SERIES_NAMES,
+            path,
+            f"{where}: series {list(series.keys())} != {SERIES_NAMES}",
+        )
+        for name, entry in series.items():
+            validate_series(path, where, name, entry)
+        sketches = s.get("sketches")
+        require(
+            isinstance(sketches, dict), path, f"{where}: sketches block missing"
+        )
+        require(
+            list(sketches.keys()) == SKETCH_NAMES,
+            path,
+            f"{where}: sketches {list(sketches.keys())} != {SKETCH_NAMES}",
+        )
+        for name, entry in sketches.items():
+            validate_sketch(path, where, name, entry)
     return {"sweeps": len(sweeps), "shards": doc["shards"], "schema": schema}
 
 

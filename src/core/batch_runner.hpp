@@ -269,8 +269,7 @@ struct CellStats {
       +[](R r) { return r.attacker_billed_seconds; });
     f("attacker_true_seconds", self.attacker_true_seconds,
       +[](R r) { return r.attacker_true_seconds; });
-    // v4 population summaries — appended so the v3 emission order above is
-    // untouched (consumers gate on the record's schema version).
+    // Population summaries.
     f("pop_tenants", self.pop_tenants,
       +[](R r) { return static_cast<double>(r.pop_tenants); });
     f("pop_attackers", self.pop_attackers,

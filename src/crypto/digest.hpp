@@ -31,7 +31,6 @@ struct Digest {
 
 using Digest16 = Digest<16>;  // MD5
 using Digest32 = Digest<32>;  // SHA-256
-using Digest64 = Digest<64>;  // SHA-512
 
 /// Lowercase hex encoding of arbitrary bytes.
 std::string to_hex(const std::uint8_t* data, std::size_t len);

@@ -39,6 +39,5 @@ Digest<N> digest_from_hex(std::string_view hex) {
 
 template Digest<16> digest_from_hex<16>(std::string_view);
 template Digest<32> digest_from_hex<32>(std::string_view);
-template Digest<64> digest_from_hex<64>(std::string_view);
 
 }  // namespace mtr::crypto

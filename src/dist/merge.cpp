@@ -29,6 +29,9 @@ constexpr const char* kUsage =
     "same grid. Metrics fold by sweep name: counters sum, gauges max, and\n"
     "the shard count adds up.\n"
     "\n"
+    "Only the current schemas are read: record schema v4 and metrics\n"
+    "schema v2. Files produced by an older metertrust are refused (exit 2).\n"
+    "\n"
     "  --csv OUT.csv      merged CSV destination (parent dirs are created)\n"
     "  --jsonl OUT.jsonl  merged JSONL destination\n"
     "  --metrics OUT.json folded metrics destination\n"
@@ -38,7 +41,7 @@ constexpr const char* kUsage =
     "  --help             print this message\n"
     "\n"
     "Exit codes: 0 merged and verified; 1 output write failure; 2 usage\n"
-    "error or corrupt/unusable input (torn tail, schema mixing, aggregate\n"
+    "error or corrupt/unusable input (torn tail, another schema, aggregate\n"
     "recomputation mismatch — reports name file, line, and byte offset);\n"
     "3 cell-index gap or duplicate cell (incomplete or overlapping shard\n"
     "set; each file itself may be intact).\n";
@@ -64,47 +67,30 @@ bool has_suffix(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// Every input's blocks in one cell_index -> (block, source) map, plus the
-/// schema version all of them share.
-struct GatheredBlocks {
-  std::map<std::uint64_t, std::pair<CellBlock, std::string>> cells;
-  /// The inputs' common schema version (v2 shards merge into a v2 file,
-  /// v3 into v3; a mix is rejected).
-  std::uint64_t schema = 0;
-};
+/// Every input's blocks in one cell_index -> (block, source) map.
+using GatheredBlocks = std::map<std::uint64_t, std::pair<CellBlock, std::string>>;
 
 /// Collects every input's blocks, rejecting incomplete shards, empty
-/// inputs, duplicates, gaps, and inputs whose schema versions disagree.
+/// inputs, duplicates, gaps, and records of another schema version.
 /// `allow_gaps` turns gaps (and an all-empty input set) into entries in
 /// `missing_out` instead of errors — the partial-fleet merge path.
 GatheredBlocks gather_blocks(const std::vector<std::string>& inputs,
                              bool jsonl, bool allow_gaps = false,
                              std::vector<std::uint64_t>* missing_out = nullptr) {
-  GatheredBlocks out;
-  auto& cells = out.cells;
-  std::string schema_source;
+  GatheredBlocks cells;
   for (const std::string& path : inputs) {
-    FileScan scan = jsonl ? scan_jsonl(path) : scan_csv(path);
+    FileScan scan;
+    try {
+      scan = jsonl ? scan_jsonl(path) : scan_csv(path);
+    } catch (const SchemaError& e) {
+      throw MergeError(MergeFault::kCorrupt, e.what());
+    }
     if (!scan.clean)
       throw MergeError(
           MergeFault::kCorrupt,
           scan.tail_error +
               " — the shard looks killed mid-write; finish it with --resume "
               "(or re-run it) before merging");
-    if (scan.schema != 0) {
-      if (out.schema == 0) {
-        out.schema = scan.schema;
-        schema_source = path;
-      } else if (out.schema != scan.schema) {
-        throw MergeError(
-            MergeFault::kCorrupt,
-            path + ": records carry schema v" + std::to_string(scan.schema) +
-                " but " + schema_source + " carries v" +
-                std::to_string(out.schema) +
-                " — shards of one sweep never mix versions; merge each "
-                "generation separately");
-      }
-    }
     // A blockless file is fine: a shard can own zero cells of a small
     // sweep and still leave its (empty) output behind.
     for (CellBlock& b : scan.blocks) {
@@ -120,7 +106,7 @@ GatheredBlocks gather_blocks(const std::vector<std::string>& inputs,
     }
   }
   if (cells.empty()) {
-    if (allow_gaps) return out;  // every surviving shard owned zero cells
+    if (allow_gaps) return cells;  // every surviving shard owned zero cells
     throw MergeError(MergeFault::kCorrupt,
                      "no complete cells to merge in any input");
   }
@@ -179,15 +165,13 @@ GatheredBlocks gather_blocks(const std::vector<std::string>& inputs,
       }
     }
   }
-  return out;
+  return cells;
 }
 
 /// Rebuilds the `record:"cell"` aggregate line from the block's run
-/// records, exactly the way JsonlSink computes it — including the v2
-/// layout for v2 shard files, so old sweeps merge byte-identically too.
+/// records, exactly the way JsonlSink computes it.
 std::string recompute_cell_line(const CellBlock& b, const std::string& path) {
   report::CellSummary s;
-  s.schema = b.schema;
   s.sweep = b.sweep;
   s.cell_index = b.cell_index;
   s.attack = b.attack;
@@ -203,11 +187,9 @@ std::string recompute_cell_line(const CellBlock& b, const std::string& path) {
   s.victim_nice = b.victim_nice;
   s.attacker_nice = b.attacker_nice;
   s.seeds = b.run_lines.size();
-  for (const std::string& key : cell_stat_keys(b.schema))
-    s.stats.push_back({key, {}});
-  if (b.schema >= 4)
-    for (const auto& cols : cell_sketch_columns())
-      s.sketches.emplace_back(cols.first, QuantileSketch{});
+  for (const std::string& key : cell_stat_keys()) s.stats.push_back({key, {}});
+  for (const auto& cols : cell_sketch_columns())
+    s.sketches.emplace_back(cols.first, QuantileSketch{});
 
   for (std::size_t i = 0; i < b.run_lines.size(); ++i) {
     const std::string& line = b.run_lines[i];
@@ -235,24 +217,21 @@ std::string recompute_cell_line(const CellBlock& b, const std::string& path) {
                              "'");
       st.stats.add(*v);
     }
-    if (b.schema >= 4) {
-      // v4 run records carry the per-run sketches verbatim; merging them is
-      // exact (bucket counts sum), so the recomputed cell quantiles come
-      // out byte-identical to the single-process run.
-      const auto& columns = cell_sketch_columns();
-      for (std::size_t k = 0; k < columns.size(); ++k) {
-        const std::string& run_key = columns[k].second;
-        const auto token = json_string(f, run_key);
-        const auto sketch =
-            token ? report::decode_sketch(*token) : std::nullopt;
-        if (!sketch)
-          throw MergeError(MergeFault::kCorrupt,
-                           run_line_at(path, b, i) + ": run record of " +
-                               describe(b) +
-                               " is missing or has an invalid field '" +
-                               run_key + "'");
-        s.sketches[k].second.merge(*sketch);
-      }
+    // Run records carry the per-run sketches verbatim; merging them is
+    // exact (bucket counts sum), so the recomputed cell quantiles come out
+    // byte-identical to the single-process run.
+    const auto& columns = cell_sketch_columns();
+    for (std::size_t k = 0; k < columns.size(); ++k) {
+      const std::string& run_key = columns[k].second;
+      const auto token = json_string(f, run_key);
+      const auto sketch = token ? report::decode_sketch(*token) : std::nullopt;
+      if (!sketch)
+        throw MergeError(MergeFault::kCorrupt,
+                         run_line_at(path, b, i) + ": run record of " +
+                             describe(b) +
+                             " is missing or has an invalid field '" + run_key +
+                             "'");
+      s.sketches[k].second.merge(*sketch);
     }
   }
 
@@ -304,8 +283,8 @@ MergeOptions parse_merge_args(int argc, const char* const* argv) {
 std::string merge_jsonl(const std::vector<std::string>& inputs,
                         std::vector<std::uint64_t>* cell_indices,
                         bool allow_gaps, std::vector<std::uint64_t>* missing) {
-  const auto& cells =
-      gather_blocks(inputs, /*jsonl=*/true, allow_gaps, missing).cells;
+  const GatheredBlocks cells =
+      gather_blocks(inputs, /*jsonl=*/true, allow_gaps, missing);
   std::string out;
   for (const auto& [index, entry] : cells) {
     const CellBlock& b = entry.first;
@@ -330,14 +309,10 @@ std::string merge_jsonl(const std::vector<std::string>& inputs,
 std::string merge_csv(const std::vector<std::string>& inputs,
                       std::vector<std::uint64_t>* cell_indices,
                       bool allow_gaps, std::vector<std::uint64_t>* missing) {
-  const GatheredBlocks gathered =
+  const GatheredBlocks cells =
       gather_blocks(inputs, /*jsonl=*/false, allow_gaps, missing);
-  const auto& cells = gathered.cells;
-  const std::uint64_t schema = gathered.schema;
   std::ostringstream os;
-  // The header mirrors the shards' version: v2 inputs round-trip into the
-  // byte-identical v2 file a v2 build would have produced.
-  report::write_csv_header(os, schema == 0 ? report::kSchemaVersion : schema);
+  report::write_csv_header(os);
   std::string out = os.str();
   for (const auto& [index, entry] : cells) {
     for (const std::string& line : entry.first.run_lines) {

@@ -17,9 +17,9 @@ namespace mtr::dist {
 
 /// Why a merge failed, doubling as the process exit code — scripts and the
 /// mtr_fleet supervisor branch on it. 2 means the input bytes are unusable
-/// (torn tail, schema mixing, corrupt aggregate); 3 means the shard SET is
-/// wrong (a gap in the cell-index space or overlapping shards) while each
-/// individual file may be fine.
+/// (torn tail, another schema version, corrupt aggregate); 3 means the
+/// shard SET is wrong (a gap in the cell-index space or overlapping
+/// shards) while each individual file may be fine.
 enum class MergeFault : int { kCorrupt = 2, kGapOrDuplicate = 3 };
 
 /// A merge validation failure carrying its taxonomy code. Derives from

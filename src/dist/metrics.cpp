@@ -1,10 +1,12 @@
 #include "dist/metrics.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "dist/json.hpp"
+#include "dist/records.hpp"
 
 namespace mtr::dist {
 namespace {
@@ -62,7 +64,7 @@ QuantileSketch parse_sketch(const Value& v, std::string_view name) {
   return s;
 }
 
-trace::SweepMetrics parse_sweep(const Value& v, std::uint64_t schema) {
+trace::SweepMetrics parse_sweep(const Value& v) {
   trace::SweepMetrics s;
   s.sweep = json::get_string(v, "sweep");
   s.cells = json::get_u64(v, "cells");
@@ -88,18 +90,14 @@ trace::SweepMetrics parse_sweep(const Value& v, std::uint64_t schema) {
   for (const Value& b : json::get_array(pool, "busy_seconds").items)
     s.pool.busy_seconds.push_back(json::as_f64(b, "busy_seconds"));
 
-  // v1 predates telemetry; its sweeps simply carry empty series/sketches
-  // (which fold as identity, so mixed-generation folds stay correct).
-  if (schema >= 2) {
-    const Value& series = json::get_object(v, "series");
-    s.telemetry.for_each_series([&](const char* name, trace::TimeSeries& ts) {
-      ts = parse_series(json::get_object(series, name), name);
-    });
-    const Value& sketches = json::get_object(v, "sketches");
-    s.telemetry.for_each_sketch([&](const char* name, QuantileSketch& sk) {
-      sk = parse_sketch(json::get_object(sketches, name), name);
-    });
-  }
+  const Value& series = json::get_object(v, "series");
+  s.telemetry.for_each_series([&](const char* name, trace::TimeSeries& ts) {
+    ts = parse_series(json::get_object(series, name), name);
+  });
+  const Value& sketches = json::get_object(v, "sketches");
+  s.telemetry.for_each_sketch([&](const char* name, QuantileSketch& sk) {
+    sk = parse_sketch(json::get_object(sketches, name), name);
+  });
   return s;
 }
 
@@ -119,19 +117,21 @@ MetricsFile read_metrics_json(const std::string& path) {
 
     MetricsFile f;
     f.schema = json::get_u64(doc, "schema");
-    if (f.schema < trace::kMinMetricsReadSchemaVersion ||
-        f.schema > trace::kMetricsSchemaVersion)
-      throw std::runtime_error(
-          "metrics schema v" + std::to_string(f.schema) +
-          " but this build reads v" +
-          std::to_string(trace::kMinMetricsReadSchemaVersion) + "..v" +
-          std::to_string(trace::kMetricsSchemaVersion));
+    if (f.schema != trace::kMetricsSchemaVersion) {
+      // The writer stamps the version first; point at it.
+      const std::size_t at = std::min(text.find("\"schema\""), text.size());
+      const auto line = 1 + std::count(text.begin(), text.begin() + at, '\n');
+      throw_schema_error(path, static_cast<std::uint64_t>(line), at, "metrics",
+                         f.schema, trace::kMetricsSchemaVersion);
+    }
     if (json::get_string(doc, "record") != "metrics")
       throw std::runtime_error("not a metrics file (record tag mismatch)");
     f.shards = json::get_u64(doc, "shards");
     for (const Value& sweep : json::get_array(doc, "sweeps").items)
-      f.sweeps.push_back(parse_sweep(sweep, f.schema));
+      f.sweeps.push_back(parse_sweep(sweep));
     return f;
+  } catch (const SchemaError&) {
+    throw;  // already names the path
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(path + ": " + e.what());
   }

@@ -2,9 +2,9 @@
 // mtr_inspect. The writer lives in src/trace (write_metrics_json); this is
 // its inverse: typed parsing over dist/json plus the by-sweep-name fold
 // that turns N shard metrics files into the one a single-machine run would
-// have written (modulo wall-clock, which sums across shards). Reads both
-// the current schema v2 (with series/sketches telemetry) and legacy v1
-// files, which parse with empty telemetry.
+// have written (modulo wall-clock, which sums across shards). Reads only
+// the current schema (trace::kMetricsSchemaVersion); files from an older
+// metertrust are refused.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +24,8 @@ struct MetricsFile {
 
 /// Parses a metrics.json written by trace::write_metrics_json. Throws
 /// std::runtime_error (prefixed with the path) on unreadable files,
-/// malformed JSON, a wrong record tag, or a schema version this build does
-/// not understand.
+/// malformed JSON, or a wrong record tag, and SchemaError (naming
+/// path:line and byte) on any schema version but kMetricsSchemaVersion.
 MetricsFile read_metrics_json(const std::string& path);
 
 /// Folds shard metrics by sweep name — first-seen sweep order, counters

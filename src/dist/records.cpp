@@ -1,5 +1,6 @@
 #include "dist/records.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
@@ -141,17 +142,11 @@ std::optional<bool> json_bool(const std::map<std::string, std::string>& fields,
   return std::nullopt;
 }
 
-std::vector<std::string> cell_stat_keys(std::uint64_t version) {
+std::vector<std::string> cell_stat_keys() {
   std::vector<std::string> k;
   core::CellStats cell;
   cell.for_each_stat(
       [&](const char* name, const RunningStats&, auto) { k.emplace_back(name); });
-  if (version < 4) {
-    // The pop_* summaries arrived with v4; older cell lines never had them.
-    std::erase_if(k, [](const std::string& name) {
-      return name.rfind("pop_", 0) == 0;
-    });
-  }
   return k;
 }
 
@@ -182,28 +177,21 @@ std::string at_byte(std::uint64_t offset) {
   return " (byte " + std::to_string(offset) + ")";
 }
 
-[[noreturn]] void schema_error(const std::string& path, std::uint64_t line,
-                               std::uint64_t offset, std::uint64_t found) {
-  throw std::runtime_error(
-      where(path, line) + ": record schema version " + std::to_string(found) +
-      " is not supported by this build (writes v" +
-      std::to_string(report::kSchemaVersion) + ", reads v" +
-      std::to_string(report::kMinReadSchemaVersion) + "-v" +
-      std::to_string(report::kSchemaVersion) + ")" + at_byte(offset));
+}  // namespace
+
+void throw_schema_error(const std::string& path, std::uint64_t line,
+                        std::uint64_t offset, const std::string& what,
+                        std::uint64_t found, std::uint64_t reads) {
+  throw SchemaError(where(path, line) + ": " + what + " schema version " +
+                    std::to_string(found) + ", produced by " +
+                    (found < reads ? "an older" : "a newer") +
+                    " metertrust; this build reads only v" +
+                    std::to_string(reads) + at_byte(offset));
 }
 
-[[noreturn]] void mixed_schema_error(const std::string& path, std::uint64_t line,
-                                     std::uint64_t offset, std::uint64_t first,
-                                     std::uint64_t found) {
-  throw std::runtime_error(
-      where(path, line) + ": record schema version changes from " +
-      std::to_string(first) + " to " + std::to_string(found) +
-      " mid-file — refusing to mix schema versions" + at_byte(offset));
-}
+namespace {
 
 /// The coordinate columns of one record, shared between the two scanners.
-/// Scenario-axis members stay at their defaults for v2 records, the
-/// population-axis members for v2/v3.
 struct RecCoords {
   std::uint64_t cell_index = 0;
   std::string sweep, attack, scheduler, ptrace;
@@ -245,53 +233,49 @@ struct RecCoords {
 /// Pulls the coordinates out of a parsed JSONL record; on failure returns
 /// the name of the missing/invalid field.
 const char* extract_json_coords(const std::map<std::string, std::string>& f,
-                                std::uint64_t schema, RecCoords& out) {
+                                RecCoords& out) {
   const auto sweep = json_string(f, "sweep");
   const auto cell_index = json_u64(f, "cell_index");
   const auto attack = json_string(f, "attack");
   const auto scheduler = json_string(f, "scheduler");
   const auto hz = json_u64(f, "hz");
+  const auto cpu_hz = json_u64(f, "cpu_hz");
+  const auto ram_frames = json_u64(f, "ram_frames");
+  const auto reclaim_batch = json_u64(f, "reclaim_batch");
+  const auto ptrace = json_string(f, "ptrace");
+  const auto jiffy = json_bool(f, "jiffy_timers");
+  const auto population = json_u64(f, "population");
+  const auto fraction = json_double(f, "attacker_fraction");
+  const auto victim_nice = json_i64(f, "victim_nice");
+  const auto attacker_nice = json_i64(f, "attacker_nice");
   if (!sweep) return "sweep";
   if (!cell_index) return "cell_index";
   if (!attack) return "attack";
   if (!scheduler) return "scheduler";
   if (!hz) return "hz";
+  if (!cpu_hz) return "cpu_hz";
+  if (!ram_frames) return "ram_frames";
+  if (!reclaim_batch) return "reclaim_batch";
+  if (!ptrace) return "ptrace";
+  if (!jiffy) return "jiffy_timers";
+  if (!population) return "population";
+  if (!fraction) return "attacker_fraction";
+  if (!victim_nice) return "victim_nice";
+  if (!attacker_nice) return "attacker_nice";
   out.sweep = *sweep;
   out.cell_index = *cell_index;
   out.attack = *attack;
   out.scheduler = *scheduler;
   out.hz = *hz;
-  if (schema >= 3) {
-    const auto cpu_hz = json_u64(f, "cpu_hz");
-    const auto ram_frames = json_u64(f, "ram_frames");
-    const auto reclaim_batch = json_u64(f, "reclaim_batch");
-    const auto ptrace = json_string(f, "ptrace");
-    const auto jiffy = json_bool(f, "jiffy_timers");
-    if (!cpu_hz) return "cpu_hz";
-    if (!ram_frames) return "ram_frames";
-    if (!reclaim_batch) return "reclaim_batch";
-    if (!ptrace) return "ptrace";
-    if (!jiffy) return "jiffy_timers";
-    out.cpu_hz = *cpu_hz;
-    out.ram_frames = *ram_frames;
-    out.reclaim_batch = *reclaim_batch;
-    out.ptrace = *ptrace;
-    out.jiffy_timers = *jiffy;
-  }
-  if (schema >= 4) {
-    const auto population = json_u64(f, "population");
-    const auto fraction = json_double(f, "attacker_fraction");
-    const auto victim_nice = json_i64(f, "victim_nice");
-    const auto attacker_nice = json_i64(f, "attacker_nice");
-    if (!population) return "population";
-    if (!fraction) return "attacker_fraction";
-    if (!victim_nice) return "victim_nice";
-    if (!attacker_nice) return "attacker_nice";
-    out.population = *population;
-    out.attacker_fraction = *fraction;
-    out.victim_nice = *victim_nice;
-    out.attacker_nice = *attacker_nice;
-  }
+  out.cpu_hz = *cpu_hz;
+  out.ram_frames = *ram_frames;
+  out.reclaim_batch = *reclaim_batch;
+  out.ptrace = *ptrace;
+  out.jiffy_timers = *jiffy;
+  out.population = *population;
+  out.attacker_fraction = *fraction;
+  out.victim_nice = *victim_nice;
+  out.attacker_nice = *attacker_nice;
   return nullptr;
 }
 
@@ -335,15 +319,12 @@ FileScan scan_jsonl(const std::string& path) {
            (!record ? "record" : "schema") + "'");
       break;
     }
-    if (*schema < report::kMinReadSchemaVersion ||
-        *schema > report::kSchemaVersion)
-      schema_error(path, line_no, offset, *schema);
-    if (scan.schema == 0) scan.schema = *schema;
-    else if (scan.schema != *schema)
-      mixed_schema_error(path, line_no, offset, scan.schema, *schema);
+    if (*schema != report::kSchemaVersion)
+      throw_schema_error(path, line_no, offset, "record", *schema,
+                         report::kSchemaVersion);
 
     RecCoords c;
-    if (const char* bad = extract_json_coords(f, *schema, c)) {
+    if (const char* bad = extract_json_coords(f, c)) {
       stop(where(path, line_no) + ": record missing or invalid field '" +
            bad + "'");
       break;
@@ -364,7 +345,6 @@ FileScan scan_jsonl(const std::string& path) {
           break;
         }
         open = CellBlock{};
-        open.schema = *schema;
         open.first_line = line_no;
         c.stamp(open);
         has_open = true;
@@ -428,44 +408,27 @@ FileScan scan_csv(const std::string& path) {
     return scan;
   }
   const std::vector<std::string> header = report::split_csv_line(line);
-  // The header row names the layout: the current schema or any older one
-  // this build still reads.
-  std::uint64_t version = 0;
-  for (std::uint64_t v = report::kSchemaVersion;
-       v >= report::kMinReadSchemaVersion; --v) {
-    if (header == report::run_schema_keys(v)) {
-      version = v;
-      break;
-    }
-  }
-  if (version == 0)
-    throw std::runtime_error(
-        where(path, 1) + ": CSV header matches no supported schema layout "
-        "(this build writes v" + std::to_string(report::kSchemaVersion) +
-        ", reads v" + std::to_string(report::kMinReadSchemaVersion) + "-v" +
-        std::to_string(report::kSchemaVersion) +
-        ") — refusing to mix schema versions" + at_byte(0));
-  scan.schema = version;
+  if (header != report::run_schema_keys())
+    throw SchemaError(where(path, 1) +
+                      ": CSV header is not the schema v" +
+                      std::to_string(report::kSchemaVersion) +
+                      " layout, produced by an older metertrust; this build "
+                      "reads only v" +
+                      std::to_string(report::kSchemaVersion) + at_byte(0));
   const auto col = [&](const char* key) {
-    for (std::size_t i = 0; i < header.size(); ++i)
-      if (header[i] == key) return i;
-    throw std::runtime_error(std::string("missing CSV column ") + key);
+    return static_cast<std::size_t>(
+        std::find(header.begin(), header.end(), key) - header.begin());
   };
   const std::size_t c_schema = col("schema"), c_sweep = col("sweep"),
                     c_cell = col("cell_index"), c_attack = col("attack"),
                     c_sched = col("scheduler"), c_hz = col("hz"),
-                    c_seed = col("seed"), c_seed_i = col("seed_index");
-  const bool v3 = version >= 3;
-  const std::size_t c_cpu = v3 ? col("cpu_hz") : 0;
-  const std::size_t c_ram = v3 ? col("ram_frames") : 0;
-  const std::size_t c_reclaim = v3 ? col("reclaim_batch") : 0;
-  const std::size_t c_ptrace = v3 ? col("ptrace") : 0;
-  const std::size_t c_jiffy = v3 ? col("jiffy_timers") : 0;
-  const bool v4 = version >= 4;
-  const std::size_t c_pop = v4 ? col("population") : 0;
-  const std::size_t c_frac = v4 ? col("attacker_fraction") : 0;
-  const std::size_t c_vnice = v4 ? col("victim_nice") : 0;
-  const std::size_t c_anice = v4 ? col("attacker_nice") : 0;
+                    c_seed = col("seed"), c_seed_i = col("seed_index"),
+                    c_cpu = col("cpu_hz"), c_ram = col("ram_frames"),
+                    c_reclaim = col("reclaim_batch"), c_ptrace = col("ptrace"),
+                    c_jiffy = col("jiffy_timers"), c_pop = col("population"),
+                    c_frac = col("attacker_fraction"),
+                    c_vnice = col("victim_nice"),
+                    c_anice = col("attacker_nice");
 
   std::uint64_t offset = line.size() + 1;
   std::uint64_t line_no = 1;
@@ -506,11 +469,9 @@ FileScan scan_csv(const std::string& path) {
     };
     const auto schema = num(c_schema, "schema");
     if (!schema) break;
-    if (*schema < report::kMinReadSchemaVersion ||
-        *schema > report::kSchemaVersion)
-      schema_error(path, line_no, offset, *schema);
-    if (*schema != version)
-      mixed_schema_error(path, line_no, offset, version, *schema);
+    if (*schema != report::kSchemaVersion)
+      throw_schema_error(path, line_no, offset, "record", *schema,
+                         report::kSchemaVersion);
     const auto cell_index = num(c_cell, "cell_index");
     if (!cell_index) break;
     const auto hz = num(c_hz, "hz");
@@ -519,6 +480,34 @@ FileScan scan_csv(const std::string& path) {
     if (!seed) break;
     const auto seed_index = num(c_seed_i, "seed_index");
     if (!seed_index) break;
+    const auto cpu_hz = num(c_cpu, "cpu_hz");
+    if (!cpu_hz) break;
+    const auto ram_frames = num(c_ram, "ram_frames");
+    if (!ram_frames) break;
+    const auto reclaim_batch = num(c_reclaim, "reclaim_batch");
+    if (!reclaim_batch) break;
+    if (row[c_jiffy] != "true" && row[c_jiffy] != "false") {
+      stop(where(path, line_no) +
+           ": field 'jiffy_timers' has non-boolean value '" + row[c_jiffy] +
+           "'");
+      break;
+    }
+    const auto population = num(c_pop, "population");
+    if (!population) break;
+    // The nice columns are signed and attacker_fraction is a double, so
+    // they get their own strict parsers beside num()'s parse_u64.
+    const auto fraction = parse_f64(row[c_frac]);
+    const auto victim_nice = parse_number<std::int64_t>(row[c_vnice]);
+    const auto attacker_nice = parse_number<std::int64_t>(row[c_anice]);
+    const std::size_t bad_col = !fraction      ? c_frac
+                                : !victim_nice ? c_vnice
+                                : !attacker_nice ? c_anice
+                                                 : header.size();
+    if (bad_col != header.size()) {
+      stop(where(path, line_no) + ": field '" + header[bad_col] +
+           "' has non-numeric value '" + row[bad_col] + "'");
+      break;
+    }
 
     RecCoords c;
     c.cell_index = *cell_index;
@@ -526,56 +515,15 @@ FileScan scan_csv(const std::string& path) {
     c.attack = row[c_attack];
     c.scheduler = row[c_sched];
     c.hz = *hz;
-    if (v3) {
-      const auto cpu_hz = num(c_cpu, "cpu_hz");
-      if (!cpu_hz) break;
-      const auto ram_frames = num(c_ram, "ram_frames");
-      if (!ram_frames) break;
-      const auto reclaim_batch = num(c_reclaim, "reclaim_batch");
-      if (!reclaim_batch) break;
-      c.cpu_hz = *cpu_hz;
-      c.ram_frames = *ram_frames;
-      c.reclaim_batch = *reclaim_batch;
-      c.ptrace = row[c_ptrace];
-      if (row[c_jiffy] != "true" && row[c_jiffy] != "false") {
-        stop(where(path, line_no) +
-             ": field 'jiffy_timers' has non-boolean value '" + row[c_jiffy] +
-             "'");
-        break;
-      }
-      c.jiffy_timers = row[c_jiffy] == "true";
-    }
-    if (v4) {
-      // The nice columns are signed and attacker_fraction is a double, so
-      // they get their own strict parsers beside num()'s parse_u64.
-      const auto population = num(c_pop, "population");
-      if (!population) break;
-      const auto fraction = parse_f64(row[c_frac]);
-      if (!fraction) {
-        stop(where(path, line_no) +
-             ": field 'attacker_fraction' has non-numeric value '" +
-             row[c_frac] + "'");
-        break;
-      }
-      const auto victim_nice = parse_number<std::int64_t>(row[c_vnice]);
-      if (!victim_nice) {
-        stop(where(path, line_no) +
-             ": field 'victim_nice' has non-numeric value '" + row[c_vnice] +
-             "'");
-        break;
-      }
-      const auto attacker_nice = parse_number<std::int64_t>(row[c_anice]);
-      if (!attacker_nice) {
-        stop(where(path, line_no) +
-             ": field 'attacker_nice' has non-numeric value '" + row[c_anice] +
-             "'");
-        break;
-      }
-      c.population = *population;
-      c.attacker_fraction = *fraction;
-      c.victim_nice = *victim_nice;
-      c.attacker_nice = *attacker_nice;
-    }
+    c.cpu_hz = *cpu_hz;
+    c.ram_frames = *ram_frames;
+    c.reclaim_batch = *reclaim_batch;
+    c.ptrace = row[c_ptrace];
+    c.jiffy_timers = row[c_jiffy] == "true";
+    c.population = *population;
+    c.attacker_fraction = *fraction;
+    c.victim_nice = *victim_nice;
+    c.attacker_nice = *attacker_nice;
 
     if (has_open && open.cell_index == c.cell_index) {
       if (!c.same_cell(open)) {
@@ -596,7 +544,6 @@ FileScan scan_csv(const std::string& path) {
         scan.blocks.push_back(std::move(open));
       }
       open = CellBlock{};
-      open.schema = *schema;
       open.first_line = line_no;
       c.stamp(open);
       has_open = true;

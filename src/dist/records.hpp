@@ -3,15 +3,17 @@
 // (the run records of one grid cell, in JSONL followed by its
 // `record:"cell"` summary), possibly ending in the partial tail a killed
 // sweep left behind. Scanners collect the complete blocks, remember where
-// the valid prefix ends (so resume can truncate the tail away), and reject
-// unsupported or mixed schema versions outright; the current (v4,
-// population axes) and the previous layouts (v3 scenario-axes, v2
-// pre-axes) all scan. Shared by ResumeIndex and mtr_merge.
+// the valid prefix ends (so resume can truncate the tail away), and refuse
+// any record stamped with a schema version other than the one this build
+// writes (report::kSchemaVersion): files from older builds are rejected
+// with a SchemaError naming the file, line, byte, and version found.
+// Shared by ResumeIndex and mtr_merge.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,25 +25,36 @@ namespace mtr::dist {
 // with the CLI flag parsers: "12abc", " 12", "+0x1f" and negatives are all
 // rejected instead of silently accepted the way bare std::stoull would.
 
+/// A record file written with another schema version (or CSV layout) than
+/// this build reads. Distinct from other scan failures so resume and merge
+/// can say what to do about it.
+struct SchemaError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Throws the one-line refusal of a file stamped with schema `found` where
+/// this build reads only `reads`: "<path>:<line>: <what> schema version
+/// <found>, produced by an older metertrust; this build reads only
+/// v<reads> (byte <offset>)" ("a newer" when found > reads).
+[[noreturn]] void throw_schema_error(const std::string& path,
+                                     std::uint64_t line, std::uint64_t offset,
+                                     const std::string& what,
+                                     std::uint64_t found, std::uint64_t reads);
+
 /// One reconstructed cell block. `run_lines` hold the input lines verbatim
 /// (no trailing newline), so consumers that re-emit them preserve the
 /// original bytes exactly.
 struct CellBlock {
-  /// Schema version of the file this block came from (2, 3, or 4).
-  std::uint64_t schema = 0;
   std::uint64_t cell_index = 0;
   std::string sweep;
   std::string attack;
   std::string scheduler;
   std::uint64_t hz = 0;
-  // Scenario-axis coordinates; zero/default for v2 blocks (their records
-  // predate the axes).
   std::uint64_t cpu_hz = 0;
   std::uint64_t ram_frames = 0;
   std::uint64_t reclaim_batch = 0;
   std::string ptrace;
   bool jiffy_timers = true;
-  // Population-axis coordinates (schema v4); defaults for older blocks.
   // attacker_fraction compares exactly: %.17g tokens round-trip bit-exact.
   std::uint64_t population = 1;
   double attacker_fraction = 0.0;
@@ -62,8 +75,6 @@ struct CellBlock {
 
 struct FileScan {
   std::vector<CellBlock> blocks;  // in file order; only the last may be open
-  /// Schema version every record in the file carries (0: no records seen).
-  std::uint64_t schema = 0;
   /// Offset just past the last closed block (for CSV: at least the header),
   /// i.e. the safe truncation point that drops any partial tail.
   std::uint64_t valid_bytes = 0;
@@ -74,16 +85,16 @@ struct FileScan {
   std::string tail_error;   // why, when !clean
 };
 
-/// Scans a JsonlSink file. Throws std::runtime_error (naming the file and
-/// line) when the file cannot be opened, any record carries a schema
-/// version outside [kMinReadSchemaVersion, kSchemaVersion], or the file
-/// mixes versions; malformed structure instead stops the scan
-/// (clean=false) so callers can treat the tail as a crash artifact.
+/// Scans a JsonlSink file. Throws std::runtime_error when the file cannot
+/// be opened and SchemaError (naming the file, line, and byte) when any
+/// record carries a schema version other than kSchemaVersion; malformed
+/// structure instead stops the scan (clean=false) so callers can treat the
+/// tail as a crash artifact.
 FileScan scan_jsonl(const std::string& path);
 
-/// Scans a CsvSink file. Throws on open failure, on a header that matches
-/// no supported run_schema_keys() layout, and on schema column mismatches
-/// against the header's version.
+/// Scans a CsvSink file. Throws on open failure, and SchemaError on a
+/// header other than run_schema_keys() or a row stamped with another
+/// schema version.
 FileScan scan_csv(const std::string& path);
 
 /// Splits one of our one-line JSON objects into key -> raw-token pairs
@@ -105,13 +116,11 @@ std::optional<double> json_double(
 std::optional<bool> json_bool(const std::map<std::string, std::string>& fields,
                               const std::string& key);
 
-/// The canonical aggregate keys of a `record:"cell"` line for records of
-/// `version`, in CellStats::for_each_stat order — what mtr_merge
-/// recomputes. v4 added the pop_* summaries; older versions get the list
-/// without them.
-std::vector<std::string> cell_stat_keys(std::uint64_t version);
+/// The canonical aggregate keys of a `record:"cell"` line, in
+/// CellStats::for_each_stat order — what mtr_merge recomputes.
+std::vector<std::string> cell_stat_keys();
 
-/// The v4 distribution aggregates of a cell record as (cell-record key,
+/// The distribution aggregates of a cell record as (cell-record key,
 /// run-record column) pairs in CellStats::for_each_sketch order — e.g.
 /// ("pop_billing_error_dist", "pop_billing_error_sketch"). mtr_merge
 /// decodes the run column of every run, merges, and re-emits the summary.

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "dist/records.hpp"
-#include "report/result_sink.hpp"
 
 namespace mtr::dist {
 namespace {
@@ -18,16 +17,17 @@ std::string describe(const std::string& sweep, const std::string& attack,
          ", hz=" + std::to_string(hz) + "]";
 }
 
-/// Appending v4 records to a v2/v3 file would corrupt it (the CSV header
-/// lacks the newer coordinate columns); refuse with a pointer at the
-/// escape hatches instead of failing later with a confusing mismatch.
-void check_resumable_schema(const std::string& path, const FileScan& scan) {
-  if (scan.schema == 0 || scan.schema == report::kSchemaVersion) return;
-  throw std::runtime_error(
-      path + ": recorded with schema v" + std::to_string(scan.schema) +
-      " but this build appends v" + std::to_string(report::kSchemaVersion) +
-      " records — a cross-version resume would corrupt the file; merge the "
-      "old output with mtr_merge or start the sweep fresh");
+/// Scans an existing output. Appending to a file of another schema version
+/// would corrupt it, and no build reads it back, so the scanner's refusal
+/// gains the one way forward.
+FileScan scan_existing(const std::string& path,
+                       FileScan (*scanner)(const std::string&)) {
+  try {
+    return scanner(path);
+  } catch (const SchemaError& e) {
+    throw SchemaError("resume: " + std::string(e.what()) +
+                      " — start the sweep fresh");
+  }
 }
 
 /// Enforces that a block recorded the seed set this invocation sweeps —
@@ -65,8 +65,7 @@ ResumeIndex ResumeIndex::scan(const std::string& csv_path,
 
   if (!jsonl_path.empty() && std::filesystem::exists(jsonl_path)) {
     index.have_jsonl_ = true;
-    FileScan scan = scan_jsonl(jsonl_path);
-    check_resumable_schema(jsonl_path, scan);
+    FileScan scan = scan_existing(jsonl_path, scan_jsonl);
     for (CellBlock& b : scan.blocks) {
       check_seeds(jsonl_path, b, expected_seeds);
       jsonl_done.push_back(std::move(b));
@@ -74,8 +73,7 @@ ResumeIndex ResumeIndex::scan(const std::string& csv_path,
   }
   if (!csv_path.empty() && std::filesystem::exists(csv_path)) {
     index.have_csv_ = true;
-    FileScan scan = scan_csv(csv_path);
-    check_resumable_schema(csv_path, scan);
+    FileScan scan = scan_existing(csv_path, scan_csv);
     // Until a block makes it into the agreed prefix below, only the header
     // is safe to keep — e.g. a corrupt JSONL next to an intact CSV must
     // roll the CSV back too, or the re-run cells would append duplicates.

@@ -20,17 +20,15 @@ class ResumeIndex {
  public:
   /// Scans the existing outputs of one sweep invocation. Either path may
   /// be empty (sink not configured) or name a file that does not exist yet
-  /// (fresh start) — both contribute nothing. Throws std::runtime_error on
-  /// a schema-version mismatch (including output recorded with an older
-  /// layout — this build appends v4 records, so v2/v3 files must be merged
-  /// with mtr_merge or restarted, never appended to), when a complete cell
-  /// was recorded with a
-  /// seed set other than `expected_seeds` (resume requires the original
-  /// --seeds/--first-seed), or when the CSV and JSONL disagree about a
-  /// cell. When both files exist, only cells complete in BOTH count (a
-  /// kill can land between the two sink writes). Zero-byte and header-only
-  /// files — a shard killed before its first flush — count as "nothing
-  /// done yet", never as errors.
+  /// (fresh start) — both contribute nothing. Throws SchemaError on output
+  /// recorded with another schema version (it cannot be appended to; the
+  /// sweep must start fresh) and std::runtime_error when a complete cell
+  /// was recorded with a seed set other than `expected_seeds` (resume
+  /// requires the original --seeds/--first-seed), or when the CSV and
+  /// JSONL disagree about a cell. When both files exist, only cells
+  /// complete in BOTH count (a kill can land between the two sink writes).
+  /// Zero-byte and header-only files — a shard killed before its first
+  /// flush — count as "nothing done yet", never as errors.
   ///
   /// `metrics_cells`, when set, caps the completed prefix at the number of
   /// cells the run's crash-consistent metrics snapshot covers: cells the

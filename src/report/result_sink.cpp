@@ -1,6 +1,5 @@
 #include "report/result_sink.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -111,9 +110,7 @@ std::vector<Field> flatten_run(const std::string& sweep,
   f.push_back({"attacker_true_system_cycles", u64(r.attacker_true_cycles.system.v)});
   f.push_back({"attacker_true_seconds", r.attacker_true_seconds});
 
-  // Population metering (schema v4) — appended so every earlier column
-  // keeps its position and v3 content is exactly this record minus the
-  // v4 columns.
+  // Population coordinates and per-tenant distributions.
   f.push_back({"population", u64(cell.population)});
   f.push_back({"attacker_fraction", FieldValue{cell.attacker_fraction}});
   f.push_back({"victim_nice", i64(cell.nice.victim.v)});
@@ -134,49 +131,12 @@ std::vector<Field> flatten_run(const std::string& sweep,
   return f;
 }
 
-const std::vector<std::string>& schema_v3_columns() {
-  static const std::vector<std::string> kColumns = {
-      "cpu_hz", "ram_frames", "reclaim_batch", "ptrace", "jiffy_timers"};
-  return kColumns;
-}
-
-const std::vector<std::string>& schema_v4_columns() {
-  static const std::vector<std::string> kColumns = {
-      "population",
-      "attacker_fraction",
-      "victim_nice",
-      "attacker_nice",
-      "pop_tenants",
-      "pop_attackers",
-      "pop_flagged_attackers",
-      "pop_flagged_honest",
-      "pop_billing_error_mean",
-      "pop_billing_error_p99",
-      "pop_attacker_advantage_mean",
-      "pop_detection_tpr",
-      "pop_detection_fpr",
-      "pop_billing_error_sketch",
-      "pop_billed_sketch",
-      "pop_true_sketch",
-      "pop_advantage_sketch"};
-  return kColumns;
-}
-
-std::vector<std::string> run_schema_keys(std::uint64_t version) {
-  MTR_ENSURE_MSG(version >= kMinReadSchemaVersion && version <= kSchemaVersion,
-                 "unsupported record schema version " << version);
+std::vector<std::string> run_schema_keys() {
   core::CellStats cell;
   cell.seeds = {0};
   cell.runs.emplace_back();
   std::vector<std::string> keys;
   for (Field& f : flatten_run("", cell, 0)) keys.push_back(std::move(f.key));
-  const auto erase_columns = [&](const std::vector<std::string>& cols) {
-    std::erase_if(keys, [&](const std::string& k) {
-      return std::find(cols.begin(), cols.end(), k) != cols.end();
-    });
-  };
-  if (version < 4) erase_columns(schema_v4_columns());
-  if (version < 3) erase_columns(schema_v3_columns());
   return keys;
 }
 
@@ -276,8 +236,8 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return cells;
 }
 
-void write_csv_header(std::ostream& os, std::uint64_t version) {
-  const std::vector<std::string> keys = run_schema_keys(version);
+void write_csv_header(std::ostream& os) {
+  const std::vector<std::string> keys = run_schema_keys();
   for (std::size_t i = 0; i < keys.size(); ++i)
     os << (i ? "," : "") << csv_escape(keys[i]);
   os << '\n';
@@ -407,23 +367,18 @@ CellSummary summarize_cell(const std::string& sweep, const core::CellStats& cell
 }
 
 void write_cell_record(std::ostream& os, const CellSummary& s) {
-  os << "{\"record\":\"cell\",\"schema\":" << s.schema << ",\"sweep\":\""
+  os << "{\"record\":\"cell\",\"schema\":" << kSchemaVersion << ",\"sweep\":\""
      << json_escape(s.sweep) << "\",\"cell_index\":" << s.cell_index
      << ",\"attack\":\"" << json_escape(s.attack) << "\",\"scheduler\":\""
-     << json_escape(s.scheduler) << "\",\"hz\":" << s.hz;
-  // The scenario-axis coordinates joined the record in schema v3;
-  // mtr_merge re-emits v2 summaries for v2 shard files.
-  if (s.schema >= 3)
-    os << ",\"cpu_hz\":" << s.cpu_hz << ",\"ram_frames\":" << s.ram_frames
-       << ",\"reclaim_batch\":" << s.reclaim_batch << ",\"ptrace\":\""
-       << json_escape(s.ptrace) << "\",\"jiffy_timers\":"
-       << (s.jiffy_timers ? "true" : "false");
-  // The population coordinates joined the record in schema v4.
-  if (s.schema >= 4)
-    os << ",\"population\":" << s.population
-       << ",\"attacker_fraction\":" << fmt_f64(s.attacker_fraction)
-       << ",\"victim_nice\":" << s.victim_nice
-       << ",\"attacker_nice\":" << s.attacker_nice;
+     << json_escape(s.scheduler) << "\",\"hz\":" << s.hz
+     << ",\"cpu_hz\":" << s.cpu_hz << ",\"ram_frames\":" << s.ram_frames
+     << ",\"reclaim_batch\":" << s.reclaim_batch << ",\"ptrace\":\""
+     << json_escape(s.ptrace) << "\",\"jiffy_timers\":"
+     << (s.jiffy_timers ? "true" : "false")
+     << ",\"population\":" << s.population
+     << ",\"attacker_fraction\":" << fmt_f64(s.attacker_fraction)
+     << ",\"victim_nice\":" << s.victim_nice
+     << ",\"attacker_nice\":" << s.attacker_nice;
   os << ",\"workload\":\"" << json_escape(s.workload) << "\",\"seeds\":" << s.seeds
      << ",\"source_ok\":" << (s.source_ok ? "true" : "false");
   for (const CellStatSummary& st : s.stats) {
@@ -433,17 +388,15 @@ void write_cell_record(std::ostream& os, const CellSummary& s) {
        << ",\"min\":" << fmt_f64(st.stats.min())
        << ",\"max\":" << fmt_f64(st.stats.max()) << '}';
   }
-  // v4 distribution aggregates: quantile summaries of the merged sketches.
+  // Distribution aggregates: quantile summaries of the merged sketches.
   // Derived (not stored) values only — the full sketch lives in the run
   // records, which is what lets mtr_merge recompute this line byte-exactly.
-  if (s.schema >= 4) {
-    for (const auto& [key, sk] : s.sketches) {
-      os << ",\"" << json_escape(key) << "\":{\"n\":" << sk.count()
-         << ",\"min\":" << fmt_f64(sk.min()) << ",\"max\":" << fmt_f64(sk.max())
-         << ",\"p50\":" << fmt_f64(sk.quantile(0.5))
-         << ",\"p90\":" << fmt_f64(sk.quantile(0.9))
-         << ",\"p99\":" << fmt_f64(sk.quantile(0.99)) << '}';
-    }
+  for (const auto& [key, sk] : s.sketches) {
+    os << ",\"" << json_escape(key) << "\":{\"n\":" << sk.count()
+       << ",\"min\":" << fmt_f64(sk.min()) << ",\"max\":" << fmt_f64(sk.max())
+       << ",\"p50\":" << fmt_f64(sk.quantile(0.5))
+       << ",\"p90\":" << fmt_f64(sk.quantile(0.9))
+       << ",\"p99\":" << fmt_f64(sk.quantile(0.99)) << '}';
   }
   os << "}\n";
 }

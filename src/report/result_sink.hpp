@@ -23,34 +23,24 @@
 
 namespace mtr::report {
 
-/// Version stamped into every record (the `schema` column / key). Bump it
-/// whenever a field is added, removed, renamed, or reordered.
+/// Version stamped into every record (the `schema` column / key), and the
+/// only version the dist-layer readers accept. Bump it whenever a field is
+/// added, removed, renamed, or reordered. History:
 /// v2: added `cell_index` (invocation-global cell ordinal) to run and cell
 /// records — the merge key for sharded sweeps.
 /// v3: added the scenario-axis coordinates — `cpu_hz`, `ram_frames`,
-/// `reclaim_batch`, `ptrace`, `jiffy_timers` — to run and cell records;
-/// every other column is unchanged, so v2 content is exactly a v3 record
-/// with those columns removed (and the version rewritten).
+/// `reclaim_batch`, `ptrace`, `jiffy_timers` — to run and cell records.
 /// v4: added the population axes — `population`, `attacker_fraction`,
 /// `victim_nice`, `attacker_nice` — plus the per-tenant distribution
 /// columns (`pop_*` scalars and encoded QuantileSketch strings) to run
-/// records and the `pop_*_dist` quantile summaries to cell records. As
-/// with v3, a v3 record is exactly a v4 record with those columns removed.
+/// records and the `pop_*_dist` quantile summaries to cell records.
 inline constexpr std::uint64_t kSchemaVersion = 4;
-/// Oldest schema the dist-layer scanners (mtr_merge) still read. Sinks
-/// always write kSchemaVersion.
-inline constexpr std::uint64_t kMinReadSchemaVersion = 2;
-
-/// The run-record keys v3 added over v2, in emission order.
-const std::vector<std::string>& schema_v3_columns();
-/// The run-record keys v4 added over v3, in emission order.
-const std::vector<std::string>& schema_v4_columns();
 
 /// Compact QuantileSketch serialization for run records:
 /// "count;zero;min;max;pos;neg" where pos/neg are space-separated
 /// "index:count" bucket lists. No commas, quotes, or braces, so the token
 /// embeds in CSV cells and JSON strings without any escaping — which is
-/// what keeps v4 shard merges byte-exact: mtr_merge decodes the per-run
+/// what keeps shard merges byte-exact: mtr_merge decodes the per-run
 /// sketches, merges them (exact, order-free), and re-encodes.
 std::string encode_sketch(const QuantileSketch& sketch);
 /// Strict inverse of encode_sketch: nullopt on any malformed token.
@@ -74,10 +64,8 @@ std::vector<Field> flatten_run(const std::string& sweep,
                                std::size_t seed_i);
 
 /// The record's keys in emission order (the CSV header), derived from a
-/// flatten_run of a default-constructed cell. `version` selects the
-/// layout: kSchemaVersion (the default) or kMinReadSchemaVersion (v2 —
-/// what mtr_merge re-emits for v2 shard inputs).
-std::vector<std::string> run_schema_keys(std::uint64_t version = kSchemaVersion);
+/// flatten_run of a default-constructed cell.
+std::vector<std::string> run_schema_keys();
 
 std::string format_csv(const FieldValue& v);
 std::string format_json(const FieldValue& v);
@@ -93,9 +81,8 @@ std::string json_escape(const std::string& s);
 std::vector<std::string> split_csv_line(const std::string& line);
 
 /// Writes the canonical CSV header row (run_schema_keys, escaped). Shared
-/// by CsvSink and mtr_merge so merged files are byte-identical; mtr_merge
-/// passes the shard files' version so v2 inputs merge into a v2 file.
-void write_csv_header(std::ostream& os, std::uint64_t version = kSchemaVersion);
+/// by CsvSink and mtr_merge so merged files are byte-identical.
+void write_csv_header(std::ostream& os);
 
 /// The aggregate half of a `record:"cell"` JSONL line, decoupled from
 /// CellStats so mtr_merge can recompute it from parsed run records.
@@ -104,9 +91,6 @@ struct CellStatSummary {
   RunningStats stats;
 };
 struct CellSummary {
-  /// Emission layout: the scenario-axis keys below are only written for
-  /// schema >= 3 (mtr_merge recomputes v2 summaries for v2 shards).
-  std::uint64_t schema = kSchemaVersion;
   std::string sweep;
   std::uint64_t cell_index = 0;
   std::string attack;
@@ -117,7 +101,6 @@ struct CellSummary {
   std::uint64_t reclaim_batch = 0;
   std::string ptrace;
   bool jiffy_timers = true;
-  /// Population coordinates, written for schema >= 4 only.
   std::uint32_t population = 1;
   double attacker_fraction = 0.0;
   std::int64_t victim_nice = 0;
@@ -126,8 +109,8 @@ struct CellSummary {
   std::uint64_t seeds = 0;
   bool source_ok = true;
   std::vector<CellStatSummary> stats;  // CellStats::for_each_stat order
-  /// v4 distribution aggregates (CellStats::for_each_sketch order),
-  /// rendered as {n, min, max, p50, p90, p99}; schema >= 4 only.
+  /// Distribution aggregates (CellStats::for_each_sketch order), rendered
+  /// as {n, min, max, p50, p90, p99}.
   std::vector<std::pair<std::string, QuantileSketch>> sketches;
 };
 CellSummary summarize_cell(const std::string& sweep, const core::CellStats& cell);

@@ -134,10 +134,10 @@ struct SweepMetrics {
   void merge(const SweepMetrics& o);
 };
 
-/// v2 added the "series" and "sketches" sections; v1 files (without them)
-/// still parse — see dist::read_metrics_json.
+/// Version stamped into metrics.json, and the only one
+/// dist::read_metrics_json accepts. v2 added the "series" and "sketches"
+/// sections.
 inline constexpr std::uint64_t kMetricsSchemaVersion = 2;
-inline constexpr std::uint64_t kMinMetricsReadSchemaVersion = 1;
 
 /// Writes the metrics.json document: one object with a schema stamp, the
 /// shard count the data covers, and one entry per sweep. Doubles render

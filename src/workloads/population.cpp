@@ -127,9 +127,13 @@ kernel::ProgramFactory make_tenant_program(const TenantSpec& tenant,
 }
 
 std::string tenant_name(const TenantSpec& tenant) {
-  std::string n = "tenant-" + std::to_string(tenant.index);
-  n += tenant.attacker ? "[atk]"
-                       : "[" + std::string(archetype_name(tenant.archetype)) + "]";
+  // Appended piecewise: GCC 12 at -O3 without LTO false-fires -Wrestrict
+  // on a `"[" + std::string(...)` temporary.
+  std::string n = "tenant-";
+  n += std::to_string(tenant.index);
+  n += '[';
+  n += tenant.attacker ? "atk" : archetype_name(tenant.archetype);
+  n += ']';
   return n;
 }
 

@@ -9,7 +9,6 @@
 #include "crypto/hmac.hpp"
 #include "crypto/md5.hpp"
 #include "crypto/sha256.hpp"
-#include "crypto/sha512.hpp"
 
 namespace mtr::crypto {
 namespace {
@@ -72,32 +71,6 @@ TEST(Sha256, MillionAs) {
   for (int i = 0; i < 1000; ++i) ctx.update(chunk);
   EXPECT_EQ(to_hex(ctx.finish()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
-}
-
-TEST(Sha512, Fips180Vectors) {
-  EXPECT_EQ(to_hex(sha512("abc")),
-            "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
-            "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f");
-  EXPECT_EQ(to_hex(sha512("")),
-            "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
-            "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e");
-  EXPECT_EQ(
-      to_hex(sha512("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
-                    "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")),
-      "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018"
-      "501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909");
-}
-
-TEST(Sha512, BlockBoundaryLengths) {
-  for (std::size_t len : {111u, 112u, 127u, 128u, 129u, 239u, 240u, 256u}) {
-    const std::string msg(len, 'z');
-    Sha512 a;
-    a.update(msg);
-    Sha512 b;
-    b.update(msg.substr(0, 13));
-    b.update(msg.substr(13));
-    EXPECT_EQ(to_hex(a.finish()), to_hex(b.finish())) << "len=" << len;
-  }
 }
 
 TEST(HmacSha256, Rfc4231Vectors) {

@@ -5,10 +5,12 @@
 // incomplete shards, the exit-code taxonomy, byte-identity of shard+resume
 // runs against a single-process run), fault injection (plan parsing, crash
 // and flush faults, the SIGKILL watchdog), crash consistency (every torn
-// byte boundary of the final record recovers the complete prefix, v2 and
-// v3), status heartbeats and their shared staleness rule, and the
-// mtr_fleet supervisor (deterministic backoff, chaos-proven byte-identical
-// merges, partial merges with gap manifests, hung-shard kills).
+// byte boundary of the final record recovers the complete prefix), the
+// one-schema rule (records and metrics of any other version are refused
+// by every reader), status heartbeats and their shared staleness rule, and
+// the mtr_fleet supervisor (deterministic backoff, chaos-proven
+// byte-identical merges, partial merges with gap manifests, hung-shard
+// kills).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -181,105 +183,6 @@ void write_shard_jsonl(const std::string& path,
   report::JsonlSink sink(path);
   for (const std::uint64_t i : cell_indices)
     sink.write_cell("grid", synth_cell(i, {7, 8}));
-}
-
-/// Strips one `,"key":value` pair from a single-line JSON record. Handles
-/// string, scalar, and one-level `{...}` object values (the per-stat and
-/// pop_*_dist aggregates of cell records).
-void strip_json_key(std::string& line, const std::string& key) {
-  const std::string needle = ",\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return;
-  std::size_t end = at + needle.size();
-  if (line[end] == '"') {
-    end = line.find('"', end + 1) + 1;  // our axis strings never escape
-  } else if (line[end] == '{') {
-    int depth = 1;
-    ++end;
-    while (end < line.size() && depth > 0) {
-      if (line[end] == '{') ++depth;
-      if (line[end] == '}') --depth;
-      ++end;
-    }
-  } else {
-    while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  }
-  line.erase(at, end - at);
-}
-
-/// The `"key":value` pairs schema `from` added over `from - 1`: its run
-/// columns plus, for v4, the cell-record-only pop_*_dist aggregates.
-std::vector<std::string> schema_step_keys(std::uint64_t from) {
-  std::vector<std::string> keys =
-      from == 4 ? report::schema_v4_columns() : report::schema_v3_columns();
-  if (from == 4)
-    for (const char* k : {"pop_billing_error_dist", "pop_billed_dist",
-                          "pop_true_dist", "pop_advantage_dist"})
-      keys.emplace_back(k);
-  return keys;
-}
-
-/// Rewrites sink output as its schema-`to` equivalent by stripping, one
-/// version step at a time, exactly what each newer schema added and
-/// restamping the version. The C++ twin of bench/schema_downgrade.py, used
-/// to fixture cross-version tests.
-std::string downgrade_jsonl(const std::string& text, std::uint64_t to) {
-  std::string current = text;
-  for (std::uint64_t from = report::kSchemaVersion; from > to; --from) {
-    const std::string old_tag = "\"schema\":" + std::to_string(from);
-    const std::string new_tag = "\"schema\":" + std::to_string(from - 1);
-    std::string out;
-    for (std::string line : lines_of(current)) {
-      const std::size_t schema_at = line.find(old_tag);
-      EXPECT_NE(schema_at, std::string::npos) << line;
-      if (schema_at == std::string::npos) return current;
-      line.replace(schema_at, old_tag.size(), new_tag);
-      for (const std::string& key : schema_step_keys(from))
-        strip_json_key(line, key);
-      out += line;
-      out += '\n';
-    }
-    current = std::move(out);
-  }
-  return current;
-}
-
-std::string downgrade_csv(const std::string& text, std::uint64_t to) {
-  std::string current = text;
-  for (std::uint64_t from = report::kSchemaVersion; from > to; --from) {
-    const auto lines = lines_of(current);
-    const std::vector<std::string> header = report::split_csv_line(lines.at(0));
-    const auto extra = schema_step_keys(from);
-    std::vector<std::size_t> keep;
-    std::size_t schema_col = 0;
-    for (std::size_t i = 0; i < header.size(); ++i) {
-      if (header[i] == "schema") schema_col = i;
-      if (std::find(extra.begin(), extra.end(), header[i]) == extra.end())
-        keep.push_back(i);
-    }
-    std::string out;
-    for (std::size_t r = 0; r < lines.size(); ++r) {
-      std::vector<std::string> row = report::split_csv_line(lines[r]);
-      if (r > 0) {
-        EXPECT_EQ(row.at(schema_col), std::to_string(from));
-        row[schema_col] = std::to_string(from - 1);
-      }
-      for (std::size_t i = 0; i < keep.size(); ++i) {
-        if (i) out += ',';
-        out += report::csv_escape(row.at(keep[i]));
-      }
-      out += '\n';
-    }
-    current = std::move(out);
-  }
-  return current;
-}
-
-std::string downgrade_jsonl_v2(const std::string& text) {
-  return downgrade_jsonl(text, 2);
-}
-std::string downgrade_csv_v2(const std::string& text) {
-  return downgrade_csv(text, 2);
 }
 
 TEST(ShardSpecTest, ParsesAndPartitionsDeterministically) {
@@ -685,22 +588,27 @@ TEST(SweepArgsTest, EnvDefaultsAreStrictToo) {
   ASSERT_EQ(unsetenv("MTR_BENCH_THREADS"), 0);
 }
 
-TEST(RecordsTest, MixedSchemaVersionsAreRejected) {
-  const std::string path = temp_path("dist_schema.jsonl");
-  write_file(path,
-             "{\"record\":\"run\",\"schema\":1,\"sweep\":\"grid\","
-             "\"cell_index\":0,\"attack\":\"a0\",\"scheduler\":\"o1\","
-             "\"hz\":250,\"seed\":7,\"seed_index\":0}\n");
-  EXPECT_THROW(scan_jsonl(path), std::runtime_error);
-  EXPECT_THROW(ResumeIndex::scan("", path, {7, 8}), std::runtime_error);
-  EXPECT_THROW(merge_jsonl({path}), std::runtime_error);
-
-  // A stale CSV header (schema v1 had no cell_index column) is rejected
+TEST(RecordsTest, OlderCsvLayoutIsRefusedAtTheHeader) {
+  // A stale CSV header (schema v1 had no cell_index column) is refused
   // before any row parses.
   const std::string csv = temp_path("dist_schema.csv");
   write_file(csv, "schema,sweep,attack\n1,grid,a0\n");
-  EXPECT_THROW(scan_csv(csv), std::runtime_error);
-  std::filesystem::remove(path);
+  try {
+    scan_csv(csv);
+    FAIL() << "stale header accepted";
+  } catch (const SchemaError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(csv + ":1:"), std::string::npos) << what;
+    EXPECT_NE(what.find("(byte 0)"), std::string::npos) << what;
+    EXPECT_NE(what.find("older metertrust"), std::string::npos) << what;
+  }
+  EXPECT_THROW(ResumeIndex::scan(csv, "", {7, 8}), SchemaError);
+  try {
+    merge_csv({csv});
+    FAIL() << "stale header merged";
+  } catch (const MergeError& e) {
+    EXPECT_EQ(e.fault, MergeFault::kCorrupt);
+  }
   std::filesystem::remove(csv);
 }
 
@@ -935,94 +843,6 @@ TEST(RecordsTest, ScanErrorsNameFileLineAndField) {
   std::filesystem::remove(csv);
 }
 
-TEST(MergeTest, V2ShardsMergeByteIdenticallyIntoV2Output) {
-  // Shard outputs written by the previous (pre-scenario-axes) schema still
-  // merge, and the merged file is the byte-identical v2 dataset a v2 build
-  // would have produced — including the recomputed v2 cell summaries and
-  // the v2 CSV header.
-  const std::string root = temp_path("dist_merge_v2");
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
-  write_shard_jsonl(root + "/all.jsonl", {0, 1, 2, 3});
-  write_shard_jsonl(root + "/s0.jsonl", {0, 2});
-  write_shard_jsonl(root + "/s1.jsonl", {1, 3});
-  for (const char* name : {"/all.jsonl", "/s0.jsonl", "/s1.jsonl"})
-    write_file(root + name, downgrade_jsonl_v2(read_file(root + name)));
-  EXPECT_EQ(merge_jsonl({root + "/s1.jsonl", root + "/s0.jsonl"}),
-            read_file(root + "/all.jsonl"));
-
-  {
-    report::CsvSink all(root + "/all.csv");
-    report::CsvSink s0(root + "/s0.csv");
-    report::CsvSink s1(root + "/s1.csv");
-    for (const std::uint64_t i : {0, 2}) s0.write_cell("grid", synth_cell(i, {7, 8}));
-    for (const std::uint64_t i : {1, 3}) s1.write_cell("grid", synth_cell(i, {7, 8}));
-    for (const std::uint64_t i : {0, 1, 2, 3})
-      all.write_cell("grid", synth_cell(i, {7, 8}));
-  }
-  for (const char* name : {"/all.csv", "/s0.csv", "/s1.csv"})
-    write_file(root + name, downgrade_csv_v2(read_file(root + name)));
-  EXPECT_EQ(merge_csv({root + "/s0.csv", root + "/s1.csv"}),
-            read_file(root + "/all.csv"));
-  std::filesystem::remove_all(root);
-}
-
-TEST(MergeTest, MixedSchemaVersionShardsAreRejected) {
-  const std::string root = temp_path("dist_merge_mixed");
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
-  write_shard_jsonl(root + "/s0.jsonl", {0});
-  write_shard_jsonl(root + "/s1.jsonl", {1});
-  write_file(root + "/s1.jsonl", downgrade_jsonl(read_file(root + "/s1.jsonl"), 3));
-  try {
-    merge_jsonl({root + "/s0.jsonl", root + "/s1.jsonl"});
-    FAIL() << "expected a mixed-schema error";
-  } catch (const std::runtime_error& e) {
-    // The rejection names both files and both versions (v4 writer next to
-    // a v3 shard).
-    const std::string what = e.what();
-    EXPECT_NE(what.find(root + "/s1.jsonl"), std::string::npos) << what;
-    EXPECT_NE(what.find(root + "/s0.jsonl"), std::string::npos) << what;
-    EXPECT_NE(what.find("schema v3"), std::string::npos) << what;
-    EXPECT_NE(what.find("carries v4"), std::string::npos) << what;
-  }
-  std::filesystem::remove_all(root);
-}
-
-TEST(ResumeTest, OldSchemaOutputIsRefusedWithAPointerAtMerge) {
-  // Appending v4 records to a v2/v3 file would corrupt it: resume must
-  // refuse outright, naming the file and the recorded version, and tell
-  // the operator what to do with the old output.
-  for (const std::uint64_t old_version : {2u, 3u}) {
-    const std::string jsonl = temp_path("dist_resume_old.jsonl");
-    write_shard_jsonl(jsonl, {0});
-    write_file(jsonl, downgrade_jsonl(read_file(jsonl), old_version));
-    try {
-      ResumeIndex::scan("", jsonl, {7, 8});
-      FAIL() << "expected a cross-version resume error (v" << old_version
-             << ")";
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(jsonl), std::string::npos) << what;
-      EXPECT_NE(what.find("schema v" + std::to_string(old_version)),
-                std::string::npos)
-          << what;
-      EXPECT_NE(what.find("appends v4"), std::string::npos) << what;
-      EXPECT_NE(what.find("mtr_merge"), std::string::npos) << what;
-    }
-    std::filesystem::remove(jsonl);
-
-    const std::string csv = temp_path("dist_resume_old.csv");
-    {
-      report::CsvSink sink(csv);
-      sink.write_cell("grid", synth_cell(0, {7, 8}));
-    }
-    write_file(csv, downgrade_csv(read_file(csv), old_version));
-    EXPECT_THROW(ResumeIndex::scan(csv, "", {7, 8}), std::runtime_error);
-    std::filesystem::remove(csv);
-  }
-}
-
 TEST(SweepDriverTest, DryRunPlanNamesOpenScenarioAxes) {
   report::SweepRegistry registry;
   registry.add({"abl", "jiffy ablation", [](const report::SweepContext& ctx) {
@@ -1248,7 +1068,7 @@ TEST(MetricsFoldTest, RunMergeWritesFoldedMetricsOutput) {
   EXPECT_NE(out.str().find("1 sweep metric(s)"), std::string::npos) << out.str();
 }
 
-// --- schema v2 telemetry round trips and v1 compatibility -------------------------
+// --- schema v2 telemetry round trips ----------------------------------------------
 
 namespace {
 
@@ -1297,47 +1117,6 @@ TEST(MetricsFoldTest, TelemetrySectionsRoundTripByteStably) {
   EXPECT_EQ(reemit.str(), read_file(path));
 }
 
-TEST(MetricsFoldTest, V1FilesParseWithEmptyTelemetryAndFoldToV2) {
-  // A pre-telemetry document: no "series"/"sketches" sections.
-  const auto v1 = temp_path("legacy-v1-metrics.json");
-  write_file(v1,
-             "{\"schema\": 1, \"record\": \"metrics\", \"shards\": 1, "
-             "\"sweeps\": [\n"
-             " {\"sweep\": \"fig04\", \"cells\": 2, \"runs\": 6, "
-             "\"cell_wall_seconds\": 1, \"max_cell_seconds\": 0.25,\n"
-             "  \"kernel\": {\"events_popped\": 200, \"idle_leaps\": 0, "
-             "\"running_leaps\": 0, \"ticks_coalesced\": 20, "
-             "\"timer_ticks\": 80, \"charges_enqueued\": 0, "
-             "\"charge_flushes\": 14, \"context_switches\": 0, "
-             "\"stale_events\": 0, \"max_event_queue_depth\": 7},\n"
-             "  \"phases\": [],\n"
-             "  \"pool\": {\"threads\": 2, \"wall_seconds\": 0.5, "
-             "\"busy_seconds\": [0.25, 0.125]}}\n"
-             "]}\n");
-  const MetricsFile f = read_metrics_json(v1);
-  EXPECT_EQ(f.schema, 1u);
-  ASSERT_EQ(f.sweeps.size(), 1u);
-  EXPECT_EQ(f.sweeps[0].kernel.events_popped, 200u);
-  EXPECT_TRUE(f.sweeps[0].telemetry.empty());
-
-  // v1 telemetry is the fold identity: mixing v1 and v2 shards works and
-  // the folded document is stamped with the current schema.
-  const auto v2 =
-      write_metrics_file("legacy-v2-half.json", {telemetry_metrics("fig04")});
-  const MetricsFile folded = fold_metrics({f, read_metrics_json(v2)});
-  EXPECT_EQ(folded.schema, trace::kMetricsSchemaVersion);
-  ASSERT_EQ(folded.sweeps.size(), 1u);
-  EXPECT_EQ(folded.sweeps[0].cells, 4u);
-  EXPECT_EQ(folded.sweeps[0].telemetry.billing_error.count(), 3u);
-
-  // Below the floor is rejected like above the ceiling.
-  const auto v0 = temp_path("legacy-v0-metrics.json");
-  write_file(v0,
-             "{\"schema\": 0, \"record\": \"metrics\", \"shards\": 1, "
-             "\"sweeps\": []}");
-  EXPECT_THROW(read_metrics_json(v0), std::runtime_error);
-}
-
 TEST(MetricsFoldTest, MalformedTelemetrySectionsAreRejectedWithContext) {
   // A sketch whose bucket counts disagree with its "count" field.
   const auto bad = temp_path("bad-sketch-metrics.json");
@@ -1354,6 +1133,162 @@ TEST(MetricsFoldTest, MalformedTelemetrySectionsAreRejectedWithContext) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("billing_error"), std::string::npos)
         << e.what();
+  }
+}
+
+// --- one schema: every reader refuses every other version -------------------------
+
+namespace {
+
+/// Rewrites the schema stamp of a real current-version record file to
+/// `version`, on every record or on the 1-based `only_line` alone. Only the
+/// stamp changes: the columns stay the current layout.
+std::string restamp(const std::string& text, std::uint64_t version,
+                    std::size_t only_line = 0) {
+  const std::string current = std::to_string(report::kSchemaVersion);
+  const std::string jsonl_tag = "\"schema\":" + current + ",";
+  std::string out;
+  const auto lines = lines_of(text);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    std::string line = lines[i];
+    const bool csv_header = line.rfind("schema,", 0) == 0;
+    if (!csv_header && (only_line == 0 || only_line == i + 1)) {
+      const std::size_t at = line.find(jsonl_tag);
+      // JSONL: the "schema" key; CSV: the leading schema cell.
+      const std::size_t stamp = at != std::string::npos ? at + 9 : 0;
+      EXPECT_EQ(line.compare(stamp, current.size() + 1, current + ","), 0)
+          << line;
+      line.replace(stamp, current.size(), std::to_string(version));
+    }
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+/// Asserts the one-line refusal: path:line, the byte, the version found,
+/// the version this build reads, and who produced the file.
+void expect_refusal(const std::string& what, const std::string& path,
+                    std::uint64_t line, std::uint64_t byte, std::uint64_t found,
+                    std::uint64_t reads) {
+  EXPECT_NE(what.find(path + ":" + std::to_string(line) + ":"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("(byte " + std::to_string(byte) + ")"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("schema version " + std::to_string(found) + ","),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("this build reads only v" + std::to_string(reads)),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find(found < reads ? "produced by an older metertrust"
+                                    : "produced by a newer metertrust"),
+            std::string::npos)
+      << what;
+  EXPECT_EQ(what.find('\n'), what.back() == '\n' ? what.size() - 1
+                                                  : std::string::npos)
+      << "refusal spans several lines: " << what;
+}
+
+}  // namespace
+
+TEST(SchemaRejectionTest, RecordsOfAnyOtherVersionAreRefusedEverywhere) {
+  const std::string root = temp_path("dist_schema_reject");
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  const std::string jsonl = root + "/grid.jsonl";
+  const std::string csv = root + "/grid.csv";
+  write_shard_jsonl(jsonl, {0, 1});
+  {
+    report::CsvSink sink(csv);
+    sink.write_cell("grid", synth_cell(0, {7, 8}));
+    sink.write_cell("grid", synth_cell(1, {7, 8}));
+  }
+  const std::string v4_jsonl = read_file(jsonl);
+  const std::string v4_csv = read_file(csv);
+  const std::uint64_t csv_header = lines_of(v4_csv)[0].size() + 1;
+
+  for (const bool is_csv : {false, true}) {
+    const std::string& path = is_csv ? csv : jsonl;
+    const std::string& original = is_csv ? v4_csv : v4_jsonl;
+    const auto scan = [&] { return is_csv ? scan_csv(path) : scan_jsonl(path); };
+    MergeOptions merge;
+    (is_csv ? merge.csv_out : merge.jsonl_out) = root + "/merged";
+    (is_csv ? merge.csv_in : merge.jsonl_in) = {path};
+
+    // Every record restamped: refused at the first record.
+    for (const std::uint64_t version : {1u, 3u, 5u}) {
+      SCOPED_TRACE(path + " restamped v" + std::to_string(version));
+      write_file(path, restamp(original, version));
+      const std::uint64_t line = is_csv ? 2 : 1;
+      const std::uint64_t byte = is_csv ? csv_header : 0;
+      try {
+        scan();
+        FAIL() << "scanner accepted schema " << version;
+      } catch (const SchemaError& e) {
+        expect_refusal(e.what(), path, line, byte, version, 4);
+      }
+      try {
+        ResumeIndex::scan(is_csv ? path : "", is_csv ? "" : path, {7, 8});
+        FAIL() << "resume accepted schema " << version;
+      } catch (const SchemaError& e) {
+        expect_refusal(e.what(), path, line, byte, version, 4);
+        EXPECT_NE(std::string(e.what()).find("start the sweep fresh"),
+                  std::string::npos)
+            << e.what();
+      }
+      std::ostringstream out, err;
+      EXPECT_EQ(run_merge(merge, out, err),
+                static_cast<int>(MergeFault::kCorrupt));
+      expect_refusal(err.str(), path, line, byte, version, 4);
+    }
+
+    // One v3 record mid-file (the first run of cell 1, line 4 in both
+    // layouts) is refused as well: a file never mixes versions.
+    SCOPED_TRACE(path + " with one v3 line");
+    write_file(path, restamp(original, 3, 4));
+    const auto lines = lines_of(original);
+    const std::uint64_t byte = lines[0].size() + lines[1].size() +
+                               lines[2].size() + 3;
+    try {
+      scan();
+      FAIL() << "scanner accepted a mixed file";
+    } catch (const SchemaError& e) {
+      expect_refusal(e.what(), path, 4, byte, 3, 4);
+    }
+    std::ostringstream out, err;
+    EXPECT_EQ(run_merge(merge, out, err), static_cast<int>(MergeFault::kCorrupt));
+
+    // The untouched file still scans clean: only the stamp was at fault.
+    write_file(path, original);
+    EXPECT_EQ(scan().blocks.size(), 2u);
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(SchemaRejectionTest, MetricsOfAnyOtherVersionAreRefused) {
+  const std::string text = read_file(write_metrics_file(
+      "schema-reject-src.json", {telemetry_metrics("fig04")}));
+  const std::string stamp = "{\"schema\": 2,";
+  ASSERT_EQ(text.rfind(stamp, 0), 0u) << text.substr(0, 40);
+  const std::string path = temp_path("schema-reject-metrics.json");
+  for (const std::uint64_t version : {1u, 3u}) {
+    SCOPED_TRACE("metrics schema " + std::to_string(version));
+    write_file(path, "{\"schema\": " + std::to_string(version) + "," +
+                         text.substr(stamp.size()));
+    try {
+      read_metrics_json(path);
+      FAIL() << "metrics schema " << version << " accepted";
+    } catch (const SchemaError& e) {
+      expect_refusal(e.what(), path, 1, 1, version, 2);
+    }
+    MergeOptions merge;
+    merge.metrics_out = temp_path("schema-reject-folded.json");
+    merge.metrics_in = {path};
+    std::ostringstream out, err;
+    EXPECT_EQ(run_merge(merge, out, err), static_cast<int>(MergeFault::kCorrupt));
+    expect_refusal(err.str(), path, 1, 1, version, 2);
   }
 }
 
@@ -1932,63 +1867,6 @@ TEST(CrashConsistencyTest, EveryTornByteOfTheFinalRecordRecoversThePrefix) {
   ASSERT_EQ(run_sweeps(registry, opts, out, err2), 0) << err2.str();
   EXPECT_EQ(read_file(cut_csv), ref_csv);
   EXPECT_EQ(read_file(cut_jsonl), ref_jsonl);
-  std::filesystem::remove_all(root);
-}
-
-/// Leading blocks provably complete against `expected_seeds`, plus the
-/// offset just past the last of them — what a crash-recovery consumer may
-/// keep of a possibly-torn file.
-std::pair<std::size_t, std::uint64_t> complete_prefix(
-    const FileScan& scan, std::size_t expected_seeds) {
-  std::size_t n = 0;
-  std::uint64_t end = scan.header_bytes;
-  for (const CellBlock& b : scan.blocks) {
-    if (!b.closed && b.seeds.size() != expected_seeds) break;
-    end = b.end_offset;
-    ++n;
-  }
-  return {n, end};
-}
-
-TEST(CrashConsistencyTest, SchemaV2FixturesRecoverThePrefixAtEveryCut) {
-  std::atomic<int> runs{0};
-  const report::SweepRegistry registry = counting_registry(&runs);
-  const std::string root = temp_path("dist_torn_v2");
-  std::filesystem::remove_all(root);
-  std::ostringstream out, err;
-  ASSERT_EQ(run_sweeps(registry, grid_options(root + "/ref"), out, err), 0);
-  const std::string v2_csv = downgrade_csv_v2(read_file(root + "/ref/grid.csv"));
-  const std::string v2_jsonl =
-      downgrade_jsonl_v2(read_file(root + "/ref/grid.jsonl"));
-  const std::string csv = root + "/v2.csv";
-  const std::string jsonl = root + "/v2.jsonl";
-
-  // Block layout of the intact v2 files.
-  write_file(csv, v2_csv);
-  write_file(jsonl, v2_jsonl);
-  const FileScan full_csv = scan_csv(csv);
-  const FileScan full_jsonl = scan_jsonl(jsonl);
-  ASSERT_EQ(full_csv.schema, 2u);
-  ASSERT_EQ(full_jsonl.schema, 2u);
-  ASSERT_EQ(complete_prefix(full_csv, 2).first, 4u);
-  ASSERT_EQ(full_jsonl.blocks.size(), 4u);
-  const std::uint64_t csv_prefix = full_csv.blocks.at(2).end_offset;
-  const std::uint64_t jsonl_prefix = full_jsonl.blocks.at(2).end_offset;
-
-  for (std::uint64_t b = 1; b <= v2_jsonl.size() - jsonl_prefix; ++b) {
-    write_file(jsonl, v2_jsonl);
-    chop_bytes(jsonl, b);
-    const FileScan scan = scan_jsonl(jsonl);
-    ASSERT_EQ(scan.blocks.size(), 3u) << "v2 jsonl cut " << b;
-    ASSERT_EQ(scan.valid_bytes, jsonl_prefix) << "v2 jsonl cut " << b;
-  }
-  for (std::uint64_t b = 1; b <= v2_csv.size() - csv_prefix; ++b) {
-    write_file(csv, v2_csv);
-    chop_bytes(csv, b);
-    const auto [cells, end] = complete_prefix(scan_csv(csv), 2);
-    ASSERT_EQ(cells, 3u) << "v2 csv cut " << b;
-    ASSERT_EQ(end, csv_prefix) << "v2 csv cut " << b;
-  }
   std::filesystem::remove_all(root);
 }
 

@@ -120,29 +120,12 @@ TEST(ResultSinkSchema, KeysAreUniqueAndVersioned) {
       EXPECT_NE(keys[i], keys[j]) << "duplicate column " << keys[i];
 }
 
-TEST(ResultSinkSchema, EachLayoutIsTheNextMinusItsDocumentedColumns) {
-  const auto v4 = run_schema_keys(kSchemaVersion);
-  const auto v3 = run_schema_keys(3);
-  const auto v2 = run_schema_keys(2);
-  ASSERT_EQ(v4.size(), v3.size() + schema_v4_columns().size());
-  ASSERT_EQ(v3.size(), v2.size() + schema_v3_columns().size());
-  // Each older layout is exactly the newer list with the documented
-  // columns removed — the property the schema_downgrade.py CI check and
-  // mtr_merge's old-version outputs both lean on.
-  const auto strip = [](const std::vector<std::string>& keys,
-                        const std::vector<std::string>& extra) {
-    std::vector<std::string> out;
-    for (const std::string& key : keys)
-      if (std::find(extra.begin(), extra.end(), key) == extra.end())
-        out.push_back(key);
-    return out;
-  };
-  EXPECT_EQ(strip(v4, schema_v4_columns()), v3);
-  EXPECT_EQ(strip(v3, schema_v3_columns()), v2);
-  // The v3 additions sit with the other cell coordinates, before `seed`.
+TEST(ResultSinkSchema, ScenarioCoordinatesSitBeforeTheSeed) {
+  const auto keys = run_schema_keys();
+  // The scenario-axis coordinates sit with the other cell coordinates.
   const auto at = [&](const std::string& key) {
     return static_cast<std::size_t>(
-        std::find(v3.begin(), v3.end(), key) - v3.begin());
+        std::find(keys.begin(), keys.end(), key) - keys.begin());
   };
   EXPECT_LT(at("hz"), at("cpu_hz"));
   EXPECT_LT(at("cpu_hz"), at("ram_frames"));
@@ -336,19 +319,6 @@ TEST(JsonlSinkTest, RoundTripsRunsAndCellSummary) {
   EXPECT_EQ(json_raw_value(summary, "jiffy_timers"), "false");
   EXPECT_NE(summary.find("\"overcharge\":{\"n\":2,"), std::string::npos);
   EXPECT_NE(summary.find("\"attacker_true_seconds\":{"), std::string::npos);
-}
-
-TEST(CellRecordTest, V2SummarySkipsTheScenarioAxisKeys) {
-  CellSummary s = summarize_cell("fig07", sample_cell());
-  s.schema = 2;
-  std::ostringstream os;
-  write_cell_record(os, s);
-  const std::string line = os.str();
-  EXPECT_NE(line.find("\"schema\":2"), std::string::npos);
-  for (const std::string& key : schema_v3_columns())
-    EXPECT_EQ(line.find("\"" + key + "\""), std::string::npos) << key;
-  // Everything else is still there, in the v2 shape.
-  EXPECT_NE(line.find("\"hz\":1000,\"workload\":"), std::string::npos);
 }
 
 TEST(CsvSinkTest, AppendModeWritesHeaderExactlyOnce) {
