@@ -1,5 +1,6 @@
 #include "common/format.hpp"
 
+#include <cstdio>
 #include <iomanip>
 #include <sstream>
 
@@ -47,6 +48,30 @@ std::string fmt_usage(const CpuUsageCycles& u, CpuHz hz, int precision) {
      << "u=" << cycles_to_seconds(u.user, hz) << "s s=" << cycles_to_seconds(u.system, hz)
      << 's';
   return os.str();
+}
+
+std::string json_quote(std::string_view s) {
+  std::string out = "\"";
+  for (const char ch : s) {
+    if (ch == '"' || ch == '\\') {
+      out += '\\';
+      out += ch;
+    } else if (static_cast<unsigned char>(ch) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
+      out += buf;
+    } else {
+      out += ch;
+    }
+  }
+  out += '"';
+  return out;
+}
+
+std::string json_number(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
 }
 
 }  // namespace mtr

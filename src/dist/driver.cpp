@@ -2,12 +2,12 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
-#include <stdexcept>
+#include <sstream>
 
+#include "dist/flags.hpp"
 #include "dist/metrics.hpp"
 #include "dist/records.hpp"
 #include "dist/resume.hpp"
@@ -90,141 +90,92 @@ std::vector<std::uint64_t> consecutive_seeds(std::size_t n, std::uint64_t first)
   return seeds;
 }
 
-[[noreturn]] void bad_usage(const std::string& message) {
-  throw std::runtime_error(message + "\n\n" + kUsage);
-}
-
-/// Strict full-match parse ("2x" is an error, unlike atof's silent 2.0);
-/// the same mtr::parse_* helpers the record scanners use.
-double parse_double_flag(std::string_view flag, const std::string& v) {
-  const std::optional<double> x = parse_f64(v);
-  if (!x) bad_usage(std::string(flag) + ": invalid number '" + v + "'");
-  return *x;
-}
-
-long parse_long_flag(std::string_view flag, const std::string& v) {
-  const std::optional<long> x = parse_number<long>(v);
-  if (!x) bad_usage(std::string(flag) + ": invalid integer '" + v + "'");
-  return *x;
-}
-
-void create_parent_dirs(const std::string& path) {
-  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent);
-}
-
 /// Publishes a metrics document the same way the status heartbeat is
-/// published: temp file + atomic rename, so a reader (or a resume after a
-/// kill) sees a complete document or nothing — never a torn prefix.
+/// published, so a reader (or a resume after a kill) sees a complete
+/// document or nothing — never a torn prefix.
 void publish_metrics_file(const std::string& path,
                           const std::vector<trace::SweepMetrics>& sweeps) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot open metrics file: " + tmp);
-    trace::write_metrics_json(out, sweeps, /*shards=*/1);
-    out.flush();
-    if (!out) throw std::runtime_error("cannot write metrics file: " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec)
-    throw std::runtime_error("cannot publish metrics file " + path + ": " +
-                             ec.message());
+  std::ostringstream os;
+  trace::write_metrics_json(os, sweeps, /*shards=*/1);
+  publish_file(path, os.str(), "metrics");
+}
+
+/// Every mtr_sweep flag; the workload flags lead.
+FlagTable sweep_flags(SweepOptions& o) {
+  FlagTable t = workload_flags(o);
+  t.insert(t.end(), {
+    switch_flag("--help", o.help),
+    switch_flag("-h", o.help),
+    switch_flag("--list", o.list),
+    switch_flag("--all", o.all),
+    switch_flag("--quiet", o.quiet),
+    switch_flag("--no-progress", o.progress, false),
+    switch_flag("--dry-run", o.dry_run),
+    switch_flag("--resume", o.resume),
+    text_flag("--csv", o.csv_path),
+    text_flag("--jsonl", o.jsonl_path),
+    text_flag("--out-dir", o.out_dir),
+    text_flag("--trace-dir", o.trace_dir),
+    text_flag("--metrics", o.metrics_path),
+    text_flag("--status-file", o.status_file),
+    {"--shard", 1,
+     [&o](std::string_view, FlagValues v) {
+       o.shard = parse_shard_spec(std::string(v[0]));
+     }},
+    {"--fault-inject", 1,
+     [&o](std::string_view, FlagValues v) {
+       o.fault = parse_fault_plan(std::string(v[0]));
+     },
+     "MTR_FAULT_INJECT"},
+  });
+  return t;
 }
 
 }  // namespace
 
+FlagTable workload_flags(SweepOptions& o) {
+  return {
+      value_flag("--scale", o.scale, positive_real, "MTR_BENCH_SCALE"),
+      {"--seeds", 1,
+       [&o](std::string_view src, FlagValues v) {
+         const std::uint64_t first = o.seeds.empty() ? 42 : o.seeds.front();
+         o.seeds = consecutive_seeds(int_value<std::size_t, 1>(src, v[0]), first);
+       },
+       "MTR_BENCH_SEEDS"},
+      {"--first-seed", 1,
+       [&o](std::string_view src, FlagValues v) {
+         o.seeds = consecutive_seeds(o.seeds.size(),
+                                     int_value<std::uint64_t>(src, v[0]));
+       }},
+      value_flag("--threads", o.threads, int_value<unsigned, 1>,
+                 "MTR_BENCH_THREADS"),
+      {"--engine", 1,
+       [&o](std::string_view, FlagValues v) {
+         if (v[0] == "event") o.event_driven = true;
+         else if (v[0] == "slice") o.event_driven = false;
+         else
+           throw UsageError("--engine must be 'event' or 'slice', got '" +
+                            std::string(v[0]) + "'");
+       }},
+  };
+}
+
 SweepOptions default_sweep_options() {
   SweepOptions o;
-  // Empty counts as unset; garbage is rejected with the same strictness as
-  // the flags — a typo'd env var in a cluster launch script must not
-  // silently run the wrong grid.
-  const auto env = [](const char* name) -> const char* {
-    const char* s = std::getenv(name);
-    return s != nullptr && *s != '\0' ? s : nullptr;
-  };
-  if (const char* s = env("MTR_BENCH_SCALE")) {
-    const double v = parse_double_flag("MTR_BENCH_SCALE", s);
-    if (v <= 0.0) bad_usage("MTR_BENCH_SCALE must be > 0");
-    o.scale = v;
-  }
-  std::size_t n_seeds = 3;
-  if (const char* s = env("MTR_BENCH_SEEDS")) {
-    const long v = parse_long_flag("MTR_BENCH_SEEDS", s);
-    if (v <= 0) bad_usage("MTR_BENCH_SEEDS must be >= 1");
-    n_seeds = static_cast<std::size_t>(v);
-  }
-  o.seeds = consecutive_seeds(n_seeds, 42);
-  if (const char* s = env("MTR_BENCH_THREADS")) {
-    const long v = parse_long_flag("MTR_BENCH_THREADS", s);
-    if (v <= 0) bad_usage("MTR_BENCH_THREADS must be >= 1");
-    o.threads = static_cast<unsigned>(v);
-  }
-  if (const char* s = env("MTR_BENCH_PROGRESS"))
-    o.progress = std::string_view(s) != "0";
-  if (const char* s = env("MTR_FAULT_INJECT")) o.fault = parse_fault_plan(s);
+  o.seeds = consecutive_seeds(3, 42);
+  // Garbage is rejected with the same strictness as the flags — a typo'd
+  // env var in a cluster launch script must not silently run the wrong
+  // grid.
+  apply_env(sweep_flags(o));
+  if (const char* progress = std::getenv("MTR_BENCH_PROGRESS"))
+    o.progress = std::string_view(progress) != "0";
   return o;
 }
 
 SweepOptions parse_sweep_args(int argc, const char* const* argv) {
   SweepOptions o = default_sweep_options();
-  std::size_t n_seeds = o.seeds.size();
-  std::uint64_t first_seed = o.seeds.empty() ? 42 : o.seeds.front();
-
-  const auto value = [&](int& i, std::string_view flag) -> std::string {
-    if (i + 1 >= argc) bad_usage(std::string(flag) + " requires a value");
-    return argv[++i];
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") o.help = true;
-    else if (arg == "--list") o.list = true;
-    else if (arg == "--all") o.all = true;
-    else if (arg == "--quiet") o.quiet = true;
-    else if (arg == "--no-progress") o.progress = false;
-    else if (arg == "--dry-run") o.dry_run = true;
-    else if (arg == "--resume") o.resume = true;
-    else if (arg == "--shard") {
-      o.shard = parse_shard_spec(value(i, arg));
-    } else if (arg == "--csv") o.csv_path = value(i, arg);
-    else if (arg == "--jsonl") o.jsonl_path = value(i, arg);
-    else if (arg == "--out-dir") o.out_dir = value(i, arg);
-    else if (arg == "--trace-dir") o.trace_dir = value(i, arg);
-    else if (arg == "--metrics") o.metrics_path = value(i, arg);
-    else if (arg == "--status-file") o.status_file = value(i, arg);
-    else if (arg == "--scale") {
-      const double v = parse_double_flag(arg, value(i, arg));
-      if (v <= 0.0) bad_usage("--scale must be > 0");
-      o.scale = v;
-    } else if (arg == "--fault-inject") {
-      o.fault = parse_fault_plan(value(i, arg));
-    } else if (arg == "--engine") {
-      const std::string v = value(i, arg);
-      if (v == "event") o.event_driven = true;
-      else if (v == "slice") o.event_driven = false;
-      else bad_usage("--engine must be 'event' or 'slice', got '" + v + "'");
-    } else if (arg == "--seeds") {
-      const long v = parse_long_flag(arg, value(i, arg));
-      if (v <= 0) bad_usage("--seeds must be >= 1");
-      n_seeds = static_cast<std::size_t>(v);
-    } else if (arg == "--first-seed") {
-      // strtoull would accept (and negate) a leading '-'; require digits.
-      const std::optional<std::uint64_t> v = parse_u64(value(i, arg));
-      if (!v) bad_usage("--first-seed must be a non-negative integer");
-      first_seed = *v;
-    } else if (arg == "--threads") {
-      const long v = parse_long_flag(arg, value(i, arg));
-      if (v <= 0) bad_usage("--threads must be >= 1");
-      o.threads = static_cast<unsigned>(v);
-    } else if (!arg.empty() && arg.front() == '-') {
-      bad_usage("unknown flag: " + std::string(arg));
-    } else {
-      o.sweeps.emplace_back(arg);
-    }
-  }
-  o.seeds = consecutive_seeds(n_seeds, first_seed);
+  parse_flags(argc, argv, sweep_flags(o),
+              [&o](std::string_view name) { o.sweeps.emplace_back(name); });
   return o;
 }
 
@@ -531,12 +482,10 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
 
 int sweep_main(const report::SweepRegistry& registry, int argc,
                const char* const* argv) {
-  try {
-    return run_sweeps(registry, parse_sweep_args(argc, argv), std::cout, std::cerr);
-  } catch (const std::exception& e) {
-    std::cerr << "mtr_sweep: " << e.what() << '\n';
-    return 1;
-  }
+  return run_cli("mtr_sweep", kUsage, 1, [&] {
+    return run_sweeps(registry, parse_sweep_args(argc, argv), std::cout,
+                      std::cerr);
+  });
 }
 
 }  // namespace mtr::dist

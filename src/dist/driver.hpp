@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "dist/fault.hpp"
+#include "dist/flags.hpp"
 #include "dist/shard.hpp"
 #include "report/sweep.hpp"
 
@@ -50,14 +51,20 @@ struct SweepOptions {
   FaultPlan fault;
 };
 
+/// --scale, --seeds, --first-seed, --threads and --engine bound to `o`,
+/// with the MTR_BENCH_* defaults of the first, second and fourth. mtr_fleet
+/// checks the flags it forwards with this table.
+FlagTable workload_flags(SweepOptions& o);
+
 /// Options with every default resolved from the environment
 /// (MTR_BENCH_SCALE, MTR_BENCH_SEEDS, MTR_BENCH_THREADS,
-/// MTR_BENCH_PROGRESS).
+/// MTR_BENCH_PROGRESS, MTR_FAULT_INJECT).
 SweepOptions default_sweep_options();
 
-/// Parses argv on top of default_sweep_options(); throws std::runtime_error
-/// with a usage message on malformed input. Numeric flags are strict:
-/// trailing garbage ("--scale 2x", "--threads 8q") is rejected.
+/// Parses argv on top of default_sweep_options(); throws UsageError on
+/// malformed input. Numeric flags are strict: trailing garbage
+/// ("--scale 2x", "--threads 8q"), NaN/±inf and out-of-range integers are
+/// rejected.
 SweepOptions parse_sweep_args(int argc, const char* const* argv);
 
 /// Runs the selected sweeps: builds the sink stack (creating parent
@@ -68,6 +75,7 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
                std::ostream& out, std::ostream& err);
 
 /// The whole CLI: parse + run + error reporting. `main` forwards here.
+/// Usage errors exit 2, runtime failures 1.
 int sweep_main(const report::SweepRegistry& registry, int argc,
                const char* const* argv);
 

@@ -10,12 +10,13 @@
 #include <unistd.h>
 
 #include "common/parse.hpp"
+#include "dist/flags.hpp"
 
 namespace mtr::dist {
 namespace {
 
 [[noreturn]] void bad_spec(const std::string& spec, const std::string& why) {
-  throw std::runtime_error(
+  throw UsageError(
       "fault-inject spec '" + spec + "': " + why +
       " (grammar: crash-after-cell=K[,torn-tail=B],sigkill-after-ms=T,"
       "fail-flush-at=J — any subset, comma separated)");

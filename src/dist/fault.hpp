@@ -49,7 +49,7 @@ struct FaultPlan {
 };
 
 /// Parses "key=value[,key=value...]" with the keys above. An empty spec is
-/// the empty plan. Throws std::runtime_error on unknown keys, malformed
+/// the empty plan. Throws UsageError on unknown keys, malformed
 /// values, or torn-tail without crash-after-cell.
 FaultPlan parse_fault_plan(const std::string& spec);
 

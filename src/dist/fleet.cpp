@@ -18,8 +18,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/format.hpp"
 #include "common/parse.hpp"
+#include "dist/driver.hpp"
 #include "dist/fault.hpp"
+#include "dist/flags.hpp"
 #include "dist/merge.hpp"
 #include "dist/status.hpp"
 
@@ -64,23 +67,14 @@ constexpr const char* kUsage =
     "                        shard; restarted attempts run clean\n"
     "  --sweep-bin PATH      mtr_sweep binary (default: next to mtr_fleet)\n"
     "  --scale X / --seeds N / --first-seed S / --threads T / --engine E\n"
-    "                        forwarded to every shard\n"
+    "                        checked as mtr_sweep checks them, then passed\n"
+    "                        verbatim to the preflight and every shard\n"
     "  --quiet               only failures and retries on stderr\n"
     "  --help                print this message\n"
     "\n"
     "Exit codes: 0 fleet merged and verified (or --allow-partial wrote the\n"
     "gap manifest); 1 a shard exhausted its retries or the merge failed;\n"
     "2 usage error.\n";
-
-[[noreturn]] void bad_usage(const std::string& message) {
-  throw std::runtime_error(message + "\n\n" + kUsage);
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 std::string fmt_age(double v) {
   char buf[64];
@@ -185,45 +179,9 @@ std::vector<std::string> shard_argv(const FleetOptions& o,
   a.push_back("--quiet");
   a.push_back("--no-progress");
   if (resume) a.push_back("--resume");
-  if (o.scale) {
-    a.push_back("--scale");
-    a.push_back(fmt_double(*o.scale));
-  }
-  if (o.seeds) {
-    a.push_back("--seeds");
-    a.push_back(std::to_string(*o.seeds));
-  }
-  if (o.first_seed) {
-    a.push_back("--first-seed");
-    a.push_back(std::to_string(*o.first_seed));
-  }
-  if (o.threads) {
-    a.push_back("--threads");
-    a.push_back(std::to_string(*o.threads));
-  }
-  if (o.event_driven) {
-    a.push_back("--engine");
-    a.push_back(*o.event_driven ? "event" : "slice");
-  }
-  for (const std::string& name : names) a.push_back(name);
+  a.insert(a.end(), o.sweep_args.begin(), o.sweep_args.end());
+  a.insert(a.end(), names.begin(), names.end());
   return a;
-}
-
-/// The workload flags also forwarded to preflight invocations, so the
-/// dry-run cell count matches what the shards will actually run.
-void append_workload_flags(const FleetOptions& o, std::vector<std::string>& a) {
-  if (o.scale) {
-    a.push_back("--scale");
-    a.push_back(fmt_double(*o.scale));
-  }
-  if (o.seeds) {
-    a.push_back("--seeds");
-    a.push_back(std::to_string(*o.seeds));
-  }
-  if (o.first_seed) {
-    a.push_back("--first-seed");
-    a.push_back(std::to_string(*o.first_seed));
-  }
 }
 
 std::string describe_exit(int status) {
@@ -256,20 +214,16 @@ void write_gap_manifest(const std::string& path, const FleetOptions& o,
        << ", \"hung\": " << (s.hung ? "true" : "false")
        << ", \"last_heartbeat_age_seconds\": ";
     if (s.last_heartbeat_age >= 0.0)
-      os << fmt_double(s.last_heartbeat_age);
+      os << json_number(s.last_heartbeat_age);
     else
       os << "null";
-    os << ", \"log\": \"" << s.log_path << "\"}";
+    os << ", \"log\": " << json_quote(s.log_path) << "}";
   }
   os << "], \"missing_cells\": [";
   for (std::size_t i = 0; i < missing.size(); ++i)
     os << (i ? ", " : "") << missing[i];
   os << "]}\n";
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open gap manifest: " + path);
-  out << os.str();
-  out.flush();
-  if (!out) throw std::runtime_error("cannot write gap manifest: " + path);
+  publish_file(path, os.str(), "gap manifest");
 }
 
 }  // namespace
@@ -305,91 +259,55 @@ FleetOptions default_fleet_options() {
 
 FleetOptions parse_fleet_args(int argc, const char* const* argv) {
   FleetOptions o = default_fleet_options();
-  const auto value = [&](int& i, std::string_view flag) -> std::string {
-    if (i + 1 >= argc) bad_usage(std::string(flag) + " requires a value");
-    return argv[++i];
-  };
-  const auto u64_flag = [&](std::string_view flag, const std::string& v) {
-    const std::optional<std::uint64_t> x = parse_u64(v);
-    if (!x) bad_usage(std::string(flag) + ": invalid integer '" + v + "'");
-    return *x;
-  };
-  const auto f64_flag = [&](std::string_view flag, const std::string& v) {
-    const std::optional<double> x = parse_f64(v);
-    if (!x) bad_usage(std::string(flag) + ": invalid number '" + v + "'");
-    return *x;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") o.help = true;
-    else if (arg == "--all") o.all = true;
-    else if (arg == "--quiet") o.quiet = true;
-    else if (arg == "--allow-partial") o.allow_partial = true;
-    else if (arg == "--no-metrics") o.metrics = false;
-    else if (arg == "--out-dir") o.out_dir = value(i, arg);
-    else if (arg == "--sweep-bin") o.sweep_bin = value(i, arg);
-    else if (arg == "--shards") {
-      const std::uint64_t v = u64_flag(arg, value(i, arg));
-      if (v == 0) bad_usage("--shards must be >= 1");
-      o.shards = static_cast<unsigned>(v);
-    } else if (arg == "--max-retries") {
-      o.max_retries = static_cast<unsigned>(u64_flag(arg, value(i, arg)));
-    } else if (arg == "--backoff-base") {
-      o.backoff_base_ms = u64_flag(arg, value(i, arg));
-    } else if (arg == "--fleet-seed") {
-      o.fleet_seed = u64_flag(arg, value(i, arg));
-    } else if (arg == "--heartbeat-timeout") {
-      const double v = f64_flag(arg, value(i, arg));
-      if (v < 0.0) bad_usage("--heartbeat-timeout must be >= 0");
-      o.heartbeat_timeout = v;
-    } else if (arg == "--wall-timeout") {
-      const double v = f64_flag(arg, value(i, arg));
-      if (v < 0.0) bad_usage("--wall-timeout must be >= 0");
-      o.wall_timeout = v;
-    } else if (arg == "--poll-ms") {
-      const std::uint64_t v = u64_flag(arg, value(i, arg));
-      if (v == 0) bad_usage("--poll-ms must be >= 1");
-      o.poll_ms = v;
-    } else if (arg == "--fault-inject") {
-      const std::string v = value(i, arg);
-      const std::size_t colon = v.find(':');
-      if (colon == std::string::npos)
-        bad_usage("--fault-inject expects SHARD:SPEC, got '" + v + "'");
-      const std::optional<std::uint64_t> shard = parse_u64(v.substr(0, colon));
-      if (!shard)
-        bad_usage("--fault-inject: invalid shard index in '" + v + "'");
-      const std::string spec = v.substr(colon + 1);
-      parse_fault_plan(spec);  // reject malformed specs at the supervisor
-      for (const auto& [existing, unused] : o.faults)
-        if (existing == *shard)
-          bad_usage("--fault-inject: shard " + std::to_string(*shard) +
-                    " already has a fault plan");
-      o.faults.emplace_back(static_cast<unsigned>(*shard), spec);
-    } else if (arg == "--scale") {
-      const double v = f64_flag(arg, value(i, arg));
-      if (v <= 0.0) bad_usage("--scale must be > 0");
-      o.scale = v;
-    } else if (arg == "--seeds") {
-      const std::uint64_t v = u64_flag(arg, value(i, arg));
-      if (v == 0) bad_usage("--seeds must be >= 1");
-      o.seeds = v;
-    } else if (arg == "--first-seed") {
-      o.first_seed = u64_flag(arg, value(i, arg));
-    } else if (arg == "--threads") {
-      const std::uint64_t v = u64_flag(arg, value(i, arg));
-      if (v == 0) bad_usage("--threads must be >= 1");
-      o.threads = static_cast<unsigned>(v);
-    } else if (arg == "--engine") {
-      const std::string v = value(i, arg);
-      if (v == "event") o.event_driven = true;
-      else if (v == "slice") o.event_driven = false;
-      else bad_usage("--engine must be 'event' or 'slice', got '" + v + "'");
-    } else if (!arg.empty() && arg.front() == '-') {
-      bad_usage("unknown flag: " + std::string(arg));
-    } else {
-      o.sweeps.emplace_back(arg);
-    }
-  }
+  // mtr_sweep's own workload handlers, run against a scratch SweepOptions,
+  // refuse a bad value before any subprocess starts. The shards read their
+  // own environment, so the MTR_BENCH_* defaults are not consulted here.
+  SweepOptions scratch;
+  FlagTable table;
+  for (Flag& f : workload_flags(scratch))
+    table.push_back({f.name, f.values,
+                     [&o, check = std::move(f.handle)](std::string_view src,
+                                                       FlagValues v) {
+                       check(src, v);
+                       o.sweep_args.emplace_back(src);
+                       o.sweep_args.insert(o.sweep_args.end(), v.begin(),
+                                           v.end());
+                     }});
+  table.insert(table.end(), {
+    switch_flag("--help", o.help),
+    switch_flag("-h", o.help),
+    switch_flag("--all", o.all),
+    switch_flag("--quiet", o.quiet),
+    switch_flag("--allow-partial", o.allow_partial),
+    switch_flag("--no-metrics", o.metrics, false),
+    text_flag("--out-dir", o.out_dir),
+    text_flag("--sweep-bin", o.sweep_bin),
+    value_flag("--shards", o.shards, int_value<unsigned, 1>),
+    value_flag("--max-retries", o.max_retries, int_value<unsigned>),
+    value_flag("--backoff-base", o.backoff_base_ms, int_value<std::uint64_t>),
+    value_flag("--fleet-seed", o.fleet_seed, int_value<std::uint64_t>),
+    value_flag("--heartbeat-timeout", o.heartbeat_timeout, nonnegative_real),
+    value_flag("--wall-timeout", o.wall_timeout, nonnegative_real),
+    value_flag("--poll-ms", o.poll_ms, int_value<std::uint64_t, 1>),
+    {"--fault-inject", 1,
+     [&o](std::string_view src, FlagValues v) {
+       const std::string_view arg = v[0];
+       const std::size_t colon = arg.find(':');
+       if (colon == std::string_view::npos)
+         throw UsageError("--fault-inject expects SHARD:SPEC, got '" +
+                          std::string(arg) + "'");
+       const unsigned shard = int_value<unsigned>(src, arg.substr(0, colon));
+       const std::string spec(arg.substr(colon + 1));
+       parse_fault_plan(spec);  // reject malformed specs at the supervisor
+       for (const auto& [existing, unused] : o.faults)
+         if (existing == shard)
+           throw UsageError("--fault-inject: shard " + std::to_string(shard) +
+                            " already has a fault plan");
+       o.faults.emplace_back(shard, spec);
+     }},
+  });
+  parse_flags(argc, argv, table,
+              [&o](std::string_view name) { o.sweeps.emplace_back(name); });
   return o;
 }
 
@@ -399,17 +317,17 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
     out << kUsage;
     return 0;
   }
-  if (options.out_dir.empty()) bad_usage("--out-dir is required");
+  if (options.out_dir.empty()) throw UsageError("--out-dir is required");
   if (options.all && !options.sweeps.empty())
-    bad_usage("--all conflicts with naming sweeps — pick one");
+    throw UsageError("--all conflicts with naming sweeps — pick one");
   if (!options.all && options.sweeps.empty())
-    bad_usage("nothing selected — name sweeps or pass --all");
+    throw UsageError("nothing selected — name sweeps or pass --all");
   if (options.sweep_bin.empty())
-    bad_usage("--sweep-bin is required (could not locate mtr_sweep next to "
+    throw UsageError("--sweep-bin is required (could not locate mtr_sweep next to "
               "this binary)");
   for (const auto& [shard, spec] : options.faults)
     if (shard >= options.shards)
-      bad_usage("--fault-inject targets shard " + std::to_string(shard) +
+      throw UsageError("--fault-inject targets shard " + std::to_string(shard) +
                 " but the fleet has " + std::to_string(options.shards) +
                 " shard(s)");
 
@@ -448,8 +366,8 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
   std::uint64_t total_cells = 0;
   {
     std::vector<std::string> a{options.sweep_bin, "--dry-run", "--quiet"};
-    append_workload_flags(options, a);
-    for (const std::string& name : names) a.push_back(name);
+    a.insert(a.end(), options.sweep_args.begin(), options.sweep_args.end());
+    a.insert(a.end(), names.begin(), names.end());
     const ExecResult r = run_capture(a, preflight_log);
     if (r.exit_code != 0) {
       err << "mtr_fleet: preflight dry run failed (exit " << r.exit_code
@@ -706,12 +624,9 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
 }
 
 int fleet_main(int argc, const char* const* argv) {
-  try {
+  return run_cli("mtr_fleet", kUsage, 2, [&] {
     return run_fleet(parse_fleet_args(argc, argv), std::cout, std::cerr);
-  } catch (const std::exception& e) {
-    std::cerr << "mtr_fleet: " << e.what() << '\n';
-    return 2;
-  }
+  });
 }
 
 }  // namespace mtr::dist

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -40,13 +39,11 @@ struct FleetOptions {
   /// point is proving the recovery path, not looping the fault forever.
   std::vector<std::pair<unsigned, std::string>> faults;
 
-  // Pass-through workload shape (defaults resolved by the shard's own
-  // environment handling when unset).
-  std::optional<double> scale;
-  std::optional<std::uint64_t> seeds;
-  std::optional<std::uint64_t> first_seed;
-  std::optional<unsigned> threads;
-  std::optional<bool> event_driven;  // --engine event|slice
+  /// mtr_sweep's workload flags (--scale, --seeds, --first-seed, --threads,
+  /// --engine) exactly as typed, in order. They are appended unchanged to
+  /// the preflight dry run and to every shard's argv; unset ones fall back
+  /// to the shard's own environment defaults.
+  std::vector<std::string> sweep_args;
 };
 
 /// How one shard's story ended.
@@ -77,19 +74,21 @@ std::uint64_t backoff_delay_ms(std::uint64_t base_ms, unsigned attempt,
 
 FleetOptions default_fleet_options();
 
-/// Parses argv; throws std::runtime_error with a usage message on
-/// malformed input.
+/// Parses argv; throws UsageError on malformed input, including workload
+/// flag values mtr_sweep would refuse.
 FleetOptions parse_fleet_args(int argc, const char* const* argv);
 
 /// Runs the fleet: preflight (resolve sweep names, count cells), spawn
 /// shards, supervise, merge. Returns a process exit code: 0 all shards
 /// succeeded and the merge verified (or --allow-partial and the partial
-/// merge + gap manifest were written), 1 shard or merge failure, 2 usage.
+/// merge + gap manifest were written), 1 shard or merge failure. Throws
+/// UsageError on an invalid option combination (fleet_main exits 2).
 /// `report`, when non-null, receives the machine-inspectable outcome.
 int run_fleet(const FleetOptions& options, std::ostream& out,
               std::ostream& err, FleetReport* report = nullptr);
 
 /// The whole CLI: parse + run + error reporting. `main` forwards here.
+/// Usage errors exit 2.
 int fleet_main(int argc, const char* const* argv);
 
 }  // namespace mtr::dist

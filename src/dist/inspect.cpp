@@ -13,8 +13,8 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "common/parse.hpp"
 #include "common/stats.hpp"
+#include "dist/flags.hpp"
 #include "dist/json.hpp"
 #include "dist/records.hpp"
 #include "dist/status.hpp"
@@ -50,10 +50,6 @@ options:
                    supervisor kills hung shards on)
   --help           this text
 )";
-
-[[noreturn]] void usage_error(const std::string& message) {
-  throw std::runtime_error(message + "\n\n" + kUsage);
-}
 
 /// Compact %g for report tables; doubles in metrics files are exact
 /// %.17g round-trips, but the report is for eyes, not diffing.
@@ -570,52 +566,40 @@ int compare_metrics(std::ostream& out, const std::string& name_a,
 
 InspectOptions parse_inspect_args(int argc, const char* const* argv) {
   InspectOptions o;
-  const auto value = [&](int& i, const std::string& flag) -> std::string {
-    if (i + 1 >= argc) usage_error("missing value for " + flag);
-    return argv[++i];
-  };
   bool top_set = false;
-  bool stale_set = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") o.help = true;
-    else if (arg == "--metrics") o.metrics_path = value(i, arg);
-    else if (arg == "--trace") o.trace_path = value(i, arg);
-    else if (arg == "--jsonl") o.jsonl_path = value(i, arg);
-    else if (arg == "--status-file") o.status_path = value(i, arg);
-    else if (arg == "--compare") {
-      o.compare.push_back(value(i, arg));
-      o.compare.push_back(value(i, arg));
-    } else if (arg == "--top") {
-      const std::string v = value(i, arg);
-      const std::optional<std::uint64_t> n = parse_u64(v);
-      if (!n || *n == 0) usage_error("--top expects a positive integer, got '" + v + "'");
-      o.top = *n;
-      top_set = true;
-    } else if (arg == "--stale-after") {
-      const std::string v = value(i, arg);
-      const std::optional<double> s = parse_f64(v);
-      if (!s || *s <= 0.0)
-        usage_error("--stale-after expects a positive number of seconds, "
-                    "got '" + v + "'");
-      o.stale_after = *s;
-      stale_set = true;
-    } else {
-      usage_error("unknown argument '" + arg + "'");
-    }
-  }
+  const FlagTable table = {
+      switch_flag("--help", o.help),
+      switch_flag("-h", o.help),
+      text_flag("--metrics", o.metrics_path),
+      text_flag("--trace", o.trace_path),
+      text_flag("--jsonl", o.jsonl_path),
+      text_flag("--status-file", o.status_path),
+      {"--compare", 2,
+       [&o](std::string_view, FlagValues v) {
+         o.compare.assign(v.begin(), v.end());
+       }},
+      {"--top", 1,
+       [&](std::string_view src, FlagValues v) {
+         o.top = int_value<std::uint64_t, 1>(src, v[0]);
+         top_set = true;
+       }},
+      value_flag("--stale-after", o.stale_after, positive_real),
+  };
+  parse_flags(argc, argv, table, [](std::string_view arg) {
+    throw UsageError("unexpected argument '" + std::string(arg) + "'");
+  });
   if (o.help) return o;
   const int modes = (o.metrics_path.empty() ? 0 : 1) +
                     (o.trace_path.empty() ? 0 : 1) +
                     (o.jsonl_path.empty() ? 0 : 1) + (o.compare.empty() ? 0 : 1) +
                     (o.status_path.empty() ? 0 : 1);
   if (modes != 1)
-    usage_error(modes == 0 ? "no mode selected"
+    throw UsageError(modes == 0 ? "no mode selected"
                            : "more than one mode selected");
   if (top_set && o.jsonl_path.empty())
-    usage_error("--top only applies to --jsonl");
-  if (stale_set && o.status_path.empty())
-    usage_error("--stale-after only applies to --status-file");
+    throw UsageError("--top only applies to --jsonl");
+  if (o.stale_after > 0.0 && o.status_path.empty())
+    throw UsageError("--stale-after only applies to --status-file");
   return o;
 }
 
@@ -638,12 +622,9 @@ int run_inspect(const InspectOptions& options, std::ostream& out) {
 }
 
 int inspect_main(int argc, const char* const* argv) {
-  try {
+  return run_cli("mtr_inspect", kUsage, 2, [&] {
     return run_inspect(parse_inspect_args(argc, argv), std::cout);
-  } catch (const std::exception& e) {
-    std::cerr << "mtr_inspect: " << e.what() << "\n";
-    return 2;
-  }
+  });
 }
 
 }  // namespace mtr::dist

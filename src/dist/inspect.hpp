@@ -39,8 +39,8 @@ struct InspectOptions {
   double stale_after = 0.0;  // 0 = kDefaultStaleAfterSeconds
 };
 
-/// Parses argv; throws std::runtime_error with a usage message on
-/// malformed input or when not exactly one mode is selected.
+/// Parses argv; throws UsageError on malformed input or when not exactly
+/// one mode is selected.
 InspectOptions parse_inspect_args(int argc, const char* const* argv);
 
 /// One flattened metric: dotted name -> value. Sketches flatten to their

@@ -1,14 +1,14 @@
 #include "dist/merge.hpp"
 
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 
+#include "dist/flags.hpp"
 #include "dist/metrics.hpp"
 #include "dist/records.hpp"
+#include "dist/status.hpp"
 #include "report/result_sink.hpp"
 
 namespace mtr::dist {
@@ -46,10 +46,6 @@ constexpr const char* kUsage =
     "3 cell-index gap or duplicate cell (incomplete or overlapping shard\n"
     "set; each file itself may be intact).\n";
 
-[[noreturn]] void bad_usage(const std::string& message) {
-  throw std::runtime_error(message + "\n\n" + kUsage);
-}
-
 std::string describe(const CellBlock& b) {
   return "cell " + std::to_string(b.cell_index) + " [sweep=" + b.sweep +
          ", attack=" + b.attack + ", scheduler=" + b.scheduler +
@@ -60,11 +56,6 @@ std::string describe(const CellBlock& b) {
 std::string run_line_at(const std::string& path, const CellBlock& b,
                         std::size_t i) {
   return path + ":" + std::to_string(b.first_line + i);
-}
-
-bool has_suffix(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 /// Every input's blocks in one cell_index -> (block, source) map.
@@ -240,43 +231,26 @@ std::string recompute_cell_line(const CellBlock& b, const std::string& path) {
   return os.str();
 }
 
-void write_output(const std::string& path, const std::string& bytes) {
-  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open())
-    throw std::runtime_error("cannot open output file " + path);
-  out << bytes;
-  out.flush();
-  if (!out.good())
-    throw std::runtime_error("write failed for " + path + " (disk full?)");
-}
-
 }  // namespace
 
 MergeOptions parse_merge_args(int argc, const char* const* argv) {
   MergeOptions o;
-  const auto value = [&](int& i, std::string_view flag) -> std::string {
-    if (i + 1 >= argc) bad_usage(std::string(flag) + " requires a value");
-    return argv[++i];
+  const FlagTable table = {
+      switch_flag("--help", o.help),
+      switch_flag("-h", o.help),
+      switch_flag("--allow-gaps", o.allow_gaps),
+      text_flag("--csv", o.csv_out),
+      text_flag("--jsonl", o.jsonl_out),
+      text_flag("--metrics", o.metrics_out),
   };
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") o.help = true;
-    else if (arg == "--allow-gaps") o.allow_gaps = true;
-    else if (arg == "--csv") o.csv_out = value(i, arg);
-    else if (arg == "--jsonl") o.jsonl_out = value(i, arg);
-    else if (arg == "--metrics") o.metrics_out = value(i, arg);
-    else if (!arg.empty() && arg.front() == '-') {
-      bad_usage("unknown flag: " + std::string(arg));
-    } else {
-      const std::string path(arg);
-      if (has_suffix(path, ".csv")) o.csv_in.push_back(path);
-      else if (has_suffix(path, ".jsonl")) o.jsonl_in.push_back(path);
-      else if (has_suffix(path, ".json")) o.metrics_in.push_back(path);
-      else bad_usage("input " + path + " is not .csv, .jsonl, or .json");
-    }
-  }
+  parse_flags(argc, argv, table, [&o](std::string_view path) {
+    if (path.ends_with(".csv")) o.csv_in.emplace_back(path);
+    else if (path.ends_with(".jsonl")) o.jsonl_in.emplace_back(path);
+    else if (path.ends_with(".json")) o.metrics_in.emplace_back(path);
+    else
+      throw UsageError("input " + std::string(path) +
+                       " is not .csv, .jsonl, or .json");
+  });
   return o;
 }
 
@@ -368,12 +342,12 @@ int run_merge(const MergeOptions& o, std::ostream& out, std::ostream& err) {
           "from the same sweep invocation?");
 
     if (!o.csv_out.empty()) {
-      write_output(o.csv_out, csv_bytes);
+      publish_file(o.csv_out, csv_bytes, "output");
       out << "mtr_merge: " << csv_cells.size() << " cell(s) from "
           << o.csv_in.size() << " shard file(s) -> " << o.csv_out << '\n';
     }
     if (!o.jsonl_out.empty()) {
-      write_output(o.jsonl_out, jsonl_bytes);
+      publish_file(o.jsonl_out, jsonl_bytes, "output");
       out << "mtr_merge: " << jsonl_cells.size() << " cell(s) from "
           << o.jsonl_in.size() << " shard file(s) -> " << o.jsonl_out << '\n';
     }
@@ -400,7 +374,7 @@ int run_merge(const MergeOptions& o, std::ostream& out, std::ostream& err) {
       const MetricsFile folded = fold_metrics(shards);
       std::ostringstream ms;
       trace::write_metrics_json(ms, folded.sweeps, folded.shards);
-      write_output(o.metrics_out, ms.str());
+      publish_file(o.metrics_out, ms.str(), "output");
       out << "mtr_merge: " << folded.sweeps.size() << " sweep metric(s) from "
           << o.metrics_in.size() << " shard file(s) -> " << o.metrics_out
           << '\n';
@@ -416,12 +390,9 @@ int run_merge(const MergeOptions& o, std::ostream& out, std::ostream& err) {
 }
 
 int merge_main(int argc, const char* const* argv) {
-  try {
+  return run_cli("mtr_merge", kUsage, 2, [&] {
     return run_merge(parse_merge_args(argc, argv), std::cout, std::cerr);
-  } catch (const std::exception& e) {
-    std::cerr << "mtr_merge: " << e.what() << '\n';
-    return 2;
-  }
+  });
 }
 
 }  // namespace mtr::dist

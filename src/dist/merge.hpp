@@ -42,8 +42,7 @@ struct MergeOptions {
   std::vector<std::string> metrics_in;  // positional *.json (metrics files)
 };
 
-/// Parses mtr_merge argv; throws std::runtime_error (with usage appended)
-/// on malformed input.
+/// Parses mtr_merge argv; throws UsageError on malformed input.
 MergeOptions parse_merge_args(int argc, const char* const* argv);
 
 /// Merges shard JSONL files into the canonical byte stream. `cell_indices`,

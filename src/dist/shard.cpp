@@ -1,15 +1,14 @@
 #include "dist/shard.hpp"
 
-#include <stdexcept>
-
+#include "dist/flags.hpp"
 #include "dist/records.hpp"
 
 namespace mtr::dist {
 
 ShardSpec parse_shard_spec(const std::string& spec) {
   const auto fail = [&]() -> ShardSpec {
-    throw std::runtime_error("bad shard spec '" + spec +
-                             "' — expected I/N with 0 <= I < N, e.g. 0/3");
+    throw UsageError("bad shard spec '" + spec +
+                     "' — expected I/N with 0 <= I < N, e.g. 0/3");
   };
   const std::size_t slash = spec.find('/');
   if (slash == std::string::npos) return fail();

@@ -20,8 +20,8 @@ struct ShardSpec {
   }
 };
 
-/// Parses "I/N" (0-based shard I of N, e.g. "0/3"); throws
-/// std::runtime_error with a usage hint on malformed or out-of-range specs.
+/// Parses "I/N" (0-based shard I of N, e.g. "0/3"); throws UsageError
+/// with a usage hint on malformed or out-of-range specs.
 ShardSpec parse_shard_spec(const std::string& spec);
 
 /// "I/N" — the parseable rendering.

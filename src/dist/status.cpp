@@ -1,72 +1,63 @@
 #include "dist/status.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/format.hpp"
 #include "dist/json.hpp"
 
 namespace mtr::dist {
-namespace {
-
-std::string json_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-/// Status sweep names come from the registry (identifiers), but escape the
-/// two structural characters anyway so the file stays valid JSON.
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    out += ch;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 std::string render_status_json(const StatusSnapshot& s) {
   std::string out = "{\"record\": \"status\", \"sweep\": " +
-                    json_string(s.sweep) +
+                    json_quote(s.sweep) +
                     ", \"cells_done\": " + std::to_string(s.cells_done) +
                     ", \"cells_total\": " + std::to_string(s.cells_total) +
-                    ", \"elapsed_seconds\": " + json_double(s.elapsed_seconds) +
+                    ", \"elapsed_seconds\": " + json_number(s.elapsed_seconds) +
                     ", \"eta_seconds\": ";
-  out += s.eta_seconds ? json_double(*s.eta_seconds) : "null";
+  out += s.eta_seconds ? json_number(*s.eta_seconds) : "null";
   out += ", \"workers\": [";
   bool first = true;
   for (const double f : s.worker_busy_fraction) {
     if (!first) out += ", ";
     first = false;
-    out += json_double(f);
+    out += json_number(f);
   }
   out += "]}\n";
   return out;
 }
 
-void write_status_file(const std::string& path, const StatusSnapshot& s) {
+void create_parent_dirs(const std::string& path) {
+  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent);
+}
+
+void publish_file(const std::string& path, std::string_view bytes,
+                  std::string_view label) {
+  const std::string what = std::string(label) + " file";
+  create_parent_dirs(path);
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot open status file: " + tmp);
-    out << render_status_json(s);
+    if (!out) throw std::runtime_error("cannot open " + what + ": " + tmp);
+    out << bytes;
     out.flush();
-    if (!out) throw std::runtime_error("cannot write status file: " + tmp);
+    if (!out) throw std::runtime_error("cannot write " + what + ": " + tmp);
   }
   // rename(2) within one directory is atomic: a concurrent reader sees
-  // either the previous snapshot or this one, never a prefix.
+  // either the previous document or this one, never a prefix.
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec)
-    throw std::runtime_error("cannot publish status file " + path + ": " +
+    throw std::runtime_error("cannot publish " + what + " " + path + ": " +
                              ec.message());
+}
+
+void write_status_file(const std::string& path, const StatusSnapshot& s) {
+  publish_file(path, render_status_json(s), "status");
 }
 
 StatusSnapshot read_status_file(const std::string& path) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mtr::dist {
@@ -29,9 +30,17 @@ struct StatusSnapshot {
 /// Serializes `s` as one JSON object (trailing newline included).
 std::string render_status_json(const StatusSnapshot& s);
 
-/// Writes `s` to `path` atomically: render to `path` + ".tmp", then rename
-/// over `path`. Throws std::runtime_error if the temp file cannot be
-/// written or the rename fails.
+/// Creates the missing directories above `path`.
+void create_parent_dirs(const std::string& path);
+
+/// Writes `bytes` to `path` + ".tmp", then renames it over `path`, so a
+/// reader sees the old file or the new one, never a prefix. Creates missing
+/// parent directories. Throws
+/// std::runtime_error naming the "<label> file" on failure.
+void publish_file(const std::string& path, std::string_view bytes,
+                  std::string_view label);
+
+/// publish_file of render_status_json(s).
 void write_status_file(const std::string& path, const StatusSnapshot& s);
 
 /// Parses a heartbeat document written by write_status_file. Throws

@@ -1,41 +1,11 @@
 #include "trace/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 
+#include "common/format.hpp"
+
 namespace mtr::trace {
-namespace {
-
-/// Round-trippable double literal, the same %.17g contract as the result
-/// sinks — merged metrics must re-emit the bytes a parse produced.
-std::string json_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-/// Sweep/phase names are registry identifiers, but escape defensively so
-/// the file stays valid JSON whatever a future sweep calls itself.
-std::string json_string(std::string_view s) {
-  std::string out = "\"";
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
-      out += buf;
-    } else {
-      out += ch;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 void KernelStats::merge(const KernelStats& o) {
   events_popped += o.events_popped;
@@ -98,10 +68,10 @@ void write_metrics_json(std::ostream& os,
   for (const SweepMetrics& s : sweeps) {
     os << (first_sweep ? "\n" : ",\n");
     first_sweep = false;
-    os << " {\"sweep\": " << json_string(s.sweep) << ", \"cells\": " << s.cells
+    os << " {\"sweep\": " << json_quote(s.sweep) << ", \"cells\": " << s.cells
        << ", \"runs\": " << s.runs
-       << ", \"cell_wall_seconds\": " << json_double(s.cell_wall_seconds)
-       << ", \"max_cell_seconds\": " << json_double(s.max_cell_seconds);
+       << ", \"cell_wall_seconds\": " << json_number(s.cell_wall_seconds)
+       << ", \"max_cell_seconds\": " << json_number(s.max_cell_seconds);
     os << ",\n  \"kernel\": {";
     bool first = true;
     s.kernel.for_each([&](const char* name, std::uint64_t v) {
@@ -111,17 +81,17 @@ void write_metrics_json(std::ostream& os,
     os << "},\n  \"phases\": [";
     first = true;
     for (const MetricEntry& e : s.phases.entries()) {
-      os << (first ? "" : ", ") << "{\"name\": " << json_string(e.name)
+      os << (first ? "" : ", ") << "{\"name\": " << json_quote(e.name)
          << ", \"count\": " << e.count
-         << ", \"seconds\": " << json_double(e.seconds) << '}';
+         << ", \"seconds\": " << json_number(e.seconds) << '}';
       first = false;
     }
     os << "],\n  \"pool\": {\"threads\": " << s.pool.threads
-       << ", \"wall_seconds\": " << json_double(s.pool.wall_seconds)
+       << ", \"wall_seconds\": " << json_number(s.pool.wall_seconds)
        << ", \"busy_seconds\": [";
     first = true;
     for (const double b : s.pool.busy_seconds) {
-      os << (first ? "" : ", ") << json_double(b);
+      os << (first ? "" : ", ") << json_number(b);
       first = false;
     }
     os << "]},\n  \"series\": {";
@@ -147,8 +117,8 @@ void write_metrics_json(std::ostream& os,
                                     const QuantileSketch& sk) {
       os << (first ? "" : ", ") << '"' << name
          << "\": {\"count\": " << sk.count() << ", \"zero\": " << sk.zero_count()
-         << ", \"min\": " << json_double(sk.min())
-         << ", \"max\": " << json_double(sk.max());
+         << ", \"min\": " << json_number(sk.min())
+         << ", \"max\": " << json_number(sk.max());
       const auto buckets = [&](const char* key,
                                const QuantileSketch::Buckets& bs) {
         os << ", \"" << key << "\": [";

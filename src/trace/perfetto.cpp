@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <ostream>
 
+#include "common/format.hpp"
 #include "trace/series.hpp"
 
 namespace mtr::trace {
@@ -25,29 +26,11 @@ std::string json_double(double v) {
   return buf;
 }
 
-std::string json_string(std::string_view s) {
-  std::string out = "\"";
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
-      out += buf;
-    } else {
-      out += ch;
-    }
-  }
-  out += '"';
-  return out;
-}
-
 void metadata(std::ostream& os, const char* name, std::int32_t tid,
               const std::string& value) {
   os << "{\"ph\": \"M\", \"pid\": " << kTraceProcess << ", \"tid\": " << tid
      << ", \"name\": \"" << name << "\", \"args\": {\"name\": "
-     << json_string(value) << "}},\n";
+     << json_quote(value) << "}},\n";
 }
 
 }  // namespace
@@ -57,7 +40,7 @@ void write_perfetto_json(std::ostream& os, const Tracer& tracer,
   // Optional event category ("cat"), emitted right after "ph" so the
   // terminator's "name" stays the object's last key either way.
   const std::string cat =
-      info.category.empty() ? "" : ", \"cat\": " + json_string(info.category);
+      info.category.empty() ? "" : ", \"cat\": " + json_quote(info.category);
   os << "{\"traceEvents\": [\n";
   metadata(os, "process_name", 0, info.label);
   metadata(os, "thread_name", 0, "idle");
@@ -79,7 +62,7 @@ void write_perfetto_json(std::ostream& os, const Tracer& tracer,
         os << "{\"ph\": \"X\"" << cat << ", \"pid\": " << kTraceProcess
            << ", \"tid\": " << tid << ", \"ts\": " << usec(start, info.cpu)
            << ", \"dur\": " << usec(Cycles{e.arg}, info.cpu) << ", \"name\": "
-           << json_string(e.name) << ", \"args\": {\"cycles\": " << e.arg;
+           << json_quote(e.name) << ", \"args\": {\"cycles\": " << e.arg;
         if (e.arg2 >= 0) os << ", \"beneficiary\": " << e.arg2;
         os << "}},\n";
         if (counter && e.tgid == info.victim)
@@ -90,7 +73,7 @@ void write_perfetto_json(std::ostream& os, const Tracer& tracer,
       case TraceEventKind::kInstant:
         os << "{\"ph\": \"i\"" << cat << ", \"pid\": " << kTraceProcess
            << ", \"tid\": " << tid << ", \"ts\": " << usec(e.ts, info.cpu)
-           << ", \"s\": \"t\", \"name\": " << json_string(e.name) << "},\n";
+           << ", \"s\": \"t\", \"name\": " << json_quote(e.name) << "},\n";
         break;
       case TraceEventKind::kTick: {
         os << "{\"ph\": \"i\"" << cat << ", \"pid\": " << kTraceProcess

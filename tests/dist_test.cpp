@@ -27,6 +27,7 @@
 
 #include "dist/driver.hpp"
 #include "dist/fault.hpp"
+#include "dist/flags.hpp"
 #include "dist/fleet.hpp"
 #include "dist/inspect.hpp"
 #include "dist/json.hpp"
@@ -256,6 +257,11 @@ TEST(SweepArgsTest, RejectsTrailingGarbageInNumericFlags) {
   throws({"--threads", "8q"});
   throws({"--seeds", "3.5"});
   throws({"--shard", "1of3"});
+  // Non-finite and out-of-range values are refused, not truncated.
+  throws({"--scale", "nan"});
+  throws({"--scale", "inf"});
+  throws({"--scale", "-inf"});
+  throws({"--threads", "4294967297"});
 
   // The plain forms still parse.
   const char* ok[] = {"mtr_sweep", "--scale", "2.5", "--threads", "8",
@@ -316,6 +322,16 @@ TEST(SweepDriverTest, RunsGridAndCreatesSinkParentDirs) {
   EXPECT_EQ(lines_of(read_file(opts.csv_path)).size(), 1u + 8u);
   EXPECT_EQ(lines_of(read_file(opts.jsonl_path)).size(), 8u + 4u);
   std::filesystem::remove_all(root);
+}
+
+TEST(SweepDriverTest, UsageErrorsExitTwo) {
+  std::atomic<int> runs{0};
+  const report::SweepRegistry registry = counting_registry(&runs);
+  const char* bogus[] = {"mtr_sweep", "--bogus"};
+  EXPECT_EQ(sweep_main(registry, 2, bogus), 2);
+  const char* no_value[] = {"mtr_sweep", "grid", "--scale"};
+  EXPECT_EQ(sweep_main(registry, 3, no_value), 2);
+  EXPECT_EQ(runs.load(), 0);
 }
 
 TEST(SweepDriverTest, DryRunPlansWithoutExecuting) {
@@ -581,9 +597,13 @@ TEST(SweepArgsTest, EnvDefaultsAreStrictToo) {
 
   ASSERT_EQ(setenv("MTR_BENCH_SCALE", "abc", 1), 0);
   EXPECT_THROW(default_sweep_options(), std::runtime_error);
+  ASSERT_EQ(setenv("MTR_BENCH_SCALE", "nan", 1), 0);
+  EXPECT_THROW(default_sweep_options(), std::runtime_error);
   ASSERT_EQ(unsetenv("MTR_BENCH_SCALE"), 0);
 
   ASSERT_EQ(setenv("MTR_BENCH_THREADS", "8q", 1), 0);
+  EXPECT_THROW(default_sweep_options(), std::runtime_error);
+  ASSERT_EQ(setenv("MTR_BENCH_THREADS", "4294967297", 1), 0);
   EXPECT_THROW(default_sweep_options(), std::runtime_error);
   ASSERT_EQ(unsetenv("MTR_BENCH_THREADS"), 0);
 }
@@ -1391,6 +1411,11 @@ TEST(InspectArgsTest, RequiresExactlyOneModeAndStrictTop) {
   EXPECT_THROW(parse_inspect_args(5, orphan_top), std::runtime_error);
   const char* unknown[] = {"mtr_inspect", "--bogus"};
   EXPECT_THROW(parse_inspect_args(2, unknown), std::runtime_error);
+  for (const char* bad : {"nan", "inf", "0", "2s"}) {
+    const char* stale[] = {"mtr_inspect", "--status-file", "s", "--stale-after",
+                           bad};
+    EXPECT_THROW(parse_inspect_args(5, stale), UsageError) << bad;
+  }
 }
 
 TEST(InspectTest, MetricsReportRendersTablesAndSparklines) {
@@ -1978,6 +2003,11 @@ TEST(StatusTest, RoundTripsAndSharesTheStalenessDefinition) {
   EXPECT_DOUBLE_EQ(*r.eta_seconds, 2.5);
   EXPECT_EQ(r.worker_busy_fraction, (std::vector<double>{0.5, 0.25}));
 
+  // Control characters in the sweep name are escaped: still valid JSON.
+  s.sweep = "grid\n\t\"x\"";
+  write_status_file(path, s);
+  EXPECT_EQ(read_status_file(path).sweep, s.sweep);
+
   // A null ETA (cells_done == 0) round-trips as "no estimate".
   s.eta_seconds.reset();
   write_status_file(path, s);
@@ -2091,10 +2121,9 @@ TEST(FleetArgsTest, ParsesFlagsAndRejectsBadFaultSpecs) {
   ASSERT_EQ(o.faults.size(), 1u);
   EXPECT_EQ(o.faults[0].first, 3u);
   EXPECT_EQ(o.faults[0].second, "crash-after-cell=1,torn-tail=4");
-  ASSERT_TRUE(o.scale.has_value());
-  EXPECT_DOUBLE_EQ(*o.scale, 0.5);
-  ASSERT_TRUE(o.seeds.has_value());
-  EXPECT_EQ(*o.seeds, 3u);
+  // Workload flags are kept exactly as typed, in order, for forwarding.
+  EXPECT_EQ(o.sweep_args,
+            (std::vector<std::string>{"--scale", "0.5", "--seeds", "3"}));
 
   const char* no_colon[] = {"mtr_fleet", "--fault-inject", "crash-after-cell=1"};
   EXPECT_THROW(parse_fleet_args(3, no_colon), std::runtime_error);
@@ -2106,6 +2135,42 @@ TEST(FleetArgsTest, ParsesFlagsAndRejectsBadFaultSpecs) {
   const char* bad_shard[] = {"mtr_fleet", "--fault-inject",
                              "x:crash-after-cell=1"};
   EXPECT_THROW(parse_fleet_args(3, bad_shard), std::runtime_error);
+
+  // Non-finite and out-of-range values are refused, not truncated.
+  for (const auto& [flag, value] :
+       std::vector<std::pair<const char*, const char*>>{
+           {"--shards", "4294967296"},
+           {"--max-retries", "4294967296"},
+           {"--fault-inject", "4294967296:crash-after-cell=1"},
+           {"--heartbeat-timeout", "nan"},
+           {"--heartbeat-timeout", "inf"},
+           {"--wall-timeout", "nan"},
+           {"--wall-timeout", "-inf"}}) {
+    const char* args[] = {"mtr_fleet", flag, value};
+    EXPECT_THROW(parse_fleet_args(3, args), UsageError) << flag << " " << value;
+  }
+}
+
+TEST(FleetArgsTest, WorkloadFlagsAreRefusedWithTheSweepMessage) {
+  const auto message = [](auto parse, const char* flag, const char* value) {
+    const char* args[] = {"mtr", flag, value};
+    try {
+      parse(3, args);
+    } catch (const UsageError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  for (const auto& [flag, value] :
+       std::vector<std::pair<const char*, const char*>>{{"--scale", "2x"},
+                                                        {"--engine", "warp"},
+                                                        {"--threads", "0"},
+                                                        {"--seeds", "3.5"}}) {
+    const std::string sweep = message(parse_sweep_args, flag, value);
+    EXPECT_NE(sweep, "accepted") << flag << " " << value;
+    EXPECT_EQ(message(parse_fleet_args, flag, value), sweep)
+        << flag << " " << value;
+  }
 }
 
 #ifdef MTR_SWEEP_BIN
@@ -2117,9 +2182,7 @@ FleetOptions quick_fleet(const std::string& out_dir) {
   o.out_dir = out_dir;
   o.shards = 4;
   o.sweeps = {"fig04"};
-  o.scale = 0.02;
-  o.seeds = 2;
-  o.threads = 2;
+  o.sweep_args = {"--scale", "0.02", "--seeds", "2", "--threads", "2"};
   o.quiet = true;
   o.poll_ms = 10;
   o.backoff_base_ms = 1;
