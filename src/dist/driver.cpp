@@ -138,8 +138,8 @@ FlagTable workload_flags(SweepOptions& o) {
       value_flag("--scale", o.scale, positive_real, "MTR_BENCH_SCALE"),
       {"--seeds", 1,
        [&o](std::string_view src, FlagValues v) {
-         const std::uint64_t first = o.seeds.empty() ? 42 : o.seeds.front();
-         o.seeds = consecutive_seeds(int_value<std::size_t, 1>(src, v[0]), first);
+         const std::size_t n = int_value<std::size_t, 1>(src, v[0]);
+         o.seeds = consecutive_seeds(n, o.seeds.empty() ? 42 : o.seeds.front());
        },
        "MTR_BENCH_SEEDS"},
       {"--first-seed", 1,

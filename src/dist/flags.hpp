@@ -56,9 +56,11 @@ template <typename T, T Min = 0>
 T int_value(std::string_view source, std::string_view text) {
   const std::string what(source);
   const std::optional<std::uint64_t> v = parse_u64(text);
-  if (!v) throw UsageError(what + ": invalid integer '" + std::string(text) + "'");
+  if (!v)
+    throw UsageError(what + ": invalid integer '" + std::string(text) + "'");
   if (*v > std::numeric_limits<T>::max())
-    throw UsageError(what + ": " + std::string(text) + " is out of range (max " +
+    throw UsageError(what + ": " + std::string(text) +
+                     " is out of range (max " +
                      std::to_string(std::numeric_limits<T>::max()) + ")");
   if (*v < Min) throw UsageError(what + " must be >= " + std::to_string(Min));
   return static_cast<T>(*v);

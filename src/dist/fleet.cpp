@@ -323,13 +323,13 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
   if (!options.all && options.sweeps.empty())
     throw UsageError("nothing selected — name sweeps or pass --all");
   if (options.sweep_bin.empty())
-    throw UsageError("--sweep-bin is required (could not locate mtr_sweep next to "
-              "this binary)");
+    throw UsageError("--sweep-bin is required (could not locate mtr_sweep "
+                     "next to this binary)");
   for (const auto& [shard, spec] : options.faults)
     if (shard >= options.shards)
-      throw UsageError("--fault-inject targets shard " + std::to_string(shard) +
-                " but the fleet has " + std::to_string(options.shards) +
-                " shard(s)");
+      throw UsageError("--fault-inject targets shard " +
+                       std::to_string(shard) + " but the fleet has " +
+                       std::to_string(options.shards) + " shard(s)");
 
   fs::create_directories(options.out_dir);
   const std::string preflight_log =

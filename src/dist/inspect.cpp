@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "common/format.hpp"
 #include "common/stats.hpp"
 #include "dist/flags.hpp"
 #include "dist/json.hpp"
@@ -56,13 +57,6 @@ options:
 std::string fmt6(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-/// Exact rendering for --compare: a delta of 1 ulp must be visible.
-std::string fmt17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
 }
 
@@ -250,8 +244,8 @@ std::map<std::string, double> by_name(const std::vector<FlatMetric>& v) {
 }
 
 /// Diffs one class of metrics; prints every differing entry (and entries
-/// present on only one side) as "label name: A -> B". Returns the number
-/// of differences.
+/// present on only one side) as "label name: A -> B", exact to the last
+/// bit so a 1-ulp delta is visible. Returns the number of differences.
 std::uint64_t diff_class(std::ostream& out, const char* label,
                          const std::vector<FlatMetric>& a,
                          const std::vector<FlatMetric>& b) {
@@ -261,20 +255,20 @@ std::uint64_t diff_class(std::ostream& out, const char* label,
   for (const FlatMetric& fa : a) {
     const auto it = bm.find(fa.first);
     if (it == bm.end()) {
-      out << "  " << label << " " << fa.first << ": " << fmt17(fa.second)
+      out << "  " << label << " " << fa.first << ": " << json_number(fa.second)
           << " -> (missing)\n";
       ++deltas;
     } else if (it->second != fa.second) {
-      out << "  " << label << " " << fa.first << ": " << fmt17(fa.second)
-          << " -> " << fmt17(it->second) << " (delta "
-          << fmt17(it->second - fa.second) << ")\n";
+      out << "  " << label << " " << fa.first << ": " << json_number(fa.second)
+          << " -> " << json_number(it->second) << " (delta "
+          << json_number(it->second - fa.second) << ")\n";
       ++deltas;
     }
   }
   for (const FlatMetric& fb : b) {
     if (am.find(fb.first) != am.end()) continue;
     out << "  " << label << " " << fb.first << ": (missing) -> "
-        << fmt17(fb.second) << "\n";
+        << json_number(fb.second) << "\n";
     ++deltas;
   }
   return deltas;
@@ -595,7 +589,7 @@ InspectOptions parse_inspect_args(int argc, const char* const* argv) {
                     (o.status_path.empty() ? 0 : 1);
   if (modes != 1)
     throw UsageError(modes == 0 ? "no mode selected"
-                           : "more than one mode selected");
+                                : "more than one mode selected");
   if (top_set && o.jsonl_path.empty())
     throw UsageError("--top only applies to --jsonl");
   if (o.stale_after > 0.0 && o.status_path.empty())
