@@ -7,6 +7,8 @@
 // runs one BatchRunner-equivalent cell (one run_experiment) of the
 // fig07/fig08 scheduling-attack sweeps at a fixed scale, so successive
 // commits can be compared via bench/perf_baseline.py and BENCH_sim.json.
+// BM_EngineCell_* and BM_DestroySpace_* are tracked alongside, each as a
+// pair whose ratio CI pins.
 #include <benchmark/benchmark.h>
 
 #include "attacks/scheduling_attack.hpp"
@@ -20,6 +22,7 @@
 #include "exec/program_base.hpp"
 #include "kernel/kernel.hpp"
 #include "kernel/o1_scheduler.hpp"
+#include "mm/memory_manager.hpp"
 #include "sim/simulation.hpp"
 #include "workloads/workloads.hpp"
 
@@ -118,6 +121,43 @@ void BM_CfsPickNext(benchmark::State& state) {
   scheduler_pick_bench<kernel::CfsScheduler>(state, CpuHz{});
 }
 BENCHMARK(BM_CfsPickNext);
+
+// ---------------------------------------------------------------------------
+// mm layer — address-space teardown. Every scheduling-attack fork that exits
+// destroys a space, so teardown must cost what the dying space owns, not
+// what the machine has. The pair runs the same resident set on 16 Ki and
+// 256 Ki frames of RAM; CI pins their ratio (perf_baseline.py
+// --ratio-floor) so an O(RAM) teardown cannot come back.
+// ---------------------------------------------------------------------------
+
+/// One iteration creates a space, faults in 8 pages and destroys it, next
+/// to a long-lived space holding an eighth of RAM.
+void destroy_space_bench(benchmark::State& state, std::uint32_t frames) {
+  mm::MemoryManager mm(frames);
+  const Tgid resident{1};
+  mm.create_space(resident);
+  for (std::uint64_t p = 0; p < frames / 8; ++p) mm.touch(resident, PageId{p});
+  constexpr std::uint64_t kPages = 8;
+  std::int32_t next = 2;
+  for (auto _ : state) {
+    const Tgid dying{next++};
+    mm.create_space(dying);
+    for (std::uint64_t p = 0; p < kPages; ++p) mm.touch(dying, PageId{p});
+    mm.destroy_space(dying);
+  }
+  benchmark::DoNotOptimize(mm.frames_used());
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_DestroySpace_ram16k(benchmark::State& state) {
+  destroy_space_bench(state, 16 * 1024);
+}
+BENCHMARK(BM_DestroySpace_ram16k)->Unit(benchmark::kMicrosecond);
+
+void BM_DestroySpace_ram256k(benchmark::State& state) {
+  destroy_space_bench(state, 256 * 1024);
+}
+BENCHMARK(BM_DestroySpace_ram256k)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // End-to-end sweep-cell benches — the tracked perf baseline.

@@ -12,8 +12,7 @@
 #include "bench/attack_roster.hpp"
 #include "bench/bench_util.hpp"
 #include "bench/sweeps.hpp"
-#include "common/ensure.hpp"
-#include "common/parse.hpp"
+#include "dist/flags.hpp"
 
 namespace mtr::bench {
 namespace {
@@ -38,10 +37,7 @@ void run_pop_billing_gap(const report::SweepContext& ctx) {
   // tenants per cell) without inflating the default grid.
   grid.population_sizes = {2, 8, 32};
   if (const char* cap = std::getenv("MTR_BENCH_POP")) {
-    const std::optional<std::uint64_t> n = parse_u64(cap);
-    MTR_ENSURE_MSG(n && *n > 1, "MTR_BENCH_POP must be an integer > 1, got '"
-                                    << cap << "'");
-    grid.population_sizes = {2, static_cast<std::uint32_t>(*n)};
+    grid.population_sizes = {2, dist::int_value<std::uint32_t, 2>("MTR_BENCH_POP", cap)};
   }
   grid.attacker_fractions = {0.25};
 

@@ -685,7 +685,7 @@ bool Kernel::run_kernel_work(Cycles boundary) {
   if (w.remaining.v > 0) return false;  // boundary reached mid-work
 
   const auto action = static_cast<KernelAction>(w.action);
-  p.kwork.pop_front();
+  p.kwork.erase(p.kwork.begin());
   apply_action(action);
   return true;
 }
@@ -879,7 +879,7 @@ void Kernel::hot_access(Process& p, std::size_t hot_index) {
 bool Kernel::process_one_signal(Process& p) {
   MTR_ENSURE(!p.pending_signals.empty());
   const PendingSignal pending = p.pending_signals.front();
-  p.pending_signals.pop_front();
+  p.pending_signals.erase(p.pending_signals.begin());
   ++p.signals_received;
   ++p.group_acct->signals_received;
   const Signal sig = pending.sig;

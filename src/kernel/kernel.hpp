@@ -312,9 +312,9 @@ class Kernel final {
   bool need_resched_ = false;
 
   // Dense process arena: slot pid.v - 1 (pids are issued sequentially from
-  // 1 and PCBs are never removed — reaped processes stay as accounting
-  // records — so slots and Process pointers stay valid for the kernel's
-  // lifetime).
+  // 1 and a slot is never reused — an exited process frees its execution
+  // payload and stays as a tombstone of identity and accounting — so slots
+  // and Process pointers stay valid for the kernel's lifetime).
   std::vector<std::unique_ptr<Process>> procs_;
   std::vector<Pid> creation_order_;
   std::int32_t next_pid_ = 1;

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -23,7 +22,7 @@ enum class ProcState : std::uint8_t {
   kSleeping,  // blocked (wait/nanosleep/disk)
   kStopped,   // SIGSTOP / trace-stopped
   kZombie,    // exited, not yet reaped
-  kReaped,    // fully gone; PCB kept as an accounting record
+  kReaped,    // fully gone; PCB kept as a tombstone (identity, accounting)
 };
 
 const char* to_string(ProcState s);
@@ -107,7 +106,10 @@ class Process {
   Pid parent;
   std::string name;
 
-  // Execution.
+  // Execution. do_exit frees the heap-owning payload below (program, step,
+  // kernel work, pending syscall, signal and family queues). The queues
+  // are vectors because an empty vector owns no storage, while an empty
+  // std::deque still holds a node.
   std::unique_ptr<Program> program;
   ProcState state = ProcState::kReady;
   SleepReason sleep_reason = SleepReason::kNone;
@@ -119,7 +121,7 @@ class Process {
   /// steps so successive compute chunks sweep onward through the working
   /// set instead of re-touching its head.
   std::uint64_t mem_cursor = 0;
-  std::deque<KernelWork> kwork;      // kernel work queue (front runs first)
+  std::vector<KernelWork> kwork;     // kernel work queue (front runs first)
   std::int64_t last_syscall_result = 0;
   std::optional<SyscallRequest> pending_syscall;  // body semantics to apply
 
@@ -128,7 +130,7 @@ class Process {
   SchedData sched;
 
   // Signals and tracing.
-  std::deque<PendingSignal> pending_signals;
+  std::vector<PendingSignal> pending_signals;  // oldest first
   Pid tracer;                 // invalid if untraced
   std::vector<Pid> tracees;
   bool trace_stopped = false; // stopped via SIGSTOP/SIGTRAP while traced
@@ -137,7 +139,7 @@ class Process {
   // Family.
   std::vector<Pid> children;
   std::vector<Pid> zombies_to_reap;   // children already exited
-  std::deque<Pid> stop_notifications; // stopped tracees/children to report
+  std::vector<Pid> stop_notifications; // stopped tracees/children to report
 
   // Credentials (coarse root/non-root model; gates renice and ptrace).
   bool privileged = true;

@@ -222,7 +222,7 @@ void Kernel::do_wait(Process& p) {
   // 2. Stop notifications (traced or WUNTRACED semantics).
   if (!p.stop_notifications.empty()) {
     const Pid pid = p.stop_notifications.front();
-    p.stop_notifications.pop_front();
+    p.stop_notifications.erase(p.stop_notifications.begin());
     p.last_syscall_result = pid.v;
     finish_syscall(p);
     return;
@@ -331,10 +331,17 @@ void Kernel::do_exit(Process& p) {
   --alive_count_;
   p.exited = true;
   p.state = ProcState::kZombie;
+  // A dead process never runs again: free its execution payload and keep
+  // the PCB as a tombstone of identity and accounting, so memory tracks
+  // live work rather than every process a run ever created. Assigning a
+  // fresh container frees its storage, which clear() would keep.
+  p.program.reset();
   p.user = UserWork{};
-  p.kwork.clear();
-  p.pending_signals.clear();
+  p.kwork = decltype(p.kwork){};
+  p.pending_signals = decltype(p.pending_signals){};
   p.pending_syscall.reset();
+  p.zombies_to_reap = decltype(p.zombies_to_reap){};
+  p.stop_notifications = decltype(p.stop_notifications){};
 
   flush_charges();
   hooks_.each([&](AccountingHook& h) {
@@ -355,7 +362,7 @@ void Kernel::do_exit(Process& p) {
     child.parent = Pid{};
     if (child.state == ProcState::kZombie) child.state = ProcState::kReaped;
   }
-  p.children.clear();
+  p.children = decltype(p.children){};
 
   // Release tracees; those in a trace stop resume.
   for (const Pid tracee_pid : p.tracees) {
@@ -368,7 +375,7 @@ void Kernel::do_exit(Process& p) {
       wake_process(tracee);
     }
   }
-  p.tracees.clear();
+  p.tracees = decltype(p.tracees){};
 
   notify_exit(p);
 }

@@ -1,5 +1,7 @@
 #include "mm/memory_manager.hpp"
 
+#include <algorithm>
+
 #include "common/ensure.hpp"
 
 namespace mtr::mm {
@@ -21,22 +23,64 @@ AddressSpace& MemoryManager::create_space(Tgid owner) {
 void MemoryManager::destroy_space(Tgid owner) {
   const auto it = spaces_.find(owner);
   MTR_ENSURE_MSG(it != spaces_.end(), "destroying unknown address space " << owner.v);
-  // Release every resident frame owned by this space.
-  for (std::size_t f = 0; f < frame_info_.size(); ++f) {
-    if (frame_info_[f].in_use && frame_info_[f].owner == owner) {
-      frame_info_[f].in_use = false;
-      frames_.release(FrameId{static_cast<std::uint32_t>(f)});
-    }
-  }
-  // Give back swap slots held by pages that died swapped out.
+  // Walk the dying space's page table, not all of RAM: teardown costs what
+  // the space mapped. Resident frames are released in ascending id order —
+  // the order a scan over frame_info_ would meet them — so the LIFO free
+  // list, and every later allocation, does not depend on the page table's
+  // iteration order. Swap slots held by pages that died swapped out are
+  // given back on the way.
+  std::vector<FrameId> resident;
+  resident.reserve(it->second->resident_pages());
   for (const auto& [page, pe] : it->second->pages()) {
+    if (pe.resident) {
+      const FrameInfo& fi = frame_info_[pe.frame.v];
+      MTR_ENSURE_MSG(fi.in_use && fi.owner == owner && fi.page == page,
+                     "frame " << pe.frame.v << " not owned by dying space " << owner.v);
+      resident.push_back(pe.frame);
+    }
     if (pe.in_swap) {
       MTR_ENSURE(swap_used_ > 0);
       --swap_used_;
     }
   }
+  MTR_ENSURE(resident.size() == it->second->resident_pages());
+  std::sort(resident.begin(), resident.end());
+  for (const FrameId f : resident) {
+    frame_info_[f.v].in_use = false;
+    frames_.release(f);
+  }
   spaces_.erase(it);
   stats_.erase(owner);
+}
+
+void MemoryManager::check_invariants() const {
+  std::uint64_t in_use = 0;
+  for (std::size_t f = 0; f < frame_info_.size(); ++f) {
+    const FrameInfo& fi = frame_info_[f];
+    if (!fi.in_use) continue;
+    ++in_use;
+    const auto sp = spaces_.find(fi.owner);
+    MTR_ENSURE_MSG(sp != spaces_.end(),
+                   "frame " << f << " owned by dead space " << fi.owner.v);
+    const PageEntry* pe = sp->second->find(fi.page);
+    MTR_ENSURE_MSG(pe != nullptr && pe->resident && pe->frame.v == f,
+                   "frame " << f << " is not the resident frame of page "
+                            << fi.page.v << " in space " << fi.owner.v);
+  }
+  MTR_ENSURE_MSG(in_use == frames_used(),
+                 in_use << " frames in use, allocator says " << frames_used());
+
+  std::uint64_t resident = 0;
+  std::uint64_t swapped = 0;
+  for (const auto& [owner, sp] : spaces_) {
+    resident += sp->resident_pages();
+    for (const auto& [page, pe] : sp->pages()) swapped += pe.in_swap ? 1 : 0;
+  }
+  MTR_ENSURE_MSG(resident == frames_used(),
+                 "spaces hold " << resident << " resident pages, " << frames_used()
+                                << " frames in use");
+  MTR_ENSURE_MSG(swapped == swap_used_,
+                 swapped << " pages in swap, swap_used_ is " << swap_used_);
 }
 
 AddressSpace& MemoryManager::space(Tgid owner) {

@@ -63,6 +63,7 @@ class MemoryManager {
   AddressSpace& create_space(Tgid owner);
 
   /// Tears down a thread group's space, releasing its frames and swap slots.
+  /// O(pages the space mapped), independent of RAM size.
   void destroy_space(Tgid owner);
 
   bool has_space(Tgid owner) const { return spaces_.contains(owner); }
@@ -77,6 +78,12 @@ class MemoryManager {
   std::uint32_t frames_total() const { return frames_.total(); }
   std::uint32_t frames_used() const { return frames_.used(); }
   std::uint64_t swap_used_pages() const { return swap_used_; }
+
+  /// Cross-checks the frame table against every page table, O(RAM + pages);
+  /// throws InvariantError on the first mismatch. Every in-use frame is the
+  /// resident frame of its owner's page, the spaces' resident pages add up
+  /// to the frames in use, and the swap count equals the swapped pages.
+  void check_invariants() const;
 
  private:
   struct FrameInfo {

@@ -22,6 +22,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include <sys/wait.h>
 
@@ -2174,6 +2175,20 @@ TEST(FleetArgsTest, WorkloadFlagsAreRefusedWithTheSweepMessage) {
 }
 
 #ifdef MTR_SWEEP_BIN
+
+TEST(SweepArgsTest, PopulationCapIsStrict) {
+  // MTR_BENCH_POP=N swaps pop_billing_gap's population axis for {2, N}.
+  // Like every MTR_BENCH_* variable it is a strict integer that must fit
+  // its 32-bit destination: 4294967298 is refused, not wrapped to 2.
+  const std::pair<const char*, int> rows[] = {
+      {"4", 0}, {"4294967296", 2}, {"4294967298", 2}, {"1", 2}, {"8x", 2}};
+  for (const auto& [value, code] : rows) {
+    const std::string cmd = std::string("MTR_BENCH_POP=") + value + " " +
+                            MTR_SWEEP_BIN +
+                            " pop_billing_gap --dry-run >/dev/null 2>&1";
+    EXPECT_EQ(WEXITSTATUS(std::system(cmd.c_str())), code) << value;
+  }
+}
 
 /// Fleet options sized for the test registry's cheapest real sweep.
 FleetOptions quick_fleet(const std::string& out_dir) {

@@ -1,6 +1,10 @@
 // Hardware-device and memory-management substrate tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "common/ensure.hpp"
 #include "common/rng.hpp"
 #include "hw/debug_registers.hpp"
@@ -216,15 +220,104 @@ TEST(MemoryManager, DestroyReleasesFramesAndSwap) {
   for (std::uint64_t p = 0; p < 12; ++p) mm.touch(Tgid{1}, PageId{p});
   EXPECT_GT(mm.frames_used(), 0u);
   mm.destroy_space(Tgid{1});
+  mm.check_invariants();
   EXPECT_EQ(mm.frames_used(), 0u);
   EXPECT_EQ(mm.swap_used_pages(), 0u);
   EXPECT_FALSE(mm.has_space(Tgid{1}));
+}
+
+TEST(MemoryManager, DestroyKeepsOtherSpacesIntact) {
+  mm::MemoryManager mm(16, 4, 2);
+  mm.create_space(Tgid{1});
+  mm.create_space(Tgid{2});
+  mm.create_space(Tgid{3});
+  // Interleaved touches under pressure spread every space across RAM and
+  // swap, so each teardown leaves holes among the survivors' frames.
+  for (std::uint64_t p = 0; p < 24; ++p) {
+    mm.touch(Tgid{1 + static_cast<std::int32_t>(p % 3)}, PageId{p});
+    mm.check_invariants();
+  }
+  ASSERT_GT(mm.swap_used_pages(), 0u);
+  const std::uint64_t survivor_resident = mm.space(Tgid{3}).resident_pages();
+  mm.destroy_space(Tgid{2});
+  mm.check_invariants();
+  mm.destroy_space(Tgid{1});
+  mm.check_invariants();
+  EXPECT_EQ(mm.frames_used(), survivor_resident);
+  // The survivor faults its swapped pages back into the freed frames.
+  for (std::uint64_t p = 2; p < 24; p += 3) mm.touch(Tgid{3}, PageId{p});
+  mm.check_invariants();
+  EXPECT_EQ(mm.swap_used_pages(), 0u);
+  mm.destroy_space(Tgid{3});
+  mm.check_invariants();
+  EXPECT_EQ(mm.frames_used(), 0u);
+}
+
+TEST(MemoryManager, DestroyReleasesFramesAscendingSoReuseIsLifoDescending) {
+  // Space A touches a scrambled page order on a machine it overflows, with
+  // a neighbour competing for frames: under reclaim its resident frames
+  // follow neither page order nor touch order.
+  mm::MemoryManager mm(32, /*reclaim_batch=*/4, /*swap_readahead=*/1);
+  const Tgid a{1}, b{2}, neighbour{3};
+  mm.create_space(a);
+  mm.create_space(neighbour);
+  constexpr std::uint64_t kPages = 48;
+  std::vector<std::uint64_t> order(kPages);
+  for (std::uint64_t p = 0; p < kPages; ++p) order[p] = p;
+  Xoshiro256 rng(99);
+  for (std::uint64_t i = kPages - 1; i > 0; --i)
+    std::swap(order[i], order[rng.next_below(i + 1)]);
+  for (std::uint64_t i = 0; i < kPages; ++i) {
+    mm.touch(a, PageId{order[i]});
+    if (i % 4 == 0) mm.touch(neighbour, PageId{i});
+  }
+  mm.check_invariants();
+
+  std::vector<std::uint32_t> by_page;  // A's frames, in page order
+  for (std::uint64_t p = 0; p < kPages; ++p) {
+    const mm::PageEntry* pe = mm.space(a).find(PageId{p});
+    if (pe != nullptr && pe->resident) by_page.push_back(pe->frame.v);
+  }
+  ASSERT_GT(by_page.size(), 4u);
+  ASSERT_FALSE(std::is_sorted(by_page.begin(), by_page.end()));
+  ASSERT_GT(mm.swap_used_pages(), 0u);
+
+  mm.destroy_space(a);
+  mm.check_invariants();
+
+  // A's frames went back ascending onto the LIFO free list, so a fresh
+  // space faulting the same number of pages receives them in descending
+  // id order — exactly what a scan over all of RAM would have produced.
+  std::vector<std::uint32_t> expected = by_page;
+  std::sort(expected.rbegin(), expected.rend());
+  mm.create_space(b);
+  std::vector<std::uint32_t> got;
+  for (std::uint64_t p = 0; p < expected.size(); ++p) {
+    const mm::TouchResult r = mm.touch(b, PageId{p});
+    EXPECT_EQ(r.fault, mm::FaultKind::kMinor);
+    EXPECT_FALSE(r.evicted_someone);
+    got.push_back(mm.space(b).find(PageId{p})->frame.v);
+  }
+  EXPECT_EQ(got, expected);
+  mm.destroy_space(b);
+  mm.check_invariants();
+}
+
+TEST(MemoryManager, InvariantCheckCatchesBadSwapAccounting) {
+  mm::MemoryManager mm(8, 2, 1);
+  mm.create_space(Tgid{1});
+  for (std::uint64_t p = 0; p < 12; ++p) mm.touch(Tgid{1}, PageId{p});
+  mm.check_invariants();
+  // A page marked swapped behind the manager's back breaks the swap count.
+  mm.space(Tgid{1}).entry(PageId{99}).in_swap = true;
+  EXPECT_THROW(mm.check_invariants(), InvariantError);
 }
 
 TEST(MemoryManager, UnknownSpaceRejected) {
   mm::MemoryManager mm(8);
   EXPECT_THROW(mm.touch(Tgid{9}, PageId{0}), InvariantError);
   EXPECT_THROW(mm.destroy_space(Tgid{9}), InvariantError);
+  mm.check_invariants();
   mm.create_space(Tgid{1});
   EXPECT_THROW(mm.create_space(Tgid{1}), InvariantError);
 }

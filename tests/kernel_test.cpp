@@ -3,10 +3,13 @@
 // batched-vs-unbatched accounting-flush equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -473,8 +476,10 @@ AccountingSnapshot run_attack_accounting(const core::AttackFactory& make,
   attacks::AttackContext ctx{s, victim, victim_tg, info.hot_addr};
   if (attack) attack->engage(ctx);
   s.run_until_exit(victim, seconds_to_cycles(30.0, sc.kernel.cpu));
+  s.kernel().memory().check_invariants();
   if (attack) attack->disengage(ctx);
   s.run_all(seconds_to_cycles(1.0, sc.kernel.cpu));
+  s.kernel().memory().check_invariants();
 
   AccountingSnapshot snap;
   snap.final_now = s.kernel().now().v;
@@ -653,6 +658,164 @@ TEST(AccountingFlush, GroupAccumulatorsMatchPerProcessSums) {
   }
   EXPECT_GT(snap.procs.size(), 100u);  // the fork storm actually forked
   EXPECT_EQ(sums, snap.groups);
+}
+
+// --- memory tracks live work ----------------------------------------------------
+//
+// An exited process keeps its pid slot as a tombstone of identity and
+// accounting; its program image and execution state are freed at exit, so
+// a fork storm's footprint follows the processes alive at once, not the
+// number it ever created.
+
+/// Audits, at every process creation and exit, that no more processes hold
+/// a Program image than are alive or zombie.
+struct PayloadAudit final : AccountingHook {
+  const Kernel* kernel = nullptr;
+  std::size_t audits = 0;
+  std::size_t violations = 0;
+  std::size_t peak_holding = 0;
+
+  void audit() {
+    std::size_t holding = 0;
+    std::size_t live_or_zombie = 0;
+    for (const Pid pid : kernel->all_pids()) {
+      const Process& p = kernel->process(pid);
+      if (p.program != nullptr) ++holding;
+      if (p.state != ProcState::kReaped) ++live_or_zombie;
+    }
+    ++audits;
+    if (holding > live_or_zombie) ++violations;
+    peak_holding = std::max(peak_holding, holding);
+  }
+  void on_process_created(Cycles, Pid, Tgid, Pid, std::string_view) override { audit(); }
+  void on_process_exited(Cycles, Pid, Tgid, int) override { audit(); }
+};
+
+/// Forwards to a Program the test keeps alive past the process's exit.
+class RetainedProgram final : public Program {
+ public:
+  explicit RetainedProgram(std::shared_ptr<Program> inner) : inner_(std::move(inner)) {}
+  Step next(ProcessContext& ctx) override { return inner_->next(ctx); }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::shared_ptr<Program> inner_;
+};
+
+struct ForkLoopRun {
+  std::size_t audits = 0;
+  std::size_t violations = 0;
+  std::size_t peak_holding = 0;
+  Pid first_child{};
+  CpuUsageTicks first_child_ticks;
+  CpuUsageCycles first_child_cycles;
+  ProcState first_child_state = ProcState::kReady;
+  bool first_child_program = true;
+  std::size_t pids = 0;
+  // Victim snapshot: jiffy and cycle usage, switches, final clock.
+  std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
+             std::uint64_t, std::uint64_t, std::uint64_t>
+      victim;
+  std::array<std::uint64_t, 4> forker_group{};
+};
+
+/// A victim computes while a forker runs `children` sequential
+/// fork → wait rounds of short-lived children. `keep_payload` has the test
+/// retain every child's program image past its exit.
+ForkLoopRun run_fork_loop(std::size_t children, bool keep_payload) {
+  auto k = make_kernel();
+  PayloadAudit audit;
+  audit.kernel = k.get();
+  k->add_hook(&audit);
+
+  auto kept = std::make_shared<std::vector<std::shared_ptr<Program>>>();
+  const ProgramFactory noop = make_step_list("child", {compute(Cycles{20'000})});
+  const ProgramFactory child =
+      keep_payload ? ProgramFactory([kept, noop]() -> std::unique_ptr<Program> {
+        kept->push_back(std::shared_ptr<Program>(noop()));
+        return std::make_unique<RetainedProgram>(kept->back());
+      })
+                   : noop;
+  struct Loop {
+    std::size_t forked = 0;
+    bool wait_next = false;
+  };
+  auto loop = std::make_shared<Loop>();
+  const Pid victim = k->spawn(
+      {"victim", make_step_list("victim", {compute(ms(40)), compute(ms(40))}),
+       Nice{0}, true});
+  const Pid forker = k->spawn(
+      {"forker",
+       make_generator("forker",
+                      [loop, child, children](ProcessContext&) -> std::optional<Step> {
+                        if (loop->wait_next) {
+                          loop->wait_next = false;
+                          return syscall(SysWait{});
+                        }
+                        if (loop->forked == children) return std::nullopt;
+                        ++loop->forked;
+                        loop->wait_next = true;
+                        return syscall(SysFork{child});
+                      }),
+       Nice{0}, true});
+  k->run();
+  EXPECT_TRUE(k->all_work_done());
+  EXPECT_EQ(loop->forked, children);
+  k->memory().check_invariants();
+
+  ForkLoopRun run;
+  run.audits = audit.audits;
+  run.violations = audit.violations;
+  run.peak_holding = audit.peak_holding;
+  run.pids = k->all_pids().size();
+  // A fork child is named after its parent until it execs.
+  const std::optional<Pid> first = k->find_pid_by_name("forker+child");
+  if (first) {
+    const Process& c = k->process(*first);
+    run.first_child = *first;
+    run.first_child_ticks = c.tick_usage;
+    run.first_child_cycles = c.true_usage;
+    run.first_child_state = c.state;
+    run.first_child_program = c.program != nullptr;
+  }
+  const Process& v = k->process(victim);
+  run.victim = {v.tick_usage.utime.v,   v.tick_usage.stime.v,
+                v.true_usage.user.v,    v.true_usage.system.v,
+                v.voluntary_switches,   v.involuntary_switches,
+                k->now().v};
+  const GroupUsage g = k->group_usage(k->process(forker).tgid);
+  run.forker_group = {g.ticks.utime.v, g.ticks.stime.v, g.true_cycles.user.v,
+                      g.true_cycles.system.v};
+  return run;
+}
+
+TEST(ProcessTombstones, MemoryTracksLiveWorkAcrossAForkLoop) {
+  constexpr std::size_t kChildren = 5000;
+  const ForkLoopRun freed = run_fork_loop(kChildren, /*keep_payload=*/false);
+  EXPECT_EQ(freed.pids, kChildren + 2);
+  // Audited at every creation and exit: programs never outnumber the
+  // processes alive or zombie — victim, forker and at most one child.
+  EXPECT_EQ(freed.audits, 2 * (kChildren + 2));
+  EXPECT_EQ(freed.violations, 0u);
+  EXPECT_LE(freed.peak_holding, 3u);
+
+  // A reaped child still answers by name and for its accounting.
+  EXPECT_EQ(freed.first_child, Pid{3});
+  EXPECT_EQ(freed.first_child_state, ProcState::kReaped);
+  EXPECT_FALSE(freed.first_child_program);
+  EXPECT_GE(freed.first_child_cycles.user.v, 20'000u);
+  EXPECT_GT(freed.first_child_cycles.system.v, 0u);
+
+  // Freeing the payload changes no observation: the same run with every
+  // child's program image retained past its exit.
+  const ForkLoopRun kept = run_fork_loop(kChildren, /*keep_payload=*/true);
+  EXPECT_EQ(freed.victim, kept.victim);
+  EXPECT_EQ(freed.forker_group, kept.forker_group);
+  EXPECT_EQ(freed.first_child_ticks.utime, kept.first_child_ticks.utime);
+  EXPECT_EQ(freed.first_child_ticks.stime, kept.first_child_ticks.stime);
+  EXPECT_EQ(freed.first_child_cycles.user, kept.first_child_cycles.user);
+  EXPECT_EQ(freed.first_child_cycles.system, kept.first_child_cycles.system);
+  EXPECT_EQ(freed.pids, kept.pids);
 }
 
 }  // namespace
