@@ -194,19 +194,8 @@ std::vector<CellStats> BatchRunner::run(const BatchGrid& grid,
   std::exception_ptr error;
 
   auto aggregate = [&](std::size_t pos) {
-    const GridCellIndices ix = geom.coords(active[pos]);
-
     CellStats& s = cells[pos];
-    s.attack_label = g.attacks[ix.attack].label;
-    s.scheduler = g.schedulers[ix.scheduler];
-    s.hz = g.ticks[ix.tick];
-    s.cpu = g.cpu_freqs[ix.cpu];
-    s.ram = g.ram[ix.ram];
-    s.ptrace = g.ptrace_policies[ix.ptrace];
-    s.jiffy_timers = g.jiffy_timers[ix.jiffy];
-    s.population = g.population_sizes[ix.population];
-    s.attacker_fraction = g.attacker_fractions[ix.fraction];
-    s.nice = g.nice_levels[ix.nice];
+    static_cast<GridCellCoords&>(s) = grid_cell_coords(g, active[pos]);
     s.cell_index = g.cell_index_base + active[pos];
     s.seeds = g.seeds;
     s.runs.reserve(n_seeds);

@@ -157,19 +157,10 @@ struct GridCellCoords {
 };
 GridCellCoords grid_cell_coords(const BatchGrid& grid, std::size_t cell);
 
-/// Aggregate for one grid cell across its seeds. The coordinate block
-/// mirrors GridCellCoords and is stamped into every sink record.
-struct CellStats {
-  std::string attack_label;
-  sim::SchedulerKind scheduler{};
-  TimerHz hz{};
-  CpuHz cpu{};
-  RamSpec ram{};
-  kernel::PtracePolicy ptrace{};
-  bool jiffy_timers = true;
-  std::uint32_t population = 1;
-  double attacker_fraction = 0.0;
-  NiceSpec nice{};
+/// Aggregate for one grid cell across its seeds. The coordinates (the
+/// GridCellCoords base) and the cell index are stamped into every sink
+/// record as its cell key (report::cell_key).
+struct CellStats : GridCellCoords {
   /// Invocation-global cell index: BatchGrid::cell_index_base plus the
   /// cell's grid-order index. Serialized into every record so sharded
   /// outputs can be merged back into canonical order.

@@ -443,8 +443,8 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
     }
     if (options.shard.sharded() || resume != nullptr) {
       const ShardSpec shard = options.shard;
-      ctx.gate = [shard, resume](const report::GridCellInfo& cell) {
-        if (!shard.owns(cell.index)) return false;
+      ctx.gate = [shard, resume](const report::CellKey& cell) {
+        if (!shard.owns(cell.cell_index)) return false;
         if (resume != nullptr && resume->completed(cell)) return false;
         return true;
       };

@@ -409,11 +409,7 @@ int run_trace_summary(const InspectOptions& options, std::ostream& out) {
 // ------------------------------------------------------------ jsonl mode
 
 struct CellGap {
-  std::string sweep;
-  std::uint64_t cell_index = 0;
-  std::string attack;
-  std::string scheduler;
-  std::uint64_t hz = 0;
+  report::CellKey key;
   double billed = 0.0;
   double true_s = 0.0;
   double overcharge = 0.0;
@@ -443,15 +439,11 @@ int run_top_cells(const InspectOptions& options, std::ostream& out) {
     if (!b.closed || b.cell_line.empty()) continue;
     std::map<std::string, std::string> f;
     const std::string where =
-        options.jsonl_path + " cell " + std::to_string(b.cell_index);
+        options.jsonl_path + " cell " + std::to_string(b.key.cell_index);
     if (!parse_json_line(b.cell_line, f))
       throw std::runtime_error(where + ": unparseable cell record");
     CellGap c;
-    c.sweep = b.sweep;
-    c.cell_index = b.cell_index;
-    c.attack = b.attack;
-    c.scheduler = b.scheduler;
-    c.hz = b.hz;
+    c.key = b.key;
     c.billed = stat_mean(f, "billed_seconds", where);
     c.true_s = stat_mean(f, "true_seconds", where);
     c.overcharge = stat_mean(f, "overcharge", where);
@@ -460,8 +452,8 @@ int run_top_cells(const InspectOptions& options, std::ostream& out) {
   }
   std::sort(cells.begin(), cells.end(), [](const CellGap& a, const CellGap& b) {
     if (a.gap != b.gap) return a.gap > b.gap;
-    if (a.sweep != b.sweep) return a.sweep < b.sweep;
-    return a.cell_index < b.cell_index;
+    if (a.key.sweep != b.key.sweep) return a.key.sweep < b.key.sweep;
+    return a.key.cell_index < b.key.cell_index;
   });
   const std::size_t n =
       std::min<std::size_t>(cells.size(), static_cast<std::size_t>(options.top));
@@ -474,9 +466,9 @@ int run_top_cells(const InspectOptions& options, std::ostream& out) {
     const CellGap& c = cells[i];
     out << "  " << std::setw(12) << fmt6(c.gap) << std::setw(12)
         << fmt6(c.billed) << std::setw(12) << fmt6(c.true_s) << std::setw(12)
-        << fmt6(c.overcharge) << "  " << c.sweep << "#" << c.cell_index
-        << " attack=" << c.attack << " sched=" << c.scheduler
-        << " hz=" << c.hz << "\n";
+        << fmt6(c.overcharge) << "  " << c.key.sweep << "#"
+        << c.key.cell_index << " attack=" << c.key.attack
+        << " sched=" << c.key.scheduler << " hz=" << c.key.hz << "\n";
   }
   return 0;
 }

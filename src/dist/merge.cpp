@@ -14,6 +14,8 @@
 namespace mtr::dist {
 namespace {
 
+using report::describe;
+
 constexpr const char* kUsage =
     "usage: mtr_merge [--csv OUT.csv] [--jsonl OUT.jsonl]\n"
     "                 [--metrics OUT.json] SHARD_FILE...\n"
@@ -45,12 +47,6 @@ constexpr const char* kUsage =
     "recomputation mismatch — reports name file, line, and byte offset);\n"
     "3 cell-index gap or duplicate cell (incomplete or overlapping shard\n"
     "set; each file itself may be intact).\n";
-
-std::string describe(const CellBlock& b) {
-  return "cell " + std::to_string(b.cell_index) + " [sweep=" + b.sweep +
-         ", attack=" + b.attack + ", scheduler=" + b.scheduler +
-         ", hz=" + std::to_string(b.hz) + "]";
-}
 
 /// "path:line" of a block's `i`-th run record (run lines are contiguous).
 std::string run_line_at(const std::string& path, const CellBlock& b,
@@ -86,11 +82,11 @@ GatheredBlocks gather_blocks(const std::vector<std::string>& inputs,
     // sweep and still leave its (empty) output behind.
     for (CellBlock& b : scan.blocks) {
       const auto [it, inserted] =
-          cells.emplace(b.cell_index, std::make_pair(std::move(b), path));
+          cells.emplace(b.key.cell_index, std::make_pair(std::move(b), path));
       if (!inserted) {
         const CellBlock& first = it->second.first;
         throw MergeError(MergeFault::kGapOrDuplicate,
-                         "duplicate " + describe(first) + " in " +
+                         "duplicate " + describe(first.key) + " in " +
                              it->second.second + " and " + path +
                              " — overlapping shards?");
       }
@@ -124,9 +120,9 @@ GatheredBlocks gather_blocks(const std::vector<std::string>& inputs,
       if (entry.first.seeds.size() != reference->seeds.size())
         throw MergeError(
             MergeFault::kCorrupt,
-            entry.second + ": " + describe(entry.first) + " has " +
+            entry.second + ": " + describe(entry.first.key) + " has " +
                 std::to_string(entry.first.seeds.size()) +
-                " run record(s) but " + describe(*reference) + " has " +
+                " run record(s) but " + describe(reference->key) + " has " +
                 std::to_string(reference->seeds.size()) +
                 " — incomplete shard output? finish it with --resume before "
                 "merging");
@@ -163,20 +159,7 @@ GatheredBlocks gather_blocks(const std::vector<std::string>& inputs,
 /// records, exactly the way JsonlSink computes it.
 std::string recompute_cell_line(const CellBlock& b, const std::string& path) {
   report::CellSummary s;
-  s.sweep = b.sweep;
-  s.cell_index = b.cell_index;
-  s.attack = b.attack;
-  s.scheduler = b.scheduler;
-  s.hz = b.hz;
-  s.cpu_hz = b.cpu_hz;
-  s.ram_frames = b.ram_frames;
-  s.reclaim_batch = b.reclaim_batch;
-  s.ptrace = b.ptrace;
-  s.jiffy_timers = b.jiffy_timers;
-  s.population = static_cast<std::uint32_t>(b.population);
-  s.attacker_fraction = b.attacker_fraction;
-  s.victim_nice = b.victim_nice;
-  s.attacker_nice = b.attacker_nice;
+  s.key = b.key;
   s.seeds = b.run_lines.size();
   for (const std::string& key : cell_stat_keys()) s.stats.push_back({key, {}});
   for (const auto& cols : cell_sketch_columns())
@@ -188,13 +171,14 @@ std::string recompute_cell_line(const CellBlock& b, const std::string& path) {
     if (!parse_json_line(line, f))
       throw MergeError(MergeFault::kCorrupt,
                        run_line_at(path, b, i) + ": unparseable run record in " +
-                           describe(b));
+                           describe(b.key));
     const auto workload = json_string(f, "workload");
     const auto source_ok = json_bool(f, "source_ok");
     if (!workload || !source_ok)
       throw MergeError(MergeFault::kCorrupt,
                        run_line_at(path, b, i) + ": run record of " +
-                           describe(b) + " is missing or has an invalid field '" +
+                           describe(b.key) +
+                           " is missing or has an invalid field '" +
                            (!workload ? "workload" : "source_ok") + "'");
     s.workload = *workload;  // constant within a cell
     s.source_ok = s.source_ok && *source_ok;
@@ -203,7 +187,7 @@ std::string recompute_cell_line(const CellBlock& b, const std::string& path) {
       if (!v)
         throw MergeError(MergeFault::kCorrupt,
                          run_line_at(path, b, i) + ": run record of " +
-                             describe(b) +
+                             describe(b.key) +
                              " is missing or has an invalid field '" + st.key +
                              "'");
       st.stats.add(*v);
@@ -219,7 +203,7 @@ std::string recompute_cell_line(const CellBlock& b, const std::string& path) {
       if (!sketch)
         throw MergeError(MergeFault::kCorrupt,
                          run_line_at(path, b, i) + ": run record of " +
-                             describe(b) +
+                             describe(b.key) +
                              " is missing or has an invalid field '" + run_key +
                              "'");
       s.sketches[k].second.merge(*sketch);
@@ -272,7 +256,7 @@ std::string merge_jsonl(const std::vector<std::string>& inputs,
     if (cell_line != b.cell_line + "\n")
       throw MergeError(
           MergeFault::kCorrupt,
-          entry.second + ": recomputed aggregate for " + describe(b) +
+          entry.second + ": recomputed aggregate for " + describe(b.key) +
               " does not match the recorded summary — corrupt shard output?");
     out += cell_line;
     if (cell_indices) cell_indices->push_back(index);

@@ -1,6 +1,7 @@
 #include "dist/records.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
@@ -49,6 +50,13 @@ std::string json_unescape(std::string_view token) {
     }
   }
   return out;
+}
+
+/// The string a quoted JSON token spells; nullopt when it is not quoted.
+std::optional<std::string> json_unquote(const std::string& token) {
+  if (token.size() < 2 || token.front() != '"' || token.back() != '"')
+    return std::nullopt;
+  return json_unescape(std::string_view(token).substr(1, token.size() - 2));
 }
 
 }  // namespace
@@ -102,11 +110,8 @@ bool parse_json_line(const std::string& line,
 std::optional<std::string> json_string(
     const std::map<std::string, std::string>& fields, const std::string& key) {
   const auto it = fields.find(key);
-  if (it == fields.end() || it->second.size() < 2 || it->second.front() != '"' ||
-      it->second.back() != '"')
-    return std::nullopt;
-  return json_unescape(
-      std::string_view(it->second).substr(1, it->second.size() - 2));
+  if (it == fields.end()) return std::nullopt;
+  return json_unquote(it->second);
 }
 
 std::optional<std::uint64_t> json_u64(
@@ -116,21 +121,11 @@ std::optional<std::uint64_t> json_u64(
   return parse_u64(it->second);
 }
 
-std::optional<std::int64_t> json_i64(
-    const std::map<std::string, std::string>& fields, const std::string& key) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return std::nullopt;
-  return parse_number<std::int64_t>(it->second);
-}
-
 std::optional<double> json_double(
     const std::map<std::string, std::string>& fields, const std::string& key) {
   const auto it = fields.find(key);
-  if (it == fields.end() || it->second.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end != it->second.c_str() + it->second.size()) return std::nullopt;
-  return v;
+  if (it == fields.end()) return std::nullopt;
+  return parse_f64(it->second);
 }
 
 std::optional<bool> json_bool(const std::map<std::string, std::string>& fields,
@@ -191,91 +186,17 @@ void throw_schema_error(const std::string& path, std::uint64_t line,
 
 namespace {
 
-/// The coordinate columns of one record, shared between the two scanners.
-struct RecCoords {
-  std::uint64_t cell_index = 0;
-  std::string sweep, attack, scheduler, ptrace;
-  std::uint64_t hz = 0, cpu_hz = 0, ram_frames = 0, reclaim_batch = 0;
-  bool jiffy_timers = true;
-  std::uint64_t population = 1;
-  double attacker_fraction = 0.0;
-  std::int64_t victim_nice = 0, attacker_nice = 0;
-
-  friend bool operator==(const RecCoords&, const RecCoords&) = default;
-
-  bool same_cell(const CellBlock& b) const {
-    return b.cell_index == cell_index && b.sweep == sweep && b.attack == attack &&
-           b.scheduler == scheduler && b.hz == hz && b.cpu_hz == cpu_hz &&
-           b.ram_frames == ram_frames && b.reclaim_batch == reclaim_batch &&
-           b.ptrace == ptrace && b.jiffy_timers == jiffy_timers &&
-           b.population == population &&
-           b.attacker_fraction == attacker_fraction &&
-           b.victim_nice == victim_nice && b.attacker_nice == attacker_nice;
+/// Reads the key columns of a parsed JSONL record into `key`; returns the
+/// name of the first missing or invalid one, nullptr when all parse.
+const char* read_json_key(const std::map<std::string, std::string>& f,
+                          report::CellKey& key) {
+  for (const report::CellKeyColumn& col : report::kCellKeyColumns) {
+    const auto it = f.find(col.name);
+    if (it == f.end()) return col.name;
+    const std::optional<std::string> text =
+        col.is_text() ? json_unquote(it->second) : it->second;
+    if (!text || !col.parse(key, *text)) return col.name;
   }
-  void stamp(CellBlock& b) const {
-    b.cell_index = cell_index;
-    b.sweep = sweep;
-    b.attack = attack;
-    b.scheduler = scheduler;
-    b.hz = hz;
-    b.cpu_hz = cpu_hz;
-    b.ram_frames = ram_frames;
-    b.reclaim_batch = reclaim_batch;
-    b.ptrace = ptrace;
-    b.jiffy_timers = jiffy_timers;
-    b.population = population;
-    b.attacker_fraction = attacker_fraction;
-    b.victim_nice = victim_nice;
-    b.attacker_nice = attacker_nice;
-  }
-};
-
-/// Pulls the coordinates out of a parsed JSONL record; on failure returns
-/// the name of the missing/invalid field.
-const char* extract_json_coords(const std::map<std::string, std::string>& f,
-                                RecCoords& out) {
-  const auto sweep = json_string(f, "sweep");
-  const auto cell_index = json_u64(f, "cell_index");
-  const auto attack = json_string(f, "attack");
-  const auto scheduler = json_string(f, "scheduler");
-  const auto hz = json_u64(f, "hz");
-  const auto cpu_hz = json_u64(f, "cpu_hz");
-  const auto ram_frames = json_u64(f, "ram_frames");
-  const auto reclaim_batch = json_u64(f, "reclaim_batch");
-  const auto ptrace = json_string(f, "ptrace");
-  const auto jiffy = json_bool(f, "jiffy_timers");
-  const auto population = json_u64(f, "population");
-  const auto fraction = json_double(f, "attacker_fraction");
-  const auto victim_nice = json_i64(f, "victim_nice");
-  const auto attacker_nice = json_i64(f, "attacker_nice");
-  if (!sweep) return "sweep";
-  if (!cell_index) return "cell_index";
-  if (!attack) return "attack";
-  if (!scheduler) return "scheduler";
-  if (!hz) return "hz";
-  if (!cpu_hz) return "cpu_hz";
-  if (!ram_frames) return "ram_frames";
-  if (!reclaim_batch) return "reclaim_batch";
-  if (!ptrace) return "ptrace";
-  if (!jiffy) return "jiffy_timers";
-  if (!population) return "population";
-  if (!fraction) return "attacker_fraction";
-  if (!victim_nice) return "victim_nice";
-  if (!attacker_nice) return "attacker_nice";
-  out.sweep = *sweep;
-  out.cell_index = *cell_index;
-  out.attack = *attack;
-  out.scheduler = *scheduler;
-  out.hz = *hz;
-  out.cpu_hz = *cpu_hz;
-  out.ram_frames = *ram_frames;
-  out.reclaim_batch = *reclaim_batch;
-  out.ptrace = *ptrace;
-  out.jiffy_timers = *jiffy;
-  out.population = *population;
-  out.attacker_fraction = *fraction;
-  out.victim_nice = *victim_nice;
-  out.attacker_nice = *attacker_nice;
   return nullptr;
 }
 
@@ -323,8 +244,8 @@ FileScan scan_jsonl(const std::string& path) {
       throw_schema_error(path, line_no, offset, "record", *schema,
                          report::kSchemaVersion);
 
-    RecCoords c;
-    if (const char* bad = extract_json_coords(f, c)) {
+    report::CellKey key;
+    if (const char* bad = read_json_key(f, key)) {
       stop(where(path, line_no) + ": record missing or invalid field '" +
            bad + "'");
       break;
@@ -341,33 +262,34 @@ FileScan scan_jsonl(const std::string& path) {
       if (!has_open) {
         if (*seed_index != 0) {
           stop(where(path, line_no) + ": run records of cell " +
-               std::to_string(c.cell_index) + " start mid-cell");
+               std::to_string(key.cell_index) + " start mid-cell");
           break;
         }
         open = CellBlock{};
         open.first_line = line_no;
-        c.stamp(open);
+        open.key = std::move(key);
         has_open = true;
-      } else if (!c.same_cell(open)) {
-        stop(where(path, line_no) + ": cell " + std::to_string(open.cell_index) +
+      } else if (key != open.key) {
+        stop(where(path, line_no) + ": cell " +
+             std::to_string(open.key.cell_index) +
              " has run records but no summary");
         break;
       } else if (*seed_index != open.seeds.size()) {
         stop(where(path, line_no) + ": seed_index discontinuity in cell " +
-             std::to_string(c.cell_index));
+             std::to_string(key.cell_index));
         break;
       }
       open.seeds.push_back(*seed);
       open.run_lines.push_back(line);
     } else if (*record == "cell") {
       const auto n = json_u64(f, "seeds");
-      if (!has_open || !c.same_cell(open)) {
+      if (!has_open || key != open.key) {
         stop(where(path, line_no) + ": cell summary for cell " +
-             std::to_string(c.cell_index) + " without its run records");
+             std::to_string(key.cell_index) + " without its run records");
         break;
       }
       if (!n || *n != open.seeds.size()) {
-        stop(where(path, line_no) + ": cell " + std::to_string(c.cell_index) +
+        stop(where(path, line_no) + ": cell " + std::to_string(key.cell_index) +
              " summary seed count disagrees with its run records");
         break;
       }
@@ -389,7 +311,7 @@ FileScan scan_jsonl(const std::string& path) {
     // The orphan runs begin right after the last complete cell.
     offset = scan.valid_bytes;
     stop(where(path, open.first_line) + ": incomplete cell " +
-         std::to_string(open.cell_index) +
+         std::to_string(open.key.cell_index) +
          " at end of file (runs without a summary)");
   }
   return scan;
@@ -419,16 +341,11 @@ FileScan scan_csv(const std::string& path) {
     return static_cast<std::size_t>(
         std::find(header.begin(), header.end(), key) - header.begin());
   };
-  const std::size_t c_schema = col("schema"), c_sweep = col("sweep"),
-                    c_cell = col("cell_index"), c_attack = col("attack"),
-                    c_sched = col("scheduler"), c_hz = col("hz"),
-                    c_seed = col("seed"), c_seed_i = col("seed_index"),
-                    c_cpu = col("cpu_hz"), c_ram = col("ram_frames"),
-                    c_reclaim = col("reclaim_batch"), c_ptrace = col("ptrace"),
-                    c_jiffy = col("jiffy_timers"), c_pop = col("population"),
-                    c_frac = col("attacker_fraction"),
-                    c_vnice = col("victim_nice"),
-                    c_anice = col("attacker_nice");
+  const std::size_t c_schema = col("schema"), c_seed = col("seed"),
+                    c_seed_i = col("seed_index");
+  std::array<std::size_t, report::kCellKeyColumns.size()> c_key{};
+  for (std::size_t k = 0; k < c_key.size(); ++k)
+    c_key[k] = col(report::kCellKeyColumns[k].name);
 
   std::uint64_t offset = line.size() + 1;
   std::uint64_t line_no = 1;
@@ -457,9 +374,6 @@ FileScan scan_csv(const std::string& path) {
            std::to_string(header.size()) + " columns)");
       break;
     }
-    // Strict full-match parsing on every numeric coordinate: a corrupt
-    // row must stop the scan at a named field, not round-trip a mangled
-    // value into resume/merge decisions.
     const auto num = [&](std::size_t c, const char* key) {
       const std::optional<std::uint64_t> v = parse_u64(row[c]);
       if (!v)
@@ -472,68 +386,35 @@ FileScan scan_csv(const std::string& path) {
     if (*schema != report::kSchemaVersion)
       throw_schema_error(path, line_no, offset, "record", *schema,
                          report::kSchemaVersion);
-    const auto cell_index = num(c_cell, "cell_index");
-    if (!cell_index) break;
-    const auto hz = num(c_hz, "hz");
-    if (!hz) break;
+    // Strict full-match parsing of every key column: a corrupt row must
+    // stop the scan at a named field, not round-trip a mangled value into
+    // resume/merge decisions.
+    report::CellKey key;
+    std::size_t bad = 0;
+    while (bad < c_key.size() &&
+           report::kCellKeyColumns[bad].parse(key, row[c_key[bad]]))
+      ++bad;
+    if (bad < c_key.size()) {
+      const report::CellKeyColumn& column = report::kCellKeyColumns[bad];
+      stop(where(path, line_no) + ": field '" + column.name + "' has non-" +
+           (column.is_bool() ? "boolean" : "numeric") + " value '" +
+           row[c_key[bad]] + "'");
+      break;
+    }
     const auto seed = num(c_seed, "seed");
     if (!seed) break;
     const auto seed_index = num(c_seed_i, "seed_index");
     if (!seed_index) break;
-    const auto cpu_hz = num(c_cpu, "cpu_hz");
-    if (!cpu_hz) break;
-    const auto ram_frames = num(c_ram, "ram_frames");
-    if (!ram_frames) break;
-    const auto reclaim_batch = num(c_reclaim, "reclaim_batch");
-    if (!reclaim_batch) break;
-    if (row[c_jiffy] != "true" && row[c_jiffy] != "false") {
-      stop(where(path, line_no) +
-           ": field 'jiffy_timers' has non-boolean value '" + row[c_jiffy] +
-           "'");
-      break;
-    }
-    const auto population = num(c_pop, "population");
-    if (!population) break;
-    // The nice columns are signed and attacker_fraction is a double, so
-    // they get their own strict parsers beside num()'s parse_u64.
-    const auto fraction = parse_f64(row[c_frac]);
-    const auto victim_nice = parse_number<std::int64_t>(row[c_vnice]);
-    const auto attacker_nice = parse_number<std::int64_t>(row[c_anice]);
-    const std::size_t bad_col = !fraction      ? c_frac
-                                : !victim_nice ? c_vnice
-                                : !attacker_nice ? c_anice
-                                                 : header.size();
-    if (bad_col != header.size()) {
-      stop(where(path, line_no) + ": field '" + header[bad_col] +
-           "' has non-numeric value '" + row[bad_col] + "'");
-      break;
-    }
 
-    RecCoords c;
-    c.cell_index = *cell_index;
-    c.sweep = row[c_sweep];
-    c.attack = row[c_attack];
-    c.scheduler = row[c_sched];
-    c.hz = *hz;
-    c.cpu_hz = *cpu_hz;
-    c.ram_frames = *ram_frames;
-    c.reclaim_batch = *reclaim_batch;
-    c.ptrace = row[c_ptrace];
-    c.jiffy_timers = row[c_jiffy] == "true";
-    c.population = *population;
-    c.attacker_fraction = *fraction;
-    c.victim_nice = *victim_nice;
-    c.attacker_nice = *attacker_nice;
-
-    if (has_open && open.cell_index == c.cell_index) {
-      if (!c.same_cell(open)) {
+    if (has_open && open.key.cell_index == key.cell_index) {
+      if (key != open.key) {
         stop(where(path, line_no) + ": conflicting coordinates within cell " +
-             std::to_string(c.cell_index));
+             std::to_string(key.cell_index));
         break;
       }
       if (*seed_index != open.seeds.size()) {
         stop(where(path, line_no) + ": seed_index discontinuity in cell " +
-             std::to_string(c.cell_index));
+             std::to_string(key.cell_index));
         break;
       }
     } else {
@@ -545,11 +426,11 @@ FileScan scan_csv(const std::string& path) {
       }
       open = CellBlock{};
       open.first_line = line_no;
-      c.stamp(open);
+      open.key = std::move(key);
       has_open = true;
       if (*seed_index != 0) {
         stop(where(path, line_no) + ": rows of cell " +
-             std::to_string(c.cell_index) + " start mid-cell");
+             std::to_string(open.key.cell_index) + " start mid-cell");
         has_open = false;
         break;
       }

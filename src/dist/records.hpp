@@ -7,6 +7,9 @@
 // any record stamped with a schema version other than the one this build
 // writes (report::kSchemaVersion): files from older builds are rejected
 // with a SchemaError naming the file, line, byte, and version found.
+// Both scanners read a record's coordinates through the cell key's column
+// table (report::CellKeyColumn::parse), so they share one strict parser
+// per type; a record whose key differs from its block's stops the scan.
 // Shared by ResumeIndex and mtr_merge.
 #pragma once
 
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "common/parse.hpp"
+#include "report/cell_key.hpp"
 
 namespace mtr::dist {
 
@@ -45,21 +49,7 @@ struct SchemaError : std::runtime_error {
 /// (no trailing newline), so consumers that re-emit them preserve the
 /// original bytes exactly.
 struct CellBlock {
-  std::uint64_t cell_index = 0;
-  std::string sweep;
-  std::string attack;
-  std::string scheduler;
-  std::uint64_t hz = 0;
-  std::uint64_t cpu_hz = 0;
-  std::uint64_t ram_frames = 0;
-  std::uint64_t reclaim_batch = 0;
-  std::string ptrace;
-  bool jiffy_timers = true;
-  // attacker_fraction compares exactly: %.17g tokens round-trip bit-exact.
-  std::uint64_t population = 1;
-  double attacker_fraction = 0.0;
-  std::int64_t victim_nice = 0;
-  std::int64_t attacker_nice = 0;
+  report::CellKey key;  // shared by every record of the block
   /// 1-based line number of the block's first run record (error reports).
   std::uint64_t first_line = 0;
   std::vector<std::uint64_t> seeds;    // one per run record, in file order
@@ -104,12 +94,12 @@ bool parse_json_line(const std::string& line,
                      std::map<std::string, std::string>& out);
 
 /// Typed readers over parse_json_line tokens; nullopt when the key is
-/// missing or the token has the wrong shape.
+/// missing or the token has the wrong shape. Numbers are strict
+/// (mtr::parse_u64 / mtr::parse_f64); json_double takes the writer's %.17g
+/// tokens, inf and nan included.
 std::optional<std::string> json_string(
     const std::map<std::string, std::string>& fields, const std::string& key);
 std::optional<std::uint64_t> json_u64(
-    const std::map<std::string, std::string>& fields, const std::string& key);
-std::optional<std::int64_t> json_i64(
     const std::map<std::string, std::string>& fields, const std::string& key);
 std::optional<double> json_double(
     const std::map<std::string, std::string>& fields, const std::string& key);

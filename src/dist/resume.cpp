@@ -9,13 +9,7 @@
 namespace mtr::dist {
 namespace {
 
-std::string describe(const std::string& sweep, const std::string& attack,
-                     const std::string& scheduler, std::uint64_t hz,
-                     std::uint64_t index) {
-  return "cell " + std::to_string(index) + " [sweep=" + sweep +
-         ", attack=" + attack + ", scheduler=" + scheduler +
-         ", hz=" + std::to_string(hz) + "]";
-}
+using report::describe;
 
 /// Scans an existing output. Appending to a file of another schema version
 /// would corrupt it, and no build reads it back, so the scanner's refusal
@@ -37,7 +31,7 @@ void check_seeds(const std::string& path, const CellBlock& b,
   if (b.seeds == expected) return;
   throw std::runtime_error(
       path + ":" + std::to_string(b.first_line) + ": " +
-      describe(b.sweep, b.attack, b.scheduler, b.hz, b.cell_index) +
+      describe(b.key) +
       " was recorded with " + std::to_string(b.seeds.size()) +
       " seed(s) starting at " +
       (b.seeds.empty() ? std::string("?") : std::to_string(b.seeds.front())) +
@@ -117,27 +111,17 @@ ResumeIndex ResumeIndex::scan(const std::string& csv_path,
     const CellBlock& b = primary[i];
     if (index.have_csv_ && index.have_jsonl_) {
       const CellBlock& c = csv_done[i];
-      if (c.cell_index != b.cell_index || c.sweep != b.sweep ||
-          c.attack != b.attack || c.scheduler != b.scheduler || c.hz != b.hz ||
-          c.cpu_hz != b.cpu_hz || c.ram_frames != b.ram_frames ||
-          c.reclaim_batch != b.reclaim_batch || c.ptrace != b.ptrace ||
-          c.jiffy_timers != b.jiffy_timers || c.population != b.population ||
-          c.attacker_fraction != b.attacker_fraction ||
-          c.victim_nice != b.victim_nice || c.attacker_nice != b.attacker_nice)
+      if (const char* field = report::first_difference(c.key, b.key))
         throw std::runtime_error(
             "resume: " + csv_path + ":" + std::to_string(c.first_line) +
             " and " + jsonl_path + ":" + std::to_string(b.first_line) +
             " disagree at block " + std::to_string(i) + " (" +
-            describe(c.sweep, c.attack, c.scheduler, c.hz, c.cell_index) +
-            " vs " + describe(b.sweep, b.attack, b.scheduler, b.hz, b.cell_index) +
-            ") — were they written by the same invocation?");
+            describe(c.key) + " vs " + describe(b.key) +
+            ", field '" + field +
+            "' differs) — were they written by the same invocation?");
     }
-    Done done{b.sweep,       b.attack,      b.scheduler,
-              b.ptrace,      b.hz,          b.cpu_hz,
-              b.ram_frames,  b.reclaim_batch, b.jiffy_timers,
-              b.population,  b.attacker_fraction, b.victim_nice,
-              b.attacker_nice, primary_path, b.first_line};
-    index.done_.emplace(b.cell_index, std::move(done));
+    index.done_.emplace(b.key.cell_index,
+                        Done{b.key, primary_path, b.first_line});
     if (index.have_jsonl_) index.jsonl_valid_ = b.end_offset;
     if (index.have_csv_) index.csv_valid_ = csv_done[i].end_offset;
   }
@@ -172,36 +156,17 @@ void ResumeIndex::truncate_files() const {
   if (have_csv_) truncate(csv_path_, csv_valid_);
 }
 
-bool ResumeIndex::completed(const report::GridCellInfo& cell) const {
-  const auto it = done_.find(cell.index);
+bool ResumeIndex::completed(const report::CellKey& cell) const {
+  const auto it = done_.find(cell.cell_index);
   if (it == done_.end()) return false;
   const Done& d = it->second;
-  // Field-by-field so the error can name exactly what contradicts the
-  // recorded output.
-  const char* mismatch =
-      d.sweep != cell.sweep             ? "sweep"
-      : d.attack != cell.attack         ? "attack"
-      : d.scheduler != cell.scheduler   ? "scheduler"
-      : d.hz != cell.hz                 ? "hz"
-      : d.cpu_hz != cell.cpu_hz         ? "cpu_hz"
-      : d.ram_frames != cell.ram_frames ? "ram_frames"
-      : d.reclaim_batch != cell.reclaim_batch ? "reclaim_batch"
-      : d.ptrace != cell.ptrace         ? "ptrace"
-      : d.jiffy_timers != cell.jiffy_timers ? "jiffy_timers"
-      : d.population != cell.population ? "population"
-      : d.attacker_fraction != cell.attacker_fraction ? "attacker_fraction"
-      : d.victim_nice != cell.victim_nice ? "victim_nice"
-      : d.attacker_nice != cell.attacker_nice ? "attacker_nice"
-                                        : nullptr;
-  if (mismatch != nullptr)
+  if (const char* field = report::first_difference(d.key, cell))
     throw std::runtime_error(
         "resume: " + d.path + ":" + std::to_string(d.line) + ": recorded " +
-        describe(d.sweep, d.attack, d.scheduler, d.hz, cell.index) +
-        " but this invocation's grid puts " +
-        describe(cell.sweep, cell.attack, cell.scheduler, cell.hz, cell.index) +
-        " there (field '" + mismatch + "' differs) — resume requires the "
-        "original sweep selection; start fresh or rerun with the original "
-        "arguments");
+        describe(d.key) + " but this invocation's grid puts " +
+        describe(cell) + " there (field '" + field +
+        "' differs) — resume requires the original sweep selection; start "
+        "fresh or rerun with the original arguments");
   return true;
 }
 

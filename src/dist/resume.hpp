@@ -58,19 +58,15 @@ class ResumeIndex {
   /// reopening the files in append mode.
   void truncate_files() const;
 
-  /// True when this cell is already on disk. Throws std::runtime_error if
-  /// the recorded coordinates for this index contradict the current grid —
-  /// resuming into output written by a different sweep selection.
-  bool completed(const report::GridCellInfo& cell) const;
+  /// True when this cell is already on disk. Throws std::runtime_error,
+  /// naming the first differing column, if the key recorded at this cell
+  /// index contradicts the current grid's: resuming into output written by
+  /// a different sweep selection.
+  bool completed(const report::CellKey& cell) const;
 
  private:
   struct Done {
-    std::string sweep, attack, scheduler, ptrace;
-    std::uint64_t hz = 0, cpu_hz = 0, ram_frames = 0, reclaim_batch = 0;
-    bool jiffy_timers = true;
-    std::uint64_t population = 1;
-    double attacker_fraction = 0.0;
-    std::int64_t victim_nice = 0, attacker_nice = 0;
+    report::CellKey key;
     /// Where the block was recorded (error reports): path + first line.
     std::string path;
     std::uint64_t line = 0;

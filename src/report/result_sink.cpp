@@ -55,18 +55,14 @@ std::vector<Field> flatten_run(const std::string& sweep,
   const auto u64 = [](std::uint64_t v) { return FieldValue{v}; };
   const auto i64 = [](std::int64_t v) { return FieldValue{v}; };
 
-  // Record identity + cell coordinates.
+  const CellKey key = cell_key(sweep, cell.cell_index, cell);
+  const auto key_columns = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i)
+      f.push_back({kCellKeyColumns[i].name, kCellKeyColumns[i].value(key)});
+  };
+
   f.push_back({"schema", u64(kSchemaVersion)});
-  f.push_back({"sweep", sweep});
-  f.push_back({"cell_index", u64(cell.cell_index)});
-  f.push_back({"attack", cell.attack_label});
-  f.push_back({"scheduler", std::string(sim::to_string(cell.scheduler))});
-  f.push_back({"hz", u64(cell.hz.v)});
-  f.push_back({"cpu_hz", u64(cell.cpu.v)});
-  f.push_back({"ram_frames", u64(cell.ram.frames)});
-  f.push_back({"reclaim_batch", u64(cell.ram.reclaim_batch)});
-  f.push_back({"ptrace", std::string(kernel::to_string(cell.ptrace))});
-  f.push_back({"jiffy_timers", cell.jiffy_timers});
+  key_columns(0, kRunHeadColumns);
   f.push_back({"seed", u64(cell.seeds.at(seed_i))});
   f.push_back({"seed_index", u64(seed_i)});
 
@@ -111,10 +107,7 @@ std::vector<Field> flatten_run(const std::string& sweep,
   f.push_back({"attacker_true_seconds", r.attacker_true_seconds});
 
   // Population coordinates and per-tenant distributions.
-  f.push_back({"population", u64(cell.population)});
-  f.push_back({"attacker_fraction", FieldValue{cell.attacker_fraction}});
-  f.push_back({"victim_nice", i64(cell.nice.victim.v)});
-  f.push_back({"attacker_nice", i64(cell.nice.attacker.v)});
+  key_columns(kRunHeadColumns, kCellKeyColumns.size());
   f.push_back({"pop_tenants", u64(r.pop_tenants)});
   f.push_back({"pop_attackers", u64(r.pop_attackers)});
   f.push_back({"pop_flagged_attackers", u64(r.pop_flagged_attackers)});
@@ -340,20 +333,7 @@ JsonlSink::JsonlSink(std::ostream& os) : os_(&os) {}
 
 CellSummary summarize_cell(const std::string& sweep, const core::CellStats& cell) {
   CellSummary s;
-  s.sweep = sweep;
-  s.cell_index = cell.cell_index;
-  s.attack = cell.attack_label;
-  s.scheduler = sim::to_string(cell.scheduler);
-  s.hz = cell.hz.v;
-  s.cpu_hz = cell.cpu.v;
-  s.ram_frames = cell.ram.frames;
-  s.reclaim_batch = cell.ram.reclaim_batch;
-  s.ptrace = kernel::to_string(cell.ptrace);
-  s.jiffy_timers = cell.jiffy_timers;
-  s.population = cell.population;
-  s.attacker_fraction = cell.attacker_fraction;
-  s.victim_nice = cell.nice.victim.v;
-  s.attacker_nice = cell.nice.attacker.v;
+  s.key = cell_key(sweep, cell.cell_index, cell);
   s.workload = cell.runs.empty() ? "" : workloads::short_name(cell.runs.front().kind);
   s.seeds = cell.runs.size();
   s.source_ok = cell.all_source_ok();
@@ -367,18 +347,9 @@ CellSummary summarize_cell(const std::string& sweep, const core::CellStats& cell
 }
 
 void write_cell_record(std::ostream& os, const CellSummary& s) {
-  os << "{\"record\":\"cell\",\"schema\":" << kSchemaVersion << ",\"sweep\":\""
-     << json_escape(s.sweep) << "\",\"cell_index\":" << s.cell_index
-     << ",\"attack\":\"" << json_escape(s.attack) << "\",\"scheduler\":\""
-     << json_escape(s.scheduler) << "\",\"hz\":" << s.hz
-     << ",\"cpu_hz\":" << s.cpu_hz << ",\"ram_frames\":" << s.ram_frames
-     << ",\"reclaim_batch\":" << s.reclaim_batch << ",\"ptrace\":\""
-     << json_escape(s.ptrace) << "\",\"jiffy_timers\":"
-     << (s.jiffy_timers ? "true" : "false")
-     << ",\"population\":" << s.population
-     << ",\"attacker_fraction\":" << fmt_f64(s.attacker_fraction)
-     << ",\"victim_nice\":" << s.victim_nice
-     << ",\"attacker_nice\":" << s.attacker_nice;
+  os << "{\"record\":\"cell\",\"schema\":" << kSchemaVersion;
+  for (const CellKeyColumn& col : kCellKeyColumns)
+    os << ",\"" << col.name << "\":" << format_json(col.value(s.key));
   os << ",\"workload\":\"" << json_escape(s.workload) << "\",\"seeds\":" << s.seeds
      << ",\"source_ok\":" << (s.source_ok ? "true" : "false");
   for (const CellStatSummary& st : s.stats) {

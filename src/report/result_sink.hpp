@@ -5,7 +5,9 @@
 // long sweeps stream to disk as they go and a killed sweep keeps what it
 // finished. CsvSink and JsonlSink share one canonical field list
 // (flatten_run), so the two formats cannot drift apart; MultiSink fans a
-// cell out to several sinks at once.
+// cell out to several sinks at once. Every record names its cell through
+// the cell key (report/cell_key.hpp): flatten_run and write_cell_record
+// emit its column table, and the dist-layer scanners read it back.
 #pragma once
 
 #include <cstdint>
@@ -16,10 +18,10 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "core/batch_runner.hpp"
+#include "report/cell_key.hpp"
 
 namespace mtr::report {
 
@@ -46,19 +48,15 @@ std::string encode_sketch(const QuantileSketch& sketch);
 /// Strict inverse of encode_sketch: nullopt on any malformed token.
 std::optional<QuantileSketch> decode_sketch(std::string_view token);
 
-/// One serialized field. The variant arm picks the CSV/JSON rendering:
-/// bools become true/false, doubles render round-trippably (%.17g).
-using FieldValue =
-    std::variant<bool, std::int64_t, std::uint64_t, double, std::string>;
-
 struct Field {
   std::string key;
   FieldValue value;
 };
 
-/// The canonical record for run `seed_i` of `cell`: sweep name, cell
-/// coordinates, grid seed, then every ExperimentResult field. Both sinks
-/// emit exactly this list in exactly this order.
+/// The canonical record for run `seed_i` of `cell`: schema, the cell key's
+/// head columns, grid seed, every ExperimentResult field, then the key's
+/// population columns and the per-tenant distributions. Both sinks emit
+/// exactly this list in exactly this order.
 std::vector<Field> flatten_run(const std::string& sweep,
                                const core::CellStats& cell,
                                std::size_t seed_i);
@@ -84,27 +82,16 @@ std::vector<std::string> split_csv_line(const std::string& line);
 /// by CsvSink and mtr_merge so merged files are byte-identical.
 void write_csv_header(std::ostream& os);
 
-/// The aggregate half of a `record:"cell"` JSONL line, decoupled from
-/// CellStats so mtr_merge can recompute it from parsed run records.
+/// One aggregate of a cell record: its key and accumulated statistics.
 struct CellStatSummary {
   std::string key;
   RunningStats stats;
 };
+/// A `record:"cell"` JSONL line (the cell key plus the aggregates),
+/// decoupled from CellStats so mtr_merge can recompute it from parsed run
+/// records.
 struct CellSummary {
-  std::string sweep;
-  std::uint64_t cell_index = 0;
-  std::string attack;
-  std::string scheduler;
-  std::uint64_t hz = 0;
-  std::uint64_t cpu_hz = 0;
-  std::uint64_t ram_frames = 0;
-  std::uint64_t reclaim_batch = 0;
-  std::string ptrace;
-  bool jiffy_timers = true;
-  std::uint32_t population = 1;
-  double attacker_fraction = 0.0;
-  std::int64_t victim_nice = 0;
-  std::int64_t attacker_nice = 0;
+  CellKey key;
   std::string workload;
   std::uint64_t seeds = 0;
   bool source_ok = true;

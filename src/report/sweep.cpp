@@ -1,7 +1,6 @@
 #include "report/sweep.hpp"
 
 #include "common/ensure.hpp"
-#include "sim/simulation.hpp"
 
 namespace mtr::report {
 
@@ -50,23 +49,9 @@ std::vector<core::CellStats> SweepContext::run_grid(
   std::size_t n_owned = n_cells;
   if (gate) {
     for (std::size_t i = 0; i < n_cells; ++i) {
-      const core::GridCellCoords c = core::grid_cell_coords(grid, i);
-      GridCellInfo info;
-      info.index = base + i;
-      info.sweep = sweep_name;
-      info.attack = c.attack_label;
-      info.scheduler = sim::to_string(c.scheduler);
-      info.hz = c.hz.v;
-      info.cpu_hz = c.cpu.v;
-      info.ram_frames = c.ram.frames;
-      info.reclaim_batch = c.ram.reclaim_batch;
-      info.ptrace = kernel::to_string(c.ptrace);
-      info.jiffy_timers = c.jiffy_timers;
-      info.population = c.population;
-      info.attacker_fraction = c.attacker_fraction;
-      info.victim_nice = c.nice.victim.v;
-      info.attacker_nice = c.nice.attacker.v;
-      if (!gate(info)) {
+      const CellKey key =
+          cell_key(sweep_name, base + i, core::grid_cell_coords(grid, i));
+      if (!gate(key)) {
         owned[i] = 0;
         --n_owned;
       }

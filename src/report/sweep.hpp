@@ -1,6 +1,8 @@
 // The sweep substrate: a name -> sweep registry and the SweepContext every
 // sweep body runs against (parameters, sinks, progress, and the run_grid
-// entry point that applies cell gating for sharded/resumed sweeps). The
+// entry point that applies cell gating for sharded/resumed sweeps). A gate
+// judges each cell by its CellKey, built by the same report::cell_key the
+// sinks use, so resume compares exactly what the records hold. The
 // bench layer registers its figure/table sweeps here; the CLI driver that
 // builds contexts and owns flag parsing lives in src/dist (dist::sweep_main),
 // so sweep definitions contain experiment logic only.
@@ -20,29 +22,12 @@
 
 namespace mtr::report {
 
-/// Identity of one grid cell as a gate sees it, before anything runs.
-/// Mirrors the coordinate columns of a sink record (schema v4).
-struct GridCellInfo {
-  std::uint64_t index = 0;  // invocation-global cell index
-  std::string sweep;
-  std::string attack;
-  std::string scheduler;  // sim::to_string form
-  std::uint64_t hz = 0;
-  std::uint64_t cpu_hz = 0;
-  std::uint64_t ram_frames = 0;
-  std::uint64_t reclaim_batch = 0;
-  std::string ptrace;  // kernel::to_string form
-  bool jiffy_timers = true;
-  std::uint64_t population = 1;
-  double attacker_fraction = 0.0;
-  std::int64_t victim_nice = 0;
-  std::int64_t attacker_nice = 0;
-};
-
-/// Decides, in grid order, whether a cell executes. The driver composes
-/// shard ownership and resume skipping into one gate; a gate may throw to
-/// abort the sweep (e.g. resume output that contradicts the grid).
-using CellGate = std::function<bool(const GridCellInfo&)>;
+/// Decides, in grid order, whether a cell executes. It sees the cell's key
+/// before anything runs: the same columns its records will carry. The
+/// driver composes shard ownership and resume skipping into one gate; a
+/// gate may throw to abort the sweep (e.g. resume output that contradicts
+/// the grid).
+using CellGate = std::function<bool(const CellKey&)>;
 
 /// Everything a sweep body needs: the sweep parameters, where results
 /// stream, and where human-readable rendering goes.

@@ -7,10 +7,12 @@
 // and flush faults, the SIGKILL watchdog), crash consistency (every torn
 // byte boundary of the final record recovers the complete prefix), the
 // one-schema rule (records and metrics of any other version are refused
-// by every reader), status heartbeats and their shared staleness rule, and
-// the mtr_fleet supervisor (deterministic backoff, chaos-proven
-// byte-identical merges, partial merges with gap manifests, hung-shard
-// kills).
+// by every reader), the cell key against the fig04 golden (per-column
+// pins through both scanners, resume and merge; strict coordinate
+// numbers; a seeded scanner mutation loop), status heartbeats and their
+// shared staleness rule, and the mtr_fleet supervisor (deterministic
+// backoff, chaos-proven byte-identical merges, partial merges with gap
+// manifests, hung-shard kills).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,10 +24,12 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include <sys/wait.h>
 
+#include "common/rng.hpp"
 #include "dist/driver.hpp"
 #include "dist/fault.hpp"
 #include "dist/flags.hpp"
@@ -503,8 +507,8 @@ TEST(ResumeTest, CoordinateMismatchIsRejected) {
   const ResumeIndex index = ResumeIndex::scan("", path, {7, 8});
   ASSERT_EQ(index.size(), 1u);
 
-  report::GridCellInfo match;
-  match.index = 0;
+  report::CellKey match;
+  match.cell_index = 0;
   match.sweep = "grid";
   match.attack = "a0";
   match.scheduler = "o1";
@@ -516,13 +520,13 @@ TEST(ResumeTest, CoordinateMismatchIsRejected) {
   match.jiffy_timers = true;
   EXPECT_TRUE(index.completed(match));
 
-  report::GridCellInfo absent = match;
-  absent.index = 7;
+  report::CellKey absent = match;
+  absent.cell_index = 7;
   EXPECT_FALSE(index.completed(absent));
 
   // Same index, different grid: resuming into foreign output must abort,
   // not silently skip — and the error names the differing field.
-  report::GridCellInfo conflicting = match;
+  report::CellKey conflicting = match;
   conflicting.attack = "something else";
   try {
     index.completed(conflicting);
@@ -535,7 +539,7 @@ TEST(ResumeTest, CoordinateMismatchIsRejected) {
 
   // A scenario-axis contradiction is caught the same way: the recorded
   // output came from a different machine configuration.
-  report::GridCellInfo wrong_axis = match;
+  report::CellKey wrong_axis = match;
   wrong_axis.jiffy_timers = false;
   try {
     index.completed(wrong_axis);
@@ -643,7 +647,7 @@ TEST(RecordsTest, ScanRecoversCompletePrefixFromKilledFile) {
   FileScan scan = scan_jsonl(path);
   EXPECT_FALSE(scan.clean);
   ASSERT_EQ(scan.blocks.size(), 1u);
-  EXPECT_EQ(scan.blocks[0].cell_index, 0u);
+  EXPECT_EQ(scan.blocks[0].key.cell_index, 0u);
   EXPECT_TRUE(scan.blocks[0].closed);
   // The valid prefix ends exactly where cell 0's block ends.
   const auto lines = lines_of(full);
@@ -862,6 +866,321 @@ TEST(RecordsTest, ScanErrorsNameFileLineAndField) {
       << scan.tail_error;
   std::filesystem::remove(jsonl);
   std::filesystem::remove(csv);
+}
+
+// ---------------------------------------------------------------------------
+// The cell key against the checked-in fig04 golden: every coordinate column
+// pinned through both scanners, resume and merge (one changed value stops
+// with a message naming the cell or the field, the file line and the
+// byte), strict coordinate numbers (no hex, no whitespace, finite only),
+// and a SplitMix64-driven mutation loop: every damaged file fails as a
+// positioned diagnostic whose valid prefix rescans clean to the same
+// blocks.
+
+const std::string kGoldenCsv = std::string(MTR_GOLDEN_DIR) + "/fig04.csv";
+const std::string kGoldenJsonl = std::string(MTR_GOLDEN_DIR) + "/fig04.jsonl";
+const std::vector<std::uint64_t> kGoldenSeeds = {42, 43};
+
+/// The coordinate columns besides cell_index; `text` marks the quoted ones.
+struct Coordinate {
+  const char* name;
+  bool text;
+};
+constexpr Coordinate kCoordinates[] = {
+    {"sweep", true},          {"attack", true},         {"scheduler", true},
+    {"hz", false},            {"cpu_hz", false},        {"ram_frames", false},
+    {"reclaim_batch", false}, {"ptrace", true},         {"jiffy_timers", false},
+    {"population", false},    {"attacker_fraction", false},
+    {"victim_nice", false},   {"attacker_nice", false},
+};
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) out += line + '\n';
+  return out;
+}
+
+/// Byte offset where 1-based line `n` starts.
+std::uint64_t line_offset(const std::vector<std::string>& lines,
+                          std::size_t n) {
+  std::uint64_t offset = 0;
+  for (std::size_t i = 0; i + 1 < n; ++i) offset += lines[i].size() + 1;
+  return offset;
+}
+
+std::string at_byte(std::uint64_t offset) {
+  return " (byte " + std::to_string(offset) + ")";
+}
+
+/// A different value of the same type: text grows a suffix, booleans flip,
+/// numbers become 1 (2 when they already are 1).
+std::string other_value(const std::string& v, bool text) {
+  if (text) return v + "x";
+  if (v == "true" || v == "false") return v == "true" ? "false" : "true";
+  return v == "1" ? "2" : "1";
+}
+
+/// Offset and length of the raw token of `key` in one flat JSONL line.
+std::pair<std::size_t, std::size_t> json_token_at(const std::string& line,
+                                                  const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = line.find(tag);
+  EXPECT_NE(at, std::string::npos) << "no " << key << " in " << line;
+  const std::size_t from = at + tag.size();
+  const std::size_t to = line[from] == '"' ? line.find('"', from + 1) + 1
+                                           : line.find_first_of(",}", from);
+  return {from, to - from};
+}
+
+std::string with_json_token(std::string line, const std::string& key,
+                            const std::string& token) {
+  const auto [from, n] = json_token_at(line, key);
+  return line.replace(from, n, token);
+}
+
+/// The same line with coordinate `c` set to a different valid value.
+std::string with_other_json(const std::string& line, const Coordinate& c) {
+  const auto [from, n] = json_token_at(line, c.name);
+  const std::string v = line.substr(from, n);
+  return with_json_token(
+      line, c.name,
+      c.text ? v.substr(0, n - 1) + "x\"" : other_value(v, false));
+}
+
+/// One CSV row with column `key` replaced by `value`.
+std::string with_csv_value(const std::string& header, const std::string& row,
+                           const std::string& key, const std::string& value) {
+  const std::vector<std::string> names = report::split_csv_line(header);
+  std::vector<std::string> cells = report::split_csv_line(row);
+  std::string out;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (names[i] == key) cells[i] = value;
+    if (i) out += ',';
+    out += report::csv_escape(cells[i]);
+  }
+  return out;
+}
+
+std::string csv_value(const std::string& header, const std::string& row,
+                      const std::string& key) {
+  const std::vector<std::string> names = report::split_csv_line(header);
+  const std::vector<std::string> cells = report::split_csv_line(row);
+  for (std::size_t i = 0; i < names.size(); ++i)
+    if (names[i] == key) return cells[i];
+  ADD_FAILURE() << "no CSV column " << key;
+  return "";
+}
+
+// fig04 at 2 seeds: 8 cells. JSONL cell k is lines 3k+1..3k+3 (two runs,
+// then the summary); CSV cell k is rows 2k+2 and 2k+3 after the header.
+
+TEST(CellKeyScanTest, EveryCoordinateChangedInOneJsonlRunLineStopsThere) {
+  const std::vector<std::string> lines = lines_of(read_file(kGoldenJsonl));
+  ASSERT_EQ(lines.size(), 24u);
+  const std::string path = temp_path("key_pin.jsonl");
+  for (const Coordinate& c : kCoordinates) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::string> mutated = lines;
+    mutated[7] = with_other_json(mutated[7], c);  // cell 2, second run
+    ASSERT_NE(mutated[7], lines[7]);
+    write_file(path, join_lines(mutated));
+    const FileScan scan = scan_jsonl(path);
+    EXPECT_FALSE(scan.clean);
+    EXPECT_EQ(scan.tail_error,
+              path + ":8: cell 2 has run records but no summary" +
+                  at_byte(line_offset(lines, 8)));
+    EXPECT_EQ(scan.valid_bytes, line_offset(lines, 7));
+    EXPECT_EQ(scan.blocks.size(), 2u);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(CellKeyScanTest, EveryCoordinateChangedInACellsSecondCsvRowConflicts) {
+  const std::vector<std::string> lines = lines_of(read_file(kGoldenCsv));
+  ASSERT_EQ(lines.size(), 17u);
+  const std::string path = temp_path("key_pin.csv");
+  for (const Coordinate& c : kCoordinates) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::string> mutated = lines;
+    mutated[6] = with_csv_value(  // cell 2, second row
+        lines[0], lines[6], c.name,
+        other_value(csv_value(lines[0], lines[6], c.name), c.text));
+    ASSERT_NE(mutated[6], lines[6]);
+    write_file(path, join_lines(mutated));
+    const FileScan scan = scan_csv(path);
+    EXPECT_FALSE(scan.clean);
+    EXPECT_EQ(scan.tail_error,
+              path + ":7: conflicting coordinates within cell 2" +
+                  at_byte(line_offset(lines, 7)));
+    EXPECT_EQ(scan.valid_bytes, line_offset(lines, 6));
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(CellKeyScanTest, ResumeNamesTheCoordinateTheTwoFilesDisagreeOn) {
+  const std::vector<std::string> lines = lines_of(read_file(kGoldenCsv));
+  ASSERT_EQ(lines.size(), 17u);
+  const std::string csv = temp_path("key_resume.csv");
+  const std::string jsonl = temp_path("key_resume.jsonl");
+  write_file(jsonl, read_file(kGoldenJsonl));
+  for (const Coordinate& c : kCoordinates) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::string> mutated = lines;
+    const std::string value =
+        other_value(csv_value(lines[0], lines[5], c.name), c.text);
+    for (const std::size_t row : {5, 6})  // both rows of cell 2: a clean scan
+      mutated[row] = with_csv_value(lines[0], lines[row], c.name, value);
+    write_file(csv, join_lines(mutated));
+    ASSERT_TRUE(scan_csv(csv).clean);
+    try {
+      ResumeIndex::scan(csv, jsonl, kGoldenSeeds);
+      ADD_FAILURE() << "resume accepted disagreeing outputs";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(csv + ":6 and " + jsonl + ":7 disagree at block 2"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::string("field '") + c.name + "'"),
+                std::string::npos)
+          << what;
+    }
+  }
+  std::filesystem::remove(csv);
+  std::filesystem::remove(jsonl);
+}
+
+TEST(CellKeyScanTest, CoordinateNumbersAreStrictInBothFormats) {
+  const std::vector<std::string> jsonl_lines =
+      lines_of(read_file(kGoldenJsonl));
+  const std::vector<std::string> csv_lines = lines_of(read_file(kGoldenCsv));
+  ASSERT_EQ(jsonl_lines.size(), 24u);
+  ASSERT_EQ(csv_lines.size(), 17u);
+  const std::string jsonl = temp_path("key_strict.jsonl");
+  const std::string csv = temp_path("key_strict.csv");
+  for (const char* token : {"0x0p0", " 0", "nan", "inf"}) {
+    SCOPED_TRACE(std::string("'") + token + "'");
+    // Cell 2's first run record: JSONL line 7, CSV line 6.
+    std::vector<std::string> j = jsonl_lines;
+    j[6] = with_json_token(j[6], "attacker_fraction", token);
+    write_file(jsonl, join_lines(j));
+    std::vector<std::string> c = csv_lines;
+    c[5] = with_csv_value(c[0], c[5], "attacker_fraction", token);
+    write_file(csv, join_lines(c));
+
+    for (const auto& [path, line, offset] :
+         {std::tuple{jsonl, 7, line_offset(jsonl_lines, 7)},
+          std::tuple{csv, 6, line_offset(csv_lines, 6)}}) {
+      const FileScan scan = path == jsonl ? scan_jsonl(path) : scan_csv(path);
+      EXPECT_FALSE(scan.clean) << path;
+      const std::string at_line = path + ":" + std::to_string(line) + ": ";
+      EXPECT_EQ(scan.tail_error.rfind(at_line, 0), 0u) << scan.tail_error;
+      EXPECT_NE(scan.tail_error.find("'attacker_fraction'"), std::string::npos)
+          << scan.tail_error;
+      EXPECT_TRUE(scan.tail_error.ends_with(at_byte(offset)))
+          << scan.tail_error;
+
+      MergeOptions o;
+      (path == jsonl ? o.jsonl_out : o.csv_out) = temp_path("key_strict_out");
+      (path == jsonl ? o.jsonl_in : o.csv_in) = {path};
+      std::ostringstream out, err;
+      EXPECT_EQ(run_merge(o, out, err), 2) << path;
+      EXPECT_NE(err.str().find("'attacker_fraction'"), std::string::npos)
+          << err.str();
+    }
+  }
+  std::filesystem::remove(jsonl);
+  std::filesystem::remove(csv);
+}
+
+/// The comparable content of a block (its coordinates live in run_lines).
+bool same_block(const CellBlock& a, const CellBlock& b) {
+  return a.first_line == b.first_line && a.seeds == b.seeds &&
+         a.run_lines == b.run_lines && a.cell_line == b.cell_line &&
+         a.end_offset == b.end_offset;
+}
+
+/// Applies one seeded mutation: a byte flip, a truncation, or dropping or
+/// duplicating a line.
+std::string mutate(const std::string& bytes, SplitMix64& rng) {
+  std::string out = bytes;
+  const std::uint64_t r = rng.next();
+  switch (rng.next() % 4) {
+    case 0:
+      out[r % out.size()] ^= static_cast<char>(1 + rng.next() % 255);
+      return out;
+    case 1:
+      return out.substr(0, r % out.size());
+    default: {
+      std::vector<std::string> lines = lines_of(out);
+      const std::size_t at = r % lines.size();
+      if (rng.next() % 2 == 0) {
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+      } else {
+        const std::string copy = lines[at];
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at), copy);
+      }
+      return join_lines(lines);
+    }
+  }
+}
+
+/// The mutation invariants for one scanner over one golden file.
+void fuzz_scanner(const std::string& golden, const std::string& name,
+                  FileScan (*scanner)(const std::string&)) {
+  constexpr int kMutations = 100;  // ~1 s for both files under ASan
+  const std::string original = read_file(golden);
+  ASSERT_FALSE(original.empty());
+  const std::string path = temp_path("fuzz_" + name);
+  const std::string prefix_path = temp_path("fuzz_prefix_" + name);
+  SplitMix64 rng(0x5EED0000 + original.size());
+  for (int i = 0; i < kMutations; ++i) {
+    const std::string bytes = mutate(original, rng);
+    SCOPED_TRACE("mutation " + std::to_string(i));
+    write_file(path, bytes);
+    FileScan scan;
+    try {
+      scan = scanner(path);
+    } catch (const std::runtime_error& e) {  // SchemaError included
+      EXPECT_EQ(std::string(e.what()).rfind(path + ":", 0), 0u) << e.what();
+      continue;
+    } catch (...) {
+      ADD_FAILURE() << "scanner threw something other than std::runtime_error";
+      continue;
+    }
+    EXPECT_LE(scan.valid_bytes, bytes.size());
+    if (!scan.clean) {
+      const std::string& e = scan.tail_error;
+      ASSERT_EQ(e.rfind(path + ":", 0), 0u) << e;
+      const std::size_t line_end = e.find(':', path.size() + 1);
+      ASSERT_NE(line_end, std::string::npos) << e;
+      const std::string line =
+          e.substr(path.size() + 1, line_end - path.size() - 1);
+      EXPECT_TRUE(parse_u64(line).has_value()) << e;
+      const std::size_t open = e.rfind(" (byte ");
+      ASSERT_NE(open, std::string::npos) << e;
+      ASSERT_TRUE(e.ends_with(")")) << e;
+      const auto byte = parse_u64(e.substr(open + 7, e.size() - open - 8));
+      ASSERT_TRUE(byte.has_value()) << e;
+      EXPECT_LE(*byte, bytes.size()) << e;
+    }
+    // The valid prefix is exactly the closed blocks, and scans clean.
+    write_file(prefix_path, bytes.substr(0, scan.valid_bytes));
+    const FileScan again = scanner(prefix_path);
+    EXPECT_TRUE(again.clean) << again.tail_error;
+    std::vector<const CellBlock*> closed;
+    for (const CellBlock& b : scan.blocks)
+      if (b.closed) closed.push_back(&b);
+    ASSERT_EQ(again.blocks.size(), closed.size());
+    for (std::size_t k = 0; k < closed.size(); ++k)
+      EXPECT_TRUE(same_block(again.blocks[k], *closed[k])) << "block " << k;
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(prefix_path);
+}
+
+TEST(ScannerMutationTest, DamagedGoldensFailAtANamedByteAndTheirPrefixRescans) {
+  fuzz_scanner(kGoldenJsonl, "fig04.jsonl", scan_jsonl);
+  fuzz_scanner(kGoldenCsv, "fig04.csv", scan_csv);
 }
 
 TEST(SweepDriverTest, DryRunPlanNamesOpenScenarioAxes) {
@@ -2281,7 +2600,7 @@ TEST(FleetTest, AllowPartialMergesSurvivorsAndWritesTheGapManifest) {
   const FileScan merged = scan_jsonl(root + "/merged/fig04.jsonl");
   EXPECT_TRUE(merged.clean);
   std::vector<std::uint64_t> cells;
-  for (const CellBlock& b : merged.blocks) cells.push_back(b.cell_index);
+  for (const CellBlock& b : merged.blocks) cells.push_back(b.key.cell_index);
   EXPECT_EQ(cells, (std::vector<std::uint64_t>{0, 1, 3, 4, 5, 7}));
   std::filesystem::remove_all(root);
 }

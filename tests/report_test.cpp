@@ -1,7 +1,9 @@
 // Report-layer coverage: sink round-trips (every ExperimentResult field
 // survives CSV and JSONL serialization), append safety, MultiSink fan-out,
-// the shared cell-record emitter, the sweep registry, and the progress
-// reporter. The CLI driver moved to src/dist and is covered by dist_test.
+// the shared cell-record emitter, the cell key (grid coordinates to record
+// columns, strict per-type parsing, first-difference naming), the sweep
+// registry, and the progress reporter. The CLI driver moved to src/dist
+// and is covered by dist_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -403,6 +405,123 @@ TEST(CellRecordTest, SummaryMatchesJsonlSinkOutput) {
   write_cell_record(record_os, summarize_cell("fig07", cell));
   EXPECT_EQ(record_os.str(), lines[2] + "\n");
   EXPECT_EQ(json_raw_value(lines[2], "cell_index"), "5");
+}
+
+/// sample_cell with the population coordinates off their defaults too.
+core::CellStats keyed_cell() {
+  core::CellStats cell = sample_cell();
+  cell.population = 4096;
+  cell.attacker_fraction = 0.1;
+  cell.nice = {Nice{-5}, Nice{7}};
+  return cell;
+}
+
+/// A key with every column off its default.
+CellKey sample_key() {
+  const core::CellStats cell = keyed_cell();
+  return cell_key("fig07", cell.cell_index, cell);
+}
+
+TEST(CellKeyTest, GridCoordinatesBecomeTheRecordColumns) {
+  const CellKey key = sample_key();
+  EXPECT_EQ(key.sweep, "fig07");
+  EXPECT_EQ(key.cell_index, 5u);
+  EXPECT_EQ(key.attack, "shell, \"quoted\"");
+  EXPECT_EQ(key.scheduler, "cfs");
+  EXPECT_EQ(key.hz, 1000u);
+  EXPECT_EQ(key.cpu_hz, 1'600'000'000u);
+  EXPECT_EQ(key.ram_frames, 4096u);
+  EXPECT_EQ(key.reclaim_batch, 64u);
+  EXPECT_EQ(key.ptrace,
+            kernel::to_string(kernel::PtracePolicy::kPrivilegedOnly));
+  EXPECT_FALSE(key.jiffy_timers);
+  EXPECT_EQ(key.population, 4096u);
+  EXPECT_EQ(key.attacker_fraction, 0.1);
+  EXPECT_EQ(key.victim_nice, -5);
+  EXPECT_EQ(key.attacker_nice, 7);
+  EXPECT_EQ(describe(key),
+            "cell 5 [sweep=fig07, attack=shell, \"quoted\", scheduler=cfs, "
+            "hz=1000]");
+
+  // The run record carries every key column under its table name.
+  const std::vector<Field> fields = flatten_run("fig07", keyed_cell(), 0);
+  for (const CellKeyColumn& col : kCellKeyColumns) {
+    const auto it =
+        std::find_if(fields.begin(), fields.end(),
+                     [&](const Field& f) { return f.key == col.name; });
+    ASSERT_NE(it, fields.end()) << col.name;
+    EXPECT_EQ(it->value, col.value(key)) << col.name;
+  }
+}
+
+TEST(CellKeyTest, EveryColumnRoundTripsThroughItsRecordText) {
+  const CellKey key = sample_key();
+  CellKey back;
+  for (const CellKeyColumn& col : kCellKeyColumns) {
+    // split_csv_line undoes the CSV quoting the way the scanner does.
+    const std::vector<std::string> cells =
+        split_csv_line(format_csv(col.value(key)));
+    ASSERT_EQ(cells.size(), 1u) << col.name;
+    EXPECT_TRUE(col.parse(back, cells[0])) << col.name;
+  }
+  EXPECT_EQ(back, key);
+  EXPECT_EQ(first_difference(back, key), nullptr);
+}
+
+TEST(CellKeyTest, ParsingIsStrictPerColumnType) {
+  const auto column = [](std::string_view name) {
+    for (const CellKeyColumn& col : kCellKeyColumns)
+      if (col.name == name) return col;
+    ADD_FAILURE() << "no column " << name;
+    return kCellKeyColumns[0];
+  };
+  CellKey key;
+  const CellKeyColumn fraction = column("attacker_fraction");
+  for (const char* good : {"0", "0.25", "-0", "1e-3", "0.10000000000000001"})
+    EXPECT_TRUE(fraction.parse(key, good)) << "'" << good << "'";
+  for (const char* bad : {"0x0p0", " 0", "0 ", "nan", "-nan", "inf", "-inf",
+                          "1e400", "+1", ""})
+    EXPECT_FALSE(fraction.parse(key, bad)) << "'" << bad << "'";
+
+  const CellKeyColumn hz = column("hz");
+  EXPECT_TRUE(hz.parse(key, "250"));
+  for (const char* bad :
+       {"-1", "+1", " 1", "1.0", "0x10", "18446744073709551616"})
+    EXPECT_FALSE(hz.parse(key, bad)) << "'" << bad << "'";
+
+  const CellKeyColumn nice = column("victim_nice");
+  EXPECT_TRUE(nice.parse(key, "-20"));
+  EXPECT_EQ(key.victim_nice, -20);
+  EXPECT_FALSE(nice.parse(key, "+5"));
+
+  const CellKeyColumn jiffy = column("jiffy_timers");
+  EXPECT_TRUE(jiffy.parse(key, "false"));
+  EXPECT_FALSE(key.jiffy_timers);
+  for (const char* bad : {"True", "1", "", "false "})
+    EXPECT_FALSE(jiffy.parse(key, bad)) << "'" << bad << "'";
+
+  EXPECT_TRUE(column("attack").parse(key, " any text, even \"this\" "));
+  EXPECT_TRUE(column("attack").is_text());
+  EXPECT_FALSE(hz.is_text());
+  EXPECT_TRUE(jiffy.is_bool());
+}
+
+TEST(CellKeyTest, FirstDifferenceNamesTheFirstDifferingColumn) {
+  const CellKey key = sample_key();
+  for (const CellKeyColumn& col : kCellKeyColumns) {
+    // Parse a different value into one column of a copy.
+    CellKey other = key;
+    const std::string text = col.is_text() ? "different"
+                             : col.is_bool() ? "true"
+                                             : "3";
+    ASSERT_TRUE(col.parse(other, text)) << col.name;
+    EXPECT_FALSE(other == key) << col.name;
+    EXPECT_STREQ(first_difference(key, other), col.name);
+  }
+  CellKey two = key;
+  two.attacker_nice = 0;
+  two.hz = 1;
+  EXPECT_STREQ(first_difference(key, two), "hz");  // table order wins
 }
 
 TEST(ProgressReporterTest, ReportsCountsElapsedAndEta) {
