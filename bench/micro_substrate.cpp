@@ -7,8 +7,8 @@
 // runs one BatchRunner-equivalent cell (one run_experiment) of the
 // fig07/fig08 scheduling-attack sweeps at a fixed scale, so successive
 // commits can be compared via bench/perf_baseline.py and BENCH_sim.json.
-// BM_EngineCell_* and BM_DestroySpace_* are tracked alongside, each as a
-// pair whose ratio CI pins.
+// BM_EngineCell_*, BM_DestroySpace_* and BM_IntegrityStep_* are tracked
+// alongside, each as a pair whose ratio CI pins.
 #include <benchmark/benchmark.h>
 
 #include "attacks/scheduling_attack.hpp"
@@ -158,6 +158,40 @@ void BM_DestroySpace_ram256k(benchmark::State& state) {
   destroy_space_bench(state, 256 * 1024);
 }
 BENCHMARK(BM_DestroySpace_ram256k)->Unit(benchmark::kMicrosecond);
+
+// ---------------------------------------------------------------------------
+// core layer — execution-integrity hashing. A sweep reads only the victim's
+// witness, so run_experiment watches the victim group and every other
+// group's step must cost a filter check, not a SHA-256 block. The pair runs
+// the same steps through a monitor that chains every group and through one
+// that watches a group none of them belongs to; CI pins their ratio so the
+// filter cannot silently stop filtering.
+// ---------------------------------------------------------------------------
+
+/// One iteration = 1024 steps spread over 64 live threads.
+void integrity_step_bench(benchmark::State& state, bool watch_other_group) {
+  core::ExecutionIntegrityMonitor mon;
+  if (watch_other_group) mon.watch(Tgid{1000});
+  constexpr int kSteps = 1024;
+  for (auto _ : state) {
+    for (int i = 0; i < kSteps; ++i) {
+      const int id = 1 + i % 64;
+      mon.on_step_begin(Cycles{0}, Pid{id}, Tgid{id}, "compute", "loop");
+    }
+    benchmark::DoNotOptimize(mon);
+  }
+  state.SetItemsProcessed(state.iterations() * kSteps);
+}
+
+void BM_IntegrityStep_all(benchmark::State& state) {
+  integrity_step_bench(state, /*watch_other_group=*/false);
+}
+BENCHMARK(BM_IntegrityStep_all)->Unit(benchmark::kMicrosecond);
+
+void BM_IntegrityStep_unwatched(benchmark::State& state) {
+  integrity_step_bench(state, /*watch_other_group=*/true);
+}
+BENCHMARK(BM_IntegrityStep_unwatched)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // End-to-end sweep-cell benches — the tracked perf baseline.

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Perf-baseline pipeline for the simulator substrate.
 
-Runs the tracked BM_SweepCell_*, BM_EngineCell_* and BM_DestroySpace_*
-benches of bench/micro_substrate with
+Runs the tracked BM_SweepCell_*, BM_EngineCell_*, BM_DestroySpace_* and
+BM_IntegrityStep_* benches of bench/micro_substrate with
 google-benchmark's JSON reporter and either
 
   * distills the results into BENCH_sim.json at the repo root
@@ -22,7 +22,10 @@ hardware-independent — it pins a speedup (e.g. the event-driven kernel
 loop's >=3x over the slice-stepped loop on idle/IO-heavy cells), not an
 absolute time. A MIN below 1 bounds a slowdown instead: address-space
 teardown on 256 Ki frames of RAM must stay within 2x of teardown on 16 Ki
-(BM_DestroySpace_ram16k/BM_DestroySpace_ram256k:0.5).
+(BM_DestroySpace_ram16k/BM_DestroySpace_ram256k:0.5). The integrity pair
+pins the watch filter: a step of an unwatched group must cost at most a
+fifth of a chained step
+(BM_IntegrityStep_all/BM_IntegrityStep_unwatched:5.0).
 
 Only the Python standard library is used.
 """
@@ -36,7 +39,7 @@ import subprocess
 import sys
 
 SCHEMA = 1
-DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace)_"
+DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|IntegrityStep)_"
 
 
 def cpu_model():

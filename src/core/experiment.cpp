@@ -67,6 +67,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   const Pid victim = sim.launch(info.image, std::move(opts));
   const Tgid victim_tg = kernel.process(victim).tgid;
   telemetry.victim = victim_tg;  // the group victim_gap tracks
+  // Only the victim's witness is read: stop chaining every other group.
+  service.meter(victim_tg);
 
   // Tenant population: the victim's neighbors on the host. Regenerated
   // from the cell seed alone, so any shard/resume/thread split rebuilds

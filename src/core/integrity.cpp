@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/ensure.hpp"
+
 namespace mtr::core {
 
 const std::vector<kernel::CodeMapping> SourceIntegrityMonitor::kEmptyLog{};
@@ -13,9 +15,12 @@ void SourceIntegrityMonitor::allow(std::string content_tag) {
 void SourceIntegrityMonitor::on_code_mapped(Cycles, Tgid space,
                                             const kernel::CodeMapping& mapping) {
   logs_[space].push_back(mapping);
-  // PCR extend: pcr = H(pcr || H(measurement)).
-  const crypto::Digest32 measurement =
-      crypto::sha256(mapping.object + "\0" + mapping.content_tag);
+  // PCR extend: pcr = H(pcr || H(object || NUL || content_tag)).
+  crypto::Sha256 m;
+  m.update(mapping.object);
+  m.update(std::string_view("\0", 1));
+  m.update(mapping.content_tag);
+  const crypto::Digest32 measurement = m.finish();
   crypto::Digest32& pcr = pcrs_[space];
   crypto::Sha256 h;
   h.update(pcr.bytes.data(), pcr.size());
@@ -48,11 +53,37 @@ const std::vector<kernel::CodeMapping>& SourceIntegrityMonitor::log(Tgid space) 
 
 // ---------------------------------------------------------------------------
 
+bool ExecutionIntegrityMonitor::watched(Tgid tgid) const {
+  return std::find(watch_.begin(), watch_.end(), tgid) != watch_.end();
+}
+
+void ExecutionIntegrityMonitor::watch(Tgid tgid) {
+  MTR_ENSURE_MSG(tgid.valid(), "cannot watch " << tgid);
+  if (watched(tgid)) return;
+  if (watch_.empty()) {
+    // Until now every group was chained; keep only this group's chains.
+    for (ThreadChain& tc : threads_) {
+      if (!tc.tgid.valid() || tc.tgid == tgid) continue;
+      dropped_max_ = std::max(dropped_max_, tc.tgid.v);
+      tc = ThreadChain{};
+    }
+  } else {
+    MTR_ENSURE_MSG(tgid.v > dropped_max_,
+                   "cannot watch " << tgid << ": steps of tgid" << dropped_max_
+                                   << " or older may already be unchained");
+  }
+  watch_.push_back(tgid);
+}
+
 void ExecutionIntegrityMonitor::on_step_begin(Cycles, Pid pid, Tgid tgid,
                                               std::string_view kind_name,
                                               std::string_view tag) {
-  pid_to_tgid_[pid] = tgid;
+  if (!watch_.empty() && !watched(tgid)) {
+    dropped_max_ = std::max(dropped_max_, tgid.v);
+    return;
+  }
   ThreadChain& tc = threads_[pid];
+  tc.tgid = tgid;
   crypto::Sha256 h;
   h.update(tc.chain.bytes.data(), tc.chain.size());
   h.update(kind_name);
@@ -62,14 +93,18 @@ void ExecutionIntegrityMonitor::on_step_begin(Cycles, Pid pid, Tgid tgid,
   ++tc.steps;
 }
 
+void ExecutionIntegrityMonitor::ensure_recorded(Tgid tgid) const {
+  MTR_ENSURE_MSG(watch_.empty() || watched(tgid),
+                 tgid << " is not watched, so its steps were never chained");
+}
+
 crypto::Digest32 ExecutionIntegrityMonitor::witness(Tgid tgid) const {
+  ensure_recorded(tgid);
   // Collect per-thread chains belonging to the group and combine them in
   // digest order (scheduling-independent, pid-assignment-independent).
   std::vector<crypto::Digest32> chains;
-  for (const auto& [pid, tc] : threads_) {
-    const auto it = pid_to_tgid_.find(pid);
-    if (it != pid_to_tgid_.end() && it->second == tgid) chains.push_back(tc.chain);
-  }
+  for (const ThreadChain& tc : threads_)
+    if (tc.tgid == tgid) chains.push_back(tc.chain);
   std::sort(chains.begin(), chains.end(),
             [](const auto& a, const auto& b) { return a.bytes < b.bytes; });
   crypto::Sha256 h;
@@ -77,12 +112,17 @@ crypto::Digest32 ExecutionIntegrityMonitor::witness(Tgid tgid) const {
   return h.finish();
 }
 
+std::size_t ExecutionIntegrityMonitor::chains() const {
+  return static_cast<std::size_t>(std::count_if(
+      threads_.begin(), threads_.end(),
+      [](const ThreadChain& tc) { return tc.tgid.valid(); }));
+}
+
 std::uint64_t ExecutionIntegrityMonitor::step_count(Tgid tgid) const {
+  ensure_recorded(tgid);
   std::uint64_t total = 0;
-  for (const auto& [pid, tc] : threads_) {
-    const auto it = pid_to_tgid_.find(pid);
-    if (it != pid_to_tgid_.end() && it->second == tgid) total += tc.steps;
-  }
+  for (const ThreadChain& tc : threads_)
+    if (tc.tgid == tgid) total += tc.steps;
   return total;
 }
 

@@ -11,15 +11,16 @@
 // reference execution: a witness hash chain over the per-thread step
 // sequence, combined order-independently across threads of a group.
 // Detects control-flow tampering (and, as a side effect, any injected
-// steps).
+// steps). Only the metered groups need a witness, so the monitor can be
+// told which groups to watch and then hashes no other group's steps.
 #pragma once
 
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "core/dense_table.hpp"
 #include "crypto/sha256.hpp"
 #include "kernel/accounting.hpp"
 
@@ -55,8 +56,19 @@ class SourceIntegrityMonitor final : public kernel::AccountingHook {
   static const std::vector<kernel::CodeMapping> kEmptyLog;
 };
 
+/// Chains every group's steps while the watch set is empty. The first
+/// watch() drops the chains of every unwatched group; from then on only
+/// watched groups are chained, and asking for any other group's witness
+/// throws. A tgid never changes after process creation, so a group watched
+/// while the set was empty, or before its first step, keeps a chain
+/// identical to the one the all-groups monitor records.
 class ExecutionIntegrityMonitor final : public kernel::AccountingHook {
  public:
+  /// Adds `tgid` to the watch set. Throws if some of the group's steps may
+  /// already have gone unchained (the set was non-empty and a group created
+  /// at or after `tgid` had a step dropped).
+  void watch(Tgid tgid);
+
   void on_step_begin(Cycles now, Pid pid, Tgid tgid, std::string_view kind_name,
                      std::string_view tag) override;
 
@@ -68,13 +80,23 @@ class ExecutionIntegrityMonitor final : public kernel::AccountingHook {
   /// Steps observed for the group (sanity/reporting).
   std::uint64_t step_count(Tgid tgid) const;
 
+  /// Threads that hold a chain (tests: the watch filter's footprint).
+  std::size_t chains() const;
+
  private:
+  bool watched(Tgid tgid) const;
+  void ensure_recorded(Tgid tgid) const;
+
+  /// One record per pid; `tgid` stays invalid until the first chained step.
   struct ThreadChain {
-    crypto::Digest32 chain{};  // zero digest = empty chain
+    Tgid tgid;
     std::uint64_t steps = 0;
+    crypto::Digest32 chain{};  // zero digest = empty chain
   };
-  std::unordered_map<Pid, ThreadChain> threads_;
-  std::unordered_map<Pid, Tgid> pid_to_tgid_;
+  std::vector<Tgid> watch_;  // empty = every group; a handful otherwise
+  /// Highest tgid with a step that went unchained (-1: none).
+  std::int32_t dropped_max_ = -1;
+  DenseTable<Pid, ThreadChain> threads_;
 };
 
 }  // namespace mtr::core

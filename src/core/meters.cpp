@@ -33,10 +33,7 @@ void TickMeter::on_ticks(Cycles, Cycles, std::uint64_t count, Pid current,
   }
 }
 
-CpuUsageTicks TickMeter::usage(Tgid tg) const {
-  const auto it = usage_.find(tg);
-  return it == usage_.end() ? CpuUsageTicks{} : it->second;
-}
+CpuUsageTicks TickMeter::usage(Tgid tg) const { return usage_.get(tg); }
 
 // --- TscMeter ----------------------------------------------------------------
 
@@ -54,14 +51,11 @@ void TscMeter::on_cycles(Cycles, Pid current, Tgid tg, WorkKind kind,
   }
 }
 
-CpuUsageCycles TscMeter::usage(Tgid tg) const {
-  const auto it = usage_.find(tg);
-  return it == usage_.end() ? CpuUsageCycles{} : it->second;
-}
+CpuUsageCycles TscMeter::usage(Tgid tg) const { return usage_.get(tg); }
 
 Cycles TscMeter::grand_total() const {
   Cycles total = idle_;
-  for (const auto& [tg, u] : usage_) total += u.total();
+  for (const CpuUsageCycles& u : usage_) total += u.total();
   return total;
 }
 
@@ -71,10 +65,7 @@ void PaisMeter::on_process_created(Cycles, Pid pid, Tgid tgid, Pid, std::string_
   pid_to_tgid_[pid] = tgid;
 }
 
-Tgid PaisMeter::group_of(Pid pid) const {
-  const auto it = pid_to_tgid_.find(pid);
-  return it == pid_to_tgid_.end() ? Tgid{} : it->second;
-}
+Tgid PaisMeter::group_of(Pid pid) const { return pid_to_tgid_.get(pid); }
 
 void PaisMeter::on_cycles(Cycles, Pid current, Tgid tg, WorkKind kind,
                           Cycles amount, Pid beneficiary) {
@@ -120,9 +111,6 @@ void PaisMeter::on_cycles(Cycles, Pid current, Tgid tg, WorkKind kind,
   }
 }
 
-CpuUsageCycles PaisMeter::usage(Tgid tg) const {
-  const auto it = usage_.find(tg);
-  return it == usage_.end() ? CpuUsageCycles{} : it->second;
-}
+CpuUsageCycles PaisMeter::usage(Tgid tg) const { return usage_.get(tg); }
 
 }  // namespace mtr::core

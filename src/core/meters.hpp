@@ -16,11 +16,11 @@
 //      to a system account, trace-induced kernel work to the tracer.
 //
 // All three observe the same kernel run via AccountingHook, so a single
-// simulation yields all three bills for direct comparison.
+// simulation yields all three bills for direct comparison. Their per-group
+// (and PaisMeter's per-pid) state is a DenseTable: one index per charge.
 #pragma once
 
-#include <unordered_map>
-
+#include "core/dense_table.hpp"
 #include "kernel/accounting.hpp"
 
 namespace mtr::core {
@@ -39,7 +39,7 @@ class TickMeter final : public kernel::AccountingHook {
   Ticks idle_ticks() const { return idle_; }
 
  private:
-  std::unordered_map<Tgid, CpuUsageTicks> usage_;
+  DenseTable<Tgid, CpuUsageTicks> usage_;
   Ticks idle_{};
 };
 
@@ -55,7 +55,7 @@ class TscMeter final : public kernel::AccountingHook {
   Cycles grand_total() const;
 
  private:
-  std::unordered_map<Tgid, CpuUsageCycles> usage_;
+  DenseTable<Tgid, CpuUsageCycles> usage_;
   Cycles idle_{};
 };
 
@@ -74,8 +74,8 @@ class PaisMeter final : public kernel::AccountingHook {
  private:
   Tgid group_of(Pid pid) const;
 
-  std::unordered_map<Pid, Tgid> pid_to_tgid_;
-  std::unordered_map<Tgid, CpuUsageCycles> usage_;
+  DenseTable<Pid, Tgid> pid_to_tgid_;
+  DenseTable<Tgid, CpuUsageCycles> usage_;
   Cycles system_{};
 };
 

@@ -31,6 +31,8 @@ void TrustedMeteringService::allow_code(std::string content_tag) {
   source_.allow(std::move(content_tag));
 }
 
+void TrustedMeteringService::meter(Tgid job) { execution_.watch(job); }
+
 Invoice TrustedMeteringService::invoice(Tgid job, BillingMeter meter) const {
   switch (meter) {
     case BillingMeter::kTick:
@@ -51,11 +53,13 @@ SignedUsageReport TrustedMeteringService::report(Tgid job, BillingMeter meter,
 
   // Bind the job's code measurements and control-flow witness into PCR[0],
   // then quote the invoice payload against it.
-  tpm_.extend(0, source_.pcr(job));
-  tpm_.extend(0, execution_.witness(job));
+  const crypto::Digest32 src_pcr = source_.pcr(job);
+  const crypto::Digest32 witness = execution_.witness(job);
+  tpm_.extend(0, src_pcr);
+  tpm_.extend(0, witness);
   std::string payload = BillingEngine::payload_of(r.invoice);
-  payload += ";witness=" + crypto::to_hex(execution_.witness(job));
-  payload += ";srcpcr=" + crypto::to_hex(source_.pcr(job));
+  payload += ";witness=" + crypto::to_hex(witness);
+  payload += ";srcpcr=" + crypto::to_hex(src_pcr);
   r.quote = tpm_.quote(0, nonce, std::move(payload));
   return r;
 }

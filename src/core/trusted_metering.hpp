@@ -35,6 +35,14 @@ class TrustedMeteringService {
   /// Whitelists expected code for source-integrity verification.
   void allow_code(std::string content_tag);
 
+  /// Names `job` as a metered group. Once any job is named, the execution
+  /// monitor chains only named groups' steps, and only their witnesses can
+  /// be read. Every group is chained until the first call, so the first job
+  /// may already have run; name each later job before its first step
+  /// (ExecutionIntegrityMonitor::watch). Without a call every group is
+  /// chained.
+  void meter(Tgid job);
+
   // Meter access.
   const TickMeter& tick_meter() const { return tick_; }
   const TscMeter& tsc_meter() const { return tsc_; }

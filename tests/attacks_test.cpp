@@ -8,6 +8,7 @@
 #include "attacks/launch_attacks.hpp"
 #include "attacks/scheduling_attack.hpp"
 #include "attacks/thrashing_attack.hpp"
+#include "core/integrity.hpp"
 #include "helpers.hpp"
 
 namespace mtr {
@@ -192,6 +193,51 @@ TEST(SchedulingAttackTest, IneffectiveAgainstMultithreadedBrute) {
   // Direction matches the paper; the magnitude of the dilution is smaller
   // in our O(1) model than on the paper's CFS testbed (see EXPERIMENTS.md).
   EXPECT_LT(b.overcharge, w.overcharge);
+}
+
+TEST(SchedulingAttackTest, WatchedWitnessMatchesAllGroupsUnderForkStorm) {
+  // Two monitors on one kernel: one chains every group, one only the
+  // victim's. The fork storm's children step too, but the victim's witness
+  // must not depend on whether they were chained — under either engine.
+  for (const bool event_driven : {true, false}) {
+    SCOPED_TRACE(event_driven ? "event engine" : "slice engine");
+    sim::SimConfig cfg = test::small_machine();
+    cfg.kernel.event_driven = event_driven;
+    sim::Simulation s(cfg);
+    core::ExecutionIntegrityMonitor all;
+    core::ExecutionIntegrityMonitor watching;
+    s.kernel().add_hook(&all);
+    s.kernel().add_hook(&watching);
+
+    SchedulingAttackParams params;
+    params.nice = Nice{-20};
+    params.total_forks = 3000;
+    SchedulingAttack attack(params);
+    const auto info = workloads::make_workload(WorkloadKind::kBrute, {0.05});
+    sim::LaunchOptions opts;
+    attack.prepare(s, opts);
+    const Pid victim = s.launch(info.image, std::move(opts));
+    const Tgid tg = s.kernel().process(victim).tgid;
+    watching.watch(tg);
+    attacks::AttackContext ctx{s, victim, tg, info.hot_addr};
+    attack.engage(ctx);
+    ASSERT_TRUE(s.run_until_exit(victim));
+    attack.disengage(ctx);
+    s.run_all(seconds_to_cycles(5.0, CpuHz{}));
+
+    EXPECT_EQ(watching.witness(tg), all.witness(tg));
+    EXPECT_EQ(watching.step_count(tg), all.step_count(tg));
+    EXPECT_GT(watching.step_count(tg), 0u);
+
+    std::size_t victim_threads = 0;
+    for (const Pid pid : s.kernel().all_pids())
+      if (s.kernel().process(pid).tgid == tg) ++victim_threads;
+    EXPECT_GT(victim_threads, 1u);  // Brute's workers are threads of the group
+    EXPECT_EQ(watching.chains(), victim_threads);
+    EXPECT_GT(all.chains(), victim_threads + 1000);  // the forks were chained
+    EXPECT_THROW(watching.witness(s.kernel().process(attack.attacker_pid()).tgid),
+                 InvariantError);
+  }
 }
 
 // --- A5: thrashing ---------------------------------------------------------------------

@@ -3,6 +3,7 @@
 // simulator (the sim-level suites cover the integrated behaviour).
 #include <gtest/gtest.h>
 
+#include "common/ensure.hpp"
 #include "core/integrity.hpp"
 #include "core/meters.hpp"
 
@@ -96,6 +97,16 @@ TEST(SourceIntegrityUnit, EmptySpaceVerifiesClean) {
   EXPECT_TRUE(m.log(Tgid{123}).empty());
 }
 
+TEST(SourceIntegrityUnit, MeasurementSeparatesObjectFromTag) {
+  // The measurement hashes object, one NUL byte and tag, so moving bytes
+  // across the boundary must change the PCR.
+  SourceIntegrityMonitor a;
+  a.on_code_mapped(Cycles{0}, kJobTg, CodeMapping{"ab", "c", 1});
+  SourceIntegrityMonitor b;
+  b.on_code_mapped(Cycles{0}, kJobTg, CodeMapping{"a", "bc", 1});
+  EXPECT_NE(a.pcr(kJobTg), b.pcr(kJobTg));
+}
+
 TEST(ExecutionIntegrityUnit, WitnessIsOrderSensitivePerThread) {
   ExecutionIntegrityMonitor a;
   a.on_step_begin(Cycles{0}, kJob, kJobTg, "compute", "x");
@@ -134,6 +145,50 @@ TEST(ExecutionIntegrityUnit, TagAndKindBothBindTheChain) {
   c.on_step_begin(Cycles{0}, kJob, kJobTg, "compute", "z");
   EXPECT_NE(a.witness(kJobTg), b.witness(kJobTg));
   EXPECT_NE(a.witness(kJobTg), c.witness(kJobTg));
+}
+
+TEST(ExecutionIntegrityUnit, WatchKeepsTheWatchedChainAndDropsTheRest) {
+  // Steps before the first watch() are chained for every group; the watched
+  // group keeps them, so its witness matches the all-groups monitor's.
+  ExecutionIntegrityMonitor all;
+  ExecutionIntegrityMonitor watching;
+  for (ExecutionIntegrityMonitor* m : {&all, &watching}) {
+    m->on_step_begin(Cycles{0}, kJob, kJobTg, "syscall:execve", "");
+    m->on_step_begin(Cycles{0}, kOther, kOtherTg, "compute", "o1");
+  }
+  watching.watch(kJobTg);
+  EXPECT_EQ(watching.chains(), 1u);
+  for (ExecutionIntegrityMonitor* m : {&all, &watching}) {
+    m->on_step_begin(Cycles{0}, kJob, kJobTg, "compute", "j1");
+    m->on_step_begin(Cycles{0}, kOther, kOtherTg, "compute", "o2");
+  }
+  EXPECT_EQ(watching.witness(kJobTg), all.witness(kJobTg));
+  EXPECT_EQ(watching.step_count(kJobTg), 2u);
+  EXPECT_EQ(watching.chains(), 1u);
+  EXPECT_EQ(all.chains(), 2u);
+}
+
+TEST(ExecutionIntegrityUnit, RefusesAWitnessNobodyRecorded) {
+  ExecutionIntegrityMonitor m;
+  m.watch(kJobTg);
+  m.on_step_begin(Cycles{0}, kOther, kOtherTg, "compute", "o1");
+  EXPECT_THROW(m.witness(kOtherTg), InvariantError);
+  EXPECT_THROW(m.step_count(kOtherTg), InvariantError);
+  // A group that never stepped but is watched reads as the empty chain.
+  EXPECT_EQ(m.step_count(kJobTg), 0u);
+  EXPECT_EQ(m.witness(kJobTg), ExecutionIntegrityMonitor{}.witness(kJobTg));
+}
+
+TEST(ExecutionIntegrityUnit, RefusesToWatchAGroupWhoseStepsWereDropped) {
+  ExecutionIntegrityMonitor m;
+  m.watch(Tgid{1});
+  m.on_step_begin(Cycles{0}, kOther, kOtherTg, "compute", "o1");
+  EXPECT_THROW(m.watch(kJobTg), InvariantError);  // created before tgid 9
+  EXPECT_THROW(m.watch(kOtherTg), InvariantError);
+  m.watch(Tgid{10});  // newer than every dropped step: its chain is whole
+  m.watch(Tgid{1});   // already watched: a no-op
+  m.on_step_begin(Cycles{0}, Pid{10}, Tgid{10}, "compute", "n1");
+  EXPECT_EQ(m.step_count(Tgid{10}), 1u);
 }
 
 }  // namespace
