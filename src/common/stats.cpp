@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/ensure.hpp"
 
@@ -28,43 +27,6 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double Samples::mean() const {
-  if (xs_.empty()) return 0.0;
-  return std::accumulate(xs_.begin(), xs_.end(), 0.0) / static_cast<double>(xs_.size());
-}
-
-double Samples::percentile(double p) const {
-  MTR_ENSURE_MSG(!xs_.empty(), "percentile of empty sample set");
-  MTR_ENSURE(p >= 0.0 && p <= 100.0);
-  if (!sorted_) {
-    std::sort(xs_.begin(), xs_.end());
-    sorted_ = true;
-  }
-  if (p <= 0.0) return xs_.front();
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(xs_.size())));
-  return xs_[std::min(rank == 0 ? 0 : rank - 1, xs_.size() - 1)];
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  MTR_ENSURE(hi > lo);
-  MTR_ENSURE(buckets > 0);
-}
-
-void Histogram::add(double x) {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::int64_t>((x - lo_) / span * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::uint64_t Histogram::bucket_count(std::size_t i) const {
-  MTR_ENSURE(i < counts_.size());
-  return counts_[i];
-}
 
 namespace {
 
@@ -173,25 +135,6 @@ void QuantileSketch::load_zero(std::uint64_t n) {
 void QuantileSketch::load_bounds(double lo, double hi) {
   min_ = lo;
   max_ = hi;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  static constexpr const char* kLevels[] = {" ", ".", ":", "-", "=", "+", "*", "#"};
-  const std::uint64_t peak = counts_.empty()
-      ? 0
-      : *std::max_element(counts_.begin(), counts_.end());
-  std::string out;
-  const std::size_t cols = std::min(width, counts_.size());
-  for (std::size_t c = 0; c < cols; ++c) {
-    // Down-sample buckets onto the requested width.
-    const std::size_t b0 = c * counts_.size() / cols;
-    const std::size_t b1 = std::max(b0 + 1, (c + 1) * counts_.size() / cols);
-    std::uint64_t m = 0;
-    for (std::size_t b = b0; b < b1; ++b) m = std::max(m, counts_[b]);
-    const std::size_t level = peak == 0 ? 0 : (m * 7 + peak - 1) / peak;
-    out += kLevels[std::min<std::size_t>(level, 7)];
-  }
-  return out;
 }
 
 }  // namespace mtr

@@ -1,13 +1,10 @@
-// Small statistics helpers for experiment analysis: running moments,
-// percentiles over collected samples, fixed-width histograms, and a
+// Small statistics helpers for experiment analysis: running moments and a
 // mergeable log-bucketed quantile sketch.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <string>
-#include <vector>
 
 namespace mtr {
 
@@ -32,42 +29,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Sample collection with exact percentile queries (nearest-rank).
-class Samples {
- public:
-  void add(double x) { xs_.push_back(x); sorted_ = false; }
-  std::size_t count() const { return xs_.size(); }
-  double mean() const;
-  /// p in [0,100]; nearest-rank percentile. Requires at least one sample.
-  double percentile(double p) const;
-  double min() const { return percentile(0); }
-  double max() const { return percentile(100); }
-
- private:
-  mutable std::vector<double> xs_;
-  mutable bool sorted_ = false;
-};
-
-/// Fixed-bucket histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::uint64_t bucket_count(std::size_t i) const;
-  std::size_t buckets() const { return counts_.size(); }
-  std::uint64_t total() const { return total_; }
-  /// Renders a compact ASCII sparkline of the distribution.
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// DDSketch-style quantile sketch over log-spaced buckets with a *fixed*

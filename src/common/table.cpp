@@ -40,31 +40,6 @@ void TextTable::render(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-namespace {
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += '"';
-    out += ch;
-  }
-  out += '"';
-  return out;
-}
-}  // namespace
-
-void TextTable::render_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      os << csv_escape(cells[c]);
-      if (c + 1 < cells.size()) os << ',';
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 BarChart::BarChart(std::string title, std::string unit)
     : title_(std::move(title)), unit_(std::move(unit)) {}
 

@@ -1,6 +1,6 @@
-// Text rendering for experiment output: aligned tables, CSV emission, and
-// paper-style grouped bar charts (the benches reproduce the figures of the
-// paper as ASCII bars plus machine-readable CSV).
+// Text rendering for experiment output: aligned tables and paper-style
+// grouped bar charts (the benches reproduce the figures of the paper as
+// ASCII bars; the result sinks write the machine-readable CSV).
 #pragma once
 
 #include <cstddef>
@@ -22,9 +22,6 @@ class TextTable {
 
   /// Renders with a header rule and two-space gutters.
   void render(std::ostream& os) const;
-
-  /// Emits RFC-4180-ish CSV (quotes cells containing commas/quotes).
-  void render_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

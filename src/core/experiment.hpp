@@ -43,8 +43,6 @@ struct NiceSpec {
   Nice victim{0};
   Nice attacker{0};
 
-  bool is_default() const { return victim.v == 0 && attacker.v == 0; }
-
   friend constexpr bool operator==(const NiceSpec&, const NiceSpec&) = default;
 };
 

@@ -1,5 +1,6 @@
 #include "dist/driver.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
@@ -203,6 +204,11 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
       const report::SweepSpec* spec = registry.find(name);
       if (spec == nullptr) {
         err << "mtr_sweep: unknown sweep '" << name << "' (try --list)\n";
+        return 2;
+      }
+      // A sweep name is a key in every artifact, metrics.json included.
+      if (std::find(selected.begin(), selected.end(), spec) != selected.end()) {
+        err << "mtr_sweep: sweep '" << name << "' is named twice\n";
         return 2;
       }
       selected.push_back(spec);

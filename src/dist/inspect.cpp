@@ -4,12 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <map>
 #include <optional>
-#include <sstream>
+#include <set>
 #include <stdexcept>
 #include <string_view>
 
@@ -19,6 +18,7 @@
 #include "dist/json.hpp"
 #include "dist/records.hpp"
 #include "dist/status.hpp"
+#include "trace/perfetto.hpp"
 #include "trace/series.hpp"
 
 namespace mtr::dist {
@@ -50,6 +50,9 @@ options:
                    as stale (default 30, the same threshold the mtr_fleet
                    supervisor kills hung shards on)
   --help           this text
+
+exit codes: 0 ok; 1 --compare found a counter delta or --status-file a
+stale heartbeat; 2 usage error, or an input that breaks its schema
 )";
 
 /// Compact %g for report tables; doubles in metrics files are exact
@@ -60,14 +63,24 @@ std::string fmt6(double v) {
   return buf;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof())
-    throw std::runtime_error("cannot read " + path);
-  return std::move(buf).str();
+/// Min, max and sum over a series' non-empty buckets; zeros when empty.
+struct SeriesRange {
+  std::int64_t lo = 0, hi = 0;
+  __int128 sum = 0;  // each bucket sum is a valid int64, not their total
+};
+
+SeriesRange series_range(const trace::TimeSeries& s) {
+  SeriesRange r;
+  bool any = false;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const trace::SeriesBucket& b = s.bucket(i);
+    if (b.count == 0) continue;
+    r.lo = any ? std::min(r.lo, b.min) : b.min;
+    r.hi = any ? std::max(r.hi, b.max) : b.max;
+    r.sum += b.sum;
+    any = true;
+  }
+  return r;
 }
 
 void flatten_sketch(const char* name, const QuantileSketch& s, bool counter,
@@ -96,22 +109,13 @@ FlatMetrics flatten_metrics(const trace::SweepMetrics& m) {
   });
   m.telemetry.for_each_series([&](const char* name, const trace::TimeSeries& s) {
     const std::string base = std::string("series.") + name + ".";
-    std::int64_t lo = 0, hi = 0, sum = 0;
-    bool any = false;
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      const trace::SeriesBucket& b = s.bucket(i);
-      if (b.count == 0) continue;
-      lo = any ? std::min(lo, b.min) : b.min;
-      hi = any ? std::max(hi, b.max) : b.max;
-      sum += b.sum;
-      any = true;
-    }
+    const SeriesRange r = series_range(s);
     out.counters.emplace_back(base + "samples",
                               static_cast<double>(s.samples()));
     out.counters.emplace_back(base + "width", static_cast<double>(s.width()));
-    out.counters.emplace_back(base + "min", static_cast<double>(lo));
-    out.counters.emplace_back(base + "max", static_cast<double>(hi));
-    out.counters.emplace_back(base + "sum", static_cast<double>(sum));
+    out.counters.emplace_back(base + "min", static_cast<double>(r.lo));
+    out.counters.emplace_back(base + "max", static_cast<double>(r.hi));
+    out.counters.emplace_back(base + "sum", static_cast<double>(r.sum));
   });
   // cell_seconds holds wall-clock values: timing-class by construction.
   m.telemetry.for_each_sketch([&](const char* name, const QuantileSketch& s) {
@@ -216,17 +220,10 @@ void render_metrics_report(std::ostream& out, const MetricsFile& f) {
         out << " (empty)\n";
         return;
       }
-      std::int64_t lo = 0, hi = 0;
-      bool any = false;
-      for (std::size_t i = 0; i < s.size(); ++i) {
-        const trace::SeriesBucket& b = s.bucket(i);
-        if (b.count == 0) continue;
-        lo = any ? std::min(lo, b.min) : b.min;
-        hi = any ? std::max(hi, b.max) : b.max;
-        any = true;
-      }
+      const SeriesRange r = series_range(s);
       out << " " << s.samples() << " samples @" << s.width() << "  |"
-          << render_sparkline(s) << "|  min " << lo << " max " << hi << "\n";
+          << render_sparkline(s) << "|  min " << r.lo << " max " << r.hi
+          << "\n";
     });
   }
 }
@@ -341,68 +338,160 @@ void render_series_comparison(std::ostream& out, const trace::SweepMetrics& ma,
 
 // ------------------------------------------------------------ trace mode
 
-int run_trace_summary(const InspectOptions& options, std::ostream& out) {
-  const json::Value doc = [&] {
-    try {
-      return json::parse_document(read_file(options.trace_path));
-    } catch (const std::exception& e) {
-      throw std::runtime_error(options.trace_path + ": " + e.what());
-    }
-  }();
+/// What a trace that passed check_trace holds.
+struct TraceCensus {
+  std::uint64_t spans = 0, instants = 0, counters = 0;
+  std::map<std::string, std::uint64_t> counter_tracks, categories;
+};
+
+/// The trace format's rules, each one kept by write_perfetto_json by
+/// construction. Throws std::runtime_error naming the first violation.
+TraceCensus check_trace(const json::Value& doc) {
+  using Kind = json::Value::Kind;
+  const auto get = [](const json::Value* obj, std::string_view name,
+                      Kind kind) -> const json::Value* {
+    if (obj == nullptr || obj->kind != Kind::kObject) return nullptr;
+    const json::Value* v = obj->find(name);
+    return v != nullptr && v->kind == kind ? v : nullptr;
+  };
+  const auto refuse = [](const std::string& what) {
+    throw std::runtime_error(what);
+  };
+
   const json::Value& other = json::get_object(doc, "otherData");
-  const json::Value& events = json::get_array(doc, "traceEvents");
-
-  std::uint64_t spans = 0, instants = 0, counters = 0, unknown = 0;
-  std::map<std::string, std::uint64_t> counter_tracks;
-  std::map<std::string, std::uint64_t> categories;
-  for (const json::Value& ev : events.items) {
-    const std::string ph = json::get_string(ev, "ph");
-    if (ph == "X") {
-      ++spans;
-    } else if (ph == "i") {
-      ++instants;
-    } else if (ph == "C") {
-      ++counters;
-      ++counter_tracks[json::get_string(ev, "name")];
-    } else {
-      ++unknown;
-    }
-    if (const json::Value* cat = ev.find("cat"))
-      ++categories[cat->kind == json::Value::Kind::kString ? cat->text : ""];
-  }
-
+  const std::string schema = json::get_string(other, "schema");
+  if (schema != trace::kTraceSchemaTag)
+    refuse("schema tag \"" + schema + "\" is not \"" + trace::kTraceSchemaTag +
+           "\"");
   const std::uint64_t recorded = json::get_u64(other, "recorded");
   const std::uint64_t dropped = json::get_u64(other, "dropped");
-  out << "trace " << options.trace_path << ": schema \""
-      << json::get_string(other, "schema") << "\", recorded " << recorded
-      << ", dropped " << dropped << ", cpu_hz "
+  if (dropped > recorded)
+    refuse("dropped " + std::to_string(dropped) + " exceeds recorded " +
+           std::to_string(recorded));
+  json::get_u64(other, "cpu_hz");  // both printed by the summary
+  json::get_u64(other, "timer_hz");
+
+  std::set<std::string, std::less<>> series_tracks;
+  trace::Telemetry{}.for_each_series(
+      [&](const char* name, const trace::TimeSeries&) {
+        series_tracks.insert(std::string(trace::kSeriesTrackPrefix) + name);
+      });
+  const json::Value& events = json::get_array(doc, "traceEvents");
+  if (events.items.empty()) refuse("traceEvents is empty");
+  TraceCensus c;
+  std::uint64_t untagged = 0;
+  std::set<std::string, std::less<>> named_tids;  // metadata comes first
+  for (std::size_t i = 0; i < events.items.size(); ++i) {
+    const json::Value* e = &events.items[i];
+    const auto need = [&](bool ok, const std::string& what) {
+      if (!ok) refuse("traceEvents[" + std::to_string(i) + "] " + what);
+    };
+    const json::Value* ph = get(e, "ph", Kind::kString);
+    const json::Value* name = get(e, "name", Kind::kString);
+    const json::Value* args = get(e, "args", Kind::kObject);
+    need(ph != nullptr && name != nullptr &&
+             get(e, "pid", Kind::kNumber) != nullptr,
+         "lacks a ph, a numeric pid or a name");
+    if (ph->text == "M") {
+      need(name->text == "process_name" || name->text == "thread_name",
+           "has unknown metadata kind '" + name->text + "'");
+      need(get(args, "name", Kind::kString) != nullptr,
+           "metadata has no args.name string");
+      if (name->text == "thread_name") {
+        const json::Value* tid = get(e, "tid", Kind::kNumber);
+        need(tid != nullptr, "thread_name has no numeric tid");
+        named_tids.insert(tid->text);
+      }
+      continue;
+    }
+    need(ph->text == "X" || ph->text == "i" || ph->text == "C",
+         "has unknown ph '" + ph->text + "'");
+    need(get(e, "ts", Kind::kNumber) != nullptr, "has no numeric ts");
+    // The exporter stamps one category on every non-metadata event, or
+    // on none of them.
+    if (const json::Value* cat = e->find("cat")) {
+      need(cat->kind == Kind::kString && !cat->text.empty(),
+           "has a cat that is not a non-empty string");
+      ++c.categories[cat->text];
+    } else {
+      ++untagged;
+    }
+    if (ph->text == "C") {
+      ++c.counters;
+      ++c.counter_tracks[name->text];
+      const bool victim = name->text == trace::kVictimTrack;
+      need(victim || series_tracks.count(name->text) > 0,
+           "is on unknown counter track '" + name->text + "'");
+      need(get(args, victim ? "billed" : "avg", Kind::kNumber) != nullptr &&
+               get(args, victim ? "true" : "max", Kind::kNumber) != nullptr,
+           "lacks the values of counter track '" + name->text + "'");
+      continue;
+    }
+    const json::Value* tid = get(e, "tid", Kind::kNumber);
+    need(tid != nullptr && named_tids.count(tid->text) > 0,
+         "is on a tid that no thread_name names");
+    if (ph->text == "X") {
+      ++c.spans;
+      const json::Value* dur = get(e, "dur", Kind::kNumber);
+      need(dur != nullptr && dur->text.front() != '-',
+           "span has no non-negative dur");
+      need(get(args, "cycles", Kind::kNumber) != nullptr,
+           "span has no numeric args.cycles");
+    } else {
+      ++c.instants;
+      const json::Value* scope = get(e, "s", Kind::kString);
+      need(scope != nullptr && (scope->text == "t" || scope->text == "p" ||
+                                scope->text == "g"),
+           "instant scope is not t, p or g");
+    }
+  }
+  if (!c.categories.empty() && untagged > 0)
+    refuse(std::to_string(untagged) +
+           " event(s) lack the cat the others carry");
+  if (c.categories.size() > 1)
+    refuse("events carry " + std::to_string(c.categories.size()) +
+           " different cat tags");
+  // Every ring event that survived exports as one span or one instant, plus
+  // the terminator instant; counter samples are derived views on top.
+  const std::uint64_t kept = c.spans + c.instants;
+  if (kept == 0 || kept - 1 != recorded - dropped)
+    refuse("spans + instants = " + std::to_string(kept) +
+           ", but recorded - dropped + 1 = " +
+           std::to_string(recorded - dropped + 1));
+  return c;
+}
+
+int run_trace_summary(const InspectOptions& options, std::ostream& out) {
+  const std::string& path = options.trace_path;
+  const std::string text = read_file(path, "trace");
+  json::Value doc;
+  TraceCensus c;
+  try {
+    doc = json::parse_document(text);
+    c = check_trace(doc);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+  const json::Value& other = json::get_object(doc, "otherData");
+  out << "trace " << path << ": schema \"" << trace::kTraceSchemaTag
+      << "\", recorded " << json::get_u64(other, "recorded") << ", dropped "
+      << json::get_u64(other, "dropped") << ", cpu_hz "
       << json::get_u64(other, "cpu_hz") << ", timer_hz "
       << json::get_u64(other, "timer_hz") << "\n";
-  out << "  events: " << events.items.size() << " total -- " << spans
-      << " spans (X), " << instants << " instants (i), " << counters
-      << " counter samples (C)";
-  if (unknown > 0) out << ", " << unknown << " other";
-  out << "\n";
-  // Spans + instants must cover every surviving recorded event plus the
-  // terminator instant; counter tracks ride on top of that budget.
-  const std::uint64_t expect = recorded - dropped + 1;
-  if (spans + instants == expect)
-    out << "  event budget: spans + instants == recorded - dropped + 1\n";
-  else
-    out << "  event budget MISMATCH: spans + instants = " << spans + instants
-        << ", recorded - dropped + 1 = " << expect << "\n";
-  if (!counter_tracks.empty()) {
-    out << "  counter tracks:\n";
-    for (const auto& [name, n] : counter_tracks)
+  out << "  events: " << json::get_array(doc, "traceEvents").items.size()
+      << " total -- " << c.spans << " spans (X), " << c.instants
+      << " instants (i), " << c.counters << " counter samples (C)\n";
+  out << "  event budget: spans + instants == recorded - dropped + 1\n";
+  const auto census = [&](const char* title,
+                          const std::map<std::string, std::uint64_t>& counts,
+                          const char* unit) {
+    if (!counts.empty()) out << "  " << title << ":\n";
+    for (const auto& [name, n] : counts)
       out << "    " << std::left << std::setw(24) << name << std::right << " "
-          << n << " sample(s)\n";
-  }
-  if (!categories.empty()) {
-    out << "  categories:\n";
-    for (const auto& [name, n] : categories)
-      out << "    " << std::left << std::setw(24) << name << std::right << " "
-          << n << " event(s)\n";
-  }
+          << n << " " << unit << "\n";
+  };
+  census("counter tracks", c.counter_tracks, "sample(s)");
+  census("categories", c.categories, "event(s)");
   return 0;
 }
 

@@ -9,6 +9,14 @@
 // wall clocks, phases, pool utilization, the cell_seconds sketch — are
 // reported but never fail the comparison; they legitimately differ
 // across machines and shardings).
+//
+// --metrics and --compare read through dist::read_metrics_json, and --trace
+// checks the trace against every rule write_perfetto_json keeps: the
+// schema tag, dropped <= recorded, known ph and metadata kinds, a
+// thread_name for every span/instant tid, one cat tag on all events or on
+// none, counter tracks that are a Telemetry series or the victim track,
+// and spans + instants == recorded - dropped + 1. A structural violation
+// exits 2 with a message that starts with the file's path.
 #pragma once
 
 #include <cstdint>

@@ -239,10 +239,6 @@ std::uint64_t get_u64(const Value& obj, std::string_view name) {
   return as_u64(require(obj, name), name);
 }
 
-std::int64_t get_i64(const Value& obj, std::string_view name) {
-  return as_i64(require(obj, name), name);
-}
-
 double get_f64(const Value& obj, std::string_view name) {
   return as_f64(require(obj, name), name);
 }

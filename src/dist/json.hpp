@@ -37,7 +37,6 @@ Value parse_document(std::string_view text);
 // mistyped field.
 const Value& require(const Value& obj, std::string_view name);
 std::uint64_t get_u64(const Value& obj, std::string_view name);
-std::int64_t get_i64(const Value& obj, std::string_view name);
 double get_f64(const Value& obj, std::string_view name);
 std::string get_string(const Value& obj, std::string_view name);
 const Value& get_array(const Value& obj, std::string_view name);

@@ -344,18 +344,18 @@ int run_merge(const MergeOptions& o, std::ostream& out, std::ostream& err) {
       err << '\n';
     }
     if (!o.metrics_out.empty()) {
-      std::vector<MetricsFile> shards;
-      shards.reserve(o.metrics_in.size());
-      for (const std::string& path : o.metrics_in) {
+      const MetricsFile folded = [&] {
         try {
-          shards.push_back(read_metrics_json(path));
+          std::vector<MetricsFile> shards;
+          for (const std::string& path : o.metrics_in)
+            shards.push_back(read_metrics_json(path));
+          return fold_metrics(shards);
         } catch (const std::exception& e) {
-          // A metrics file that fails to parse is corrupt input, same
-          // taxonomy slot as a torn record file.
+          // A metrics file that fails to parse or to fold is corrupt
+          // input, same taxonomy slot as a torn record file.
           throw MergeError(MergeFault::kCorrupt, e.what());
         }
-      }
-      const MetricsFile folded = fold_metrics(shards);
+      }();
       std::ostringstream ms;
       trace::write_metrics_json(ms, folded.sweeps, folded.shards);
       publish_file(o.metrics_out, ms.str(), "output");

@@ -60,12 +60,18 @@ void write_status_file(const std::string& path, const StatusSnapshot& s) {
   publish_file(path, render_status_json(s), "status");
 }
 
-StatusSnapshot read_status_file(const std::string& path) {
+std::string read_file(const std::string& path, std::string_view label) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open status file: " + path);
+  if (!in)
+    throw std::runtime_error(path + ": cannot open " + std::string(label) +
+                             " file");
   std::ostringstream buf;
   buf << in.rdbuf();
-  const json::Value doc = json::parse_document(buf.str());
+  return std::move(buf).str();
+}
+
+StatusSnapshot read_status_file(const std::string& path) {
+  const json::Value doc = json::parse_document(read_file(path, "status"));
   if (json::get_string(doc, "record") != "status")
     throw std::runtime_error(path + ": not a status heartbeat document");
   StatusSnapshot s;

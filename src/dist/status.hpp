@@ -40,6 +40,10 @@ void create_parent_dirs(const std::string& path);
 void publish_file(const std::string& path, std::string_view bytes,
                   std::string_view label);
 
+/// The whole file at `path`, the reading side of publish_file. Throws
+/// std::runtime_error "<path>: cannot open <label> file" on failure.
+std::string read_file(const std::string& path, std::string_view label);
+
 /// publish_file of render_status_json(s).
 void write_status_file(const std::string& path, const StatusSnapshot& s);
 

@@ -57,7 +57,6 @@ class LibraryRegistry {
   /// Appends to LD_PRELOAD (earlier entries win symbol lookup).
   void preload(const std::string& name);
 
-  void clear_preloads() { preloads_.clear(); }
   const std::vector<std::string>& preloads() const { return preloads_; }
 
   bool has(std::string_view name) const;

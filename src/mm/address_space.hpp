@@ -30,7 +30,6 @@ class AddressSpace {
   const PageEntry* find(PageId page) const;
   PageEntry* find(PageId page);
 
-  std::size_t mapped_pages() const { return pages_.size(); }
   std::uint64_t resident_pages() const { return resident_; }
 
   /// Full page table, for teardown and diagnostics.

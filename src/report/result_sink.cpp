@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "common/ensure.hpp"
+#include "common/format.hpp"
 #include "common/parse.hpp"
 #include "crypto/digest.hpp"
 #include "workloads/workloads.hpp"
@@ -247,29 +248,6 @@ std::string csv_escape(const std::string& s) {
   return out;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
 std::string format_csv(const FieldValue& v) {
   return std::visit(
       [](const auto& x) -> std::string {
@@ -289,7 +267,7 @@ std::string format_json(const FieldValue& v) {
         if constexpr (std::is_same_v<T, bool>) return x ? "true" : "false";
         else if constexpr (std::is_same_v<T, double>) return fmt_f64(x);
         else if constexpr (std::is_same_v<T, std::string>)
-          return '"' + json_escape(x) + '"';
+          return json_quote(x);
         else return std::to_string(x);
       },
       v);
@@ -350,10 +328,10 @@ void write_cell_record(std::ostream& os, const CellSummary& s) {
   os << "{\"record\":\"cell\",\"schema\":" << kSchemaVersion;
   for (const CellKeyColumn& col : kCellKeyColumns)
     os << ",\"" << col.name << "\":" << format_json(col.value(s.key));
-  os << ",\"workload\":\"" << json_escape(s.workload) << "\",\"seeds\":" << s.seeds
+  os << ",\"workload\":" << json_quote(s.workload) << ",\"seeds\":" << s.seeds
      << ",\"source_ok\":" << (s.source_ok ? "true" : "false");
   for (const CellStatSummary& st : s.stats) {
-    os << ",\"" << json_escape(st.key) << "\":{\"n\":" << st.stats.count()
+    os << ',' << json_quote(st.key) << ":{\"n\":" << st.stats.count()
        << ",\"mean\":" << fmt_f64(st.stats.mean())
        << ",\"stddev\":" << fmt_f64(st.stats.stddev())
        << ",\"min\":" << fmt_f64(st.stats.min())
@@ -363,7 +341,7 @@ void write_cell_record(std::ostream& os, const CellSummary& s) {
   // Derived (not stored) values only — the full sketch lives in the run
   // records, which is what lets mtr_merge recompute this line byte-exactly.
   for (const auto& [key, sk] : s.sketches) {
-    os << ",\"" << json_escape(key) << "\":{\"n\":" << sk.count()
+    os << ',' << json_quote(key) << ":{\"n\":" << sk.count()
        << ",\"min\":" << fmt_f64(sk.min()) << ",\"max\":" << fmt_f64(sk.max())
        << ",\"p50\":" << fmt_f64(sk.quantile(0.5))
        << ",\"p90\":" << fmt_f64(sk.quantile(0.9))
@@ -379,9 +357,9 @@ void JsonlSink::write_cell(const std::string& sweep, const core::CellStats& cell
   for (std::size_t seed_i = 0; seed_i < cell.runs.size(); ++seed_i) {
     buf_ += "{\"record\":\"run\"";
     for (const Field& f : flatten_run(sweep, cell, seed_i)) {
-      buf_ += ",\"";
-      buf_ += json_escape(f.key);
-      buf_ += "\":";
+      buf_ += ',';
+      buf_ += json_quote(f.key);
+      buf_ += ':';
       buf_ += format_json(f.value);
     }
     buf_ += "}\n";

@@ -71,7 +71,6 @@ std::string format_json(const FieldValue& v);
 /// RFC-4180 escaping: wraps in quotes (doubling embedded quotes) when the
 /// cell contains a comma, quote, or newline.
 std::string csv_escape(const std::string& s);
-std::string json_escape(const std::string& s);
 
 /// Inverse of csv_escape for one line: splits on unquoted commas, undoing
 /// quoting and doubled quotes. Our records never embed newlines, so a line

@@ -89,10 +89,6 @@ bool Simulation::exited(Pid pid) const {
   return !p.alive();
 }
 
-std::optional<Pid> Simulation::find_by_name(std::string_view name) const {
-  return kernel_->find_pid_by_name(name);
-}
-
 std::vector<Pid> Simulation::group_members(Tgid tg) const {
   std::vector<Pid> out;
   for (const Pid pid : kernel_->all_pids()) {

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,9 +71,6 @@ class Simulation {
   void run_for(Cycles delta);
 
   bool exited(Pid pid) const;
-
-  /// First process whose current name equals `name`, if any.
-  std::optional<Pid> find_by_name(std::string_view name) const;
 
   /// All live pids in a thread group.
   std::vector<Pid> group_members(Tgid tg) const;

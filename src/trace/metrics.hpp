@@ -34,34 +34,26 @@ struct KernelStats {
 
   void merge(const KernelStats& o);
 
-  /// Visits every counter as f(name, value) — the single list serializers
-  /// and parsers key on.
+  /// Visits every counter as f(name, field) — the single list serializers
+  /// and parsers key on; the mutable overload serves field-by-name parsers.
   template <typename F>
-  void for_each(F&& f) const {
-    f("events_popped", events_popped);
-    f("idle_leaps", idle_leaps);
-    f("running_leaps", running_leaps);
-    f("ticks_coalesced", ticks_coalesced);
-    f("timer_ticks", timer_ticks);
-    f("charges_enqueued", charges_enqueued);
-    f("charge_flushes", charge_flushes);
-    f("context_switches", context_switches);
-    f("stale_events", stale_events);
-    f("max_event_queue_depth", max_event_queue_depth);
-  }
-  /// Mutable twin of for_each, for field-by-name parsers.
+  void for_each(F&& f) const { visit(*this, f); }
   template <typename F>
-  void for_each(F&& f) {
-    f("events_popped", events_popped);
-    f("idle_leaps", idle_leaps);
-    f("running_leaps", running_leaps);
-    f("ticks_coalesced", ticks_coalesced);
-    f("timer_ticks", timer_ticks);
-    f("charges_enqueued", charges_enqueued);
-    f("charge_flushes", charge_flushes);
-    f("context_switches", context_switches);
-    f("stale_events", stale_events);
-    f("max_event_queue_depth", max_event_queue_depth);
+  void for_each(F&& f) { visit(*this, f); }
+
+ private:
+  template <typename Self, typename F>
+  static void visit(Self& s, F& f) {
+    f("events_popped", s.events_popped);
+    f("idle_leaps", s.idle_leaps);
+    f("running_leaps", s.running_leaps);
+    f("ticks_coalesced", s.ticks_coalesced);
+    f("timer_ticks", s.timer_ticks);
+    f("charges_enqueued", s.charges_enqueued);
+    f("charge_flushes", s.charge_flushes);
+    f("context_switches", s.context_switches);
+    f("stale_events", s.stale_events);
+    f("max_event_queue_depth", s.max_event_queue_depth);
   }
 };
 

@@ -87,8 +87,8 @@ void write_perfetto_json(std::ostream& os, const Tracer& tracer,
                               static_cast<double>(info.hz.v);
           os << "{\"ph\": \"C\"" << cat << ", \"pid\": " << kTraceProcess
              << ", \"ts\": " << usec(e.ts, info.cpu)
-             << ", \"name\": \"victim cpu-seconds\", \"args\": {\"billed\": "
-             << json_double(billed_seconds)
+             << ", \"name\": \"" << kVictimTrack
+             << "\", \"args\": {\"billed\": " << json_double(billed_seconds)
              << ", \"true\": " << json_double(true_seconds) << "}},\n";
         }
         break;
@@ -105,7 +105,8 @@ void write_perfetto_json(std::ostream& os, const Tracer& tracer,
         if (b.count == 0) continue;
         os << "{\"ph\": \"C\"" << cat << ", \"pid\": " << kTraceProcess
            << ", \"ts\": " << usec(Cycles{s.width() * i}, info.cpu)
-           << ", \"name\": \"series:" << name << "\", \"args\": {\"avg\": "
+           << ", \"name\": \"" << kSeriesTrackPrefix << name
+           << "\", \"args\": {\"avg\": "
            << json_double(static_cast<double>(b.sum) /
                           static_cast<double>(b.count))
            << ", \"max\": " << b.max << "}},\n";

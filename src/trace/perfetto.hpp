@@ -24,6 +24,10 @@ namespace mtr::trace {
 struct Telemetry;
 
 inline constexpr const char* kTraceSchemaTag = "mtr-trace-1";
+/// The counter track plotting the victim's billed against true seconds.
+inline constexpr const char* kVictimTrack = "victim cpu-seconds";
+/// Prefix of the counter track each Telemetry gauge series renders as.
+inline constexpr const char* kSeriesTrackPrefix = "series:";
 
 /// Run context the exporter needs beyond the event stream.
 struct ExportInfo {

@@ -1,6 +1,7 @@
 #include "trace/series.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/ensure.hpp"
 
@@ -10,8 +11,13 @@ namespace {
 SeriesBucket combine(const SeriesBucket& a, const SeriesBucket& b) {
   if (a.count == 0) return b;
   if (b.count == 0) return a;
-  return {a.count + b.count, std::min(a.min, b.min), std::max(a.max, b.max),
-          a.sum + b.sum};
+  // Buckets read from a metrics file can sit near the integer limits; a
+  // fold that would wrap is refused instead of written out corrupted.
+  SeriesBucket out{0, std::min(a.min, b.min), std::max(a.max, b.max), 0};
+  if (__builtin_add_overflow(a.count, b.count, &out.count) ||
+      __builtin_add_overflow(a.sum, b.sum, &out.sum))
+    throw std::overflow_error("a series bucket overflows when folded");
+  return out;
 }
 
 }  // namespace

@@ -48,6 +48,7 @@ class TimeSeries {
   void sample(std::uint64_t t, std::int64_t v);
 
   /// Exact bucket-wise fold of `o` into this series (see file comment).
+  /// Throws std::overflow_error when a bucket's count or sum would wrap.
   void merge(const TimeSeries& o);
 
   bool empty() const { return samples_ == 0; }
@@ -97,35 +98,31 @@ struct Telemetry {
   bool empty() const;
   void merge(const Telemetry& o);
 
-  /// The single name<->member list metrics serialization and parsing key
+  /// The single name<->member lists metrics serialization and parsing key
   /// on; order is load-bearing for byte-stable round trips.
   template <typename F>
-  void for_each_series(F&& f) const {
-    f("run_queue", run_queue);
-    f("runnable", runnable);
-    f("free_frames", free_frames);
-    f("event_depth", event_depth);
-    f("victim_gap", victim_gap);
-  }
+  void for_each_series(F&& f) const { visit_series(*this, f); }
   template <typename F>
-  void for_each_series(F&& f) {
-    f("run_queue", run_queue);
-    f("runnable", runnable);
-    f("free_frames", free_frames);
-    f("event_depth", event_depth);
-    f("victim_gap", victim_gap);
-  }
+  void for_each_series(F&& f) { visit_series(*this, f); }
   template <typename F>
-  void for_each_sketch(F&& f) const {
-    f("billing_error", billing_error);
-    f("charge_batch", charge_batch);
-    f("cell_seconds", cell_seconds);
-  }
+  void for_each_sketch(F&& f) const { visit_sketches(*this, f); }
   template <typename F>
-  void for_each_sketch(F&& f) {
-    f("billing_error", billing_error);
-    f("charge_batch", charge_batch);
-    f("cell_seconds", cell_seconds);
+  void for_each_sketch(F&& f) { visit_sketches(*this, f); }
+
+ private:
+  template <typename Self, typename F>
+  static void visit_series(Self& t, F& f) {
+    f("run_queue", t.run_queue);
+    f("runnable", t.runnable);
+    f("free_frames", t.free_frames);
+    f("event_depth", t.event_depth);
+    f("victim_gap", t.victim_gap);
+  }
+  template <typename Self, typename F>
+  static void visit_sketches(Self& t, F& f) {
+    f("billing_error", t.billing_error);
+    f("charge_batch", t.charge_batch);
+    f("cell_seconds", t.cell_seconds);
   }
 };
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/ensure.hpp"
-#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -157,71 +156,11 @@ TEST(Stats, EmptyIsSafe) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(Stats, Percentiles) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 50.0);
-  EXPECT_DOUBLE_EQ(s.percentile(99), 99.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
-}
-
-TEST(Stats, PercentileOfEmptyThrows) {
-  Samples s;
-  EXPECT_THROW(s.percentile(50), InvariantError);
-}
-
-TEST(Stats, HistogramBucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(-3.0);   // clamps to first bucket
-  h.add(100.0);  // clamps to last bucket
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(5), 1u);
-  EXPECT_EQ(h.bucket_count(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_FALSE(h.render().empty());
-}
-
-TEST(Stats, SingleSamplePercentilesCollapse) {
-  Samples s;
-  s.add(3.25);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 3.25);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 3.25);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 3.25);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.25);
-}
-
 TEST(Stats, AllEqualSamplesHaveZeroSpread) {
   RunningStats r;
-  Samples s;
-  for (int i = 0; i < 16; ++i) {
-    r.add(7.0);
-    s.add(7.0);
-  }
+  for (int i = 0; i < 16; ++i) r.add(7.0);
   EXPECT_DOUBLE_EQ(r.variance(), 0.0);
   EXPECT_DOUBLE_EQ(r.stddev(), 0.0);
-  EXPECT_DOUBLE_EQ(s.percentile(1), 7.0);
-  EXPECT_DOUBLE_EQ(s.percentile(99), 7.0);
-}
-
-TEST(Stats, EmptyHistogramRendersAndCountsZero) {
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_EQ(h.total(), 0u);
-  for (std::size_t i = 0; i < h.buckets(); ++i)
-    EXPECT_EQ(h.bucket_count(i), 0u);
-  EXPECT_FALSE(h.render().empty());
-}
-
-TEST(Stats, HistogramEdgeValuesClampInsteadOfDropping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.0);   // inclusive low edge lands in bucket 0
-  h.add(10.0);  // the exclusive high edge clamps into the last bucket
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(9), 1u);
-  EXPECT_EQ(h.total(), 2u);
 }
 
 // --- quantile sketch --------------------------------------------------------------
@@ -351,52 +290,6 @@ TEST(Table, ArityMismatchThrows) {
   EXPECT_THROW(t.add_row({"only-one"}), InvariantError);
 }
 
-TEST(Table, CsvEscapesSpecials) {
-  TextTable t({"x"});
-  t.add_row({"has,comma"});
-  t.add_row({"has\"quote"});
-  std::ostringstream os;
-  t.render_csv(os);
-  EXPECT_NE(os.str().find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"has\"\"quote\""), std::string::npos);
-}
-
-TEST(Table, CsvPlainCellsStayUnquoted) {
-  TextTable t({"a", "b"});
-  t.add_row({"plain", "als0 plain; semicolons+spaces are fine"});
-  std::ostringstream os;
-  t.render_csv(os);
-  EXPECT_EQ(os.str(), "a,b\nplain,als0 plain; semicolons+spaces are fine\n");
-}
-
-TEST(Table, CsvQuotesEmbeddedNewlines) {
-  TextTable t({"x"});
-  t.add_row({"line1\nline2"});
-  std::ostringstream os;
-  t.render_csv(os);
-  // RFC 4180: the cell is quoted and the newline survives verbatim.
-  EXPECT_EQ(os.str(), "x\n\"line1\nline2\"\n");
-}
-
-TEST(Table, CsvDoublesEveryEmbeddedQuote) {
-  TextTable t({"x", "y"});
-  t.add_row({"\"", "a\"b\"c"});
-  std::ostringstream os;
-  t.render_csv(os);
-  // A lone quote becomes """" (open, doubled quote, close); every interior
-  // quote is doubled.
-  EXPECT_EQ(os.str(), "x,y\n\"\"\"\",\"a\"\"b\"\"c\"\n");
-}
-
-TEST(Table, CsvQuotesCombinedSpecials) {
-  // Comma + quote + newline in one cell; header cells are escaped too.
-  TextTable t({"weird,header"});
-  t.add_row({"a,\"b\"\nc"});
-  std::ostringstream os;
-  t.render_csv(os);
-  EXPECT_EQ(os.str(), "\"weird,header\"\n\"a,\"\"b\"\"\nc\"\n");
-}
-
 TEST(BarChartTest, RendersStackedBars) {
   BarChart chart("Fig. X", "s");
   chart.add({"O normal", 10.0, 0.5});
@@ -417,12 +310,6 @@ TEST(Format, Helpers) {
   EXPECT_EQ(fmt_ratio(1.5), "1.50x");
   EXPECT_EQ(fmt_percent_delta(12.3), "+12.3%");
   EXPECT_EQ(fmt_percent_delta(-3.21), "-3.2%");
-
-  const CpuHz cpu{1'000'000'000};
-  EXPECT_EQ(fmt_seconds(Cycles{1'500'000'000}, cpu), "1.500s");
-  EXPECT_EQ(fmt_cycles(Cycles{1'500'000'000}), "1.50 Gcy");
-  EXPECT_EQ(fmt_cycles(Cycles{999}), "999 cy");
-  EXPECT_EQ(fmt_ticks(Ticks{250}, TimerHz{250}), "250 ticks (1.000s @250HZ)");
 }
 
 }  // namespace

@@ -7,7 +7,10 @@
 // and flush faults, the SIGKILL watchdog), crash consistency (every torn
 // byte boundary of the final record recovers the complete prefix), the
 // one-schema rule (records and metrics of any other version are refused
-// by every reader), the cell key against the fig04 golden (per-column
+// by every reader), the metrics reader and the trace check as the one
+// owner of their schemas (a refusal per rule, each naming the file; a
+// seeded mutation loop over real artifacts; the shared JSON escaper), the
+// cell key against the fig04 golden (per-column
 // pins through both scanners, resume and merge; strict coordinate
 // numbers; a seeded scanner mutation loop), status heartbeats and their
 // shared staleness rule, and the mtr_fleet supervisor (deterministic
@@ -22,6 +25,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -29,6 +34,7 @@
 
 #include <sys/wait.h>
 
+#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "dist/driver.hpp"
 #include "dist/fault.hpp"
@@ -294,6 +300,11 @@ TEST(SweepDriverTest, ListAndUnknownSelection) {
 
   SweepOptions nothing;
   EXPECT_EQ(run_sweeps(registry, nothing, out, err), 2);
+
+  SweepOptions twice;
+  twice.sweeps = {"grid", "grid"};
+  EXPECT_EQ(run_sweeps(registry, twice, out, err), 2);
+  EXPECT_NE(err.str().find("sweep 'grid' is named twice"), std::string::npos);
 
   SweepOptions conflicting;
   conflicting.all = true;
@@ -1318,30 +1329,6 @@ std::string write_metrics_file(const std::string& name,
 
 }  // namespace
 
-TEST(MetricsFoldTest, ReadBackIsExactAndReEmitIsByteStable) {
-  const auto path = write_metrics_file(
-      "roundtrip-metrics.json", {sample_metrics("fig04", 2)}, /*shards=*/1);
-  const MetricsFile f = read_metrics_json(path);
-  EXPECT_EQ(f.schema, trace::kMetricsSchemaVersion);
-  EXPECT_EQ(f.shards, 1u);
-  ASSERT_EQ(f.sweeps.size(), 1u);
-  const trace::SweepMetrics& s = f.sweeps[0];
-  EXPECT_EQ(s.sweep, "fig04");
-  EXPECT_EQ(s.cells, 2u);
-  EXPECT_EQ(s.runs, 6u);
-  EXPECT_EQ(s.kernel.events_popped, 200u);
-  EXPECT_EQ(s.kernel.max_event_queue_depth, 7u);
-  ASSERT_EQ(s.phases.entries().size(), 1u);
-  EXPECT_EQ(s.phases.entries()[0].name, "grid");
-  ASSERT_EQ(s.pool.busy_seconds.size(), 2u);
-  EXPECT_DOUBLE_EQ(s.pool.busy_seconds[1], 0.125);
-
-  // parse -> re-emit reproduces the file byte-for-byte (%.17g doubles).
-  std::ostringstream reemit;
-  trace::write_metrics_json(reemit, f.sweeps, f.shards);
-  EXPECT_EQ(reemit.str(), read_file(path));
-}
-
 TEST(MetricsFoldTest, FoldSumsCountersAcrossShardsBySweepName) {
   const auto p0 = write_metrics_file(
       "fold-shard0.json",
@@ -1376,19 +1363,7 @@ TEST(MetricsFoldTest, RejectsMissingMalformedAndWrongSchemaFiles) {
              "{\"schema\": 1, \"record\": \"cells\", \"shards\": 1, "
              "\"sweeps\": []}");
   EXPECT_THROW(read_metrics_json(wrong_tag), std::runtime_error);
-
-  const auto future = temp_path("future-metrics.json");
-  write_file(future,
-             "{\"schema\": 99, \"record\": \"metrics\", \"shards\": 1, "
-             "\"sweeps\": []}");
-  try {
-    read_metrics_json(future);
-    FAIL() << "schema 99 accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("schema"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("future-metrics.json"),
-              std::string::npos);  // errors name the offending file
-  }
+  // Other schema versions are pinned by SchemaRejectionTest.
 }
 
 TEST(MetricsFoldTest, RunMergeWritesFoldedMetricsOutput) {
@@ -1434,8 +1409,18 @@ TEST(MetricsFoldTest, TelemetrySectionsRoundTripByteStably) {
                                        {telemetry_metrics("fig04")});
   const MetricsFile f = read_metrics_json(path);
   EXPECT_EQ(f.schema, trace::kMetricsSchemaVersion);
+  EXPECT_EQ(f.shards, 1u);
   ASSERT_EQ(f.sweeps.size(), 1u);
-  const trace::Telemetry& t = f.sweeps[0].telemetry;
+  const trace::SweepMetrics& s = f.sweeps[0];
+  EXPECT_EQ(s.sweep, "fig04");
+  EXPECT_EQ(s.runs, 6u);
+  EXPECT_EQ(s.kernel.events_popped, 200u);
+  EXPECT_EQ(s.kernel.max_event_queue_depth, 7u);
+  ASSERT_EQ(s.phases.entries().size(), 1u);
+  EXPECT_EQ(s.phases.entries()[0].name, "grid");
+  ASSERT_EQ(s.pool.busy_seconds.size(), 2u);
+  EXPECT_DOUBLE_EQ(s.pool.busy_seconds[1], 0.125);
+  const trace::Telemetry& t = s.telemetry;
   EXPECT_EQ(t.run_queue.samples(), 2u);
   EXPECT_EQ(t.run_queue.bucket(1).sum, 4);
   EXPECT_EQ(t.victim_gap.bucket(0).min, -12345);
@@ -1455,25 +1440,6 @@ TEST(MetricsFoldTest, TelemetrySectionsRoundTripByteStably) {
   std::ostringstream reemit;
   trace::write_metrics_json(reemit, f.sweeps, f.shards);
   EXPECT_EQ(reemit.str(), read_file(path));
-}
-
-TEST(MetricsFoldTest, MalformedTelemetrySectionsAreRejectedWithContext) {
-  // A sketch whose bucket counts disagree with its "count" field.
-  const auto bad = temp_path("bad-sketch-metrics.json");
-  std::string text = read_file(
-      write_metrics_file("bad-sketch-src.json", {telemetry_metrics("fig04")}));
-  const std::string needle = "\"billing_error\": {\"count\": 3";
-  const std::size_t at = text.find(needle);
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, needle.size(), "\"billing_error\": {\"count\": 9");
-  write_file(bad, text);
-  try {
-    read_metrics_json(bad);
-    FAIL() << "inconsistent sketch accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("billing_error"), std::string::npos)
-        << e.what();
-  }
 }
 
 // --- one schema: every reader refuses every other version -------------------------
@@ -1629,6 +1595,321 @@ TEST(SchemaRejectionTest, MetricsOfAnyOtherVersionAreRefused) {
     std::ostringstream out, err;
     EXPECT_EQ(run_merge(merge, out, err), static_cast<int>(MergeFault::kCorrupt));
     expect_refusal(err.str(), path, 1, 1, version, 2);
+  }
+}
+
+// --- one owner per schema: the metrics reader and the trace check ---------------
+
+namespace {
+
+/// One real traced and metered sweep (counting_registry at scale 0.02), run
+/// once and shared by the reader tests below. Its wall-clock fields are
+/// pinned, so the metrics bytes are the same on every run.
+struct RealArtifacts {
+  MetricsFile written;       // as the sweep wrote it
+  std::string metrics_text;  // the same, wall-clock fields pinned
+  MetricsFile metrics;       // metrics_text, read back
+  std::string trace_text;    // grid-cell0.json
+};
+
+const RealArtifacts& real_artifacts() {
+  static const RealArtifacts real = [] {
+    std::atomic<int> runs{0};
+    const report::SweepRegistry registry = counting_registry(&runs);
+    const std::string root = temp_path("dist_real_artifacts");
+    std::filesystem::remove_all(root);
+    SweepOptions opts = grid_options(root + "/out");
+    opts.trace_dir = root + "/traces";
+    opts.metrics_path = root + "/metrics.json";
+    std::ostringstream out, err;
+    if (run_sweeps(registry, opts, out, err) != 0)
+      throw std::runtime_error(err.str());
+    const MetricsFile written = read_metrics_json(opts.metrics_path);
+    trace::SweepMetrics s = written.sweeps[0];
+    s.cell_wall_seconds = 0.5;
+    s.max_cell_seconds = 0.25;
+    s.phases = {};
+    s.phases.add("sweep", 1, 0.75);
+    s.pool.wall_seconds = 0.5;
+    s.pool.busy_seconds = {0.25, 0.125};
+    s.telemetry.cell_seconds = {};
+    s.telemetry.cell_seconds.add(0.125, s.cells);
+    const std::string metrics = write_metrics_file("real-metrics.json", {s});
+    RealArtifacts a{written, read_file(metrics), read_metrics_json(metrics),
+                    read_file(root + "/traces/grid-cell0.json")};
+    std::filesystem::remove_all(root);
+    std::filesystem::remove(metrics);
+    return a;
+  }();
+  return real;
+}
+
+/// `text` with the first `from` replaced by `to`; fails the test when the
+/// fixture no longer holds `from`.
+std::string replace_first(std::string text, const std::string& from,
+                          const std::string& to) {
+  const std::size_t at = text.find(from);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "fixture lacks '" << from << "'";
+    return text;
+  }
+  return text.replace(at, from.size(), to);
+}
+
+/// Asserts that `read` throws a std::runtime_error that starts with `prefix`
+/// and mentions `refusal`.
+template <typename Read>
+void expect_refused(Read&& read, const std::string& prefix,
+                    const std::string& refusal) {
+  try {
+    read();
+    ADD_FAILURE() << "accepted; expected a refusal mentioning " << refusal;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+    EXPECT_NE(what.find(refusal), std::string::npos) << what;
+  }
+}
+
+}  // namespace
+
+TEST(MetricsReaderTest, RealSweepKeepsTheSimulatorsInvariants) {
+  // Properties of the simulator and the driver, not of the format, so a
+  // real sweep asserts them instead of the reader.
+  const MetricsFile& f = real_artifacts().written;
+  EXPECT_EQ(f.shards, 1u);
+  ASSERT_EQ(f.sweeps.size(), 1u);
+  const trace::SweepMetrics& s = f.sweeps[0];
+  EXPECT_EQ(s.cells, 4u);
+  EXPECT_GT(s.kernel.timer_ticks, 0u);  // every run lands timer ticks
+  EXPECT_GE(s.max_cell_seconds, 0.0);
+  EXPECT_FALSE(s.phases.entries().empty());
+  EXPECT_GE(s.pool.threads, 1u);
+  EXPECT_GE(s.pool.wall_seconds, 0.0);
+  for (const double busy : s.pool.busy_seconds) EXPECT_GE(busy, 0.0);
+}
+
+TEST(MetricsReaderTest, EveryStructuralViolationIsRefusedByPathAndSweep) {
+  const RealArtifacts& real = real_artifacts();
+  const trace::SweepMetrics& base = real.metrics.sweeps[0];
+  const std::string path = temp_path("damaged-metrics.json");
+  const auto expect = [&](const std::string& text, const std::string& refusal) {
+    SCOPED_TRACE(refusal);
+    write_file(path, text);
+    expect_refused([&] { read_metrics_json(path); }, path + ": sweep 'grid': ",
+                   refusal);
+  };
+
+  // Section keys are the writer's name tables, exactly and in order.
+  const std::string depth =
+      "\"max_event_queue_depth\": " +
+      std::to_string(base.kernel.max_event_queue_depth);
+  const std::string& text = real.metrics_text;
+  expect(replace_first(text, depth, "\"bogus\": 1, " + depth),
+         "kernel has 'bogus' where 'max_event_queue_depth' belongs");
+  expect(replace_first(text, ", " + depth, ""),
+         "kernel is missing 'max_event_queue_depth'");
+  expect(replace_first(text, depth, depth + ", \"extra\": 0"),
+         "kernel has an extra key 'extra'");
+  expect(replace_first(text, "\"victim_gap\": {", "\"victim_gap2\": {"),
+         "series has 'victim_gap2' where 'victim_gap' belongs");
+  expect(replace_first(text, "\"cell_seconds\": {", "\"wall_seconds\": {"),
+         "sketches has 'wall_seconds' where 'cell_seconds' belongs");
+  // Series widths and sketch rows.
+  const std::string width =
+      "\"width\": " + std::to_string(base.telemetry.run_queue.width());
+  expect(replace_first(text, width, width + "1"), "is not kBaseWidth * 2^k");
+  // cell_seconds (pinned to 4 cells of 0.125 s) closes the file.
+  expect(replace_first(text, ", 4]]}}}", ", 0]]}}}"),
+         "sketch 'cell_seconds' pos bucket holds no values");
+  const std::string count =
+      "\"billing_error\": {\"count\": " +
+      std::to_string(base.telemetry.billing_error.count());
+  expect(replace_first(text, count, count + "9"),
+         "sketch 'billing_error' count does not match its buckets");
+
+  // Relations the writer keeps by construction, broken on the parsed sweep
+  // and written back out.
+  const std::vector<
+      std::pair<std::function<void(trace::SweepMetrics&)>, std::string>>
+      edits = {
+          {[](auto& s) { s.runs = s.cells - 1; }, "runs 3 < cells 4"},
+          {[](auto& s) { s.max_cell_seconds = s.cell_wall_seconds + 1.0; },
+           "max_cell_seconds exceeds cell_wall_seconds"},
+          {[](auto& s) { s.kernel.ticks_coalesced = s.kernel.timer_ticks + 1; },
+           "ticks_coalesced exceeds timer_ticks"},
+          {[](auto& s) { s.pool.threads = 0; }, "busy slots but 0 threads"},
+          {[](auto& s) {
+             s.telemetry.run_queue.load(trace::TimeSeries::kBaseWidth,
+                                        {{1, 5, 4, 5}});
+           },
+           "series 'run_queue' bucket 0 breaks min <= max"},
+          {[](auto& s) {
+             s.telemetry.free_frames.load(trace::TimeSeries::kBaseWidth,
+                                          {{2, 1, 3, 4}, {2, 1, 3, 7}});
+           },
+           "series 'free_frames' bucket 1 breaks"},
+          {[](auto& s) { s.telemetry.billing_error.load_bounds(1.0, -1.0); },
+           "sketch 'billing_error' min exceeds max"},
+      };
+  for (const auto& [edit, refusal] : edits) {
+    trace::SweepMetrics s = base;
+    edit(s);
+    expect(read_file(write_metrics_file("edited-metrics.json", {s})), refusal);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(MetricsReaderTest, ARepeatedSweepIsRefusedByName) {
+  // --compare used to look up the first copy and report "counters
+  // identical"; a fold would have summed the two.
+  trace::SweepMetrics copy = real_artifacts().metrics.sweeps[0];
+  copy.kernel.events_popped += 12345;
+  const std::string path = write_metrics_file(
+      "repeated-sweep-metrics.json", {real_artifacts().metrics.sweeps[0], copy});
+  expect_refused([&] { read_metrics_json(path); }, path + ": ",
+                 "sweep 'grid' appears twice");
+  const char* argv[] = {"mtr_inspect", "--compare", path.c_str(), path.c_str()};
+  EXPECT_EQ(inspect_main(4, argv), 2);
+  std::filesystem::remove(path);
+}
+
+TEST(MetricsReaderTest, AnOverflowingSeriesFoldExitsTwoNamingTheFile) {
+  trace::SweepMetrics s = real_artifacts().metrics.sweeps[0];
+  constexpr std::int64_t kBig = (std::int64_t{1} << 62) + 1;
+  s.telemetry.run_queue.load(trace::TimeSeries::kBaseWidth,
+                             {{1, kBig, kBig, kBig}});
+  const std::string path = write_metrics_file("overflow-metrics.json", {s});
+  MergeOptions merge;
+  merge.metrics_out = temp_path("overflow-folded.json");
+  std::filesystem::remove(merge.metrics_out);
+  merge.metrics_in = {path, path};
+  std::ostringstream out, err;
+  EXPECT_EQ(run_merge(merge, out, err), static_cast<int>(MergeFault::kCorrupt));
+  EXPECT_NE(err.str().find(path + ": sweep 'grid': a series bucket overflows"),
+            std::string::npos)
+      << err.str();
+  EXPECT_FALSE(std::filesystem::exists(merge.metrics_out));
+  std::filesystem::remove(path);
+}
+
+/// One trace rule, broken by replacing the first `from` of a real trace.
+struct TraceDamage {
+  const char* rule;
+  const char* from;
+  const char* to;
+  const char* refusal;
+};
+
+void PrintTo(const TraceDamage& d, std::ostream* os) { *os << d.rule; }
+
+class TraceRefusalTest : public testing::TestWithParam<TraceDamage> {};
+
+TEST_P(TraceRefusalTest, ExitsTwoAndNamesThePath) {
+  const TraceDamage& d = GetParam();
+  const std::string path = temp_path(std::string("damaged-trace-") + d.rule);
+  write_file(path, replace_first(real_artifacts().trace_text, d.from, d.to));
+  InspectOptions o;
+  o.trace_path = path;
+  std::ostringstream out;
+  expect_refused([&] { run_inspect(o, out); }, path + ": ", d.refusal);
+  const char* argv[] = {"mtr_inspect", "--trace", path.c_str()};
+  EXPECT_EQ(inspect_main(3, argv), 2);
+  std::filesystem::remove(path);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRule, TraceRefusalTest,
+    testing::ValuesIn(std::vector<TraceDamage>{
+        {"schema_tag", "\"mtr-trace-1\"", "\"mtr-trace-0\"",
+         "schema tag \"mtr-trace-0\" is not \"mtr-trace-1\""},
+        {"dropped_exceeds_recorded", "\"dropped\": ", "\"dropped\": 99999999999",
+         "exceeds recorded"},
+        {"unknown_ph", "\"ph\": \"X\"", "\"ph\": \"B\"", "has unknown ph 'B'"},
+        {"unknown_metadata_kind", "\"thread_name\"", "\"thread_sort_index\"",
+         "unknown metadata kind 'thread_sort_index'"},
+        {"unnamed_tid", "\"tid\": 0, \"ts\"", "\"tid\": 424242, \"ts\"",
+         "tid that no thread_name names"},
+        {"mixed_cat", "\"cat\": \"baseline\", ", "", "lack the cat the others carry"},
+        {"conflicting_cat", "\"cat\": \"baseline\"", "\"cat\": \"a1\"",
+         "2 different cat tags"},
+        {"unknown_counter_track", "\"victim cpu-seconds\"", "\"victim cpu-hours\"",
+         "unknown counter track 'victim cpu-hours'"},
+        {"event_budget", "\"recorded\": ", "\"recorded\": 1", "spans + instants = "},
+        {"missing_field", "\"cpu_hz\"", "\"cpu_Hz\"", "field 'cpu_hz' is missing"}}),
+    [](const testing::TestParamInfo<TraceDamage>& info) {
+      return std::string(info.param.rule);
+    });
+
+/// mutate(), or one digit rewritten, so that numbers stay numbers and the
+/// checks behind the JSON grammar are reached too.
+std::string damage(const std::string& bytes, SplitMix64& rng) {
+  if (rng.next() % 2 == 0) return mutate(bytes, rng);
+  std::string out = bytes;
+  std::size_t at = rng.next() % out.size();
+  while (out[at] < '0' || out[at] > '9') at = (at + 1) % out.size();
+  out[at] = static_cast<char>('0' + rng.next() % 10);
+  return out;
+}
+
+TEST(ReaderMutationTest, DamagedArtifactsAreRefusedByPathOrReadAsAFixedPoint) {
+  constexpr int kMutations = 100;
+  const RealArtifacts& real = real_artifacts();
+  const std::string metrics = temp_path("fuzz-metrics.json");
+  const std::string rewritten = temp_path("fuzz-metrics-rewritten.json");
+  const std::string trace = temp_path("fuzz-trace.json");
+  // Only std::runtime_error-family throws, each starting with the path.
+  const auto refused = [](const std::string& path, const auto& read) {
+    try {
+      read();
+      return false;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(path + ": ", 0), 0u) << e.what();
+    } catch (...) {
+      ADD_FAILURE() << "a reader threw something other than std::runtime_error";
+    }
+    return true;
+  };
+  SplitMix64 rng(0x5EED1000);
+  for (int i = 0; i < kMutations; ++i) {
+    SCOPED_TRACE("mutation " + std::to_string(i));
+    write_file(metrics, damage(real.metrics_text, rng));
+    MetricsFile f;
+    if (!refused(metrics, [&] { f = read_metrics_json(metrics); })) {
+      // A file that reads clean is a read -> write -> read fixed point.
+      std::ostringstream once, twice;
+      trace::write_metrics_json(once, f.sweeps, f.shards);
+      write_file(rewritten, once.str());
+      const MetricsFile g = read_metrics_json(rewritten);
+      trace::write_metrics_json(twice, g.sweeps, g.shards);
+      EXPECT_EQ(twice.str(), once.str());
+    }
+    write_file(trace, damage(real.trace_text, rng));
+    InspectOptions o;
+    o.trace_path = trace;
+    std::ostringstream out;
+    refused(trace, [&] { run_inspect(o, out); });
+  }
+  for (const std::string& p : {metrics, rewritten, trace})
+    std::filesystem::remove(p);
+}
+
+TEST(JsonQuoteTest, EveryEscapeRoundTripsThroughBothReaders) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"plain", "\"plain\""},
+      {"say \"hi\"", "\"say \\\"hi\\\"\""},
+      {"back\\slash", "\"back\\\\slash\""},
+      {"a\nb\rc\td", "\"a\\nb\\rc\\td\""},
+      {std::string("nul\0bel\x07us\x1f", 11), "\"nul\\u0000bel\\u0007us\\u001f\""},
+      {"utf-8 \xc3\xa9, del \x7f", "\"utf-8 \xc3\xa9, del \x7f\""},
+  };
+  for (const auto& [raw, quoted] : cases) {
+    SCOPED_TRACE(quoted);
+    EXPECT_EQ(json_quote(raw), quoted);
+    EXPECT_EQ(json::parse_document(quoted).text, raw);
+    std::map<std::string, std::string> fields;
+    ASSERT_TRUE(parse_json_line("{\"k\":" + quoted + "}", fields));
+    EXPECT_EQ(json_string(fields, "k"), raw);
   }
 }
 
@@ -1853,26 +2134,21 @@ TEST(InspectTest, ShardFoldedMetricsCompareCleanAgainstSingleRun) {
   // Every counter-class value — kernel counters, series buckets, sketch
   // quantiles — folds to exactly the single-process run's. Timing-class
   // values may differ; compare_metrics excludes them from the verdict.
+  const MetricsFile folded = fold_metrics(shard_files);
+  EXPECT_EQ(folded.shards, 2u);
   std::ostringstream cmp;
-  const int rc = compare_metrics(cmp, "folded", fold_metrics(shard_files),
-                                 "single", read_metrics_json(single.metrics_path));
+  const int rc = compare_metrics(cmp, "folded", folded, "single",
+                                 read_metrics_json(single.metrics_path));
   EXPECT_EQ(rc, 0) << cmp.str();
   EXPECT_NE(cmp.str().find("counters identical"), std::string::npos);
   std::filesystem::remove_all(root);
 }
 
 TEST(InspectTest, TraceSummaryReadsAnExportedTrace) {
-  std::atomic<int> runs{0};
-  const report::SweepRegistry registry = counting_registry(&runs);
-  const std::string root = temp_path("dist_inspect_trace");
-  std::filesystem::remove_all(root);
-  SweepOptions opts = grid_options(root + "/out");
-  opts.trace_dir = root + "/traces";
-  std::ostringstream out, err;
-  ASSERT_EQ(run_sweeps(registry, opts, out, err), 0) << err.str();
-
+  const std::string path = temp_path("inspect-trace.json");
+  write_file(path, real_artifacts().trace_text);
   InspectOptions o;
-  o.trace_path = root + "/traces/grid-cell0.json";
+  o.trace_path = path;
   std::ostringstream report;
   EXPECT_EQ(run_inspect(o, report), 0);
   const std::string text = report.str();
@@ -1886,7 +2162,7 @@ TEST(InspectTest, TraceSummaryReadsAnExportedTrace) {
   // baseline run and the category census says so.
   EXPECT_NE(text.find("categories:"), std::string::npos);
   EXPECT_NE(text.find("baseline"), std::string::npos);
-  std::filesystem::remove_all(root);
+  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 // survives CSV and JSONL serialization), append safety, MultiSink fan-out,
 // the shared cell-record emitter, the cell key (grid coordinates to record
 // columns, strict per-type parsing, first-difference naming), the sweep
-// registry, and the progress reporter. The CLI driver moved to src/dist
-// and is covered by dist_test.
+// registry, CSV escaping, and the progress reporter. The CLI driver moved
+// to src/dist and is covered by dist_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,6 +135,30 @@ TEST(ResultSinkSchema, ScenarioCoordinatesSitBeforeTheSeed) {
   EXPECT_LT(at("reclaim_batch"), at("ptrace"));
   EXPECT_LT(at("ptrace"), at("jiffy_timers"));
   EXPECT_LT(at("jiffy_timers"), at("seed"));
+}
+
+TEST(CsvEscapeTest, QuotesOnlyWhatRfc4180NeedsAndSplitsBack) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"plain", "plain"},
+      {"als0 plain; semicolons+spaces are fine",
+       "als0 plain; semicolons+spaces are fine"},
+      {"", ""},
+      {"has,comma", "\"has,comma\""},
+      {"has\"quote", "\"has\"\"quote\""},
+      {"\"", "\"\"\"\""},  // a lone quote: open, doubled quote, close
+      {"a\"b\"c", "\"a\"\"b\"\"c\""},
+      {"line1\nline2", "\"line1\nline2\""},  // the newline survives verbatim
+      {"a,\"b\"\nc", "\"a,\"\"b\"\"\nc\""},
+  };
+  std::string row;
+  std::vector<std::string> cells;
+  for (const auto& [raw, escaped] : cases) {
+    EXPECT_EQ(csv_escape(raw), escaped) << raw;
+    if (!cells.empty()) row += ',';
+    row += escaped;
+    cells.push_back(raw);
+  }
+  EXPECT_EQ(split_csv_line(row), cells);  // one row of them reads back
 }
 
 TEST(SketchCodecTest, EncodeDecodeRoundTripsExactly) {
