@@ -7,8 +7,9 @@
 // runs one BatchRunner-equivalent cell (one run_experiment) of the
 // fig07/fig08 scheduling-attack sweeps at a fixed scale, so successive
 // commits can be compared via bench/perf_baseline.py and BENCH_sim.json.
-// BM_EngineCell_*, BM_DestroySpace_* and BM_IntegrityStep_* are tracked
-// alongside, each as a pair whose ratio CI pins.
+// BM_EngineCell_*, BM_DestroySpace_*, BM_IntegrityStep_* and
+// BM_Sha256Block_* are tracked alongside, each as a pair whose ratio CI
+// pins.
 #include <benchmark/benchmark.h>
 
 #include "attacks/scheduling_attack.hpp"
@@ -49,6 +50,35 @@ void BM_Sha256Throughput(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256Throughput)->Arg(64)->Arg(16384);
+
+// The SHA-256 compression alone, the cost of one witness-chain step. The
+// native bench runs whatever sha256_compress() dispatches to (SHA-NI where
+// the CPU has it, the portable code otherwise); CI requires it to be no
+// slower than the portable reference.
+/// One iteration = 16 compressions over a 1 KiB message.
+void sha256_block_bench(benchmark::State& state, crypto::Sha256Compress compress) {
+  constexpr int kBlocks = 16;
+  std::uint8_t msg[64 * kBlocks];
+  for (std::size_t i = 0; i < sizeof msg; ++i)
+    msg[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  std::uint32_t st[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                         0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  for (auto _ : state) {
+    for (int b = 0; b < kBlocks; ++b) compress(st, msg + 64 * b);
+    benchmark::DoNotOptimize(st);
+  }
+  state.SetItemsProcessed(state.iterations() * kBlocks);
+}
+
+void BM_Sha256Block_portable(benchmark::State& state) {
+  sha256_block_bench(state, &crypto::sha256_compress_portable);
+}
+BENCHMARK(BM_Sha256Block_portable)->Unit(benchmark::kMicrosecond);
+
+void BM_Sha256Block_native(benchmark::State& state) {
+  sha256_block_bench(state, crypto::sha256_compress());
+}
+BENCHMARK(BM_Sha256Block_native)->Unit(benchmark::kMicrosecond);
 
 /// Virtual seconds simulated per real second: boot a machine, run one
 /// Whetstone through the shell, measure wall cost per simulated run.

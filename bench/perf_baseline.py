@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Perf-baseline pipeline for the simulator substrate.
 
-Runs the tracked BM_SweepCell_*, BM_EngineCell_*, BM_DestroySpace_* and
-BM_IntegrityStep_* benches of bench/micro_substrate with
+Runs the tracked BM_SweepCell_*, BM_EngineCell_*, BM_DestroySpace_*,
+BM_IntegrityStep_* and BM_Sha256Block_* benches of bench/micro_substrate with
 google-benchmark's JSON reporter and either
 
   * distills the results into BENCH_sim.json at the repo root
@@ -25,7 +25,10 @@ teardown on 256 Ki frames of RAM must stay within 2x of teardown on 16 Ki
 (BM_DestroySpace_ram16k/BM_DestroySpace_ram256k:0.5). The integrity pair
 pins the watch filter: a step of an unwatched group must cost at most a
 fifth of a chained step
-(BM_IntegrityStep_all/BM_IntegrityStep_unwatched:5.0).
+(BM_IntegrityStep_all/BM_IntegrityStep_unwatched:5.0). The SHA-256 pair
+pins the compression dispatch: the compression the library chose at run
+time must never be slower than the portable reference
+(BM_Sha256Block_portable/BM_Sha256Block_native:0.9).
 
 Only the Python standard library is used.
 """
@@ -39,7 +42,7 @@ import subprocess
 import sys
 
 SCHEMA = 1
-DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|IntegrityStep)_"
+DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|IntegrityStep|Sha256Block)_"
 
 
 def cpu_model():

@@ -42,9 +42,8 @@ void run_pop_billing_gap(const report::SweepContext& ctx) {
   grid.attacker_fractions = {0.25};
 
   ctx.begin_progress("pop_billing_gap", core::grid_cell_count(grid));
-  core::BatchRunner runner(ctx.threads);
   const std::size_t n_seeds = grid.seeds.size();
-  const auto cells = ctx.run_grid("pop_billing_gap", runner, std::move(grid));
+  const auto cells = ctx.run_grid("pop_billing_gap", std::move(grid));
   if (ctx.partial) return;
 
   std::ostream& os = ctx.os();
@@ -82,9 +81,8 @@ void run_pop_interference(const report::SweepContext& ctx) {
   grid.nice_levels = {{Nice{0}, Nice{0}}, {Nice{10}, Nice{0}}};
 
   ctx.begin_progress("pop_interference", core::grid_cell_count(grid));
-  core::BatchRunner runner(ctx.threads);
   const std::size_t n_seeds = grid.seeds.size();
-  const auto cells = ctx.run_grid("pop_interference", runner, std::move(grid));
+  const auto cells = ctx.run_grid("pop_interference", std::move(grid));
   if (ctx.partial) return;
 
   std::ostream& os = ctx.os();
@@ -122,9 +120,8 @@ void run_pop_detection(const report::SweepContext& ctx) {
   grid.attacker_fractions = {0.0, 0.125, 0.25, 0.5};
 
   ctx.begin_progress("pop_detection", core::grid_cell_count(grid));
-  core::BatchRunner runner(ctx.threads);
   const std::size_t n_seeds = grid.seeds.size();
-  const auto cells = ctx.run_grid("pop_detection", runner, std::move(grid));
+  const auto cells = ctx.run_grid("pop_detection", std::move(grid));
   if (ctx.partial) return;
 
   std::ostream& os = ctx.os();

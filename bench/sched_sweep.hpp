@@ -40,8 +40,7 @@ inline void run_sched_sweep(const report::SweepContext& ctx, const std::string& 
   }
 
   ctx.begin_progress(sweep, grid.attacks.size());
-  core::BatchRunner runner(ctx.threads);
-  const auto cells = ctx.run_grid(sweep, runner, std::move(grid));
+  const auto cells = ctx.run_grid(sweep, std::move(grid));
   // Partial cell sets (shard/resume/dry run) skip the rendering — and the
   // fork_alone baseline simulation it exists for.
   if (ctx.partial) return;

@@ -34,10 +34,9 @@ void run_tab_scheduler_ablation(const report::SweepContext& ctx) {
 
   ctx.begin_progress("tab_scheduler_ablation",
                      grid.attacks.size() * grid.schedulers.size());
-  core::BatchRunner runner(ctx.threads);
   const std::size_t n_seeds = grid.seeds.size();
   const std::size_t n_scheds = grid.schedulers.size();
-  const auto cells = ctx.run_grid("tab_scheduler_ablation", runner, std::move(grid));
+  const auto cells = ctx.run_grid("tab_scheduler_ablation", std::move(grid));
   // The scheduler-major re-ordering below indexes the full grid; partial
   // cell sets skip the rendering.
   if (ctx.partial) return;

@@ -89,19 +89,28 @@ double QuantileSketch::quantile(double q) const {
   // Nearest-rank over the bucket walk, most-negative value first: the
   // negative store descends by index (largest |x| first), then zero, then
   // the positive store ascends.
-  const auto rank = static_cast<std::uint64_t>(q * static_cast<double>(count_ - 1));
+  // A count near 2^64 rounds up to 2^64 as a double, which is outside
+  // uint64_t: clamp the rank before the cast. `seen` saturates, so bucket
+  // counts that sum past 2^64 cannot wrap it back below the rank.
+  const double last = static_cast<double>(count_ - 1);
+  const double want = q * last;
+  const std::uint64_t rank =
+      want >= last ? count_ - 1 : static_cast<std::uint64_t>(want);
   std::uint64_t seen = 0;
+  const auto bump = [&seen](std::uint64_t n) {
+    seen = n > UINT64_MAX - seen ? UINT64_MAX : seen + n;
+  };
   double v = 0.0;
   bool found = false;
   for (auto it = neg_.rbegin(); it != neg_.rend() && !found; ++it) {
-    seen += it->second;
+    bump(it->second);
     if (seen > rank) {
       v = -value_of(it->first);
       found = true;
     }
   }
   if (!found && zero_ > 0) {
-    seen += zero_;
+    bump(zero_);
     if (seen > rank) {
       v = 0.0;
       found = true;
@@ -109,7 +118,7 @@ double QuantileSketch::quantile(double q) const {
   }
   if (!found) {
     for (const auto& [i, n] : pos_) {
-      seen += n;
+      bump(n);
       if (seen > rank) {
         v = value_of(i);
         break;

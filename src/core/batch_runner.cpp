@@ -1,5 +1,6 @@
 #include "core/batch_runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -152,57 +153,167 @@ BatchRunner::BatchRunner(unsigned threads) : threads_(threads) {
   if (threads_ == 0) threads_ = 1;
 }
 
+namespace {
+
+/// One grid of a pool invocation, laid out for the workers: its
+/// normalized axes, the cells that run, and where its runs and cells start
+/// in the pool's flat numbering (grid-major, then cell, then seed).
+struct GridLayout {
+  BatchGrid g;
+  GridGeometry geom;
+  std::size_t n_cells = 0;           // full grid
+  std::size_t n_seeds = 0;
+  std::vector<std::size_t> active;   // grid-order indices of admitted cells
+  std::size_t first_run = 0;
+  std::size_t first_cell = 0;
+};
+
+/// The failing run's coordinates. Scenario axes are named only when
+/// actually swept — default-axis grids keep the short form.
+std::string describe_failure(const GridLayout& L, std::size_t pos,
+                             std::size_t seed_i, const char* callback) {
+  const BatchGrid& g = L.g;
+  const GridGeometry& geom = L.geom;
+  const GridCellIndices ix = geom.coords(L.active[pos]);
+  std::string where =
+      std::string("BatchRunner cell [attack=") + g.attacks[ix.attack].label +
+      ", scheduler=" + sim::to_string(g.schedulers[ix.scheduler]) +
+      ", hz=" + std::to_string(g.ticks[ix.tick].v);
+  if (geom.cpus > 1) where += ", cpu_hz=" + std::to_string(g.cpu_freqs[ix.cpu].v);
+  if (geom.rams > 1)
+    where += ", ram_frames=" + std::to_string(g.ram[ix.ram].frames) +
+             ", reclaim_batch=" + std::to_string(g.ram[ix.ram].reclaim_batch);
+  if (geom.ptraces > 1)
+    where += std::string(", ptrace=") + kernel::to_string(g.ptrace_policies[ix.ptrace]);
+  if (geom.jiffies > 1)
+    where += std::string(", jiffy_timers=") + (g.jiffy_timers[ix.jiffy] ? "on" : "off");
+  if (geom.populations > 1)
+    where += ", population=" + std::to_string(g.population_sizes[ix.population]);
+  if (geom.fractions > 1)
+    where += ", attacker_fraction=" +
+             std::to_string(g.attacker_fractions[ix.fraction]);
+  if (geom.nices > 1)
+    where += ", victim_nice=" +
+             std::to_string(static_cast<int>(g.nice_levels[ix.nice].victim.v)) +
+             ", attacker_nice=" +
+             std::to_string(static_cast<int>(g.nice_levels[ix.nice].attacker.v));
+  // A callback failure happened after every run of the cell succeeded, so
+  // name the cell but not a (blameless) seed.
+  if (callback == nullptr)
+    return where + ", seed=" + std::to_string(g.seeds[seed_i]) + "]";
+  return where + "] " + callback;
+}
+
+}  // namespace
+
 std::vector<CellStats> BatchRunner::run(const BatchGrid& grid,
-                                        const CellCallback& on_cell,
-                                        trace::PoolMetrics* pool_metrics) const {
-  const BatchGrid g = normalized_grid(grid);
-  const GridGeometry geom = grid_geometry(g);
-  const auto grid_t0 = std::chrono::steady_clock::now();
+                                        const CellCallback& on_cell) const {
+  return std::move(run(std::span(&grid, 1), on_cell).front().cells);
+}
 
-  const std::size_t n_seeds = g.seeds.size();
-  const std::size_t n_cells = geom.cell_count();
+std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
+                                      const CellCallback& on_cell,
+                                      const RunCallback& on_run,
+                                      bool keep_cells) const {
+  const auto pool_t0 = std::chrono::steady_clock::now();
+  const auto since_start = [pool_t0](std::chrono::steady_clock::time_point t) {
+    return std::chrono::duration<double>(t - pool_t0).count();
+  };
 
-  // Grid-order indices of the cells that actually run. Filtering changes
-  // nothing about a surviving cell: coordinates, per-cell seeds, and
-  // cell_index are all derived from the full grid.
-  std::vector<std::size_t> active;
-  active.reserve(n_cells);
-  for (std::size_t cell = 0; cell < n_cells; ++cell)
-    if (!g.cell_filter || g.cell_filter(cell)) active.push_back(cell);
-  const std::size_t n_active = active.size();
-  const std::size_t n_runs = n_active * n_seeds;
+  // Filtering changes nothing about a surviving cell: coordinates,
+  // per-cell seeds, and cell_index are all derived from the full grid.
+  std::vector<GridLayout> grids(grid_span.size());
+  std::size_t n_runs = 0;
+  std::size_t n_active = 0;
+  for (std::size_t gi = 0; gi < grids.size(); ++gi) {
+    GridLayout& L = grids[gi];
+    L.g = normalized_grid(grid_span[gi]);
+    L.geom = grid_geometry(L.g);
+    L.n_cells = L.geom.cell_count();
+    L.n_seeds = L.g.seeds.size();
+    for (std::size_t cell = 0; cell < L.n_cells; ++cell)
+      if (!L.g.cell_filter || L.g.cell_filter(cell)) L.active.push_back(cell);
+    L.first_run = n_runs;
+    L.first_cell = n_active;
+    n_runs += L.active.size() * L.n_seeds;
+    n_active += L.active.size();
+  }
 
-  // One slot per run, filled by whichever worker claims the index; cells
-  // are aggregated in grid order as their runs complete. Everything below
-  // is indexed by *active position*, not grid cell index.
-  std::vector<ExperimentResult> results(n_runs);
-  std::vector<CellStats> cells(n_active);
+  // Flat numbering: cell k belongs to grid cell_grid[k]; run r to flat
+  // cell run_cell[r]. Everything below is indexed by these flat positions,
+  // not by grid cell index.
+  std::vector<std::size_t> cell_grid(n_active);
+  std::vector<std::size_t> run_cell(n_runs);
+  for (std::size_t gi = 0; gi < grids.size(); ++gi) {
+    const GridLayout& L = grids[gi];
+    for (std::size_t pos = 0; pos < L.active.size(); ++pos) {
+      cell_grid[L.first_cell + pos] = gi;
+      for (std::size_t seed_i = 0; seed_i < L.n_seeds; ++seed_i)
+        run_cell[L.first_run + pos * L.n_seeds + seed_i] = L.first_cell + pos;
+    }
+  }
+
+  const unsigned pool = static_cast<unsigned>(
+      std::min<std::size_t>(threads_, n_runs > 0 ? n_runs : 1));
+
+  // Claim order. A lone worker takes runs in grid order, so it finishes
+  // and emits each cell as early as possible. A wider pool claims by a
+  // deterministic cost estimate instead — runs with an attack first, grid
+  // order within each class — so the long runs do not form the tail.
+  std::vector<std::size_t> order(n_runs);
+  for (std::size_t r = 0; r < n_runs; ++r) order[r] = r;
+  if (pool > 1) {
+    std::stable_partition(order.begin(), order.end(), [&](std::size_t r) {
+      const GridLayout& L = grids[cell_grid[run_cell[r]]];
+      const std::size_t pos = run_cell[r] - L.first_cell;
+      return L.g.attacks[L.geom.coords(L.active[pos]).attack].make != nullptr;
+    });
+  }
+
+  // Result slots exist only for cells with a run finished and the cell not
+  // yet aggregated, so memory tracks the runs in flight, not the pool.
+  std::vector<std::vector<ExperimentResult>> pending(n_active);
+  std::vector<GridRun> out(grids.size());
+  for (std::size_t gi = 0; gi < grids.size(); ++gi) {
+    out[gi].cells.resize(grids[gi].active.size());
+    out[gi].busy_seconds.assign(pool, 0.0);
+  }
+  std::vector<char> grid_started(grids.size(), 0);
 
   std::atomic<std::size_t> next{0};
 
-  // Everything below the mutex: per-cell completion counts, the in-order
-  // emission cursor, and the first-failure record. Releasing/acquiring it
-  // also publishes each worker's `results` writes to whichever worker ends
-  // up aggregating the cell.
+  // Everything below the mutex: result slots, per-cell completion counts,
+  // the in-order emission cursor, per-grid timing, and the first-failure
+  // record.
   std::mutex mutex;
   std::vector<std::size_t> runs_done(n_active, 0);
   std::vector<double> cell_wall(n_active, 0.0);
   std::vector<char> cell_failed(n_active, 0);
   std::size_t next_emit = 0;
-  std::size_t error_index = n_runs;
-  bool error_from_callback = false;
+  std::size_t error_run = n_runs;
+  const char* error_callback = nullptr;
   std::exception_ptr error;
+  // Keeps the first failure in grid order for a deterministic report.
+  const auto fail = [&](std::size_t r, const char* callback,
+                        std::exception_ptr e) {
+    if (r >= error_run) return;
+    error_run = r;
+    error_callback = callback;
+    error = std::move(e);
+  };
 
-  auto aggregate = [&](std::size_t pos) {
-    CellStats& s = cells[pos];
-    static_cast<GridCellCoords&>(s) = grid_cell_coords(g, active[pos]);
-    s.cell_index = g.cell_index_base + active[pos];
-    s.seeds = g.seeds;
-    s.runs.reserve(n_seeds);
-    for (std::size_t seed_i = 0; seed_i < n_seeds; ++seed_i) {
+  auto aggregate = [&](std::size_t k) {
+    const GridLayout& L = grids[cell_grid[k]];
+    const std::size_t pos = k - L.first_cell;
+    CellStats& s = out[cell_grid[k]].cells[pos];
+    static_cast<GridCellCoords&>(s) = grid_cell_coords(L.g, L.active[pos]);
+    s.cell_index = L.g.cell_index_base + L.active[pos];
+    s.seeds = L.g.seeds;
+    s.runs.reserve(L.n_seeds);
+    for (ExperimentResult& result : pending[k]) {
       // The per-run slot is dead after aggregation: move it instead of
       // deep-copying its strings/violation vectors into the cell.
-      s.runs.push_back(std::move(results[pos * n_seeds + seed_i]));
+      s.runs.push_back(std::move(result));
       const ExperimentResult& r = s.runs.back();
       s.for_each_stat(
           [&](const char*, RunningStats& stat, auto get) { stat.add(get(r)); });
@@ -212,25 +323,29 @@ std::vector<CellStats> BatchRunner::run(const BatchGrid& grid,
       s.kstats.merge(r.kstats);
       s.telemetry.merge(r.telemetry);
     }
+    std::vector<ExperimentResult>().swap(pending[k]);
   };
 
-  const unsigned pool = static_cast<unsigned>(
-      std::min<std::size_t>(threads_, n_runs > 0 ? n_runs : 1));
   // Per-worker busy time (seconds spent inside run_experiment). Workers
-  // update their slot under the emission mutex so per-cell callbacks can
-  // snapshot every slot; the final read happens after the join.
+  // update their slot under the emission mutex so callbacks can snapshot
+  // every slot; the final read happens after the join.
   std::vector<double> busy(pool, 0.0);
 
   auto worker = [&](unsigned wi) {
     for (;;) {
-      const std::size_t idx = next.fetch_add(1, std::memory_order_relaxed);
-      if (idx >= n_runs) return;
-      const std::size_t pos = idx / n_seeds;
-      const std::size_t seed_i = idx % n_seeds;
-      const GridCellIndices ix = geom.coords(active[pos]);
+      const std::size_t claim = next.fetch_add(1, std::memory_order_relaxed);
+      if (claim >= n_runs) return;
+      const std::size_t r = order[claim];
+      const std::size_t k = run_cell[r];
+      const std::size_t gi = cell_grid[k];
+      const GridLayout& L = grids[gi];
+      const BatchGrid& g = L.g;
+      const std::size_t pos = k - L.first_cell;
+      const std::size_t seed_i = r - L.first_run - pos * L.n_seeds;
+      const GridCellIndices ix = L.geom.coords(L.active[pos]);
 
-      bool ok = true;
       std::exception_ptr run_error;
+      ExperimentResult result;
       const auto t0 = std::chrono::steady_clock::now();
       try {
         ExperimentConfig cfg = g.base;
@@ -247,51 +362,67 @@ std::vector<CellStats> BatchRunner::run(const BatchGrid& grid,
         cfg.sim.kernel.seed = cell_seed(g.seeds[seed_i], ix);
         cfg.trace.collect_stats =
             cfg.trace.collect_stats || g.collect_kernel_stats;
-        if (g.trace_path) cfg.trace.path = g.trace_path(active[pos], seed_i);
+        if (g.trace_path) cfg.trace.path = g.trace_path(L.active[pos], seed_i);
         const AttackFactory& make = g.attacks[ix.attack].make;
         const std::unique_ptr<attacks::Attack> attack = make ? make() : nullptr;
-        results[idx] = run_experiment(cfg, attack.get());
+        result = run_experiment(cfg, attack.get());
       } catch (...) {
-        ok = false;
         run_error = std::current_exception();
       }
-      const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
+      const auto t1 = std::chrono::steady_clock::now();
+      const double dt = std::chrono::duration<double>(t1 - t0).count();
 
       const std::lock_guard<std::mutex> lock(mutex);
-      // Under the lock so the per-cell callback can snapshot every slot.
-      busy[wi] += dt.count();
-      if (!ok) {
-        cell_failed[pos] = 1;
-        // Keep the first failure in work order for a deterministic report.
-        if (idx < error_index) {
-          error_index = idx;
-          error_from_callback = false;
-          error = run_error;
-        }
+      // Under the lock so the callbacks can snapshot every slot.
+      busy[wi] += dt;
+      GridRun& gr = out[gi];
+      gr.busy_seconds[wi] += dt;
+      const double start = since_start(t0);
+      if (!grid_started[gi] || start < gr.start_seconds) gr.start_seconds = start;
+      grid_started[gi] = 1;
+      gr.finish_seconds = std::max(gr.finish_seconds, since_start(t1));
+      if (run_error) {
+        cell_failed[k] = 1;
+        fail(r, nullptr, run_error);
       }
-      cell_wall[pos] += dt.count();
-      if (++runs_done[pos] < n_seeds) continue;
+      if (pending[k].empty()) pending[k].resize(L.n_seeds);
+      pending[k][seed_i] = std::move(result);
+      cell_wall[k] += dt;
+      ++runs_done[k];
 
-      // This worker completed a cell: emit every cell that is now ready,
-      // in grid order. Failed cells are skipped (the sweep rethrows after
-      // the join anyway) but still advance the cursor.
-      while (next_emit < n_active && runs_done[next_emit] == n_seeds) {
+      // Emit every cell that is now ready, in flat order. Failed cells are
+      // skipped (the pool rethrows after the join anyway) but still
+      // advance the cursor.
+      std::size_t emitted = 0;
+      while (next_emit < n_active &&
+             runs_done[next_emit] == grids[cell_grid[next_emit]].n_seeds) {
         const std::size_t emit = next_emit++;
-        if (cell_failed[emit]) continue;
+        if (cell_failed[emit]) {
+          std::vector<ExperimentResult>().swap(pending[emit]);
+          continue;
+        }
         aggregate(emit);
-        if (!on_cell) continue;
-        try {
-          const std::chrono::duration<double> elapsed =
-              std::chrono::steady_clock::now() - grid_t0;
-          on_cell({active[emit], n_cells, cell_wall[emit], geom, cells[emit],
-                   &busy, elapsed.count()});
-        } catch (...) {
-          const std::size_t first_run = emit * n_seeds;
-          if (first_run < error_index) {
-            error_index = first_run;
-            error_from_callback = true;
-            error = std::current_exception();
+        ++emitted;
+        const std::size_t egi = cell_grid[emit];
+        const GridLayout& E = grids[egi];
+        const std::size_t epos = emit - E.first_cell;
+        CellStats& cell = out[egi].cells[epos];
+        if (on_cell) {
+          try {
+            on_cell({E.active[epos], E.n_cells, cell_wall[emit], E.geom, cell,
+                     &busy, since_start(std::chrono::steady_clock::now()), egi});
+          } catch (...) {
+            fail(E.first_run + epos * E.n_seeds, "per-cell callback",
+                 std::current_exception());
           }
+        }
+        if (!keep_cells) cell = CellStats{};
+      }
+      if (on_run) {
+        try {
+          on_run({emitted, busy, since_start(std::chrono::steady_clock::now())});
+        } catch (...) {
+          fail(r, "per-run callback", std::current_exception());
         }
       }
     }
@@ -314,46 +445,11 @@ std::vector<CellStats> BatchRunner::run(const BatchGrid& grid,
     for (auto& t : threads) t.join();
   }
 
-  if (pool_metrics != nullptr) {
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - grid_t0;
-    trace::PoolMetrics pm;
-    pm.threads = pool;
-    pm.wall_seconds = wall.count();
-    pm.busy_seconds = busy;
-    pool_metrics->merge(pm);
-  }
-
   if (error) {
-    const GridCellIndices ix = geom.coords(active[error_index / n_seeds]);
-    const std::size_t seed_i = error_index % n_seeds;
-    // A callback failure happened after every run of the cell succeeded, so
-    // name the cell but not a (blameless) seed. Scenario axes are named
-    // only when actually swept — default-axis grids keep the short form.
-    std::string where =
-        std::string("BatchRunner cell [attack=") + g.attacks[ix.attack].label +
-        ", scheduler=" + sim::to_string(g.schedulers[ix.scheduler]) +
-        ", hz=" + std::to_string(g.ticks[ix.tick].v);
-    if (geom.cpus > 1) where += ", cpu_hz=" + std::to_string(g.cpu_freqs[ix.cpu].v);
-    if (geom.rams > 1)
-      where += ", ram_frames=" + std::to_string(g.ram[ix.ram].frames) +
-               ", reclaim_batch=" + std::to_string(g.ram[ix.ram].reclaim_batch);
-    if (geom.ptraces > 1)
-      where += std::string(", ptrace=") + kernel::to_string(g.ptrace_policies[ix.ptrace]);
-    if (geom.jiffies > 1)
-      where += std::string(", jiffy_timers=") + (g.jiffy_timers[ix.jiffy] ? "on" : "off");
-    if (geom.populations > 1)
-      where += ", population=" + std::to_string(g.population_sizes[ix.population]);
-    if (geom.fractions > 1)
-      where += ", attacker_fraction=" +
-               std::to_string(g.attacker_fractions[ix.fraction]);
-    if (geom.nices > 1)
-      where += ", victim_nice=" +
-               std::to_string(static_cast<int>(g.nice_levels[ix.nice].victim.v)) +
-               ", attacker_nice=" +
-               std::to_string(static_cast<int>(g.nice_levels[ix.nice].attacker.v));
-    if (!error_from_callback) where += ", seed=" + std::to_string(g.seeds[seed_i]);
-    where += error_from_callback ? "] per-cell callback" : "]";
+    const GridLayout& L = grids[cell_grid[run_cell[error_run]]];
+    const std::size_t pos = run_cell[error_run] - L.first_cell;
+    const std::size_t seed_i = error_run - L.first_run - pos * L.n_seeds;
+    const std::string where = describe_failure(L, pos, seed_i, error_callback);
     try {
       std::rethrow_exception(error);
     } catch (const std::exception& e) {
@@ -362,7 +458,9 @@ std::vector<CellStats> BatchRunner::run(const BatchGrid& grid,
       throw std::runtime_error(where + " failed with a non-std exception");
     }
   }
-  return cells;
+  if (!keep_cells)
+    for (GridRun& gr : out) std::vector<CellStats>().swap(gr.cells);
+  return out;
 }
 
 }  // namespace mtr::core

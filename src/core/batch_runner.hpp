@@ -11,11 +11,20 @@
 // thread count. Axes left empty default to the grid's `base` value and
 // change nothing: cell indices, per-cell seeds, and sink artifacts are
 // identical to a grid without the axis.
+//
+// One pool runs any number of grids: every (cell, seed) run of every grid
+// is one work item, so no grid waits at a barrier for the previous one's
+// tail. With more than one worker, runs are claimed by a deterministic
+// cost estimate — runs with an attack before baseline runs, grid order
+// otherwise — so the long runs start first; one worker claims in grid
+// order. Claim order never reaches the output: cells are still emitted in
+// grid order, grid after grid.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -298,9 +307,10 @@ struct CellStats : GridCellCoords {
 /// Fired once per completed cell. `index` counts cells in grid order and
 /// the callback observes strictly increasing indices regardless of which
 /// worker finished the cell's last run — late cells are buffered until
-/// every earlier cell has been handled. A cell whose run threw is skipped
-/// (leaving a gap in the indices); the sweep still finishes and rethrows
-/// with that cell's coordinates after the workers join. Cells excluded by
+/// every earlier cell has been handled, in this grid and in every grid
+/// before it in the pool. A cell whose run threw is skipped (leaving a gap
+/// in the indices); the pool still finishes and rethrows with that cell's
+/// coordinates after the workers join. Cells excluded by
 /// BatchGrid::cell_filter also leave gaps: `index` and `total` always
 /// describe the full grid, not the filtered subset.
 struct CellEvent {
@@ -319,12 +329,38 @@ struct CellEvent {
   const std::vector<double>* worker_busy = nullptr;
   /// Wall seconds since this runner invocation started.
   double pool_elapsed_seconds = 0.0;
+  std::size_t grid = 0;  // the cell's grid: its position in the pool
 };
 
 /// Per-cell completion hook; invoked serially (under the runner's emission
-/// lock). A throwing callback is treated like a failed run: the sweep
+/// lock). A throwing callback is treated like a failed run: the pool
 /// finishes and the exception is rethrown with the cell's coordinates.
 using CellCallback = std::function<void(const CellEvent&)>;
+
+/// Fired once per finished run, under the emission lock, after every cell
+/// the run let through has been emitted.
+struct RunEvent {
+  std::size_t cells_emitted = 0;  // cells this run's completion emitted
+  /// Per-worker busy seconds so far (one slot per pool thread).
+  const std::vector<double>& worker_busy;
+  double pool_elapsed_seconds = 0.0;  // wall seconds since the pool started
+};
+
+/// Per-run hook; a throwing callback fails the run's cell like a throwing
+/// CellCallback does.
+using RunCallback = std::function<void(const RunEvent&)>;
+
+/// One grid's share of a pool invocation.
+struct GridRun {
+  std::vector<CellStats> cells;  // the admitted cells, in grid order
+  /// Seconds after the pool started at which the grid's first run began
+  /// and its last run ended (both 0 when it ran nothing). The spans of
+  /// grids in one pool overlap.
+  double start_seconds = 0.0;
+  double finish_seconds = 0.0;
+  /// Each worker's seconds on this grid's runs (one slot per pool thread).
+  std::vector<double> busy_seconds;
+};
 
 /// Derives the kernel seed for one run: a splitmix64 mix of the grid seed
 /// with the cell coordinates, so the same grid seed decorrelates across
@@ -349,19 +385,27 @@ class BatchRunner {
 
   unsigned threads() const { return threads_; }
 
-  /// Runs the grid; returns one CellStats per axis combination
-  /// in attack-major grid order, restricted to the cells
-  /// admitted by `grid.cell_filter` (all of them when the filter is null).
-  /// `on_cell`, when set, streams each admitted cell as soon as it and all
-  /// earlier admitted cells are complete. If any experiment throws, the
-  /// first exception (in work order) is rethrown after all workers join,
-  /// wrapped in a std::runtime_error naming the failing cell's coordinates
-  /// (attack, scheduler, hz, seed).
-  /// `pool`, when non-null, accumulates thread-pool utilization for this
-  /// invocation (thread count, wall time, per-worker busy seconds).
+  /// Runs every grid through one pool and returns one GridRun per grid,
+  /// in the same order. Each GridRun holds one CellStats per admitted axis
+  /// combination in attack-major grid order (all of them when
+  /// `grid.cell_filter` is null). `on_cell`, when set, streams each
+  /// admitted cell as soon as it and every earlier admitted cell — of its
+  /// own grid and of every grid before it — are complete; grids therefore
+  /// emit in span order, so callers pass them in cell_index order.
+  /// `on_run`, when set, fires after every finished run. Without
+  /// `keep_cells`, each cell is released once `on_cell` has seen it and the
+  /// GridRuns carry timing only. If any experiment
+  /// throws, the first exception (in grid order) is rethrown after all
+  /// workers join, wrapped in a std::runtime_error naming the failing
+  /// cell's coordinates (attack, scheduler, hz, seed).
+  std::vector<GridRun> run(std::span<const BatchGrid> grids,
+                           const CellCallback& on_cell = {},
+                           const RunCallback& on_run = {},
+                           bool keep_cells = true) const;
+
+  /// One grid: the cells of run({&grid, 1}).
   std::vector<CellStats> run(const BatchGrid& grid,
-                             const CellCallback& on_cell = {},
-                             trace::PoolMetrics* pool = nullptr) const;
+                             const CellCallback& on_cell = {}) const;
 
  private:
   unsigned threads_;

@@ -84,12 +84,8 @@ void ExecutionIntegrityMonitor::on_step_begin(Cycles, Pid pid, Tgid tgid,
   }
   ThreadChain& tc = threads_[pid];
   tc.tgid = tgid;
-  crypto::Sha256 h;
-  h.update(tc.chain.bytes.data(), tc.chain.size());
-  h.update(kind_name);
-  h.update("\x1f");
-  h.update(tag);
-  tc.chain = h.finish();
+  tc.chain = crypto::sha256_parts(
+      {crypto::as_bytes(tc.chain), kind_name, "\x1f", tag});
   ++tc.steps;
 }
 

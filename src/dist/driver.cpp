@@ -1,6 +1,7 @@
 #include "dist/driver.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
@@ -8,11 +9,13 @@
 #include <memory>
 #include <sstream>
 
+#include "common/ensure.hpp"
 #include "dist/flags.hpp"
 #include "dist/metrics.hpp"
 #include "dist/records.hpp"
 #include "dist/resume.hpp"
 #include "dist/status.hpp"
+#include "report/progress.hpp"
 #include "trace/metrics.hpp"
 
 namespace mtr::dist {
@@ -273,7 +276,7 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
   };
 
   // One resume index for shared files (they span every selected sweep);
-  // out-dir files are per sweep and get their own index inside the loop.
+  // out-dir files are per sweep and get their own index in the plan pass.
   ResumeIndex shared_resume;
   if (options.resume && shared_sinks) {
     std::optional<std::uint64_t> cap;
@@ -303,175 +306,90 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
   const bool partial =
       options.dry_run || options.shard.sharded() || options.resume;
 
-  report::NullSink null_sink;
   report::ProgressReporter progress(err, options.progress && !options.dry_run);
   // --quiet keeps the begin/finish summary lines (and the resume notes
   // above, which print directly to `err`) but drops the line-per-cell
   // stream.
   if (options.quiet) progress.set_per_cell(false);
 
-  std::vector<trace::SweepMetrics> all_metrics;
-
-  for (const report::SweepSpec* spec : selected) {
-    ResumeIndex sweep_resume;
+  // Per sweep: what it resumes from, its slot in the pool, its sinks
+  // (opened when emission reaches the sweep) and its metrics fold.
+  struct SweepState {
+    ResumeIndex own_resume;  // --out-dir resume; shared files use one index
     const ResumeIndex* resume = nullptr;
-    const std::filesystem::path dir(options.out_dir);
-    const std::string dir_csv =
-        options.out_dir.empty() ? "" : (dir / (spec->name + ".csv")).string();
-    const std::string dir_jsonl =
-        options.out_dir.empty() ? "" : (dir / (spec->name + ".jsonl")).string();
+    std::string dir_csv;
+    std::string dir_jsonl;
+    report::SweepGrids grids;
+    report::MultiSink sinks;
+    trace::SweepMetrics metrics;
+  };
+  std::vector<SweepState> sweeps(selected.size());
+
+  const auto context = [&](std::size_t s, bool render) {
+    report::SweepContext ctx;
+    ctx.scale = options.scale;
+    ctx.seeds = options.seeds;
+    ctx.event_driven = options.event_driven;
+    ctx.out = options.quiet || !render ? &null_stream() : &out;
+    ctx.cell_cursor = &cell_cursor;
+    ctx.owned_cursor = &owned_cursor;
+    ctx.dry_run = options.dry_run;
+    ctx.partial = !render;
+    ctx.plan = options.dry_run ? &out : nullptr;
+    ctx.trace_dir = options.dry_run ? std::string() : options.trace_dir;
+    ctx.collect_stats = want_metrics;
+    ctx.grids = &sweeps[s].grids;
+    ctx.render = render;
+    return ctx;
+  };
+
+  // Plan pass: every body claims its cell ranges and queues its grids —
+  // and under --dry-run prints the plan, which is all a dry run does.
+  for (std::size_t s = 0; s < selected.size(); ++s) {
+    const report::SweepSpec* spec = selected[s];
+    SweepState& st = sweeps[s];
+    if (!options.out_dir.empty()) {
+      const std::filesystem::path dir(options.out_dir);
+      st.dir_csv = (dir / (spec->name + ".csv")).string();
+      st.dir_jsonl = (dir / (spec->name + ".jsonl")).string();
+    }
     if (options.resume && shared_sinks) {
-      resume = &shared_resume;
+      st.resume = &shared_resume;
     } else if (options.resume) {
       std::optional<std::uint64_t> cap;
       if (want_metrics) {
         const trace::SweepMetrics* base = base_for(spec->name);
         cap = base != nullptr ? base->cells : 0;
       }
-      sweep_resume = ResumeIndex::scan(dir_csv, dir_jsonl, options.seeds, cap);
-      if (sweep_resume.metrics_overrun())
+      st.own_resume = ResumeIndex::scan(st.dir_csv, st.dir_jsonl, options.seeds, cap);
+      if (st.own_resume.metrics_overrun())
         err << "mtr_sweep: resume: " << spec->name
             << ": metrics snapshot is ahead of the records — rerunning "
                "against a fresh fold\n";
-      if (!options.dry_run) sweep_resume.truncate_files();
-      if (sweep_resume.size() > 0)
-        err << "mtr_sweep: resume: " << spec->name << ": " << sweep_resume.size()
-            << " cell(s) already complete\n";
-      resume = &sweep_resume;
+      if (!options.dry_run) st.own_resume.truncate_files();
+      if (st.own_resume.size() > 0)
+        err << "mtr_sweep: resume: " << spec->name << ": "
+            << st.own_resume.size() << " cell(s) already complete\n";
+      st.resume = &st.own_resume;
     }
-
-    // The shared --csv/--jsonl files are opened in append mode per sweep:
-    // the first writer lays down the CSV header, later ones just extend
-    // the table. --out-dir files are per sweep and start fresh — except
-    // under --resume, where the kept prefix is appended to.
-    report::MultiSink multi;
-    if (!options.dry_run) {
-      if (!options.csv_path.empty())
-        multi.add(std::make_unique<report::CsvSink>(options.csv_path,
-                                                    report::OpenMode::kAppend));
-      if (!options.jsonl_path.empty())
-        multi.add(std::make_unique<report::JsonlSink>(options.jsonl_path,
-                                                      report::OpenMode::kAppend));
-      if (!options.out_dir.empty()) {
-        const report::OpenMode mode = options.resume
-                                          ? report::OpenMode::kAppend
-                                          : report::OpenMode::kTruncate;
-        multi.add(std::make_unique<report::CsvSink>(dir_csv, mode));
-        multi.add(std::make_unique<report::JsonlSink>(dir_jsonl, mode));
-      }
-    }
-    if (!options.dry_run && injector.active()) {
-      std::vector<std::string> fault_files;
-      if (!options.csv_path.empty()) fault_files.push_back(options.csv_path);
-      if (!options.jsonl_path.empty()) fault_files.push_back(options.jsonl_path);
-      if (!dir_csv.empty()) fault_files.push_back(dir_csv);
-      if (!dir_jsonl.empty()) fault_files.push_back(dir_jsonl);
-      injector.set_active_files(std::move(fault_files));
-      // crash-after-cell=0 tears down right here, leaving the freshly
-      // opened (possibly zero-byte) sink files for resume to classify.
-      if (spec == selected.front()) injector.on_sinks_open();
-    }
-
-    report::SweepContext ctx;
-    ctx.scale = options.scale;
-    ctx.seeds = options.seeds;
-    ctx.threads = options.threads;
-    ctx.event_driven = options.event_driven;
-    ctx.sink = multi.empty() ? static_cast<report::ResultSink*>(&null_sink) : &multi;
-    ctx.progress = &progress;
-    ctx.out = options.quiet || options.dry_run ? &null_stream() : &out;
-    ctx.cell_cursor = &cell_cursor;
-    ctx.owned_cursor = &owned_cursor;
-    ctx.dry_run = options.dry_run;
-    ctx.partial = partial;
-    ctx.plan = options.dry_run ? &out : nullptr;
-    ctx.trace_dir = options.dry_run ? std::string() : options.trace_dir;
-    trace::SweepMetrics sweep_metrics;
-    sweep_metrics.sweep = spec->name;
-    if (want_metrics && resume != nullptr && !resume->metrics_overrun()) {
+    st.metrics.sweep = spec->name;
+    if (want_metrics && st.resume != nullptr && !st.resume->metrics_overrun()) {
       // Seed the fold with the counters the snapshot already covers; the
       // gate skips exactly those cells, so each cell folds exactly once.
       if (const trace::SweepMetrics* base = base_for(spec->name))
-        sweep_metrics = *base;
-    }
-    ctx.metrics = want_metrics ? &sweep_metrics : nullptr;
-
-    // The crash-consistent metrics republish. Deliberately one cell
-    // behind: it snapshots the fold as it stood BEFORE the cell that
-    // triggered the observer, and publishes before the status heartbeat
-    // and before any injected crash fires. A kill at any instant
-    // therefore leaves on-disk coverage ≤ the clean record prefix, which
-    // is exactly what ResumeIndex::scan's metrics_cells cap assumes.
-    std::function<void(const core::CellEvent&)> metrics_observer;
-    if (want_metrics) {
-      auto published = std::make_shared<trace::SweepMetrics>(sweep_metrics);
-      metrics_observer = [path = options.metrics_path, &all_metrics, published,
-                          current = &sweep_metrics](const core::CellEvent&) {
-        std::vector<trace::SweepMetrics> snapshot = all_metrics;
-        if (published->cells > 0) snapshot.push_back(*published);
-        publish_metrics_file(path, snapshot);
-        *published = *current;
-      };
+        st.metrics = *base;
     }
 
-    std::function<void(const core::CellEvent&)> status_observer;
-    if (!options.status_file.empty() && !options.dry_run) {
-      // The observer runs after the progress fold, so done() already
-      // counts the cell that triggered it.
-      status_observer = [path = options.status_file, prog = &progress,
-                         sweep = spec->name](const core::CellEvent& ev) {
-        StatusSnapshot s;
-        s.sweep = sweep;
-        s.cells_done = prog->done();
-        s.cells_total = prog->total();
-        s.elapsed_seconds = prog->elapsed_seconds();
-        s.eta_seconds = report::eta_seconds(
-            s.elapsed_seconds, s.cells_done,
-            s.cells_total > s.cells_done ? s.cells_total - s.cells_done : 0);
-        if (ev.worker_busy != nullptr && ev.pool_elapsed_seconds > 0.0) {
-          s.worker_busy_fraction.reserve(ev.worker_busy->size());
-          for (const double b : *ev.worker_busy)
-            s.worker_busy_fraction.push_back(b / ev.pool_elapsed_seconds);
-        }
-        write_status_file(path, s);
-      };
-    }
-    if (metrics_observer || status_observer || injector.active()) {
-      // Order is the crash-consistency contract: metrics snapshot first,
-      // heartbeat second, injected crash last — a real kill can land
-      // between any two and resume still reconstructs exactly.
-      ctx.observer = [metrics_observer, status_observer,
-                      inj = &injector](const core::CellEvent& ev) {
-        if (metrics_observer) metrics_observer(ev);
-        if (status_observer) status_observer(ev);
-        inj->on_cell_complete();
-      };
-    }
-    if (options.shard.sharded() || resume != nullptr) {
-      const ShardSpec shard = options.shard;
-      ctx.gate = [shard, resume](const report::CellKey& cell) {
+    report::SweepContext ctx = context(s, /*render=*/false);
+    if (options.shard.sharded() || st.resume != nullptr) {
+      ctx.gate = [shard = options.shard,
+                  resume = st.resume](const report::CellKey& cell) {
         if (!shard.owns(cell.cell_index)) return false;
         if (resume != nullptr && resume->completed(cell)) return false;
         return true;
       };
     }
-    if (want_metrics) {
-      const trace::ScopeTimer timer(sweep_metrics.phases, "sweep");
-      spec->run(ctx);
-    } else {
-      spec->run(ctx);
-    }
-    progress.finish();
-    if (want_metrics) all_metrics.push_back(std::move(sweep_metrics));
-  }
-
-  if (want_metrics) {
-    try {
-      publish_metrics_file(options.metrics_path, all_metrics);
-    } catch (const std::exception& e) {
-      err << "mtr_sweep: " << e.what() << '\n';
-      return 1;
-    }
+    spec->run(ctx);
   }
 
   if (options.dry_run) {
@@ -482,6 +400,178 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
     else if (options.resume)
       out << "; " << owned_cursor << " left to run";
     out << '\n';
+    return 0;
+  }
+
+  // The pool's input: every queued grid, in cell_index order, and the
+  // sweep each belongs to.
+  std::vector<core::BatchGrid> grids;
+  std::vector<std::size_t> owner;
+  std::vector<const std::string*> record_sweep;
+  for (std::size_t s = 0; s < sweeps.size(); ++s) {
+    for (report::SweepGrids::Queued& q : sweeps[s].grids.queued) {
+      grids.push_back(std::move(q.grid));
+      owner.push_back(s);
+      record_sweep.push_back(&q.sweep);
+    }
+  }
+
+  // Emission walks the sweeps in order. Entering a sweep closes the last
+  // one's progress span, opens the sweep's sinks and begins its span, so
+  // every on-disk prefix is what a sweep-at-a-time run would leave. The
+  // shared --csv/--jsonl files are opened in append mode per sweep: the
+  // first writer lays down the CSV header, later ones just extend the
+  // table. --out-dir files are per sweep and start fresh — except under
+  // --resume, where the kept prefix is appended to.
+  std::size_t entered = 0;
+  // The current sweep's fold as of its previous cell; see on_cell.
+  trace::SweepMetrics published;
+  const auto enter = [&](std::size_t s) {
+    progress.finish();
+    SweepState& st = sweeps[s];
+    if (!options.csv_path.empty())
+      st.sinks.add(std::make_unique<report::CsvSink>(options.csv_path,
+                                                     report::OpenMode::kAppend));
+    if (!options.jsonl_path.empty())
+      st.sinks.add(std::make_unique<report::JsonlSink>(
+          options.jsonl_path, report::OpenMode::kAppend));
+    if (!options.out_dir.empty()) {
+      const report::OpenMode mode = options.resume ? report::OpenMode::kAppend
+                                                   : report::OpenMode::kTruncate;
+      st.sinks.add(std::make_unique<report::CsvSink>(st.dir_csv, mode));
+      st.sinks.add(std::make_unique<report::JsonlSink>(st.dir_jsonl, mode));
+    }
+    if (injector.active()) {
+      std::vector<std::string> fault_files;
+      for (const std::string& f : {options.csv_path, options.jsonl_path,
+                                   st.dir_csv, st.dir_jsonl})
+        if (!f.empty()) fault_files.push_back(f);
+      injector.set_active_files(std::move(fault_files));
+      // crash-after-cell=0 tears down right here, leaving the freshly
+      // opened (possibly zero-byte) sink files for resume to classify.
+      if (s == 0) injector.on_sinks_open();
+    }
+    if (!st.grids.progress_label.empty()) {
+      progress.begin(st.grids.progress_label, st.grids.progress_total);
+      progress.shrink_total(st.grids.progress_skipped);
+    }
+    published = st.metrics;
+  };
+  const auto reach = [&](std::size_t s) {
+    while (entered <= s) enter(entered++);
+  };
+
+  const auto write_status = [&](const std::vector<double>* busy,
+                                double pool_elapsed) {
+    StatusSnapshot snap;
+    snap.sweep = selected[entered - 1]->name;
+    snap.cells_done = progress.done();
+    snap.cells_total = progress.total();
+    snap.elapsed_seconds = progress.elapsed_seconds();
+    snap.eta_seconds = report::eta_seconds(
+        snap.elapsed_seconds, snap.cells_done,
+        snap.cells_total > snap.cells_done ? snap.cells_total - snap.cells_done
+                                           : 0);
+    if (busy != nullptr && pool_elapsed > 0.0) {
+      snap.worker_busy_fraction.reserve(busy->size());
+      for (const double b : *busy)
+        snap.worker_busy_fraction.push_back(b / pool_elapsed);
+    }
+    write_status_file(options.status_file, snap);
+  };
+
+  const auto on_cell = [&](const core::CellEvent& ev) {
+    const std::size_t s = owner[ev.grid];
+    reach(s);
+    SweepState& st = sweeps[s];
+    st.sinks.write_cell(*record_sweep[ev.grid], ev.cell);
+    if (want_metrics) {
+      trace::SweepMetrics& m = st.metrics;
+      ++m.cells;
+      m.runs += ev.cell.runs.size();
+      m.cell_wall_seconds += ev.wall_seconds;
+      m.max_cell_seconds = std::max(m.max_cell_seconds, ev.wall_seconds);
+      m.kernel.merge(ev.cell.kstats);
+      m.telemetry.merge(ev.cell.telemetry);
+      m.telemetry.cell_seconds.add(ev.wall_seconds);
+    }
+    progress.on_cell(ev);
+    // Order is the crash-consistency contract: metrics snapshot first,
+    // heartbeat second, injected crash last — a real kill can land between
+    // any two and resume still reconstructs exactly. The metrics snapshot
+    // is deliberately one cell behind: it holds the fold as it stood
+    // BEFORE this cell, so a kill at any instant leaves on-disk coverage
+    // ≤ the clean record prefix, which is exactly what ResumeIndex::scan's
+    // metrics_cells cap assumes.
+    if (want_metrics) {
+      std::vector<trace::SweepMetrics> snapshot;
+      for (std::size_t i = 0; i < s; ++i) snapshot.push_back(sweeps[i].metrics);
+      if (published.cells > 0) snapshot.push_back(published);
+      publish_metrics_file(options.metrics_path, snapshot);
+      published = st.metrics;
+    }
+    // The progress fold above already counts this cell.
+    if (!options.status_file.empty())
+      write_status(ev.worker_busy, ev.pool_elapsed_seconds);
+    injector.on_cell_complete();
+  };
+
+  // A lone worker emits each cell as soon as its last run ends, so the
+  // per-cell heartbeat is as fresh as a sweep-at-a-time run's. A wider
+  // pool can finish runs while emission waits behind an earlier cell's
+  // long run; each such run rewrites the heartbeat too (elapsed time and
+  // busy fractions; cells_done still counts emitted cells), so a
+  // supervisor never takes a busy shard for a hung one.
+  core::RunCallback on_run;
+  if (!options.status_file.empty()) {
+    on_run = [&](const core::RunEvent& ev) {
+      if (ev.cells_emitted == 0 && ev.worker_busy.size() > 1)
+        write_status(&ev.worker_busy, ev.pool_elapsed_seconds);
+    };
+  }
+
+  // A partial invocation draws nothing, so the pool keeps no cells for it
+  // and the render pass is skipped.
+  reach(0);
+  std::vector<core::GridRun> runs = core::BatchRunner(options.threads)
+                                        .run(grids, on_cell, on_run, !partial);
+  // Sweeps past the last emitted cell still get their (empty) sinks.
+  reach(selected.size() - 1);
+  progress.finish();
+  for (std::size_t gi = 0; gi < runs.size(); ++gi)
+    sweeps[owner[gi]].grids.runs.push_back(std::move(runs[gi]));
+
+  // Render pass: each body gets its cells back and draws its figure.
+  // Per-sweep pool spans overlap; the sweep phase adds the render to the
+  // span.
+  for (std::size_t s = 0; s < selected.size(); ++s) {
+    SweepState& st = sweeps[s];
+    const auto t0 = std::chrono::steady_clock::now();
+    if (!partial) {
+      selected[s]->run(context(s, /*render=*/true));
+      MTR_ENSURE_MSG(st.grids.rendered == st.grids.runs.size(),
+                     "sweep " << selected[s]->name << " rendered "
+                              << st.grids.rendered << " of its "
+                              << st.grids.runs.size() << " grid(s)");
+    }
+    const std::chrono::duration<double> render =
+        std::chrono::steady_clock::now() - t0;
+    if (!want_metrics) continue;
+    const trace::PoolMetrics pool = st.grids.pool();
+    st.metrics.pool.merge(pool);
+    st.metrics.phases.add("grid", st.grids.runs.size(), pool.wall_seconds);
+    st.metrics.phases.add("sweep", 1, pool.wall_seconds + render.count());
+  }
+
+  if (want_metrics) {
+    std::vector<trace::SweepMetrics> all_metrics;
+    for (const SweepState& st : sweeps) all_metrics.push_back(st.metrics);
+    try {
+      publish_metrics_file(options.metrics_path, all_metrics);
+    } catch (const std::exception& e) {
+      err << "mtr_sweep: " << e.what() << '\n';
+      return 1;
+    }
   }
   return 0;
 }

@@ -117,12 +117,6 @@ class ResultSink {
                           const core::CellStats& cell) = 0;
 };
 
-/// Discards everything; keeps sweep code free of null checks.
-class NullSink final : public ResultSink {
- public:
-  void write_cell(const std::string&, const core::CellStats&) override {}
-};
-
 enum class OpenMode {
   kTruncate,  // start a fresh file
   kAppend,    // append; the header is only written if the file was empty

@@ -1,40 +1,46 @@
 #include "report/sweep.hpp"
 
+#include <algorithm>
+
 #include "common/ensure.hpp"
 
 namespace mtr::report {
 
-core::CellCallback SweepContext::stream(std::string sweep_name) const {
-  MTR_ENSURE(sink != nullptr);
-  // The callback runs under the runner's emission lock, so folding into the
-  // shared metrics accumulator needs no extra synchronization.
-  return [sink = sink, progress = progress, metrics = metrics,
-          observer = observer,
-          name = std::move(sweep_name)](const core::CellEvent& ev) {
-    sink->write_cell(name, ev.cell);
-    if (metrics != nullptr) {
-      ++metrics->cells;
-      metrics->runs += ev.cell.runs.size();
-      metrics->cell_wall_seconds += ev.wall_seconds;
-      if (ev.wall_seconds > metrics->max_cell_seconds)
-        metrics->max_cell_seconds = ev.wall_seconds;
-      metrics->kernel.merge(ev.cell.kstats);
-      metrics->telemetry.merge(ev.cell.telemetry);
-      metrics->telemetry.cell_seconds.add(ev.wall_seconds);
-    }
-    if (progress) progress->on_cell(ev);
-    if (observer) observer(ev);
-  };
+trace::PoolMetrics SweepGrids::pool() const {
+  trace::PoolMetrics pm;
+  double start = 0.0;
+  double finish = 0.0;
+  bool any = false;
+  for (const core::GridRun& run : runs) {
+    // Every grid of one pool has one busy slot per worker.
+    pm.busy_seconds.resize(run.busy_seconds.size(), 0.0);
+    for (std::size_t w = 0; w < run.busy_seconds.size(); ++w)
+      pm.busy_seconds[w] += run.busy_seconds[w];
+    if (run.finish_seconds == 0.0) continue;  // the grid ran nothing
+    start = any ? std::min(start, run.start_seconds) : run.start_seconds;
+    finish = std::max(finish, run.finish_seconds);
+    any = true;
+  }
+  pm.threads = pm.busy_seconds.size();
+  pm.wall_seconds = finish - start;
+  return pm;
 }
 
 void SweepContext::begin_progress(const std::string& label,
                                   std::size_t total_cells) const {
-  if (progress) progress->begin(label, total_cells);
+  if (grids == nullptr || render) return;
+  grids->progress_label = label;
+  grids->progress_total = total_cells;
 }
 
 std::vector<core::CellStats> SweepContext::run_grid(
-    const std::string& sweep_name, core::BatchRunner& runner,
-    core::BatchGrid grid) const {
+    const std::string& sweep_name, core::BatchGrid grid) const {
+  if (grids != nullptr && render) {
+    MTR_ENSURE_MSG(grids->rendered < grids->runs.size(),
+                   "sweep " << sweep_name
+                            << " asked for more grids than its plan pass ran");
+    return std::move(grids->runs[grids->rendered++].cells);
+  }
   MTR_ENSURE_MSG(cell_cursor != nullptr,
                  "SweepContext::run_grid needs a driver-owned cell counter");
   if (event_driven) grid.base.sim.kernel.event_driven = *event_driven;
@@ -84,14 +90,13 @@ std::vector<core::CellStats> SweepContext::run_grid(
     return {};
   }
 
-  if (progress && n_owned < n_cells) progress->shrink_total(n_cells - n_owned);
   grid.cell_index_base = base;
   if (n_owned < n_cells)
     grid.cell_filter = [owned = std::move(owned)](std::size_t i) {
       return owned[i] != 0;
     };
 
-  grid.collect_kernel_stats = metrics != nullptr;
+  grid.collect_kernel_stats = collect_stats;
   if (!trace_dir.empty()) {
     // One trace per admitted cell, first replicate only: replicate 0 is the
     // canonical seed, and one ring per cell keeps the disk cost linear in
@@ -104,11 +109,14 @@ std::vector<core::CellStats> SweepContext::run_grid(
     };
   }
 
-  if (metrics != nullptr) {
-    const trace::ScopeTimer timer(metrics->phases, "grid");
-    return runner.run(grid, stream(sweep_name), &metrics->pool);
+  if (grids == nullptr) {
+    MTR_ENSURE(sink != nullptr);
+    return core::BatchRunner(threads).run(
+        grid, [&](const core::CellEvent& ev) { sink->write_cell(sweep_name, ev.cell); });
   }
-  return runner.run(grid, stream(sweep_name));
+  grids->progress_skipped += n_cells - n_owned;
+  grids->queued.push_back({sweep_name, std::move(grid)});
+  return {};
 }
 
 void SweepRegistry::add(SweepSpec spec) {

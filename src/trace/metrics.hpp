@@ -1,12 +1,10 @@
 // The metrics side of the observability layer: fixed kernel counters
 // (KernelStats, filled behind `if (stats_)` guards and summed up the
 // cell -> sweep aggregation chain), a lightweight named counter/timer
-// registry with an RAII scope timer (phase wall-clock), worker-pool
-// utilization, and the schema-versioned metrics.json writer mtr_sweep
+// registry (phase wall-clock), worker-pool utilization, and the schema-versioned metrics.json writer mtr_sweep
 // --metrics emits (and mtr_merge folds across shards).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -78,32 +76,17 @@ class MetricsRegistry {
   std::vector<MetricEntry> entries_;
 };
 
-/// RAII phase timer: adds one invocation and the elapsed wall seconds to
-/// `name` on scope exit.
-class ScopeTimer {
- public:
-  ScopeTimer(MetricsRegistry& registry, std::string_view name)
-      : registry_(registry), name_(name),
-        start_(std::chrono::steady_clock::now()) {}
-  ~ScopeTimer() {
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - start_;
-    registry_.add(name_, 1, dt.count());
-  }
-  ScopeTimer(const ScopeTimer&) = delete;
-  ScopeTimer& operator=(const ScopeTimer&) = delete;
-
- private:
-  MetricsRegistry& registry_;
-  std::string name_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// BatchRunner worker-pool utilization: per-worker busy seconds against the
-/// pool's wall time — the straggler baseline for the work-stealing tier.
+/// One sweep's share of the BatchRunner pool: per-worker busy seconds
+/// against the sweep's wall span. mtr_sweep runs every selected sweep's
+/// runs through one pool, so a sweep's `wall_seconds` is the span from its
+/// first run start to its last run finish, and `busy_seconds[w]` is worker
+/// w's time on that sweep's runs. The spans of one invocation's sweeps
+/// overlap, so they do not add up to the invocation's wall time. These are
+/// timing-class fields: they vary run to run and no artifact depends on
+/// them.
 struct PoolMetrics {
   std::uint64_t threads = 0;          // widest pool observed
-  double wall_seconds = 0.0;          // summed across runner invocations
+  double wall_seconds = 0.0;          // summed across merged invocations
   std::vector<double> busy_seconds;   // per worker slot, element-wise summed
   void merge(const PoolMetrics& o);
 };

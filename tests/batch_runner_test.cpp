@@ -1,10 +1,17 @@
 // BatchRunner coverage: grid shape/order, dimension defaulting, per-cell
-// seed derivation, error propagation, and — the load-bearing property —
-// bit-identical aggregates regardless of thread count.
+// seed derivation, error propagation, the shared pool's claim and
+// emission order, and — the load-bearing property — bit-identical
+// aggregates regardless of thread count.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "attacks/scheduling_attack.hpp"
 #include "core/batch_runner.hpp"
@@ -402,8 +409,9 @@ TEST(BatchRunner, ObservabilityCollectionLeavesAggregatesIdentical) {
   observed.collect_kernel_stats = true;
 
   const auto baseline = BatchRunner(2).run(plain);
-  trace::PoolMetrics pool;
-  const auto traced = BatchRunner(2).run(observed, {}, &pool);
+  const std::vector<GridRun> pool = BatchRunner(2).run(std::span(&observed, 1));
+  ASSERT_EQ(pool.size(), 1u);
+  const std::vector<CellStats>& traced = pool[0].cells;
 
   // Kernel counters aggregate per cell without touching the results.
   ASSERT_EQ(traced.size(), baseline.size());
@@ -415,15 +423,167 @@ TEST(BatchRunner, ObservabilityCollectionLeavesAggregatesIdentical) {
     EXPECT_EQ(baseline[i].kstats.timer_ticks, 0u);  // off by default
   }
 
-  // The pool report covers the whole grid: both workers exist, wall time
+  // The grid's timing covers its runs: both workers exist, its span
   // advanced, and no busy slot exceeds it.
-  EXPECT_EQ(pool.threads, 2u);
-  EXPECT_GT(pool.wall_seconds, 0.0);
-  ASSERT_EQ(pool.busy_seconds.size(), 2u);
-  for (const double busy : pool.busy_seconds) {
+  const double span = pool[0].finish_seconds - pool[0].start_seconds;
+  EXPECT_GE(pool[0].start_seconds, 0.0);
+  EXPECT_GT(span, 0.0);
+  ASSERT_EQ(pool[0].busy_seconds.size(), 2u);
+  for (const double busy : pool[0].busy_seconds) {
     EXPECT_GE(busy, 0.0);
-    EXPECT_LE(busy, pool.wall_seconds * 1.05);
+    EXPECT_LE(busy, span * 1.05);
   }
+}
+
+// --- one pool, many grids ---------------------------------------------------
+
+/// Blocks until `parties` threads have arrived, or throws after a bound so
+/// a schedule that can never fill it fails instead of hanging.
+class BoundedBarrier {
+ public:
+  explicit BoundedBarrier(std::size_t parties) : parties_(parties) {}
+
+  void arrive_and_wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (++arrived_ >= parties_) cv_.notify_all();
+    if (!cv_.wait_for(lock, std::chrono::seconds(5),
+                      [&] { return arrived_ >= parties_; }))
+      throw std::runtime_error("bounded wait expired");
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::size_t parties_;
+  std::size_t arrived_ = 0;
+};
+
+/// A factory that runs `hook` and then the baseline: the runner counts it
+/// as an attacked run, but the run costs what a baseline does.
+AttackFactory hooked(std::function<void()> hook) {
+  return [hook = std::move(hook)]() -> std::unique_ptr<attacks::Attack> {
+    hook();
+    return nullptr;
+  };
+}
+
+/// One seed, one cell per attack; cells numbered from `base`.
+BatchGrid grid_of(std::vector<AttackSpec> attacks, std::size_t base) {
+  BatchGrid g;
+  g.base = test::quick_experiment(workloads::WorkloadKind::kOurs);
+  g.attacks = std::move(attacks);
+  g.seeds = {7};
+  g.cell_index_base = base;
+  return g;
+}
+
+TEST(BatchRunnerPool, LaterGridsRunWithoutWaitingAtABarrier) {
+  // Grid 0's only run can finish only once grid 1's run has started. One
+  // pool over both grids lets it; a barrier after each grid would leave
+  // grid 0 waiting alone until the bound expires and its run fails.
+  BoundedBarrier both(2);
+  const std::vector<BatchGrid> grids = {
+      grid_of({{"waits", hooked([&] { both.arrive_and_wait(); })}}, 0),
+      grid_of({{"releases", hooked([&] { both.arrive_and_wait(); })}}, 1)};
+  const std::vector<GridRun> runs = BatchRunner(2).run(grids);
+  ASSERT_EQ(runs.size(), 2u);
+  ASSERT_EQ(runs[0].cells.size(), 1u);
+  ASSERT_EQ(runs[1].cells.size(), 1u);
+  EXPECT_EQ(runs[0].cells[0].cell_index, 0u);
+  EXPECT_EQ(runs[1].cells[0].cell_index, 1u);
+}
+
+TEST(BatchRunnerPool, CellsEmitInCellIndexOrderWhenLaterGridsFinishFirst) {
+  // Grid 0's run holds until both of grid 1's runs have finished, so grid
+  // 1 completes first; its cells must still wait behind grid 0's.
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t finished = 0;
+  const std::vector<BatchGrid> grids = {
+      grid_of({{"slow", hooked([&] {
+                  std::unique_lock<std::mutex> lock(mutex);
+                  if (!cv.wait_for(lock, std::chrono::seconds(5),
+                                   [&] { return finished >= 2; }))
+                    throw std::runtime_error("grid 1 never finished");
+                })}},
+              0),
+      grid_of({{"a", hooked([] {})}, {"b", hooked([] {})}}, 1)};
+
+  std::vector<std::pair<std::size_t, std::uint64_t>> emitted;  // grid, cell_index
+  std::vector<std::size_t> per_run;
+  const std::vector<GridRun> runs = BatchRunner(2).run(
+      grids,
+      [&](const CellEvent& ev) { emitted.emplace_back(ev.grid, ev.cell.cell_index); },
+      [&](const RunEvent& ev) {
+        per_run.push_back(ev.cells_emitted);
+        EXPECT_EQ(ev.worker_busy.size(), 2u);
+        const std::lock_guard<std::mutex> lock(mutex);
+        ++finished;
+        cv.notify_all();
+      });
+  using Emitted = std::pair<std::size_t, std::uint64_t>;
+  EXPECT_EQ(emitted, (std::vector<Emitted>{{0, 0}, {1, 1}, {1, 2}}));
+  // Grid 1's runs emitted nothing; grid 0's run let all three cells out.
+  EXPECT_EQ(per_run, (std::vector<std::size_t>{0, 0, 3}));
+  EXPECT_LT(runs[1].finish_seconds, runs[0].finish_seconds);
+  for (const GridRun& r : runs) EXPECT_LE(r.start_seconds, r.finish_seconds);
+}
+
+TEST(BatchRunnerPool, AttackedRunsAreClaimedFirstOnAWidePoolAndInGridOrderOnOne) {
+  for (const unsigned threads : {4u, 1u}) {
+    SCOPED_TRACE(threads);
+    // The attacked runs meet at a barrier as wide as the pool, so on four
+    // workers none can move on to a baseline run before every attacked
+    // run has been claimed. Claims are logged through trace_path, which a
+    // worker calls right after claiming a run.
+    BoundedBarrier attacked(threads);
+    std::mutex mutex;
+    std::vector<std::string> claims;
+    const auto log = [&](const char* tag) {
+      return [&, tag](std::size_t cell, std::size_t) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        claims.push_back(tag + std::to_string(cell));
+        return std::string();
+      };
+    };
+    std::vector<BatchGrid> grids = {
+        grid_of({{"b0", nullptr}, {"b1", nullptr}, {"b2", nullptr}, {"b3", nullptr}}, 0),
+        grid_of({{"a0", nullptr}}, 4)};
+    for (int i = 1; i < 4; ++i)
+      grids[1].attacks.push_back({"a" + std::to_string(i), nullptr});
+    for (AttackSpec& a : grids[1].attacks)
+      a.make = hooked([&] { attacked.arrive_and_wait(); });
+    grids[0].trace_path = log("base");
+    grids[1].trace_path = log("attack");
+
+    const std::vector<GridRun> runs = BatchRunner(threads).run(grids);
+    ASSERT_EQ(runs[1].cells.size(), 4u);
+    ASSERT_EQ(claims.size(), 8u);
+    if (threads == 1) {
+      EXPECT_EQ(claims, (std::vector<std::string>{"base0", "base1", "base2", "base3",
+                                                  "attack0", "attack1", "attack2",
+                                                  "attack3"}));
+    } else {
+      for (std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(claims[i].rfind(i < 4 ? "attack" : "base", 0), 0u) << claims[i];
+    }
+  }
+}
+
+TEST(BatchRunnerPool, DroppedCellsStillStreamButAreNotReturned) {
+  const BatchGrid g = small_grid();
+  std::size_t seen = 0;
+  const std::vector<GridRun> runs = BatchRunner(2).run(
+      std::span(&g, 1),
+      [&](const CellEvent& ev) {
+        EXPECT_EQ(ev.cell.runs.size(), g.seeds.size());
+        ++seen;
+      },
+      {}, /*keep_cells=*/false);
+  EXPECT_EQ(seen, 4u);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_TRUE(runs[0].cells.empty());
+  EXPECT_GT(runs[0].finish_seconds, 0.0);
 }
 
 }  // namespace

@@ -190,6 +190,33 @@ TEST(QuantileSketchTest, QuantileWalkCoversNegativeZeroAndPositive) {
   EXPECT_DOUBLE_EQ(s.quantile(1.0), 100.0);
 }
 
+TEST(QuantileSketchTest, CountNearTwoToTheSixtyFourKeepsItsRank) {
+  // The metrics reader rebuilds sketches from bucket counts, so a count
+  // this large is accepted input. As a double, count - 1 rounds up to
+  // 2^64, one past uint64_t's range.
+  QuantileSketch s;
+  s.load_bucket(10, UINT64_MAX - 1, /*negative=*/false);
+  s.load_bucket(20, 1, /*negative=*/false);
+  s.load_bounds(1.0, 2.0);
+  ASSERT_EQ(s.count(), UINT64_MAX);
+  const double low = s.quantile(0.0);
+  EXPECT_DOUBLE_EQ(s.quantile(0.5), low);
+  // The top rank is the single sample in the higher bucket.
+  EXPECT_GT(s.quantile(1.0), low);
+  EXPECT_LE(s.quantile(1.0), 2.0);
+
+  // Bucket counts that sum past 2^64 wrap count() itself (here to 5).
+  // The walk saturates instead of wrapping: rank 4 lands in the huge zero
+  // bucket, not past it.
+  QuantileSketch wrapped;
+  wrapped.load_bucket(10, 1, /*negative=*/true);
+  wrapped.load_zero(UINT64_MAX);
+  wrapped.load_bucket(20, 5, /*negative=*/false);
+  wrapped.load_bounds(-2.0, 2.0);
+  ASSERT_EQ(wrapped.count(), 5u);
+  EXPECT_DOUBLE_EQ(wrapped.quantile(1.0), 0.0);
+}
+
 TEST(QuantileSketchTest, RelativeErrorStaysWithinAlpha) {
   QuantileSketch s;
   std::vector<double> xs;

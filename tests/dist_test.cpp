@@ -21,12 +21,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -123,9 +126,8 @@ report::SweepRegistry counting_registry(std::atomic<int>* runs) {
                   return nullptr;
                 }});
          }
-         core::BatchRunner runner(ctx.threads);
          ctx.begin_progress("grid", 4);
-         ctx.run_grid("grid", runner, std::move(grid));
+         ctx.run_grid("grid", std::move(grid));
        }});
   return registry;
 }
@@ -148,9 +150,8 @@ report::SweepRegistry population_registry() {
               }});
          grid.population_sizes = {1, 6};
          grid.attacker_fractions = {0.0, 0.4};
-         core::BatchRunner runner(ctx.threads);
          ctx.begin_progress("pop", 4);
-         ctx.run_grid("pop", runner, std::move(grid));
+         ctx.run_grid("pop", std::move(grid));
        }});
   return registry;
 }
@@ -1202,9 +1203,8 @@ TEST(SweepDriverTest, DryRunPlanNamesOpenScenarioAxes) {
                       workloads::WorkloadKind::kOurs, ctx.scale);
                   grid.seeds = ctx.seeds;
                   grid.jiffy_timers = {true, false};
-                  core::BatchRunner runner(ctx.threads);
                   ctx.begin_progress("abl", 2);
-                  ctx.run_grid("abl", runner, std::move(grid));
+                  ctx.run_grid("abl", std::move(grid));
                 }});
   SweepOptions opts = grid_options("");
   opts.sweeps = {"abl"};
@@ -1944,6 +1944,77 @@ TEST(StatusFileTest, RendersAndPublishesAtomically) {
   std::filesystem::remove(path);
 }
 
+TEST(SweepDriverTest, HeartbeatRefreshesAfterEveryRunWhileEmissionIsHeldBack) {
+  // Cell 0's run holds until cell 4's run starts, so cells 1-3 finish while
+  // emission waits behind cell 0. Each of those runs still rewrites the
+  // heartbeat, so every probe after the first finds a newer one that counts
+  // no emitted cell yet.
+  const std::string root = temp_path("dist_heartbeat_per_run");
+  std::filesystem::remove_all(root);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool released = false;
+  std::vector<std::optional<StatusSnapshot>> probes;
+  SweepOptions opts = grid_options(root + "/out");
+  opts.sweeps = {"held"};
+  opts.seeds = {7};
+  opts.status_file = root + "/status.json";
+  const auto probe = [&] {
+    probes.push_back(std::filesystem::exists(opts.status_file)
+                         ? std::optional(read_status_file(opts.status_file))
+                         : std::nullopt);
+  };
+  const auto attack = [](std::function<void()> hook) -> core::AttackFactory {
+    return [hook = std::move(hook)]() -> std::unique_ptr<attacks::Attack> {
+      hook();
+      return nullptr;
+    };
+  };
+
+  report::SweepRegistry registry;
+  registry.add({"held", "emission held behind cell 0",
+                [&](const report::SweepContext& ctx) {
+                  core::BatchGrid grid;
+                  grid.base = test::quick_experiment(
+                      workloads::WorkloadKind::kOurs, ctx.scale);
+                  grid.seeds = ctx.seeds;
+                  grid.attacks.push_back({"slow", attack([&] {
+                    std::unique_lock<std::mutex> lock(mutex);
+                    if (!cv.wait_for(lock, std::chrono::seconds(5),
+                                     [&] { return released; }))
+                      throw std::runtime_error("never released");
+                  })});
+                  for (int i = 1; i <= 3; ++i)
+                    grid.attacks.push_back({"probe" + std::to_string(i), attack(probe)});
+                  grid.attacks.push_back({"release", attack([&] {
+                    probe();
+                    const std::lock_guard<std::mutex> lock(mutex);
+                    released = true;
+                    cv.notify_all();
+                  })});
+                  ctx.begin_progress("held", 5);
+                  ctx.run_grid("held", std::move(grid));
+                }});
+  std::ostringstream out, err;
+  ASSERT_EQ(run_sweeps(registry, opts, out, err), 0) << err.str();
+
+  // One worker sits in cell 0; the other runs cells 1-4 in order.
+  ASSERT_EQ(probes.size(), 4u);
+  EXPECT_FALSE(probes[0].has_value());  // no run had finished yet
+  for (std::size_t i = 1; i < probes.size(); ++i) {
+    ASSERT_TRUE(probes[i].has_value()) << i;
+    EXPECT_EQ(probes[i]->sweep, "held");
+    EXPECT_EQ(probes[i]->cells_done, 0u);
+    EXPECT_EQ(probes[i]->cells_total, 5u);
+    EXPECT_EQ(probes[i]->worker_busy_fraction.size(), 2u);
+    if (i > 1) {
+      EXPECT_GT(probes[i]->elapsed_seconds, probes[i - 1]->elapsed_seconds);
+    }
+  }
+  EXPECT_EQ(read_status_file(opts.status_file).cells_done, 5u);
+  std::filesystem::remove_all(root);
+}
+
 TEST(SweepDriverTest, ObservabilityPathsCreateParentDirsAndStatusTracksSweep) {
   std::atomic<int> runs{0};
   const report::SweepRegistry registry = counting_registry(&runs);
@@ -2141,6 +2212,53 @@ TEST(InspectTest, ShardFoldedMetricsCompareCleanAgainstSingleRun) {
                                  read_metrics_json(single.metrics_path));
   EXPECT_EQ(rc, 0) << cmp.str();
   EXPECT_NE(cmp.str().find("counters identical"), std::string::npos);
+  std::filesystem::remove_all(root);
+}
+
+TEST(InspectTest, EachSweepsPoolSpanCoversItsRunsWithOrWithoutKeptCells) {
+  // Two sweeps share one pool. Each reports its own span: the grid phase
+  // is the span, the sweep phase adds the render, and no worker spent
+  // longer on the sweep's runs than the span lasted — also for a shard,
+  // whose pool keeps no cells.
+  report::SweepRegistry registry;
+  for (const char* name : {"first", "second"}) {
+    registry.add({name, "two-cell grid", [name](const report::SweepContext& ctx) {
+                    core::BatchGrid grid;
+                    grid.base = test::quick_experiment(
+                        workloads::WorkloadKind::kOurs, ctx.scale);
+                    grid.seeds = ctx.seeds;
+                    grid.schedulers = {sim::SchedulerKind::kO1,
+                                       sim::SchedulerKind::kCfs};
+                    ctx.begin_progress(name, 2);
+                    ctx.run_grid(name, std::move(grid));
+                  }});
+  }
+  const std::string root = temp_path("dist_pool_spans");
+  std::filesystem::remove_all(root);
+  for (const char* shard : {"0/1", "0/2"}) {
+    SCOPED_TRACE(shard);
+    SweepOptions opts = grid_options(root + "/" + shard[0] + shard[2]);
+    opts.sweeps = {"first", "second"};
+    opts.shard = parse_shard_spec(shard);
+    opts.metrics_path = opts.out_dir + "/metrics.json";
+    std::ostringstream out, err;
+    ASSERT_EQ(run_sweeps(registry, opts, out, err), 0) << err.str();
+    const MetricsFile m = read_metrics_json(opts.metrics_path);
+    ASSERT_EQ(m.sweeps.size(), 2u);
+    for (const trace::SweepMetrics& s : m.sweeps) {
+      SCOPED_TRACE(s.sweep);
+      EXPECT_EQ(s.pool.threads, 2u);
+      EXPECT_GT(s.pool.wall_seconds, 0.0);
+      ASSERT_EQ(s.pool.busy_seconds.size(), 2u);
+      for (const double busy : s.pool.busy_seconds)
+        EXPECT_LE(busy, s.pool.wall_seconds * 1.05 + 1e-6);
+      ASSERT_EQ(s.phases.entries().size(), 2u);
+      EXPECT_EQ(s.phases.entries()[0].name, "grid");
+      EXPECT_EQ(s.phases.entries()[0].seconds, s.pool.wall_seconds);
+      EXPECT_EQ(s.phases.entries()[1].name, "sweep");
+      EXPECT_GE(s.phases.entries()[1].seconds, s.pool.wall_seconds);
+    }
+  }
   std::filesystem::remove_all(root);
 }
 

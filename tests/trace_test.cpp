@@ -168,16 +168,6 @@ TEST(MetricsRegistryTest, AddAccumulatesAndMergePreservesOrder) {
   EXPECT_EQ(r.entries()[2].name, "merge");
 }
 
-TEST(MetricsRegistryTest, ScopeTimerRecordsOneInvocation) {
-  MetricsRegistry r;
-  {
-    const ScopeTimer t(r, "phase");
-  }
-  ASSERT_EQ(r.entries().size(), 1u);
-  EXPECT_EQ(r.entries()[0].count, 1u);
-  EXPECT_GE(r.entries()[0].seconds, 0.0);
-}
-
 TEST(PoolMetricsTest, MergeMaxesThreadsSumsWallAndBusySlots) {
   PoolMetrics a;
   a.threads = 2;
