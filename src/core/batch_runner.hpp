@@ -355,7 +355,7 @@ struct GridRun {
   std::vector<CellStats> cells;  // the admitted cells, in grid order
   /// Seconds after the pool started at which the grid's first run began
   /// and its last run ended (both 0 when it ran nothing). The spans of
-  /// grids in one pool overlap.
+  /// grids in one pool may overlap.
   double start_seconds = 0.0;
   double finish_seconds = 0.0;
   /// Each worker's seconds on this grid's runs (one slot per pool thread).
@@ -394,10 +394,10 @@ class BatchRunner {
   /// emit in span order, so callers pass them in cell_index order.
   /// `on_run`, when set, fires after every finished run. Without
   /// `keep_cells`, each cell is released once `on_cell` has seen it and the
-  /// GridRuns carry timing only. If any experiment
-  /// throws, the first exception (in grid order) is rethrown after all
-  /// workers join, wrapped in a std::runtime_error naming the failing
-  /// cell's coordinates (attack, scheduler, hz, seed).
+  /// GridRuns carry timing only. If any experiment throws, the first
+  /// exception (in grid order) is rethrown after all workers join, wrapped
+  /// in a std::runtime_error naming the failing cell's coordinates (attack,
+  /// scheduler, hz, seed).
   std::vector<GridRun> run(std::span<const BatchGrid> grids,
                            const CellCallback& on_cell = {},
                            const RunCallback& on_run = {},
