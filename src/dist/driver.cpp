@@ -417,7 +417,7 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
   }
 
   // Emission walks the sweeps in order. Entering a sweep closes the last
-  // one's progress span, opens the sweep's sinks and begins its span, so
+  // one's sinks and progress span, opens its own and begins its span, so
   // every on-disk prefix is what a sweep-at-a-time run would leave. The
   // shared --csv/--jsonl files are opened in append mode per sweep: the
   // first writer lays down the CSV header, later ones just extend the
@@ -428,6 +428,7 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
   trace::SweepMetrics published;
   const auto enter = [&](std::size_t s) {
     progress.finish();
+    if (s > 0) sweeps[s - 1].sinks = report::MultiSink{};
     SweepState& st = sweeps[s];
     if (!options.csv_path.empty())
       st.sinks.add(std::make_unique<report::CsvSink>(options.csv_path,
