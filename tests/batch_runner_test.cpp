@@ -570,6 +570,41 @@ TEST(BatchRunnerPool, AttackedRunsAreClaimedFirstOnAWidePoolAndInGridOrderOnOne)
   }
 }
 
+TEST(BatchRunnerPool, AFailedRunInALaterGridKeepsEarlierCellsAndIsNamed) {
+  std::vector<std::uint64_t> emitted;
+  const std::vector<BatchGrid> grids = {
+      grid_of({{"fine", nullptr}}, 0),
+      grid_of({{"broken", hooked([] { throw std::runtime_error("factory exploded"); })}},
+              1)};
+  try {
+    BatchRunner(2).run(grids, [&](const CellEvent& ev) {
+      emitted.push_back(ev.cell.cell_index);
+    });
+    FAIL() << "expected a runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("attack=broken"), std::string::npos) << what;
+    EXPECT_NE(what.find("seed=7"), std::string::npos) << what;
+    EXPECT_NE(what.find("factory exploded"), std::string::npos) << what;
+  }
+  EXPECT_EQ(emitted, (std::vector<std::uint64_t>{0}));
+}
+
+TEST(BatchRunnerPool, AThrowingRunCallbackFailsItsCellWithoutBlamingASeed) {
+  const BatchGrid g = grid_of({{"a", nullptr}}, 0);
+  try {
+    BatchRunner(1).run(std::span(&g, 1), {}, [](const RunEvent&) {
+      throw std::runtime_error("heartbeat disk full");
+    });
+    FAIL() << "expected a runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("per-run callback"), std::string::npos) << what;
+    EXPECT_NE(what.find("heartbeat disk full"), std::string::npos) << what;
+    EXPECT_EQ(what.find("seed="), std::string::npos) << what;
+  }
+}
+
 TEST(BatchRunnerPool, DroppedCellsStillStreamButAreNotReturned) {
   const BatchGrid g = small_grid();
   std::size_t seen = 0;

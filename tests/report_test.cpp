@@ -2,7 +2,8 @@
 // survives CSV and JSONL serialization), append safety, MultiSink fan-out,
 // the shared cell-record emitter, the cell key (grid coordinates to record
 // columns, strict per-type parsing, first-difference naming), the sweep
-// registry, CSV escaping, and the progress reporter. The CLI driver moved
+// registry and the sweep context's two passes, CSV escaping, and the
+// progress reporter. The CLI driver moved
 // to src/dist and is covered by dist_test.
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <sstream>
 
 #include "common/ensure.hpp"
+#include "helpers.hpp"
 #include "report/progress.hpp"
 #include "report/result_sink.hpp"
 #include "report/sweep.hpp"
@@ -413,6 +415,88 @@ TEST(SweepRegistryTest, AddFindAndRejectDuplicates) {
   EXPECT_EQ(registry.specs().size(), 2u);
   EXPECT_THROW((registry.add({"fig04", "dup", [](const SweepContext&) {}})),
                InvariantError);
+}
+
+/// Records the (sweep, cell_index) of every cell a context streams.
+class CaptureSink final : public ResultSink {
+ public:
+  void write_cell(const std::string& sweep, const core::CellStats& cell) override {
+    cells.emplace_back(sweep, cell.cell_index);
+  }
+  std::vector<std::pair<std::string, std::uint64_t>> cells;
+};
+
+/// One seed, one cell per scheduler: two cells.
+core::BatchGrid two_cell_grid(const SweepContext& ctx) {
+  core::BatchGrid grid;
+  grid.base = test::quick_experiment(workloads::WorkloadKind::kOurs, ctx.scale);
+  grid.seeds = ctx.seeds;
+  grid.schedulers = {sim::SchedulerKind::kO1, sim::SchedulerKind::kCfs};
+  return grid;
+}
+
+TEST(SweepContextTest, WithoutAPoolSlotRunGridRunsOnTheSpot) {
+  CaptureSink sink;
+  std::size_t cursor = 3;
+  SweepContext ctx;
+  ctx.scale = 0.02;
+  ctx.seeds = {7};
+  ctx.threads = 2;
+  ctx.sink = &sink;
+  ctx.cell_cursor = &cursor;
+  const std::vector<core::CellStats> cells = ctx.run_grid("solo", two_cell_grid(ctx));
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[1].cell_index, 4u);
+  EXPECT_EQ(cursor, 5u);
+  using Streamed = std::pair<std::string, std::uint64_t>;
+  EXPECT_EQ(sink.cells, (std::vector<Streamed>{{"solo", 3}, {"solo", 4}}));
+}
+
+TEST(SweepContextTest, PlanPassQueuesGridsAndRenderPassHandsTheirCellsBack) {
+  SweepGrids slot;
+  std::size_t cursor = 0;
+  std::size_t owned = 0;
+  SweepContext plan;
+  plan.scale = 0.02;
+  plan.seeds = {7};
+  plan.cell_cursor = &cursor;
+  plan.owned_cursor = &owned;
+  plan.grids = &slot;
+  plan.gate = [](const CellKey& key) { return key.cell_index != 1; };
+  plan.begin_progress("pair", 4);
+  EXPECT_TRUE(plan.run_grid("pair", two_cell_grid(plan)).empty());
+  EXPECT_TRUE(plan.run_grid("pair", two_cell_grid(plan)).empty());
+  EXPECT_EQ(cursor, 4u);
+  EXPECT_EQ(owned, 3u);
+  ASSERT_EQ(slot.queued.size(), 2u);
+  EXPECT_EQ(slot.queued[1].sweep, "pair");
+  EXPECT_EQ(slot.queued[1].grid.cell_index_base, 2u);
+  EXPECT_EQ(slot.progress_label, "pair");
+  EXPECT_EQ(slot.progress_total, 4u);
+  EXPECT_EQ(slot.progress_skipped, 1u);
+
+  // Stand in for the driver's pool.
+  std::vector<core::BatchGrid> grids;
+  for (const SweepGrids::Queued& q : slot.queued) grids.push_back(q.grid);
+  slot.runs = core::BatchRunner(2).run(grids);
+
+  SweepContext render = plan;
+  render.render = true;
+  render.begin_progress("ignored", 99);
+  EXPECT_EQ(slot.progress_label, "pair");
+  const std::vector<core::CellStats> first = render.run_grid("pair", two_cell_grid(render));
+  ASSERT_EQ(first.size(), 1u);  // the gate refused cell 1
+  EXPECT_EQ(first[0].cell_index, 0u);
+  const std::vector<core::CellStats> second = render.run_grid("pair", two_cell_grid(render));
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(second[1].cell_index, 3u);
+  EXPECT_EQ(cursor, 4u);  // the render pass claims nothing
+  EXPECT_THROW(render.run_grid("pair", two_cell_grid(render)), InvariantError);
+
+  const trace::PoolMetrics pool = slot.pool();
+  EXPECT_EQ(pool.threads, 2u);
+  EXPECT_GT(pool.wall_seconds, 0.0);
+  EXPECT_EQ(pool.busy_seconds.size(), 2u);
 }
 
 TEST(CellRecordTest, SummaryMatchesJsonlSinkOutput) {
