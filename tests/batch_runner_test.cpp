@@ -11,6 +11,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/scheduling_attack.hpp"
@@ -542,15 +543,19 @@ TEST(BatchRunnerPool, AttackedRunsAreClaimedFirstOnAWidePoolAndInGridOrderOnOne)
     const auto log = [&](const char* tag) {
       return [&, tag](std::size_t cell, std::size_t) {
         const std::lock_guard<std::mutex> lock(mutex);
-        claims.push_back(tag + std::to_string(cell));
+        // Append, not `tag + ...`: GCC 12 -Wrestrict false-positives on
+        // the operator+ chain.
+        std::string claim = tag;
+        claim += std::to_string(cell);
+        claims.push_back(std::move(claim));
         return std::string();
       };
     };
     std::vector<BatchGrid> grids = {
         grid_of({{"b0", nullptr}, {"b1", nullptr}, {"b2", nullptr}, {"b3", nullptr}}, 0),
         grid_of({{"a0", nullptr}}, 4)};
-    for (int i = 1; i < 4; ++i)
-      grids[1].attacks.push_back({"a" + std::to_string(i), nullptr});
+    for (const char* label : {"a1", "a2", "a3"})
+      grids[1].attacks.push_back({label, nullptr});
     for (AttackSpec& a : grids[1].attacks)
       a.make = hooked([&] { attacked.arrive_and_wait(); });
     grids[0].trace_path = log("base");

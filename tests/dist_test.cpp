@@ -1984,8 +1984,8 @@ TEST(SweepDriverTest, HeartbeatRefreshesAfterEveryRunWhileEmissionIsHeldBack) {
                                      [&] { return released; }))
                       throw std::runtime_error("never released");
                   })});
-                  for (int i = 1; i <= 3; ++i)
-                    grid.attacks.push_back({"probe" + std::to_string(i), attack(probe)});
+                  for (const char* label : {"probe1", "probe2", "probe3"})
+                    grid.attacks.push_back({label, attack(probe)});
                   grid.attacks.push_back({"release", attack([&] {
                     probe();
                     const std::lock_guard<std::mutex> lock(mutex);
