@@ -447,7 +447,7 @@ class BoundedBarrier {
   void arrive_and_wait() {
     std::unique_lock<std::mutex> lock(mutex_);
     if (++arrived_ >= parties_) cv_.notify_all();
-    if (!cv_.wait_for(lock, std::chrono::seconds(5),
+    if (!cv_.wait_for(lock, std::chrono::seconds(30),
                       [&] { return arrived_ >= parties_; }))
       throw std::runtime_error("bounded wait expired");
   }
@@ -503,7 +503,7 @@ TEST(BatchRunnerPool, CellsEmitInCellIndexOrderWhenLaterGridsFinishFirst) {
   const std::vector<BatchGrid> grids = {
       grid_of({{"slow", hooked([&] {
                   std::unique_lock<std::mutex> lock(mutex);
-                  if (!cv.wait_for(lock, std::chrono::seconds(5),
+                  if (!cv.wait_for(lock, std::chrono::seconds(30),
                                    [&] { return finished >= 2; }))
                     throw std::runtime_error("grid 1 never finished");
                 })}},

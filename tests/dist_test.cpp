@@ -1980,7 +1980,7 @@ TEST(SweepDriverTest, HeartbeatRefreshesAfterEveryRunWhileEmissionIsHeldBack) {
                   grid.seeds = ctx.seeds;
                   grid.attacks.push_back({"slow", attack([&] {
                     std::unique_lock<std::mutex> lock(mutex);
-                    if (!cv.wait_for(lock, std::chrono::seconds(5),
+                    if (!cv.wait_for(lock, std::chrono::seconds(30),
                                      [&] { return released; }))
                       throw std::runtime_error("never released");
                   })});
