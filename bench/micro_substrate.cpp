@@ -7,23 +7,34 @@
 // runs one BatchRunner-equivalent cell (one run_experiment) of the
 // fig07/fig08 scheduling-attack sweeps at a fixed scale, so successive
 // commits can be compared via bench/perf_baseline.py and BENCH_sim.json.
-// BM_EngineCell_*, BM_DestroySpace_*, BM_IntegrityStep_* and
-// BM_Sha256Block_* are tracked alongside, each as a pair whose ratio CI
-// pins.
+// BM_EngineCell_*, BM_DestroySpace_*, BM_IntegrityStep_*,
+// BM_Sha256Block_* and BM_FormatF64_* are tracked alongside, each as a pair
+// whose ratio CI pins; BM_MergeJsonl is tracked on its own.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "attacks/scheduling_attack.hpp"
 #include "bench/attack_roster.hpp"
 #include "core/experiment.hpp"
 #include "core/integrity.hpp"
 #include "core/meters.hpp"
+#include "common/format.hpp"
+#include "common/rng.hpp"
 #include "crypto/md5.hpp"
 #include "crypto/sha256.hpp"
+#include "dist/merge.hpp"
 #include "kernel/cfs_scheduler.hpp"
 #include "exec/program_base.hpp"
 #include "kernel/kernel.hpp"
 #include "kernel/o1_scheduler.hpp"
 #include "mm/memory_manager.hpp"
+#include "report/result_sink.hpp"
 #include "sim/simulation.hpp"
 #include "workloads/workloads.hpp"
 
@@ -79,6 +90,111 @@ void BM_Sha256Block_native(benchmark::State& state) {
   sha256_block_bench(state, crypto::sha256_compress());
 }
 BENCHMARK(BM_Sha256Block_native)->Unit(benchmark::kMicrosecond);
+
+// --- record encoding and merging --------------------------------------------
+// The formatter pair pins the sinks' double encoding: std::to_chars
+// (mtr::append_number) must stay well ahead of the snprintf("%.17g") it
+// replaced, byte-identical output and all (common_test checks that).
+
+/// 1024 doubles shaped like record values: seconds, ratios and cycle
+/// counts across many magnitudes.
+std::vector<double> record_like_doubles() {
+  SplitMix64 rng(0xD0B1E5);
+  std::vector<double> v(1024);
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = static_cast<double>(rng.next() >> 11) * 0x1p-53 *
+           std::pow(10.0, static_cast<double>(i % 16) - 6.0);
+  return v;
+}
+
+void BM_FormatF64_printf(benchmark::State& state) {
+  const std::vector<double> values = record_like_doubles();
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    for (const double v : values) {
+      char buf[32];
+      const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
+      out.append(buf, static_cast<std::size_t>(n));
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_FormatF64_printf)->Unit(benchmark::kMicrosecond);
+
+void BM_FormatF64_native(benchmark::State& state) {
+  const std::vector<double> values = record_like_doubles();
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    for (const double v : values) append_number(out, v);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_FormatF64_native)->Unit(benchmark::kMicrosecond);
+
+/// A synthetic cell (no simulation) with 16 runs whose values and
+/// per-tenant sketches vary, aggregated the way BatchRunner does.
+core::CellStats synthetic_cell(std::uint64_t index) {
+  core::CellStats cell;
+  cell.attack_label = index % 2 ? "shell" : "baseline";
+  cell.cell_index = index;
+  SplitMix64 rng(index);
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    core::ExperimentResult r;
+    const auto draw = [&rng] {
+      return static_cast<double>(rng.next() >> 11) * 0x1p-53;
+    };
+    r.wall_seconds = 1.0 + draw();
+    r.billed_seconds = 2.0 + draw();
+    r.true_seconds = 2.0 + draw();
+    r.overcharge = r.billed_seconds / r.true_seconds;
+    r.true_cycles.user = Cycles{rng.next() >> 20};
+    for (int t = 0; t < 8; ++t) {
+      r.pop_billing_error.add(draw() - 0.5);
+      r.pop_billed_seconds.add(draw());
+      r.pop_true_seconds.add(draw());
+    }
+    cell.seeds.push_back(42 + i);
+    cell.runs.push_back(r);
+    cell.for_each_stat(
+        [&](const char*, RunningStats& stat, auto get) { stat.add(get(r)); });
+    cell.for_each_sketch(
+        [&](const char*, QuantileSketch& sketch, auto get) { sketch.merge(get(r)); });
+  }
+  return cell;
+}
+
+/// mtr_merge's JSONL path (scan, aggregate recompute, splice) over a
+/// synthetic 4-shard set of 64 cells dealt round-robin.
+void BM_MergeJsonl(benchmark::State& state) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mtr_bm_merge_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  std::vector<std::string> shards;
+  for (int s = 0; s < 4; ++s) {
+    shards.push_back((dir / ("shard" + std::to_string(s) + ".jsonl")).string());
+    report::JsonlSink sink(shards.back());
+    for (std::uint64_t c = static_cast<std::uint64_t>(s); c < 64; c += 4)
+      sink.write_cell("synthetic", synthetic_cell(c));
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string merged = dist::merge_jsonl(shards);
+    bytes = merged.size();
+    benchmark::DoNotOptimize(merged.data());
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_MergeJsonl)->Unit(benchmark::kMillisecond);
 
 /// Virtual seconds simulated per real second: boot a machine, run one
 /// Whetstone through the shell, measure wall cost per simulated run.

@@ -2,7 +2,8 @@
 """Perf-baseline pipeline for the simulator substrate.
 
 Runs the tracked BM_SweepCell_*, BM_EngineCell_*, BM_DestroySpace_*,
-BM_IntegrityStep_* and BM_Sha256Block_* benches of bench/micro_substrate with
+BM_IntegrityStep_*, BM_Sha256Block_*, BM_FormatF64_* and BM_MergeJsonl
+benches of bench/micro_substrate with
 google-benchmark's JSON reporter and either
 
   * distills the results into BENCH_sim.json at the repo root
@@ -28,7 +29,9 @@ fifth of a chained step
 (BM_IntegrityStep_all/BM_IntegrityStep_unwatched:5.0). The SHA-256 pair
 pins the compression dispatch: the compression the library chose at run
 time must never be slower than the portable reference
-(BM_Sha256Block_portable/BM_Sha256Block_native:0.9).
+(BM_Sha256Block_portable/BM_Sha256Block_native:0.9). The formatter pair pins
+the record encoder: std::to_chars must stay at least twice as fast as the
+snprintf("%.17g") it replaced (BM_FormatF64_printf/BM_FormatF64_native:2.0).
 
 Only the Python standard library is used.
 """
@@ -42,7 +45,7 @@ import subprocess
 import sys
 
 SCHEMA = 1
-DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|IntegrityStep|Sha256Block)_"
+DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|IntegrityStep|Sha256Block|FormatF64)_|BM_MergeJsonl"
 
 
 def cpu_model():

@@ -90,6 +90,12 @@ GridGeometry grid_geometry(const BatchGrid& grid) {
   return g;
 }
 
+bool cell_has_attack(const BatchGrid& grid, const GridGeometry& geom,
+                     std::size_t cell) {
+  return !grid.attacks.empty() &&
+         grid.attacks[geom.coords(cell).attack].make != nullptr;
+}
+
 std::size_t grid_cell_count(const BatchGrid& grid) {
   return grid_geometry(grid).cell_count();
 }
@@ -265,8 +271,7 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
   if (pool > 1) {
     std::stable_partition(order.begin(), order.end(), [&](std::size_t r) {
       const GridLayout& L = grids[cell_grid[run_cell[r]]];
-      const std::size_t pos = run_cell[r] - L.first_cell;
-      return L.g.attacks[L.geom.coords(L.active[pos]).attack].make != nullptr;
+      return cell_has_attack(L.g, L.geom, L.active[run_cell[r] - L.first_cell]);
     });
   }
 

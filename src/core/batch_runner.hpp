@@ -147,6 +147,13 @@ struct GridGeometry {
 
 GridGeometry grid_geometry(const BatchGrid& grid);
 
+/// True when grid-order cell `cell` of `grid` (whose geometry is `geom`)
+/// runs an attack: its attack spec has a factory. The one deterministic
+/// cost estimate — attacked cells run longer than baseline ones — behind
+/// BatchRunner's claim order and the sweep driver's shard assignment.
+bool cell_has_attack(const BatchGrid& grid, const GridGeometry& geom,
+                     std::size_t cell);
+
 /// Cells in the grid (the axis cross product; empty axes count 1).
 std::size_t grid_cell_count(const BatchGrid& grid);
 

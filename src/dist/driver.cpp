@@ -1,6 +1,7 @@
 #include "dist/driver.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -64,9 +65,12 @@ constexpr const char* kUsage =
     "                     'slice' (reference loop); default: the kernel's\n"
     "                     own setting. Either engine yields byte-identical\n"
     "                     CSV/JSONL artifacts — CI diffs the two\n"
-    "  --shard I/N        run only the cells with global index % N == I\n"
-    "                     (0-based); point each shard at its own output and\n"
-    "                     stitch them with mtr_merge\n"
+    "  --shard I/N        run shard I of N (0-based): cells are dealt\n"
+    "                     round-robin within two cost classes, attacked\n"
+    "                     and baseline, so each shard gets an even share\n"
+    "                     of both; point each shard at its own output and\n"
+    "                     stitch them with mtr_merge. All shards must come\n"
+    "                     from one build (--dry-run lists a shard's cells)\n"
     "  --resume           scan the existing output, drop any partial tail a\n"
     "                     killed run left, and skip cells already complete\n"
     "  --dry-run          print the selected sweeps, cell counts, and shard\n"
@@ -303,6 +307,7 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
   // from — the ordinal that makes shard outputs mergeable.
   std::size_t cell_cursor = 0;
   std::size_t owned_cursor = 0;
+  std::array<std::uint64_t, 2> class_cursor{};
   const bool partial =
       options.dry_run || options.shard.sharded() || options.resume;
 
@@ -333,6 +338,7 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
     ctx.out = options.quiet || !render ? &null_stream() : &out;
     ctx.cell_cursor = &cell_cursor;
     ctx.owned_cursor = &owned_cursor;
+    ctx.class_cursor = &class_cursor;
     ctx.dry_run = options.dry_run;
     ctx.partial = !render;
     ctx.plan = options.dry_run ? &out : nullptr;
@@ -382,9 +388,9 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
 
     report::SweepContext ctx = context(s, /*render=*/false);
     if (options.shard.sharded() || st.resume != nullptr) {
-      ctx.gate = [shard = options.shard,
-                  resume = st.resume](const report::CellKey& cell) {
-        if (!shard.owns(cell.cell_index)) return false;
+      ctx.gate = [shard = options.shard, resume = st.resume](
+                     const report::CellKey& cell, std::uint64_t class_position) {
+        if (!shard.owns(class_position)) return false;
         if (resume != nullptr && resume->completed(cell)) return false;
         return true;
       };

@@ -1,6 +1,7 @@
 #include "dist/fleet.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -567,46 +568,79 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
   }
 
   // Merge. Partial fleets merge with --allow-gaps semantics and leave a
-  // manifest of exactly which cells are absent and why.
+  // manifest of exactly which cells are absent and why. The sweeps' merges
+  // (and the metrics fold) are independent, so they run side by side; each
+  // buffers its messages, which print in sweep order, and the first
+  // failing job in that order is the one reported.
   const bool partial = !failed.empty();
   const std::string merged_dir =
       (fs::path(options.out_dir) / "merged").string();
   fs::create_directories(merged_dir);
-  std::vector<std::uint64_t> missing_cells;
-  for (std::uint64_t c = 0; partial && c < total_cells; ++c)
-    for (const ShardState* s : failed)
-      if (c % options.shards == s->shard) missing_cells.push_back(c);
 
-  for (const std::string& name : names) {
-    MergeOptions m;
+  struct MergeJob {
+    std::string what;  // for the failure line
+    MergeOptions options;
+    int rc = 0;
+    std::ostringstream out, err;
+    std::vector<std::uint64_t> cells;  // what the merge found
+  };
+  std::vector<MergeJob> jobs(names.size() + (options.metrics ? 1 : 0));
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    MergeJob& job = jobs[i];
+    job.what = "merge of sweep '" + names[i] + "'";
+    MergeOptions& m = job.options;
     m.allow_gaps = partial;
-    m.csv_out = merged_dir + "/" + name + ".csv";
-    m.jsonl_out = merged_dir + "/" + name + ".jsonl";
+    m.csv_out = merged_dir + "/" + names[i] + ".csv";
+    m.jsonl_out = merged_dir + "/" + names[i] + ".jsonl";
     for (const ShardState& s : states) {
       if (!s.done) continue;
-      m.csv_in.push_back(s.dir + "/" + name + ".csv");
-      m.jsonl_in.push_back(s.dir + "/" + name + ".jsonl");
-    }
-    const int rc = run_merge(m, options.quiet ? err : out, err);
-    if (rc != 0) {
-      err << "mtr_fleet: merge of sweep '" << name << "' failed (exit " << rc
-          << ")\n";
-      fill_report(false, std::move(missing_cells));
-      return 1;
+      m.csv_in.push_back(s.dir + "/" + names[i] + ".csv");
+      m.jsonl_in.push_back(s.dir + "/" + names[i] + ".jsonl");
     }
   }
   if (options.metrics) {
-    MergeOptions m;
-    m.metrics_out = merged_dir + "/metrics.json";
+    MergeJob& job = jobs.back();
+    job.what = "metrics fold";
+    job.options.metrics_out = merged_dir + "/metrics.json";
     for (const ShardState& s : states)
-      if (s.done) m.metrics_in.push_back(s.dir + "/metrics.json");
-    const int rc = run_merge(m, options.quiet ? err : out, err);
-    if (rc != 0) {
-      err << "mtr_fleet: metrics fold failed (exit " << rc << ")\n";
-      fill_report(false, std::move(missing_cells));
+      if (s.done) job.options.metrics_in.push_back(s.dir + "/metrics.json");
+  }
+  {
+    std::atomic<std::size_t> next{0};
+    const auto worker = [&] {
+      for (std::size_t j; (j = next++) < jobs.size();) {
+        MergeJob& job = jobs[j];
+        try {
+          job.rc = run_merge(job.options, job.out, job.err, &job.cells);
+        } catch (const std::exception& e) {
+          job.err << "mtr_merge: " << e.what() << '\n';
+          job.rc = 1;
+        }
+      }
+    };
+    const std::size_t width = std::min<std::size_t>(
+        std::max(1u, std::thread::hardware_concurrency()), jobs.size());
+    std::vector<std::jthread> pool;  // joined on scope exit, throw or not
+    for (std::size_t t = 1; t < width; ++t) pool.emplace_back(worker);
+    worker();
+  }
+  std::vector<char> found(total_cells, 0);
+  for (MergeJob& job : jobs) {
+    (options.quiet ? err : out) << job.out.str();
+    err << job.err.str();
+    if (job.rc != 0) {
+      err << "mtr_fleet: " << job.what << " failed (exit " << job.rc << ")\n";
+      fill_report(false, {});
       return 1;
     }
+    for (const std::uint64_t c : job.cells)
+      if (c < total_cells) found[c] = 1;
   }
+  // What is missing is exactly what no merge found: the failed shards'
+  // cells, whatever rule assigned them.
+  std::vector<std::uint64_t> missing_cells;
+  for (std::uint64_t c = 0; partial && c < total_cells; ++c)
+    if (!found[c]) missing_cells.push_back(c);
   if (partial)
     write_gap_manifest(merged_dir + "/gaps.json", options, total_cells, states,
                        missing_cells);

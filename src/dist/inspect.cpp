@@ -507,30 +507,28 @@ struct CellGap {
 
 /// The per-stat tokens are nested one-line objects; re-parse them through
 /// the strict JSON reader to pull the mean.
-double stat_mean(const std::map<std::string, std::string>& fields,
-                 const std::string& key, const std::string& where) {
-  const auto it = fields.find(key);
-  if (it == fields.end())
-    throw std::runtime_error(where + ": cell record missing '" + key + "'");
+double stat_mean(const JsonFields& fields, std::string_view key,
+                 const std::string& where) {
+  const auto token = json_token(fields, key);
+  if (!token)
+    throw std::runtime_error(where + ": cell record missing '" +
+                             std::string(key) + "'");
   try {
-    return json::get_f64(json::parse_document(it->second), "mean");
+    return json::get_f64(json::parse_document(*token), "mean");
   } catch (const std::exception& e) {
-    throw std::runtime_error(where + ": bad '" + key + "': " + e.what());
+    throw std::runtime_error(where + ": bad '" + std::string(key) + "': " +
+                             e.what());
   }
 }
 
 int run_top_cells(const InspectOptions& options, std::ostream& out) {
-  const FileScan scan = scan_jsonl(options.jsonl_path);
-  if (!scan.clean)
-    out << "note: " << scan.tail_error << " (partial tail ignored)\n";
+  // Every closed block's summary line, read as the scan passes it.
   std::vector<CellGap> cells;
-  for (const CellBlock& b : scan.blocks) {
-    if (!b.closed || b.cell_line.empty()) continue;
-    std::map<std::string, std::string> f;
+  JsonlVisitor visitor;
+  visitor.on_cell = [&](const CellBlock& b, std::uint64_t, std::string_view,
+                        const JsonFields& f) {
     const std::string where =
         options.jsonl_path + " cell " + std::to_string(b.key.cell_index);
-    if (!parse_json_line(b.cell_line, f))
-      throw std::runtime_error(where + ": unparseable cell record");
     CellGap c;
     c.key = b.key;
     c.billed = stat_mean(f, "billed_seconds", where);
@@ -538,7 +536,10 @@ int run_top_cells(const InspectOptions& options, std::ostream& out) {
     c.overcharge = stat_mean(f, "overcharge", where);
     c.gap = c.billed - c.true_s;
     cells.push_back(std::move(c));
-  }
+  };
+  const FileScan scan = scan_jsonl_records(options.jsonl_path, visitor);
+  if (!scan.clean)
+    out << "note: " << scan.tail_error << " (partial tail ignored)\n";
   std::sort(cells.begin(), cells.end(), [](const CellGap& a, const CellGap& b) {
     if (a.gap != b.gap) return a.gap > b.gap;
     if (a.key.sweep != b.key.sweep) return a.key.sweep < b.key.sweep;

@@ -1,5 +1,6 @@
 #include "dist/merge.hpp"
 
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -48,27 +49,128 @@ constexpr const char* kUsage =
     "3 cell-index gap or duplicate cell (incomplete or overlapping shard\n"
     "set; each file itself may be intact).\n";
 
-/// "path:line" of a block's `i`-th run record (run lines are contiguous).
-std::string run_line_at(const std::string& path, const CellBlock& b,
-                        std::size_t i) {
-  return path + ":" + std::to_string(b.first_line + i);
-}
+/// Rebuilds each block's `record:"cell"` line from its run records while
+/// scan_jsonl_records reads them — exactly the way JsonlSink computes it,
+/// from the scan's own parse of each run line — and keeps, per cell whose
+/// recorded summary disagrees or whose runs lack a field, the first
+/// failure.
+class AggregateCheck {
+ public:
+  explicit AggregateCheck(const std::string& path) : path_(path) {
+    for (const std::string& key : cell_stat_keys())
+      summary_.stats.push_back({key, {}});
+    for (const auto& cols : cell_sketch_columns())
+      summary_.sketches.emplace_back(cols.first, QuantileSketch{});
+  }
 
-/// Every input's blocks in one cell_index -> (block, source) map.
-using GatheredBlocks = std::map<std::uint64_t, std::pair<CellBlock, std::string>>;
+  JsonlVisitor visitor() {
+    return {[this](const CellBlock& b, std::uint64_t line_no,
+                   const JsonFields& f) { on_run(b, line_no, f); },
+            [this](const CellBlock& b, std::uint64_t line_no,
+                   std::string_view line, const JsonFields&) {
+              on_cell(b, line_no, line);
+            }};
+  }
 
-/// Collects every input's blocks, rejecting incomplete shards, empty
-/// inputs, duplicates, gaps, and records of another schema version.
+  /// cell_index -> why its block failed the check.
+  std::map<std::uint64_t, std::string> failures;
+
+ private:
+  void on_run(const CellBlock& b, std::uint64_t line_no, const JsonFields& f) {
+    if (b.seeds.size() == 1) start_block();
+    if (!error_.empty()) return;
+    const auto missing = [&](std::string_view field) {
+      error_ = path_ + ":" + std::to_string(line_no) + ": run record of " +
+               describe(b.key) + " is missing or has an invalid field '" +
+               std::string(field) + "'";
+    };
+    const auto workload = json_string(f, "workload");
+    const auto source_ok = json_bool(f, "source_ok");
+    if (!workload || !source_ok)
+      return missing(!workload ? "workload" : "source_ok");
+    summary_.workload = *workload;  // constant within a cell
+    summary_.source_ok = summary_.source_ok && *source_ok;
+    for (report::CellStatSummary& st : summary_.stats) {
+      const auto v = json_double(f, st.key);
+      if (!v) return missing(st.key);
+      st.stats.add(*v);
+    }
+    // Run records carry the per-run sketches verbatim; merging them is
+    // exact (bucket counts sum), so the recomputed cell quantiles come out
+    // byte-identical to the single-process run.
+    const auto& columns = cell_sketch_columns();
+    for (std::size_t k = 0; k < columns.size(); ++k) {
+      const auto token = json_string(f, columns[k].second);
+      const auto sketch = token ? report::decode_sketch(*token) : std::nullopt;
+      if (!sketch) return missing(columns[k].second);
+      summary_.sketches[k].second.merge(*sketch);
+    }
+  }
+
+  void on_cell(const CellBlock& b, std::uint64_t line_no,
+               std::string_view line) {
+    if (error_.empty()) {
+      summary_.key = b.key;
+      summary_.seeds = b.seeds.size();
+      line_.clear();
+      report::append_cell_record(line_, summary_);
+      // A mismatch means the file was corrupted or hand-edited. (line_
+      // ends in the newline `line` was read without.)
+      if (std::string_view(line_).substr(0, line_.size() - 1) != line)
+        error_ = path_ + ":" + std::to_string(line_no) +
+                 ": recomputed aggregate for " + describe(b.key) +
+                 " does not match the recorded summary (run records at "
+                 "lines " +
+                 std::to_string(b.first_line) + "-" +
+                 std::to_string(line_no - 1) + ") — corrupt shard output?";
+    }
+    if (!error_.empty()) failures.emplace(b.key.cell_index, std::move(error_));
+  }
+
+  void start_block() {
+    error_.clear();
+    summary_.source_ok = true;
+    for (report::CellStatSummary& st : summary_.stats) st.stats = RunningStats{};
+    for (auto& sketch : summary_.sketches) sketch.second = QuantileSketch{};
+  }
+
+  const std::string& path_;
+  report::CellSummary summary_;
+  std::string error_;  // the open block's first failure
+  std::string line_;   // reused recompute buffer
+};
+
+/// A validated shard set: every cell's block in cell-index order, ready to
+/// be spliced into the merged file.
+struct MergePlan {
+  bool jsonl = false;
+  std::vector<std::string> inputs;
+  struct Cell {
+    std::uint64_t index = 0;
+    std::size_t input = 0;  // into `inputs`
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+  };
+  std::vector<Cell> cells;
+  std::vector<std::uint64_t> missing;  // gaps, with allow_gaps
+};
+
+/// Scans every input, rejecting incomplete shards, empty inputs,
+/// duplicates, gaps, records of another schema version and (JSONL) cells
+/// whose recomputed aggregate disagrees with the recorded one.
 /// `allow_gaps` turns gaps (and an all-empty input set) into entries in
-/// `missing_out` instead of errors — the partial-fleet merge path.
-GatheredBlocks gather_blocks(const std::vector<std::string>& inputs,
-                             bool jsonl, bool allow_gaps = false,
-                             std::vector<std::uint64_t>* missing_out = nullptr) {
-  GatheredBlocks cells;
-  for (const std::string& path : inputs) {
+/// `missing` instead of errors — the partial-fleet merge path.
+MergePlan plan_merge(const std::vector<std::string>& inputs, bool jsonl,
+                     bool allow_gaps) {
+  // cell_index -> (block, input)
+  std::map<std::uint64_t, std::pair<CellBlock, std::size_t>> cells;
+  std::map<std::uint64_t, std::string> corrupt;
+  for (std::size_t in = 0; in < inputs.size(); ++in) {
+    const std::string& path = inputs[in];
     FileScan scan;
+    AggregateCheck check(path);
     try {
-      scan = jsonl ? scan_jsonl(path) : scan_csv(path);
+      scan = jsonl ? scan_jsonl_records(path, check.visitor()) : scan_csv(path);
     } catch (const SchemaError& e) {
       throw MergeError(MergeFault::kCorrupt, e.what());
     }
@@ -78,22 +180,27 @@ GatheredBlocks gather_blocks(const std::vector<std::string>& inputs,
           scan.tail_error +
               " — the shard looks killed mid-write; finish it with --resume "
               "(or re-run it) before merging");
+    corrupt.merge(check.failures);
     // A blockless file is fine: a shard can own zero cells of a small
     // sweep and still leave its (empty) output behind.
     for (CellBlock& b : scan.blocks) {
       const auto [it, inserted] =
-          cells.emplace(b.key.cell_index, std::make_pair(std::move(b), path));
+          cells.emplace(b.key.cell_index, std::make_pair(std::move(b), in));
       if (!inserted) {
         const CellBlock& first = it->second.first;
         throw MergeError(MergeFault::kGapOrDuplicate,
                          "duplicate " + describe(first.key) + " in " +
-                             it->second.second + " and " + path +
-                             " — overlapping shards?");
+                             inputs[it->second.second] + " and " + path +
+                             " — overlapping shards (or shards written by "
+                             "builds that assign cells differently)?");
       }
     }
   }
+  MergePlan plan;
+  plan.jsonl = jsonl;
+  plan.inputs = inputs;
   if (cells.empty()) {
-    if (allow_gaps) return cells;  // every surviving shard owned zero cells
+    if (allow_gaps) return plan;  // every surviving shard owned zero cells
     throw MergeError(MergeFault::kCorrupt,
                      "no complete cells to merge in any input");
   }
@@ -115,104 +222,78 @@ GatheredBlocks gather_blocks(const std::vector<std::string>& inputs,
       if (reference == nullptr ||
           entry.first.seeds.size() > reference->seeds.size())
         reference = &entry.first;
-  if (reference != nullptr) {
-    for (const auto& [index, entry] : cells)
-      if (entry.first.seeds.size() != reference->seeds.size())
-        throw MergeError(
-            MergeFault::kCorrupt,
-            entry.second + ": " + describe(entry.first.key) + " has " +
-                std::to_string(entry.first.seeds.size()) +
-                " run record(s) but " + describe(reference->key) + " has " +
-                std::to_string(reference->seeds.size()) +
-                " — incomplete shard output? finish it with --resume before "
-                "merging");
-  }
+  for (const auto& [index, entry] : cells)
+    if (entry.first.seeds.size() != reference->seeds.size())
+      throw MergeError(
+          MergeFault::kCorrupt,
+          inputs[entry.second] + ": " + describe(entry.first.key) + " has " +
+              std::to_string(entry.first.seeds.size()) +
+              " run record(s) but " + describe(reference->key) + " has " +
+              std::to_string(reference->seeds.size()) +
+              " — incomplete shard output? finish it with --resume before "
+              "merging");
 
   // Contiguity over [min, max]: a missing index means a shard was left out.
-  {
-    std::vector<std::uint64_t> missing;
-    std::uint64_t expect = cells.begin()->first;
-    for (const auto& [index, block] : cells) {
-      while (expect < index) missing.push_back(expect++);
-      expect = index + 1;
-    }
-    if (!missing.empty()) {
-      if (allow_gaps) {
-        if (missing_out != nullptr)
-          missing_out->insert(missing_out->end(), missing.begin(),
-                              missing.end());
-      } else {
-        std::string list;
-        for (std::size_t i = 0; i < missing.size() && i < 10; ++i)
-          list += (i ? ", " : "") + std::to_string(missing[i]);
-        if (missing.size() > 10) list += ", ...";
-        throw MergeError(MergeFault::kGapOrDuplicate,
-                         "cell index gap — missing cell(s) " + list +
-                             " — was a shard's output left out of the merge?");
-      }
-    }
+  std::uint64_t expect = cells.begin()->first;
+  for (const auto& [index, block] : cells) {
+    while (expect < index) plan.missing.push_back(expect++);
+    expect = index + 1;
   }
-  return cells;
+  if (!plan.missing.empty() && !allow_gaps) {
+    std::string list;
+    for (std::size_t i = 0; i < plan.missing.size() && i < 10; ++i)
+      list += (i ? ", " : "") + std::to_string(plan.missing[i]);
+    if (plan.missing.size() > 10) list += ", ...";
+    throw MergeError(MergeFault::kGapOrDuplicate,
+                     "cell index gap — missing cell(s) " + list +
+                         " — was a shard's output left out of the merge?");
+  }
+
+  // The first cell, in merge order, whose aggregate failed its recompute.
+  if (!corrupt.empty())
+    throw MergeError(MergeFault::kCorrupt, corrupt.begin()->second);
+
+  plan.cells.reserve(cells.size());
+  for (const auto& [index, entry] : cells)
+    plan.cells.push_back(
+        {index, entry.second, entry.first.begin_offset, entry.first.end_offset});
+  return plan;
 }
 
-/// Rebuilds the `record:"cell"` aggregate line from the block's run
-/// records, exactly the way JsonlSink computes it.
-std::string recompute_cell_line(const CellBlock& b, const std::string& path) {
-  report::CellSummary s;
-  s.key = b.key;
-  s.seeds = b.run_lines.size();
-  for (const std::string& key : cell_stat_keys()) s.stats.push_back({key, {}});
-  for (const auto& cols : cell_sketch_columns())
-    s.sketches.emplace_back(cols.first, QuantileSketch{});
-
-  for (std::size_t i = 0; i < b.run_lines.size(); ++i) {
-    const std::string& line = b.run_lines[i];
-    std::map<std::string, std::string> f;
-    if (!parse_json_line(line, f))
+/// Writes the merged file: the canonical CSV header (CSV only), then every
+/// block's bytes, copied verbatim from its input in cell-index order. The
+/// scan validated each byte range, so the copy is the whole output.
+void splice(const MergePlan& plan, std::ostream& out) {
+  if (!plan.jsonl) report::write_csv_header(out);
+  std::vector<std::ifstream> files(plan.inputs.size());
+  std::vector<char> buf;
+  for (const MergePlan::Cell& c : plan.cells) {
+    std::ifstream& in = files[c.input];
+    if (!in.is_open()) in.open(plan.inputs[c.input], std::ios::binary);
+    buf.resize(c.end - c.begin);
+    in.seekg(static_cast<std::streamoff>(c.begin));
+    in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
+    if (!in)
       throw MergeError(MergeFault::kCorrupt,
-                       run_line_at(path, b, i) + ": unparseable run record in " +
-                           describe(b.key));
-    const auto workload = json_string(f, "workload");
-    const auto source_ok = json_bool(f, "source_ok");
-    if (!workload || !source_ok)
-      throw MergeError(MergeFault::kCorrupt,
-                       run_line_at(path, b, i) + ": run record of " +
-                           describe(b.key) +
-                           " is missing or has an invalid field '" +
-                           (!workload ? "workload" : "source_ok") + "'");
-    s.workload = *workload;  // constant within a cell
-    s.source_ok = s.source_ok && *source_ok;
-    for (report::CellStatSummary& st : s.stats) {
-      const auto v = json_double(f, st.key);
-      if (!v)
-        throw MergeError(MergeFault::kCorrupt,
-                         run_line_at(path, b, i) + ": run record of " +
-                             describe(b.key) +
-                             " is missing or has an invalid field '" + st.key +
-                             "'");
-      st.stats.add(*v);
-    }
-    // Run records carry the per-run sketches verbatim; merging them is
-    // exact (bucket counts sum), so the recomputed cell quantiles come out
-    // byte-identical to the single-process run.
-    const auto& columns = cell_sketch_columns();
-    for (std::size_t k = 0; k < columns.size(); ++k) {
-      const std::string& run_key = columns[k].second;
-      const auto token = json_string(f, run_key);
-      const auto sketch = token ? report::decode_sketch(*token) : std::nullopt;
-      if (!sketch)
-        throw MergeError(MergeFault::kCorrupt,
-                         run_line_at(path, b, i) + ": run record of " +
-                             describe(b.key) +
-                             " is missing or has an invalid field '" + run_key +
-                             "'");
-      s.sketches[k].second.merge(*sketch);
-    }
+                       plan.inputs[c.input] + ": cell " +
+                           std::to_string(c.index) +
+                           " changed or vanished while merging");
+    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
   }
+}
 
+std::string merge_to_string(const std::vector<std::string>& inputs, bool jsonl,
+                            std::vector<std::uint64_t>* cell_indices,
+                            bool allow_gaps,
+                            std::vector<std::uint64_t>* missing) {
+  const MergePlan plan = plan_merge(inputs, jsonl, allow_gaps);
   std::ostringstream os;
-  report::write_cell_record(os, s);
-  return os.str();
+  splice(plan, os);
+  for (const MergePlan::Cell& c : plan.cells)
+    if (cell_indices) cell_indices->push_back(c.index);
+  if (missing)
+    missing->insert(missing->end(), plan.missing.begin(), plan.missing.end());
+  return std::move(os).str();
 }
 
 }  // namespace
@@ -241,48 +322,19 @@ MergeOptions parse_merge_args(int argc, const char* const* argv) {
 std::string merge_jsonl(const std::vector<std::string>& inputs,
                         std::vector<std::uint64_t>* cell_indices,
                         bool allow_gaps, std::vector<std::uint64_t>* missing) {
-  const GatheredBlocks cells =
-      gather_blocks(inputs, /*jsonl=*/true, allow_gaps, missing);
-  std::string out;
-  for (const auto& [index, entry] : cells) {
-    const CellBlock& b = entry.first;
-    for (const std::string& line : b.run_lines) {
-      out += line;
-      out += '\n';
-    }
-    // Recompute the aggregate from the run records; a mismatch against
-    // what the shard wrote means the file was corrupted or hand-edited.
-    const std::string cell_line = recompute_cell_line(b, entry.second);
-    if (cell_line != b.cell_line + "\n")
-      throw MergeError(
-          MergeFault::kCorrupt,
-          entry.second + ": recomputed aggregate for " + describe(b.key) +
-              " does not match the recorded summary — corrupt shard output?");
-    out += cell_line;
-    if (cell_indices) cell_indices->push_back(index);
-  }
-  return out;
+  return merge_to_string(inputs, /*jsonl=*/true, cell_indices, allow_gaps,
+                         missing);
 }
 
 std::string merge_csv(const std::vector<std::string>& inputs,
                       std::vector<std::uint64_t>* cell_indices,
                       bool allow_gaps, std::vector<std::uint64_t>* missing) {
-  const GatheredBlocks cells =
-      gather_blocks(inputs, /*jsonl=*/false, allow_gaps, missing);
-  std::ostringstream os;
-  report::write_csv_header(os);
-  std::string out = os.str();
-  for (const auto& [index, entry] : cells) {
-    for (const std::string& line : entry.first.run_lines) {
-      out += line;
-      out += '\n';
-    }
-    if (cell_indices) cell_indices->push_back(index);
-  }
-  return out;
+  return merge_to_string(inputs, /*jsonl=*/false, cell_indices, allow_gaps,
+                         missing);
 }
 
-int run_merge(const MergeOptions& o, std::ostream& out, std::ostream& err) {
+int run_merge(const MergeOptions& o, std::ostream& out, std::ostream& err,
+              std::vector<std::uint64_t>* merged_cells) {
   if (o.help) {
     out << kUsage;
     return 0;
@@ -311,32 +363,42 @@ int run_merge(const MergeOptions& o, std::ostream& out, std::ostream& err) {
     return usage_error(".json inputs given but no --metrics output");
 
   try {
-    std::vector<std::uint64_t> csv_cells, jsonl_cells;
-    std::vector<std::uint64_t> csv_missing, jsonl_missing;
-    std::string csv_bytes, jsonl_bytes;
-    if (!o.csv_out.empty())
-      csv_bytes = merge_csv(o.csv_in, &csv_cells, o.allow_gaps, &csv_missing);
-    if (!o.jsonl_out.empty())
-      jsonl_bytes =
-          merge_jsonl(o.jsonl_in, &jsonl_cells, o.allow_gaps, &jsonl_missing);
+    // Plan (scan and validate) both formats before writing either.
+    MergePlan csv, jsonl;
+    if (!o.csv_out.empty()) csv = plan_merge(o.csv_in, false, o.allow_gaps);
+    if (!o.jsonl_out.empty()) jsonl = plan_merge(o.jsonl_in, true, o.allow_gaps);
+    const auto indices = [](const MergePlan& plan) {
+      std::vector<std::uint64_t> v;
+      v.reserve(plan.cells.size());
+      for (const MergePlan::Cell& c : plan.cells) v.push_back(c.index);
+      return v;
+    };
+    const std::vector<std::uint64_t> csv_cells = indices(csv);
+    const std::vector<std::uint64_t> jsonl_cells = indices(jsonl);
     if (!o.csv_out.empty() && !o.jsonl_out.empty() && csv_cells != jsonl_cells)
       throw MergeError(
           MergeFault::kCorrupt,
           "the .csv and .jsonl shard sets cover different cells — are they "
           "from the same sweep invocation?");
+    if (merged_cells != nullptr)
+      *merged_cells = !o.csv_out.empty() ? csv_cells : jsonl_cells;
 
+    const auto publish = [](const std::string& path, const MergePlan& plan) {
+      publish_file(path, [&plan](std::ostream& os) { splice(plan, os); },
+                   "output");
+    };
     if (!o.csv_out.empty()) {
-      publish_file(o.csv_out, csv_bytes, "output");
+      publish(o.csv_out, csv);
       out << "mtr_merge: " << csv_cells.size() << " cell(s) from "
           << o.csv_in.size() << " shard file(s) -> " << o.csv_out << '\n';
     }
     if (!o.jsonl_out.empty()) {
-      publish_file(o.jsonl_out, jsonl_bytes, "output");
+      publish(o.jsonl_out, jsonl);
       out << "mtr_merge: " << jsonl_cells.size() << " cell(s) from "
           << o.jsonl_in.size() << " shard file(s) -> " << o.jsonl_out << '\n';
     }
     const std::vector<std::uint64_t>& missing =
-        !o.csv_out.empty() ? csv_missing : jsonl_missing;
+        !o.csv_out.empty() ? csv.missing : jsonl.missing;
     if (!missing.empty()) {
       err << "mtr_merge: " << missing.size()
           << " cell(s) missing (merged with --allow-gaps):";

@@ -3,8 +3,10 @@
 // versions, incomplete shard tails, duplicate or conflicting cells, gaps
 // in the cell-index space — and JSONL `record:"cell"` aggregates are
 // recomputed from the shard's run records (and cross-checked against what
-// the shard wrote), so the merged files are byte-identical to a
-// single-process run of the same grid.
+// the shard wrote) in the same pass that scans them. A validated block's
+// bytes are then copied verbatim, so the merged files are byte-identical
+// to a single-process run of the same grid, and the merge holds memory per
+// cell, not per byte.
 #pragma once
 
 #include <cstdint>
@@ -61,12 +63,15 @@ std::string merge_csv(const std::vector<std::string>& inputs,
                       bool allow_gaps = false,
                       std::vector<std::uint64_t>* missing = nullptr);
 
-/// Runs a full merge: validates the option combination, merges each
-/// configured format, cross-checks them, and writes the outputs (creating
-/// parent directories). Returns a process exit code (0 ok, 1 output write
-/// failure, 2 usage error or corrupt input, 3 gap/duplicate — see
-/// MergeFault).
-int run_merge(const MergeOptions& options, std::ostream& out, std::ostream& err);
+/// Runs a full merge: validates the option combination, scans and
+/// validates each configured format, cross-checks them, and only then
+/// writes the outputs (creating parent directories): each validated block
+/// is copied byte for byte into OUT.tmp, which is renamed into place.
+/// `merged_cells`, when non-null, receives the merged cell indices. Returns
+/// a process exit code (0 ok, 1 output write failure, 2 usage error or
+/// corrupt input, 3 gap/duplicate — see MergeFault).
+int run_merge(const MergeOptions& options, std::ostream& out, std::ostream& err,
+              std::vector<std::uint64_t>* merged_cells = nullptr);
 
 /// The whole CLI: parse + run + error reporting. `main` forwards here.
 int merge_main(int argc, const char* const* argv);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
 
@@ -14,7 +15,7 @@ namespace {
 /// Index past the closing quote of the string starting at `from` (which
 /// must point at the opening quote), honouring backslash escapes; npos when
 /// the string never closes (truncated line).
-std::size_t skip_json_string(const std::string& line, std::size_t from) {
+std::size_t skip_json_string(std::string_view line, std::size_t from) {
   for (std::size_t j = from + 1; j < line.size(); ++j) {
     if (line[j] == '\\') {
       ++j;
@@ -22,7 +23,7 @@ std::size_t skip_json_string(const std::string& line, std::size_t from) {
       return j + 1;
     }
   }
-  return std::string::npos;
+  return std::string_view::npos;
 }
 
 std::string json_unescape(std::string_view token) {
@@ -53,16 +54,15 @@ std::string json_unescape(std::string_view token) {
 }
 
 /// The string a quoted JSON token spells; nullopt when it is not quoted.
-std::optional<std::string> json_unquote(const std::string& token) {
+std::optional<std::string> json_unquote(std::string_view token) {
   if (token.size() < 2 || token.front() != '"' || token.back() != '"')
     return std::nullopt;
-  return json_unescape(std::string_view(token).substr(1, token.size() - 2));
+  return json_unescape(token.substr(1, token.size() - 2));
 }
 
 }  // namespace
 
-bool parse_json_line(const std::string& line,
-                     std::map<std::string, std::string>& out) {
+bool tokenize_json_line(std::string_view line, JsonFields& out) {
   out.clear();
   if (line.empty() || line.front() != '{') return false;
   std::size_t i = 1;
@@ -70,15 +70,15 @@ bool parse_json_line(const std::string& line,
   for (;;) {
     if (i >= line.size() || line[i] != '"') return false;
     const std::size_t key_end = skip_json_string(line, i);
-    if (key_end == std::string::npos) return false;
-    const std::string key = line.substr(i + 1, key_end - i - 2);
+    if (key_end == std::string_view::npos) return false;
+    const std::string_view key = line.substr(i + 1, key_end - i - 2);
     i = key_end;
     if (i >= line.size() || line[i] != ':') return false;
     ++i;
     const std::size_t val_start = i;
     if (i < line.size() && line[i] == '"') {
       i = skip_json_string(line, i);
-      if (i == std::string::npos) return false;
+      if (i == std::string_view::npos) return false;
     } else if (i < line.size() && line[i] == '{') {
       // One level of nesting (the per-stat {...} objects), strings inside
       // respected.
@@ -87,7 +87,7 @@ bool parse_json_line(const std::string& line,
       while (i < line.size() && depth > 0) {
         if (line[i] == '"') {
           i = skip_json_string(line, i);
-          if (i == std::string::npos) return false;
+          if (i == std::string_view::npos) return false;
         } else {
           if (line[i] == '{') ++depth;
           if (line[i] == '}') --depth;
@@ -99,7 +99,7 @@ bool parse_json_line(const std::string& line,
       while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
       if (i == val_start) return false;
     }
-    out[key] = line.substr(val_start, i - val_start);
+    out.push_back({key, line.substr(val_start, i - val_start)});
     if (i >= line.size()) return false;
     if (line[i] == '}') return i + 1 == line.size();
     if (line[i] != ',') return false;
@@ -107,33 +107,49 @@ bool parse_json_line(const std::string& line,
   }
 }
 
-std::optional<std::string> json_string(
-    const std::map<std::string, std::string>& fields, const std::string& key) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return std::nullopt;
-  return json_unquote(it->second);
+std::optional<std::string_view> json_token(const JsonFields& fields,
+                                           std::string_view key) {
+  for (auto it = fields.rbegin(); it != fields.rend(); ++it)
+    if (it->key == key) return it->token;
+  return std::nullopt;
 }
 
-std::optional<std::uint64_t> json_u64(
-    const std::map<std::string, std::string>& fields, const std::string& key) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return std::nullopt;
-  return parse_u64(it->second);
+bool parse_json_line(const std::string& line,
+                     std::map<std::string, std::string>& out) {
+  thread_local JsonFields fields;  // reused: no per-line vector growth
+  const bool ok = tokenize_json_line(line, fields);
+  out.clear();
+  for (const JsonField& f : fields)
+    out.insert_or_assign(std::string(f.key), std::string(f.token));
+  return ok;
 }
 
-std::optional<double> json_double(
-    const std::map<std::string, std::string>& fields, const std::string& key) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return std::nullopt;
-  return parse_f64(it->second);
+std::optional<std::string> json_string(const JsonFields& fields,
+                                       std::string_view key) {
+  const auto token = json_token(fields, key);
+  if (!token) return std::nullopt;
+  return json_unquote(*token);
 }
 
-std::optional<bool> json_bool(const std::map<std::string, std::string>& fields,
-                              const std::string& key) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return std::nullopt;
-  if (it->second == "true") return true;
-  if (it->second == "false") return false;
+std::optional<std::uint64_t> json_u64(const JsonFields& fields,
+                                      std::string_view key) {
+  const auto token = json_token(fields, key);
+  if (!token) return std::nullopt;
+  return parse_u64(*token);
+}
+
+std::optional<double> json_double(const JsonFields& fields,
+                                  std::string_view key) {
+  const auto token = json_token(fields, key);
+  if (!token) return std::nullopt;
+  return parse_f64(*token);
+}
+
+std::optional<bool> json_bool(const JsonFields& fields, std::string_view key) {
+  const auto token = json_token(fields, key);
+  if (!token) return std::nullopt;
+  if (*token == "true") return true;
+  if (*token == "false") return false;
   return std::nullopt;
 }
 
@@ -186,32 +202,108 @@ void throw_schema_error(const std::string& path, std::uint64_t line,
 
 namespace {
 
-/// Reads the key columns of a parsed JSONL record into `key`; returns the
-/// name of the first missing or invalid one, nullptr when all parse.
-const char* read_json_key(const std::map<std::string, std::string>& f,
-                          report::CellKey& key) {
+/// Reads the key columns of a tokenized JSONL record into `key`; returns
+/// the name of the first missing or invalid one, nullptr when all parse.
+const char* read_json_key(const JsonFields& f, report::CellKey& key) {
   for (const report::CellKeyColumn& col : report::kCellKeyColumns) {
-    const auto it = f.find(col.name);
-    if (it == f.end()) return col.name;
-    const std::optional<std::string> text =
-        col.is_text() ? json_unquote(it->second) : it->second;
-    if (!text || !col.parse(key, *text)) return col.name;
+    const std::optional<std::string_view> token = json_token(f, col.name);
+    if (!token) return col.name;
+    if (col.is_text()) {
+      const std::optional<std::string> text = json_unquote(*token);
+      if (!text || !col.parse(key, *text)) return col.name;
+    } else if (!col.parse(key, *token)) {
+      return col.name;
+    }
   }
   return nullptr;
+}
+
+/// Reads a file line by line through one fixed buffer (grown only for a
+/// line longer than it), so scanning holds no more than a line or two of
+/// the file in memory.
+class LineReader {
+ public:
+  explicit LineReader(const std::string& path) : in_(path, std::ios::binary) {
+    if (!in_.is_open()) throw std::runtime_error("cannot open " + path);
+  }
+
+  /// The next line, without its newline, valid until the next call;
+  /// `terminated` is false for a final line with no newline (a mid-write
+  /// kill). False at end of file.
+  bool next(std::string_view& line, bool& terminated) {
+    for (;;) {
+      const char* data = buf_.data();
+      const void* nl = std::memchr(data + begin_, '\n', end_ - begin_);
+      if (nl != nullptr) {
+        const std::size_t at = static_cast<const char*>(nl) - data;
+        line = std::string_view(data + begin_, at - begin_);
+        begin_ = at + 1;
+        terminated = true;
+        return true;
+      }
+      if (eof_) {
+        if (begin_ == end_) return false;
+        line = std::string_view(data + begin_, end_ - begin_);
+        begin_ = end_;
+        terminated = false;
+        return true;
+      }
+      if (begin_ > 0) {
+        std::memmove(buf_.data(), data + begin_, end_ - begin_);
+        end_ -= begin_;
+        begin_ = 0;
+      }
+      if (end_ == buf_.size()) buf_.resize(2 * buf_.size());
+      in_.read(buf_.data() + end_, static_cast<std::streamsize>(buf_.size() - end_));
+      const std::size_t got = static_cast<std::size_t>(in_.gcount());
+      end_ += got;
+      if (got == 0) eof_ = true;
+    }
+  }
+
+ private:
+  std::ifstream in_;
+  std::vector<char> buf_ = std::vector<char>(std::size_t{1} << 16);
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  bool eof_ = false;
+};
+
+/// Splits a CSV row into cell views. A row without quotes is split in
+/// place; a quoted one goes through report::split_csv_line, whose strings
+/// `unquoted` keeps alive for the views.
+void split_row(std::string_view line, std::vector<std::string_view>& row,
+               std::vector<std::string>& unquoted) {
+  row.clear();
+  if (line.find('"') != std::string_view::npos) {
+    unquoted = report::split_csv_line(line);
+    row.assign(unquoted.begin(), unquoted.end());
+    return;
+  }
+  std::size_t from = 0;
+  for (std::size_t comma; (comma = line.find(',', from)) != std::string_view::npos;
+       from = comma + 1)
+    row.push_back(line.substr(from, comma - from));
+  row.push_back(line.substr(from));
 }
 
 }  // namespace
 
 FileScan scan_jsonl(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) throw std::runtime_error("cannot open " + path);
+  return scan_jsonl_records(path, JsonlVisitor{});
+}
 
+FileScan scan_jsonl_records(const std::string& path,
+                            const JsonlVisitor& visitor) {
+  LineReader in(path);
   FileScan scan;
   CellBlock open;
   bool has_open = false;
   std::uint64_t offset = 0;
   std::uint64_t line_no = 0;
-  std::string line;
+  std::string_view line;
+  bool terminated = false;
+  JsonFields f;
   // `offset` is the start of the line being examined when stop() fires,
   // which is exactly where the unusable tail begins.
   const auto stop = [&](std::string why) {
@@ -219,17 +311,15 @@ FileScan scan_jsonl(const std::string& path) {
     scan.tail_error = std::move(why) + at_byte(offset);
   };
 
-  while (std::getline(in, line)) {
+  while (in.next(line, terminated)) {
     ++line_no;
-    if (in.eof()) {
-      // The last line had no trailing newline: a mid-write kill.
+    if (!terminated) {
       stop(where(path, line_no) + ": truncated final line");
       break;
     }
     const std::uint64_t line_end = offset + line.size() + 1;
 
-    std::map<std::string, std::string> f;
-    if (!parse_json_line(line, f)) {
+    if (!tokenize_json_line(line, f)) {
       stop(where(path, line_no) + ": unparseable record");
       break;
     }
@@ -267,6 +357,7 @@ FileScan scan_jsonl(const std::string& path) {
         }
         open = CellBlock{};
         open.first_line = line_no;
+        open.begin_offset = offset;
         open.key = std::move(key);
         has_open = true;
       } else if (key != open.key) {
@@ -280,7 +371,7 @@ FileScan scan_jsonl(const std::string& path) {
         break;
       }
       open.seeds.push_back(*seed);
-      open.run_lines.push_back(line);
+      if (visitor.on_run) visitor.on_run(open, line_no, f);
     } else if (*record == "cell") {
       const auto n = json_u64(f, "seeds");
       if (!has_open || key != open.key) {
@@ -293,7 +384,7 @@ FileScan scan_jsonl(const std::string& path) {
              " summary seed count disagrees with its run records");
         break;
       }
-      open.cell_line = line;
+      if (visitor.on_cell) visitor.on_cell(open, line_no, line, f);
       open.closed = true;
       open.end_offset = line_end;
       scan.valid_bytes = line_end;
@@ -318,13 +409,12 @@ FileScan scan_jsonl(const std::string& path) {
 }
 
 FileScan scan_csv(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) throw std::runtime_error("cannot open " + path);
-
+  LineReader in(path);
   FileScan scan;
-  std::string line;
-  if (!std::getline(in, line)) return scan;  // empty file: nothing done yet
-  if (in.eof()) {
+  std::string_view line;
+  bool terminated = false;
+  if (!in.next(line, terminated)) return scan;  // empty file: nothing done yet
+  if (!terminated) {
     scan.clean = false;
     scan.tail_error = where(path, 1) + ": truncated header row" + at_byte(0);
     return scan;
@@ -353,6 +443,8 @@ FileScan scan_csv(const std::string& path) {
   scan.header_bytes = offset;
   CellBlock open;
   bool has_open = false;
+  std::vector<std::string_view> row;
+  std::vector<std::string> unquoted;
   // As in scan_jsonl: `offset` is the start of the row under examination
   // when stop() fires — the first unusable byte.
   const auto stop = [&](std::string why) {
@@ -360,14 +452,14 @@ FileScan scan_csv(const std::string& path) {
     scan.tail_error = std::move(why) + at_byte(offset);
   };
 
-  while (std::getline(in, line)) {
+  while (in.next(line, terminated)) {
     ++line_no;
-    if (in.eof()) {
+    if (!terminated) {
       stop(where(path, line_no) + ": truncated final row");
       break;
     }
     const std::uint64_t line_end = offset + line.size() + 1;
-    const std::vector<std::string> row = report::split_csv_line(line);
+    split_row(line, row, unquoted);
     if (row.size() != header.size()) {
       stop(where(path, line_no) + ": malformed row (" +
            std::to_string(row.size()) + " of " +
@@ -378,7 +470,7 @@ FileScan scan_csv(const std::string& path) {
       const std::optional<std::uint64_t> v = parse_u64(row[c]);
       if (!v)
         stop(where(path, line_no) + ": field '" + key +
-             "' has non-numeric value '" + row[c] + "'");
+             "' has non-numeric value '" + std::string(row[c]) + "'");
       return v;
     };
     const auto schema = num(c_schema, "schema");
@@ -398,7 +490,7 @@ FileScan scan_csv(const std::string& path) {
       const report::CellKeyColumn& column = report::kCellKeyColumns[bad];
       stop(where(path, line_no) + ": field '" + column.name + "' has non-" +
            (column.is_bool() ? "boolean" : "numeric") + " value '" +
-           row[c_key[bad]] + "'");
+           std::string(row[c_key[bad]]) + "'");
       break;
     }
     const auto seed = num(c_seed, "seed");
@@ -426,6 +518,7 @@ FileScan scan_csv(const std::string& path) {
       }
       open = CellBlock{};
       open.first_line = line_no;
+      open.begin_offset = offset;
       open.key = std::move(key);
       has_open = true;
       if (*seed_index != 0) {
@@ -436,7 +529,6 @@ FileScan scan_csv(const std::string& path) {
       }
     }
     open.seeds.push_back(*seed);
-    open.run_lines.push_back(line);
     open.end_offset = line_end;
     offset = line_end;
   }

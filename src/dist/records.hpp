@@ -10,14 +10,20 @@
 // Both scanners read a record's coordinates through the cell key's column
 // table (report::CellKeyColumn::parse), so they share one strict parser
 // per type; a record whose key differs from its block's stops the scan.
-// Shared by ResumeIndex and mtr_merge.
+// Blocks are kept as byte ranges and files are read through a fixed
+// buffer, so a scan holds memory per cell, not per byte. Every JSONL line
+// goes through one tokenizer (tokenize_json_line) exactly once; mtr_merge
+// recomputes each cell's aggregate from that same parse through a
+// JsonlVisitor. Shared by ResumeIndex, mtr_merge and mtr_inspect.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/parse.hpp"
@@ -45,22 +51,23 @@ struct SchemaError : std::runtime_error {
                                      const std::string& what,
                                      std::uint64_t found, std::uint64_t reads);
 
-/// One reconstructed cell block. `run_lines` hold the input lines verbatim
-/// (no trailing newline), so consumers that re-emit them preserve the
-/// original bytes exactly.
+/// One reconstructed cell block. It holds the block's coordinates and byte
+/// range, not its lines, so a scan's memory grows with the number of cells
+/// rather than the size of the file; consumers that re-emit a block copy
+/// its byte range, which preserves the original bytes exactly.
 struct CellBlock {
   report::CellKey key;  // shared by every record of the block
   /// 1-based line number of the block's first run record (error reports).
   std::uint64_t first_line = 0;
   std::vector<std::uint64_t> seeds;    // one per run record, in file order
-  std::vector<std::string> run_lines;  // verbatim rows / JSONL run lines
-  std::string cell_line;               // JSONL only: the summary line
+  /// The block's bytes in its file: [begin_offset, end_offset) spans its
+  /// run records and, in JSONL, the summary line that closes it.
+  std::uint64_t begin_offset = 0;
+  std::uint64_t end_offset = 0;
   /// True when the block provably ended: JSONL blocks close on their cell
   /// record; CSV blocks close when the next block starts (the final CSV
   /// block at EOF stays open — the file alone cannot prove it complete).
   bool closed = false;
-  /// File offset just past this block's last line.
-  std::uint64_t end_offset = 0;
 };
 
 struct FileScan {
@@ -75,6 +82,43 @@ struct FileScan {
   std::string tail_error;   // why, when !clean
 };
 
+/// One key of a one-line JSON object and its raw token, both views into
+/// the line: the key between its quotes (escapes left as written), the
+/// token verbatim (string tokens keep their quotes, nested objects their
+/// braces).
+struct JsonField {
+  std::string_view key;
+  std::string_view token;
+};
+using JsonFields = std::vector<JsonField>;
+
+/// The one tokenizer for our one-line JSON objects: fills `out` with the
+/// line's fields in line order. Returns false on malformed input (e.g. a
+/// truncated tail) instead of throwing; `out` then holds the fields read
+/// before the fault.
+bool tokenize_json_line(std::string_view line, JsonFields& out);
+
+/// The token of `key`, or nullopt when the line lacks it. A repeated key
+/// reads as its last occurrence, as in a JSON object.
+std::optional<std::string_view> json_token(const JsonFields& fields,
+                                           std::string_view key);
+
+/// tokenize_json_line into a key -> token map (the last duplicate wins).
+bool parse_json_line(const std::string& line,
+                     std::map<std::string, std::string>& out);
+
+/// Typed readers over json_token; nullopt when the key is missing or the
+/// token has the wrong shape. Numbers are strict (mtr::parse_u64 /
+/// mtr::parse_f64); json_double takes the writer's %.17g tokens, inf and
+/// nan included.
+std::optional<std::string> json_string(const JsonFields& fields,
+                                       std::string_view key);
+std::optional<std::uint64_t> json_u64(const JsonFields& fields,
+                                      std::string_view key);
+std::optional<double> json_double(const JsonFields& fields,
+                                  std::string_view key);
+std::optional<bool> json_bool(const JsonFields& fields, std::string_view key);
+
 /// Scans a JsonlSink file. Throws std::runtime_error when the file cannot
 /// be opened and SchemaError (naming the file, line, and byte) when any
 /// record carries a schema version other than kSchemaVersion; malformed
@@ -82,29 +126,28 @@ struct FileScan {
 /// tail as a crash artifact.
 FileScan scan_jsonl(const std::string& path);
 
+/// Sees each record scan_jsonl_records accepts, tokenized once for the
+/// scan and the visitor together. `on_run` gets every run record after it
+/// joined `block` (so block.seeds already counts it); `on_cell` gets the
+/// summary line that closes `block` (without its newline). Either may be
+/// empty.
+struct JsonlVisitor {
+  std::function<void(const CellBlock& block, std::uint64_t line_no,
+                     const JsonFields& fields)>
+      on_run;
+  std::function<void(const CellBlock& block, std::uint64_t line_no,
+                     std::string_view line, const JsonFields& fields)>
+      on_cell;
+};
+
+/// scan_jsonl, showing every accepted record to `visitor` as it goes.
+FileScan scan_jsonl_records(const std::string& path,
+                            const JsonlVisitor& visitor);
+
 /// Scans a CsvSink file. Throws on open failure, and SchemaError on a
 /// header other than run_schema_keys() or a row stamped with another
 /// schema version.
 FileScan scan_csv(const std::string& path);
-
-/// Splits one of our one-line JSON objects into key -> raw-token pairs
-/// (string tokens keep their quotes). Returns false on malformed input
-/// (e.g. a truncated tail) instead of throwing.
-bool parse_json_line(const std::string& line,
-                     std::map<std::string, std::string>& out);
-
-/// Typed readers over parse_json_line tokens; nullopt when the key is
-/// missing or the token has the wrong shape. Numbers are strict
-/// (mtr::parse_u64 / mtr::parse_f64); json_double takes the writer's %.17g
-/// tokens, inf and nan included.
-std::optional<std::string> json_string(
-    const std::map<std::string, std::string>& fields, const std::string& key);
-std::optional<std::uint64_t> json_u64(
-    const std::map<std::string, std::string>& fields, const std::string& key);
-std::optional<double> json_double(
-    const std::map<std::string, std::string>& fields, const std::string& key);
-std::optional<bool> json_bool(const std::map<std::string, std::string>& fields,
-                              const std::string& key);
 
 /// The canonical aggregate keys of a `record:"cell"` line, in
 /// CellStats::for_each_stat order — what mtr_merge recomputes.

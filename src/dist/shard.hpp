@@ -1,8 +1,14 @@
-// Shard planning for distributed sweeps: a deterministic partition of the
-// invocation-global cell-index space into K disjoint shards. Ownership is
-// round-robin (cell % count == index), so every shard gets a balanced mix
-// of every sweep's cells and the partition depends only on the spec — any
-// machine computing the same grid agrees on who owns what.
+// Shard planning for distributed sweeps: a deterministic partition of an
+// invocation's cells into K disjoint shards, dealt by cost class. A cell's
+// class is "has an attack" or "baseline" (core::cell_has_attack), and its
+// class position is the number of earlier cells in the invocation with the
+// same class; shard I owns the cells whose class position % K == I. Each
+// shard so gets an even share of the long attacked cells and of the short
+// baseline ones, and the partition depends only on the spec and the
+// selected sweeps — any machine planning the same sweeps agrees on who
+// owns what. Shards of one fleet must come from one build: output written
+// under another assignment rule does not resume or merge with this one's
+// (mtr_merge refuses the overlap as a duplicate, exit 3).
 #pragma once
 
 #include <cstdint>
@@ -15,8 +21,9 @@ struct ShardSpec {
   std::uint64_t count = 1;  // 1 = no sharding
 
   bool sharded() const { return count > 1; }
-  bool owns(std::uint64_t cell_index) const {
-    return cell_index % count == index;
+  /// `class_position`: the cell's position within its cost class.
+  bool owns(std::uint64_t class_position) const {
+    return class_position % count == index;
   }
 };
 

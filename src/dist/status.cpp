@@ -37,13 +37,19 @@ void create_parent_dirs(const std::string& path) {
 
 void publish_file(const std::string& path, std::string_view bytes,
                   std::string_view label) {
+  publish_file(path, [bytes](std::ostream& out) { out << bytes; }, label);
+}
+
+void publish_file(const std::string& path,
+                  const std::function<void(std::ostream&)>& write,
+                  std::string_view label) {
   const std::string what = std::string(label) + " file";
   create_parent_dirs(path);
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw std::runtime_error("cannot open " + what + ": " + tmp);
-    out << bytes;
+    write(out);
     out.flush();
     if (!out) throw std::runtime_error("cannot write " + what + ": " + tmp);
   }

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,6 +40,10 @@ void create_parent_dirs(const std::string& path);
 /// parent directories. Throws
 /// std::runtime_error naming the "<label> file" on failure.
 void publish_file(const std::string& path, std::string_view bytes,
+                  std::string_view label);
+/// Same, with the contents streamed by `write` into the temp file.
+void publish_file(const std::string& path,
+                  const std::function<void(std::ostream&)>& write,
                   std::string_view label);
 
 /// The whole file at `path`, the reading side of publish_file. Throws

@@ -1,6 +1,5 @@
 #include "report/result_sink.hpp"
 
-#include <cstdio>
 #include <fstream>
 
 #include "common/ensure.hpp"
@@ -11,12 +10,6 @@
 
 namespace mtr::report {
 namespace {
-
-std::string fmt_f64(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 std::unique_ptr<std::ostream> open_file(const std::string& path, OpenMode mode) {
   auto file = std::make_unique<std::ofstream>(
@@ -47,82 +40,161 @@ void set_sink_flush_hook(SinkFlushHook hook) {
   sink_flush_hook() = std::move(hook);
 }
 
-std::vector<Field> flatten_run(const std::string& sweep,
-                               const core::CellStats& cell,
-                               std::size_t seed_i) {
-  const core::ExperimentResult& r = cell.runs.at(seed_i);
-  std::vector<Field> f;
-  f.reserve(48);
-  const auto u64 = [](std::uint64_t v) { return FieldValue{v}; };
-  const auto i64 = [](std::int64_t v) { return FieldValue{v}; };
+namespace {
 
-  const CellKey key = cell_key(sweep, cell.cell_index, cell);
+/// A run column whose text is computed straight into the record buffer.
+/// Neither a sketch encoding nor a hex digest ever needs CSV or JSON
+/// escaping (encode_sketch's contract; hex is [0-9a-f]).
+struct SketchText {
+  const QuantileSketch& sketch;
+};
+struct HexText {
+  const crypto::Digest32& digest;
+};
+
+/// The canonical record for run `seed_i` of `cell`, whose key is `key`, as
+/// f(name, value) calls in emission order: schema, the cell key's head
+/// columns, grid seed, every ExperimentResult field, then the key's
+/// population columns and the per-tenant distributions. Values are bool,
+/// std::uint64_t, std::int64_t, double, text (std::string or
+/// std::string_view), SketchText or HexText. flatten_run and both sinks
+/// walk this one list.
+template <typename F>
+void for_each_run_field(const CellKey& key, const core::CellStats& cell,
+                        std::size_t seed_i, F&& f) {
+  const core::ExperimentResult& r = cell.runs.at(seed_i);
+  using U = std::uint64_t;
+  using I = std::int64_t;
   const auto key_columns = [&](std::size_t from, std::size_t to) {
     for (std::size_t i = from; i < to; ++i)
-      f.push_back({kCellKeyColumns[i].name, kCellKeyColumns[i].value(key)});
+      std::visit([&](auto m) { f(kCellKeyColumns[i].name, key.*m); },
+                 kCellKeyColumns[i].member);
   };
 
-  f.push_back({"schema", u64(kSchemaVersion)});
+  f("schema", U{kSchemaVersion});
   key_columns(0, kRunHeadColumns);
-  f.push_back({"seed", u64(cell.seeds.at(seed_i))});
-  f.push_back({"seed_index", u64(seed_i)});
+  f("seed", U{cell.seeds.at(seed_i)});
+  f("seed_index", U{seed_i});
 
   // ExperimentResult, every field, declaration order.
-  f.push_back({"workload", std::string(workloads::short_name(r.kind))});
-  f.push_back({"attack_name", r.attack_name});
-  f.push_back({"victim_pid", i64(r.victim_pid.v)});
-  f.push_back({"victim_tgid", i64(r.victim_tgid.v)});
-  f.push_back({"victim_exited", r.victim_exited});
-  f.push_back({"wall_seconds", r.wall_seconds});
-  f.push_back({"billed_utime_ticks", u64(r.billed_ticks.utime.v)});
-  f.push_back({"billed_stime_ticks", u64(r.billed_ticks.stime.v)});
-  f.push_back({"billed_user_seconds", r.billed_user_seconds});
-  f.push_back({"billed_system_seconds", r.billed_system_seconds});
-  f.push_back({"billed_seconds", r.billed_seconds});
-  f.push_back({"true_user_cycles", u64(r.true_cycles.user.v)});
-  f.push_back({"true_system_cycles", u64(r.true_cycles.system.v)});
-  f.push_back({"true_seconds", r.true_seconds});
-  f.push_back({"tsc_user_cycles", u64(r.tsc_cycles.user.v)});
-  f.push_back({"tsc_system_cycles", u64(r.tsc_cycles.system.v)});
-  f.push_back({"tsc_seconds", r.tsc_seconds});
-  f.push_back({"pais_user_cycles", u64(r.pais_cycles.user.v)});
-  f.push_back({"pais_system_cycles", u64(r.pais_cycles.system.v)});
-  f.push_back({"pais_seconds", r.pais_seconds});
-  f.push_back({"overcharge", r.overcharge});
-  f.push_back({"source_ok", r.source_verdict.ok});
-  f.push_back({"source_violations", join_violations(r.source_verdict.violations)});
-  f.push_back({"witness", crypto::to_hex(r.witness)});
-  f.push_back({"witness_steps", u64(r.witness_steps)});
-  f.push_back({"minor_faults", u64(r.minor_faults)});
-  f.push_back({"major_faults", u64(r.major_faults)});
-  f.push_back({"debug_exceptions", u64(r.debug_exceptions)});
-  f.push_back({"voluntary_switches", u64(r.voluntary_switches)});
-  f.push_back({"involuntary_switches", u64(r.involuntary_switches)});
-  f.push_back({"nic_packets", u64(r.nic_packets)});
-  f.push_back({"has_attacker", r.has_attacker});
-  f.push_back({"attacker_utime_ticks", u64(r.attacker_ticks.utime.v)});
-  f.push_back({"attacker_stime_ticks", u64(r.attacker_ticks.stime.v)});
-  f.push_back({"attacker_billed_seconds", r.attacker_billed_seconds});
-  f.push_back({"attacker_true_user_cycles", u64(r.attacker_true_cycles.user.v)});
-  f.push_back({"attacker_true_system_cycles", u64(r.attacker_true_cycles.system.v)});
-  f.push_back({"attacker_true_seconds", r.attacker_true_seconds});
+  f("workload", std::string_view(workloads::short_name(r.kind)));
+  f("attack_name", r.attack_name);
+  f("victim_pid", I{r.victim_pid.v});
+  f("victim_tgid", I{r.victim_tgid.v});
+  f("victim_exited", r.victim_exited);
+  f("wall_seconds", r.wall_seconds);
+  f("billed_utime_ticks", U{r.billed_ticks.utime.v});
+  f("billed_stime_ticks", U{r.billed_ticks.stime.v});
+  f("billed_user_seconds", r.billed_user_seconds);
+  f("billed_system_seconds", r.billed_system_seconds);
+  f("billed_seconds", r.billed_seconds);
+  f("true_user_cycles", U{r.true_cycles.user.v});
+  f("true_system_cycles", U{r.true_cycles.system.v});
+  f("true_seconds", r.true_seconds);
+  f("tsc_user_cycles", U{r.tsc_cycles.user.v});
+  f("tsc_system_cycles", U{r.tsc_cycles.system.v});
+  f("tsc_seconds", r.tsc_seconds);
+  f("pais_user_cycles", U{r.pais_cycles.user.v});
+  f("pais_system_cycles", U{r.pais_cycles.system.v});
+  f("pais_seconds", r.pais_seconds);
+  f("overcharge", r.overcharge);
+  f("source_ok", r.source_verdict.ok);
+  f("source_violations", join_violations(r.source_verdict.violations));
+  f("witness", HexText{r.witness});
+  f("witness_steps", U{r.witness_steps});
+  f("minor_faults", U{r.minor_faults});
+  f("major_faults", U{r.major_faults});
+  f("debug_exceptions", U{r.debug_exceptions});
+  f("voluntary_switches", U{r.voluntary_switches});
+  f("involuntary_switches", U{r.involuntary_switches});
+  f("nic_packets", U{r.nic_packets});
+  f("has_attacker", r.has_attacker);
+  f("attacker_utime_ticks", U{r.attacker_ticks.utime.v});
+  f("attacker_stime_ticks", U{r.attacker_ticks.stime.v});
+  f("attacker_billed_seconds", r.attacker_billed_seconds);
+  f("attacker_true_user_cycles", U{r.attacker_true_cycles.user.v});
+  f("attacker_true_system_cycles", U{r.attacker_true_cycles.system.v});
+  f("attacker_true_seconds", r.attacker_true_seconds);
 
   // Population coordinates and per-tenant distributions.
   key_columns(kRunHeadColumns, kCellKeyColumns.size());
-  f.push_back({"pop_tenants", u64(r.pop_tenants)});
-  f.push_back({"pop_attackers", u64(r.pop_attackers)});
-  f.push_back({"pop_flagged_attackers", u64(r.pop_flagged_attackers)});
-  f.push_back({"pop_flagged_honest", u64(r.pop_flagged_honest)});
-  f.push_back({"pop_billing_error_mean", r.pop_billing_error_mean});
-  f.push_back({"pop_billing_error_p99", r.pop_billing_error_p99});
-  f.push_back({"pop_attacker_advantage_mean", r.pop_attacker_advantage_mean});
-  f.push_back({"pop_detection_tpr", r.pop_detection_tpr});
-  f.push_back({"pop_detection_fpr", r.pop_detection_fpr});
-  f.push_back({"pop_billing_error_sketch", encode_sketch(r.pop_billing_error)});
-  f.push_back({"pop_billed_sketch", encode_sketch(r.pop_billed_seconds)});
-  f.push_back({"pop_true_sketch", encode_sketch(r.pop_true_seconds)});
-  f.push_back({"pop_advantage_sketch", encode_sketch(r.pop_attacker_advantage)});
-  return f;
+  f("pop_tenants", U{r.pop_tenants});
+  f("pop_attackers", U{r.pop_attackers});
+  f("pop_flagged_attackers", U{r.pop_flagged_attackers});
+  f("pop_flagged_honest", U{r.pop_flagged_honest});
+  f("pop_billing_error_mean", r.pop_billing_error_mean);
+  f("pop_billing_error_p99", r.pop_billing_error_p99);
+  f("pop_attacker_advantage_mean", r.pop_attacker_advantage_mean);
+  f("pop_detection_tpr", r.pop_detection_tpr);
+  f("pop_detection_fpr", r.pop_detection_fpr);
+  f("pop_billing_error_sketch", SketchText{r.pop_billing_error});
+  f("pop_billed_sketch", SketchText{r.pop_billed_seconds});
+  f("pop_true_sketch", SketchText{r.pop_true_seconds});
+  f("pop_advantage_sketch", SketchText{r.pop_attacker_advantage});
+}
+
+void append_sketch(std::string& out, const QuantileSketch& s) {
+  append_number(out, s.count());
+  out += ';';
+  append_number(out, s.zero_count());
+  out += ';';
+  append_number(out, s.min());
+  out += ';';
+  append_number(out, s.max());
+  for (const auto* buckets : {&s.positive(), &s.negative()}) {
+    out += ';';
+    bool first = true;
+    for (const auto& [index, n] : *buckets) {
+      if (!first) out += ' ';
+      first = false;
+      append_number(out, static_cast<std::int64_t>(index));
+      out += ':';
+      append_number(out, n);
+    }
+  }
+}
+
+void append_hex(std::string& out, const crypto::Digest32& d) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const std::uint8_t b : d.bytes) {
+    out += kHex[b >> 4];
+    out += kHex[b & 0xf];
+  }
+}
+
+/// Appends a computed column's text.
+void append_text(std::string& out, const SketchText& v) {
+  append_sketch(out, v.sketch);
+}
+void append_text(std::string& out, const HexText& v) {
+  append_hex(out, v.digest);
+}
+
+template <typename T>
+constexpr bool kComputed =
+    std::is_same_v<T, SketchText> || std::is_same_v<T, HexText>;
+
+}  // namespace
+
+std::vector<Field> flatten_run(const std::string& sweep,
+                               const core::CellStats& cell,
+                               std::size_t seed_i) {
+  std::vector<Field> fields;
+  fields.reserve(64);
+  const CellKey key = cell_key(sweep, cell.cell_index, cell);
+  for_each_run_field(key, cell, seed_i, [&](std::string_view name, const auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (kComputed<T>) {
+      std::string text;
+      append_text(text, v);
+      fields.push_back({name, std::move(text)});
+    } else if constexpr (std::is_convertible_v<T, std::string_view>) {
+      fields.push_back({name, std::string(v)});
+    } else {
+      fields.push_back({name, v});
+    }
+  });
+  return fields;
 }
 
 std::vector<std::string> run_schema_keys() {
@@ -130,32 +202,13 @@ std::vector<std::string> run_schema_keys() {
   cell.seeds = {0};
   cell.runs.emplace_back();
   std::vector<std::string> keys;
-  for (Field& f : flatten_run("", cell, 0)) keys.push_back(std::move(f.key));
+  for (const Field& f : flatten_run("", cell, 0)) keys.emplace_back(f.key);
   return keys;
 }
 
 std::string encode_sketch(const QuantileSketch& s) {
-  std::string out = std::to_string(s.count());
-  out += ';';
-  out += std::to_string(s.zero_count());
-  out += ';';
-  out += fmt_f64(s.min());
-  out += ';';
-  out += fmt_f64(s.max());
-  out += ';';
-  bool first = true;
-  for (const auto& [index, n] : s.positive()) {
-    if (!first) out += ' ';
-    first = false;
-    out += std::to_string(index) + ':' + std::to_string(n);
-  }
-  out += ';';
-  first = true;
-  for (const auto& [index, n] : s.negative()) {
-    if (!first) out += ' ';
-    first = false;
-    out += std::to_string(index) + ':' + std::to_string(n);
-  }
+  std::string out;
+  append_sketch(out, s);
   return out;
 }
 
@@ -202,7 +255,7 @@ std::optional<QuantileSketch> decode_sketch(std::string_view token) {
   return s;
 }
 
-std::vector<std::string> split_csv_line(const std::string& line) {
+std::vector<std::string> split_csv_line(std::string_view line) {
   std::vector<std::string> cells;
   std::string cur;
   bool quoted = false;
@@ -230,45 +283,66 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return cells;
 }
 
-void write_csv_header(std::ostream& os) {
-  const std::vector<std::string> keys = run_schema_keys();
-  for (std::size_t i = 0; i < keys.size(); ++i)
-    os << (i ? "," : "") << csv_escape(keys[i]);
-  os << '\n';
-}
+namespace {
 
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
+/// csv_escape, appended to `out`.
+void append_csv_escaped(std::string& out, std::string_view s) {
+  if (s.find_first_of(",\"\n") == std::string_view::npos) {
+    out += s;
+    return;
+  }
+  out += '"';
+  for (const char ch : s) {
     if (ch == '"') out += '"';
     out += ch;
   }
   out += '"';
+}
+
+/// Appends a bool, integer or double field: the spelling both formats
+/// share.
+template <typename T>
+void append_scalar(std::string& out, const T& x) {
+  if constexpr (std::is_same_v<T, bool>) out += x ? "true" : "false";
+  else append_number(out, x);
+}
+
+}  // namespace
+
+void write_csv_header(std::ostream& os) {
+  std::string row;
+  for (const std::string& key : run_schema_keys()) {
+    if (!row.empty()) row += ',';
+    append_csv_escaped(row, key);
+  }
+  row += '\n';
+  os << row;
+}
+
+std::string csv_escape(const std::string& s) {
+  std::string out;
+  append_csv_escaped(out, s);
   return out;
 }
 
-std::string format_csv(const FieldValue& v) {
-  return std::visit(
-      [](const auto& x) -> std::string {
-        using T = std::decay_t<decltype(x)>;
-        if constexpr (std::is_same_v<T, bool>) return x ? "true" : "false";
-        else if constexpr (std::is_same_v<T, double>) return fmt_f64(x);
-        else if constexpr (std::is_same_v<T, std::string>) return csv_escape(x);
-        else return std::to_string(x);
+void append_csv(std::string& out, const FieldValue& v) {
+  std::visit(
+      [&out](const auto& x) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(x)>, std::string>)
+          append_csv_escaped(out, x);
+        else
+          append_scalar(out, x);
       },
       v);
 }
 
-std::string format_json(const FieldValue& v) {
-  return std::visit(
-      [](const auto& x) -> std::string {
-        using T = std::decay_t<decltype(x)>;
-        if constexpr (std::is_same_v<T, bool>) return x ? "true" : "false";
-        else if constexpr (std::is_same_v<T, double>) return fmt_f64(x);
-        else if constexpr (std::is_same_v<T, std::string>)
-          return json_quote(x);
-        else return std::to_string(x);
+void append_json(std::string& out, const FieldValue& v) {
+  std::visit(
+      [&out](const auto& x) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(x)>, std::string>)
+          append_json_quoted(out, x);
+        else
+          append_scalar(out, x);
       },
       v);
 }
@@ -289,12 +363,18 @@ void CsvSink::write_cell(const std::string& sweep, const core::CellStats& cell) 
   }
   if (buf_.capacity() == 0) buf_.reserve(4096);
   buf_.clear();  // keeps capacity: no steady-state reallocation
+  const CellKey key = cell_key(sweep, cell.cell_index, cell);
   for (std::size_t seed_i = 0; seed_i < cell.runs.size(); ++seed_i) {
-    const std::vector<Field> fields = flatten_run(sweep, cell, seed_i);
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (i) buf_ += ',';
-      buf_ += format_csv(fields[i].value);
-    }
+    bool first = true;
+    for_each_run_field(key, cell, seed_i, [&](std::string_view, const auto& v) {
+      using T = std::decay_t<decltype(v)>;
+      if (!first) buf_ += ',';
+      first = false;
+      if constexpr (kComputed<T>) append_text(buf_, v);
+      else if constexpr (std::is_convertible_v<T, std::string_view>)
+        append_csv_escaped(buf_, v);
+      else append_scalar(buf_, v);
+    });
     buf_ += '\n';
   }
   *os_ << buf_;
@@ -324,52 +404,89 @@ CellSummary summarize_cell(const std::string& sweep, const core::CellStats& cell
   return s;
 }
 
-void write_cell_record(std::ostream& os, const CellSummary& s) {
-  os << "{\"record\":\"cell\",\"schema\":" << kSchemaVersion;
-  for (const CellKeyColumn& col : kCellKeyColumns)
-    os << ",\"" << col.name << "\":" << format_json(col.value(s.key));
-  os << ",\"workload\":" << json_quote(s.workload) << ",\"seeds\":" << s.seeds
-     << ",\"source_ok\":" << (s.source_ok ? "true" : "false");
+void append_cell_record(std::string& out, const CellSummary& s) {
+  const auto key = [&out](std::string_view k) {
+    out += ',';
+    append_json_quoted(out, k);
+    out += ':';
+  };
+  out += "{\"record\":\"cell\",\"schema\":";
+  append_number(out, kSchemaVersion);
+  for (const CellKeyColumn& col : kCellKeyColumns) {
+    key(col.name);
+    append_json(out, col.value(s.key));
+  }
+  key("workload");
+  append_json_quoted(out, s.workload);
+  key("seeds");
+  append_number(out, s.seeds);
+  key("source_ok");
+  out += s.source_ok ? "true" : "false";
   for (const CellStatSummary& st : s.stats) {
-    os << ',' << json_quote(st.key) << ":{\"n\":" << st.stats.count()
-       << ",\"mean\":" << fmt_f64(st.stats.mean())
-       << ",\"stddev\":" << fmt_f64(st.stats.stddev())
-       << ",\"min\":" << fmt_f64(st.stats.min())
-       << ",\"max\":" << fmt_f64(st.stats.max()) << '}';
+    key(st.key);
+    out += "{\"n\":";
+    append_number(out, static_cast<std::uint64_t>(st.stats.count()));
+    out += ",\"mean\":";
+    append_number(out, st.stats.mean());
+    out += ",\"stddev\":";
+    append_number(out, st.stats.stddev());
+    out += ",\"min\":";
+    append_number(out, st.stats.min());
+    out += ",\"max\":";
+    append_number(out, st.stats.max());
+    out += '}';
   }
   // Distribution aggregates: quantile summaries of the merged sketches.
   // Derived (not stored) values only — the full sketch lives in the run
   // records, which is what lets mtr_merge recompute this line byte-exactly.
-  for (const auto& [key, sk] : s.sketches) {
-    os << ',' << json_quote(key) << ":{\"n\":" << sk.count()
-       << ",\"min\":" << fmt_f64(sk.min()) << ",\"max\":" << fmt_f64(sk.max())
-       << ",\"p50\":" << fmt_f64(sk.quantile(0.5))
-       << ",\"p90\":" << fmt_f64(sk.quantile(0.9))
-       << ",\"p99\":" << fmt_f64(sk.quantile(0.99)) << '}';
+  for (const auto& [name, sk] : s.sketches) {
+    key(name);
+    out += "{\"n\":";
+    append_number(out, sk.count());
+    out += ",\"min\":";
+    append_number(out, sk.min());
+    out += ",\"max\":";
+    append_number(out, sk.max());
+    out += ",\"p50\":";
+    append_number(out, sk.quantile(0.5));
+    out += ",\"p90\":";
+    append_number(out, sk.quantile(0.9));
+    out += ",\"p99\":";
+    append_number(out, sk.quantile(0.99));
+    out += '}';
   }
-  os << "}\n";
+  out += "}\n";
 }
 
 void JsonlSink::write_cell(const std::string& sweep, const core::CellStats& cell) {
   if (sink_flush_hook()) sink_flush_hook()("jsonl");
   if (buf_.capacity() == 0) buf_.reserve(8192);
   buf_.clear();  // keeps capacity: no steady-state reallocation
+  const CellKey key = cell_key(sweep, cell.cell_index, cell);
   for (std::size_t seed_i = 0; seed_i < cell.runs.size(); ++seed_i) {
     buf_ += "{\"record\":\"run\"";
-    for (const Field& f : flatten_run(sweep, cell, seed_i)) {
+    for_each_run_field(key, cell, seed_i, [&](std::string_view name, const auto& v) {
+      using T = std::decay_t<decltype(v)>;
       buf_ += ',';
-      buf_ += json_quote(f.key);
+      append_json_quoted(buf_, name);
       buf_ += ':';
-      buf_ += format_json(f.value);
-    }
+      if constexpr (kComputed<T>) {
+        buf_ += '"';
+        append_text(buf_, v);
+        buf_ += '"';
+      } else if constexpr (std::is_convertible_v<T, std::string_view>) {
+        append_json_quoted(buf_, v);
+      } else {
+        append_scalar(buf_, v);
+      }
+    });
     buf_ += "}\n";
   }
-  *os_ << buf_;
-
   // Per-cell aggregate summary — the numbers a figure plots directly.
-  // Emitted through the shared write_cell_record so merged shard output
+  // Emitted through the shared append_cell_record so merged shard output
   // stays byte-identical to this line.
-  write_cell_record(*os_, summarize_cell(sweep, cell));
+  append_cell_record(buf_, summarize_cell(sweep, cell));
+  *os_ << buf_;
   os_->flush();
   MTR_ENSURE_MSG(os_->good(), "JSONL sink write failed (disk full or closed?)");
 }

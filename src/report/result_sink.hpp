@@ -6,7 +6,7 @@
 // finished. CsvSink and JsonlSink share one canonical field list
 // (flatten_run), so the two formats cannot drift apart; MultiSink fans a
 // cell out to several sinks at once. Every record names its cell through
-// the cell key (report/cell_key.hpp): flatten_run and write_cell_record
+// the cell key (report/cell_key.hpp): flatten_run and append_cell_record
 // emit its column table, and the dist-layer scanners read it back.
 #pragma once
 
@@ -49,7 +49,7 @@ std::string encode_sketch(const QuantileSketch& sketch);
 std::optional<QuantileSketch> decode_sketch(std::string_view token);
 
 struct Field {
-  std::string key;
+  std::string_view key;  // a string literal or a kCellKeyColumns name
   FieldValue value;
 };
 
@@ -65,8 +65,10 @@ std::vector<Field> flatten_run(const std::string& sweep,
 /// flatten_run of a default-constructed cell.
 std::vector<std::string> run_schema_keys();
 
-std::string format_csv(const FieldValue& v);
-std::string format_json(const FieldValue& v);
+/// Append one field value in CSV (csv_escape'd text) or JSON (quoted
+/// text) spelling. Doubles render as printf's %.17g (mtr::append_number).
+void append_csv(std::string& out, const FieldValue& v);
+void append_json(std::string& out, const FieldValue& v);
 
 /// RFC-4180 escaping: wraps in quotes (doubling embedded quotes) when the
 /// cell contains a comma, quote, or newline.
@@ -75,7 +77,7 @@ std::string csv_escape(const std::string& s);
 /// Inverse of csv_escape for one line: splits on unquoted commas, undoing
 /// quoting and doubled quotes. Our records never embed newlines, so a line
 /// is always a whole row.
-std::vector<std::string> split_csv_line(const std::string& line);
+std::vector<std::string> split_csv_line(std::string_view line);
 
 /// Writes the canonical CSV header row (run_schema_keys, escaped). Shared
 /// by CsvSink and mtr_merge so merged files are byte-identical.
@@ -101,10 +103,10 @@ struct CellSummary {
 };
 CellSummary summarize_cell(const std::string& sweep, const core::CellStats& cell);
 
-/// Writes one `record:"cell"` JSONL line. The single emitter behind
-/// JsonlSink and mtr_merge: merged aggregates recomputed from run records
-/// come out byte-identical to the single-machine line.
-void write_cell_record(std::ostream& os, const CellSummary& summary);
+/// Appends one `record:"cell"` JSONL line, newline included. The single
+/// emitter behind JsonlSink and mtr_merge: merged aggregates recomputed
+/// from run records come out byte-identical to the single-machine line.
+void append_cell_record(std::string& out, const CellSummary& summary);
 
 /// Streaming consumer of completed sweep cells.
 class ResultSink {

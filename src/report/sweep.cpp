@@ -49,15 +49,20 @@ std::vector<core::CellStats> SweepContext::run_grid(
   *cell_cursor += n_cells;
 
   // The gate sees every cell in grid order, so shard ownership and resume
-  // skipping are decided against the same global numbering a
-  // single-machine run would assign.
+  // skipping are decided against the same global numbering — and the same
+  // class positions — a single-machine run would assign.
+  const core::GridGeometry geom = core::grid_geometry(grid);
   std::vector<char> owned(n_cells, 1);
   std::size_t n_owned = n_cells;
   if (gate) {
+    MTR_ENSURE_MSG(class_cursor != nullptr,
+                   "a gated run_grid needs driver-owned class counters");
     for (std::size_t i = 0; i < n_cells; ++i) {
+      std::uint64_t& in_class =
+          (*class_cursor)[core::cell_has_attack(grid, geom, i) ? 1 : 0];
       const CellKey key =
           cell_key(sweep_name, base + i, core::grid_cell_coords(grid, i));
-      if (!gate(key)) {
+      if (!gate(key, in_class++)) {
         owned[i] = 0;
         --n_owned;
       }
@@ -77,7 +82,6 @@ std::vector<core::CellStats> SweepContext::run_grid(
     }
     // Grids that open a scenario axis get their shape spelled out, so a
     // planned ablation shows which axes multiply the cell count.
-    const core::GridGeometry geom = core::grid_geometry(grid);
     if (geom.cpus > 1 || geom.rams > 1 || geom.ptraces > 1 ||
         geom.jiffies > 1 || geom.populations > 1 || geom.fractions > 1 ||
         geom.nices > 1)

@@ -19,6 +19,7 @@
 // pass and the pool keeps none of its cells.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -34,11 +35,14 @@
 namespace mtr::report {
 
 /// Decides, in grid order, whether a cell executes. It sees the cell's key
-/// before anything runs: the same columns its records will carry. The
-/// driver composes shard ownership and resume skipping into one gate; a
-/// gate may throw to abort the sweep (e.g. resume output that contradicts
-/// the grid).
-using CellGate = std::function<bool(const CellKey&)>;
+/// before anything runs — the same columns its records will carry — and
+/// the cell's class position: how many earlier cells of the invocation
+/// share its cost class (attacked or baseline, core::cell_has_attack).
+/// The driver composes shard ownership (dealt by class position) and
+/// resume skipping into one gate; a gate may throw to abort the sweep
+/// (e.g. resume output that contradicts the grid).
+using CellGate =
+    std::function<bool(const CellKey&, std::uint64_t class_position)>;
 
 /// One sweep's share of the invocation's pool, filled and drained by the
 /// two passes (see the file comment).
@@ -87,7 +91,12 @@ struct SweepContext {
   std::size_t* cell_cursor = nullptr;
   /// Cells the gate admitted so far (driver-owned; may be null).
   std::size_t* owned_cursor = nullptr;
-  /// Sharding/resume gate; null admits every cell.
+  /// Per cost class (baseline, attacked), the cells planned so far —
+  /// driver-owned, like cell_cursor, and required with a gate. Every cell
+  /// advances its class's counter, admitted or not, so a cell's class
+  /// position depends only on the selected sweeps.
+  std::array<std::uint64_t, 2>* class_cursor = nullptr;
+  /// Sharding/resume gate; null admits every cell (and counts no classes).
   CellGate gate;
   /// --dry-run: run_grid prints the cell plan to `plan` and executes
   /// nothing.

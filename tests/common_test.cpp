@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <vector>
 
 #include "common/ensure.hpp"
+#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -337,6 +342,56 @@ TEST(Format, Helpers) {
   EXPECT_EQ(fmt_ratio(1.5), "1.50x");
   EXPECT_EQ(fmt_percent_delta(12.3), "+12.3%");
   EXPECT_EQ(fmt_percent_delta(-3.21), "-3.2%");
+}
+
+/// What the record writers printed before append_number: "%.17g".
+std::string printf_17g(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+TEST(JsonNumber, MatchesPrintfOnSpecialValues) {
+  using L = std::numeric_limits<double>;
+  const double nan = L::quiet_NaN();
+  for (const double v :
+       {0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 1e16, 1e17, 123456789012345678.0,
+        1e-5, 1e-4, 1e21, 1e22, 2.5, L::infinity(), -L::infinity(), nan,
+        std::copysign(nan, -1.0), L::denorm_min(), -L::denorm_min(), L::min(),
+        L::max(), -L::max(), L::epsilon()})
+    EXPECT_EQ(json_number(v), printf_17g(v)) << printf_17g(v);
+}
+
+TEST(JsonNumber, MatchesPrintfOnAMillionBitPatterns) {
+  // Raw bit patterns cover every exponent, subnormals, and NaN payloads;
+  // the scaled draws cover the magnitudes the records actually hold.
+  SplitMix64 rng(0xF0A7ull);
+  std::string out;
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t bits = rng.next();
+    const double raw = std::bit_cast<double>(bits);
+    const double scaled =
+        static_cast<double>(bits >> 11) * 0x1p-53 * std::pow(10.0, i % 24 - 12);
+    for (const double v : {raw, scaled}) {
+      out.clear();
+      append_number(out, v);
+      if (out != printf_17g(v) && ++mismatches <= 5)
+        ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(v) << ": "
+                      << out << " vs " << printf_17g(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonNumber, IntegersAndQuotingAppend) {
+  std::string out = "x";
+  append_number(out, std::uint64_t{18446744073709551615ull});
+  out += ' ';
+  append_number(out, std::int64_t{-9223372036854775807ll - 1});
+  EXPECT_EQ(out, "x18446744073709551615 -9223372036854775808");
+  EXPECT_EQ(json_quote(std::string_view("a\"\\\n\r\t\x01\x1f", 8)),
+            "\"a\\\"\\\\\\n\\r\\t\\u0001\\u001f\"");
 }
 
 }  // namespace

@@ -21,8 +21,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cinttypes>
 #include <condition_variable>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -30,6 +32,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -405,6 +408,169 @@ TEST(ShardMergeTest, MergedShardsAreByteIdenticalToSingleRun) {
   ASSERT_EQ(run_merge(merge, merge_out, merge_err), 0) << merge_err.str();
   EXPECT_EQ(read_file(merge.csv_out), read_file(root + "/ref/grid.csv"));
   EXPECT_EQ(read_file(merge.jsonl_out), read_file(root + "/ref/grid.jsonl"));
+  std::filesystem::remove_all(root);
+}
+
+/// Four sweeps mixing attacked and baseline cells — the shard-assignment
+/// fixture. In global cell order the classes are b b x x | x x b | b b |
+/// x x (x: attacked). The attack factories build nothing, so an
+/// "attacked" cell runs as a baseline: only the plan sees the class.
+report::SweepRegistry mixed_registry() {
+  report::SweepRegistry registry;
+  const auto grid = [](const report::SweepContext& ctx,
+                       std::vector<bool> attacked) {
+    core::BatchGrid g;
+    g.base = test::quick_experiment(workloads::WorkloadKind::kOurs, ctx.scale);
+    g.seeds = ctx.seeds;
+    for (std::size_t a = 0; a < attacked.size(); ++a) {
+      core::AttackFactory make;
+      if (attacked[a]) make = [] { return std::unique_ptr<attacks::Attack>(); };
+      std::string label = "a";
+      label += std::to_string(a);
+      g.attacks.push_back({std::move(label), std::move(make)});
+    }
+    return g;
+  };
+  registry.add({"mixA", "", [grid](const report::SweepContext& ctx) {
+                  core::BatchGrid g = grid(ctx, {false, true});
+                  g.schedulers = {sim::SchedulerKind::kO1,
+                                  sim::SchedulerKind::kCfs};
+                  ctx.run_grid("mixA", std::move(g));
+                }});
+  registry.add({"mixB", "", [grid](const report::SweepContext& ctx) {
+                  ctx.run_grid("mixB", grid(ctx, {true, true, false}));
+                }});
+  registry.add({"mixC", "", [grid](const report::SweepContext& ctx) {
+                  core::BatchGrid g = grid(ctx, {});
+                  g.jiffy_timers = {true, false};
+                  ctx.run_grid("mixC", std::move(g));
+                }});
+  registry.add({"mixD", "", [grid](const report::SweepContext& ctx) {
+                  core::BatchGrid g = grid(ctx, {true});
+                  g.schedulers = {sim::SchedulerKind::kO1,
+                                  sim::SchedulerKind::kCfs};
+                  ctx.run_grid("mixD", std::move(g));
+                }});
+  return registry;
+}
+constexpr bool kMixedAttacked[] = {false, false, true,  true,  true, true,
+                                   false, false, false, true,  true};
+
+SweepOptions mixed_options(const std::string& out_dir) {
+  SweepOptions o = grid_options(out_dir);
+  o.sweeps = {"mixA", "mixB", "mixC", "mixD"};
+  return o;
+}
+
+/// The global cell indices a --dry-run plan says the invocation runs.
+std::vector<std::uint64_t> planned_cells(const std::string& plan) {
+  std::vector<std::uint64_t> cells;
+  std::istringstream lines(plan);
+  for (std::string line; std::getline(lines, line);) {
+    std::uint64_t lo = 0, hi = 0;
+    const std::size_t open = line.find(": cells [");
+    if (open == std::string::npos ||
+        std::sscanf(line.c_str() + open, ": cells [%" SCNu64 ",%" SCNu64 ")",
+                    &lo, &hi) != 2)
+      continue;
+    if (line.find("— runs all") != std::string::npos) {
+      for (std::uint64_t c = lo; c < hi; ++c) cells.push_back(c);
+      continue;
+    }
+    std::istringstream owned(line.substr(line.find(':', open + 2) + 1));
+    for (std::uint64_t c; owned >> c;) cells.push_back(c);
+  }
+  return cells;
+}
+
+std::vector<std::uint64_t> dry_run_cells(const report::SweepRegistry& registry,
+                                         SweepOptions opts) {
+  opts.dry_run = true;
+  std::ostringstream out, err;
+  EXPECT_EQ(run_sweeps(registry, opts, out, err), 0) << err.str();
+  return planned_cells(out.str());
+}
+
+/// The cell indices of every closed block in the given JSONL files.
+std::vector<std::uint64_t> written_cells(const std::string& dir,
+                                         const std::vector<std::string>& sweeps) {
+  std::vector<std::uint64_t> cells;
+  for (const std::string& sweep : sweeps)
+    for (const CellBlock& b : scan_jsonl(dir + "/" + sweep + ".jsonl").blocks)
+      cells.push_back(b.key.cell_index);
+  return cells;
+}
+
+TEST(ShardAssignmentTest, DealsEachCostClassEvenlyAndOwnsEveryCellOnce) {
+  const report::SweepRegistry registry = mixed_registry();
+  const std::size_t n_cells = std::size(kMixedAttacked);
+  for (std::uint64_t n = 1; n <= 6; ++n) {
+    SCOPED_TRACE("N=" + std::to_string(n));
+    std::vector<int> owners(n_cells, 0);
+    std::vector<std::size_t> per_class[2];
+    for (std::uint64_t i = 0; i < n; ++i) {
+      SweepOptions opts = mixed_options("");
+      opts.shard = ShardSpec{i, n};
+      std::size_t in_class[2] = {0, 0};
+      for (const std::uint64_t c : dry_run_cells(registry, opts)) {
+        ASSERT_LT(c, n_cells);
+        ++owners[c];
+        ++in_class[kMixedAttacked[c] ? 1 : 0];
+      }
+      per_class[0].push_back(in_class[0]);
+      per_class[1].push_back(in_class[1]);
+    }
+    for (std::size_t c = 0; c < n_cells; ++c)
+      EXPECT_EQ(owners[c], 1) << "cell " << c;
+    for (const auto& counts : per_class)
+      EXPECT_LE(*std::max_element(counts.begin(), counts.end()) -
+                    *std::min_element(counts.begin(), counts.end()),
+                1u);
+  }
+  // Shard 0 of 2 takes the even class positions: baseline cells 0, 6, 8
+  // and attacked cells 2, 4, 9 (cell_index % 2 would have taken 10).
+  SweepOptions half = mixed_options("");
+  half.shard = parse_shard_spec("0/2");
+  EXPECT_EQ(dry_run_cells(registry, half),
+            (std::vector<std::uint64_t>{0, 2, 4, 6, 8, 9}));
+}
+
+TEST(ShardAssignmentTest, DryRunListsExactlyTheCellsAShardWritesAcrossAResume) {
+  const report::SweepRegistry registry = mixed_registry();
+  const std::string root = temp_path("dist_shard_assign");
+  std::filesystem::remove_all(root);
+  const std::vector<std::string> sweeps = {"mixA", "mixB", "mixC", "mixD"};
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    SweepOptions opts = mixed_options(root + "/shard" + std::to_string(i));
+    opts.shard = ShardSpec{i, 3};
+    const std::vector<std::uint64_t> planned = dry_run_cells(registry, opts);
+    ASSERT_FALSE(planned.empty());
+    std::ostringstream out, err;
+    ASSERT_EQ(run_sweeps(registry, opts, out, err), 0) << err.str();
+    EXPECT_EQ(written_cells(opts.out_dir, sweeps), planned);
+    const std::string full_a = read_file(opts.out_dir + "/mixA.jsonl");
+
+    // A kill after the shard's first cell: every later byte is gone. The
+    // resumed shard keeps that cell and runs exactly the rest of its own.
+    bool kept = false;
+    for (const std::string& sweep : sweeps) {
+      const std::string stem = opts.out_dir + "/" + sweep;
+      const FileScan csv = scan_csv(stem + ".csv");
+      const FileScan jsonl = scan_jsonl(stem + ".jsonl");
+      const bool keep = !kept && !jsonl.blocks.empty();
+      std::filesystem::resize_file(
+          stem + ".csv", keep ? csv.blocks[0].end_offset : csv.header_bytes);
+      std::filesystem::resize_file(stem + ".jsonl",
+                                   keep ? jsonl.blocks[0].end_offset : 0);
+      kept = kept || keep;
+    }
+    opts.resume = true;
+    EXPECT_EQ(dry_run_cells(registry, opts).size(), planned.size() - 1);
+    ASSERT_EQ(run_sweeps(registry, opts, out, err), 0) << err.str();
+    EXPECT_EQ(written_cells(opts.out_dir, sweeps), planned);
+    EXPECT_EQ(read_file(opts.out_dir + "/mixA.jsonl"), full_a);
+  }
   std::filesystem::remove_all(root);
 }
 
@@ -820,6 +986,37 @@ TEST(MergeTest, CorruptAggregateIsDetected) {
   std::filesystem::remove_all(root);
 }
 
+TEST(MergeTest, HandEditedRunLineExitsTwoNamingFileAndLine) {
+  const std::string root = temp_path("dist_merge_edited");
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  write_shard_jsonl(root + "/s0.jsonl", {0, 2});
+  write_shard_jsonl(root + "/s1.jsonl", {1});
+
+  // Cell 2's second run (line 5 of s0; its summary is line 6).
+  std::vector<std::string> lines = lines_of(read_file(root + "/s0.jsonl"));
+  ASSERT_EQ(lines.size(), 6u);
+  const std::size_t at = lines[4].find("\"billed_seconds\":");
+  ASSERT_NE(at, std::string::npos);
+  lines[4].insert(at + 17, "1");
+  std::string edited;
+  for (const std::string& line : lines) edited += line + "\n";
+  write_file(root + "/s0.jsonl", edited);
+
+  MergeOptions o;
+  o.jsonl_out = root + "/m.jsonl";
+  o.jsonl_in = {root + "/s0.jsonl", root + "/s1.jsonl"};
+  std::ostringstream out, err;
+  EXPECT_EQ(run_merge(o, out, err), static_cast<int>(MergeFault::kCorrupt));
+  EXPECT_NE(err.str().find(root + "/s0.jsonl:6: recomputed aggregate for cell 2"),
+            std::string::npos)
+      << err.str();
+  EXPECT_NE(err.str().find("run records at lines 4-5"), std::string::npos)
+      << err.str();
+  EXPECT_FALSE(std::filesystem::exists(o.jsonl_out));
+  std::filesystem::remove_all(root);
+}
+
 TEST(RecordsTest, StrictParseRejectsGarbageIntegers) {
   EXPECT_EQ(parse_u64("0"), std::uint64_t{0});
   EXPECT_EQ(parse_u64("12"), std::uint64_t{12});
@@ -1104,10 +1301,10 @@ TEST(CellKeyScanTest, CoordinateNumbersAreStrictInBothFormats) {
   std::filesystem::remove(csv);
 }
 
-/// The comparable content of a block (its coordinates live in run_lines).
+/// The comparable content of a block.
 bool same_block(const CellBlock& a, const CellBlock& b) {
-  return a.first_line == b.first_line && a.seeds == b.seeds &&
-         a.run_lines == b.run_lines && a.cell_line == b.cell_line &&
+  return a.key == b.key && a.first_line == b.first_line &&
+         a.seeds == b.seeds && a.begin_offset == b.begin_offset &&
          a.end_offset == b.end_offset;
 }
 
@@ -1188,6 +1385,54 @@ void fuzz_scanner(const std::string& golden, const std::string& name,
   }
   std::filesystem::remove(path);
   std::filesystem::remove(prefix_path);
+}
+
+TEST(TokenizerMutationTest, FlatFieldsAgreeWithTheMapReaderOnDamagedLines) {
+  // Every golden line, byte-flipped, cut short, or given a repeated key:
+  // the flat tokenizer's lookups and parse_json_line's map must agree on
+  // success and on every key's token (a repeated key reads as its last
+  // occurrence in both).
+  const std::vector<std::string> golden = lines_of(read_file(kGoldenJsonl));
+  ASSERT_FALSE(golden.empty());
+  SplitMix64 rng(0x70CE);
+  int parsed = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string line = golden[rng.next() % golden.size()];
+    const std::uint64_t r = rng.next();
+    switch (i % 4) {
+      case 0: line[r % line.size()] ^= static_cast<char>(1 + rng.next() % 255); break;
+      case 1: line.resize(r % line.size()); break;
+      case 2: {
+        // Repeat the first key with a new value just before the close.
+        const std::size_t end = line.find('"', 2);
+        std::string repeat = ",";
+        repeat += line.substr(1, end);
+        repeat += ':';
+        repeat += std::to_string(r % 1000);
+        line.insert(line.size() - 1, repeat);
+        break;
+      }
+      default: break;  // intact
+    }
+    SCOPED_TRACE(line);
+    JsonFields fields;
+    std::map<std::string, std::string> map;
+    const bool flat_ok = tokenize_json_line(line, fields);
+    ASSERT_EQ(parse_json_line(line, map), flat_ok);
+    if (!flat_ok) continue;
+    ++parsed;
+    std::set<std::string_view> keys;
+    for (const JsonField& f : fields) keys.insert(f.key);
+    EXPECT_EQ(keys.size(), map.size());
+    for (const auto& [key, token] : map)
+      EXPECT_EQ(json_token(fields, key), std::optional<std::string_view>(token))
+          << key;
+    if (i % 4 == 2) {
+      EXPECT_EQ(json_token(fields, "record"),
+                std::optional<std::string_view>(std::to_string(r % 1000)));
+    }
+  }
+  EXPECT_GT(parsed, 500);
 }
 
 TEST(ScannerMutationTest, DamagedGoldensFailAtANamedByteAndTheirPrefixRescans) {
@@ -1907,8 +2152,9 @@ TEST(JsonQuoteTest, EveryEscapeRoundTripsThroughBothReaders) {
     SCOPED_TRACE(quoted);
     EXPECT_EQ(json_quote(raw), quoted);
     EXPECT_EQ(json::parse_document(quoted).text, raw);
-    std::map<std::string, std::string> fields;
-    ASSERT_TRUE(parse_json_line("{\"k\":" + quoted + "}", fields));
+    JsonFields fields;
+    const std::string line = "{\"k\":" + quoted + "}";
+    ASSERT_TRUE(tokenize_json_line(line, fields));
     EXPECT_EQ(json_string(fields, "k"), raw);
   }
 }
@@ -2980,22 +3226,34 @@ TEST(FleetTest, AllowPartialMergesSurvivorsAndWritesTheGapManifest) {
   ASSERT_EQ(report.shards.size(), 4u);
   EXPECT_FALSE(report.shards[2].succeeded);
   EXPECT_TRUE(report.merged);
-  // 8 cells round-robined over 4 shards: shard 2 owned cells 2 and 6.
-  EXPECT_EQ(report.missing_cells, (std::vector<std::uint64_t>{2, 6}));
+  // Exactly the cells shard 2 would have written are missing.
+  const std::string dry = root + "/dry.log";
+  const std::string cmd = std::string(MTR_SWEEP_BIN) +
+                          " fig04 --dry-run --shard 2/4 > " + dry + " 2>&1";
+  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  const std::vector<std::uint64_t> owned = planned_cells(read_file(dry));
+  ASSERT_EQ(owned.size(), 2u) << read_file(dry);
+  EXPECT_EQ(report.missing_cells, owned);
   EXPECT_NE(err.str().find("FAILED"), std::string::npos) << err.str();
 
   const std::string manifest = read_file(root + "/merged/gaps.json");
   EXPECT_NE(manifest.find("\"record\": \"gap_manifest\""), std::string::npos)
       << manifest;
   EXPECT_NE(manifest.find("\"shard\": 2"), std::string::npos);
-  EXPECT_NE(manifest.find("\"missing_cells\": [2, 6]"), std::string::npos);
+  EXPECT_NE(manifest.find("\"missing_cells\": [" + std::to_string(owned[0]) +
+                          ", " + std::to_string(owned[1]) + "]"),
+            std::string::npos)
+      << manifest;
 
   // The merged JSONL holds exactly the surviving cells, in index order.
   const FileScan merged = scan_jsonl(root + "/merged/fig04.jsonl");
   EXPECT_TRUE(merged.clean);
-  std::vector<std::uint64_t> cells;
+  std::vector<std::uint64_t> cells, survivors;
   for (const CellBlock& b : merged.blocks) cells.push_back(b.key.cell_index);
-  EXPECT_EQ(cells, (std::vector<std::uint64_t>{0, 1, 3, 4, 5, 7}));
+  for (std::uint64_t c = 0; c < 8; ++c)
+    if (std::find(owned.begin(), owned.end(), c) == owned.end())
+      survivors.push_back(c);
+  EXPECT_EQ(cells, survivors);
   std::filesystem::remove_all(root);
 }
 
@@ -3020,6 +3278,76 @@ TEST(FleetTest, ExhaustedRetriesFailTheFleetWithAPerShardReport) {
   EXPECT_NE(err.str().find("exit code 70"), std::string::npos) << err.str();
   EXPECT_NE(err.str().find("log: "), std::string::npos) << err.str();
   EXPECT_TRUE(std::filesystem::exists(report.shards[0].log_path));
+  std::filesystem::remove_all(root);
+}
+
+TEST(FleetTest, ConcurrentMergesReportTheFirstCorruptSweepInSweepOrder) {
+  const std::string root = temp_path("dist_fleet_corrupt");
+  std::filesystem::remove_all(root);
+  // Two shards' finished outputs of four sweeps, g0..g3 (cells 4k..4k+3 of
+  // sweep gk, dealt even/odd), that a stand-in shard binary copies into
+  // place. Run records of g2 and g3 are hand-edited, so both merges fail.
+  const std::vector<std::string> names = {"g0", "g1", "g2", "g3"};
+  for (int shard = 0; shard < 2; ++shard) {
+    const std::string dir = root + "/template/shard" + std::to_string(shard);
+    std::filesystem::create_directories(dir);
+    for (std::uint64_t k = 0; k < names.size(); ++k) {
+      report::CsvSink csv(dir + "/" + names[k] + ".csv");
+      report::JsonlSink jsonl(dir + "/" + names[k] + ".jsonl");
+      for (std::uint64_t c = 4 * k + shard; c < 4 * k + 4; c += 2) {
+        csv.write_cell(names[k], synth_cell(c, {7, 8}));
+        jsonl.write_cell(names[k], synth_cell(c, {7, 8}));
+      }
+    }
+  }
+  for (const char* sweep : {"g2", "g3"}) {
+    const std::string path = root + "/template/shard1/" + sweep + ".jsonl";
+    std::string bytes = read_file(path);
+    const std::size_t at = bytes.find("\"true_seconds\":");
+    ASSERT_NE(at, std::string::npos);
+    bytes.insert(at + 15, "9");
+    write_file(path, bytes);
+  }
+  const std::string script = root + "/copy.sh";
+  write_file(script,
+             "#!/bin/sh\n"
+             "case \"$*\" in\n"
+             "  *--dry-run*) echo 'dry run: 4 sweep(s), 16 cell(s)'; exit 0;;\n"
+             "esac\n"
+             "while [ $# -gt 0 ]; do\n"
+             "  case \"$1\" in\n"
+             "    --shard) s=${2%%/*}; shift;;\n"
+             "    --out-dir) d=$2; shift;;\n"
+             "  esac\n"
+             "  shift\n"
+             "done\n"
+             "exec cp " + root + "/template/shard$s/g0.csv " + root +
+             "/template/shard$s/g0.jsonl " + root + "/template/shard$s/g1.csv " +
+             root + "/template/shard$s/g1.jsonl " + root +
+             "/template/shard$s/g2.csv " + root + "/template/shard$s/g2.jsonl " +
+             root + "/template/shard$s/g3.csv " + root +
+             "/template/shard$s/g3.jsonl \"$d\"\n");
+  std::filesystem::permissions(script, std::filesystem::perms::owner_all,
+                               std::filesystem::perm_options::add);
+
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    SCOPED_TRACE("run " + std::to_string(attempt));
+    FleetOptions o = quick_fleet(root + "/fleet" + std::to_string(attempt));
+    o.sweep_bin = script;
+    o.shards = 2;
+    o.sweeps = names;
+    o.metrics = false;
+    o.max_retries = 0;
+    std::ostringstream out, err;
+    FleetReport report;
+    EXPECT_EQ(run_fleet(o, out, err, &report), 1);
+    EXPECT_FALSE(report.merged);
+    EXPECT_NE(err.str().find("mtr_fleet: merge of sweep 'g2' failed (exit 2)"),
+              std::string::npos)
+        << err.str();
+    EXPECT_NE(err.str().find("shard1/g2.jsonl:"), std::string::npos) << err.str();
+    EXPECT_EQ(err.str().find("g3"), std::string::npos) << err.str();
+  }
   std::filesystem::remove_all(root);
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -87,8 +88,10 @@ std::vector<std::string> lines_of(const std::string& text) {
 }
 
 /// The value of `"key":<raw json>` in a JSONL line (first occurrence).
-std::string json_raw_value(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
+std::string json_raw_value(const std::string& line, std::string_view key) {
+  std::string needle = "\"";
+  needle += key;
+  needle += "\":";
   const std::size_t at = line.find(needle);
   if (at == std::string::npos) return "<missing>";
   std::size_t i = at + needle.size();
@@ -462,12 +465,21 @@ TEST(SweepContextTest, PlanPassQueuesGridsAndRenderPassHandsTheirCellsBack) {
   plan.cell_cursor = &cursor;
   plan.owned_cursor = &owned;
   plan.grids = &slot;
-  plan.gate = [](const CellKey& key) { return key.cell_index != 1; };
+  std::array<std::uint64_t, 2> classes{};
+  plan.class_cursor = &classes;
+  // Both grids are baseline-only, so class positions follow cell_index.
+  std::vector<std::uint64_t> positions;
+  plan.gate = [&positions](const CellKey& key, std::uint64_t position) {
+    positions.push_back(position);
+    return key.cell_index != 1;
+  };
   plan.begin_progress("pair", 4);
   EXPECT_TRUE(plan.run_grid("pair", two_cell_grid(plan)).empty());
   EXPECT_TRUE(plan.run_grid("pair", two_cell_grid(plan)).empty());
   EXPECT_EQ(cursor, 4u);
   EXPECT_EQ(owned, 3u);
+  EXPECT_EQ(positions, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(classes, (std::array<std::uint64_t, 2>{4, 0}));
   ASSERT_EQ(slot.queued.size(), 2u);
   EXPECT_EQ(slot.queued[1].sweep, "pair");
   EXPECT_EQ(slot.queued[1].grid.cell_index_base, 2u);
@@ -500,7 +512,7 @@ TEST(SweepContextTest, PlanPassQueuesGridsAndRenderPassHandsTheirCellsBack) {
 }
 
 TEST(CellRecordTest, SummaryMatchesJsonlSinkOutput) {
-  // write_cell_record over summarize_cell must reproduce exactly the cell
+  // append_cell_record over summarize_cell must reproduce exactly the cell
   // line JsonlSink emits — mtr_merge leans on this emitter for
   // byte-identical merged aggregates.
   const core::CellStats cell = sample_cell();
@@ -509,9 +521,9 @@ TEST(CellRecordTest, SummaryMatchesJsonlSinkOutput) {
   const auto lines = lines_of(sink_os.str());
   ASSERT_EQ(lines.size(), 3u);
 
-  std::ostringstream record_os;
-  write_cell_record(record_os, summarize_cell("fig07", cell));
-  EXPECT_EQ(record_os.str(), lines[2] + "\n");
+  std::string record = "prefix";
+  append_cell_record(record, summarize_cell("fig07", cell));
+  EXPECT_EQ(record, "prefix" + lines[2] + "\n");
   EXPECT_EQ(json_raw_value(lines[2], "cell_index"), "5");
 }
 
@@ -567,8 +579,9 @@ TEST(CellKeyTest, EveryColumnRoundTripsThroughItsRecordText) {
   CellKey back;
   for (const CellKeyColumn& col : kCellKeyColumns) {
     // split_csv_line undoes the CSV quoting the way the scanner does.
-    const std::vector<std::string> cells =
-        split_csv_line(format_csv(col.value(key)));
+    std::string text;
+    append_csv(text, col.value(key));
+    const std::vector<std::string> cells = split_csv_line(text);
     ASSERT_EQ(cells.size(), 1u) << col.name;
     EXPECT_TRUE(col.parse(back, cells[0])) << col.name;
   }
