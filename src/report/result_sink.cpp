@@ -173,6 +173,46 @@ void append_text(std::string& out, const HexText& v) {
 template <typename T>
 constexpr bool kComputed =
     std::is_same_v<T, SketchText> || std::is_same_v<T, HexText>;
+template <typename T>
+constexpr bool kText = std::is_convertible_v<T, std::string_view>;
+
+/// csv_escape, appended to `out`.
+void append_csv_escaped(std::string& out, std::string_view s) {
+  if (s.find_first_of(",\"\n") == std::string_view::npos) {
+    out += s;
+    return;
+  }
+  out += '"';
+  for (const char ch : s) {
+    if (ch == '"') out += '"';
+    out += ch;
+  }
+  out += '"';
+}
+
+/// Appends one for_each_run_field value in its CSV spelling.
+template <typename T>
+void append_csv_value(std::string& out, const T& v) {
+  if constexpr (kComputed<T>) append_text(out, v);
+  else if constexpr (kText<T>) append_csv_escaped(out, v);
+  else if constexpr (std::is_same_v<T, bool>) out += v ? "true" : "false";
+  else append_number(out, v);
+}
+
+/// Appends one for_each_run_field value in its JSON spelling; booleans
+/// and numbers are spelled as in CSV.
+template <typename T>
+void append_json_value(std::string& out, const T& v) {
+  if constexpr (kComputed<T>) {
+    out += '"';
+    append_text(out, v);
+    out += '"';
+  } else if constexpr (kText<T>) {
+    append_json_quoted(out, v);
+  } else {
+    append_csv_value(out, v);
+  }
+}
 
 }  // namespace
 
@@ -188,7 +228,7 @@ std::vector<Field> flatten_run(const std::string& sweep,
       std::string text;
       append_text(text, v);
       fields.push_back({name, std::move(text)});
-    } else if constexpr (std::is_convertible_v<T, std::string_view>) {
+    } else if constexpr (kText<T>) {
       fields.push_back({name, std::string(v)});
     } else {
       fields.push_back({name, v});
@@ -283,32 +323,6 @@ std::vector<std::string> split_csv_line(std::string_view line) {
   return cells;
 }
 
-namespace {
-
-/// csv_escape, appended to `out`.
-void append_csv_escaped(std::string& out, std::string_view s) {
-  if (s.find_first_of(",\"\n") == std::string_view::npos) {
-    out += s;
-    return;
-  }
-  out += '"';
-  for (const char ch : s) {
-    if (ch == '"') out += '"';
-    out += ch;
-  }
-  out += '"';
-}
-
-/// Appends a bool, integer or double field: the spelling both formats
-/// share.
-template <typename T>
-void append_scalar(std::string& out, const T& x) {
-  if constexpr (std::is_same_v<T, bool>) out += x ? "true" : "false";
-  else append_number(out, x);
-}
-
-}  // namespace
-
 void write_csv_header(std::ostream& os) {
   std::string row;
   for (const std::string& key : run_schema_keys()) {
@@ -326,25 +340,11 @@ std::string csv_escape(const std::string& s) {
 }
 
 void append_csv(std::string& out, const FieldValue& v) {
-  std::visit(
-      [&out](const auto& x) {
-        if constexpr (std::is_same_v<std::decay_t<decltype(x)>, std::string>)
-          append_csv_escaped(out, x);
-        else
-          append_scalar(out, x);
-      },
-      v);
+  std::visit([&out](const auto& x) { append_csv_value(out, x); }, v);
 }
 
 void append_json(std::string& out, const FieldValue& v) {
-  std::visit(
-      [&out](const auto& x) {
-        if constexpr (std::is_same_v<std::decay_t<decltype(x)>, std::string>)
-          append_json_quoted(out, x);
-        else
-          append_scalar(out, x);
-      },
-      v);
+  std::visit([&out](const auto& x) { append_json_value(out, x); }, v);
 }
 
 CsvSink::CsvSink(const std::string& path, OpenMode mode)
@@ -367,13 +367,9 @@ void CsvSink::write_cell(const std::string& sweep, const core::CellStats& cell) 
   for (std::size_t seed_i = 0; seed_i < cell.runs.size(); ++seed_i) {
     bool first = true;
     for_each_run_field(key, cell, seed_i, [&](std::string_view, const auto& v) {
-      using T = std::decay_t<decltype(v)>;
       if (!first) buf_ += ',';
       first = false;
-      if constexpr (kComputed<T>) append_text(buf_, v);
-      else if constexpr (std::is_convertible_v<T, std::string_view>)
-        append_csv_escaped(buf_, v);
-      else append_scalar(buf_, v);
+      append_csv_value(buf_, v);
     });
     buf_ += '\n';
   }
@@ -466,19 +462,10 @@ void JsonlSink::write_cell(const std::string& sweep, const core::CellStats& cell
   for (std::size_t seed_i = 0; seed_i < cell.runs.size(); ++seed_i) {
     buf_ += "{\"record\":\"run\"";
     for_each_run_field(key, cell, seed_i, [&](std::string_view name, const auto& v) {
-      using T = std::decay_t<decltype(v)>;
       buf_ += ',';
       append_json_quoted(buf_, name);
       buf_ += ':';
-      if constexpr (kComputed<T>) {
-        buf_ += '"';
-        append_text(buf_, v);
-        buf_ += '"';
-      } else if constexpr (std::is_convertible_v<T, std::string_view>) {
-        append_json_quoted(buf_, v);
-      } else {
-        append_scalar(buf_, v);
-      }
+      append_json_value(buf_, v);
     });
     buf_ += "}\n";
   }
