@@ -6,8 +6,10 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <tuple>
 
 #include "common/ensure.hpp"
+#include "common/format.hpp"
 
 namespace mtr::core {
 namespace {
@@ -19,81 +21,145 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// The value a (possibly empty) axis takes at index `i`: normalization in
-/// one place, shared by grid_cell_coords and the runner (which sees axes
-/// pre-filled by normalized_grid, making this the identity).
+constexpr bool is_scenario(Axis a) { return a >= kCpuAxis; }
+
+using Cfg = ExperimentConfig;
+using Sep = std::string_view;
+
+/// One row of the axis table: everything the runner, the geometry and the
+/// cell spellings know about an axis whose values are plain data.
 template <typename T>
-const T& axis_value(const std::vector<T>& axis, std::size_t i, const T& base) {
-  return axis.empty() ? base : axis[i];
+struct AxisRow {
+  Axis axis;
+  std::vector<T> BatchGrid::*values;
+  T GridCellCoords::*coord;
+  const char* label;                           // dry-run shape key
+  T (*base)(const Cfg&);                       // what an empty axis takes
+  void (*apply)(Cfg&, const T&);               // sets a run's config
+  void (*spell)(std::string&, const T&, Sep);  // name=value; Sep joins pairs
+  std::uint64_t salt;  // cell_seed multiplier (scenario axes only)
+
+  /// The value at index `i`, or the base value when the axis is empty.
+  T at(const BatchGrid& grid, std::size_t i) const {
+    const std::vector<T>& v = grid.*values;
+    return v.empty() ? base(grid.base) : v[i];
+  }
+};
+
+/// Every axis but the attack, in Axis order. Distinct odd salts keep the
+/// scenario axes' seed contributions decorrelated from one another.
+constexpr std::tuple kAxes{
+    AxisRow<sim::SchedulerKind>{
+        kSchedulerAxis, &BatchGrid::schedulers, &GridCellCoords::scheduler, "scheduler",
+        [](auto& c) { return c.sim.scheduler; },
+        [](auto& c, auto& v) { c.sim.scheduler = v; },
+        [](auto& o, auto& v, Sep) { (o += "scheduler=") += sim::to_string(v); }, 0},
+    AxisRow<TimerHz>{
+        kHzAxis, &BatchGrid::ticks, &GridCellCoords::hz, "hz",
+        [](auto& c) { return c.sim.kernel.hz; },
+        [](auto& c, auto& v) { c.sim.kernel.hz = v; },
+        [](auto& o, auto& v, Sep) { append_number(o += "hz=", v.v); }, 0},
+    AxisRow<CpuHz>{
+        kCpuAxis, &BatchGrid::cpu_freqs, &GridCellCoords::cpu, "cpu",
+        [](auto& c) { return c.sim.kernel.cpu; },
+        [](auto& c, auto& v) { c.sim.kernel.cpu = v; },
+        [](auto& o, auto& v, Sep) { append_number(o += "cpu_hz=", v.v); },
+        0xA24BAED4963EE407ull},
+    AxisRow<RamSpec>{
+        kRamAxis, &BatchGrid::ram, &GridCellCoords::ram, "ram",
+        [](auto& c) {
+          return RamSpec{c.sim.kernel.ram_frames, c.sim.kernel.reclaim_batch};
+        },
+        [](auto& c, auto& v) {
+          c.sim.kernel.ram_frames = v.frames;
+          c.sim.kernel.reclaim_batch = v.reclaim_batch;
+        },
+        [](auto& o, auto& v, Sep) {
+          append_number(o += "ram=", std::uint64_t{v.frames});
+          append_number(o += "f/", std::uint64_t{v.reclaim_batch});
+        },
+        0x9FB21C651E98DF25ull},
+    AxisRow<kernel::PtracePolicy>{
+        kPtraceAxis, &BatchGrid::ptrace_policies, &GridCellCoords::ptrace, "ptrace",
+        [](auto& c) { return c.sim.kernel.ptrace_policy; },
+        [](auto& c, auto& v) { c.sim.kernel.ptrace_policy = v; },
+        [](auto& o, auto& v, Sep) { (o += "ptrace=") += kernel::to_string(v); },
+        0xD6E8FEB86659FD93ull},
+    AxisRow<bool>{
+        kJiffyAxis, &BatchGrid::jiffy_timers, &GridCellCoords::jiffy_timers, "jiffy",
+        [](auto& c) { return c.sim.kernel.jiffy_resolution_timers; },
+        [](auto& c, auto& v) { c.sim.kernel.jiffy_resolution_timers = v; },
+        [](auto& o, auto& v, Sep) { o += v ? "jiffy_timers=on" : "jiffy_timers=off"; },
+        0xCA5A826395121157ull},
+    AxisRow<std::uint32_t>{
+        kPopulationAxis, &BatchGrid::population_sizes, &GridCellCoords::population,
+        "population", [](auto& c) { return c.population.size; },
+        [](auto& c, auto& v) { c.population.size = v; },
+        [](auto& o, auto& v, Sep) { append_number(o += "population=", std::uint64_t{v}); },
+        0xE7037ED1A0B428DBull},
+    AxisRow<double>{
+        kFractionAxis, &BatchGrid::attacker_fractions, &GridCellCoords::attacker_fraction,
+        "fraction", [](auto& c) { return c.population.attacker_fraction; },
+        [](auto& c, auto& v) { c.population.attacker_fraction = v; },
+        [](auto& o, auto& v, Sep) { append_number(o += "attacker_fraction=", v); },
+        0x8EBC6AF09C88C6E3ull},
+    AxisRow<NiceSpec>{
+        kNiceAxis, &BatchGrid::nice_levels, &GridCellCoords::nice, "nice",
+        [](auto& c) { return c.nice; },
+        [](auto& c, auto& v) { c.nice = v; },
+        [](auto& o, auto& v, Sep sep) {
+          append_number(o += "victim_nice=", std::int64_t{v.victim.v});
+          append_number((o += sep) += "attacker_nice=", std::int64_t{v.attacker.v});
+        },
+        0x589965CC75374CC3ull},
+};
+
+template <typename F>
+void for_each_axis(F&& f) {
+  std::apply([&](const auto&... row) { (f(row), ...); }, kAxes);
 }
 
-bool axis_value(const std::vector<bool>& axis, std::size_t i, bool base) {
-  return axis.empty() ? base : axis[i];
+/// The attack axis, which the table leaves out: its values are factories,
+/// and only their labels reach GridCellCoords.
+const AttackSpec& attack_at(const BatchGrid& grid, std::size_t i) {
+  static const AttackSpec baseline{"baseline", nullptr};
+  return grid.attacks.empty() ? baseline : grid.attacks[i];
+}
+
+/// The config one run of cell `ix` executes: `grid.base` with every axis
+/// value written in and the run's derived kernel seed.
+ExperimentConfig run_config(const BatchGrid& grid, const GridCellIndices& ix,
+                            std::uint64_t grid_seed) {
+  ExperimentConfig cfg = grid.base;
+  for_each_axis([&](const auto& row) { row.apply(cfg, row.at(grid, ix[row.axis])); });
+  cfg.sim.kernel.seed = cell_seed(grid_seed, ix);
+  cfg.trace.collect_stats = cfg.trace.collect_stats || grid.collect_kernel_stats;
+  return cfg;
 }
 
 }  // namespace
 
-BatchGrid normalized_grid(const BatchGrid& grid) {
-  BatchGrid g = grid;
-  const kernel::KernelConfig& k = g.base.sim.kernel;
-  if (g.attacks.empty()) g.attacks.push_back({"baseline", nullptr});
-  if (g.schedulers.empty()) g.schedulers.push_back(g.base.sim.scheduler);
-  if (g.ticks.empty()) g.ticks.push_back(k.hz);
-  if (g.cpu_freqs.empty()) g.cpu_freqs.push_back(k.cpu);
-  if (g.ram.empty()) g.ram.push_back({k.ram_frames, k.reclaim_batch});
-  if (g.ptrace_policies.empty()) g.ptrace_policies.push_back(k.ptrace_policy);
-  if (g.jiffy_timers.empty()) g.jiffy_timers.push_back(k.jiffy_resolution_timers);
-  if (g.population_sizes.empty()) g.population_sizes.push_back(g.base.population.size);
-  if (g.attacker_fractions.empty())
-    g.attacker_fractions.push_back(g.base.population.attacker_fraction);
-  if (g.nice_levels.empty()) g.nice_levels.push_back(g.base.nice);
-  if (g.seeds.empty()) g.seeds.push_back(k.seed);
-  return g;
-}
-
 GridCellIndices GridGeometry::coords(std::size_t cell) const {
   GridCellIndices ix;
-  ix.nice = cell % nices;
-  cell /= nices;
-  ix.fraction = cell % fractions;
-  cell /= fractions;
-  ix.population = cell % populations;
-  cell /= populations;
-  ix.jiffy = cell % jiffies;
-  cell /= jiffies;
-  ix.ptrace = cell % ptraces;
-  cell /= ptraces;
-  ix.ram = cell % rams;
-  cell /= rams;
-  ix.cpu = cell % cpus;
-  cell /= cpus;
-  ix.tick = cell % ticks;
-  cell /= ticks;
-  ix.scheduler = cell % schedulers;
-  ix.attack = cell / schedulers;
+  for (std::size_t a = kAxisCount; a-- > 0;) {
+    ix[a] = cell % extents[a];
+    cell /= extents[a];
+  }
   return ix;
 }
 
 GridGeometry grid_geometry(const BatchGrid& grid) {
-  const auto extent = [](std::size_t n) { return n > 0 ? n : std::size_t{1}; };
-  GridGeometry g;
-  g.attacks = extent(grid.attacks.size());
-  g.schedulers = extent(grid.schedulers.size());
-  g.ticks = extent(grid.ticks.size());
-  g.cpus = extent(grid.cpu_freqs.size());
-  g.rams = extent(grid.ram.size());
-  g.ptraces = extent(grid.ptrace_policies.size());
-  g.jiffies = extent(grid.jiffy_timers.size());
-  g.populations = extent(grid.population_sizes.size());
-  g.fractions = extent(grid.attacker_fractions.size());
-  g.nices = extent(grid.nice_levels.size());
-  return g;
+  GridGeometry geom;
+  geom.extents[kAttackAxis] = std::max<std::size_t>(grid.attacks.size(), 1);
+  for_each_axis([&](const auto& row) {
+    geom.extents[row.axis] = std::max<std::size_t>((grid.*row.values).size(), 1);
+  });
+  return geom;
 }
 
 bool cell_has_attack(const BatchGrid& grid, const GridGeometry& geom,
                      std::size_t cell) {
-  return !grid.attacks.empty() &&
-         grid.attacks[geom.coords(cell).attack].make != nullptr;
+  return attack_at(grid, geom.coords(cell)[kAttackAxis]).make != nullptr;
 }
 
 std::size_t grid_cell_count(const BatchGrid& grid) {
@@ -102,22 +168,30 @@ std::size_t grid_cell_count(const BatchGrid& grid) {
 
 GridCellCoords grid_cell_coords(const BatchGrid& grid, std::size_t cell) {
   const GridCellIndices ix = grid_geometry(grid).coords(cell);
-  const kernel::KernelConfig& k = grid.base.sim.kernel;
   GridCellCoords c;
-  c.attack_label =
-      grid.attacks.empty() ? "baseline" : grid.attacks[ix.attack].label;
-  c.scheduler = axis_value(grid.schedulers, ix.scheduler, grid.base.sim.scheduler);
-  c.hz = axis_value(grid.ticks, ix.tick, k.hz);
-  c.cpu = axis_value(grid.cpu_freqs, ix.cpu, k.cpu);
-  c.ram = axis_value(grid.ram, ix.ram, RamSpec{k.ram_frames, k.reclaim_batch});
-  c.ptrace = axis_value(grid.ptrace_policies, ix.ptrace, k.ptrace_policy);
-  c.jiffy_timers = axis_value(grid.jiffy_timers, ix.jiffy, k.jiffy_resolution_timers);
-  c.population =
-      axis_value(grid.population_sizes, ix.population, grid.base.population.size);
-  c.attacker_fraction = axis_value(grid.attacker_fractions, ix.fraction,
-                                   grid.base.population.attacker_fraction);
-  c.nice = axis_value(grid.nice_levels, ix.nice, grid.base.nice);
+  c.attack_label = attack_at(grid, ix[kAttackAxis]).label;
+  for_each_axis([&](const auto& row) { c.*row.coord = row.at(grid, ix[row.axis]); });
   return c;
+}
+
+void append_cell_coords(std::string& out, const GridCellCoords& cell,
+                        const GridGeometry& geom, std::string_view sep) {
+  out += "attack=";
+  out += cell.attack_label;
+  for_each_axis([&](const auto& row) {
+    if (!is_scenario(row.axis) || geom.extents[row.axis] > 1)
+      row.spell(out += sep, cell.*row.coord, sep);
+  });
+}
+
+std::string grid_shape(const GridGeometry& geom) {
+  bool scenario = false;
+  std::string out = "attack=" + std::to_string(geom.extents[kAttackAxis]);
+  for_each_axis([&](const auto& row) {
+    scenario = scenario || (is_scenario(row.axis) && geom.extents[row.axis] > 1);
+    out += std::string(" ") + row.label + "=" + std::to_string(geom.extents[row.axis]);
+  });
+  return scenario ? out : std::string();
 }
 
 bool CellStats::all_source_ok() const {
@@ -126,32 +200,18 @@ bool CellStats::all_source_ok() const {
   return true;
 }
 
-std::uint64_t cell_seed(std::uint64_t grid_seed, std::size_t attack_i,
-                        std::size_t scheduler_i, std::size_t tick_i,
-                        std::size_t cpu_i, std::size_t ram_i,
-                        std::size_t ptrace_i, std::size_t jiffy_i,
-                        std::size_t population_i, std::size_t fraction_i,
-                        std::size_t nice_i) {
-  std::uint64_t h = splitmix64(grid_seed);
-  h = splitmix64(h ^ (static_cast<std::uint64_t>(attack_i) + 1));
-  h = splitmix64(h ^ ((static_cast<std::uint64_t>(scheduler_i) + 1) << 20));
-  h = splitmix64(h ^ ((static_cast<std::uint64_t>(tick_i) + 1) << 40));
-  // Scenario axes mix in only off their base index so unused axes leave
-  // the seed stream exactly as it was before the axis existed. Distinct
-  // odd multipliers keep the axes decorrelated from one another.
-  if (cpu_i) h = splitmix64(h ^ (cpu_i * 0xA24BAED4963EE407ull));
-  if (ram_i) h = splitmix64(h ^ (ram_i * 0x9FB21C651E98DF25ull));
-  if (ptrace_i) h = splitmix64(h ^ (ptrace_i * 0xD6E8FEB86659FD93ull));
-  if (jiffy_i) h = splitmix64(h ^ (jiffy_i * 0xCA5A826395121157ull));
-  if (population_i) h = splitmix64(h ^ (population_i * 0xE7037ED1A0B428DBull));
-  if (fraction_i) h = splitmix64(h ^ (fraction_i * 0x8EBC6AF09C88C6E3ull));
-  if (nice_i) h = splitmix64(h ^ (nice_i * 0x589965CC75374CC3ull));
-  return h;
-}
-
 std::uint64_t cell_seed(std::uint64_t grid_seed, const GridCellIndices& ix) {
-  return cell_seed(grid_seed, ix.attack, ix.scheduler, ix.tick, ix.cpu, ix.ram,
-                   ix.ptrace, ix.jiffy, ix.population, ix.fraction, ix.nice);
+  std::uint64_t h = splitmix64(grid_seed);
+  // Attack, scheduler and hz always mix in, each shifted into its own bits.
+  for (std::size_t a = kAttackAxis; a < kCpuAxis; ++a)
+    h = splitmix64(h ^ ((static_cast<std::uint64_t>(ix[a]) + 1) << (20 * a)));
+  // Scenario axes mix in only off their base index so unused axes leave
+  // the seed stream exactly as it was before the axis existed.
+  for_each_axis([&](const auto& row) {
+    if (is_scenario(row.axis) && ix[row.axis] != 0)
+      h = splitmix64(h ^ (ix[row.axis] * row.salt));
+  });
+  return h;
 }
 
 BatchRunner::BatchRunner(unsigned threads) : threads_(threads) {
@@ -161,54 +221,18 @@ BatchRunner::BatchRunner(unsigned threads) : threads_(threads) {
 
 namespace {
 
-/// One grid of a pool invocation, laid out for the workers: its
-/// normalized axes, the cells that run, and where its runs and cells start
-/// in the pool's flat numbering (grid-major, then cell, then seed).
+/// One grid of a pool invocation, laid out for the workers: the grid,
+/// the cells that run, and where its runs and cells start in the pool's
+/// flat numbering (grid-major, then cell, then seed).
 struct GridLayout {
-  BatchGrid g;
+  const BatchGrid* g = nullptr;
   GridGeometry geom;
   std::size_t n_cells = 0;           // full grid
-  std::size_t n_seeds = 0;
+  std::vector<std::uint64_t> seeds;  // an empty seed list runs the base seed
   std::vector<std::size_t> active;   // grid-order indices of admitted cells
   std::size_t first_run = 0;
   std::size_t first_cell = 0;
 };
-
-/// The failing run's coordinates. Scenario axes are named only when
-/// actually swept — default-axis grids keep the short form.
-std::string describe_failure(const GridLayout& L, std::size_t pos,
-                             std::size_t seed_i, const char* callback) {
-  const BatchGrid& g = L.g;
-  const GridGeometry& geom = L.geom;
-  const GridCellIndices ix = geom.coords(L.active[pos]);
-  std::string where =
-      std::string("BatchRunner cell [attack=") + g.attacks[ix.attack].label +
-      ", scheduler=" + sim::to_string(g.schedulers[ix.scheduler]) +
-      ", hz=" + std::to_string(g.ticks[ix.tick].v);
-  if (geom.cpus > 1) where += ", cpu_hz=" + std::to_string(g.cpu_freqs[ix.cpu].v);
-  if (geom.rams > 1)
-    where += ", ram_frames=" + std::to_string(g.ram[ix.ram].frames) +
-             ", reclaim_batch=" + std::to_string(g.ram[ix.ram].reclaim_batch);
-  if (geom.ptraces > 1)
-    where += std::string(", ptrace=") + kernel::to_string(g.ptrace_policies[ix.ptrace]);
-  if (geom.jiffies > 1)
-    where += std::string(", jiffy_timers=") + (g.jiffy_timers[ix.jiffy] ? "on" : "off");
-  if (geom.populations > 1)
-    where += ", population=" + std::to_string(g.population_sizes[ix.population]);
-  if (geom.fractions > 1)
-    where += ", attacker_fraction=" +
-             std::to_string(g.attacker_fractions[ix.fraction]);
-  if (geom.nices > 1)
-    where += ", victim_nice=" +
-             std::to_string(static_cast<int>(g.nice_levels[ix.nice].victim.v)) +
-             ", attacker_nice=" +
-             std::to_string(static_cast<int>(g.nice_levels[ix.nice].attacker.v));
-  // A callback failure happened after every run of the cell succeeded, so
-  // name the cell but not a (blameless) seed.
-  if (callback == nullptr)
-    return where + ", seed=" + std::to_string(g.seeds[seed_i]) + "]";
-  return where + "] " + callback;
-}
 
 }  // namespace
 
@@ -233,15 +257,16 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
   std::size_t n_active = 0;
   for (std::size_t gi = 0; gi < grids.size(); ++gi) {
     GridLayout& L = grids[gi];
-    L.g = normalized_grid(grid_span[gi]);
-    L.geom = grid_geometry(L.g);
+    L.g = &grid_span[gi];
+    L.geom = grid_geometry(*L.g);
     L.n_cells = L.geom.cell_count();
-    L.n_seeds = L.g.seeds.size();
+    L.seeds = L.g->seeds;
+    if (L.seeds.empty()) L.seeds.push_back(L.g->base.sim.kernel.seed);
     for (std::size_t cell = 0; cell < L.n_cells; ++cell)
-      if (!L.g.cell_filter || L.g.cell_filter(cell)) L.active.push_back(cell);
+      if (!L.g->cell_filter || L.g->cell_filter(cell)) L.active.push_back(cell);
     L.first_run = n_runs;
     L.first_cell = n_active;
-    n_runs += L.active.size() * L.n_seeds;
+    n_runs += L.active.size() * L.seeds.size();
     n_active += L.active.size();
   }
 
@@ -254,8 +279,8 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
     const GridLayout& L = grids[gi];
     for (std::size_t pos = 0; pos < L.active.size(); ++pos) {
       cell_grid[L.first_cell + pos] = gi;
-      for (std::size_t seed_i = 0; seed_i < L.n_seeds; ++seed_i)
-        run_cell[L.first_run + pos * L.n_seeds + seed_i] = L.first_cell + pos;
+      for (std::size_t seed_i = 0; seed_i < L.seeds.size(); ++seed_i)
+        run_cell[L.first_run + pos * L.seeds.size() + seed_i] = L.first_cell + pos;
     }
   }
 
@@ -271,7 +296,7 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
   if (pool > 1) {
     std::stable_partition(order.begin(), order.end(), [&](std::size_t r) {
       const GridLayout& L = grids[cell_grid[run_cell[r]]];
-      return cell_has_attack(L.g, L.geom, L.active[run_cell[r] - L.first_cell]);
+      return cell_has_attack(*L.g, L.geom, L.active[run_cell[r] - L.first_cell]);
     });
   }
 
@@ -311,10 +336,10 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
     const GridLayout& L = grids[cell_grid[k]];
     const std::size_t pos = k - L.first_cell;
     CellStats& s = out[cell_grid[k]].cells[pos];
-    static_cast<GridCellCoords&>(s) = grid_cell_coords(L.g, L.active[pos]);
-    s.cell_index = L.g.cell_index_base + L.active[pos];
-    s.seeds = L.g.seeds;
-    s.runs.reserve(L.n_seeds);
+    static_cast<GridCellCoords&>(s) = grid_cell_coords(*L.g, L.active[pos]);
+    s.cell_index = L.g->cell_index_base + L.active[pos];
+    s.seeds = L.seeds;
+    s.runs.reserve(L.seeds.size());
     for (ExperimentResult& result : pending[k]) {
       // The per-run slot is dead after aggregation: move it instead of
       // deep-copying its strings/violation vectors into the cell.
@@ -344,31 +369,18 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
       const std::size_t k = run_cell[r];
       const std::size_t gi = cell_grid[k];
       const GridLayout& L = grids[gi];
-      const BatchGrid& g = L.g;
+      const BatchGrid& g = *L.g;
       const std::size_t pos = k - L.first_cell;
-      const std::size_t seed_i = r - L.first_run - pos * L.n_seeds;
+      const std::size_t seed_i = r - L.first_run - pos * L.seeds.size();
       const GridCellIndices ix = L.geom.coords(L.active[pos]);
 
       std::exception_ptr run_error;
       ExperimentResult result;
       const auto t0 = std::chrono::steady_clock::now();
       try {
-        ExperimentConfig cfg = g.base;
-        cfg.sim.scheduler = g.schedulers[ix.scheduler];
-        cfg.sim.kernel.hz = g.ticks[ix.tick];
-        cfg.sim.kernel.cpu = g.cpu_freqs[ix.cpu];
-        cfg.sim.kernel.ram_frames = g.ram[ix.ram].frames;
-        cfg.sim.kernel.reclaim_batch = g.ram[ix.ram].reclaim_batch;
-        cfg.sim.kernel.ptrace_policy = g.ptrace_policies[ix.ptrace];
-        cfg.sim.kernel.jiffy_resolution_timers = g.jiffy_timers[ix.jiffy];
-        cfg.population.size = g.population_sizes[ix.population];
-        cfg.population.attacker_fraction = g.attacker_fractions[ix.fraction];
-        cfg.nice = g.nice_levels[ix.nice];
-        cfg.sim.kernel.seed = cell_seed(g.seeds[seed_i], ix);
-        cfg.trace.collect_stats =
-            cfg.trace.collect_stats || g.collect_kernel_stats;
+        ExperimentConfig cfg = run_config(g, ix, L.seeds[seed_i]);
         if (g.trace_path) cfg.trace.path = g.trace_path(L.active[pos], seed_i);
-        const AttackFactory& make = g.attacks[ix.attack].make;
+        const AttackFactory& make = attack_at(g, ix[kAttackAxis]).make;
         const std::unique_ptr<attacks::Attack> attack = make ? make() : nullptr;
         result = run_experiment(cfg, attack.get());
       } catch (...) {
@@ -390,7 +402,7 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
         cell_failed[k] = 1;
         fail(r, nullptr, run_error);
       }
-      if (pending[k].empty()) pending[k].resize(L.n_seeds);
+      if (pending[k].empty()) pending[k].resize(L.seeds.size());
       pending[k][seed_i] = std::move(result);
       cell_wall[k] += dt;
       ++runs_done[k];
@@ -400,7 +412,7 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
       // advance the cursor.
       std::size_t emitted = 0;
       while (next_emit < n_active &&
-             runs_done[next_emit] == grids[cell_grid[next_emit]].n_seeds) {
+             runs_done[next_emit] == grids[cell_grid[next_emit]].seeds.size()) {
         const std::size_t emit = next_emit++;
         if (cell_failed[emit]) {
           std::vector<ExperimentResult>().swap(pending[emit]);
@@ -417,7 +429,7 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
             on_cell({E.active[epos], E.n_cells, cell_wall[emit], E.geom, cell,
                      &busy, since_start(std::chrono::steady_clock::now()), egi});
           } catch (...) {
-            fail(E.first_run + epos * E.n_seeds, "per-cell callback",
+            fail(E.first_run + epos * E.seeds.size(), "per-cell callback",
                  std::current_exception());
           }
         }
@@ -453,8 +465,17 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
   if (error) {
     const GridLayout& L = grids[cell_grid[run_cell[error_run]]];
     const std::size_t pos = run_cell[error_run] - L.first_cell;
-    const std::size_t seed_i = error_run - L.first_run - pos * L.n_seeds;
-    const std::string where = describe_failure(L, pos, seed_i, error_callback);
+    const std::size_t seed_i = error_run - L.first_run - pos * L.seeds.size();
+    std::string where = "BatchRunner cell [";
+    append_cell_coords(where, grid_cell_coords(*L.g, L.active[pos]), L.geom, ", ");
+    // A callback failure happened after every run of the cell succeeded,
+    // so name the cell but not a (blameless) seed.
+    if (error_callback != nullptr) {
+      (where += "] ") += error_callback;
+    } else {
+      append_number(where += ", seed=", L.seeds[seed_i]);
+      where += ']';
+    }
     try {
       std::rethrow_exception(error);
     } catch (const std::exception& e) {

@@ -3,14 +3,19 @@
 // A BatchGrid names the sweep axes of the paper's tables and ablations —
 // attack x scheduler x tick granularity plus the scenario axes (CPU
 // frequency, RAM size / reclaim batch, ptrace policy, jiffy-resolution
-// timers) — and BatchRunner fans the cross product across a std::thread
-// pool. Each run builds its own Simulation (run_experiment is
-// self-contained), each cell derives its kernel seeds deterministically
-// from the grid seed and the cell coordinates, and cells are aggregated
-// and emitted in grid order — so the output is bit-identical for any
-// thread count. Axes left empty default to the grid's `base` value and
-// change nothing: cell indices, per-cell seeds, and sink artifacts are
-// identical to a grid without the axis.
+// timers) and the population axes (tenants, attacker fraction, nice) —
+// and BatchRunner fans the cross product across a std::thread pool. Each
+// run builds its own Simulation (run_experiment is self-contained), each
+// cell derives its kernel seeds deterministically from the grid seed and
+// the cell coordinates, and cells are aggregated and emitted in grid
+// order — so the output is bit-identical for any thread count. Axes left
+// empty default to the grid's `base` value and change nothing: cell
+// indices, per-cell seeds, and sink artifacts are identical to a grid
+// without the axis.
+//
+// Every axis but the attack is one row of the axis table in
+// batch_runner.cpp; geometry, cell coordinates, per-run configs, seeds,
+// progress and failure text, and the dry-run shape all walk that table.
 //
 // One pool runs any number of grids: every (cell, seed) run of every grid
 // is one work item, so no grid waits at a barrier for the previous one's
@@ -21,11 +26,14 @@
 // grid order, grid after grid.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "attacks/attack.hpp"
@@ -53,9 +61,8 @@ struct RamSpec {
   friend constexpr bool operator==(const RamSpec&, const RamSpec&) = default;
 };
 
-/// One sweep. Cells are the cross product
-///   attack x scheduler x hz x cpu x ram x ptrace x jiffy-timer
-/// (attack-major, jiffy-minor); seeds are replicate runs within each cell.
+/// One sweep. Cells are the cross product of the ten axes, in Axis order
+/// (attack-major, nice-minor); seeds are replicate runs within each cell.
 /// An empty axis defaults to the corresponding value of `base` (one
 /// baseline attack, base scheduler, base HZ, base kernel scenario, base
 /// seed) and leaves the cell numbering of the remaining axes untouched.
@@ -103,43 +110,28 @@ struct BatchGrid {
   bool collect_kernel_stats = false;
 };
 
-/// `grid` with empty axes replaced by their `base` defaults.
-BatchGrid normalized_grid(const BatchGrid& grid);
-
-/// Per-axis indices of one grid-order cell.
-struct GridCellIndices {
-  std::size_t attack = 0;
-  std::size_t scheduler = 0;
-  std::size_t tick = 0;
-  std::size_t cpu = 0;
-  std::size_t ram = 0;
-  std::size_t ptrace = 0;
-  std::size_t jiffy = 0;
-  std::size_t population = 0;
-  std::size_t fraction = 0;
-  std::size_t nice = 0;
+/// The grid axes in cell-index order: attack-major, nice-minor. The first
+/// three are always named and seeded; the rest are scenario axes.
+enum Axis : std::size_t {
+  kAttackAxis, kSchedulerAxis, kHzAxis,
+  kCpuAxis, kRamAxis, kPtraceAxis, kJiffyAxis, kPopulationAxis, kFractionAxis, kNiceAxis,
+  kAxisCount
 };
 
-/// Normalized per-axis extents of a grid (empty axes count 1) and the cell
-/// index arithmetic over them — the single geometry seam shared by
+/// Per-axis indices of one grid-order cell, indexed by Axis.
+using GridCellIndices = std::array<std::size_t, kAxisCount>;
+
+/// Per-axis extents of a grid (empty axes count 1) and the cell index
+/// arithmetic over them — the single geometry seam shared by
 /// grid_cell_count, grid_cell_coords, and BatchRunner::run, so a
-/// cell_filter built against a raw grid can never disagree with the
-/// runner's own numbering.
+/// cell_filter built against a grid can never disagree with the runner's
+/// own numbering.
 struct GridGeometry {
-  std::size_t attacks = 1;
-  std::size_t schedulers = 1;
-  std::size_t ticks = 1;
-  std::size_t cpus = 1;
-  std::size_t rams = 1;
-  std::size_t ptraces = 1;
-  std::size_t jiffies = 1;
-  std::size_t populations = 1;
-  std::size_t fractions = 1;
-  std::size_t nices = 1;
+  GridCellIndices extents = {1, 1, 1, 1, 1, 1, 1, 1, 1, 1};
 
   std::size_t cell_count() const {
-    return attacks * schedulers * ticks * cpus * rams * ptraces * jiffies *
-           populations * fractions * nices;
+    return std::accumulate(extents.begin(), extents.end(), std::size_t{1},
+                           std::multiplies<>());
   }
   /// Decomposes a grid-order cell index (attack-major, nice-minor).
   GridCellIndices coords(std::size_t cell) const;
@@ -157,8 +149,8 @@ bool cell_has_attack(const BatchGrid& grid, const GridGeometry& geom,
 /// Cells in the grid (the axis cross product; empty axes count 1).
 std::size_t grid_cell_count(const BatchGrid& grid);
 
-/// Coordinates of one grid-order cell, with empty axes defaulted the same
-/// way normalized_grid does.
+/// Coordinates of one grid-order cell; an empty axis takes its `base`
+/// value.
 struct GridCellCoords {
   std::string attack_label;
   sim::SchedulerKind scheduler{};
@@ -172,6 +164,17 @@ struct GridCellCoords {
   NiceSpec nice{};
 };
 GridCellCoords grid_cell_coords(const BatchGrid& grid, std::size_t cell);
+
+/// Appends `cell` as name=value pairs joined by `sep`: attack, scheduler
+/// and hz always, then each scenario axis `geom` sweeps, default value
+/// included. The one spelling of a cell in progress lines and BatchRunner
+/// failure text; doubles round-trip (mtr::append_number).
+void append_cell_coords(std::string& out, const GridCellCoords& cell,
+                        const GridGeometry& geom, std::string_view sep);
+
+/// "attack=2 scheduler=1 hz=1 cpu=1 … nice=1": every axis extent, as the
+/// dry-run plan prints it. Empty when `geom` sweeps no scenario axis.
+std::string grid_shape(const GridGeometry& geom);
 
 /// Aggregate for one grid cell across its seeds. The coordinates (the
 /// GridCellCoords base) and the cell index are stamped into every sink
@@ -324,9 +327,9 @@ struct CellEvent {
   std::size_t index = 0;      // grid-order cell index
   std::size_t total = 0;      // cells in this grid
   double wall_seconds = 0.0;  // real compute time, summed over the cell's runs
-  /// Normalized axis extents of the running grid, so consumers can tell a
-  /// swept coordinate (extent > 1) from a constant one — e.g. progress
-  /// lines print exactly the axes this grid opens.
+  /// Axis extents of the running grid, so consumers can tell a swept
+  /// coordinate (extent > 1) from a constant one — e.g. progress lines
+  /// print exactly the axes this grid opens.
   GridGeometry geometry;
   const CellStats& cell;
   /// Per-worker busy seconds so far this invocation (one slot per pool
@@ -370,19 +373,11 @@ struct GridRun {
 };
 
 /// Derives the kernel seed for one run: a splitmix64 mix of the grid seed
-/// with the cell coordinates, so the same grid seed decorrelates across
+/// with the cell's axis indices, so the same grid seed decorrelates across
 /// cells while staying reproducible and independent of scheduling order.
 /// The scenario-axis indices fold in only when non-zero, so a grid that
 /// leaves an axis at its default (index 0 everywhere) reproduces exactly
 /// the seeds — and therefore the results — of a grid without the axis.
-std::uint64_t cell_seed(std::uint64_t grid_seed, std::size_t attack_i,
-                        std::size_t scheduler_i, std::size_t tick_i,
-                        std::size_t cpu_i = 0, std::size_t ram_i = 0,
-                        std::size_t ptrace_i = 0, std::size_t jiffy_i = 0,
-                        std::size_t population_i = 0, std::size_t fraction_i = 0,
-                        std::size_t nice_i = 0);
-
-/// Convenience over decomposed cell indices (see GridGeometry::coords).
 std::uint64_t cell_seed(std::uint64_t grid_seed, const GridCellIndices& ix);
 
 class BatchRunner {

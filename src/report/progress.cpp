@@ -52,21 +52,10 @@ void ProgressReporter::on_cell(const core::CellEvent& ev) {
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start_;
   const std::size_t total = total_ > 0 ? total_ : done_;
-  os_ << "[" << label_ << " " << done_ << "/" << total << "] attack="
-      << ev.cell.attack_label << " scheduler=" << sim::to_string(ev.cell.scheduler)
-      << " hz=" << ev.cell.hz.v;
-  // Scenario-axis coordinates appear exactly when the grid sweeps the
-  // axis (extent > 1), so ablation lines are unambiguous — every cell of
-  // the sweep names its value, including the default one — while plain
-  // (default-axes) grids keep the short line.
-  if (ev.geometry.cpus > 1) os_ << " cpu_hz=" << ev.cell.cpu.v;
-  if (ev.geometry.rams > 1)
-    os_ << " ram=" << ev.cell.ram.frames << "f/" << ev.cell.ram.reclaim_batch;
-  if (ev.geometry.ptraces > 1)
-    os_ << " ptrace=" << kernel::to_string(ev.cell.ptrace);
-  if (ev.geometry.jiffies > 1)
-    os_ << " jiffy_timers=" << (ev.cell.jiffy_timers ? "on" : "off");
-  os_ << " cell=" << fmt_duration(ev.wall_seconds)
+  std::string coords;  // names each swept scenario axis, default value included
+  core::append_cell_coords(coords, ev.cell, ev.geometry, " ");
+  os_ << "[" << label_ << " " << done_ << "/" << total << "] " << coords
+      << " cell=" << fmt_duration(ev.wall_seconds)
       << " elapsed=" << fmt_duration(elapsed.count());
   if (const auto eta = eta_seconds(elapsed.count(), done_, total - done_))
     os_ << " eta=" << fmt_duration(*eta);

@@ -82,14 +82,8 @@ std::vector<core::CellStats> SweepContext::run_grid(
     }
     // Grids that open a scenario axis get their shape spelled out, so a
     // planned ablation shows which axes multiply the cell count.
-    if (geom.cpus > 1 || geom.rams > 1 || geom.ptraces > 1 ||
-        geom.jiffies > 1 || geom.populations > 1 || geom.fractions > 1 ||
-        geom.nices > 1)
-      p << " (axes: attack=" << geom.attacks << " scheduler=" << geom.schedulers
-        << " hz=" << geom.ticks << " cpu=" << geom.cpus << " ram=" << geom.rams
-        << " ptrace=" << geom.ptraces << " jiffy=" << geom.jiffies
-        << " population=" << geom.populations << " fraction=" << geom.fractions
-        << " nice=" << geom.nices << ")";
+    if (const std::string shape = core::grid_shape(geom); !shape.empty())
+      p << " (axes: " << shape << ")";
     p << '\n';
     return {};
   }

@@ -4,6 +4,7 @@
 // aggregates regardless of thread count.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "attacks/scheduling_attack.hpp"
+#include "common/format.hpp"
 #include "core/batch_runner.hpp"
 #include "helpers.hpp"
 
@@ -41,43 +43,103 @@ BatchGrid small_grid() {
   return g;
 }
 
+/// Indices with axis `a` at `i` and every other axis at 0.
+GridCellIndices only(Axis a, std::size_t i) {
+  GridCellIndices ix{};
+  ix[a] = i;
+  return ix;
+}
+
 TEST(CellSeed, DeterministicAndDecorrelated) {
-  EXPECT_EQ(cell_seed(42, 0, 0, 0), cell_seed(42, 0, 0, 0));
-  EXPECT_NE(cell_seed(42, 0, 0, 0), cell_seed(43, 0, 0, 0));
-  EXPECT_NE(cell_seed(42, 0, 0, 0), cell_seed(42, 1, 0, 0));
-  EXPECT_NE(cell_seed(42, 0, 0, 0), cell_seed(42, 0, 1, 0));
-  EXPECT_NE(cell_seed(42, 0, 0, 0), cell_seed(42, 0, 0, 1));
+  const GridCellIndices zero{};
+  EXPECT_EQ(cell_seed(42, zero), cell_seed(42, zero));
+  EXPECT_NE(cell_seed(42, zero), cell_seed(43, zero));
+  for (std::size_t a = 0; a < kAxisCount; ++a)
+    EXPECT_NE(cell_seed(42, zero), cell_seed(42, only(Axis(a), 1))) << a;
+}
+
+TEST(CellSeed, StreamIsPinned) {
+  // Values of the ten-axis seed mix before the axis table existed: per
+  // grid seed, each axis alone at index 1 (Axis order), then every axis at
+  // index 2. Any change here moves every result byte.
+  struct Pin {
+    std::uint64_t grid_seed;
+    std::array<std::uint64_t, kAxisCount> alone;
+    std::uint64_t all_two;
+  };
+  const Pin pins[] = {
+      {7,
+       {0xf1e802c7be804565ull, 0x878d7846aaa8b519ull, 0x785f268b28314158ull,
+        0x717ac1bb423ce198ull, 0xd5dd63b413c6c948ull, 0xf969f0dc6929ce9eull,
+        0x0e7604c8f5dcd01bull, 0x20575fe4b7d3b3dfull, 0x438e3a3ea6510a91ull,
+        0x51922b5d5474fdb7ull},
+       0x8f546da43e1bcf22ull},
+      {42,
+       {0xc10452d59b566a3bull, 0xefbf5a3ad575d087ull, 0xf4c6a9b345efa92cull,
+        0x25b2a756e97f2fc0ull, 0x6f132765418093e4ull, 0xce426539345e4d36ull,
+        0x453aa2697923267eull, 0x375ca0f1dffa37f3ull, 0x112c6efc3aeb15ceull,
+        0x254e03da1ce958a6ull},
+       0x66f343d40303cd26ull},
+      {12345,
+       {0xf384a00aee989bb5ull, 0x5606842f75efb19dull, 0x5172b4bd81ffca4aull,
+        0x75359620071a5bbaull, 0x299071b046634dd4ull, 0xd3ac0a5d7ab7b124ull,
+        0x074e001167d19d6full, 0x0bdce77cf5960bacull, 0xb2759e1f38820254ull,
+        0x001b18292fb44124ull},
+       0x567af8035d0e21b8ull},
+  };
+  for (const Pin& pin : pins) {
+    for (std::size_t a = 0; a < kAxisCount; ++a)
+      EXPECT_EQ(cell_seed(pin.grid_seed, only(Axis(a), 1)), pin.alone[a])
+          << pin.grid_seed << " axis " << a;
+    GridCellIndices two;
+    two.fill(2);
+    EXPECT_EQ(cell_seed(pin.grid_seed, two), pin.all_two) << pin.grid_seed;
+  }
+}
+
+/// The seed stream before any scenario axis existed: attack, scheduler and
+/// hz mixed into the grid seed.
+std::uint64_t three_axis_seed(std::uint64_t grid_seed, std::size_t a,
+                              std::size_t s, std::size_t t) {
+  const auto mix = [](std::uint64_t x) {
+    x += 0x9E3779B97F4A7C15ull;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
+  };
+  std::uint64_t h = mix(grid_seed);
+  h = mix(h ^ (std::uint64_t{a} + 1));
+  h = mix(h ^ ((std::uint64_t{s} + 1) << 20));
+  return mix(h ^ ((std::uint64_t{t} + 1) << 40));
 }
 
 TEST(CellSeed, UnusedScenarioAxesDoNotPerturbSeeds) {
-  // Axis index 0 (the base value of an unused axis) must leave the seed
-  // stream exactly as it was before the axis existed — per axis and for
-  // any combination of zeros.
+  // Every scenario axis at index 0 (the base value of an unused axis) must
+  // leave the seed stream exactly as it was before the axis existed.
   for (std::uint64_t grid_seed : {7ull, 42ull, 12345ull}) {
     for (std::size_t a = 0; a < 3; ++a)
       for (std::size_t s = 0; s < 2; ++s)
         for (std::size_t t = 0; t < 2; ++t) {
-          const std::uint64_t legacy = cell_seed(grid_seed, a, s, t);
-          EXPECT_EQ(legacy, cell_seed(grid_seed, a, s, t, 0, 0, 0, 0));
-          EXPECT_EQ(legacy, cell_seed(grid_seed, GridCellIndices{a, s, t}));
+          GridCellIndices ix{};
+          ix[kAttackAxis] = a;
+          ix[kSchedulerAxis] = s;
+          ix[kHzAxis] = t;
+          EXPECT_EQ(cell_seed(grid_seed, ix), three_axis_seed(grid_seed, a, s, t));
         }
   }
   // Each scenario axis decorrelates when actually swept, each differently.
-  const std::uint64_t base = cell_seed(42, 1, 1, 1);
-  const std::uint64_t cpu = cell_seed(42, 1, 1, 1, 1, 0, 0, 0);
-  const std::uint64_t ram = cell_seed(42, 1, 1, 1, 0, 1, 0, 0);
-  const std::uint64_t ptr = cell_seed(42, 1, 1, 1, 0, 0, 1, 0);
-  const std::uint64_t jfy = cell_seed(42, 1, 1, 1, 0, 0, 0, 1);
-  EXPECT_NE(base, cpu);
-  EXPECT_NE(base, ram);
-  EXPECT_NE(base, ptr);
-  EXPECT_NE(base, jfy);
-  EXPECT_NE(cpu, ram);
-  EXPECT_NE(cpu, ptr);
-  EXPECT_NE(cpu, jfy);
-  EXPECT_NE(ram, ptr);
-  EXPECT_NE(ram, jfy);
-  EXPECT_NE(ptr, jfy);
+  GridCellIndices base{};
+  base[kAttackAxis] = base[kSchedulerAxis] = base[kHzAxis] = 1;
+  std::vector<std::uint64_t> seeds = {cell_seed(42, base)};
+  for (std::size_t a = kCpuAxis; a < kAxisCount; ++a) {
+    GridCellIndices ix = base;
+    ix[a] = 1;
+    seeds.push_back(cell_seed(42, ix));
+  }
+  ASSERT_EQ(seeds.size(), 8u);  // base + seven scenario axes
+  for (std::size_t i = 0; i < seeds.size(); ++i)
+    for (std::size_t j = i + 1; j < seeds.size(); ++j)
+      EXPECT_NE(seeds[i], seeds[j]) << i << " vs " << j;
 }
 
 TEST(BatchRunner, EmptyDimensionsDefaultToBase) {
@@ -168,7 +230,7 @@ TEST(BatchRunner, GridGeometryHelpersMatchRunOrder) {
     EXPECT_EQ(c.scheduler, cells[i].scheduler);
     EXPECT_EQ(c.hz, cells[i].hz);
   }
-  // Empty dimensions default exactly like normalized_grid.
+  // Empty dimensions take their base value.
   BatchGrid empty;
   empty.base = test::quick_experiment(workloads::WorkloadKind::kOurs);
   EXPECT_EQ(grid_cell_count(empty), 1u);
@@ -181,12 +243,15 @@ TEST(BatchRunner, GridGeometryHelpersMatchRunOrder) {
   EXPECT_EQ(grid_cell_coords(empty, 0).ptrace, empty.base.sim.kernel.ptrace_policy);
   EXPECT_EQ(grid_cell_coords(empty, 0).jiffy_timers,
             empty.base.sim.kernel.jiffy_resolution_timers);
+  EXPECT_EQ(grid_cell_coords(empty, 0).population, empty.base.population.size);
+  EXPECT_EQ(grid_cell_coords(empty, 0).attacker_fraction,
+            empty.base.population.attacker_fraction);
+  EXPECT_EQ(grid_cell_coords(empty, 0).nice, empty.base.nice);
 }
 
-TEST(BatchRunner, RawAndNormalizedGridsShareOneGeometry) {
-  // The old geometry helpers re-implemented empty-axis fallbacks; a
-  // cell_filter built against a raw (non-normalized) grid must see exactly
-  // the numbering BatchRunner::run derives after normalization.
+TEST(BatchRunner, RawGridCoordinatesMatchTheRunnersCells) {
+  // A cell_filter built against a raw grid (empty axes and all) must see
+  // exactly the numbering and coordinates BatchRunner::run stamps.
   BatchGrid raw;
   raw.base = test::quick_experiment(workloads::WorkloadKind::kOurs);
   raw.base.sim.kernel.ptrace_policy = kernel::PtracePolicy::kPrivilegedOnly;
@@ -194,14 +259,15 @@ TEST(BatchRunner, RawAndNormalizedGridsShareOneGeometry) {
   raw.attacks.push_back({"scheduling", tiny_scheduling_attack()});
   raw.ticks = {TimerHz{100}, TimerHz{250}};
   raw.jiffy_timers = {true, false};
-  // schedulers / cpu / ram / ptrace axes left empty on purpose.
-  const BatchGrid norm = normalized_grid(raw);
+  // schedulers / cpu / ram / ptrace / population axes left empty on purpose.
+  const auto cells = BatchRunner(2).run(raw);
 
-  ASSERT_EQ(grid_cell_count(raw), grid_cell_count(norm));
   ASSERT_EQ(grid_cell_count(raw), 8u);  // 2 attacks x 2 ticks x 2 jiffy
+  ASSERT_EQ(cells.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
     const GridCellCoords a = grid_cell_coords(raw, i);
-    const GridCellCoords b = grid_cell_coords(norm, i);
+    const CellStats& b = cells[i];
+    EXPECT_EQ(b.cell_index, i);
     EXPECT_EQ(a.attack_label, b.attack_label) << i;
     EXPECT_EQ(a.scheduler, b.scheduler) << i;
     EXPECT_EQ(a.hz, b.hz) << i;
@@ -209,21 +275,53 @@ TEST(BatchRunner, RawAndNormalizedGridsShareOneGeometry) {
     EXPECT_EQ(a.ram, b.ram) << i;
     EXPECT_EQ(a.ptrace, b.ptrace) << i;
     EXPECT_EQ(a.jiffy_timers, b.jiffy_timers) << i;
+    EXPECT_EQ(a.population, b.population) << i;
+    EXPECT_EQ(a.attacker_fraction, b.attacker_fraction) << i;
+    EXPECT_EQ(a.nice, b.nice) << i;
     // Non-swept axes pull their value from base, not the global defaults.
     EXPECT_EQ(a.ptrace, kernel::PtracePolicy::kPrivilegedOnly) << i;
   }
+}
 
-  // GridGeometry::coords round-trips the axis-major flattening.
-  const GridGeometry geom = grid_geometry(raw);
-  EXPECT_EQ(geom.cell_count(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) {
+TEST(BatchRunner, GeometryRoundTripsAllTenAxes) {
+  // Every axis open, with extents that tell the axes apart.
+  BatchGrid g;
+  g.attacks = {{"a", nullptr}, {"b", nullptr}};
+  g.schedulers = {sim::SchedulerKind::kO1, sim::SchedulerKind::kCfs,
+                  sim::SchedulerKind::kO1};
+  g.ticks = {TimerHz{100}, TimerHz{250}};
+  g.cpu_freqs = {CpuHz{1}, CpuHz{2}, CpuHz{3}};
+  g.ram = {RamSpec{}, RamSpec{}};
+  g.ptrace_policies = {kernel::PtracePolicy::kAllowAll,
+                       kernel::PtracePolicy::kPrivilegedOnly};
+  g.jiffy_timers = {true, false};
+  g.population_sizes = {1, 2, 3};
+  g.attacker_fractions = {0.0, 0.5};
+  g.nice_levels = {NiceSpec{}, NiceSpec{}};
+  const GridGeometry geom = grid_geometry(g);
+  EXPECT_EQ(geom.extents,
+            (GridCellIndices{2, 3, 2, 3, 2, 2, 2, 3, 2, 2}));
+  ASSERT_EQ(geom.cell_count(), 3456u);
+  EXPECT_EQ(grid_cell_count(g), 3456u);
+
+  // coords inverts the axis-major flattening, nice-minor.
+  for (std::size_t i = 0; i < geom.cell_count(); ++i) {
     const GridCellIndices ix = geom.coords(i);
-    const std::size_t flat =
-        ((((((ix.attack * geom.schedulers + ix.scheduler) * geom.ticks +
-             ix.tick) * geom.cpus + ix.cpu) * geom.rams + ix.ram) *
-          geom.ptraces + ix.ptrace) * geom.jiffies) + ix.jiffy;
-    EXPECT_EQ(flat, i);
+    std::size_t flat = 0;
+    for (std::size_t a = 0; a < kAxisCount; ++a) {
+      ASSERT_LT(ix[a], geom.extents[a]) << i;
+      flat = flat * geom.extents[a] + ix[a];
+    }
+    ASSERT_EQ(flat, i);
   }
+  // The last cell sits at the top of every axis; grid_cell_coords reads
+  // each axis's own vector.
+  const GridCellCoords last = grid_cell_coords(g, 3455);
+  EXPECT_EQ(last.attack_label, "b");
+  EXPECT_EQ(last.cpu, CpuHz{3});
+  EXPECT_EQ(last.population, 3u);
+  EXPECT_EQ(last.attacker_fraction, 0.5);
+  EXPECT_FALSE(last.jiffy_timers);
 }
 
 TEST(BatchRunner, CellFilterRunsSubsetWithFullGridIdentity) {
@@ -357,6 +455,26 @@ TEST(BatchRunner, ExceptionNamesFailingCellCoordinates) {
     EXPECT_NE(what.find("hz=1000"), std::string::npos) << what;
     EXPECT_NE(what.find("seed=77"), std::string::npos) << what;
     EXPECT_NE(what.find("factory exploded"), std::string::npos) << what;
+  }
+}
+
+TEST(BatchRunner, ExceptionSpellsFractionsRoundTrip) {
+  // Two fractions that six decimals would both print as 0.000000.
+  BatchGrid g;
+  g.base = test::quick_experiment(workloads::WorkloadKind::kOurs);
+  g.attacks.push_back({"broken", []() -> std::unique_ptr<attacks::Attack> {
+                         throw std::runtime_error("factory exploded");
+                       }});
+  g.attacker_fractions = {1e-7, 2e-7};
+  g.cell_filter = [](std::size_t cell) { return cell == 1; };
+  try {
+    BatchRunner(1).run(g);
+    FAIL() << "expected a runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("attacker_fraction=" + json_number(2e-7)), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("0.000000"), std::string::npos) << what;
   }
 }
 

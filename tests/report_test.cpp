@@ -678,11 +678,17 @@ TEST(ProgressReporterTest, CellLineShowsSweptScenarioAxes) {
   cell.ram = {4096, 64};            // because the axis is swept
   cell.ptrace = kernel::PtracePolicy::kPrivilegedOnly;
   cell.jiffy_timers = false;
+  cell.population = 64;
+  cell.attacker_fraction = 0.1;
+  cell.nice = {Nice{0}, Nice{-20}};
   core::GridGeometry swept;
-  swept.cpus = 3;
-  swept.rams = 2;
-  swept.ptraces = 2;
-  swept.jiffies = 2;
+  swept.extents[core::kCpuAxis] = 3;
+  swept.extents[core::kRamAxis] = 2;
+  swept.extents[core::kPtraceAxis] = 2;
+  swept.extents[core::kJiffyAxis] = 2;
+  swept.extents[core::kPopulationAxis] = 2;
+  swept.extents[core::kFractionAxis] = 2;
+  swept.extents[core::kNiceAxis] = 2;
 
   std::ostringstream os;
   ProgressReporter progress(os, /*enabled=*/true);
@@ -692,6 +698,12 @@ TEST(ProgressReporterTest, CellLineShowsSweptScenarioAxes) {
   EXPECT_NE(os.str().find("ram=4096f/64"), std::string::npos) << os.str();
   EXPECT_NE(os.str().find("ptrace=privileged_only"), std::string::npos) << os.str();
   EXPECT_NE(os.str().find("jiffy_timers=off"), std::string::npos) << os.str();
+  EXPECT_NE(os.str().find(" population=64 "), std::string::npos) << os.str();
+  EXPECT_NE(os.str().find(" attacker_fraction=0.10000000000000001 "),
+            std::string::npos)
+      << os.str();
+  EXPECT_NE(os.str().find(" victim_nice=0 attacker_nice=-20 "), std::string::npos)
+      << os.str();
 
   // Non-swept axes keep the short line, whatever their value.
   std::ostringstream quiet;
@@ -702,6 +714,9 @@ TEST(ProgressReporterTest, CellLineShowsSweptScenarioAxes) {
   EXPECT_EQ(quiet.str().find("ram="), std::string::npos) << quiet.str();
   EXPECT_EQ(quiet.str().find("ptrace="), std::string::npos) << quiet.str();
   EXPECT_EQ(quiet.str().find("jiffy_timers="), std::string::npos) << quiet.str();
+  EXPECT_EQ(quiet.str().find("population="), std::string::npos) << quiet.str();
+  EXPECT_EQ(quiet.str().find("attacker_fraction="), std::string::npos) << quiet.str();
+  EXPECT_EQ(quiet.str().find("nice="), std::string::npos) << quiet.str();
 }
 
 TEST(ProgressReporterTest, ShrinkTotalTracksSkippedCells) {
