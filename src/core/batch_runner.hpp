@@ -3,17 +3,17 @@
 // A BatchGrid names the sweep axes of the paper's tables and ablations —
 // attack x scheduler x tick granularity plus the scenario axes (CPU
 // frequency, RAM size / reclaim batch, ptrace policy, jiffy-resolution
-// timers) and the population axes (tenants, attacker fraction, nice) —
-// and BatchRunner fans the cross product across a std::thread pool. Each
-// run builds its own Simulation (run_experiment is self-contained), each
-// cell derives its kernel seeds deterministically from the grid seed and
-// the cell coordinates, and cells are aggregated and emitted in grid
-// order — so the output is bit-identical for any thread count. Axes left
-// empty default to the grid's `base` value and change nothing: cell
-// indices, per-cell seeds, and sink artifacts are identical to a grid
-// without the axis.
+// timers) — and BatchRunner fans the cross product across a std::thread
+// pool. Each run builds its own Simulation (run_experiment is
+// self-contained), each cell derives its kernel seeds deterministically
+// from the grid seed and the cell coordinates, and cells are aggregated
+// and emitted in grid order — so the output is bit-identical for any
+// thread count. Axes left empty default to the grid's `base` value and
+// change nothing: cell indices, per-cell seeds, and sink artifacts are
+// identical to a grid without the axis.
 //
-// Every axis but the attack is one row of the axis table in
+// The population axes (tenants, attacker fraction, nice) complete the
+// ten. Every axis but the attack is one row of the axis table in
 // batch_runner.cpp; geometry, cell coordinates, per-run configs, seeds,
 // progress and failure text, and the dry-run shape all walk that table.
 //
@@ -327,9 +327,9 @@ struct CellEvent {
   std::size_t index = 0;      // grid-order cell index
   std::size_t total = 0;      // cells in this grid
   double wall_seconds = 0.0;  // real compute time, summed over the cell's runs
-  /// Axis extents of the running grid, so consumers can tell a swept
-  /// coordinate (extent > 1) from a constant one — e.g. progress lines
-  /// print exactly the axes this grid opens.
+  /// Axis extents of the running grid, so consumers can tell a
+  /// swept coordinate (extent > 1) from a constant one — e.g. progress
+  /// lines print exactly the axes this grid opens.
   GridGeometry geometry;
   const CellStats& cell;
   /// Per-worker busy seconds so far this invocation (one slot per pool
