@@ -146,4 +146,10 @@ void QuantileSketch::load_bounds(double lo, double hi) {
   max_ = hi;
 }
 
+const char* QuantileSketch::load_error(std::uint64_t recorded_count) const {
+  if (count_ != recorded_count) return "count does not match its buckets";
+  if (!empty() && min_ > max_) return "min exceeds max";
+  return nullptr;
+}
+
 }  // namespace mtr

@@ -75,6 +75,11 @@ class QuantileSketch {
   void load_bucket(std::int32_t index, std::uint64_t n, bool negative);
   void load_zero(std::uint64_t n);
   void load_bounds(double lo, double hi);
+  /// The one consistency check of a loaded sketch against the count its
+  /// writer recorded: nullptr, or why no sequence of add() calls could
+  /// have built it ("count does not match its buckets", "min exceeds
+  /// max").
+  const char* load_error(std::uint64_t recorded_count) const;
 
   friend bool operator==(const QuantileSketch& a, const QuantileSketch& b) {
     return a.count_ == b.count_ && a.zero_ == b.zero_ && a.min_ == b.min_ &&

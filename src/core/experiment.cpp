@@ -235,11 +235,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     r.trace_events_dropped = tracer->dropped();
 
     trace::ExportInfo info_out;
-    info_out.label = config.trace.label.empty()
-                         ? std::string(workloads::short_name(config.kind)) +
-                               (r.attack_name.empty() ? "/baseline"
-                                                      : "/" + r.attack_name)
-                         : config.trace.label;
+    info_out.label = std::string(workloads::short_name(config.kind)) +
+                     (r.attack_name.empty() ? "/baseline" : "/" + r.attack_name);
     info_out.category = r.attack_name.empty() ? "baseline" : r.attack_name;
     info_out.cpu = cpu;
     info_out.hz = hz;

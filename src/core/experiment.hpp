@@ -21,16 +21,14 @@ namespace mtr::core {
 /// pre-observability instruction stream.
 struct TraceRequest {
   /// Non-empty = record kernel events and write a Chrome/Perfetto
-  /// trace-event JSON file at this path when the run completes.
+  /// trace-event JSON file at this path when the run completes. Its
+  /// process track is labelled "<workload>/<attack>".
   std::string path;
   /// Ring capacity in events; when the run records more, the oldest are
   /// dropped and the exporter reports the drop count.
   std::size_t ring_capacity = 1 << 16;
   /// Collect KernelStats counters even without a trace file.
   bool collect_stats = false;
-  /// Display label for the trace process track (defaults to
-  /// "<workload>/<attack>" when empty).
-  std::string label;
 
   bool enabled() const { return !path.empty(); }
 };

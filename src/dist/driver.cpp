@@ -39,8 +39,6 @@ constexpr const char* kUsage =
     "\n"
     "  --list             list registered sweeps and exit\n"
     "  --all              run every registered sweep\n"
-    "  --csv PATH         append run records to one shared CSV file\n"
-    "  --jsonl PATH       append run + cell records to one shared JSONL file\n"
     "  --out-dir DIR      write fresh <sweep>.csv and <sweep>.jsonl per sweep\n"
     "  --trace-dir DIR    record kernel event traces and write one\n"
     "                     Chrome/Perfetto trace-event JSON per cell (first\n"
@@ -87,7 +85,9 @@ constexpr const char* kUsage =
     "  --help             print this message\n"
     "\n"
     "Sharded and resumed runs skip the ASCII rendering (their cell set is\n"
-    "partial); the CSV/JSONL sinks plus mtr_merge are the output.\n"
+    "partial); the CSV/JSONL sinks plus mtr_merge are the output. For one\n"
+    "combined file of every sweep, merge an --out-dir:\n"
+    "  mtr_merge --csv all.csv --jsonl all.jsonl DIR/*.csv DIR/*.jsonl\n"
     "\n"
     "env defaults: MTR_BENCH_SCALE, MTR_BENCH_SEEDS, MTR_BENCH_THREADS,\n"
     "MTR_BENCH_PROGRESS=0 disables progress.\n";
@@ -108,6 +108,112 @@ void publish_metrics_file(const std::string& path,
   publish_file(path, os.str(), "metrics");
 }
 
+/// The fail-flush-at seam: fires the injector's flush fault before the
+/// wrapped file sink sees the cell, so a failed flush loses the cell
+/// whole and never half-writes it.
+class FlushFaultSink final : public report::ResultSink {
+ public:
+  FlushFaultSink(std::unique_ptr<report::ResultSink> sink,
+                 FaultInjector& injector, const char* kind)
+      : sink_(std::move(sink)), injector_(injector), kind_(kind) {}
+
+  void write_cell(const std::string& sweep,
+                  const core::CellStats& cell) override {
+    injector_.on_sink_flush(kind_);
+    sink_->write_cell(sweep, cell);
+  }
+
+ private:
+  std::unique_ptr<report::ResultSink> sink_;
+  FaultInjector& injector_;
+  const char* kind_;  // "csv" or "jsonl"
+};
+
+/// The invocation's plan so far, in cell_index order.
+struct PlanCursor {
+  std::size_t cells = 0;  // the next grid's first global cell index
+  std::size_t owned = 0;  // cells the gate admitted
+  /// Per cost class (baseline, attacked), the cells planned so far. Every
+  /// cell advances its class's counter, admitted or not, so a cell's class
+  /// position depends only on the selected sweeps.
+  std::array<std::uint64_t, 2> classes{};
+};
+
+/// Plans one queued grid: forces --engine, claims the grid's global cell
+/// range and, when sharded or resuming (`resume` non-null), gates each
+/// cell in grid order — shard ownership by class position first, then
+/// the resume index, which throws on output that contradicts the grid.
+/// Under --dry-run prints the grid's plan line to `out`; otherwise arms
+/// the grid's numbering, cell filter, kernel stats and trace paths.
+/// Returns how many cells the gate refused.
+std::size_t plan_grid(report::SweepGrids::Queued& q, const SweepOptions& o,
+                      const ResumeIndex* resume, bool collect_stats,
+                      PlanCursor& cursor, std::ostream& out) {
+  core::BatchGrid& grid = q.grid;
+  if (o.event_driven) grid.base.sim.kernel.event_driven = *o.event_driven;
+  const std::size_t n_cells = core::grid_cell_count(grid);
+  const std::size_t base = cursor.cells;
+  cursor.cells += n_cells;
+
+  // The gate sees every cell in grid order, so shard ownership and resume
+  // skipping are decided against the same global numbering — and the same
+  // class positions — a single-machine run would assign.
+  const core::GridGeometry geom = core::grid_geometry(grid);
+  std::vector<char> owned(n_cells, 1);
+  std::size_t n_owned = n_cells;
+  if (o.shard.sharded() || resume != nullptr) {
+    for (std::size_t i = 0; i < n_cells; ++i) {
+      std::uint64_t& in_class =
+          cursor.classes[core::cell_has_attack(grid, geom, i) ? 1 : 0];
+      bool admit = o.shard.owns(in_class++);
+      if (admit && resume != nullptr)
+        admit = !resume->completed(
+            report::cell_key(q.sweep, base + i, core::grid_cell_coords(grid, i)));
+      if (!admit) {
+        owned[i] = 0;
+        --n_owned;
+      }
+    }
+  }
+  cursor.owned += n_owned;
+
+  if (o.dry_run) {
+    out << q.sweep << ": cells [" << base << "," << base + n_cells << ")";
+    if (n_owned == n_cells) {
+      out << " — runs all " << n_cells;
+    } else {
+      out << " — runs " << n_owned << "/" << n_cells << ":";
+      for (std::size_t i = 0; i < n_cells; ++i)
+        if (owned[i]) out << ' ' << base + i;
+    }
+    // Grids that open a scenario axis get their shape spelled out, so a
+    // planned ablation shows which axes multiply the cell count.
+    if (const std::string shape = core::grid_shape(geom); !shape.empty())
+      out << " (axes: " << shape << ")";
+    out << '\n';
+    return n_cells - n_owned;
+  }
+
+  grid.cell_index_base = base;
+  if (n_owned < n_cells)
+    grid.cell_filter = [owned = std::move(owned)](std::size_t i) {
+      return owned[i] != 0;
+    };
+  grid.collect_kernel_stats = collect_stats;
+  if (!o.trace_dir.empty()) {
+    // One trace per admitted cell, first replicate only: replicate 0 is the
+    // canonical seed, and one ring per cell keeps the disk cost linear in
+    // cells rather than runs.
+    grid.trace_path = [dir = o.trace_dir, sweep = q.sweep,
+                       base](std::size_t cell, std::size_t seed_i) {
+      if (seed_i != 0) return std::string();
+      return dir + "/" + sweep + "-cell" + std::to_string(base + cell) +
+             ".json";
+    };
+  }
+  return n_cells - n_owned;
+}
+
 /// Every mtr_sweep flag; the workload flags lead.
 FlagTable sweep_flags(SweepOptions& o) {
   FlagTable t = workload_flags(o);
@@ -120,8 +226,6 @@ FlagTable sweep_flags(SweepOptions& o) {
     switch_flag("--no-progress", o.progress, false),
     switch_flag("--dry-run", o.dry_run),
     switch_flag("--resume", o.resume),
-    text_flag("--csv", o.csv_path),
-    text_flag("--jsonl", o.jsonl_path),
     text_flag("--out-dir", o.out_dir),
     text_flag("--trace-dir", o.trace_dir),
     text_flag("--metrics", o.metrics_path),
@@ -226,23 +330,15 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
     return 2;
   }
 
-  const bool shared_sinks = !options.csv_path.empty() || !options.jsonl_path.empty();
-  if (options.resume && !shared_sinks && options.out_dir.empty()) {
-    err << "mtr_sweep: --resume needs output to resume from — pass --csv, "
-           "--jsonl, or --out-dir\n";
-    return 2;
-  }
-  if (options.resume && shared_sinks && !options.out_dir.empty()) {
-    err << "mtr_sweep: --resume supports either --csv/--jsonl or --out-dir, "
-           "not both at once\n";
+  if (options.resume && options.out_dir.empty()) {
+    err << "mtr_sweep: --resume needs output to resume from — pass "
+           "--out-dir\n";
     return 2;
   }
 
   if (!options.dry_run) {
     if (!options.out_dir.empty())
       std::filesystem::create_directories(options.out_dir);
-    if (!options.csv_path.empty()) create_parent_dirs(options.csv_path);
-    if (!options.jsonl_path.empty()) create_parent_dirs(options.jsonl_path);
     if (!options.trace_dir.empty())
       std::filesystem::create_directories(options.trace_dir);
     if (!options.metrics_path.empty()) create_parent_dirs(options.metrics_path);
@@ -255,76 +351,33 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
   // absent, and under --dry-run, which opens no sinks to tear).
   FaultInjector injector(options.dry_run ? FaultPlan{} : options.fault);
   injector.arm_sigkill();
-  std::optional<report::ScopedSinkFlushHook> flush_hook;
-  if (injector.has_flush_fault())
-    flush_hook.emplace(
-        [&injector](const char* kind) { injector.on_sink_flush(kind); });
 
   // Crash-consistent metrics resume: the per-cell snapshot published below
   // is the source of truth for which cells' counters are already folded.
   // Completed record cells beyond its coverage roll back and rerun (the
   // records come out byte-identical either way; the counters fold once).
   MetricsFile metrics_base;
-  bool have_metrics_base = false;
   if (want_metrics && options.resume &&
-      std::filesystem::exists(options.metrics_path)) {
+      std::filesystem::exists(options.metrics_path))
     metrics_base = read_metrics_json(options.metrics_path);
-    have_metrics_base = true;
-  }
-  const auto base_for =
-      [&](const std::string& name) -> const trace::SweepMetrics* {
-    if (!have_metrics_base) return nullptr;
-    for (const trace::SweepMetrics& m : metrics_base.sweeps)
-      if (m.sweep == name) return &m;
-    return nullptr;
-  };
 
-  // One resume index for shared files (they span every selected sweep);
-  // out-dir files are per sweep and get their own index in the plan pass.
-  ResumeIndex shared_resume;
-  if (options.resume && shared_sinks) {
-    std::optional<std::uint64_t> cap;
-    if (want_metrics) {
-      std::uint64_t covered = 0;
-      for (const trace::SweepMetrics& m : metrics_base.sweeps)
-        covered += m.cells;
-      cap = covered;
-    }
-    shared_resume = ResumeIndex::scan(options.csv_path, options.jsonl_path,
-                                      options.seeds, cap);
-    if (shared_resume.metrics_overrun()) {
-      err << "mtr_sweep: resume: metrics snapshot is ahead of the records — "
-             "rerunning everything against a fresh fold\n";
-      have_metrics_base = false;
-      metrics_base = MetricsFile{};
-    }
-    if (!options.dry_run) shared_resume.truncate_files();
-    err << "mtr_sweep: resume: " << shared_resume.size()
-        << " cell(s) already complete\n";
-  }
-
-  // The invocation-global cell counter every grid claims its index range
-  // from — the ordinal that makes shard outputs mergeable.
-  std::size_t cell_cursor = 0;
-  std::size_t owned_cursor = 0;
-  std::array<std::uint64_t, 2> class_cursor{};
   const bool partial =
       options.dry_run || options.shard.sharded() || options.resume;
 
   report::ProgressReporter progress(err, options.progress && !options.dry_run);
   // --quiet keeps the begin/finish summary lines (and the resume notes
-  // above, which print directly to `err`) but drops the line-per-cell
+  // below, which print directly to `err`) but drops the line-per-cell
   // stream.
   if (options.quiet) progress.set_per_cell(false);
 
   // Per sweep: what it resumes from, its slot in the pool, its sinks
   // (opened when emission reaches the sweep) and its metrics fold.
   struct SweepState {
-    ResumeIndex own_resume;  // --out-dir resume; shared files use one index
-    const ResumeIndex* resume = nullptr;
+    ResumeIndex resume;  // --resume: the cells already on disk
     std::string dir_csv;
     std::string dir_jsonl;
     report::SweepGrids grids;
+    std::size_t skipped = 0;  // cells the gate refused
     report::MultiSink sinks;
     trace::SweepMetrics metrics;
   };
@@ -334,77 +387,62 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
     report::SweepContext ctx;
     ctx.scale = options.scale;
     ctx.seeds = options.seeds;
-    ctx.event_driven = options.event_driven;
     ctx.out = options.quiet || !render ? &null_stream() : &out;
-    ctx.cell_cursor = &cell_cursor;
-    ctx.owned_cursor = &owned_cursor;
-    ctx.class_cursor = &class_cursor;
-    ctx.dry_run = options.dry_run;
     ctx.partial = !render;
-    ctx.plan = options.dry_run ? &out : nullptr;
-    ctx.trace_dir = options.dry_run ? std::string() : options.trace_dir;
-    ctx.collect_stats = want_metrics;
     ctx.grids = &sweeps[s].grids;
     ctx.render = render;
     return ctx;
   };
 
-  // Plan pass: every body claims its cell ranges and queues its grids —
-  // and under --dry-run prints the plan, which is all a dry run does.
+  // Plan pass: every body queues its grids.
+  for (std::size_t s = 0; s < selected.size(); ++s)
+    selected[s]->run(context(s, /*render=*/false));
+
+  // Then the driver plans them, sweep by sweep: the sweep's resume scan,
+  // then its grids in cell_index order — which is all a dry run does.
+  PlanCursor cursor;
   for (std::size_t s = 0; s < selected.size(); ++s) {
-    const report::SweepSpec* spec = selected[s];
+    const std::string& name = selected[s]->name;
     SweepState& st = sweeps[s];
     if (!options.out_dir.empty()) {
       const std::filesystem::path dir(options.out_dir);
-      st.dir_csv = (dir / (spec->name + ".csv")).string();
-      st.dir_jsonl = (dir / (spec->name + ".jsonl")).string();
+      st.dir_csv = (dir / (name + ".csv")).string();
+      st.dir_jsonl = (dir / (name + ".jsonl")).string();
     }
-    if (options.resume && shared_sinks) {
-      st.resume = &shared_resume;
-    } else if (options.resume) {
+    st.metrics.sweep = name;
+    if (options.resume) {
+      const auto base =
+          std::find_if(metrics_base.sweeps.begin(), metrics_base.sweeps.end(),
+                       [&](const trace::SweepMetrics& m) { return m.sweep == name; });
+      const bool have_base = base != metrics_base.sweeps.end();
       std::optional<std::uint64_t> cap;
-      if (want_metrics) {
-        const trace::SweepMetrics* base = base_for(spec->name);
-        cap = base != nullptr ? base->cells : 0;
-      }
-      st.own_resume = ResumeIndex::scan(st.dir_csv, st.dir_jsonl, options.seeds, cap);
-      if (st.own_resume.metrics_overrun())
-        err << "mtr_sweep: resume: " << spec->name
+      if (want_metrics) cap = have_base ? base->cells : 0;
+      st.resume = ResumeIndex::scan(st.dir_csv, st.dir_jsonl, options.seeds, cap);
+      if (st.resume.metrics_overrun())
+        err << "mtr_sweep: resume: " << name
             << ": metrics snapshot is ahead of the records — rerunning "
                "against a fresh fold\n";
-      if (!options.dry_run) st.own_resume.truncate_files();
-      if (st.own_resume.size() > 0)
-        err << "mtr_sweep: resume: " << spec->name << ": "
-            << st.own_resume.size() << " cell(s) already complete\n";
-      st.resume = &st.own_resume;
-    }
-    st.metrics.sweep = spec->name;
-    if (want_metrics && st.resume != nullptr && !st.resume->metrics_overrun()) {
-      // Seed the fold with the counters the snapshot already covers; the
-      // gate skips exactly those cells, so each cell folds exactly once.
-      if (const trace::SweepMetrics* base = base_for(spec->name))
+      else if (have_base)
+        // Seed the fold with the counters the snapshot already covers; the
+        // gate skips exactly those cells, so each cell folds exactly once.
         st.metrics = *base;
+      if (!options.dry_run) st.resume.truncate_files();
+      if (st.resume.size() > 0)
+        err << "mtr_sweep: resume: " << name << ": " << st.resume.size()
+            << " cell(s) already complete\n";
     }
-
-    report::SweepContext ctx = context(s, /*render=*/false);
-    if (options.shard.sharded() || st.resume != nullptr) {
-      ctx.gate = [shard = options.shard, resume = st.resume](
-                     const report::CellKey& cell, std::uint64_t class_position) {
-        if (!shard.owns(class_position)) return false;
-        if (resume != nullptr && resume->completed(cell)) return false;
-        return true;
-      };
-    }
-    spec->run(ctx);
+    for (report::SweepGrids::Queued& q : st.grids.queued)
+      st.skipped += plan_grid(q, options, options.resume ? &st.resume : nullptr,
+                              want_metrics, cursor, out);
   }
 
   if (options.dry_run) {
-    out << "dry run: " << selected.size() << " sweep(s), " << cell_cursor
+    out << "dry run: " << selected.size() << " sweep(s), " << cursor.cells
         << " cell(s)";
     if (options.shard.sharded())
-      out << "; shard " << to_string(options.shard) << " runs " << owned_cursor;
+      out << "; shard " << to_string(options.shard) << " runs " << cursor.owned;
     else if (options.resume)
-      out << "; " << owned_cursor << " left to run";
+      out << "; " << cursor.owned << " left to run";
     out << '\n';
     return 0;
   }
@@ -424,43 +462,43 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
 
   // Emission walks the sweeps in order. Entering a sweep closes the last
   // one's sinks and progress span, opens its own and begins its span, so
-  // every on-disk prefix is what a sweep-at-a-time run would leave. The
-  // shared --csv/--jsonl files are opened in append mode per sweep: the
-  // first writer lays down the CSV header, later ones just extend the
-  // table. --out-dir files are per sweep and start fresh — except under
-  // --resume, where the kept prefix is appended to.
+  // every on-disk prefix is what a sweep-at-a-time run would leave.
+  // --out-dir files start fresh — except under --resume, where the kept
+  // prefix is appended to.
   std::size_t entered = 0;
   // The current sweep's fold as of its previous cell; see on_cell.
   trace::SweepMetrics published;
+  const auto add_sink = [&](report::MultiSink& sinks,
+                            std::unique_ptr<report::ResultSink> sink,
+                            const char* kind) {
+    if (injector.has_flush_fault())
+      sink = std::make_unique<FlushFaultSink>(std::move(sink), injector, kind);
+    sinks.add(std::move(sink));
+  };
   const auto enter = [&](std::size_t s) {
     progress.finish();
     if (s > 0) sweeps[s - 1].sinks = report::MultiSink{};
     SweepState& st = sweeps[s];
-    if (!options.csv_path.empty())
-      st.sinks.add(std::make_unique<report::CsvSink>(options.csv_path,
-                                                     report::OpenMode::kAppend));
-    if (!options.jsonl_path.empty())
-      st.sinks.add(std::make_unique<report::JsonlSink>(
-          options.jsonl_path, report::OpenMode::kAppend));
+    std::vector<std::string> files;
     if (!options.out_dir.empty()) {
       const report::OpenMode mode = options.resume ? report::OpenMode::kAppend
                                                    : report::OpenMode::kTruncate;
-      st.sinks.add(std::make_unique<report::CsvSink>(st.dir_csv, mode));
-      st.sinks.add(std::make_unique<report::JsonlSink>(st.dir_jsonl, mode));
+      add_sink(st.sinks, std::make_unique<report::CsvSink>(st.dir_csv, mode),
+               "csv");
+      add_sink(st.sinks,
+               std::make_unique<report::JsonlSink>(st.dir_jsonl, mode),
+               "jsonl");
+      files = {st.dir_csv, st.dir_jsonl};
     }
     if (injector.active()) {
-      std::vector<std::string> fault_files;
-      for (const std::string& f : {options.csv_path, options.jsonl_path,
-                                   st.dir_csv, st.dir_jsonl})
-        if (!f.empty()) fault_files.push_back(f);
-      injector.set_active_files(std::move(fault_files));
+      injector.set_active_files(std::move(files));
       // crash-after-cell=0 tears down right here, leaving the freshly
       // opened (possibly zero-byte) sink files for resume to classify.
       if (s == 0) injector.on_sinks_open();
     }
     if (!st.grids.progress_label.empty()) {
       progress.begin(st.grids.progress_label, st.grids.progress_total);
-      progress.shrink_total(st.grids.progress_skipped);
+      progress.shrink_total(st.skipped);
     }
     published = st.metrics;
   };

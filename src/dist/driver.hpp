@@ -1,8 +1,12 @@
 // The mtr_sweep driver: flag/environment parsing and the run loop that
-// builds sinks, wires progress, and composes the distributed-execution
-// gates (shard ownership, resume skipping) into the SweepContext every
-// sweep body runs against. Lives in the dist layer so the report substrate
-// stays free of sharding/resume policy.
+// owns every invocation policy. Sweep bodies only queue grids
+// (report/sweep.hpp); the driver plans each queued grid — the --engine
+// override, the invocation-global cell numbering, shard ownership and
+// resume skipping, the --dry-run plan, --trace-dir and --metrics — then
+// runs them all in one pool, streams each cell into its sweep's
+// <out-dir>/<sweep>.{csv,jsonl} sinks, wires progress and arms the fault
+// schedule. Lives in the dist layer so the report substrate stays free of
+// sharding/resume policy.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +33,6 @@ struct SweepOptions {
   ShardSpec shard;        // --shard I/N; default 0/1 = everything
   std::vector<std::string> sweeps;  // positional sweep names
 
-  std::string csv_path;    // --csv: one shared file, append-safe
-  std::string jsonl_path;  // --jsonl: one shared file, append-safe
   std::string out_dir;     // --out-dir: <dir>/<sweep>.{csv,jsonl}
   std::string trace_dir;   // --trace-dir: per-cell Perfetto trace JSONs
   std::string metrics_path;  // --metrics: schema-versioned metrics.json
@@ -67,10 +69,11 @@ SweepOptions default_sweep_options();
 /// rejected.
 SweepOptions parse_sweep_args(int argc, const char* const* argv);
 
-/// Runs the selected sweeps: builds the sink stack (creating parent
-/// directories for --csv/--jsonl/--out-dir paths), wires progress (to
-/// `err`), applies shard/resume gating, streams results, renders figures
-/// to `out`. Returns a process exit code (0 ok, 2 usage/selection error).
+/// Runs the selected sweeps: plans their grids (shard/resume gating,
+/// printed to `out` under --dry-run), opens the --out-dir sinks (creating
+/// the directories), wires progress (to `err`), streams results, renders
+/// figures to `out`. Returns a process exit code (0 ok, 2 usage/selection
+/// error).
 int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& options,
                std::ostream& out, std::ostream& err);
 

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -88,13 +87,6 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
       .count();
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
-}
-
 /// fork+exec with stdout/stderr redirected into `log_path`. `fault_env`,
 /// when non-null, becomes the child's MTR_FAULT_INJECT; otherwise any
 /// inherited value is scrubbed — a fault armed in the supervisor's own
@@ -139,7 +131,7 @@ ExecResult run_capture(const std::vector<std::string>& args,
   while (::waitpid(pid, &st, 0) < 0 && errno == EINTR) {}
   ExecResult r;
   r.exit_code = WIFEXITED(st) ? WEXITSTATUS(st) : -1;
-  r.output = slurp(capture_path);
+  r.output = read_file(capture_path, "preflight capture");
   return r;
 }
 

@@ -1,6 +1,7 @@
 // A small strict recursive-descent JSON parser shared by the dist-layer
 // readers: the metrics.json parser (dist/metrics.cpp) and the mtr_inspect
-// trace-file reader. Numbers keep their raw token so uint64 counters
+// trace-file reader. Its string scanner and decoder also serve the record
+// tokenizer (dist/records), so every JSON string is read one way. Numbers keep their raw token so uint64 counters
 // survive values a double round-trip would corrupt; anything outside the
 // closed grammar our writers emit is rejected with an offset-stamped error.
 #pragma once
@@ -28,6 +29,17 @@ struct Value {
     return nullptr;
   }
 };
+
+/// The end of the JSON string whose opening quote is at text[from]: the
+/// index just past its closing quote, or npos when it never closes.
+/// Escapes are stepped over here and checked by decode_string.
+std::size_t skip_string(std::string_view text, std::size_t from);
+
+/// Appends the text a JSON string's body (the bytes between its quotes)
+/// spells to `out`. Returns nullptr, or why the body is malformed: an
+/// unknown escape, a bad, truncated or non-ASCII \u escape, or a dangling
+/// backslash.
+const char* decode_string(std::string_view body, std::string& out);
 
 /// Parses one complete JSON document; throws std::runtime_error with the
 /// byte offset on malformed input or trailing bytes.

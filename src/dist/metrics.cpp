@@ -92,9 +92,8 @@ QuantileSketch parse_sketch(const Value& v, std::string_view name) {
   };
   load("neg", true);
   load("pos", false);
-  if (s.count() != json::get_u64(v, "count"))
-    refuse(where + " count does not match its buckets");
-  if (!s.empty() && s.min() > s.max()) refuse(where + " min exceeds max");
+  if (const char* why = s.load_error(json::get_u64(v, "count")))
+    refuse(where + " " + why);
   return s;
 }
 

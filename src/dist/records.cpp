@@ -2,65 +2,14 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
 
+#include "dist/json.hpp"
 #include "report/result_sink.hpp"
 
 namespace mtr::dist {
-namespace {
-
-/// Index past the closing quote of the string starting at `from` (which
-/// must point at the opening quote), honouring backslash escapes; npos when
-/// the string never closes (truncated line).
-std::size_t skip_json_string(std::string_view line, std::size_t from) {
-  for (std::size_t j = from + 1; j < line.size(); ++j) {
-    if (line[j] == '\\') {
-      ++j;
-    } else if (line[j] == '"') {
-      return j + 1;
-    }
-  }
-  return std::string_view::npos;
-}
-
-std::string json_unescape(std::string_view token) {
-  std::string out;
-  out.reserve(token.size());
-  for (std::size_t i = 0; i < token.size(); ++i) {
-    if (token[i] != '\\' || i + 1 >= token.size()) {
-      out += token[i];
-      continue;
-    }
-    const char esc = token[++i];
-    switch (esc) {
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u':
-        // Our writer only emits \u00XX for control characters.
-        if (i + 4 < token.size()) {
-          out += static_cast<char>(
-              std::strtoul(std::string(token.substr(i + 1, 4)).c_str(), nullptr, 16));
-          i += 4;
-        }
-        break;
-      default: out += esc; break;
-    }
-  }
-  return out;
-}
-
-/// The string a quoted JSON token spells; nullopt when it is not quoted.
-std::optional<std::string> json_unquote(std::string_view token) {
-  if (token.size() < 2 || token.front() != '"' || token.back() != '"')
-    return std::nullopt;
-  return json_unescape(token.substr(1, token.size() - 2));
-}
-
-}  // namespace
 
 bool tokenize_json_line(std::string_view line, JsonFields& out) {
   out.clear();
@@ -69,7 +18,7 @@ bool tokenize_json_line(std::string_view line, JsonFields& out) {
   if (i < line.size() && line[i] == '}') return i + 1 == line.size();
   for (;;) {
     if (i >= line.size() || line[i] != '"') return false;
-    const std::size_t key_end = skip_json_string(line, i);
+    const std::size_t key_end = json::skip_string(line, i);
     if (key_end == std::string_view::npos) return false;
     const std::string_view key = line.substr(i + 1, key_end - i - 2);
     i = key_end;
@@ -77,7 +26,7 @@ bool tokenize_json_line(std::string_view line, JsonFields& out) {
     ++i;
     const std::size_t val_start = i;
     if (i < line.size() && line[i] == '"') {
-      i = skip_json_string(line, i);
+      i = json::skip_string(line, i);
       if (i == std::string_view::npos) return false;
     } else if (i < line.size() && line[i] == '{') {
       // One level of nesting (the per-stat {...} objects), strings inside
@@ -86,7 +35,7 @@ bool tokenize_json_line(std::string_view line, JsonFields& out) {
       ++i;
       while (i < line.size() && depth > 0) {
         if (line[i] == '"') {
-          i = skip_json_string(line, i);
+          i = json::skip_string(line, i);
           if (i == std::string_view::npos) return false;
         } else {
           if (line[i] == '{') ++depth;
@@ -127,8 +76,13 @@ bool parse_json_line(const std::string& line,
 std::optional<std::string> json_string(const JsonFields& fields,
                                        std::string_view key) {
   const auto token = json_token(fields, key);
-  if (!token) return std::nullopt;
-  return json_unquote(*token);
+  if (!token || token->size() < 2 || token->front() != '"' ||
+      token->back() != '"')
+    return std::nullopt;
+  std::string text;
+  if (json::decode_string(token->substr(1, token->size() - 2), text))
+    return std::nullopt;
+  return text;
 }
 
 std::optional<std::uint64_t> json_u64(const JsonFields& fields,
@@ -206,13 +160,12 @@ namespace {
 /// the name of the first missing or invalid one, nullptr when all parse.
 const char* read_json_key(const JsonFields& f, report::CellKey& key) {
   for (const report::CellKeyColumn& col : report::kCellKeyColumns) {
-    const std::optional<std::string_view> token = json_token(f, col.name);
-    if (!token) return col.name;
     if (col.is_text()) {
-      const std::optional<std::string> text = json_unquote(*token);
+      const std::optional<std::string> text = json_string(f, col.name);
       if (!text || !col.parse(key, *text)) return col.name;
-    } else if (!col.parse(key, *token)) {
-      return col.name;
+    } else {
+      const std::optional<std::string_view> token = json_token(f, col.name);
+      if (!token || !col.parse(key, *token)) return col.name;
     }
   }
   return nullptr;

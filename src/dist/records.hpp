@@ -93,7 +93,8 @@ struct JsonField {
 using JsonFields = std::vector<JsonField>;
 
 /// The one tokenizer for our one-line JSON objects: fills `out` with the
-/// line's fields in line order. Returns false on malformed input (e.g. a
+/// line's fields in line order, finding each string's end with the
+/// document parser's scanner (json::skip_string). Returns false on malformed input (e.g. a
 /// truncated tail) instead of throwing; `out` then holds the fields read
 /// before the fault.
 bool tokenize_json_line(std::string_view line, JsonFields& out);
@@ -108,7 +109,9 @@ bool parse_json_line(const std::string& line,
                      std::map<std::string, std::string>& out);
 
 /// Typed readers over json_token; nullopt when the key is missing or the
-/// token has the wrong shape. Numbers are strict (mtr::parse_u64 /
+/// token has the wrong shape. Strings decode through the document
+/// parser's decoder (json::decode_string), so a malformed escape reads as
+/// a wrong shape. Numbers are strict (mtr::parse_u64 /
 /// mtr::parse_f64); json_double takes the writer's %.17g tokens, inf and
 /// nan included.
 std::optional<std::string> json_string(const JsonFields& fields,

@@ -60,7 +60,7 @@ class KernelProcessContext final : public ProcessContext {
 Kernel::Kernel(KernelConfig config, std::unique_ptr<Scheduler> scheduler)
     : config_(config),
       scheduler_(std::move(scheduler)),
-      mm_(config.ram_frames, config.reclaim_batch, config.swap_readahead),
+      mm_(config.ram_frames, config.reclaim_batch),
       timer_(config.cpu, config.hz),
       nic_(config.cpu),
       disk_(config.costs.disk_latency),

@@ -65,7 +65,6 @@ struct KernelConfig {
   TimerHz hz{};
   std::uint32_t ram_frames = 16 * 1024;  // 64 MiB at 4 KiB pages
   std::uint32_t reclaim_batch = 256;     // kswapd-style batch reclaim size
-  std::uint32_t swap_readahead = 8;      // pages clustered per swap read
   hw::CostModel costs{};
   PtracePolicy ptrace_policy = PtracePolicy::kAllowAll;
   /// Timer sleeps (nanosleep) expire on jiffy boundaries, as on kernels

@@ -29,19 +29,6 @@ std::string join_violations(const std::vector<std::string>& violations) {
   return out;
 }
 
-SinkFlushHook& sink_flush_hook() {
-  static SinkFlushHook hook;
-  return hook;
-}
-
-}  // namespace
-
-void set_sink_flush_hook(SinkFlushHook hook) {
-  sink_flush_hook() = std::move(hook);
-}
-
-namespace {
-
 /// A run column whose text is computed straight into the record buffer.
 /// Neither a sketch encoding nor a hex digest ever needs CSV or JSON
 /// escaping (encode_sketch's contract; hex is [0-9a-f]).
@@ -291,7 +278,7 @@ std::optional<QuantileSketch> decode_sketch(std::string_view token) {
   if (!load_buckets(parts[5], true)) return std::nullopt;
   s.load_zero(*zero);
   s.load_bounds(*lo, *hi);
-  if (s.count() != *count) return std::nullopt;  // token-internal mismatch
+  if (s.load_error(*count) != nullptr) return std::nullopt;
   return s;
 }
 
@@ -356,7 +343,6 @@ CsvSink::CsvSink(const std::string& path, OpenMode mode)
 CsvSink::CsvSink(std::ostream& os) : os_(&os) {}
 
 void CsvSink::write_cell(const std::string& sweep, const core::CellStats& cell) {
-  if (sink_flush_hook()) sink_flush_hook()("csv");
   if (!header_written_) {
     write_csv_header(*os_);
     header_written_ = true;
@@ -455,7 +441,6 @@ void append_cell_record(std::string& out, const CellSummary& s) {
 }
 
 void JsonlSink::write_cell(const std::string& sweep, const core::CellStats& cell) {
-  if (sink_flush_hook()) sink_flush_hook()("jsonl");
   if (buf_.capacity() == 0) buf_.reserve(8192);
   buf_.clear();  // keeps capacity: no steady-state reallocation
   const CellKey key = cell_key(sweep, cell.cell_index, cell);

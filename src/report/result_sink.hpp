@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -45,7 +44,9 @@ inline constexpr std::uint64_t kSchemaVersion = 4;
 /// what keeps shard merges byte-exact: mtr_merge decodes the per-run
 /// sketches, merges them (exact, order-free), and re-encodes.
 std::string encode_sketch(const QuantileSketch& sketch);
-/// Strict inverse of encode_sketch: nullopt on any malformed token.
+/// Strict inverse of encode_sketch: nullopt on any malformed token, and
+/// on a sketch QuantileSketch::load_error refuses (count off its buckets,
+/// min above max) — the check read_metrics_json makes too.
 std::optional<QuantileSketch> decode_sketch(std::string_view token);
 
 struct Field {
@@ -122,26 +123,6 @@ class ResultSink {
 enum class OpenMode {
   kTruncate,  // start a fresh file
   kAppend,    // append; the header is only written if the file was empty
-};
-
-/// Fault seam: when installed, file sinks invoke the hook (kind = "csv" or
-/// "jsonl") at the top of every write_cell, before any byte of the cell is
-/// emitted. A throwing hook models a transient flush failure: the cell is
-/// lost whole, never half-written. Install/clear happens-before the worker
-/// pool that emits cells, so no synchronization is needed on the pointer.
-using SinkFlushHook = std::function<void(const char* kind)>;
-void set_sink_flush_hook(SinkFlushHook hook);
-
-/// RAII installer for the flush hook — clears it on scope exit so a fault
-/// plan armed for one run_sweeps call cannot leak into the next.
-class ScopedSinkFlushHook {
- public:
-  explicit ScopedSinkFlushHook(SinkFlushHook hook) {
-    set_sink_flush_hook(std::move(hook));
-  }
-  ~ScopedSinkFlushHook() { set_sink_flush_hook(nullptr); }
-  ScopedSinkFlushHook(const ScopedSinkFlushHook&) = delete;
-  ScopedSinkFlushHook& operator=(const ScopedSinkFlushHook&) = delete;
 };
 
 /// One CSV row per run. The header row is written once per file —

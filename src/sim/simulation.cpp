@@ -26,11 +26,8 @@ std::unique_ptr<kernel::Scheduler> make_scheduler(const SimConfig& cfg) {
 Simulation::Simulation(SimConfig config)
     : config_(config),
       kernel_(std::make_unique<kernel::Kernel>(config.kernel, make_scheduler(config))),
-      loader_(registry_) {
-  if (config_.install_standard_libraries) {
-    registry_ = workloads::standard_registry();
-  }
-}
+      registry_(workloads::standard_registry()),
+      loader_(registry_) {}
 
 Cycles Simulation::tick() const {
   return tick_length(config_.kernel.cpu, config_.kernel.hz);

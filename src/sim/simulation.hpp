@@ -21,8 +21,6 @@ const char* to_string(SchedulerKind k);
 struct SimConfig {
   kernel::KernelConfig kernel{};
   SchedulerKind scheduler = SchedulerKind::kO1;
-  /// Install the genuine libc/libm/libpthread on boot (tests may disable).
-  bool install_standard_libraries = true;
 };
 
 /// Per-launch knobs; attacks mutate these in their prepare() phase.

@@ -330,17 +330,17 @@ TEST(SweepDriverTest, RunsGridAndCreatesSinkParentDirs) {
 
   const std::string root = temp_path("dist_driver_parents");
   std::filesystem::remove_all(root);
-  SweepOptions opts = grid_options("");
-  opts.csv_path = root + "/deep/nested/all.csv";
-  opts.jsonl_path = root + "/deep/nested/all.jsonl";
+  const SweepOptions opts = grid_options(root + "/deep/nested");
 
   std::ostringstream out, err;
   EXPECT_EQ(run_sweeps(registry, opts, out, err), 0);
   EXPECT_EQ(runs.load(), 8);  // 4 cells x 2 seeds
-  EXPECT_TRUE(std::filesystem::exists(opts.csv_path));
-  EXPECT_TRUE(std::filesystem::exists(opts.jsonl_path));
-  EXPECT_EQ(lines_of(read_file(opts.csv_path)).size(), 1u + 8u);
-  EXPECT_EQ(lines_of(read_file(opts.jsonl_path)).size(), 8u + 4u);
+  const std::string csv = opts.out_dir + "/grid.csv";
+  const std::string jsonl = opts.out_dir + "/grid.jsonl";
+  EXPECT_TRUE(std::filesystem::exists(csv));
+  EXPECT_TRUE(std::filesystem::exists(jsonl));
+  EXPECT_EQ(lines_of(read_file(csv)).size(), 1u + 8u);
+  EXPECT_EQ(lines_of(read_file(jsonl)).size(), 8u + 4u);
   std::filesystem::remove_all(root);
 }
 
@@ -351,6 +351,11 @@ TEST(SweepDriverTest, UsageErrorsExitTwo) {
   EXPECT_EQ(sweep_main(registry, 2, bogus), 2);
   const char* no_value[] = {"mtr_sweep", "grid", "--scale"};
   EXPECT_EQ(sweep_main(registry, 3, no_value), 2);
+  // --out-dir is the one record output path; the shared-file flags are gone.
+  const char* csv[] = {"mtr_sweep", "grid", "--csv", "x.csv"};
+  EXPECT_EQ(sweep_main(registry, 4, csv), 2);
+  const char* jsonl[] = {"mtr_sweep", "grid", "--jsonl", "x.jsonl"};
+  EXPECT_EQ(sweep_main(registry, 4, jsonl), 2);
   EXPECT_EQ(runs.load(), 0);
 }
 
@@ -572,6 +577,112 @@ TEST(ShardAssignmentTest, DryRunListsExactlyTheCellsAShardWritesAcrossAResume) {
     EXPECT_EQ(read_file(opts.out_dir + "/mixA.jsonl"), full_a);
   }
   std::filesystem::remove_all(root);
+}
+
+TEST(MergeTest, OneCombinedFileIsTheMergeOfAnOutDirRun) {
+  // The recipe for one combined file: mtr_merge over every per-sweep file
+  // of one --out-dir run, in any order (a shell glob sorts by name, not by
+  // cell_index).
+  const report::SweepRegistry registry = mixed_registry();
+  const std::string root = temp_path("dist_merge_combined");
+  std::filesystem::remove_all(root);
+  SweepOptions opts = mixed_options(root + "/out");
+  opts.sweeps = {"mixA", "mixB"};
+  std::ostringstream out, err;
+  ASSERT_EQ(run_sweeps(registry, opts, out, err), 0) << err.str();
+
+  MergeOptions merge;
+  merge.csv_out = root + "/all.csv";
+  merge.jsonl_out = root + "/all.jsonl";
+  for (const char* sweep : {"mixB", "mixA"}) {
+    merge.csv_in.push_back(opts.out_dir + "/" + sweep + ".csv");
+    merge.jsonl_in.push_back(opts.out_dir + "/" + sweep + ".jsonl");
+  }
+  ASSERT_EQ(run_merge(merge, out, err), 0) << err.str();
+  const std::string csv_b = read_file(opts.out_dir + "/mixB.csv");
+  const std::string rows_b = csv_b.substr(csv_b.find('\n') + 1);
+  ASSERT_FALSE(rows_b.empty());
+  EXPECT_EQ(read_file(merge.csv_out),
+            read_file(opts.out_dir + "/mixA.csv") + rows_b);
+  EXPECT_EQ(read_file(merge.jsonl_out),
+            read_file(opts.out_dir + "/mixA.jsonl") +
+                read_file(opts.out_dir + "/mixB.jsonl"));
+  std::filesystem::remove_all(root);
+}
+
+/// One sweep that queues two 2-cell baseline grids: the fixture for the
+/// driver's per-grid planning.
+report::SweepRegistry two_grid_registry() {
+  report::SweepRegistry registry;
+  registry.add({"pair", "two 2-cell grids", [](const report::SweepContext& ctx) {
+                  ctx.begin_progress("pair", 4);
+                  for (int g = 0; g < 2; ++g) {
+                    core::BatchGrid grid;
+                    grid.base = test::quick_experiment(
+                        workloads::WorkloadKind::kOurs, ctx.scale);
+                    grid.seeds = ctx.seeds;
+                    grid.schedulers = {sim::SchedulerKind::kO1,
+                                       sim::SchedulerKind::kCfs};
+                    ctx.run_grid("pair", std::move(grid));
+                  }
+                }});
+  return registry;
+}
+
+TEST(SweepDriverTest, PlanNumbersGatesAndCountsEveryQueuedGrid) {
+  const report::SweepRegistry registry = two_grid_registry();
+  const std::string dir = temp_path("dist_plan_pair");
+  std::filesystem::remove_all(dir);
+  SweepOptions opts = grid_options(dir);
+  opts.sweeps = {"pair"};
+  const auto plan = [&](SweepOptions o) {
+    o.dry_run = true;
+    std::ostringstream out, err;
+    EXPECT_EQ(run_sweeps(registry, o, out, err), 0) << err.str();
+    return out.str();
+  };
+
+  // The second grid's cells continue the first's numbering, on the plan
+  // and in the records.
+  EXPECT_EQ(plan(opts),
+            "pair: cells [0,2) — runs all 2\n"
+            "pair: cells [2,4) — runs all 2\n"
+            "dry run: 1 sweep(s), 4 cell(s)\n");
+  std::ostringstream out, err;
+  ASSERT_EQ(run_sweeps(registry, opts, out, err), 0) << err.str();
+  EXPECT_EQ(written_cells(dir, {"pair"}),
+            (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  const std::string ref_csv = read_file(dir + "/pair.csv");
+  const std::string ref_jsonl = read_file(dir + "/pair.jsonl");
+
+  // Class positions run on across grids, in order: shard 1/3 owns
+  // position 1 alone (positions restarting per grid would add cell 3).
+  SweepOptions shard = opts;
+  shard.shard = parse_shard_spec("1/3");
+  EXPECT_EQ(plan(shard),
+            "pair: cells [0,2) — runs 1/2: 1\n"
+            "pair: cells [2,4) — runs 0/2:\n"
+            "dry run: 1 sweep(s), 4 cell(s); shard 1/3 runs 1\n");
+
+  // A kill after cell 0. The resume gate skips it, the plan counts the
+  // three cells left, and the progress span (the heartbeat's total) leaves
+  // the skipped cell out.
+  keep_lines(dir + "/pair.jsonl", 3);
+  keep_lines(dir + "/pair.csv", 3);
+  SweepOptions resume = opts;
+  resume.resume = true;
+  EXPECT_EQ(plan(resume),
+            "pair: cells [0,2) — runs 1/2: 1\n"
+            "pair: cells [2,4) — runs all 2\n"
+            "dry run: 1 sweep(s), 4 cell(s); 3 left to run\n");
+  resume.status_file = dir + "/status.json";
+  ASSERT_EQ(run_sweeps(registry, resume, out, err), 0) << err.str();
+  const StatusSnapshot status = read_status_file(resume.status_file);
+  EXPECT_EQ(status.cells_done, 3u);
+  EXPECT_EQ(status.cells_total, 3u);
+  EXPECT_EQ(read_file(dir + "/pair.csv"), ref_csv);
+  EXPECT_EQ(read_file(dir + "/pair.jsonl"), ref_jsonl);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ResumeTest, PartialCellIsRerunAndBytesMatchUninterruptedRun) {
@@ -1256,6 +1367,38 @@ TEST(CellKeyScanTest, ResumeNamesTheCoordinateTheTwoFilesDisagreeOn) {
   }
   std::filesystem::remove(csv);
   std::filesystem::remove(jsonl);
+}
+
+TEST(CellKeyScanTest, MalformedEscapesAreRefusedNamingTheField) {
+  // Record strings decode through the document parser's decoder, which
+  // refuses an unknown escape and a \u escape with non-hex digits.
+  const std::vector<std::string> lines = lines_of(read_file(kGoldenJsonl));
+  ASSERT_EQ(lines.size(), 24u);
+  const std::string path = temp_path("escape.jsonl");
+  for (const std::string bad : {"\\q", "\\u00zz"}) {
+    for (const std::string column : {"sweep", "workload"}) {
+      SCOPED_TRACE(column + " holding " + bad);
+      std::vector<std::string> mutated = lines;
+      // Cell 2's first run record, line 7.
+      mutated[6] = with_json_token(mutated[6], column, "\"fig" + bad + "04\"");
+      write_file(path, join_lines(mutated));
+      if (column == "sweep") {  // a key column: the scan stops there
+        const FileScan scan = scan_jsonl(path);
+        EXPECT_FALSE(scan.clean);
+        EXPECT_EQ(scan.tail_error,
+                  path + ":7: record missing or invalid field 'sweep'" +
+                      at_byte(line_offset(lines, 7)));
+      }
+      MergeOptions o;
+      o.jsonl_out = temp_path("escape_out.jsonl");
+      o.jsonl_in = {path};
+      std::ostringstream out, err;
+      EXPECT_EQ(run_merge(o, out, err), 2);
+      EXPECT_NE(err.str().find("'" + column + "'"), std::string::npos)
+          << err.str();
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(CellKeyScanTest, CoordinateNumbersAreStrictInBothFormats) {
@@ -2267,7 +2410,7 @@ TEST(SweepDriverTest, ObservabilityPathsCreateParentDirsAndStatusTracksSweep) {
   const std::string root = temp_path("dist_observability_parents");
   std::filesystem::remove_all(root);
 
-  // Like --csv/--jsonl, the observability outputs create missing parent
+  // Like --out-dir, the observability outputs create missing parent
   // directories instead of failing on first write.
   SweepOptions opts = grid_options(root + "/out");
   opts.metrics_path = root + "/deep/metrics/metrics.json";

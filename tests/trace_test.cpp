@@ -494,7 +494,8 @@ TEST(TracedExperiment, TraceFileIsWrittenAndWellFormed) {
   buf << in.rdbuf();
   const std::string out = buf.str();
   EXPECT_NE(out.find("\"schema\": \"mtr-trace-1\""), std::string::npos);
-  EXPECT_NE(out.find("P/baseline"), std::string::npos);  // default label
+  // The process track's <workload>/<attack> label.
+  EXPECT_NE(out.find("P/baseline"), std::string::npos);
   EXPECT_NE(out.find("\"victim cpu-seconds\""), std::string::npos);
   EXPECT_NE(out.find("\"recorded\": " +
                      std::to_string(r.trace_events_recorded)),
