@@ -7,7 +7,7 @@
 // runs one BatchRunner-equivalent cell (one run_experiment) of the
 // fig07/fig08 scheduling-attack sweeps at a fixed scale, so successive
 // commits can be compared via bench/perf_baseline.py and BENCH_sim.json.
-// BM_EngineCell_*, BM_DestroySpace_*, BM_IntegrityStep_*,
+// BM_EngineCell_*, BM_DestroySpace_*, BM_KernelSetup_*, BM_IntegrityStep_*,
 // BM_Sha256Block_* and BM_FormatF64_* are tracked alongside, each as a pair
 // whose ratio CI pins; BM_MergeJsonl is tracked on its own.
 #include <benchmark/benchmark.h>
@@ -304,6 +304,42 @@ void BM_DestroySpace_ram256k(benchmark::State& state) {
   destroy_space_bench(state, 256 * 1024);
 }
 BENCHMARK(BM_DestroySpace_ram256k)->Unit(benchmark::kMicrosecond);
+
+// ---------------------------------------------------------------------------
+// kernel setup — the machine model every run_experiment builds. A run must
+// pay for the frames and pages it touches, not for the RAM it models. The
+// pair boots the same machine on 16 Ki and 256 Ki frames of RAM, runs one
+// process that touches a few pages, and tears the machine down; CI pins
+// their ratio so a RAM-sized allocation or scan in set-up or teardown
+// cannot come back.
+// ---------------------------------------------------------------------------
+
+void kernel_setup_bench(benchmark::State& state, std::uint32_t frames) {
+  sim::SimConfig config;
+  config.kernel.ram_frames = frames;
+  kernel::MemoryProfile mem;
+  for (std::uint64_t p = 0; p < 8; ++p) mem.pages.push_back(PageId{p});
+  mem.touch_period = Cycles{10'000};
+  const std::vector<kernel::Step> steps = {
+      exec::compute_mem(Cycles{100'000}, mem, "setup.touch"), kernel::ExitStep{}};
+  for (auto _ : state) {
+    sim::Simulation s(config);
+    s.spawn({"toucher", exec::make_step_list("toucher", steps)});
+    s.run_all();
+    benchmark::DoNotOptimize(s.kernel().memory().frames_used());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_KernelSetup_ram16k(benchmark::State& state) {
+  kernel_setup_bench(state, 16 * 1024);
+}
+BENCHMARK(BM_KernelSetup_ram16k)->Unit(benchmark::kMicrosecond);
+
+void BM_KernelSetup_ram256k(benchmark::State& state) {
+  kernel_setup_bench(state, 256 * 1024);
+}
+BENCHMARK(BM_KernelSetup_ram256k)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // core layer — execution-integrity hashing. A sweep reads only the victim's

@@ -45,7 +45,7 @@ import subprocess
 import sys
 
 SCHEMA = 1
-DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|IntegrityStep|Sha256Block|FormatF64)_|BM_MergeJsonl"
+DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|KernelSetup|IntegrityStep|Sha256Block|FormatF64)_|BM_MergeJsonl"
 
 
 def cpu_model():

@@ -75,7 +75,9 @@ constexpr const char* kUsage =
     "                     ownership, then exit without running anything\n"
     "  --fault-inject S   arm a deterministic fault schedule (chaos tests):\n"
     "                     crash-after-cell=K,torn-tail=B,sigkill-after-ms=T,\n"
-    "                     fail-flush-at=J — any subset. Overrides the\n"
+    "                     fail-flush-at=J — any subset, in this order,\n"
+    "                     each at most once, numbers without leading\n"
+    "                     zeros, torn-tail at least 1. Overrides the\n"
     "                     MTR_FAULT_INJECT environment variable, which\n"
     "                     mtr_fleet uses to target one shard subprocess\n"
     "  --quiet            suppress the ASCII figure rendering and the\n"

@@ -19,20 +19,21 @@ namespace {
   throw UsageError(
       "fault-inject spec '" + spec + "': " + why +
       " (grammar: crash-after-cell=K[,torn-tail=B],sigkill-after-ms=T,"
-      "fail-flush-at=J — any subset, comma separated)");
+      "fail-flush-at=J — any subset, comma separated, in this order)");
 }
 
 }  // namespace
 
 FaultPlan parse_fault_plan(const std::string& spec) {
   FaultPlan plan;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
+  if (spec.empty()) return plan;
+  std::vector<std::string> keys;
+  for (std::size_t pos = 0;;) {
     std::size_t end = spec.find(',', pos);
     if (end == std::string::npos) end = spec.size();
     const std::string item = spec.substr(pos, end - pos);
-    pos = end + 1;
-    if (item.empty()) bad_spec(spec, "empty clause");
+    if (item.empty())
+      bad_spec(spec, "empty clause at byte " + std::to_string(pos));
     const std::size_t eq = item.find('=');
     if (eq == std::string::npos)
       bad_spec(spec, "clause '" + item + "' has no '='");
@@ -41,6 +42,9 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     const std::optional<std::uint64_t> value = parse_u64(raw);
     if (!value)
       bad_spec(spec, "clause '" + item + "' needs a non-negative integer");
+    for (const std::string& seen : keys)
+      if (seen == key) bad_spec(spec, "clause '" + item + "' repeats '" + key + "'");
+    keys.push_back(key);
     if (key == "crash-after-cell") {
       plan.crash_after_cell = *value;
     } else if (key == "torn-tail") {
@@ -53,9 +57,16 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     } else {
       bad_spec(spec, "unknown fault '" + key + "'");
     }
+    if (end == spec.size()) break;
+    pos = end + 1;
   }
   if (plan.torn_tail_bytes > 0 && !plan.crash_after_cell)
     bad_spec(spec, "torn-tail needs crash-after-cell (it tears at the crash)");
+  // One spelling per plan, so a spec always comes back unchanged through
+  // to_string: clauses in grammar order, numbers without leading zeros,
+  // and no torn-tail=0 (it tears nothing).
+  const std::string canonical = to_string(plan);
+  if (canonical != spec) bad_spec(spec, "not canonical; write '" + canonical + "'");
   return plan;
 }
 

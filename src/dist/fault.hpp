@@ -48,9 +48,11 @@ struct FaultPlan {
   }
 };
 
-/// Parses "key=value[,key=value...]" with the keys above. An empty spec is
-/// the empty plan. Throws UsageError on unknown keys, malformed
-/// values, or torn-tail without crash-after-cell.
+/// Parses "key=value[,key=value...]" with the keys above, each at most once
+/// and in the order above. An empty spec is the empty plan. Throws
+/// UsageError naming the spec on unknown, empty or repeated clauses,
+/// malformed values, torn-tail without crash-after-cell, or any spelling
+/// other than the canonical one: an accepted spec equals its to_string.
 FaultPlan parse_fault_plan(const std::string& spec);
 
 /// Canonical spec string (parse_fault_plan round-trips it); "" for the

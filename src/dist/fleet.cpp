@@ -62,7 +62,9 @@ constexpr const char* kUsage =
     "                        and exit 0\n"
     "  --no-metrics          skip per-shard --metrics and the metrics fold\n"
     "  --fault-inject I:SPEC arm fault SPEC (mtr_sweep --fault-inject\n"
-    "                        grammar) in shard I's FIRST attempt via\n"
+    "                        grammar: clauses in its order, each at most\n"
+    "                        once, numbers without leading zeros) in\n"
+    "                        shard I's FIRST attempt via\n"
     "                        MTR_FAULT_INJECT; repeatable, one spec per\n"
     "                        shard; restarted attempts run clean\n"
     "  --sweep-bin PATH      mtr_sweep binary (default: next to mtr_fleet)\n"

@@ -19,6 +19,7 @@ ShardSpec parse_shard_spec(const std::string& spec) {
   s.index = *index;
   s.count = *count;
   if (s.count == 0 || s.index >= s.count) return fail();
+  if (to_string(s) != spec) return fail();  // leading zeros: one spelling per shard
   return s;
 }
 

@@ -28,7 +28,8 @@ struct ShardSpec {
 };
 
 /// Parses "I/N" (0-based shard I of N, e.g. "0/3"); throws UsageError
-/// with a usage hint on malformed or out-of-range specs.
+/// with a usage hint on malformed or out-of-range specs, and on leading
+/// zeros: an accepted spec equals its to_string.
 ShardSpec parse_shard_spec(const std::string& spec);
 
 /// "I/N" — the parseable rendering.

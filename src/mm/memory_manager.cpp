@@ -10,31 +10,45 @@ MemoryManager::MemoryManager(std::uint32_t total_frames, std::uint32_t reclaim_b
                              std::uint32_t swap_readahead)
     : frames_(total_frames),
       reclaim_batch_target_(std::max<std::uint32_t>(1, reclaim_batch)),
-      swap_readahead_(std::max<std::uint32_t>(1, swap_readahead)),
-      frame_info_(total_frames) {}
+      swap_readahead_(std::max<std::uint32_t>(1, swap_readahead)) {}
+
+const MemoryManager::Slot* MemoryManager::slot(Tgid owner) const {
+  const auto i = static_cast<std::size_t>(owner.v);
+  if (!owner.valid() || i >= spaces_.size() || spaces_[i].space == nullptr) return nullptr;
+  return &spaces_[i];
+}
+
+MemoryManager::Slot& MemoryManager::live_slot(Tgid owner) {
+  MTR_ENSURE_MSG(has_space(owner), "unknown address space " << owner.v);
+  return spaces_[static_cast<std::size_t>(owner.v)];
+}
 
 AddressSpace& MemoryManager::create_space(Tgid owner) {
-  MTR_ENSURE_MSG(!spaces_.contains(owner), "address space already exists for " << owner.v);
-  auto [it, inserted] = spaces_.emplace(owner, std::make_unique<AddressSpace>(owner));
-  stats_.emplace(owner, MemoryStats{});
-  return *it->second;
+  MTR_ENSURE_MSG(owner.valid(), "address space needs a valid tgid, got " << owner.v);
+  MTR_ENSURE_MSG(!has_space(owner), "address space already exists for " << owner.v);
+  const auto i = static_cast<std::size_t>(owner.v);
+  if (i >= spaces_.size()) spaces_.resize(i + 1);
+  spaces_[i] = {std::make_unique<AddressSpace>(owner), MemoryStats{}};
+  return *spaces_[i].space;
 }
 
 void MemoryManager::destroy_space(Tgid owner) {
-  const auto it = spaces_.find(owner);
-  MTR_ENSURE_MSG(it != spaces_.end(), "destroying unknown address space " << owner.v);
+  const Slot* s = slot(owner);
+  MTR_ENSURE_MSG(s != nullptr, "destroying unknown address space " << owner.v);
+  const AddressSpace& sp = *s->space;
   // Walk the dying space's page table, not all of RAM: teardown costs what
   // the space mapped. Resident frames are released in ascending id order —
   // the order a scan over frame_info_ would meet them — so the LIFO free
   // list, and every later allocation, does not depend on the page table's
-  // iteration order. Swap slots held by pages that died swapped out are
-  // given back on the way.
+  // layout. Swap slots held by pages that died swapped out are given back
+  // on the way.
   std::vector<FrameId> resident;
-  resident.reserve(it->second->resident_pages());
-  for (const auto& [page, pe] : it->second->pages()) {
+  resident.reserve(sp.resident_pages());
+  sp.for_each_page([&](PageId page, const PageEntry& pe) {
     if (pe.resident) {
-      const FrameInfo& fi = frame_info_[pe.frame.v];
-      MTR_ENSURE_MSG(fi.in_use && fi.owner == owner && fi.page == page,
+      MTR_ENSURE_MSG(pe.frame.v < frame_info_.size() && frame_info_[pe.frame.v].in_use &&
+                         frame_info_[pe.frame.v].owner == owner &&
+                         frame_info_[pe.frame.v].page == page,
                      "frame " << pe.frame.v << " not owned by dying space " << owner.v);
       resident.push_back(pe.frame);
     }
@@ -42,15 +56,14 @@ void MemoryManager::destroy_space(Tgid owner) {
       MTR_ENSURE(swap_used_ > 0);
       --swap_used_;
     }
-  }
-  MTR_ENSURE(resident.size() == it->second->resident_pages());
+  });
+  MTR_ENSURE(resident.size() == sp.resident_pages());
   std::sort(resident.begin(), resident.end());
   for (const FrameId f : resident) {
     frame_info_[f.v].in_use = false;
     frames_.release(f);
   }
-  spaces_.erase(it);
-  stats_.erase(owner);
+  spaces_[static_cast<std::size_t>(owner.v)] = {};
 }
 
 void MemoryManager::check_invariants() const {
@@ -59,10 +72,9 @@ void MemoryManager::check_invariants() const {
     const FrameInfo& fi = frame_info_[f];
     if (!fi.in_use) continue;
     ++in_use;
-    const auto sp = spaces_.find(fi.owner);
-    MTR_ENSURE_MSG(sp != spaces_.end(),
-                   "frame " << f << " owned by dead space " << fi.owner.v);
-    const PageEntry* pe = sp->second->find(fi.page);
+    const Slot* s = slot(fi.owner);
+    MTR_ENSURE_MSG(s != nullptr, "frame " << f << " owned by dead space " << fi.owner.v);
+    const PageEntry* pe = s->space->find(fi.page);
     MTR_ENSURE_MSG(pe != nullptr && pe->resident && pe->frame.v == f,
                    "frame " << f << " is not the resident frame of page "
                             << fi.page.v << " in space " << fi.owner.v);
@@ -72,9 +84,11 @@ void MemoryManager::check_invariants() const {
 
   std::uint64_t resident = 0;
   std::uint64_t swapped = 0;
-  for (const auto& [owner, sp] : spaces_) {
-    resident += sp->resident_pages();
-    for (const auto& [page, pe] : sp->pages()) swapped += pe.in_swap ? 1 : 0;
+  for (const Slot& s : spaces_) {
+    if (s.space == nullptr) continue;
+    resident += s.space->resident_pages();
+    s.space->for_each_page(
+        [&](PageId, const PageEntry& pe) { swapped += pe.in_swap ? 1 : 0; });
   }
   MTR_ENSURE_MSG(resident == frames_used(),
                  "spaces hold " << resident << " resident pages, " << frames_used()
@@ -83,14 +97,10 @@ void MemoryManager::check_invariants() const {
                  swapped << " pages in swap, swap_used_ is " << swap_used_);
 }
 
-AddressSpace& MemoryManager::space(Tgid owner) {
-  const auto it = spaces_.find(owner);
-  MTR_ENSURE_MSG(it != spaces_.end(), "unknown address space " << owner.v);
-  return *it->second;
-}
+AddressSpace& MemoryManager::space(Tgid owner) { return *live_slot(owner).space; }
 
-void MemoryManager::install(AddressSpace& sp, Tgid owner, PageId page, FrameId frame) {
-  PageEntry& pe = sp.entry(page);
+void MemoryManager::install(AddressSpace& sp, PageEntry& pe, Tgid owner, PageId page,
+                            FrameId frame) {
   MTR_ENSURE(!pe.resident);
   if (pe.in_swap) {
     pe.in_swap = false;
@@ -101,11 +111,13 @@ void MemoryManager::install(AddressSpace& sp, Tgid owner, PageId page, FrameId f
   pe.resident = true;
   pe.referenced = true;
   sp.note_made_resident();
-  frame_info_[frame.v] = {owner, page, true};
+  if (frame.v >= frame_info_.size()) frame_info_.resize(frames_.high_water());
+  frame_info_[frame.v] = {page, owner, true};
 }
 
 TouchResult MemoryManager::touch(Tgid owner, PageId page) {
-  AddressSpace& sp = space(owner);
+  Slot& s = live_slot(owner);
+  AddressSpace& sp = *s.space;
   PageEntry& pe = sp.entry(page);
 
   if (pe.resident) {
@@ -125,9 +137,9 @@ TouchResult MemoryManager::touch(Tgid owner, PageId page) {
     MTR_ENSURE(frame.has_value());
   }
 
-  auto& stats = stats_.at(owner);
+  MemoryStats& stats = s.stats;
   const bool was_swapped = pe.in_swap;
-  install(sp, owner, page, *frame);
+  install(sp, pe, owner, page, *frame);
   if (was_swapped) {
     result.fault = FaultKind::kMajor;
     ++stats.major_faults;
@@ -139,7 +151,7 @@ TouchResult MemoryManager::touch(Tgid owner, PageId page) {
       if (next == nullptr || !next->in_swap || next->resident) break;
       auto extra = frames_.allocate();
       if (!extra) break;  // no spare frames: stop the cluster, no reclaim
-      install(sp, owner, PageId{page.v + k}, *extra);
+      install(sp, *next, owner, PageId{page.v + k}, *extra);
       ++stats.readahead_pages;
       ++global_.readahead_pages;
     }
@@ -152,6 +164,9 @@ TouchResult MemoryManager::touch(Tgid owner, PageId page) {
 }
 
 void MemoryManager::reclaim_batch() {
+  // The allocator only runs dry once every frame has been handed out, so
+  // the clock below always walks a frame table that covers all of RAM.
+  MTR_ENSURE(frame_info_.size() == frames_.total());
   const std::uint32_t target =
       std::min<std::uint32_t>(reclaim_batch_target_, frames_.total() / 2 + 1);
   while (frames_.available() < target) {
@@ -169,8 +184,8 @@ FrameId MemoryManager::evict_one() {
     clock_hand_ = (clock_hand_ + 1) % frame_info_.size();
     if (!fi.in_use) continue;
 
-    AddressSpace& sp = space(fi.owner);
-    PageEntry* pe = sp.find(fi.page);
+    Slot& s = live_slot(fi.owner);
+    PageEntry* pe = s.space->find(fi.page);
     MTR_ENSURE(pe != nullptr && pe->resident && pe->frame.v == hand);
 
     if (pe->referenced) {
@@ -182,8 +197,8 @@ FrameId MemoryManager::evict_one() {
     pe->resident = false;
     pe->in_swap = true;
     ++swap_used_;
-    sp.note_made_nonresident();
-    ++stats_.at(fi.owner).evictions;
+    s.space->note_made_nonresident();
+    ++s.stats.evictions;
     ++global_.evictions;
     fi.in_use = false;
     return FrameId{static_cast<std::uint32_t>(hand)};
@@ -192,9 +207,9 @@ FrameId MemoryManager::evict_one() {
 }
 
 const MemoryStats& MemoryManager::stats(Tgid owner) const {
-  const auto it = stats_.find(owner);
-  MTR_ENSURE_MSG(it != stats_.end(), "no memory stats for " << owner.v);
-  return it->second;
+  const Slot* s = slot(owner);
+  MTR_ENSURE_MSG(s != nullptr, "no memory stats for " << owner.v);
+  return s->stats;
 }
 
 }  // namespace mtr::mm

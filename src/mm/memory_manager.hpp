@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -66,7 +65,7 @@ class MemoryManager {
   /// O(pages the space mapped), independent of RAM size.
   void destroy_space(Tgid owner);
 
-  bool has_space(Tgid owner) const { return spaces_.contains(owner); }
+  bool has_space(Tgid owner) const { return slot(owner) != nullptr; }
   AddressSpace& space(Tgid owner);
 
   /// Resolves a touch of `page` by thread group `owner`. Runs replacement if
@@ -79,18 +78,30 @@ class MemoryManager {
   std::uint32_t frames_used() const { return frames_.used(); }
   std::uint64_t swap_used_pages() const { return swap_used_; }
 
-  /// Cross-checks the frame table against every page table, O(RAM + pages);
-  /// throws InvariantError on the first mismatch. Every in-use frame is the
-  /// resident frame of its owner's page, the spaces' resident pages add up
-  /// to the frames in use, and the swap count equals the swapped pages.
+  /// Cross-checks the frame table against every page table, O(frames ever
+  /// handed out + pages); throws InvariantError on the first mismatch.
+  /// Every in-use frame is the resident frame of its owner's page, the
+  /// spaces' resident pages add up to the frames in use, and the swap count
+  /// equals the swapped pages.
   void check_invariants() const;
 
  private:
   struct FrameInfo {
-    Tgid owner;
     PageId page{};
+    Tgid owner;
     bool in_use = false;
   };
+
+  /// A live thread group's space and its fault counters. Tgids are issued
+  /// sequentially and never reused, so the slots are indexed by tgid.
+  struct Slot {
+    std::unique_ptr<AddressSpace> space;  // null: no live space
+    MemoryStats stats;
+  };
+
+  /// The live slot of `owner`, or nullptr.
+  const Slot* slot(Tgid owner) const;
+  Slot& live_slot(Tgid owner);
 
   /// Evicts one resident page chosen by the clock hand; returns its frame.
   FrameId evict_one();
@@ -98,16 +109,16 @@ class MemoryManager {
   /// Kswapd-style batch reclaim down to `reclaim_batch_` free frames.
   void reclaim_batch();
 
-  /// Makes `page` resident in `frame` on behalf of `owner`'s space.
-  void install(AddressSpace& sp, Tgid owner, PageId page, FrameId frame);
+  /// Makes `page`, whose entry in `owner`'s space `sp` is `pe`, resident in
+  /// `frame`.
+  void install(AddressSpace& sp, PageEntry& pe, Tgid owner, PageId page, FrameId frame);
 
   FrameAllocator frames_;
   std::uint32_t reclaim_batch_target_;
   std::uint32_t swap_readahead_;
-  std::vector<FrameInfo> frame_info_;
+  std::vector<FrameInfo> frame_info_;  // grows with frames_.high_water()
   std::size_t clock_hand_ = 0;
-  std::unordered_map<Tgid, std::unique_ptr<AddressSpace>> spaces_;
-  std::unordered_map<Tgid, MemoryStats> stats_;
+  std::vector<Slot> spaces_;  // indexed by tgid
   MemoryStats global_;
   std::uint64_t swap_used_ = 0;
 };

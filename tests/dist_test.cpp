@@ -219,7 +219,7 @@ TEST(ShardSpecTest, ParsesAndPartitionsDeterministically) {
   }
 
   for (const char* bad : {"3/3", "4/3", "x/3", "1/x", "1/0", "1", "/3", "1/",
-                          "-1/3", "1/3x", ""})
+                          "-1/3", "1/3x", "", "01/3", "1/03"})
     EXPECT_THROW(parse_shard_spec(bad), std::runtime_error) << bad;
 }
 
@@ -2705,6 +2705,26 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_fault_plan("crash-after-cell"), std::runtime_error);
   EXPECT_THROW(parse_fault_plan("crash-after-cell=x"), std::runtime_error);
   EXPECT_THROW(parse_fault_plan("crash-after-cell=1,,"), std::runtime_error);
+  EXPECT_THROW(parse_fault_plan(",crash-after-cell=1"), std::runtime_error);
+  // A trailing comma is an empty clause too.
+  EXPECT_THROW(parse_fault_plan("crash-after-cell=99,"), std::runtime_error);
+  // A repeated clause is refused by name, not silently overridden.
+  for (const char* repeated : {"fail-flush-at=1,fail-flush-at=2",
+                               "crash-after-cell=99,crash-after-cell=1"}) {
+    try {
+      parse_fault_plan(repeated);
+      ADD_FAILURE() << repeated << " accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string clause = std::string(repeated).substr(std::string(repeated).find(',') + 1);
+      EXPECT_NE(std::string(e.what()).find("clause '" + clause + "' repeats"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // One spelling per plan: grammar order, no leading zeros, no torn-tail=0.
+  EXPECT_THROW(parse_fault_plan("sigkill-after-ms=5,crash-after-cell=1"), std::runtime_error);
+  EXPECT_THROW(parse_fault_plan("crash-after-cell=01"), std::runtime_error);
+  EXPECT_THROW(parse_fault_plan("crash-after-cell=1,torn-tail=0"), std::runtime_error);
   // The J-th flush is 1-based; a zeroth flush can never fire.
   EXPECT_THROW(parse_fault_plan("fail-flush-at=0"), std::runtime_error);
   // A torn tail needs a crash point to tear at.
@@ -2716,6 +2736,96 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("grammar"), std::string::npos);
   }
+}
+
+/// One seeded edit of a CLI spec: a byte replaced by one of the grammar's
+/// own characters, a byte inserted or deleted, a truncation, or a clause
+/// dropped, duplicated or swapped with its neighbour.
+std::string mutate_spec(const std::string& spec, char separator, SplitMix64& rng) {
+  static constexpr std::string_view kAlphabet = "0123456789,=/-:acdefhiklmnorstw";
+  const char c = kAlphabet[rng.next() % kAlphabet.size()];
+  std::string out = spec;
+  const std::size_t at = spec.empty() ? 0 : rng.next() % spec.size();
+  switch (rng.next() % 5) {
+    case 0:
+      if (!out.empty()) out[at] = c;
+      return out;
+    case 1:
+      return out.insert(at, 1, c);
+    case 2:
+      return out.empty() ? out : out.erase(at, 1);
+    case 3:
+      return out.substr(0, at);
+    default: {
+      std::vector<std::string> parts;
+      for (std::size_t pos = 0;;) {
+        const std::size_t end = std::min(out.find(separator, pos), out.size());
+        parts.push_back(out.substr(pos, end - pos));
+        if (end == out.size()) break;
+        pos = end + 1;
+      }
+      const std::size_t i = rng.next() % parts.size();
+      switch (rng.next() % 3) {
+        case 0:
+          parts.erase(parts.begin() + static_cast<std::ptrdiff_t>(i));
+          break;
+        case 1:
+          parts.insert(parts.begin() + static_cast<std::ptrdiff_t>(i), parts[i]);
+          break;
+        default:
+          std::swap(parts[i], parts[(i + 1) % parts.size()]);
+      }
+      std::string joined;
+      for (std::size_t k = 0; k < parts.size(); ++k) {
+        if (k > 0) joined += separator;
+        joined += parts[k];
+      }
+      return joined;
+    }
+  }
+}
+
+/// The mutation invariants of one CLI grammar: every spec `parse` accepts
+/// comes back unchanged through `to_string`, and every rejection throws a
+/// UsageError whose message names the spec. Returns how many mutants were
+/// accepted, so a caller can see both branches were reached.
+template <typename Parse>
+int fuzz_spec_grammar(const std::vector<std::string>& seeds, char separator,
+                      std::uint64_t seed, Parse&& parse) {
+  constexpr int kMutations = 3000;
+  SplitMix64 rng(seed);
+  int accepted = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    std::string spec = seeds[rng.next() % seeds.size()];
+    for (std::uint64_t edits = 1 + rng.next() % 3; edits > 0; --edits)
+      spec = mutate_spec(spec, separator, rng);
+    try {
+      const std::string back = parse(spec);
+      EXPECT_EQ(back, spec) << "accepted spec did not round-trip";
+      ++accepted;
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + spec + "'"), std::string::npos)
+          << "rejection of '" << spec << "' does not name it: " << e.what();
+    }
+  }
+  return accepted;
+}
+
+TEST(SpecMutationTest, FaultInjectSpecsRoundTripOrAreRefusedByName) {
+  const int accepted = fuzz_spec_grammar(
+      {"crash-after-cell=2,torn-tail=9,sigkill-after-ms=500,fail-flush-at=3",
+       "crash-after-cell=1,torn-tail=4", "sigkill-after-ms=1", "fail-flush-at=12",
+       "crash-after-cell=0,fail-flush-at=7"},
+      ',', 0x5EED2000,
+      [](const std::string& spec) { return to_string(parse_fault_plan(spec)); });
+  EXPECT_GT(accepted, 0);
+}
+
+TEST(SpecMutationTest, ShardSpecsRoundTripOrAreRefusedByName) {
+  const int accepted = fuzz_spec_grammar(
+      {"0/1", "1/3", "12/40", "7/8"}, '/', 0x5EED3000,
+      [](const std::string& spec) { return to_string(parse_shard_spec(spec)); });
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(FaultInjectorTest, FlushFaultFiresOnTheConfiguredFlushExactlyOnce) {

@@ -2,7 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/ensure.hpp"
@@ -12,6 +17,30 @@
 #include "hw/nic.hpp"
 #include "hw/timer.hpp"
 #include "mm/memory_manager.hpp"
+
+// --- counting allocator hook -------------------------------------------------------
+//
+// TU-local replacement of the global allocation functions so the suite can
+// assert what the mm layer allocates: bytes that follow the pages a run
+// touches, never the RAM it models. The counter only ever increases; tests
+// snapshot it around the code under scrutiny.
+
+namespace {
+std::atomic<std::uint64_t> g_alloc_bytes{0};
+
+void* counted_alloc(std::size_t n) {
+  g_alloc_bytes += n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace mtr {
 namespace {
@@ -151,6 +180,72 @@ TEST(FrameAllocator, DoubleReleaseRejected) {
   EXPECT_THROW(fa.release(*f), InvariantError);
 }
 
+/// The message of the InvariantError `fn` throws, or "" if it throws none.
+template <typename Fn>
+std::string invariant_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const InvariantError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FrameAllocator, ReleaseAtOrAboveTheHighWaterMarkIsADoubleRelease) {
+  mm::FrameAllocator fa(8);
+  ASSERT_EQ(fa.allocate()->v, 0u);
+  ASSERT_EQ(fa.allocate()->v, 1u);
+  EXPECT_EQ(fa.high_water(), 2u);
+  // Frames 2..7 were never handed out: releasing one is a double release.
+  for (const std::uint32_t f : {2u, 7u})
+    EXPECT_NE(invariant_message([&] { fa.release(FrameId{f}); }).find("double release"),
+              std::string::npos)
+        << f;
+  EXPECT_NE(invariant_message([&] { fa.release(FrameId{8}); }).find("out of range"),
+            std::string::npos);
+  EXPECT_EQ(fa.used(), 2u);
+  EXPECT_EQ(fa.available(), 6u);
+}
+
+TEST(FrameAllocator, HandsOutFramesInThePrefilledDescendingStackOrder) {
+  // The reference model is the allocator this one replaced: a LIFO free
+  // list prefilled with every frame in descending id order. A seeded walk
+  // of allocations and releases — filling and draining in turns, through
+  // exhaustion and back — must see the same frame ids and counts.
+  for (const std::uint32_t frames : {1u, 7u, 64u, 1000u}) {
+    mm::FrameAllocator fa(frames);
+    std::vector<FrameId> stack;
+    for (std::uint32_t i = frames; i > 0; --i) stack.push_back(FrameId{i - 1});
+    std::vector<FrameId> held;
+    SplitMix64 rng(0xF4A3E000 + frames);
+    for (int step = 0; step < 20000; ++step) {
+      const bool filling = (step / 700) % 2 == 0;
+      if (held.empty() || rng.next() % 5 < (filling ? 3u : 2u)) {
+        std::optional<FrameId> want;
+        if (!stack.empty()) {
+          want = stack.back();
+          stack.pop_back();
+        }
+        const std::optional<FrameId> got = fa.allocate();
+        ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+        if (got) {
+          ASSERT_EQ(got->v, want->v) << "step " << step;
+          held.push_back(*got);
+        }
+      } else {
+        const std::size_t at = rng.next() % held.size();
+        const FrameId f = held[at];
+        held[at] = held.back();
+        held.pop_back();
+        fa.release(f);
+        stack.push_back(f);
+      }
+      ASSERT_EQ(fa.available(), stack.size()) << "step " << step;
+      ASSERT_EQ(fa.used(), frames - stack.size()) << "step " << step;
+    }
+  }
+}
+
 // --- memory manager -----------------------------------------------------------------
 
 TEST(MemoryManager, FirstTouchIsMinorFault) {
@@ -253,41 +348,43 @@ TEST(MemoryManager, DestroyKeepsOtherSpacesIntact) {
   EXPECT_EQ(mm.frames_used(), 0u);
 }
 
-TEST(MemoryManager, DestroyReleasesFramesAscendingSoReuseIsLifoDescending) {
-  // Space A touches a scrambled page order on a machine it overflows, with
-  // a neighbour competing for frames: under reclaim its resident frames
-  // follow neither page order nor touch order.
-  mm::MemoryManager mm(32, /*reclaim_batch=*/4, /*swap_readahead=*/1);
-  const Tgid a{1}, b{2}, neighbour{3};
+/// Space A touches `pages` pages in a scrambled order, with a neighbour
+/// competing for frames after faulting in `neighbour_first` pages of its
+/// own. Returns A's resident frames in page order: they follow neither page
+/// order nor touch order.
+std::vector<std::uint32_t> scrambled_space(mm::MemoryManager& mm, Tgid a, Tgid neighbour,
+                                           std::uint64_t pages,
+                                           std::uint64_t neighbour_first) {
   mm.create_space(a);
   mm.create_space(neighbour);
-  constexpr std::uint64_t kPages = 48;
-  std::vector<std::uint64_t> order(kPages);
-  for (std::uint64_t p = 0; p < kPages; ++p) order[p] = p;
+  for (std::uint64_t p = 0; p < neighbour_first; ++p)
+    mm.touch(neighbour, PageId{0x100000 + p});
+  std::vector<std::uint64_t> order(pages);
+  for (std::uint64_t p = 0; p < pages; ++p) order[p] = p;
   Xoshiro256 rng(99);
-  for (std::uint64_t i = kPages - 1; i > 0; --i)
+  for (std::uint64_t i = pages - 1; i > 0; --i)
     std::swap(order[i], order[rng.next_below(i + 1)]);
-  for (std::uint64_t i = 0; i < kPages; ++i) {
+  for (std::uint64_t i = 0; i < pages; ++i) {
     mm.touch(a, PageId{order[i]});
     if (i % 4 == 0) mm.touch(neighbour, PageId{i});
   }
   mm.check_invariants();
-
-  std::vector<std::uint32_t> by_page;  // A's frames, in page order
-  for (std::uint64_t p = 0; p < kPages; ++p) {
+  std::vector<std::uint32_t> by_page;
+  for (std::uint64_t p = 0; p < pages; ++p) {
     const mm::PageEntry* pe = mm.space(a).find(PageId{p});
     if (pe != nullptr && pe->resident) by_page.push_back(pe->frame.v);
   }
-  ASSERT_GT(by_page.size(), 4u);
-  ASSERT_FALSE(std::is_sorted(by_page.begin(), by_page.end()));
-  ASSERT_GT(mm.swap_used_pages(), 0u);
+  return by_page;
+}
 
+/// Destroys `a`, then faults `by_page.size()` fresh pages into a new space
+/// `b`: A's frames went back ascending onto the LIFO free list, so B must
+/// receive them in descending id order — exactly what a scan over all of
+/// RAM would have produced.
+void expect_reuse_is_lifo_descending(mm::MemoryManager& mm, Tgid a, Tgid b,
+                                     const std::vector<std::uint32_t>& by_page) {
   mm.destroy_space(a);
   mm.check_invariants();
-
-  // A's frames went back ascending onto the LIFO free list, so a fresh
-  // space faulting the same number of pages receives them in descending
-  // id order — exactly what a scan over all of RAM would have produced.
   std::vector<std::uint32_t> expected = by_page;
   std::sort(expected.rbegin(), expected.rend());
   mm.create_space(b);
@@ -300,6 +397,113 @@ TEST(MemoryManager, DestroyReleasesFramesAscendingSoReuseIsLifoDescending) {
   }
   EXPECT_EQ(got, expected);
   mm.destroy_space(b);
+  mm.check_invariants();
+}
+
+TEST(MemoryManager, DestroyReleasesFramesAscendingSoReuseIsLifoDescending) {
+  const Tgid a{1}, b{2}, neighbour{3};
+  {
+    // A overflows the machine, ends up holding more than half of RAM, and
+    // its frames are scrambled by reclaim.
+    mm::MemoryManager mm(32, /*reclaim_batch=*/4, /*swap_readahead=*/1);
+    const std::vector<std::uint32_t> by_page = scrambled_space(mm, a, neighbour, 48, 0);
+    ASSERT_GT(by_page.size(), mm.frames_total() / 2);
+    ASSERT_FALSE(std::is_sorted(by_page.begin(), by_page.end()));
+    ASSERT_GT(mm.swap_used_pages(), 0u);
+    expect_reuse_is_lifo_descending(mm, a, b, by_page);
+  }
+  {
+    // A small share of a machine with no pressure, its frames scrambled by
+    // interleaving with a neighbour.
+    mm::MemoryManager mm(4096, /*reclaim_batch=*/4, /*swap_readahead=*/1);
+    const std::vector<std::uint32_t> by_page = scrambled_space(mm, a, neighbour, 48, 1024);
+    ASSERT_EQ(by_page.size(), 48u);
+    ASSERT_FALSE(std::is_sorted(by_page.begin(), by_page.end()));
+    expect_reuse_is_lifo_descending(mm, a, b, by_page);
+  }
+}
+
+TEST(MemoryManager, PagesAcrossBlocksAndHighIdsFaultEvictAndSwapBackIn) {
+  mm::MemoryManager mm(8, /*reclaim_batch=*/4, /*swap_readahead=*/1);
+  const Tgid a{1}, hog{2};
+  mm.create_space(a);
+  mm.create_space(hog);
+  // Pages on both sides of page-table block boundaries, low and at the
+  // hog's 0x100000+ range.
+  const std::vector<std::uint64_t> pages = {62, 63, 64, 65, 0x100000, 0x10003f, 0x100040};
+  for (const std::uint64_t p : pages)
+    EXPECT_EQ(mm.touch(a, PageId{p}).fault, mm::FaultKind::kMinor) << p;
+  mm.check_invariants();
+  // The hog's sweep, over the same page ids in its own space, pushes every
+  // page of A out to swap.
+  for (std::uint64_t p = 0; p < 64; ++p) mm.touch(hog, PageId{0x100000 + p});
+  mm.check_invariants();
+  for (const std::uint64_t p : pages) {
+    const mm::PageEntry* pe = mm.space(a).find(PageId{p});
+    ASSERT_NE(pe, nullptr) << p;
+    ASSERT_TRUE(pe->in_swap && !pe->resident) << p;
+  }
+  EXPECT_EQ(mm.space(a).resident_pages(), 0u);
+  for (const std::uint64_t p : pages) {
+    EXPECT_EQ(mm.touch(a, PageId{p}).fault, mm::FaultKind::kMajor) << p;
+    mm.check_invariants();
+  }
+  EXPECT_EQ(mm.stats(a).major_faults, pages.size());
+  mm.destroy_space(a);
+  mm.check_invariants();
+  mm.destroy_space(hog);
+  mm.check_invariants();
+  EXPECT_EQ(mm.frames_used(), 0u);
+  EXPECT_EQ(mm.swap_used_pages(), 0u);
+}
+
+TEST(MemoryManager, ReadaheadStopsAtANeverTouchedPage) {
+  mm::MemoryManager mm(16, /*reclaim_batch=*/8, /*swap_readahead=*/8);
+  const Tgid a{1}, hog{2};
+  mm.create_space(a);
+  mm.create_space(hog);
+  // Page 64 shares a page-table block with 65 and 66 but is never touched.
+  const std::vector<std::uint64_t> pages = {60, 61, 62, 63, 65, 66};
+  for (const std::uint64_t p : pages) mm.touch(a, PageId{p});
+  std::uint64_t next = 0;
+  for (; next < 48; ++next) mm.touch(hog, PageId{next});
+  for (const std::uint64_t p : pages) ASSERT_TRUE(mm.space(a).find(PageId{p})->in_swap) << p;
+  // Fill RAM, so the fault below reclaims a full batch and the cluster has
+  // spare frames to land in.
+  for (int i = 0; i < 16 && mm.frames_used() < mm.frames_total(); ++i)
+    mm.touch(hog, PageId{next++});
+  ASSERT_EQ(mm.frames_used(), mm.frames_total());
+  const std::uint64_t before = mm.stats(a).readahead_pages;
+  EXPECT_EQ(mm.touch(a, PageId{60}).fault, mm::FaultKind::kMajor);
+  EXPECT_EQ(mm.stats(a).readahead_pages - before, 3u);  // 61..63, not past 64
+  // Page 64 still reads as never touched.
+  const mm::PageEntry* gap = mm.space(a).find(PageId{64});
+  EXPECT_TRUE(gap == nullptr || !(gap->resident || gap->in_swap));
+  EXPECT_TRUE(mm.space(a).find(PageId{65})->in_swap);
+  mm.check_invariants();
+}
+
+TEST(MemoryManager, SpaceCanBeCreatedAgainAfterDestroy) {
+  mm::MemoryManager mm(8, 2, 1);
+  const Tgid t{3};
+  mm.create_space(t);
+  for (std::uint64_t p = 0; p < 12; ++p) mm.touch(t, PageId{p});
+  mm.destroy_space(t);
+  mm.check_invariants();
+  EXPECT_FALSE(mm.has_space(t));
+  EXPECT_THROW(mm.stats(t), InvariantError);
+
+  mm::AddressSpace& again = mm.create_space(t);
+  EXPECT_EQ(again.owner(), t);
+  EXPECT_EQ(again.resident_pages(), 0u);
+  EXPECT_EQ(again.find(PageId{0}), nullptr);
+  EXPECT_EQ(mm.stats(t).minor_faults, 0u);
+  EXPECT_EQ(mm.stats(t).evictions, 0u);
+  // Nothing of the old space survives: its pages fault in as new.
+  EXPECT_EQ(mm.touch(t, PageId{0}).fault, mm::FaultKind::kMinor);
+  EXPECT_EQ(mm.stats(t).minor_faults, 1u);
+  mm.check_invariants();
+  mm.destroy_space(t);
   mm.check_invariants();
 }
 
@@ -317,9 +521,53 @@ TEST(MemoryManager, UnknownSpaceRejected) {
   mm::MemoryManager mm(8);
   EXPECT_THROW(mm.touch(Tgid{9}, PageId{0}), InvariantError);
   EXPECT_THROW(mm.destroy_space(Tgid{9}), InvariantError);
+  EXPECT_THROW(mm.create_space(Tgid{}), InvariantError);
+  EXPECT_FALSE(mm.has_space(Tgid{}));
   mm.check_invariants();
   mm.create_space(Tgid{1});
   EXPECT_THROW(mm.create_space(Tgid{1}), InvariantError);
+  EXPECT_THROW(mm.touch(Tgid{0}, PageId{0}), InvariantError);
+  mm.check_invariants();
+}
+
+// --- mm footprint ------------------------------------------------------------------
+
+/// Bytes the global allocator hands out while `fn` runs.
+template <typename Fn>
+std::uint64_t bytes_allocated_by(Fn&& fn) {
+  const std::uint64_t before = g_alloc_bytes.load();
+  fn();
+  return g_alloc_bytes.load() - before;
+}
+
+TEST(MemoryFootprint, ConstructionAllocatesTheSameForAnyRamSize) {
+  const std::uint64_t small =
+      bytes_allocated_by([] { const mm::MemoryManager mm(16 * 1024, 256); });
+  const std::uint64_t large =
+      bytes_allocated_by([] { const mm::MemoryManager mm(256 * 1024, 256); });
+  EXPECT_EQ(small, large);
+  EXPECT_LE(large, 1024u);
+}
+
+TEST(MemoryFootprint, TouchesAllocateWithThePagesTouchedNotWithRam) {
+  // Bytes allocated to create a space and fault in `k` pages.
+  const auto touch_bytes = [](std::uint32_t frames, std::uint64_t k) {
+    mm::MemoryManager mm(frames, 256);
+    const std::uint64_t bytes = bytes_allocated_by([&] {
+      mm.create_space(Tgid{1});
+      for (std::uint64_t p = 0; p < k; ++p) mm.touch(Tgid{1}, PageId{p});
+    });
+    mm.check_invariants();
+    return bytes;
+  };
+  std::uint64_t previous = 0;
+  for (const std::uint64_t k : {8u, 64u, 1024u, 4096u}) {
+    const std::uint64_t small = touch_bytes(16 * 1024, k);
+    EXPECT_EQ(small, touch_bytes(256 * 1024, k)) << k << " pages";
+    EXPECT_GT(small, previous) << k << " pages";
+    EXPECT_LE(small, 1024 + 96 * k) << k << " pages";
+    previous = small;
+  }
 }
 
 }  // namespace
