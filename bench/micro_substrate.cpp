@@ -317,9 +317,7 @@ BENCHMARK(BM_DestroySpace_ram256k)->Unit(benchmark::kMicrosecond);
 void kernel_setup_bench(benchmark::State& state, std::uint32_t frames) {
   sim::SimConfig config;
   config.kernel.ram_frames = frames;
-  kernel::MemoryProfile mem;
-  for (std::uint64_t p = 0; p < 8; ++p) mem.pages.push_back(PageId{p});
-  mem.touch_period = Cycles{10'000};
+  const kernel::MemoryProfile mem{PageId{0}, 8, Cycles{10'000}, {}};
   const std::vector<kernel::Step> steps = {
       exec::compute_mem(Cycles{100'000}, mem, "setup.touch"), kernel::ExitStep{}};
   for (auto _ : state) {

@@ -26,12 +26,9 @@ exec::ProgramFactory make_hog(ExceptionFloodAttack::Params params) {
   };
   auto state = std::make_shared<State>();
 
-  kernel::MemoryProfile profile;
-  profile.pages.reserve(params.hog_pages);
   // Hog heap placed far above workload data (workloads use pages < 0x1000).
-  for (std::uint64_t i = 0; i < params.hog_pages; ++i)
-    profile.pages.push_back(PageId{0x100'000 + i});
-  profile.touch_period = params.touch_period;
+  const kernel::MemoryProfile profile{PageId{0x100'000}, params.hog_pages,
+                                      params.touch_period, {}};
 
   return exec::make_generator(
       "memhog",

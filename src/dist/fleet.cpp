@@ -60,7 +60,6 @@ constexpr const char* kUsage =
     "                        completed shards with --allow-gaps, write a\n"
     "                        machine-readable merged/gaps.json manifest,\n"
     "                        and exit 0\n"
-    "  --no-metrics          skip per-shard --metrics and the metrics fold\n"
     "  --fault-inject I:SPEC arm fault SPEC (mtr_sweep --fault-inject\n"
     "                        grammar: clauses in its order, each at most\n"
     "                        once, numbers without leading zeros) in\n"
@@ -167,10 +166,8 @@ std::vector<std::string> shard_argv(const FleetOptions& o,
   a.push_back(s.dir);
   a.push_back("--status-file");
   a.push_back(s.status_path);
-  if (o.metrics) {
-    a.push_back("--metrics");
-    a.push_back(s.dir + "/metrics.json");
-  }
+  a.push_back("--metrics");
+  a.push_back(s.dir + "/metrics.json");
   a.push_back("--quiet");
   a.push_back("--no-progress");
   if (resume) a.push_back("--resume");
@@ -274,7 +271,6 @@ FleetOptions parse_fleet_args(int argc, const char* const* argv) {
     switch_flag("--all", o.all),
     switch_flag("--quiet", o.quiet),
     switch_flag("--allow-partial", o.allow_partial),
-    switch_flag("--no-metrics", o.metrics, false),
     text_flag("--out-dir", o.out_dir),
     text_flag("--sweep-bin", o.sweep_bin),
     value_flag("--shards", o.shards, int_value<unsigned, 1>),
@@ -578,7 +574,7 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
     std::ostringstream out, err;
     std::vector<std::uint64_t> cells;  // what the merge found
   };
-  std::vector<MergeJob> jobs(names.size() + (options.metrics ? 1 : 0));
+  std::vector<MergeJob> jobs(names.size() + 1);
   for (std::size_t i = 0; i < names.size(); ++i) {
     MergeJob& job = jobs[i];
     job.what = "merge of sweep '" + names[i] + "'";
@@ -592,7 +588,7 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
       m.jsonl_in.push_back(s.dir + "/" + names[i] + ".jsonl");
     }
   }
-  if (options.metrics) {
+  {
     MergeJob& job = jobs.back();
     job.what = "metrics fold";
     job.options.metrics_out = merged_dir + "/metrics.json";

@@ -21,7 +21,6 @@ struct FleetOptions {
   bool quiet = false;          // --quiet: forwarded to the shards
   bool allow_partial = false;  // --allow-partial: merge what completed,
                                // write a gap manifest, still exit 0
-  bool metrics = true;         // --no-metrics disables the metrics fold
   unsigned shards = 4;         // --shards N: fleet width
   unsigned max_retries = 2;    // --max-retries R: restarts per shard
   std::uint64_t backoff_base_ms = 250;  // --backoff-base MS

@@ -9,7 +9,7 @@ Step compute(Cycles cycles, std::string tag) {
 }
 
 Step compute_mem(Cycles cycles, MemoryProfile mem, std::string tag) {
-  return ComputeStep{cycles, std::move(mem), std::move(tag)};
+  return ComputeStep{cycles, mem, std::move(tag)};
 }
 
 Step exit_step(int code) { return ExitStep{code}; }
@@ -26,29 +26,14 @@ Step QueueProgram::next(ProcessContext& ctx) {
                      "QueueProgram::generate returned true without pushing steps");
     }
   }
-  if (pending_.empty()) return ExitStep{exit_code_};
+  if (pending_.empty()) return ExitStep{0};
   Step s = std::move(pending_.front());
   pending_.pop_front();
   return s;
 }
 
-void QueueProgram::push_all(std::vector<Step> steps) {
-  for (auto& s : steps) pending_.push_back(std::move(s));
-}
-
-// --- StepListProgram ---------------------------------------------------------
-
-StepListProgram::StepListProgram(std::string name, std::vector<Step> steps,
-                                 int exit_code)
-    : name_(std::move(name)), steps_(std::move(steps)) {
-  set_exit_code(exit_code);
-}
-
-bool StepListProgram::generate(ProcessContext&) {
-  if (emitted_ || steps_.empty()) return false;
-  emitted_ = true;
-  push_all(std::move(steps_));
-  return true;
+void QueueProgram::push_all(const std::vector<Step>& steps) {
+  pending_.insert(pending_.end(), steps.begin(), steps.end());
 }
 
 // --- GeneratorProgram ---------------------------------------------------------
@@ -84,7 +69,8 @@ Step ChainProgram::next(ProcessContext& ctx) {
     ChainPhase& ph = phases_[phase_];
     if (auto* steps = std::get_if<std::vector<Step>>(&ph)) {
       if (step_in_phase_ < steps->size()) {
-        Step s = (*steps)[step_in_phase_++];
+        // This instance owns its phase copy, so each step moves out once.
+        Step s = std::move((*steps)[step_in_phase_++]);
         // A literal ExitStep inside a phase terminates the whole chain.
         if (std::holds_alternative<ExitStep>(s)) exited_ = true;
         return s;
@@ -114,9 +100,7 @@ Step ChainProgram::next(ProcessContext& ctx) {
 
 ProgramFactory make_step_list(std::string name, std::vector<Step> steps,
                               int exit_code) {
-  return [name = std::move(name), steps = std::move(steps), exit_code]() {
-    return std::make_unique<StepListProgram>(name, steps, exit_code);
-  };
+  return make_chain(std::move(name), {ChainPhase{std::move(steps)}}, exit_code);
 }
 
 ProgramFactory make_generator(std::string name, GeneratorProgram::Generator gen) {

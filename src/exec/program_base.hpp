@@ -1,9 +1,10 @@
 // Reusable Program building blocks.
 //
 // Guest programs are step generators; these helpers cover the common shapes:
-// a fixed step list, a callback generator (for loops that must not be
+// a batch queue, a callback generator (for loops that must not be
 // materialized), and a chain that splices sub-programs between step phases
 // (how the loader wraps a workload with linker/constructor/destructor work).
+// A fixed step list is a chain with one literal phase.
 #pragma once
 
 #include <deque>
@@ -32,7 +33,8 @@ using kernel::SyscallStep;
 /// A user-compute step of `cycles` with an optional witness tag.
 Step compute(Cycles cycles, std::string tag = {});
 
-/// A user-compute step with a memory profile.
+/// A user-compute step with a memory profile (a page run plus an optional
+/// hot address; plain data, so a step owns no heap memory beyond its tag).
 Step compute_mem(Cycles cycles, MemoryProfile mem, std::string tag = {});
 
 /// Wraps any SyscallRequest alternative into a step.
@@ -59,29 +61,11 @@ class QueueProgram : public Program {
   virtual bool generate(ProcessContext& ctx) = 0;
 
   void push(Step s) { pending_.push_back(std::move(s)); }
-  void push_all(std::vector<Step> steps);
-  void set_exit_code(int code) { exit_code_ = code; }
+  void push_all(const std::vector<Step>& steps);
 
  private:
   std::deque<Step> pending_;
   bool done_ = false;
-  int exit_code_ = 0;
-};
-
-/// Emits a fixed list of steps, then exits.
-class StepListProgram final : public QueueProgram {
- public:
-  StepListProgram(std::string name, std::vector<Step> steps, int exit_code = 0);
-
-  std::string name() const override { return name_; }
-
- protected:
-  bool generate(ProcessContext& ctx) override;
-
- private:
-  std::string name_;
-  std::vector<Step> steps_;
-  bool emitted_ = false;
 };
 
 /// Wraps a callback that produces one step at a time; nullopt finishes the
@@ -126,7 +110,8 @@ class ChainProgram final : public Program {
   int exit_code_;
 };
 
-/// Convenience factory wrappers.
+/// Convenience factory wrappers. `make_step_list` emits a fixed list of
+/// steps, then exits: a chain with one literal phase.
 ProgramFactory make_step_list(std::string name, std::vector<Step> steps,
                               int exit_code = 0);
 ProgramFactory make_generator(std::string name, GeneratorProgram::Generator gen);

@@ -565,10 +565,7 @@ void Kernel::running_leap(Cycles limit) {
   UserWork& u = p.user;
   // Memory touches and armed breakpoints are mid-compute engine events the
   // leap would skip: bail to the exact micro-sliced path.
-  if (u.step.mem.touches_memory()) return;
-  for (const Cycles h : u.until_hot) {
-    if (h.v != UINT64_MAX) return;
-  }
+  if (u.step.mem.touches_memory() || u.until_hot.v != UINT64_MAX) return;
 
   const Event* head = events_.peek();
   if (head == nullptr || head->kind != EventKind::kTimerTick || head->at <= now_)
@@ -759,21 +756,16 @@ void Kernel::begin_user_step(Process& p, ComputeStep step) {
   u.until_next_touch = u.step.mem.touches_memory() ? u.step.mem.touch_period : Cycles{0};
   u.active = u.remaining.v > 0;
   refresh_hot_schedule(p);
-  if (!u.active) return;
 }
 
 void Kernel::refresh_hot_schedule(Process& p) {
   UserWork& u = p.user;
-  u.until_hot.assign(u.step.mem.hot.size(), Cycles{0});
-  for (std::size_t i = 0; i < u.step.mem.hot.size(); ++i) {
-    // Hot accesses only cost engine events while a matching debug register
-    // is armed; otherwise they are ordinary loads inside the compute slab.
-    if (p.dregs.any_armed() && p.dregs.match(u.step.mem.hot[i].addr)) {
-      u.until_hot[i] = u.step.mem.hot[i].period;
-    } else {
-      u.until_hot[i] = Cycles{UINT64_MAX};
-    }
-  }
+  // Hot accesses only cost engine events while a matching debug register
+  // is armed; otherwise they are ordinary loads inside the compute slab.
+  const auto& hot = u.step.mem.hot;
+  u.until_hot = hot && p.dregs.any_armed() && p.dregs.match(hot->addr)
+                    ? hot->period
+                    : Cycles{UINT64_MAX};
 }
 
 void Kernel::run_user_compute(Cycles boundary) {
@@ -785,38 +777,32 @@ void Kernel::run_user_compute(Cycles boundary) {
     // The next micro-event: step end, page touch, hot access, or boundary.
     Cycles slice = std::min(u.remaining, boundary - now_);
     bool is_touch = false;
-    std::size_t hot_idx = SIZE_MAX;
+    bool is_hot = false;
     if (u.step.mem.touches_memory() && u.until_next_touch < slice) {
       slice = u.until_next_touch;
       is_touch = true;
     }
-    for (std::size_t i = 0; i < u.until_hot.size(); ++i) {
-      if (u.until_hot[i] < slice || (u.until_hot[i] == slice && is_touch)) {
-        // Hot accesses win ties so breakpoints fire deterministically.
-        if (u.until_hot[i] <= slice) {
-          slice = u.until_hot[i];
-          is_touch = false;
-          hot_idx = i;
-        }
-      }
+    // Hot accesses win ties with a touch so breakpoints fire deterministically.
+    if (u.until_hot < slice || (u.until_hot == slice && is_touch)) {
+      slice = u.until_hot;
+      is_touch = false;
+      is_hot = true;
     }
 
     if (slice.v > 0) {
       charge(&p, WorkKind::kUserCompute, slice, p.pid);
       u.remaining -= slice;
       if (u.step.mem.touches_memory()) u.until_next_touch -= slice;
-      for (auto& h : u.until_hot) {
-        if (h.v != UINT64_MAX) h -= slice;
-      }
+      if (u.until_hot.v != UINT64_MAX) u.until_hot -= slice;
     }
 
     if (u.remaining.v == 0) {
       u.active = false;
       return;
     }
-    if (hot_idx != SIZE_MAX && u.until_hot[hot_idx].v == 0) {
-      u.until_hot[hot_idx] = u.step.mem.hot[hot_idx].period;
-      hot_access(p, hot_idx);
+    if (is_hot && u.until_hot.v == 0) {
+      u.until_hot = u.step.mem.hot->period;
+      hot_access(p);
       return;  // exception processing takes over
     }
     if (is_touch && u.until_next_touch.v == 0) {
@@ -824,17 +810,16 @@ void Kernel::run_user_compute(Cycles boundary) {
       touch_memory(p);
       if (!p.kwork.empty()) return;  // fault handling takes over
     }
-    if (slice.v == 0 && !is_touch && hot_idx == SIZE_MAX) {
+    if (slice.v == 0 && !is_touch && !is_hot) {
       return;  // boundary exactly at now_
     }
   }
 }
 
 void Kernel::touch_memory(Process& p) {
-  UserWork& u = p.user;
-  const auto& pages = u.step.mem.pages;
-  MTR_ENSURE(!pages.empty());
-  const PageId page = pages[p.mem_cursor % pages.size()];
+  const MemoryProfile& mem = p.user.step.mem;
+  MTR_ENSURE(mem.page_count > 0);
+  const PageId page{mem.first_page.v + p.mem_cursor % mem.page_count};
   ++p.mem_cursor;
 
   const mm::TouchResult r = mm_.touch(p.tgid, page);
@@ -860,8 +845,7 @@ void Kernel::touch_memory(Process& p) {
   }
 }
 
-void Kernel::hot_access(Process& p, std::size_t hot_index) {
-  (void)hot_index;
+void Kernel::hot_access(Process& p) {
   ++p.debug_exceptions;
   ++p.group_acct->debug_exceptions;
   // #DB dispatch runs in the tracee's kernel context, then a SIGTRAP trace

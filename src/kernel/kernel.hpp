@@ -243,7 +243,7 @@ class Kernel final {
   void begin_user_step(Process& p, ComputeStep step);
   void refresh_hot_schedule(Process& p);
   void touch_memory(Process& p);
-  void hot_access(Process& p, std::size_t hot_index);
+  void hot_access(Process& p);
 
   // Actions and syscalls.
   void apply_action(KernelAction action);

@@ -87,8 +87,9 @@ struct UserWork {
   Cycles remaining{0};
   // Memory touch bookkeeping.
   Cycles until_next_touch{0};
-  // Hot-address bookkeeping (parallel to step.mem.hot).
-  std::vector<Cycles> until_hot;
+  // Cycles to step.mem.hot's next access; UINT64_MAX while no armed debug
+  // register watches it (or the step has none).
+  Cycles until_hot{UINT64_MAX};
   bool active = false;
 };
 
@@ -117,9 +118,9 @@ class Process {
 
   // Step in flight.
   UserWork user;
-  /// Round-robin position over the current memory profile; persists across
-  /// steps so successive compute chunks sweep onward through the working
-  /// set instead of re-touching its head.
+  /// Round-robin position over the current profile's page run; persists
+  /// across steps so successive compute chunks sweep onward through the
+  /// working set instead of re-touching its head.
   std::uint64_t mem_cursor = 0;
   std::vector<KernelWork> kwork;     // kernel work queue (front runs first)
   std::int64_t last_syscall_result = 0;

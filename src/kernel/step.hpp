@@ -2,18 +2,18 @@
 //
 // Simulated programs are behaviour generators: the kernel repeatedly asks
 // the current process's Program for its next Step and executes it. A Step is
-// either a slab of user-mode compute (with a declared memory-touch profile,
-// so paging and hardware breakpoints behave realistically), a system call,
-// or process exit. Loops with 2^34 iterations are generated lazily — the
+// either a slab of user-mode compute (with a declared memory-touch profile:
+// one page run and at most one hot address, so paging and hardware
+// breakpoints behave realistically), a system call, or process exit. Loops with 2^34 iterations are generated lazily — the
 // simulator's cost is proportional to kernel interactions, not instructions.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -53,15 +53,18 @@ struct HotAccess {
   Cycles period;
 };
 
-/// Declares which pages a compute step touches and how often. The engine
-/// walks `pages` round-robin, one touch every `touch_period` cycles; each
-/// touch consults the memory manager and may fault.
+/// Declares which pages a compute step touches and how often: one
+/// contiguous run of `page_count` pages from `first_page`, plus at most one
+/// hot address. The engine walks the run round-robin, one touch every
+/// `touch_period` cycles; each touch consults the memory manager and may
+/// fault.
 struct MemoryProfile {
-  std::vector<PageId> pages;
+  PageId first_page{0};
+  std::uint64_t page_count = 0;
   Cycles touch_period{0};  // 0 = step touches no memory
-  std::vector<HotAccess> hot;
+  std::optional<HotAccess> hot;
 
-  bool touches_memory() const { return touch_period.v > 0 && !pages.empty(); }
+  bool touches_memory() const { return touch_period.v > 0 && page_count > 0; }
 };
 
 // ---------------------------------------------------------------------------

@@ -279,6 +279,10 @@ std::optional<QuantileSketch> decode_sketch(std::string_view token) {
   s.load_zero(*zero);
   s.load_bounds(*lo, *hi);
   if (s.load_error(*count) != nullptr) return std::nullopt;
+  // Only the spelling encode_sketch writes: "01", "2.0040", "-0", and
+  // unsorted or repeated bucket indices all decode to a sketch that
+  // re-encodes differently.
+  if (encode_sketch(s) != token) return std::nullopt;
   return s;
 }
 

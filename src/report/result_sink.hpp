@@ -44,9 +44,10 @@ inline constexpr std::uint64_t kSchemaVersion = 4;
 /// what keeps shard merges byte-exact: mtr_merge decodes the per-run
 /// sketches, merges them (exact, order-free), and re-encodes.
 std::string encode_sketch(const QuantileSketch& sketch);
-/// Strict inverse of encode_sketch: nullopt on any malformed token, and
-/// on a sketch QuantileSketch::load_error refuses (count off its buckets,
-/// min above max) — the check read_metrics_json makes too.
+/// Strict inverse of encode_sketch: nullopt on any malformed or
+/// non-canonical token (one encode_sketch would not write), and on a
+/// sketch QuantileSketch::load_error refuses (count off its buckets, min
+/// above max) — the check read_metrics_json makes too.
 std::optional<QuantileSketch> decode_sketch(std::string_view token);
 
 struct Field {

@@ -35,12 +35,8 @@ constexpr VAddr kBruteHotAddr{0x40'0000};      // count in crack_len()
 
 MemoryProfile make_profile(std::uint64_t first_page, std::uint64_t n_pages,
                            Cycles touch_period, VAddr hot_addr, Cycles hot_period) {
-  MemoryProfile mem;
-  mem.pages.reserve(n_pages);
-  for (std::uint64_t i = 0; i < n_pages; ++i) mem.pages.push_back(PageId{first_page + i});
-  mem.touch_period = touch_period;
-  mem.hot.push_back(HotAccess{hot_addr, hot_period});
-  return mem;
+  return MemoryProfile{PageId{first_page}, n_pages, touch_period,
+                       HotAccess{hot_addr, hot_period}};
 }
 
 
@@ -49,11 +45,9 @@ MemoryProfile make_profile(std::uint64_t first_page, std::uint64_t n_pages,
 /// is exactly the pattern LRU cannot protect under the exception-flooding
 /// attack — each pass re-faults whatever the hog evicted.
 Step buffer_pass(std::uint64_t first_page, std::uint64_t n_pages, std::string tag) {
-  MemoryProfile mem;
-  mem.pages.reserve(n_pages);
-  for (std::uint64_t i = 0; i < n_pages; ++i) mem.pages.push_back(PageId{first_page + i});
-  mem.touch_period = Cycles{2'000};
-  return compute_mem(Cycles{2'000 * n_pages}, std::move(mem), std::move(tag));
+  return compute_mem(Cycles{2'000 * n_pages},
+                     MemoryProfile{PageId{first_page}, n_pages, Cycles{2'000}, {}},
+                     std::move(tag));
 }
 
 std::uint64_t scaled(std::uint64_t n, double scale) {
@@ -192,7 +186,7 @@ class BruteWorker final : public QueueProgram {
     if (batches_left_ % 50 == 0)
       push(buffer_pass(0x3000 + 0x200 * index_, 128, "brute.wordlist-pass"));
     --batches_left_;
-    for (const Step& step : shared_.malloc_call) push(step);
+    push_all(shared_.malloc_call);
     if (shared_.verify) {
       // Anchor the model in the real computation: hash one representative
       // candidate from this batch and test it against the target.

@@ -2738,12 +2738,13 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   }
 }
 
-/// One seeded edit of a CLI spec: a byte replaced by one of the grammar's
-/// own characters, a byte inserted or deleted, a truncation, or a clause
-/// dropped, duplicated or swapped with its neighbour.
-std::string mutate_spec(const std::string& spec, char separator, SplitMix64& rng) {
-  static constexpr std::string_view kAlphabet = "0123456789,=/-:acdefhiklmnorstw";
-  const char c = kAlphabet[rng.next() % kAlphabet.size()];
+/// One seeded edit of a spec or token: a byte replaced by one of the
+/// grammar's own characters (`alphabet`), a byte inserted or deleted, a
+/// truncation, or a clause dropped, duplicated or swapped with its
+/// neighbour.
+std::string mutate_spec(const std::string& spec, char separator,
+                        std::string_view alphabet, SplitMix64& rng) {
+  const char c = alphabet[rng.next() % alphabet.size()];
   std::string out = spec;
   const std::size_t at = spec.empty() ? 0 : rng.next() % spec.size();
   switch (rng.next() % 5) {
@@ -2798,7 +2799,7 @@ int fuzz_spec_grammar(const std::vector<std::string>& seeds, char separator,
   for (int i = 0; i < kMutations; ++i) {
     std::string spec = seeds[rng.next() % seeds.size()];
     for (std::uint64_t edits = 1 + rng.next() % 3; edits > 0; --edits)
-      spec = mutate_spec(spec, separator, rng);
+      spec = mutate_spec(spec, separator, "0123456789,=/-:acdefhiklmnorstw", rng);
     try {
       const std::string back = parse(spec);
       EXPECT_EQ(back, spec) << "accepted spec did not round-trip";
@@ -2826,6 +2827,49 @@ TEST(SpecMutationTest, ShardSpecsRoundTripOrAreRefusedByName) {
       {"0/1", "1/3", "12/40", "7/8"}, '/', 0x5EED3000,
       [](const std::string& spec) { return to_string(parse_shard_spec(spec)); });
   EXPECT_GT(accepted, 0);
+}
+
+TEST(SketchMutationTest, AcceptedTokensReencodeToThemselves) {
+  // Seeds: every pop_*_sketch token of the fig04 golden, plus each
+  // column's merge of them (what mtr_merge writes for a cell), so bucket
+  // lists with several entries are mutated too.
+  const std::vector<std::string> lines = lines_of(read_file(kGoldenCsv));
+  ASSERT_GT(lines.size(), 1u);
+  const std::vector<std::string> header = report::split_csv_line(lines[0]);
+  std::vector<std::string> seeds;
+  std::map<std::size_t, QuantileSketch> merged;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const std::vector<std::string> row = report::split_csv_line(lines[i]);
+    for (std::size_t c = 0; c < std::min(header.size(), row.size()); ++c) {
+      if (!header[c].starts_with("pop_") || !header[c].ends_with("_sketch")) continue;
+      const std::optional<QuantileSketch> s = report::decode_sketch(row[c]);
+      ASSERT_TRUE(s) << header[c] << " at line " << i + 1 << ": " << row[c];
+      EXPECT_EQ(report::encode_sketch(*s), row[c]);
+      seeds.push_back(row[c]);
+      merged[c].merge(*s);
+    }
+  }
+  ASSERT_FALSE(seeds.empty());
+  for (const auto& [column, sketch] : merged) seeds.push_back(report::encode_sketch(sketch));
+
+  // The codec's alphabet: decimal and hex digits, the field and bucket
+  // separators, signs, points and exponents.
+  constexpr std::string_view kAlphabet = "0123456789abcdef;: -.e";
+  constexpr int kMutations = 20000;
+  SplitMix64 rng(0x5EED4000);
+  int accepted = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    std::string token = seeds[rng.next() % seeds.size()];
+    for (std::uint64_t edits = 1 + rng.next() % 3; edits > 0; --edits)
+      token = mutate_spec(token, ';', kAlphabet, rng);
+    // A rejection is nullopt, never a throw; an acceptance is canonical.
+    const std::optional<QuantileSketch> s = report::decode_sketch(token);
+    if (!s) continue;
+    EXPECT_EQ(report::encode_sketch(*s), token) << "accepted token did not round-trip";
+    ++accepted;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kMutations);
 }
 
 TEST(FaultInjectorTest, FlushFaultFiresOnTheConfiguredFlushExactlyOnce) {
@@ -3348,6 +3392,10 @@ TEST(FleetArgsTest, ParsesFlagsAndRejectsBadFaultSpecs) {
   const char* bad_shard[] = {"mtr_fleet", "--fault-inject",
                              "x:crash-after-cell=1"};
   EXPECT_THROW(parse_fleet_args(3, bad_shard), std::runtime_error);
+  // --no-metrics is gone: the metrics fold always runs.
+  const char* no_metrics[] = {"mtr_fleet", "--out-dir", "x", "fig04",
+                              "--no-metrics"};
+  EXPECT_THROW(parse_fleet_args(5, no_metrics), UsageError);
 
   // Non-finite and out-of-range values are refused, not truncated.
   for (const auto& [flag, value] :
@@ -3589,7 +3637,6 @@ TEST(FleetTest, ConcurrentMergesReportTheFirstCorruptSweepInSweepOrder) {
     o.sweep_bin = script;
     o.shards = 2;
     o.sweeps = names;
-    o.metrics = false;
     o.max_retries = 0;
     std::ostringstream out, err;
     FleetReport report;

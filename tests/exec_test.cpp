@@ -2,6 +2,12 @@
 // LD_PRELOAD interposition, loader image shape, shell launch semantics.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <deque>
+#include <new>
+
 #include "common/ensure.hpp"
 #include "exec/library.hpp"
 #include "exec/loader.hpp"
@@ -9,6 +15,31 @@
 #include "exec/shell.hpp"
 #include "kernel/kernel.hpp"
 #include "kernel/o1_scheduler.hpp"
+
+// --- counting allocator hook -------------------------------------------------------
+//
+// TU-local replacement of the global allocation functions so the suite can
+// assert what a step costs the heap: a compute step's memory profile is
+// plain data, and pushing a resolved library body copies only its steps.
+// The counter only ever increases; tests snapshot it around the code under
+// scrutiny.
+
+namespace {
+std::atomic<std::uint64_t> g_alloc_bytes{0};
+
+void* counted_alloc(std::size_t n) {
+  g_alloc_bytes += n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace mtr::exec {
 namespace {
@@ -47,8 +78,8 @@ std::vector<Step> drain(Program& p, std::size_t limit = 1000) {
 // --- program shapes -------------------------------------------------------------
 
 TEST(StepList, EmitsInOrderThenExits) {
-  StepListProgram p("p", {compute(Cycles{10}, "a"), compute(Cycles{20}, "b")});
-  const auto steps = drain(p);
+  auto p = make_step_list("p", {compute(Cycles{10}, "a"), compute(Cycles{20}, "b")})();
+  const auto steps = drain(*p);
   ASSERT_EQ(steps.size(), 3u);
   EXPECT_EQ(std::get<ComputeStep>(steps[0]).tag, "a");
   EXPECT_EQ(std::get<ComputeStep>(steps[1]).tag, "b");
@@ -185,7 +216,7 @@ TEST(LoaderTest, ImageMapsCodeRunsCtorsMainDtors) {
   spec.main_program = [](const SymbolTable& syms) {
     std::vector<Step> steps = syms.call("zip");
     steps.insert(steps.begin(), compute(Cycles{100}, "app.main"));
-    return std::make_unique<StepListProgram>("app", std::move(steps));
+    return make_step_list("app", std::move(steps))();
   };
 
   auto program = loader.build_image(spec)();
@@ -217,7 +248,7 @@ TEST(LoaderTest, PreloadChangesResolutionAtLaunchTime) {
   spec.needed_libs = {"libm"};
   spec.imports = {"sqrt"};
   spec.main_program = [](const SymbolTable& syms) {
-    return std::make_unique<StepListProgram>("app", syms.call("sqrt"));
+    return make_step_list("app", syms.call("sqrt"))();
   };
   const ProgramFactory factory = loader.build_image(spec);
 
@@ -294,6 +325,84 @@ TEST(Shell, ShellImageMeasurementReachesHooks) {
   k->run();
   ASSERT_FALSE(recorder.tags.empty());
   EXPECT_EQ(recorder.tags[0], "bash#evil");
+}
+
+// --- step footprint ----------------------------------------------------------------
+
+/// Bytes the global allocator hands out while `fn` runs.
+template <typename Fn>
+std::uint64_t bytes_allocated_by(Fn&& fn) {
+  const std::uint64_t before = g_alloc_bytes.load();
+  fn();
+  return g_alloc_bytes.load() - before;
+}
+
+TEST(StepFootprint, ComputeStepCostsTheSameForAnyPageRun) {
+  // Building a step and copying it (as each chain instance copies its
+  // literal phases) allocates nothing: the profile is a page range, and a
+  // tag of at most 15 chars fits the string's inline buffer.
+  const auto step_bytes = [](std::uint64_t pages) {
+    std::uint64_t copied_pages = 0;
+    const std::uint64_t bytes = bytes_allocated_by([&] {
+      const kernel::MemoryProfile mem{PageId{0x600}, pages, Cycles{2'530'000},
+                                      kernel::HotAccess{VAddr{0x20'0040}, Cycles{250'000}}};
+      const Step step = compute_mem(Cycles{25'300'000}, mem, "pi.arith");
+      const Step copy = step;
+      copied_pages = std::get<ComputeStep>(copy).mem.page_count;
+    });
+    EXPECT_EQ(copied_pages, pages);
+    return bytes;
+  };
+  const std::uint64_t one = step_bytes(1);
+  EXPECT_EQ(step_bytes(4096), one);
+  EXPECT_EQ(one, 0u);
+}
+
+/// Pushes one resolved body per generate call.
+class BodyProgram final : public QueueProgram {
+ public:
+  explicit BodyProgram(const std::vector<Step>& body) : body_(body) {}
+  std::string name() const override { return "body"; }
+
+ protected:
+  bool generate(kernel::ProcessContext&) override {
+    push_all(body_);
+    return true;
+  }
+
+ private:
+  const std::vector<Step>& body_;
+};
+
+TEST(StepFootprint, PushAllOfAResolvedBodyAllocatesOnlyTheQueue) {
+  // A body spanning several deque nodes, with tags short enough that
+  // copying a step allocates nothing.
+  SharedLibrary lib;
+  lib.name = "libm";
+  lib.content_tag = "libm#test";
+  LibFunction f;
+  for (int i = 0; i < 24; ++i) f.body.push_back(compute(Cycles{40}, "libm.sqrt"));
+  lib.symbols["sqrt"] = std::move(f);
+  LibraryRegistry reg;
+  reg.add(std::move(lib));
+  const SymbolTable syms = reg.resolve_all({"sqrt"}, {"libm"});
+  const std::vector<Step>& body = syms.call("sqrt");
+  ASSERT_EQ(body.size(), 24u);
+
+  FakeContext ctx;
+  Step first;
+  const std::uint64_t program = bytes_allocated_by([&] {
+    BodyProgram p(body);
+    first = p.next(ctx);
+  });
+  EXPECT_EQ(std::get<ComputeStep>(first).tag, "libm.sqrt");
+  // The same queue storage, filled with steps that own nothing.
+  const std::uint64_t queue = bytes_allocated_by([&] {
+    std::deque<Step> d;
+    d.insert(d.end(), body.size(), Step{ExitStep{}});
+    d.pop_front();
+  });
+  EXPECT_EQ(program, queue);
 }
 
 }  // namespace

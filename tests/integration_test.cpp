@@ -65,7 +65,7 @@ TEST(ExecutionIntegrity, DetectsControlFlowTamperWithCleanSources) {
       for (int i = 0; i < iterations; ++i)
         steps.push_back(exec::compute(seconds_to_cycles(0.004, CpuHz{}),
                                       "victim.loop"));
-      return std::make_unique<exec::StepListProgram>("victim", std::move(steps));
+      return exec::make_step_list("victim", std::move(steps))();
     };
     return img;
   };

@@ -345,7 +345,7 @@ TEST(Ptrace, DebugRegisterBreakpointGeneratesTrapCycle) {
   auto k = make_kernel();
   // Victim touches a hot address every 0.5 ms within 20 ms of compute.
   ComputeStep body{ms(20), {}, "hot-loop"};
-  body.mem.hot.push_back(HotAccess{VAddr{0xbeef000}, ms(0.5)});
+  body.mem.hot = HotAccess{VAddr{0xbeef000}, ms(0.5)};
   const Pid victim =
       k->spawn({"v", make_step_list("v", {Step{body}}), Nice{5}, true});
 
@@ -386,6 +386,35 @@ TEST(Ptrace, DebugRegisterBreakpointGeneratesTrapCycle) {
   // ~40 hot touches → roughly that many debug exceptions.
   EXPECT_GE(v.debug_exceptions, 20u);
   EXPECT_GT(v.true_usage.system.v, 0u);
+}
+
+// --- memory profiles --------------------------------------------------------------
+
+/// Minor faults of one process that runs `steps` alone on a fresh kernel.
+std::uint64_t minor_faults_of(std::vector<Step> steps) {
+  auto k = make_kernel();
+  const Pid pid =
+      k->spawn({"toucher", make_step_list("toucher", std::move(steps)), Nice{0}, true});
+  k->run();
+  k->memory().check_invariants();
+  return k->process(pid).minor_faults;
+}
+
+TEST(MemoryProfiles, PageCursorCarriesAcrossSteps) {
+  // Each step is long enough for exactly two touches (at 100k and 200k
+  // cycles). The second step sweeps on to pages 2 and 3; a cursor reset
+  // per step would re-touch pages 0 and 1 and fault only twice.
+  const MemoryProfile mem{PageId{0x40}, 4, Cycles{100'000}, {}};
+  const Step step = exec::compute_mem(Cycles{250'000}, mem, "two-touches");
+  EXPECT_EQ(minor_faults_of({step, step}), 4u);
+}
+
+TEST(MemoryProfiles, PageWalkWrapsAtPageCount) {
+  // Six touches over three pages: each page faults once, then the walk
+  // wraps to the run's first page and hits.
+  const MemoryProfile mem{PageId{0x40}, 3, Cycles{100'000}, {}};
+  EXPECT_EQ(minor_faults_of({exec::compute_mem(Cycles{650'000}, mem, "six-touches")}),
+            3u);
 }
 
 // --- admin APIs ------------------------------------------------------------------
