@@ -588,13 +588,11 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
       m.jsonl_in.push_back(s.dir + "/" + names[i] + ".jsonl");
     }
   }
-  {
-    MergeJob& job = jobs.back();
-    job.what = "metrics fold";
-    job.options.metrics_out = merged_dir + "/metrics.json";
-    for (const ShardState& s : states)
-      if (s.done) job.options.metrics_in.push_back(s.dir + "/metrics.json");
-  }
+  MergeJob& fold = jobs.back();
+  fold.what = "metrics fold";
+  fold.options.metrics_out = merged_dir + "/metrics.json";
+  for (const ShardState& s : states)
+    if (s.done) fold.options.metrics_in.push_back(s.dir + "/metrics.json");
   {
     std::atomic<std::size_t> next{0};
     const auto worker = [&] {

@@ -3392,7 +3392,7 @@ TEST(FleetArgsTest, ParsesFlagsAndRejectsBadFaultSpecs) {
   const char* bad_shard[] = {"mtr_fleet", "--fault-inject",
                              "x:crash-after-cell=1"};
   EXPECT_THROW(parse_fleet_args(3, bad_shard), std::runtime_error);
-  // --no-metrics is gone: the metrics fold always runs.
+  // The metrics fold always runs; no flag skips it.
   const char* no_metrics[] = {"mtr_fleet", "--out-dir", "x", "fig04",
                               "--no-metrics"};
   EXPECT_THROW(parse_fleet_args(5, no_metrics), UsageError);
