@@ -21,10 +21,11 @@ int main() {
   core::ExperimentConfig cfg;
   cfg.kind = workloads::WorkloadKind::kPi;
   cfg.workload.scale = scale;
-  cfg.tariff.dollars_per_cpu_hour = 0.40;  // EC2-era pricing
+  core::Tariff tariff;
+  tariff.dollars_per_cpu_hour = 0.40;  // EC2-era pricing
 
   const auto base = core::run_experiment(cfg);
-  core::BillingEngine billing(cfg.tariff, cfg.sim.kernel.cpu, cfg.sim.kernel.hz);
+  core::BillingEngine billing(tariff, cfg.sim.kernel.cpu, cfg.sim.kernel.hz);
   const double honest_bill = billing.invoice(base.billed_ticks).amount_dollars;
 
   std::cout << "Customer job: " << workloads::long_name(cfg.kind) << " ("

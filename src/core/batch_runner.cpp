@@ -133,7 +133,6 @@ ExperimentConfig run_config(const BatchGrid& grid, const GridCellIndices& ix,
   ExperimentConfig cfg = grid.base;
   for_each_axis([&](const auto& row) { row.apply(cfg, row.at(grid, ix[row.axis])); });
   cfg.sim.kernel.seed = cell_seed(grid_seed, ix);
-  cfg.trace.collect_stats = cfg.trace.collect_stats || grid.collect_kernel_stats;
   return cfg;
 }
 

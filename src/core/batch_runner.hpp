@@ -105,9 +105,6 @@ struct BatchGrid {
   /// index and the seed index; an empty return skips tracing for that run.
   /// Null (the default) traces nothing.
   std::function<std::string(std::size_t cell, std::size_t seed_i)> trace_path;
-  /// Collect KernelStats for every run (aggregated into CellStats::kstats)
-  /// even when no run is traced.
-  bool collect_kernel_stats = false;
 };
 
 /// The grid axes in cell-index order: attack-major, nice-minor. The first
@@ -219,7 +216,7 @@ struct CellStats : GridCellCoords {
   QuantileSketch pop_attacker_advantage;
 
   /// Kernel observability counters summed over the cell's runs. Populated
-  /// only when BatchGrid::collect_kernel_stats (or tracing) is on, and
+  /// only when base.trace.collect_stats (or tracing) is on, and
   /// deliberately NOT part of for_each_stat: the CSV/JSONL artifact schema
   /// stays byte-identical whether observability runs or not.
   trace::KernelStats kstats;

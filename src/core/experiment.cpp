@@ -50,7 +50,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     kernel.set_telemetry(&telemetry);
   }
 
-  TrustedMeteringService service(config.tariff, config.sim.kernel.cpu,
+  // No invoice is priced here, so the service's tariff is the default.
+  TrustedMeteringService service(Tariff{}, config.sim.kernel.cpu,
                                  config.sim.kernel.hz);
   for (auto& tag : expected_code_tags(config.kind)) service.allow_code(std::move(tag));
   service.attach(kernel);
@@ -109,10 +110,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       kernel.set_nice(apid, config.nice.attacker);
   }
 
-  const bool exited = sim.run_until_exit(victim, config.run_limit);
+  // Hard cap on simulated time (safety net against runaway scenarios).
+  constexpr Cycles kRunLimit{12'000'000'000'000};  // ~79 virtual minutes at 2.53 GHz
+  const bool exited = sim.run_until_exit(victim, kRunLimit);
 
   if (attack != nullptr) attack->disengage(ctx);
-  sim.run_all(config.drain);
+  // Extra drain time after the victim exits (attacker teardown, reaping).
+  constexpr Cycles kDrain{1'000'000'000};
+  sim.run_all(kDrain);
 
   // --- collect -------------------------------------------------------------
   ExperimentResult r;

@@ -53,11 +53,6 @@ struct ExperimentConfig {
   /// Victim/attacker nice values (0/0 = leave the defaults untouched).
   NiceSpec nice{};
   sim::SimConfig sim{};
-  Tariff tariff{};
-  /// Hard cap on simulated time (safety net against runaway scenarios).
-  Cycles run_limit{12'000'000'000'000};  // ~79 virtual minutes at 2.53 GHz
-  /// Extra drain time after the victim exits (attacker teardown, reaping).
-  Cycles drain{1'000'000'000};
   /// Observability (tracing + kernel counters); off by default.
   TraceRequest trace{};
 };

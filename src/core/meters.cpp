@@ -6,19 +6,6 @@ using kernel::WorkKind;
 
 // --- TickMeter ---------------------------------------------------------------
 
-void TickMeter::on_tick(Cycles, Pid current, Tgid tg, CpuMode mode) {
-  if (current == kIdlePid) {
-    idle_ += Ticks{1};
-    return;
-  }
-  CpuUsageTicks& u = usage_[tg];
-  if (mode == CpuMode::kUser) {
-    u.utime += Ticks{1};
-  } else {
-    u.stime += Ticks{1};
-  }
-}
-
 void TickMeter::on_ticks(Cycles, Cycles, std::uint64_t count, Pid current,
                          Tgid tg, CpuMode mode) {
   if (current == kIdlePid) {

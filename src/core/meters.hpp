@@ -29,9 +29,6 @@ namespace mtr::core {
 /// kernel itself keeps in the PCB; the redundancy lets tests cross-check).
 class TickMeter final : public kernel::AccountingHook {
  public:
-  void on_tick(Cycles now, Pid current, Tgid tg, CpuMode mode) override;
-  /// Pure accumulator, so a coalesced tick run folds in O(1) instead of
-  /// the default per-tick replay.
   void on_ticks(Cycles first, Cycles period, std::uint64_t count, Pid current,
                 Tgid tg, CpuMode mode) override;
 

@@ -201,7 +201,7 @@ std::size_t plan_grid(report::SweepGrids::Queued& q, const SweepOptions& o,
     grid.cell_filter = [owned = std::move(owned)](std::size_t i) {
       return owned[i] != 0;
     };
-  grid.collect_kernel_stats = collect_stats;
+  if (collect_stats) grid.base.trace.collect_stats = true;
   if (!o.trace_dir.empty()) {
     // One trace per admitted cell, first replicate only: replicate 0 is the
     // canonical seed, and one ring per cell keeps the disk cost linear in

@@ -32,6 +32,9 @@ namespace {
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
+/// How often the supervisor reaps exits and reads heartbeats.
+constexpr std::chrono::milliseconds kPollInterval{50};
+
 constexpr const char* kUsage =
     "usage: mtr_fleet --out-dir DIR [options] [sweep...]\n"
     "\n"
@@ -53,9 +56,6 @@ constexpr const char* kUsage =
     "  --fleet-seed S        seed for the backoff jitter (default 0)\n"
     "  --heartbeat-timeout S kill a shard whose status file goes S seconds\n"
     "                        without an update (default 30; 0 disables)\n"
-    "  --wall-timeout S      kill an attempt running longer than S seconds\n"
-    "                        (default 0 = disabled)\n"
-    "  --poll-ms MS          supervisor poll interval (default 50)\n"
     "  --allow-partial       when a shard exhausts its retries: merge the\n"
     "                        completed shards with --allow-gaps, write a\n"
     "                        machine-readable merged/gaps.json manifest,\n"
@@ -147,7 +147,6 @@ struct ShardState {
   int exit_code = -1;    // last exit code (-1 if signaled)
   int term_signal = 0;   // last terminating signal (0 if exited)
   double last_heartbeat_age = -1.0;
-  Clock::time_point attempt_start;
   Clock::time_point last_alive;
   Clock::time_point next_launch;  // backoff schedule when pid < 0
   fs::file_time_type last_mtime;
@@ -278,8 +277,6 @@ FleetOptions parse_fleet_args(int argc, const char* const* argv) {
     value_flag("--backoff-base", o.backoff_base_ms, int_value<std::uint64_t>),
     value_flag("--fleet-seed", o.fleet_seed, int_value<std::uint64_t>),
     value_flag("--heartbeat-timeout", o.heartbeat_timeout, nonnegative_real),
-    value_flag("--wall-timeout", o.wall_timeout, nonnegative_real),
-    value_flag("--poll-ms", o.poll_ms, int_value<std::uint64_t, 1>),
     {"--fault-inject", 1,
      [&o](std::string_view src, FlagValues v) {
        const std::string_view arg = v[0];
@@ -412,7 +409,7 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
     const std::vector<std::string> argv =
         shard_argv(options, names, s, resume);
     s.pid = spawn_child(argv, s.log_path, fault);
-    s.attempt_start = s.last_alive = Clock::now();
+    s.last_alive = Clock::now();
     s.have_mtime = false;
     if (!options.quiet)
       err << "mtr_fleet: shard " << s.shard << ": attempt " << s.attempts
@@ -493,18 +490,12 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
       }
       const double age = seconds_between(s.last_alive, Clock::now());
       s.last_heartbeat_age = age;
-      if (heartbeat_stale(age, options.heartbeat_timeout)) {
+      if (heartbeat_stale(age, options.heartbeat_timeout))
         kill_hung(s, "heartbeat stale (" + fmt_age(age) + "s > " +
                          fmt_age(options.heartbeat_timeout) + "s)");
-      } else if (options.wall_timeout > 0.0 &&
-                 seconds_between(s.attempt_start, Clock::now()) >
-                     options.wall_timeout) {
-        kill_hung(s, "wall-clock timeout (" +
-                         fmt_age(options.wall_timeout) + "s)");
-      }
     }
     if (!pending) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(options.poll_ms));
+    std::this_thread::sleep_for(kPollInterval);
   }
 
   std::vector<const ShardState*> failed;

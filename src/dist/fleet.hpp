@@ -25,8 +25,6 @@ struct FleetOptions {
   unsigned max_retries = 2;    // --max-retries R: restarts per shard
   std::uint64_t backoff_base_ms = 250;  // --backoff-base MS
   double heartbeat_timeout = 30.0;      // --heartbeat-timeout S (0 = off)
-  double wall_timeout = 0.0;            // --wall-timeout S (0 = off)
-  std::uint64_t poll_ms = 50;           // supervisor poll interval
   std::uint64_t fleet_seed = 0;         // --fleet-seed: backoff jitter seed
   std::string out_dir;                  // --out-dir DIR (required)
   std::string sweep_bin;  // --sweep-bin PATH; default: mtr_sweep next to

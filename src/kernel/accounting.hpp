@@ -59,26 +59,15 @@ class AccountingHook {
     (void)beneficiary;
   }
 
-  /// A timer tick fired while `current` ran in `mode` — the commodity
-  /// kernel charges one whole jiffy to `current` on this event.
-  virtual void on_tick(Cycles now, Pid current, Tgid current_tg, CpuMode mode) {
-    (void)now; (void)current; (void)current_tg; (void)mode;
-  }
-
-  /// `count` back-to-back timer ticks fired at `first`, `first + period`,
-  /// …, while `current` ran (or the CPU idled) in `mode` throughout — the
-  /// event-driven core's coalesced form of on_tick for stretches it proved
-  /// observation-free. The default replays the exact per-tick stream, so a
-  /// hook that doesn't override sees nothing different; pure accumulators
-  /// (e.g. the commodity tick meter) override to O(1).
+  /// One or more timer ticks fired at `first`, `first + period`, …, while
+  /// `current` ran (or the CPU idled, kIdlePid) in `mode` throughout — the
+  /// commodity kernel charges one whole jiffy per tick to `current`. A lone
+  /// tick arrives with `count` 1; the event-driven core folds stretches it
+  /// proved observation-free into one call with a larger `count`.
   virtual void on_ticks(Cycles first, Cycles period, std::uint64_t count,
                         Pid current, Tgid current_tg, CpuMode mode) {
-    for (std::uint64_t i = 0; i < count; ++i)
-      on_tick(first + Cycles{period.v * i}, current, current_tg, mode);
-  }
-
-  virtual void on_context_switch(Cycles now, Pid from, Pid to) {
-    (void)now; (void)from; (void)to;
+    (void)first; (void)period; (void)count; (void)current; (void)current_tg;
+    (void)mode;
   }
 
   /// A code object was mapped into `space` (execve image, shared library,

@@ -268,6 +268,31 @@ void Kernel::charge_idle(Cycles amount) {
   charge(nullptr, WorkKind::kIdle, amount, Pid{});
 }
 
+void Kernel::bill_ticks(Cycles first, std::uint64_t count, Process* p, CpuMode mode) {
+  flush_charges();
+  Pid pid = kIdlePid;
+  Tgid tg{0};
+  if (p == nullptr) {
+    idle_ticks_ += Ticks{count};
+  } else {
+    pid = p->pid;
+    tg = p->tgid;
+    if (mode == CpuMode::kUser) {
+      p->tick_usage.utime += Ticks{count};
+      p->group_acct->ticks.utime += Ticks{count};
+    } else {
+      p->tick_usage.stime += Ticks{count};
+      p->group_acct->ticks.stime += Ticks{count};
+    }
+  }
+  if (tracer_ != nullptr) tracer_->tick(first, pid, tg, mode, count);
+  const Cycles period = timer_.period();
+  hooks_.each([&](AccountingHook& h) {
+    h.on_ticks(first, period, count, pid, tg, mode);
+  });
+  if (stats_ != nullptr) stats_->timer_ticks += count;
+}
+
 void Kernel::sample_telemetry() {
   trace::Telemetry& t = *telemetry_;
   const std::uint64_t at = now_.v;
@@ -480,7 +505,7 @@ void Kernel::dispatch_event(const Event& e) {
       return;
     }
     case EventKind::kSleepExpiry:
-      handle_sleep_expiry(e);
+      handle_sleep_expiry(e.at, e.pid);
       return;
   }
 }
@@ -502,8 +527,7 @@ bool Kernel::idle_leap(Cycles limit) {
   if (stats_ != nullptr) ++stats_->events_popped;
   MTR_ENSURE_MSG(tick.at == timer_.next_fire(), "timer event off the fire grid");
   const Cycles period = timer_.period();
-  const Cycles irq = config_.costs.interrupt_entry + config_.costs.timer_handler +
-                     config_.costs.interrupt_exit;
+  const Cycles irq = timer_irq_cost();
 
   // While the CPU idles nothing can enqueue new events ahead of the ones
   // already queued (no process runs to submit I/O, draw arrivals, or
@@ -529,26 +553,18 @@ bool Kernel::idle_leap(Cycles limit) {
   }
 
   // Bulk form of `count` handle_timer_tick() calls from the idle context:
-  // one coalesced idle charge, one coalesced IRQ charge, one batched hook
-  // event. Totals, final `now`, and tick counters are bit-identical to the
+  // one coalesced idle charge, one coalesced IRQ charge, one tick billing.
+  // Totals, final `now`, and tick counters are bit-identical to the
   // per-tick replay (the per-tick stream interleaved gap/IRQ; the sums and
   // keys are the same).
   const Cycles last_due = tick.at + Cycles{period.v * (count - 1)};
   charge_idle(Cycles{(tick.at.v - now_.v) + (count - 1) * (period.v - irq.v)});
   timer_.acknowledge_run(last_due, count);
-  flush_charges();
-  idle_ticks_ += Ticks{count};
-  hooks_.each([&](AccountingHook& h) {
-    h.on_ticks(tick.at, period, count, kIdlePid, Tgid{0}, CpuMode::kKernel);
-  });
-  if (tracer_ != nullptr) {
-    tracer_->tick(tick.at, kIdlePid, Tgid{0}, CpuMode::kKernel, count);
-    tracer_->instant(last_due, "idle-leap", kIdlePid, Tgid{0});
-  }
+  bill_ticks(tick.at, count, nullptr, CpuMode::kKernel);
+  if (tracer_ != nullptr) tracer_->instant(last_due, "idle-leap", kIdlePid, Tgid{0});
   if (stats_ != nullptr) {
     ++stats_->idle_leaps;
     stats_->ticks_coalesced += count;
-    stats_->timer_ticks += count;
   }
   charge(nullptr, WorkKind::kTimerIrq, Cycles{irq.v * count}, Pid{});
   events_.push(timer_.next_fire(), EventKind::kTimerTick);
@@ -572,8 +588,7 @@ void Kernel::running_leap(Cycles limit) {
     return;
   const Cycles first_due = head->at;
   const Cycles period = timer_.period();
-  const Cycles irq = config_.costs.interrupt_entry + config_.costs.timer_handler +
-                     config_.costs.interrupt_exit;
+  const Cycles irq = timer_irq_cost();
   if (irq >= period) return;  // ticks run late: no coalescible user gap
   const std::uint64_t gap = period.v - irq.v;  // user cycles per later tick
 
@@ -597,8 +612,8 @@ void Kernel::running_leap(Cycles limit) {
 
   // Replay the exact per-tick charge sequence — CFS vruntime rounds once
   // per on_ran, so the user-gap and IRQ charges must stay per-tick — while
-  // bulking the tick bookkeeping, the timer acknowledgements, the hook
-  // dispatch, and the scheduler's quantum updates.
+  // bulking the tick billing, the timer acknowledgements and the
+  // scheduler's quantum updates.
   events_.pop();
   if (stats_ != nullptr) ++stats_->events_popped;
   for (std::uint64_t k = 0; k < count; ++k) {
@@ -608,22 +623,11 @@ void Kernel::running_leap(Cycles limit) {
   }
   u.remaining -= Cycles{first_gap + (count - 1) * gap};
   timer_.acknowledge_run(first_due + Cycles{period.v * (count - 1)}, count);
-  p.tick_usage.utime += Ticks{count};
-  p.group_acct->ticks.utime += Ticks{count};
-  flush_charges();
-  const Pid pid = p.pid;
-  const Tgid tg = p.tgid;
-  hooks_.each([&](AccountingHook& h) {
-    h.on_ticks(first_due, period, count, pid, tg, CpuMode::kUser);
-  });
-  if (tracer_ != nullptr) {
-    tracer_->tick(first_due, pid, tg, CpuMode::kUser, count);
-    tracer_->instant(now_, "running-leap", pid, tg);
-  }
+  bill_ticks(first_due, count, &p, CpuMode::kUser);
+  if (tracer_ != nullptr) tracer_->instant(now_, "running-leap", p.pid, p.tgid);
   if (stats_ != nullptr) {
     ++stats_->running_leaps;
     stats_->ticks_coalesced += count;
-    stats_->timer_ticks += count;
   }
   scheduler_->on_ticks(p, count);
   events_.push(timer_.next_fire(), EventKind::kTimerTick);
@@ -960,7 +964,6 @@ void Kernel::preempt_current() {
   flush_charges();
   if (tracer_ != nullptr) tracer_->instant(now_, "preempt", out.pid, out.tgid);
   if (stats_ != nullptr) ++stats_->context_switches;
-  hooks_.each([&](AccountingHook& h) { h.on_context_switch(now_, out.pid, Pid{}); });
   current_ = nullptr;
 }
 
@@ -973,7 +976,6 @@ void Kernel::stop_current_and_switch() {
   flush_charges();
   if (tracer_ != nullptr) tracer_->instant(now_, "switch-out", out.pid, out.tgid);
   if (stats_ != nullptr) ++stats_->context_switches;
-  hooks_.each([&](AccountingHook& h) { h.on_context_switch(now_, out.pid, Pid{}); });
   current_ = nullptr;
 }
 
@@ -987,7 +989,6 @@ void Kernel::context_switch_in(Process& next) {
   if (next.user.active) refresh_hot_schedule(next);
   flush_charges();
   if (tracer_ != nullptr) tracer_->instant(now_, "switch-in", next.pid, next.tgid);
-  hooks_.each([&](AccountingHook& h) { h.on_context_switch(now_, Pid{}, next.pid); });
 }
 
 void Kernel::notify_stop(Process& stopped) {
@@ -1066,7 +1067,10 @@ void Kernel::dispatch_external() {
     handle_nic_arrival();
     return;
   }
-  handle_sleep_expiries();
+  MTR_ENSURE(!sleepers_.empty());
+  const auto [due, pid] = sleepers_.top();
+  sleepers_.pop();
+  handle_sleep_expiry(due, pid);
 }
 
 void Kernel::handle_timer_tick() {
@@ -1082,35 +1086,12 @@ void Kernel::handle_timer_tick() {
   // interrupt, regardless of how little of the tick it actually ran.
   // A late dispatch means the tick was due while an uninterruptible kernel
   // window ran (interrupt handler, context switch): kernel mode.
-  flush_charges();
-  if (current_ != nullptr) {
-    Process& p = *current_;
-    const CpuMode mode = (now_ > due) ? CpuMode::kKernel : current_mode(p);
-    if (mode == CpuMode::kUser) {
-      p.tick_usage.utime += Ticks{1};
-      p.group_acct->ticks.utime += Ticks{1};
-    } else {
-      p.tick_usage.stime += Ticks{1};
-      p.group_acct->ticks.stime += Ticks{1};
-    }
-    const Pid pid = p.pid;
-    const Tgid tg = p.tgid;
-    if (tracer_ != nullptr) tracer_->tick(now_, pid, tg, mode, 1);
-    hooks_.each([&](AccountingHook& h) { h.on_tick(now_, pid, tg, mode); });
-  } else {
-    idle_ticks_ += Ticks{1};
-    if (tracer_ != nullptr)
-      tracer_->tick(now_, kIdlePid, Tgid{0}, CpuMode::kKernel, 1);
-    hooks_.each([&](AccountingHook& h) {
-      h.on_tick(now_, kIdlePid, Tgid{0}, CpuMode::kKernel);
-    });
-  }
-  if (stats_ != nullptr) ++stats_->timer_ticks;
+  const CpuMode mode = current_ == nullptr || now_ > due ? CpuMode::kKernel
+                                                         : current_mode(*current_);
+  bill_ticks(now_, 1, current_, mode);
 
   // The tick handler itself costs CPU, billed to the interrupted context.
-  charge(current_, WorkKind::kTimerIrq,
-         config_.costs.interrupt_entry + config_.costs.timer_handler +
-             config_.costs.interrupt_exit,
+  charge(current_, WorkKind::kTimerIrq, timer_irq_cost(),
          current_ != nullptr ? current_->pid : Pid{});
 
   // Scheduler tick: quantum/fairness bookkeeping.
@@ -1152,35 +1133,17 @@ void Kernel::handle_disk_completion() {
   }
 }
 
-void Kernel::handle_sleep_expiries() {
-  MTR_ENSURE(!sleepers_.empty());
-  const auto [due, pid] = sleepers_.top();
+void Kernel::handle_sleep_expiry(Cycles due, Pid pid) {
+  // The idle gap up to the entry's due time is charged *before* finding
+  // out it is stale (a sleeper woken early by a signal leaves its entry
+  // behind).
   if (now_ < due) charge_idle(due - now_);
-  sleepers_.pop();
   if (!has_process(pid)) return;
   Process& p = process(pid);
   if (p.alive() && p.state == ProcState::kSleeping &&
       p.sleep_reason == SleepReason::kNanosleep && p.wake_at == due) {
     // Expiry work rides the timer infrastructure, billed to the current
     // context like any interrupt.
-    charge(current_, WorkKind::kTimerIrq, config_.costs.interrupt_entry,
-           current_ != nullptr ? current_->pid : Pid{});
-    wake_process(p);
-  } else {
-    if (stats_ != nullptr) ++stats_->stale_events;
-    if (tracer_ != nullptr) tracer_->instant(now_, "stale-sleep", pid, p.tgid);
-  }
-}
-
-void Kernel::handle_sleep_expiry(const Event& e) {
-  // Mirrors handle_sleep_expiries exactly, including charging the idle gap
-  // up to the entry's due time *before* finding out it is stale (a sleeper
-  // woken early by a signal leaves its entry behind).
-  if (now_ < e.at) charge_idle(e.at - now_);
-  if (!has_process(e.pid)) return;
-  Process& p = process(e.pid);
-  if (p.alive() && p.state == ProcState::kSleeping &&
-      p.sleep_reason == SleepReason::kNanosleep && p.wake_at == e.at) {
     charge(current_, WorkKind::kTimerIrq, config_.costs.interrupt_entry,
            current_ != nullptr ? current_->pid : Pid{});
     wake_process(p);

@@ -226,8 +226,7 @@ class Kernel final {
   void handle_timer_tick();
   void handle_nic_arrival();
   void handle_disk_completion();
-  void handle_sleep_expiries();
-  void handle_sleep_expiry(const Event& e);
+  void handle_sleep_expiry(Cycles due, Pid pid);
 
   // Future-event registration, branching on the engine mode. Every path
   // that makes a device completion or timer expiry pending goes through
@@ -273,6 +272,14 @@ class Kernel final {
 
   // Accounting.
   void charge(Process* p, WorkKind kind, Cycles amount, Pid beneficiary);
+  // Jiffy accounting, the one site every tick is billed through: `count`
+  // ticks due from `first` land whole on `p` (the idle context when null)
+  // in `mode`, and the hooks, tracer and counters see them as one event.
+  void bill_ticks(Cycles first, std::uint64_t count, Process* p, CpuMode mode);
+  Cycles timer_irq_cost() const {
+    return config_.costs.interrupt_entry + config_.costs.timer_handler +
+           config_.costs.interrupt_exit;
+  }
   void charge_idle(Cycles amount);
   void push_kwork(Process& p, Cycles cost, WorkKind kind, KernelAction action,
                   Pid beneficiary = Pid{});
@@ -280,9 +287,9 @@ class Kernel final {
 
   // Batched hook dispatch: charges accumulate (adjacent same-key charges
   // coalesce) and flush to the hooks at kernel-interaction boundaries —
-  // before any non-on_cycles hook event, when the batch fills, and when
-  // run() returns — collapsing the per-slice virtual dispatch that
-  // dominates the sweep hot path. Every hook is a pure accumulator over
+  // before any non-on_cycles hook event, at every context switch, when the
+  // batch fills, and when run() returns — collapsing the per-slice virtual
+  // dispatch that dominates the sweep hot path. Every hook is a pure accumulator over
   // (current, kind, amount, beneficiary), so coalescing adjacent
   // same-key charges leaves all observed totals bit-identical.
   void enqueue_charge(Pid pid, Tgid tg, WorkKind kind, Cycles amount,

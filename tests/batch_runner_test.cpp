@@ -525,7 +525,7 @@ TEST(BatchRunner, CallbackExceptionIsWrappedWithCoordinates) {
 TEST(BatchRunner, ObservabilityCollectionLeavesAggregatesIdentical) {
   const BatchGrid plain = small_grid();
   BatchGrid observed = small_grid();
-  observed.collect_kernel_stats = true;
+  observed.base.trace.collect_stats = true;
 
   const auto baseline = BatchRunner(2).run(plain);
   const std::vector<GridRun> pool = BatchRunner(2).run(std::span(&observed, 1));

@@ -3404,11 +3404,20 @@ TEST(FleetArgsTest, ParsesFlagsAndRejectsBadFaultSpecs) {
            {"--max-retries", "4294967296"},
            {"--fault-inject", "4294967296:crash-after-cell=1"},
            {"--heartbeat-timeout", "nan"},
-           {"--heartbeat-timeout", "inf"},
-           {"--wall-timeout", "nan"},
-           {"--wall-timeout", "-inf"}}) {
+           {"--heartbeat-timeout", "inf"}}) {
     const char* args[] = {"mtr_fleet", flag, value};
     EXPECT_THROW(parse_fleet_args(3, args), UsageError) << flag << " " << value;
+  }
+  // The supervisor polls at a fixed interval and puts no wall-clock limit
+  // on an attempt: neither --poll-ms nor --wall-timeout is a flag.
+  for (const auto& [flag, value] :
+       std::vector<std::pair<const char*, const char*>>{
+           {"--wall-timeout", "nan"},
+           {"--wall-timeout", "-inf"},
+           {"--wall-timeout", "5"},
+           {"--poll-ms", "10"}}) {
+    const char* args[] = {"mtr_fleet", "--out-dir", "x", "fig04", flag, value};
+    EXPECT_THROW(parse_fleet_args(6, args), UsageError) << flag << " " << value;
   }
 }
 
@@ -3459,7 +3468,6 @@ FleetOptions quick_fleet(const std::string& out_dir) {
   o.sweeps = {"fig04"};
   o.sweep_args = {"--scale", "0.02", "--seeds", "2", "--threads", "2"};
   o.quiet = true;
-  o.poll_ms = 10;
   o.backoff_base_ms = 1;
   o.fleet_seed = 42;
   return o;

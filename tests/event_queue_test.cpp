@@ -209,10 +209,13 @@ struct BulkTickRecorder final : AccountingHook {
   std::uint64_t bulk_ticks = 0;
   std::uint64_t single_calls = 0;
   void on_ticks(Cycles, Cycles, std::uint64_t count, Pid, Tgid, CpuMode) override {
+    if (count == 1) {
+      ++single_calls;
+      return;
+    }
     ++bulk_calls;
     bulk_ticks += count;
   }
-  void on_tick(Cycles, Pid, Tgid, CpuMode) override { ++single_calls; }
 };
 
 TEST(EventQueueKernel, LongIdleStretchCoalescesIntoOneBulkUpdate) {

@@ -510,6 +510,15 @@ AccountingSnapshot run_attack_accounting(const core::AttackFactory& make,
   s.run_all(seconds_to_cycles(1.0, sc.kernel.cpu));
   s.kernel().memory().check_invariants();
 
+  // The tick ledger: every timer fire is billed exactly once, to a process
+  // or to the idle context, and the commodity meter saw the same idle.
+  std::uint64_t billed_ticks = 0;
+  for (const Pid pid : s.kernel().all_pids())
+    billed_ticks += s.kernel().process(pid).tick_usage.total().v;
+  EXPECT_EQ(billed_ticks + s.kernel().idle_ticks().v,
+            s.kernel().timer().ticks_fired());
+  EXPECT_EQ(tick.idle_ticks().v, s.kernel().idle_ticks().v);
+
   AccountingSnapshot snap;
   snap.final_now = s.kernel().now().v;
   for (const Pid pid : s.kernel().all_pids()) {

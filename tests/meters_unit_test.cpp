@@ -20,10 +20,10 @@ constexpr Tgid kOtherTg{9};
 
 TEST(TickMeterUnit, SplitsByModeAndSkipsIdle) {
   TickMeter m;
-  m.on_tick(Cycles{100}, kJob, kJobTg, CpuMode::kUser);
-  m.on_tick(Cycles{200}, kJob, kJobTg, CpuMode::kUser);
-  m.on_tick(Cycles{300}, kJob, kJobTg, CpuMode::kKernel);
-  m.on_tick(Cycles{400}, kIdlePid, Tgid{0}, CpuMode::kKernel);
+  m.on_ticks(Cycles{100}, Cycles{100}, 1, kJob, kJobTg, CpuMode::kUser);
+  m.on_ticks(Cycles{200}, Cycles{100}, 1, kJob, kJobTg, CpuMode::kUser);
+  m.on_ticks(Cycles{300}, Cycles{100}, 1, kJob, kJobTg, CpuMode::kKernel);
+  m.on_ticks(Cycles{400}, Cycles{100}, 1, kIdlePid, Tgid{0}, CpuMode::kKernel);
   EXPECT_EQ(m.usage(kJobTg).utime.v, 2u);
   EXPECT_EQ(m.usage(kJobTg).stime.v, 1u);
   EXPECT_EQ(m.idle_ticks().v, 1u);
