@@ -8,8 +8,9 @@
 // fig07/fig08 scheduling-attack sweeps at a fixed scale, so successive
 // commits can be compared via bench/perf_baseline.py and BENCH_sim.json.
 // BM_EngineCell_*, BM_DestroySpace_*, BM_KernelSetup_*, BM_IntegrityStep_*,
-// BM_Sha256Block_* and BM_FormatF64_* are tracked alongside, each as a pair
-// whose ratio CI pins; BM_MergeJsonl is tracked on its own.
+// BM_Sha256Block_*, BM_FormatF64_* and BM_ChargeFlood_* are tracked
+// alongside, each as a pair whose ratio CI pins; BM_MergeJsonl is tracked on
+// its own.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -24,6 +25,7 @@
 #include "core/experiment.hpp"
 #include "core/integrity.hpp"
 #include "core/meters.hpp"
+#include "core/trusted_metering.hpp"
 #include "common/format.hpp"
 #include "common/rng.hpp"
 #include "crypto/md5.hpp"
@@ -443,6 +445,53 @@ void BM_SweepCell_baseline_brute_cfs(benchmark::State& state) {
                    sim::SchedulerKind::kCfs, false);
 }
 BENCHMARK(BM_SweepCell_baseline_brute_cfs)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Metering overhead on the charge path. One iteration is a fig10-style cell:
+// a Whetstone victim under the roster's NIC flood, the charge-heaviest cell
+// shape, with a fixed seed. `_bare` runs it with no hook attached, so the
+// kernel skips charge batching; `_service` attaches TrustedMeteringService
+// as run_experiment does. CI floors the bare/service wall-time ratio, a
+// same-run ratio and so hardware-independent: the service's charge dispatch
+// must stay a small share of the cell.
+// ---------------------------------------------------------------------------
+
+void charge_flood_bench(benchmark::State& state, bool metered) {
+  constexpr Cycles kDrain{1'000'000'000};  // run_experiment's drain
+  for (auto _ : state) {
+    sim::SimConfig sc;
+    sc.kernel.seed = 1234;
+    sim::Simulation s(sc);
+    core::TrustedMeteringService service(core::Tariff{}, sc.kernel.cpu,
+                                         sc.kernel.hz);
+    if (metered) service.attach(s.kernel());
+    attacks::InterruptFloodAttack attack(mtr::bench::kFloodPacketsPerSecond);
+    sim::LaunchOptions opts;
+    attack.prepare(s, opts);
+    const auto info = workloads::make_workload(workloads::WorkloadKind::kWhetstone,
+                                               {kSweepCellScale});
+    const Pid victim = s.launch(info.image, std::move(opts));
+    const Tgid victim_tg = s.kernel().process(victim).tgid;
+    if (metered) service.meter(victim_tg);
+    attacks::AttackContext ctx{s, victim, victim_tg, info.hot_addr};
+    attack.engage(ctx);
+    s.run_until_exit(victim);
+    attack.disengage(ctx);
+    s.run_all(kDrain);
+    benchmark::DoNotOptimize(s.kernel().group_usage(victim_tg).true_cycles.total().v);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_ChargeFlood_bare(benchmark::State& state) {
+  charge_flood_bench(state, /*metered=*/false);
+}
+BENCHMARK(BM_ChargeFlood_bare)->Unit(benchmark::kMillisecond);
+
+void BM_ChargeFlood_service(benchmark::State& state) {
+  charge_flood_bench(state, /*metered=*/true);
+}
+BENCHMARK(BM_ChargeFlood_service)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Engine benches — event-driven calendar queue vs slice-stepped reference

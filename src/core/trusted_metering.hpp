@@ -3,9 +3,11 @@
 // Bundles the three properties of §VI-B into one provider-side service:
 //   * source integrity   — SourceIntegrityMonitor + PCR + TPM quote,
 //   * execution integrity — ExecutionIntegrityMonitor witness,
-//   * fine-grained metering — TscMeter + PaisMeter.
-// The service attaches to a kernel, observes a job, and emits a signed
-// usage report the customer-side Auditor can verify.
+//   * fine-grained metering — PaisMeter, plus the kernel's per-group ledger
+//     (Kernel::group_usage) for the cycle-exact TSC bill.
+// The commodity tick bill comes from the same ledger. The service attaches
+// its three hooks to a kernel, observes a job, and emits a signed usage
+// report the customer-side Auditor can verify.
 #pragma once
 
 #include <memory>
@@ -29,7 +31,9 @@ class TrustedMeteringService {
   TrustedMeteringService(Tariff tariff, CpuHz cpu, TimerHz hz,
                          std::uint64_t tpm_seed = 0x7a11'5eed);
 
-  /// Registers all hooks with the kernel. Call once, before any launches.
+  /// Registers the PAIS meter and both integrity monitors with the kernel,
+  /// whose ledger then prices the tick and TSC bills (so the kernel must
+  /// outlive every invoice). Call once, before any launches.
   void attach(kernel::Kernel& kernel);
 
   /// Whitelists expected code for source-integrity verification.
@@ -43,9 +47,10 @@ class TrustedMeteringService {
   /// chained.
   void meter(Tgid job);
 
-  // Meter access.
-  const TickMeter& tick_meter() const { return tick_; }
-  const TscMeter& tsc_meter() const { return tsc_; }
+  // Meter access. The tick and TSC bills of a group are the attached
+  // kernel's ledger columns; asking before attach() throws.
+  CpuUsageTicks tick_usage(Tgid tg) const;
+  CpuUsageCycles tsc_usage(Tgid tg) const;
   const PaisMeter& pais_meter() const { return pais_; }
   const SourceIntegrityMonitor& source_monitor() const { return source_; }
   const ExecutionIntegrityMonitor& execution_monitor() const { return execution_; }
@@ -60,14 +65,12 @@ class TrustedMeteringService {
   SignedUsageReport report(Tgid job, BillingMeter meter, std::uint64_t nonce);
 
  private:
-  TickMeter tick_;
-  TscMeter tsc_;
+  const kernel::Kernel* kernel_ = nullptr;
   PaisMeter pais_;
   SourceIntegrityMonitor source_;
   ExecutionIntegrityMonitor execution_;
   TpmMock tpm_;
   BillingEngine billing_;
-  bool attached_ = false;
 };
 
 }  // namespace mtr::core

@@ -5,8 +5,15 @@
 // meter, the process-aware (PAIS) meter and the integrity monitors are all
 // observers of the same stream, so one simulated run yields every meter's
 // verdict simultaneously — the experiments compare them directly.
+//
+// A hook declares the events it observes (AccountingHook::events()), and the
+// kernel dispatches each event only to the hooks that declared it: a charge
+// reaches only the cycle observers, a step begin only the step observers.
+// A hook that does not narrow its declaration observes all six events.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -40,12 +47,34 @@ inline constexpr CpuMode mode_of(WorkKind k) {
   return k == WorkKind::kUserCompute ? CpuMode::kUser : CpuMode::kKernel;
 }
 
+/// The six hook events, one per AccountingHook callback.
+enum class HookEvent : std::uint8_t {
+  kCycles,
+  kTicks,
+  kCodeMapped,
+  kStepBegin,
+  kProcessCreated,
+  kProcessExited,
+};
+inline constexpr std::size_t kHookEventCount = 6;
+
+/// The bitmask of `events`, as AccountingHook::events() returns it.
+template <typename... E>
+constexpr std::uint8_t event_mask(E... events) {
+  return static_cast<std::uint8_t>(((1u << static_cast<unsigned>(events)) | ... | 0u));
+}
+inline constexpr std::uint8_t kAllHookEvents = (1u << kHookEventCount) - 1;
+
 /// Observer of kernel accounting events. Default implementations ignore
-/// everything; meters override what they need. Hooks must not mutate kernel
-/// state.
+/// everything; meters override what they need and declare it in events().
+/// Hooks must not mutate kernel state.
 class AccountingHook {
  public:
   virtual ~AccountingHook() = default;
+
+  /// The events this hook observes (event_mask bits), read once when the
+  /// hook is added; the kernel sends it no other event.
+  virtual std::uint8_t events() const { return kAllHookEvents; }
 
   /// `amount` cycles were consumed while `current` was the running context.
   /// `beneficiary` is the process the work actually served: equal to
@@ -94,21 +123,31 @@ class AccountingHook {
   }
 };
 
-/// Fan-out list of hooks owned by the kernel.
+/// Fan-out lists of hooks owned by the kernel, one list per event.
 class HookList final {
  public:
-  void add(AccountingHook* hook) { hooks_.push_back(hook); }
+  /// Files `hook` under every event it declares, in registration order.
+  void add(AccountingHook* hook) {
+    const std::uint8_t mask = hook->events();
+    for (std::size_t e = 0; e < kHookEventCount; ++e)
+      if ((mask >> e) & 1u) lists_[e].push_back(hook);
+  }
 
-  /// Hookless runs skip accounting dispatch entirely (hot-path gate).
-  bool empty() const { return hooks_.empty(); }
+  /// Whether some hook observes `E`; with no cycle observer the kernel
+  /// skips charge batching entirely (hot-path gate).
+  template <HookEvent E>
+  bool observed() const {
+    return !lists_[static_cast<std::size_t>(E)].empty();
+  }
 
-  template <typename F>
+  /// Calls `f` on every hook that observes `E`.
+  template <HookEvent E, typename F>
   void each(F&& f) const {
-    for (AccountingHook* h : hooks_) f(*h);
+    for (AccountingHook* h : lists_[static_cast<std::size_t>(E)]) f(*h);
   }
 
  private:
-  std::vector<AccountingHook*> hooks_;
+  std::array<std::vector<AccountingHook*>, kHookEventCount> lists_;
 };
 
 }  // namespace mtr::kernel

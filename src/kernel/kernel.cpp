@@ -115,7 +115,7 @@ Process& Kernel::create_process(std::string name, std::unique_ptr<Program> progr
   name_index_[ref.name].push_back(pid);  // new pid: always the largest
 
   flush_charges();
-  hooks_.each([&](AccountingHook& h) {
+  hooks_.each<HookEvent::kProcessCreated>([&](AccountingHook& h) {
     h.on_process_created(now_, pid, group, parent, ref.program->name());
   });
   return ref;
@@ -208,9 +208,10 @@ void Kernel::charge(Process* p, WorkKind kind, Cycles amount, Pid beneficiary) {
       p->group_acct->true_cycles.system += amount;
     }
     scheduler_->on_ran(*p, amount);
-    // A traced hookless run still batches so flush_charges sees the spans;
-    // with the tracer detached this is the exact pre-observability branch.
-    if (!hooks_.empty() || tracer_ != nullptr)
+    // Only cycle observers and the tracer read a charge: a run with neither
+    // skips the batch, and a traced one still batches so flush_charges sees
+    // the spans.
+    if (hooks_.observed<HookEvent::kCycles>() || tracer_ != nullptr)
       enqueue_charge(p->pid, p->tgid, kind, amount, beneficiary);
   } else {
     if (mode_of(kind) == CpuMode::kUser) {
@@ -218,7 +219,7 @@ void Kernel::charge(Process* p, WorkKind kind, Cycles amount, Pid beneficiary) {
     } else {
       idle_cycles_.system += amount;
     }
-    if (!hooks_.empty() || tracer_ != nullptr)
+    if (hooks_.observed<HookEvent::kCycles>() || tracer_ != nullptr)
       enqueue_charge(kIdlePid, Tgid{0}, kind, amount, beneficiary);
   }
 }
@@ -257,7 +258,7 @@ void Kernel::flush_charges() {
   if (stats_ != nullptr) ++stats_->charge_flushes;
   for (std::size_t i = 0; i < charge_batch_size_; ++i) {
     const PendingCharge& c = charge_batch_[i];
-    hooks_.each([&](AccountingHook& h) {
+    hooks_.each<HookEvent::kCycles>([&](AccountingHook& h) {
       h.on_cycles(c.now, c.pid, c.tg, c.kind, c.amount, c.beneficiary);
     });
   }
@@ -287,7 +288,7 @@ void Kernel::bill_ticks(Cycles first, std::uint64_t count, Process* p, CpuMode m
   }
   if (tracer_ != nullptr) tracer_->tick(first, pid, tg, mode, count);
   const Cycles period = timer_.period();
-  hooks_.each([&](AccountingHook& h) {
+  hooks_.each<HookEvent::kTicks>([&](AccountingHook& h) {
     h.on_ticks(first, period, count, pid, tg, mode);
   });
   if (stats_ != nullptr) stats_->timer_ticks += count;
@@ -702,7 +703,7 @@ bool Kernel::fetch_next_step(Process& p) {
     void operator()(ComputeStep& s) {
       k.flush_charges();
       if (k.tracer_ != nullptr) k.tracer_->instant(k.now_, "compute", p.pid, p.tgid);
-      k.hooks_.each([&](AccountingHook& h) {
+      k.hooks_.each<HookEvent::kStepBegin>([&](AccountingHook& h) {
         h.on_step_begin(k.now_, p.pid, p.tgid, "compute", s.tag);
       });
       k.begin_user_step(p, std::move(s));
@@ -711,7 +712,7 @@ bool Kernel::fetch_next_step(Process& p) {
       k.flush_charges();
       if (k.tracer_ != nullptr)
         k.tracer_->instant(k.now_, syscall_name(s.req), p.pid, p.tgid);
-      k.hooks_.each([&](AccountingHook& h) {
+      k.hooks_.each<HookEvent::kStepBegin>([&](AccountingHook& h) {
         h.on_step_begin(k.now_, p.pid, p.tgid, syscall_name(s.req), "");
       });
       p.pending_syscall = std::move(s.req);
@@ -737,7 +738,7 @@ bool Kernel::fetch_next_step(Process& p) {
     void operator()(ExitStep& s) {
       k.flush_charges();
       if (k.tracer_ != nullptr) k.tracer_->instant(k.now_, "exit", p.pid, p.tgid);
-      k.hooks_.each([&](AccountingHook& h) {
+      k.hooks_.each<HookEvent::kStepBegin>([&](AccountingHook& h) {
         h.on_step_begin(k.now_, p.pid, p.tgid, "exit", "");
       });
       p.exit_code = s.code;

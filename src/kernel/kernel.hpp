@@ -286,10 +286,13 @@ class Kernel final {
   CpuMode current_mode(const Process& p) const;
 
   // Batched hook dispatch: charges accumulate (adjacent same-key charges
-  // coalesce) and flush to the hooks at kernel-interaction boundaries —
-  // before any non-on_cycles hook event, at every context switch, when the
-  // batch fills, and when run() returns — collapsing the per-slice virtual
-  // dispatch that dominates the sweep hot path. Every hook is a pure accumulator over
+  // coalesce) and flush to the cycle observers at kernel-interaction
+  // boundaries — before any other hook event, at every context switch, when
+  // the batch fills, and when run() returns — collapsing the per-slice virtual dispatch that dominates the
+  // sweep hot path. A flush point stays even where no hook observes the
+  // event, so the batch boundaries (the charge_flushes counter, the
+  // charge_batch sketch, the order of trace spans) do not depend on which
+  // other events are observed. Every hook is a pure accumulator over
   // (current, kind, amount, beneficiary), so coalescing adjacent
   // same-key charges leaves all observed totals bit-identical.
   void enqueue_charge(Pid pid, Tgid tg, WorkKind kind, Cycles amount,

@@ -151,7 +151,7 @@ void Kernel::apply_syscall(Process& p) {
     }
     void operator()(const SysMapCode& r) {
       k.flush_charges();
-      k.hooks_.each([&](AccountingHook& h) {
+      k.hooks_.each<HookEvent::kCodeMapped>([&](AccountingHook& h) {
         h.on_code_mapped(k.now_, p.tgid, r.mapping);
       });
       p.last_syscall_result = 0;
@@ -344,7 +344,7 @@ void Kernel::do_exit(Process& p) {
   p.stop_notifications = decltype(p.stop_notifications){};
 
   flush_charges();
-  hooks_.each([&](AccountingHook& h) {
+  hooks_.each<HookEvent::kProcessExited>([&](AccountingHook& h) {
     h.on_process_exited(now_, p.pid, p.tgid, p.exit_code);
   });
 

@@ -163,6 +163,43 @@ TEST(TrustedMetering, SignedReportVerifiesEndToEnd) {
   EXPECT_EQ(report.nonce, 777u);
 }
 
+TEST(TrustedMetering, TickAndTscInvoicesPriceTheKernelLedger) {
+  auto cfg = test::quick_experiment(WorkloadKind::kWhetstone, 0.02);
+  sim::Simulation s(cfg.sim);
+  TrustedMeteringService service(Tariff{}, cfg.sim.kernel.cpu, cfg.sim.kernel.hz);
+  service.attach(s.kernel());
+  TickMeter tick;  // independent re-implementations of the two ledger columns
+  TscMeter tsc;
+  s.kernel().add_hook(&tick);
+  s.kernel().add_hook(&tsc);
+
+  const auto info = workloads::make_workload(WorkloadKind::kWhetstone, cfg.workload);
+  const Pid pid = s.launch(info.image);
+  ASSERT_TRUE(s.run_until_exit(pid));
+  const Tgid tg = s.kernel().process(pid).tgid;
+
+  const kernel::GroupUsage ledger = s.kernel().group_usage(tg);
+  ASSERT_GT(ledger.ticks.total().v, 0u);
+  ASSERT_GT(ledger.true_cycles.system.v, 0u);
+  const BillingEngine billing(Tariff{}, cfg.sim.kernel.cpu, cfg.sim.kernel.hz);
+  EXPECT_EQ(BillingEngine::payload_of(service.invoice(tg, BillingMeter::kTick)),
+            BillingEngine::payload_of(billing.invoice(ledger.ticks, "tick")));
+  EXPECT_EQ(BillingEngine::payload_of(service.invoice(tg, BillingMeter::kTsc)),
+            BillingEngine::payload_of(billing.invoice(ledger.true_cycles, "tsc")));
+  EXPECT_EQ(service.tick_usage(tg).utime.v, tick.usage(tg).utime.v);
+  EXPECT_EQ(service.tick_usage(tg).stime.v, tick.usage(tg).stime.v);
+  EXPECT_EQ(service.tsc_usage(tg).user.v, tsc.usage(tg).user.v);
+  EXPECT_EQ(service.tsc_usage(tg).system.v, tsc.usage(tg).system.v);
+}
+
+TEST(TrustedMetering, LedgerInvoiceBeforeAttachRejected) {
+  TrustedMeteringService service(Tariff{}, CpuHz{}, TimerHz{});
+  EXPECT_THROW(service.invoice(Tgid{1}, BillingMeter::kTick), mtr::InvariantError);
+  EXPECT_THROW(service.invoice(Tgid{1}, BillingMeter::kTsc), mtr::InvariantError);
+  EXPECT_THROW(service.tick_usage(Tgid{1}), mtr::InvariantError);
+  EXPECT_THROW(service.tsc_usage(Tgid{1}), mtr::InvariantError);
+}
+
 TEST(TrustedMetering, DoubleAttachRejected) {
   sim::Simulation s(test::small_machine());
   TrustedMeteringService service(Tariff{}, CpuHz{}, TimerHz{});

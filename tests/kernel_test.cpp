@@ -17,6 +17,7 @@
 #include "bench/attack_roster.hpp"
 #include "core/meters.hpp"
 #include "exec/program_base.hpp"
+#include "helpers.hpp"
 #include "kernel/cfs_scheduler.hpp"
 #include "kernel/kernel.hpp"
 #include "kernel/o1_scheduler.hpp"
@@ -519,6 +520,13 @@ AccountingSnapshot run_attack_accounting(const core::AttackFactory& make,
             s.kernel().timer().ticks_fired());
   EXPECT_EQ(tick.idle_ticks().v, s.kernel().idle_ticks().v);
 
+  // The cycle ledger: charge() is the only place now() advances, so every
+  // cycle lands on exactly one process or on the idle context.
+  std::uint64_t true_cycles = 0;
+  for (const Pid pid : s.kernel().all_pids())
+    true_cycles += s.kernel().process(pid).true_usage.total().v;
+  EXPECT_EQ(true_cycles + s.kernel().idle_cycles().total().v, s.kernel().now().v);
+
   AccountingSnapshot snap;
   snap.final_now = s.kernel().now().v;
   for (const Pid pid : s.kernel().all_pids()) {
@@ -545,6 +553,12 @@ AccountingSnapshot run_attack_accounting(const core::AttackFactory& make,
     const CpuUsageTicks mt = tick.usage(p.tgid);
     const CpuUsageCycles mc = tsc.usage(p.tgid);
     const CpuUsageCycles mp = pais.usage(p.tgid);
+    // The metering service bills tick and TSC from the group's ledger; the
+    // two independent meters must agree with it.
+    EXPECT_EQ(mt.utime.v, g.ticks.utime.v) << p.tgid;
+    EXPECT_EQ(mt.stime.v, g.ticks.stime.v) << p.tgid;
+    EXPECT_EQ(mc.user.v, g.true_cycles.user.v) << p.tgid;
+    EXPECT_EQ(mc.system.v, g.true_cycles.system.v) << p.tgid;
     snap.meters[p.tgid.v] = {mt.utime.v, mt.stime.v, mc.user.v,
                              mc.system.v, mp.user.v,  mp.system.v};
   }
@@ -696,6 +710,33 @@ TEST(AccountingFlush, GroupAccumulatorsMatchPerProcessSums) {
   }
   EXPECT_GT(snap.procs.size(), 100u);  // the fork storm actually forked
   EXPECT_EQ(sums, snap.groups);
+}
+
+// --- hook subscriptions ------------------------------------------------------------
+//
+// Every dispatch site sends its event only to the hooks that declared it:
+// a cycles-only hook sees the same charges as an all-events hook on the
+// same run and nothing else, while the all-events hook sees all six kinds.
+
+TEST(HookSubscription, KernelSendsEachEventOnlyToItsObservers) {
+  sim::SimConfig sc;
+  sc.kernel.seed = 1234;
+  sim::Simulation s(sc);
+  test::CyclesOnlyCounter cycles_only;
+  test::EventCounter all;
+  s.kernel().add_hook(&cycles_only);
+  s.kernel().add_hook(&all);
+  const auto info =
+      workloads::make_workload(workloads::WorkloadKind::kWhetstone, {0.02});
+  const Pid victim = s.launch(info.image);
+  ASSERT_TRUE(s.run_until_exit(victim));
+  s.run_all(seconds_to_cycles(1.0, sc.kernel.cpu));
+
+  for (std::size_t e = 0; e < kHookEventCount; ++e)
+    EXPECT_GT(all.seen[e], 0u) << "event " << e;
+  EXPECT_EQ(cycles_only.seen[0], all.seen[0]);
+  for (std::size_t e = 1; e < kHookEventCount; ++e)
+    EXPECT_EQ(cycles_only.seen[e], 0u) << "event " << e;
 }
 
 // --- memory tracks live work ----------------------------------------------------

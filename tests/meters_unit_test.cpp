@@ -3,9 +3,13 @@
 // simulator (the sim-level suites cover the integrated behaviour).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <type_traits>
+
 #include "common/ensure.hpp"
 #include "core/integrity.hpp"
 #include "core/meters.hpp"
+#include "helpers.hpp"
 
 namespace mtr::core {
 namespace {
@@ -189,6 +193,95 @@ TEST(ExecutionIntegrityUnit, RefusesToWatchAGroupWhoseStepsWereDropped) {
   m.watch(Tgid{1});   // already watched: a no-op
   m.on_step_begin(Cycles{0}, Pid{10}, Tgid{10}, "compute", "n1");
   EXPECT_EQ(m.step_count(Tgid{10}), 1u);
+}
+
+// --- hook subscriptions ------------------------------------------------------------
+//
+// The kernel sends a hook only the events its events() declares. A
+// production hook that overrides an event it does not declare would
+// silently lose it, so the declarations are pinned against the overrides at
+// compile time: `&H::on_x` has type `void (AccountingHook::*)(…)` exactly
+// when H inherits on_x instead of overriding it.
+
+template <typename H>
+constexpr std::uint8_t overridden_events() {
+  using B = kernel::AccountingHook;
+  using E = kernel::HookEvent;
+  constexpr auto bit = [](bool overrides, E e) {
+    return overrides ? kernel::event_mask(e) : std::uint8_t{0};
+  };
+  return static_cast<std::uint8_t>(
+      bit(!std::is_same_v<decltype(&H::on_cycles), decltype(&B::on_cycles)>,
+          E::kCycles) |
+      bit(!std::is_same_v<decltype(&H::on_ticks), decltype(&B::on_ticks)>,
+          E::kTicks) |
+      bit(!std::is_same_v<decltype(&H::on_code_mapped), decltype(&B::on_code_mapped)>,
+          E::kCodeMapped) |
+      bit(!std::is_same_v<decltype(&H::on_step_begin), decltype(&B::on_step_begin)>,
+          E::kStepBegin) |
+      bit(!std::is_same_v<decltype(&H::on_process_created),
+                          decltype(&B::on_process_created)>,
+          E::kProcessCreated) |
+      bit(!std::is_same_v<decltype(&H::on_process_exited),
+                          decltype(&B::on_process_exited)>,
+          E::kProcessExited));
+}
+
+static_assert(TickMeter::kEvents == overridden_events<TickMeter>());
+static_assert(TscMeter::kEvents == overridden_events<TscMeter>());
+static_assert(PaisMeter::kEvents == overridden_events<PaisMeter>());
+static_assert(SourceIntegrityMonitor::kEvents ==
+              overridden_events<SourceIntegrityMonitor>());
+static_assert(ExecutionIntegrityMonitor::kEvents ==
+              overridden_events<ExecutionIntegrityMonitor>());
+
+using test::CyclesOnlyCounter;
+using test::EventCounter;
+
+TEST(HookSubscription, ProductionHooksDeclareExactlyTheEventsTheyOverride) {
+  using E = kernel::HookEvent;
+  EXPECT_EQ(TickMeter{}.events(), kernel::event_mask(E::kTicks));
+  EXPECT_EQ(TscMeter{}.events(), kernel::event_mask(E::kCycles));
+  EXPECT_EQ(PaisMeter{}.events(), kernel::event_mask(E::kCycles, E::kProcessCreated));
+  EXPECT_EQ(SourceIntegrityMonitor{}.events(), kernel::event_mask(E::kCodeMapped));
+  EXPECT_EQ(ExecutionIntegrityMonitor{}.events(), kernel::event_mask(E::kStepBegin));
+  // The detector itself: the base overrides nothing, the counter everything.
+  EXPECT_EQ(overridden_events<kernel::AccountingHook>(), 0u);
+  EXPECT_EQ(overridden_events<EventCounter>(), kernel::kAllHookEvents);
+  EXPECT_EQ(EventCounter{}.events(), kernel::kAllHookEvents);
+}
+
+TEST(HookSubscription, HookListSendsEachEventOnlyToItsObservers) {
+  using E = kernel::HookEvent;
+  kernel::HookList list;
+  CyclesOnlyCounter cycles_only;
+  list.add(&cycles_only);
+  EXPECT_TRUE(list.observed<E::kCycles>());
+  EXPECT_FALSE(list.observed<E::kTicks>());
+  EXPECT_FALSE(list.observed<E::kStepBegin>());
+
+  EventCounter all;
+  list.add(&all);
+  EXPECT_TRUE(list.observed<E::kTicks>());
+  using H = kernel::AccountingHook;
+  const CodeMapping mapping{};
+  list.each<E::kCycles>([](H& h) {
+    h.on_cycles(Cycles{1}, kJob, kJobTg, WorkKind::kUserCompute, Cycles{1}, kJob);
+  });
+  list.each<E::kTicks>([](H& h) {
+    h.on_ticks(Cycles{1}, Cycles{1}, 1, kJob, kJobTg, CpuMode::kUser);
+  });
+  list.each<E::kCodeMapped>([&](H& h) { h.on_code_mapped(Cycles{1}, kJobTg, mapping); });
+  list.each<E::kStepBegin>([](H& h) {
+    h.on_step_begin(Cycles{1}, kJob, kJobTg, "compute", "");
+  });
+  list.each<E::kProcessCreated>([](H& h) {
+    h.on_process_created(Cycles{1}, kJob, kJobTg, Pid{}, "job");
+  });
+  list.each<E::kProcessExited>([](H& h) { h.on_process_exited(Cycles{1}, kJob, kJobTg, 0); });
+
+  EXPECT_EQ(cycles_only.seen, (std::array<std::uint64_t, 6>{1, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(all.seen, (std::array<std::uint64_t, 6>{1, 1, 1, 1, 1, 1}));
 }
 
 }  // namespace
