@@ -4,7 +4,8 @@
 Runs the tracked BM_SweepCell_*, BM_EngineCell_*, BM_DestroySpace_*,
 BM_KernelSetup_*, BM_IntegrityStep_*, BM_Sha256Block_*, BM_FormatF64_*,
 BM_ChargeFlood_* and BM_MergeJsonl benches of bench/micro_substrate with
-google-benchmark's JSON reporter and either
+google-benchmark's JSON reporter, REPETITIONS randomly interleaved times
+each, takes each bench's median and either
 
   * distills the results into BENCH_sim.json at the repo root
     (``--out BENCH_sim.json``), carrying over any ``history`` entries the
@@ -44,10 +45,15 @@ import datetime
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 
 SCHEMA = 1
+# Each bench runs this many times, its repetitions shuffled among the other
+# benches' (random interleaving), and reports its median. One pass per bench
+# let a transient slowdown of the host land on one side of a ratio floor.
+REPETITIONS = 5
 DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|KernelSetup|IntegrityStep|Sha256Block|FormatF64|ChargeFlood)_|BM_MergeJsonl"
 
 
@@ -74,24 +80,30 @@ def run_benches(binary, bench_filter, min_time):
         # A bare double keeps compatibility with google-benchmark < 1.8
         # (newer versions accept it with a deprecation note).
         f"--benchmark_min_time={min_time}",
+        f"--benchmark_repetitions={REPETITIONS}",
+        "--benchmark_enable_random_interleaving=true",
         "--benchmark_format=json",
     ]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, check=True)
     report = json.loads(proc.stdout)
-    benches = {}
+    runs = {}
     for b in report.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
+        if b.get("run_type") != "aggregate":
+            runs.setdefault(b["run_name"], []).append(b)
+    benches = {}
+    for name, reps in runs.items():
+        def med(key):
+            return statistics.median(r[key] for r in reps)
+        unit = reps[0].get("time_unit", "ns")
         entry = {
-            "real_time_ms": round(time_to_ms(b["real_time"], b.get("time_unit", "ns")), 6),
-            "cpu_time_ms": round(time_to_ms(b["cpu_time"], b.get("time_unit", "ns")), 6),
-            "iterations": b.get("iterations", 0),
+            "real_time_ms": round(time_to_ms(med("real_time"), unit), 6),
+            "cpu_time_ms": round(time_to_ms(med("cpu_time"), unit), 6),
+            "iterations": int(med("iterations")),
         }
-        if "virt_mcycles_per_sec" in b:
-            entry["virt_mcycles_per_sec"] = round(b["virt_mcycles_per_sec"], 3)
-        if "items_per_second" in b:
-            entry["items_per_second"] = round(b["items_per_second"], 6)
-        benches[b["name"]] = entry
+        for counter, digits in (("virt_mcycles_per_sec", 3), ("items_per_second", 6)):
+            if counter in reps[0]:
+                entry[counter] = round(med(counter), digits)
+        benches[name] = entry
     if not benches:
         sys.exit(f"error: no benchmarks matched filter {bench_filter!r}")
     return benches

@@ -76,10 +76,10 @@ Kernel::~Kernel() = default;
 Pid Kernel::allocate_pid() { return Pid{next_pid_++}; }
 
 const Kernel::GroupRecord& Kernel::group_record(Tgid tg) const {
-  MTR_ENSURE_MSG(tg.v >= 1 && static_cast<std::size_t>(tg.v) <= groups_.size() &&
-                     groups_[static_cast<std::size_t>(tg.v) - 1] != nullptr,
+  // The slot is a group's only if its pid leads one.
+  MTR_ENSURE_MSG(has_process(Pid{tg.v}) && process(Pid{tg.v}).tgid == tg,
                  "no processes in thread group " << tg.v);
-  return *groups_[static_cast<std::size_t>(tg.v) - 1];
+  return groups_[static_cast<std::size_t>(tg.v) - 1];
 }
 
 Kernel::GroupRecord& Kernel::group_record(Tgid tg) {
@@ -99,46 +99,18 @@ Process& Kernel::create_process(std::string name, std::unique_ptr<Program> progr
   Process& ref = *proc;
   procs_.push_back(std::move(proc));
   MTR_ENSURE(procs_.size() == static_cast<std::size_t>(pid.v));  // dense arena
-  creation_order_.push_back(pid);
   ++alive_count_;
 
-  // Thread-group accounting record: leaders open one, members join it.
-  groups_.resize(static_cast<std::size_t>(next_pid_ - 1));
-  if (!tgid.valid()) {
-    groups_[static_cast<std::size_t>(group.v) - 1] = std::make_unique<GroupRecord>();
-  }
-  GroupRecord& rec = group_record(group);
-  ref.group_acct = &rec.usage;
-  ++rec.alive;
-
-  // Name index (front() of a bucket = first-in-creation-order holder).
-  name_index_[ref.name].push_back(pid);  // new pid: always the largest
+  // Thread-group accounting record: leaders open one (in their own slot),
+  // members join it.
+  groups_.emplace_back();
+  ++group_record(group).alive;
 
   flush_charges();
   hooks_.each<HookEvent::kProcessCreated>([&](AccountingHook& h) {
     h.on_process_created(now_, pid, group, parent, ref.program->name());
   });
   return ref;
-}
-
-void Kernel::rename_process(Process& p, std::string name) {
-  if (p.name == name) return;
-  auto old_it = name_index_.find(p.name);
-  MTR_ENSURE(old_it != name_index_.end());
-  std::vector<Pid>& old_bucket = old_it->second;
-  const auto pos = std::find(old_bucket.begin(), old_bucket.end(), p.pid);
-  MTR_ENSURE_MSG(pos != old_bucket.end(), p.pid << " missing from name index");
-  old_bucket.erase(pos);
-  if (old_bucket.empty()) name_index_.erase(old_it);
-  p.name = std::move(name);
-  std::vector<Pid>& bucket = name_index_[p.name];
-  bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), p.pid), p.pid);
-}
-
-std::optional<Pid> Kernel::find_pid_by_name(std::string_view name) const {
-  const auto it = name_index_.find(name);
-  if (it == name_index_.end() || it->second.empty()) return std::nullopt;
-  return it->second.front();
 }
 
 Pid Kernel::spawn(SpawnSpec spec) {
@@ -202,10 +174,10 @@ void Kernel::charge(Process* p, WorkKind kind, Cycles amount, Pid beneficiary) {
   if (p != nullptr) {
     if (mode_of(kind) == CpuMode::kUser) {
       p->true_usage.user += amount;
-      p->group_acct->true_cycles.user += amount;
+      group_totals(*p).true_cycles.user += amount;
     } else {
       p->true_usage.system += amount;
-      p->group_acct->true_cycles.system += amount;
+      group_totals(*p).true_cycles.system += amount;
     }
     scheduler_->on_ran(*p, amount);
     // Only cycle observers and the tracer read a charge: a run with neither
@@ -280,10 +252,10 @@ void Kernel::bill_ticks(Cycles first, std::uint64_t count, Process* p, CpuMode m
     tg = p->tgid;
     if (mode == CpuMode::kUser) {
       p->tick_usage.utime += Ticks{count};
-      p->group_acct->ticks.utime += Ticks{count};
+      group_totals(*p).ticks.utime += Ticks{count};
     } else {
       p->tick_usage.stime += Ticks{count};
-      p->group_acct->ticks.stime += Ticks{count};
+      group_totals(*p).ticks.stime += Ticks{count};
     }
   }
   if (tracer_ != nullptr) tracer_->tick(first, pid, tg, mode, count);
@@ -837,13 +809,13 @@ void Kernel::touch_memory(Process& p) {
       return;
     case mm::FaultKind::kMinor:
       ++p.minor_faults;
-      ++p.group_acct->minor_faults;
+      ++group_totals(p).minor_faults;
       push_kwork(p, config_.costs.page_fault_minor + reclaim_cost,
                  WorkKind::kPageFaultMinor, KernelAction::kNone);
       return;
     case mm::FaultKind::kMajor:
       ++p.major_faults;
-      ++p.group_acct->major_faults;
+      ++group_totals(p).major_faults;
       push_kwork(p, config_.costs.page_fault_major + reclaim_cost,
                  WorkKind::kPageFaultMajor, KernelAction::kBlockOnDisk);
       return;
@@ -852,7 +824,7 @@ void Kernel::touch_memory(Process& p) {
 
 void Kernel::hot_access(Process& p) {
   ++p.debug_exceptions;
-  ++p.group_acct->debug_exceptions;
+  ++group_totals(p).debug_exceptions;
   // #DB dispatch runs in the tracee's kernel context, then a SIGTRAP trace
   // stop is delivered — precisely the thrashing attack's cost vehicle. The
   // true beneficiary of all of it is the tracer who armed the breakpoint.
@@ -870,7 +842,7 @@ bool Kernel::process_one_signal(Process& p) {
   const PendingSignal pending = p.pending_signals.front();
   p.pending_signals.erase(p.pending_signals.begin());
   ++p.signals_received;
-  ++p.group_acct->signals_received;
+  ++group_totals(p).signals_received;
   const Signal sig = pending.sig;
   // Delivery work serves whoever raised the signal (process-aware meters
   // re-attribute on this).
@@ -959,7 +931,7 @@ void Kernel::preempt_current() {
   if (out.runnable()) {
     out.state = ProcState::kReady;
     ++out.involuntary_switches;
-    ++out.group_acct->involuntary_switches;
+    ++group_totals(out).involuntary_switches;
     scheduler_->enqueue(out, now_, /*preempted=*/true);
   }
   flush_charges();
@@ -973,7 +945,7 @@ void Kernel::stop_current_and_switch() {
   Process& out = *current_;
   charge(&out, WorkKind::kContextSwitch, config_.costs.context_switch, out.pid);
   ++out.voluntary_switches;
-  ++out.group_acct->voluntary_switches;
+  ++group_totals(out).voluntary_switches;
   flush_charges();
   if (tracer_ != nullptr) tracer_->instant(now_, "switch-out", out.pid, out.tgid);
   if (stats_ != nullptr) ++stats_->context_switches;

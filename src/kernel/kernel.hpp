@@ -27,9 +27,8 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <ranges>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -175,13 +174,12 @@ class Kernel final {
     return pid.v >= 1 && static_cast<std::size_t>(pid.v) <= procs_.size();
   }
 
-  /// All pids ever created, in creation order.
-  const std::vector<Pid>& all_pids() const { return creation_order_; }
-
-  /// Lowest pid whose *current* name equals `name` (i.e. the first such
-  /// process in creation order), from the maintained name index — O(1)
-  /// instead of a scan over every PCB per call.
-  std::optional<Pid> find_pid_by_name(std::string_view name) const;
+  /// All pids ever issued, in creation order: 1 .. the last one. A sized
+  /// range over the arena, so it allocates nothing.
+  auto all_pids() const {
+    return std::views::iota(std::int32_t{1}, next_pid_) |
+           std::views::transform([](std::int32_t v) { return Pid{v}; });
+  }
 
   /// Sum of usage over every process in the thread group (living and dead),
   /// i.e. what the billed customer is charged for the job. Served from the
@@ -260,7 +258,6 @@ class Kernel final {
   Pid allocate_pid();
   Process& create_process(std::string name, std::unique_ptr<Program> program,
                           Pid parent, Tgid tgid, Nice nice, bool privileged);
-  void rename_process(Process& p, std::string name);
   void wake_process(Process& p);
   void send_signal(Process& target, Signal sig);
   void notify_stop(Process& stopped);
@@ -320,38 +317,32 @@ class Kernel final {
   Process* current_ = nullptr;
   bool need_resched_ = false;
 
-  // Dense process arena: slot pid.v - 1 (pids are issued sequentially from
-  // 1 and a slot is never reused — an exited process frees its execution
-  // payload and stays as a tombstone of identity and accounting — so slots
-  // and Process pointers stay valid for the kernel's lifetime).
+  // The process table, the kernel's only per-process structure. Slot
+  // pid.v - 1 of the dense arena holds the process (pids are issued
+  // sequentially from 1 and a slot is never reused — an exited process
+  // frees its execution payload and stays as a tombstone of identity and
+  // accounting — so slots and Process pointers stay valid for the kernel's
+  // lifetime).
   std::vector<std::unique_ptr<Process>> procs_;
-  std::vector<Pid> creation_order_;
   std::int32_t next_pid_ = 1;
   std::uint64_t alive_count_ = 0;
 
-  // Per-thread-group accounting, maintained incrementally at every counter
-  // update site. Slot tgid.v - 1 (a tgid is its leader's pid); non-leader
-  // slots stay null. `alive` makes the last-thread-of-group check in
-  // do_exit O(1) instead of a scan.
+  // Per-thread-group accounting beside the arena, maintained incrementally
+  // at every counter update site. Slot tgid.v - 1 (a tgid is its leader's
+  // pid); a non-leader's slot stays unused. `alive` makes the last-thread-
+  // of-group check in do_exit O(1) instead of a scan.
   struct GroupRecord {
     GroupUsage usage;
     std::uint32_t alive = 0;
   };
-  std::vector<std::unique_ptr<GroupRecord>> groups_;
+  std::vector<GroupRecord> groups_;
   GroupRecord& group_record(Tgid tg);
   const GroupRecord& group_record(Tgid tg) const;
-
-  // name -> pids currently bearing it, ascending (so front() is the first
-  // in creation order). Maintained by create_process/rename_process.
-  struct TransparentStringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  std::unordered_map<std::string, std::vector<Pid>, TransparentStringHash,
-                     std::equal_to<>>
-      name_index_;
+  // The running total of p's group, unchecked: every update site holds a
+  // live process, whose tgid always names a leader's slot.
+  GroupUsage& group_totals(const Process& p) {
+    return groups_[static_cast<std::size_t>(p.tgid.v) - 1].usage;
+  }
 
   // Pending hook charges (see enqueue_charge/flush_charges).
   struct PendingCharge {

@@ -14,8 +14,6 @@
 
 namespace mtr::kernel {
 
-struct GroupUsage;  // kernel.hpp; per-tgid accumulator the PCB points into
-
 enum class ProcState : std::uint8_t {
   kReady,     // runnable, waiting for CPU
   kRunning,   // current on the CPU
@@ -103,7 +101,7 @@ class Process {
 
   // Identity.
   const Pid pid;
-  Tgid tgid;
+  const Tgid tgid;
   Pid parent;
   std::string name;
 
@@ -152,10 +150,6 @@ class Process {
   // Accounting (kernel-maintained; meters may keep their own views).
   CpuUsageTicks tick_usage;   // the commodity kernel's own jiffy accounting
   CpuUsageCycles true_usage;  // cycle-exact time while current, by mode
-  /// The thread group's running usage total, owned by the kernel and shared
-  /// by every group member. Mirrored on each per-process counter update so
-  /// Kernel::group_usage is O(1) instead of a scan over every PCB.
-  GroupUsage* group_acct = nullptr;
   std::uint64_t voluntary_switches = 0;
   std::uint64_t involuntary_switches = 0;
   std::uint64_t signals_received = 0;

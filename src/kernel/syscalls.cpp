@@ -201,7 +201,7 @@ void Kernel::do_execve(Process& p, const SysExecve& req) {
   // The old image is torn down; metering continues on the same PCB — time
   // spent before this point (e.g. shell-injected code) stays on the bill.
   p.program = req.image();
-  rename_process(p, req.path);
+  p.name = req.path;
   p.user = UserWork{};
   p.last_syscall_result = 0;
 }

@@ -1,5 +1,7 @@
 #include "sim/simulation.hpp"
 
+#include <ranges>
+
 #include "common/ensure.hpp"
 #include "kernel/cfs_scheduler.hpp"
 #include "kernel/o1_scheduler.hpp"
@@ -51,15 +53,18 @@ Pid Simulation::launch(const exec::ImageSpec& image, LaunchOptions opts) {
   spec.name = "bash";
   spec.program = exec::make_shell_program(std::move(shell));
   spec.nice = opts.nice;
-  kernel_->spawn(std::move(spec));
+  const Pid bash = kernel_->spawn(std::move(spec));
 
   // Step until the forked child has execve'd the target (its name becomes
   // the image path). An unattacked launch lasts well under a second of
-  // virtual time; 64 ticks is a generous bound. The kernel's name index
-  // answers each poll in O(1) — no per-tick scan over every PCB.
+  // virtual time; 64 ticks is a generous bound. Only pids issued after the
+  // shell's can be its child, so each poll scans those few, and an earlier
+  // job of the same image is never mistaken for this one.
   const Cycles deadline = kernel_->now() + tick() * 64 + hook_cycles * 3;
   while (kernel_->now() < deadline) {
-    if (auto pid = kernel_->find_pid_by_name(image.path)) return *pid;
+    for (const Pid pid : kernel_->all_pids() | std::views::drop(bash.v)) {
+      if (kernel_->process(pid).name == image.path) return pid;
+    }
     kernel_->run(kernel_->now() + tick());
   }
   throw InvariantError("launch: target process never appeared: " + image.path);

@@ -2,44 +2,17 @@
 // LD_PRELOAD interposition, loader image shape, shell launch semantics.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
-#include <new>
 
 #include "common/ensure.hpp"
+#include "counting_alloc.hpp"
 #include "exec/library.hpp"
 #include "exec/loader.hpp"
 #include "exec/program_base.hpp"
 #include "exec/shell.hpp"
 #include "kernel/kernel.hpp"
 #include "kernel/o1_scheduler.hpp"
-
-// --- counting allocator hook -------------------------------------------------------
-//
-// TU-local replacement of the global allocation functions so the suite can
-// assert what a step costs the heap: a compute step's memory profile is
-// plain data, and pushing a resolved library body copies only its steps.
-// The counter only ever increases; tests snapshot it around the code under
-// scrutiny.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_bytes += n;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace mtr::exec {
 namespace {
@@ -329,27 +302,19 @@ TEST(Shell, ShellImageMeasurementReachesHooks) {
 
 // --- step footprint ----------------------------------------------------------------
 
-/// Bytes the global allocator hands out while `fn` runs.
-template <typename Fn>
-std::uint64_t bytes_allocated_by(Fn&& fn) {
-  const std::uint64_t before = g_alloc_bytes.load();
-  fn();
-  return g_alloc_bytes.load() - before;
-}
-
 TEST(StepFootprint, ComputeStepCostsTheSameForAnyPageRun) {
   // Building a step and copying it (as each chain instance copies its
   // literal phases) allocates nothing: the profile is a page range, and a
   // tag of at most 15 chars fits the string's inline buffer.
   const auto step_bytes = [](std::uint64_t pages) {
     std::uint64_t copied_pages = 0;
-    const std::uint64_t bytes = bytes_allocated_by([&] {
+    const std::uint64_t bytes = test::heap_used_by([&] {
       const kernel::MemoryProfile mem{PageId{0x600}, pages, Cycles{2'530'000},
                                       kernel::HotAccess{VAddr{0x20'0040}, Cycles{250'000}}};
       const Step step = compute_mem(Cycles{25'300'000}, mem, "pi.arith");
       const Step copy = step;
       copied_pages = std::get<ComputeStep>(copy).mem.page_count;
-    });
+    }).bytes;
     EXPECT_EQ(copied_pages, pages);
     return bytes;
   };
@@ -391,17 +356,17 @@ TEST(StepFootprint, PushAllOfAResolvedBodyAllocatesOnlyTheQueue) {
 
   FakeContext ctx;
   Step first;
-  const std::uint64_t program = bytes_allocated_by([&] {
+  const std::uint64_t program = test::heap_used_by([&] {
     BodyProgram p(body);
     first = p.next(ctx);
-  });
+  }).bytes;
   EXPECT_EQ(std::get<ComputeStep>(first).tag, "libm.sqrt");
   // The same queue storage, filled with steps that own nothing.
-  const std::uint64_t queue = bytes_allocated_by([&] {
+  const std::uint64_t queue = test::heap_used_by([&] {
     std::deque<Step> d;
     d.insert(d.end(), body.size(), Step{ExitStep{}});
     d.pop_front();
-  });
+  }).bytes;
   EXPECT_EQ(program, queue);
 }
 

@@ -2,45 +2,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/ensure.hpp"
+#include "counting_alloc.hpp"
 #include "common/rng.hpp"
 #include "hw/debug_registers.hpp"
 #include "hw/disk.hpp"
 #include "hw/nic.hpp"
 #include "hw/timer.hpp"
 #include "mm/memory_manager.hpp"
-
-// --- counting allocator hook -------------------------------------------------------
-//
-// TU-local replacement of the global allocation functions so the suite can
-// assert what the mm layer allocates: bytes that follow the pages a run
-// touches, never the RAM it models. The counter only ever increases; tests
-// snapshot it around the code under scrutiny.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_bytes += n;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace mtr {
 namespace {
@@ -532,19 +506,11 @@ TEST(MemoryManager, UnknownSpaceRejected) {
 
 // --- mm footprint ------------------------------------------------------------------
 
-/// Bytes the global allocator hands out while `fn` runs.
-template <typename Fn>
-std::uint64_t bytes_allocated_by(Fn&& fn) {
-  const std::uint64_t before = g_alloc_bytes.load();
-  fn();
-  return g_alloc_bytes.load() - before;
-}
-
 TEST(MemoryFootprint, ConstructionAllocatesTheSameForAnyRamSize) {
   const std::uint64_t small =
-      bytes_allocated_by([] { const mm::MemoryManager mm(16 * 1024, 256); });
+      test::heap_used_by([] { const mm::MemoryManager mm(16 * 1024, 256); }).bytes;
   const std::uint64_t large =
-      bytes_allocated_by([] { const mm::MemoryManager mm(256 * 1024, 256); });
+      test::heap_used_by([] { const mm::MemoryManager mm(256 * 1024, 256); }).bytes;
   EXPECT_EQ(small, large);
   EXPECT_LE(large, 1024u);
 }
@@ -553,10 +519,10 @@ TEST(MemoryFootprint, TouchesAllocateWithThePagesTouchedNotWithRam) {
   // Bytes allocated to create a space and fault in `k` pages.
   const auto touch_bytes = [](std::uint32_t frames, std::uint64_t k) {
     mm::MemoryManager mm(frames, 256);
-    const std::uint64_t bytes = bytes_allocated_by([&] {
+    const std::uint64_t bytes = test::heap_used_by([&] {
       mm.create_space(Tgid{1});
       for (std::uint64_t p = 0; p < k; ++p) mm.touch(Tgid{1}, PageId{p});
-    });
+    }).bytes;
     mm.check_invariants();
     return bytes;
   };

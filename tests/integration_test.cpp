@@ -224,5 +224,32 @@ TEST(MultiTenant, TwoJobsSplitTheMachineAndBothBillHonestly) {
   }
 }
 
+TEST(MultiTenant, SameImageLaunchedTwiceIsTwoJobs) {
+  // The second launch comes after the first job has exited, so a process
+  // already bears the image's name when the second shell forks.
+  sim::Simulation s;
+  const auto job = workloads::make_workload(WorkloadKind::kPi, {0.02});
+  const Pid first = s.launch(job.image);
+  ASSERT_TRUE(s.run_until_exit(first));
+  const kernel::GroupUsage first_bill = s.usage_of(first);
+  const std::size_t issued = s.kernel().all_pids().size();
+
+  const Pid second = s.launch(job.image);
+  EXPECT_GT(second.v, static_cast<std::int32_t>(issued));
+  EXPECT_FALSE(s.exited(second));
+  EXPECT_EQ(s.kernel().process(second).name, job.image.path);
+  ASSERT_TRUE(s.run_until_exit(second));
+
+  // Billed separately: the first job's bill stands, and the second job
+  // pays for its own run of the same work.
+  const kernel::GroupUsage second_bill = s.usage_of(second);
+  EXPECT_NE(s.kernel().process(second).tgid, s.kernel().process(first).tgid);
+  EXPECT_EQ(s.usage_of(first).true_cycles.total(), first_bill.true_cycles.total());
+  EXPECT_EQ(s.usage_of(first).ticks.total(), first_bill.ticks.total());
+  EXPECT_NEAR(static_cast<double>(second_bill.true_cycles.user.v),
+              static_cast<double>(first_bill.true_cycles.user.v),
+              0.05 * static_cast<double>(first_bill.true_cycles.user.v));
+}
+
 }  // namespace
 }  // namespace mtr

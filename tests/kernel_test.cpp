@@ -16,6 +16,7 @@
 
 #include "bench/attack_roster.hpp"
 #include "core/meters.hpp"
+#include "counting_alloc.hpp"
 #include "exec/program_base.hpp"
 #include "helpers.hpp"
 #include "kernel/cfs_scheduler.hpp"
@@ -847,9 +848,11 @@ ForkLoopRun run_fork_loop(std::size_t children, bool keep_payload) {
   run.violations = audit.violations;
   run.peak_holding = audit.peak_holding;
   run.pids = k->all_pids().size();
-  // A fork child is named after its parent until it execs.
-  const std::optional<Pid> first = k->find_pid_by_name("forker+child");
-  if (first) {
+  // The forker's first child; a reaped child still names its parent.
+  const auto pids = k->all_pids();
+  const auto first = std::ranges::find_if(
+      pids, [&](Pid pid) { return k->process(pid).parent == forker; });
+  if (first != pids.end()) {
     const Process& c = k->process(*first);
     run.first_child = *first;
     run.first_child_ticks = c.tick_usage;
@@ -878,7 +881,7 @@ TEST(ProcessTombstones, MemoryTracksLiveWorkAcrossAForkLoop) {
   EXPECT_EQ(freed.violations, 0u);
   EXPECT_LE(freed.peak_holding, 3u);
 
-  // A reaped child still answers by name and for its accounting.
+  // A reaped child still answers for its identity and accounting.
   EXPECT_EQ(freed.first_child, Pid{3});
   EXPECT_EQ(freed.first_child_state, ProcState::kReaped);
   EXPECT_FALSE(freed.first_child_program);
@@ -895,6 +898,23 @@ TEST(ProcessTombstones, MemoryTracksLiveWorkAcrossAForkLoop) {
   EXPECT_EQ(freed.first_child_cycles.user, kept.first_child_cycles.user);
   EXPECT_EQ(freed.first_child_cycles.system, kept.first_child_cycles.system);
   EXPECT_EQ(freed.pids, kept.pids);
+}
+
+TEST(ProcessTombstones, HeapCostPerForkIsBounded) {
+  // The steady-state heap cost of one fork → exit → reap round: the
+  // difference between two fork loops over their difference in children,
+  // so the kernel's set-up and the victim's run cancel out. The two counts
+  // put every vector the loop grows exactly one doubling apart. The bounds
+  // are today's figures (1462.08 bytes in 9.049 calls), so any new per-fork
+  // allocation fails the test.
+  constexpr std::size_t kFew = 1000;
+  constexpr std::size_t kMany = 2000;
+  const test::HeapCount few = test::heap_used_by([] { run_fork_loop(kFew, false); });
+  const test::HeapCount many = test::heap_used_by([] { run_fork_loop(kMany, false); });
+  const double bytes = static_cast<double>(many.bytes - few.bytes) / (kMany - kFew);
+  const double calls = static_cast<double>(many.calls - few.calls) / (kMany - kFew);
+  EXPECT_LE(bytes, 1462.1);
+  EXPECT_LE(calls, 9.05);
 }
 
 }  // namespace

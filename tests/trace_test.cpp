@@ -6,44 +6,19 @@
 // single experiment result.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "counting_alloc.hpp"
 #include "helpers.hpp"
 #include "trace/metrics.hpp"
 #include "trace/perfetto.hpp"
 #include "trace/tracer.hpp"
 #include "workloads/workloads.hpp"
-
-// --- counting allocator hook -------------------------------------------------------
-//
-// TU-local replacement of the global allocation functions so the suite can
-// assert Tracer::record() never allocates. The counter only ever increases;
-// tests snapshot it around the code under scrutiny.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_calls{0};
-
-void* counted_alloc(std::size_t n) {
-  ++g_alloc_calls;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace mtr::trace {
 namespace {
@@ -86,13 +61,13 @@ TEST(TracerRing, CapacityZeroDropsEverything) {
 
 TEST(TracerRing, RecordPathNeverAllocates) {
   Tracer t(256);  // the ring's one allocation happens here
-  const std::uint64_t before = g_alloc_calls.load();
+  const std::uint64_t before = test::heap_count().calls;
   for (std::uint64_t i = 0; i < 10'000; ++i) {
     t.span(Cycles{i}, "span", Pid{2}, Tgid{2}, Cycles{7}, Pid{3});
     t.instant(Cycles{i}, "instant", Pid{2}, Tgid{2});
     t.tick(Cycles{i}, Pid{2}, Tgid{2}, CpuMode::kUser, 1);
   }
-  EXPECT_EQ(g_alloc_calls.load(), before)
+  EXPECT_EQ(test::heap_count().calls, before)
       << "Tracer::record allocated on the hot path";
   EXPECT_EQ(t.recorded(), 30'000u);
   EXPECT_EQ(t.dropped(), 30'000u - 256u);
