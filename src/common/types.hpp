@@ -206,6 +206,7 @@ struct CpuUsageCycles {
   Cycles system;
 
   constexpr Cycles total() const { return user + system; }
+  constexpr bool operator==(const CpuUsageCycles&) const = default;
 
   constexpr CpuUsageCycles& operator+=(const CpuUsageCycles& o) {
     user += o.user;
@@ -225,6 +226,7 @@ struct CpuUsageTicks {
   Ticks stime;
 
   constexpr Ticks total() const { return utime + stime; }
+  constexpr bool operator==(const CpuUsageTicks&) const = default;
 
   constexpr CpuUsageTicks& operator+=(const CpuUsageTicks& o) {
     utime += o.utime;

@@ -131,7 +131,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   const CpuHz cpu = config.sim.kernel.cpu;
   const TimerHz hz = config.sim.kernel.hz;
 
-  const kernel::GroupUsage usage = kernel.group_usage(victim_tg);
+  const kernel::Usage usage = kernel.group_usage(victim_tg);
   r.billed_ticks = usage.ticks;
   r.billed_user_seconds = ticks_to_seconds(usage.ticks.utime, hz);
   r.billed_system_seconds = ticks_to_seconds(usage.ticks.stime, hz);
@@ -159,7 +159,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   if (attack != nullptr && !attack->attacker_pids().empty()) {
     r.has_attacker = true;
     for (const Pid apid : attack->attacker_pids()) {
-      const kernel::GroupUsage au =
+      const kernel::Usage au =
           kernel.group_usage(kernel.process(apid).tgid);
       r.attacker_ticks += au.ticks;
       r.attacker_true_cycles += au.true_cycles;
@@ -182,7 +182,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     double error_sum = 0.0;
     double advantage_sum = 0.0;
     const auto meter_tenant = [&](Tgid tg, bool attacker_tenant) {
-      const kernel::GroupUsage gu = kernel.group_usage(tg);
+      const kernel::Usage gu = kernel.group_usage(tg);
       const double billed = ticks_to_seconds(gu.ticks.total(), hz);
       const double truth = cycles_to_seconds(gu.true_cycles.total(), cpu);
       r.pop_billing_error.add(billed - truth);
@@ -227,7 +227,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     for (const Pid pid : kernel.all_pids()) {
       const Tgid tg = kernel.process(pid).tgid;
       if (pid.v != tg.v) continue;
-      const kernel::GroupUsage gu = kernel.group_usage(tg);
+      const kernel::Usage gu = kernel.group_usage(tg);
       telemetry.billing_error.add(
           ticks_to_seconds(gu.ticks.total(), hz) -
           cycles_to_seconds(gu.true_cycles.total(), cpu));

@@ -21,12 +21,12 @@
 // Each declares only the events it overrides (kEvents), so the kernel sends
 // it nothing else.
 //
-// The kernel's per-group ledger (Kernel::group_usage) already holds the
-// tick and TSC bills: `ticks` and `true_cycles`. TrustedMeteringService
-// therefore bills both from the ledger and attaches only PaisMeter. TickMeter
-// and TscMeter stay as independent re-implementations of those two ledger
-// columns, which tests cross-check against the kernel and examples attach
-// on their own.
+// The kernel's ledger already holds the tick and TSC bills: each process's
+// `usage.ticks` and `usage.true_cycles`, summed over a thread group by
+// Kernel::group_usage. TrustedMeteringService therefore bills both from the
+// ledger and attaches only PaisMeter. TickMeter and TscMeter stay as
+// independent re-implementations of those two ledger columns, which tests
+// cross-check against the kernel and examples attach on their own.
 #pragma once
 
 #include "core/dense_table.hpp"

@@ -3,8 +3,9 @@
 // Bundles the three properties of §VI-B into one provider-side service:
 //   * source integrity   — SourceIntegrityMonitor + PCR + TPM quote,
 //   * execution integrity — ExecutionIntegrityMonitor witness,
-//   * fine-grained metering — PaisMeter, plus the kernel's per-group ledger
-//     (Kernel::group_usage) for the cycle-exact TSC bill.
+//   * fine-grained metering — PaisMeter, plus the kernel's per-process
+//     ledger, summed over the job's thread group (Kernel::group_usage), for
+//     the cycle-exact TSC bill.
 // The commodity tick bill comes from the same ledger. The service attaches
 // its three hooks to a kernel, observes a job, and emits a signed usage
 // report the customer-side Auditor can verify.

@@ -75,15 +75,10 @@ Kernel::~Kernel() = default;
 
 Pid Kernel::allocate_pid() { return Pid{next_pid_++}; }
 
-const Kernel::GroupRecord& Kernel::group_record(Tgid tg) const {
-  // The slot is a group's only if its pid leads one.
+const Process& Kernel::group_leader(Tgid tg) const {
   MTR_ENSURE_MSG(has_process(Pid{tg.v}) && process(Pid{tg.v}).tgid == tg,
                  "no processes in thread group " << tg.v);
-  return groups_[static_cast<std::size_t>(tg.v) - 1];
-}
-
-Kernel::GroupRecord& Kernel::group_record(Tgid tg) {
-  return const_cast<GroupRecord&>(std::as_const(*this).group_record(tg));
+  return process(Pid{tg.v});
 }
 
 Process& Kernel::create_process(std::string name, std::unique_ptr<Program> program,
@@ -100,11 +95,6 @@ Process& Kernel::create_process(std::string name, std::unique_ptr<Program> progr
   procs_.push_back(std::move(proc));
   MTR_ENSURE(procs_.size() == static_cast<std::size_t>(pid.v));  // dense arena
   ++alive_count_;
-
-  // Thread-group accounting record: leaders open one (in their own slot),
-  // members join it.
-  groups_.emplace_back();
-  ++group_record(group).alive;
 
   flush_charges();
   hooks_.each<HookEvent::kProcessCreated>([&](AccountingHook& h) {
@@ -134,7 +124,11 @@ const Process& Kernel::process(Pid pid) const {
   return *procs_[static_cast<std::size_t>(pid.v) - 1];
 }
 
-GroupUsage Kernel::group_usage(Tgid tg) const { return group_record(tg).usage; }
+Usage Kernel::group_usage(Tgid tg) const {
+  Usage sum;
+  for (const Pid pid : group_members(tg)) sum += process(pid).usage;
+  return sum;
+}
 
 void Kernel::set_nice(Pid pid, Nice nice) {
   Process& p = process(pid);
@@ -173,11 +167,9 @@ void Kernel::charge(Process* p, WorkKind kind, Cycles amount, Pid beneficiary) {
   now_ += amount;
   if (p != nullptr) {
     if (mode_of(kind) == CpuMode::kUser) {
-      p->true_usage.user += amount;
-      group_totals(*p).true_cycles.user += amount;
+      p->usage.true_cycles.user += amount;
     } else {
-      p->true_usage.system += amount;
-      group_totals(*p).true_cycles.system += amount;
+      p->usage.true_cycles.system += amount;
     }
     scheduler_->on_ran(*p, amount);
     // Only cycle observers and the tracer read a charge: a run with neither
@@ -251,11 +243,9 @@ void Kernel::bill_ticks(Cycles first, std::uint64_t count, Process* p, CpuMode m
     pid = p->pid;
     tg = p->tgid;
     if (mode == CpuMode::kUser) {
-      p->tick_usage.utime += Ticks{count};
-      group_totals(*p).ticks.utime += Ticks{count};
+      p->usage.ticks.utime += Ticks{count};
     } else {
-      p->tick_usage.stime += Ticks{count};
-      group_totals(*p).ticks.stime += Ticks{count};
+      p->usage.ticks.stime += Ticks{count};
     }
   }
   if (tracer_ != nullptr) tracer_->tick(first, pid, tg, mode, count);
@@ -279,7 +269,7 @@ void Kernel::sample_telemetry() {
   if (t.victim.valid()) {
     // Whole jiffies billed at cpu/hz cycles each, minus cycle-exact truth:
     // the integer-valued gap the attacks inflate.
-    const GroupUsage u = group_usage(t.victim);
+    const Usage u = group_usage(t.victim);
     const std::uint64_t billed =
         u.ticks.total().v * (config_.cpu.v / config_.hz.v);
     t.victim_gap.sample(at, static_cast<std::int64_t>(billed) -
@@ -808,14 +798,12 @@ void Kernel::touch_memory(Process& p) {
     case mm::FaultKind::kNone:
       return;
     case mm::FaultKind::kMinor:
-      ++p.minor_faults;
-      ++group_totals(p).minor_faults;
+      ++p.usage.minor_faults;
       push_kwork(p, config_.costs.page_fault_minor + reclaim_cost,
                  WorkKind::kPageFaultMinor, KernelAction::kNone);
       return;
     case mm::FaultKind::kMajor:
-      ++p.major_faults;
-      ++group_totals(p).major_faults;
+      ++p.usage.major_faults;
       push_kwork(p, config_.costs.page_fault_major + reclaim_cost,
                  WorkKind::kPageFaultMajor, KernelAction::kBlockOnDisk);
       return;
@@ -823,8 +811,7 @@ void Kernel::touch_memory(Process& p) {
 }
 
 void Kernel::hot_access(Process& p) {
-  ++p.debug_exceptions;
-  ++group_totals(p).debug_exceptions;
+  ++p.usage.debug_exceptions;
   // #DB dispatch runs in the tracee's kernel context, then a SIGTRAP trace
   // stop is delivered — precisely the thrashing attack's cost vehicle. The
   // true beneficiary of all of it is the tracer who armed the breakpoint.
@@ -841,8 +828,7 @@ bool Kernel::process_one_signal(Process& p) {
   MTR_ENSURE(!p.pending_signals.empty());
   const PendingSignal pending = p.pending_signals.front();
   p.pending_signals.erase(p.pending_signals.begin());
-  ++p.signals_received;
-  ++group_totals(p).signals_received;
+  ++p.usage.signals_received;
   const Signal sig = pending.sig;
   // Delivery work serves whoever raised the signal (process-aware meters
   // re-attribute on this).
@@ -930,8 +916,7 @@ void Kernel::preempt_current() {
   charge(&out, WorkKind::kContextSwitch, config_.costs.context_switch, out.pid);
   if (out.runnable()) {
     out.state = ProcState::kReady;
-    ++out.involuntary_switches;
-    ++group_totals(out).involuntary_switches;
+    ++out.usage.involuntary_switches;
     scheduler_->enqueue(out, now_, /*preempted=*/true);
   }
   flush_charges();
@@ -944,8 +929,7 @@ void Kernel::stop_current_and_switch() {
   MTR_ENSURE(current_ != nullptr);
   Process& out = *current_;
   charge(&out, WorkKind::kContextSwitch, config_.costs.context_switch, out.pid);
-  ++out.voluntary_switches;
-  ++group_totals(out).voluntary_switches;
+  ++out.usage.voluntary_switches;
   flush_charges();
   if (tracer_ != nullptr) tracer_->instant(now_, "switch-out", out.pid, out.tgid);
   if (stats_ != nullptr) ++stats_->context_switches;

@@ -95,19 +95,6 @@ struct SpawnSpec {
   bool privileged = true;
 };
 
-/// Aggregated usage for a thread group, as getrusage(RUSAGE_SELF) would
-/// report it (jiffy counters) next to the simulator's ground truth.
-struct GroupUsage {
-  CpuUsageTicks ticks;       // the commodity kernel's answer
-  CpuUsageCycles true_cycles;  // cycle-exact time the group was on-CPU
-  std::uint64_t minor_faults = 0;
-  std::uint64_t major_faults = 0;
-  std::uint64_t voluntary_switches = 0;
-  std::uint64_t involuntary_switches = 0;
-  std::uint64_t signals_received = 0;
-  std::uint64_t debug_exceptions = 0;
-};
-
 class Kernel final {
  public:
   Kernel(KernelConfig config, std::unique_ptr<Scheduler> scheduler);
@@ -181,10 +168,23 @@ class Kernel final {
            std::views::transform([](std::int32_t v) { return Pid{v}; });
   }
 
-  /// Sum of usage over every process in the thread group (living and dead),
-  /// i.e. what the billed customer is charged for the job. Served from the
-  /// per-group accumulator maintained on every counter update: O(1).
-  GroupUsage group_usage(Tgid tg) const;
+  /// The members of thread group `tg`, living and dead: its leader, then
+  /// the threads cloned into the group in creation (ascending pid) order.
+  /// A sized range over the leader's thread list, so it allocates nothing.
+  /// Throws unless `tg` names a pid that leads its own group.
+  auto group_members(Tgid tg) const {
+    const Process& leader = group_leader(tg);
+    const auto count = static_cast<std::uint32_t>(leader.threads.size() + 1);
+    return std::views::iota(std::uint32_t{0}, count) |
+           std::views::transform([&leader](std::uint32_t i) {
+             return i == 0 ? leader.pid : leader.threads[i - 1];
+           });
+  }
+
+  /// Sum of usage over every member of the thread group (living and dead),
+  /// i.e. what the billed customer is charged for the job, as Linux's
+  /// thread_group_cputime sums a group's threads: O(members).
+  Usage group_usage(Tgid tg) const;
 
   /// Ticks charged to the idle context (CPU unclaimed at a tick).
   Ticks idle_ticks() const { return idle_ticks_; }
@@ -322,27 +322,15 @@ class Kernel final {
   // sequentially from 1 and a slot is never reused — an exited process
   // frees its execution payload and stays as a tombstone of identity and
   // accounting — so slots and Process pointers stay valid for the kernel's
-  // lifetime).
+  // lifetime). Each usage counter lives on its process alone; a thread
+  // group is its leader's member list, and its usage is summed from it.
   std::vector<std::unique_ptr<Process>> procs_;
   std::int32_t next_pid_ = 1;
   std::uint64_t alive_count_ = 0;
 
-  // Per-thread-group accounting beside the arena, maintained incrementally
-  // at every counter update site. Slot tgid.v - 1 (a tgid is its leader's
-  // pid); a non-leader's slot stays unused. `alive` makes the last-thread-
-  // of-group check in do_exit O(1) instead of a scan.
-  struct GroupRecord {
-    GroupUsage usage;
-    std::uint32_t alive = 0;
-  };
-  std::vector<GroupRecord> groups_;
-  GroupRecord& group_record(Tgid tg);
-  const GroupRecord& group_record(Tgid tg) const;
-  // The running total of p's group, unchecked: every update site holds a
-  // live process, whose tgid always names a leader's slot.
-  GroupUsage& group_totals(const Process& p) {
-    return groups_[static_cast<std::size_t>(p.tgid.v) - 1].usage;
-  }
+  // The process that leads `tg` (a tgid is its leader's pid); throws if no
+  // such pid leads its own group.
+  const Process& group_leader(Tgid tg) const;
 
   // Pending hook charges (see enqueue_charge/flush_charges).
   struct PendingCharge {

@@ -91,6 +91,33 @@ struct UserWork {
   bool active = false;
 };
 
+/// One process's resource usage, as getrusage reports it (jiffy counters)
+/// next to the simulator's ground truth. A thread group's usage is the sum
+/// over its members (Kernel::group_usage).
+struct Usage {
+  CpuUsageTicks ticks;         // the commodity kernel's own jiffy accounting
+  CpuUsageCycles true_cycles;  // cycle-exact time while current, by mode
+  std::uint64_t minor_faults = 0;
+  std::uint64_t major_faults = 0;
+  std::uint64_t voluntary_switches = 0;
+  std::uint64_t involuntary_switches = 0;
+  std::uint64_t signals_received = 0;
+  std::uint64_t debug_exceptions = 0;
+
+  bool operator==(const Usage&) const = default;
+  Usage& operator+=(const Usage& o) {
+    ticks += o.ticks;
+    true_cycles += o.true_cycles;
+    minor_faults += o.minor_faults;
+    major_faults += o.major_faults;
+    voluntary_switches += o.voluntary_switches;
+    involuntary_switches += o.involuntary_switches;
+    signals_received += o.signals_received;
+    debug_exceptions += o.debug_exceptions;
+    return *this;
+  }
+};
+
 class Process {
  public:
   Process(Pid pid, Tgid tgid, Pid parent, std::string name,
@@ -147,15 +174,12 @@ class Process {
   int exit_code = 0;
   bool exited = false;
 
-  // Accounting (kernel-maintained; meters may keep their own views).
-  CpuUsageTicks tick_usage;   // the commodity kernel's own jiffy accounting
-  CpuUsageCycles true_usage;  // cycle-exact time while current, by mode
-  std::uint64_t voluntary_switches = 0;
-  std::uint64_t involuntary_switches = 0;
-  std::uint64_t signals_received = 0;
-  std::uint64_t debug_exceptions = 0;
-  std::uint64_t minor_faults = 0;
-  std::uint64_t major_faults = 0;
+  // Accounting (kernel-maintained; meters may keep their own views). The
+  // only copy of these counters: a group's usage is its members' sum.
+  Usage usage;
+  // Group leader only: the threads it and its threads cloned, in creation
+  // (ascending pid) order. Kept past exit, like the usage it indexes.
+  std::vector<Pid> threads;
 
   // Deterministic per-process randomness.
   Xoshiro256 rng;

@@ -145,7 +145,7 @@ void Kernel::apply_syscall(Process& p) {
       k.finish_syscall(p);
     }
     void operator()(const SysGetRusage&) {
-      const GroupUsage u = k.group_usage(p.tgid);
+      const Usage u = k.group_usage(p.tgid);
       p.last_syscall_result = static_cast<std::int64_t>(u.ticks.total().v);
       k.finish_syscall(p);
     }
@@ -189,6 +189,7 @@ void Kernel::do_clone(Process& parent, const SysClone& req) {
   // CLONE_VM | CLONE_THREAD: same group, shared address space.
   Process& child = create_process(parent.name + "+thr", req.thread(), parent.pid,
                                   parent.tgid, parent.nice, parent.privileged);
+  process(Pid{parent.tgid.v}).threads.push_back(child.pid);
   parent.children.push_back(child.pid);
   parent.last_syscall_result = child.pid.v;
   child.state = ProcState::kReady;
@@ -348,12 +349,11 @@ void Kernel::do_exit(Process& p) {
     h.on_process_exited(now_, p.pid, p.tgid, p.exit_code);
   });
 
-  // Last thread of the group releases the address space. The group record
-  // counts living members, so no scan over the process table is needed.
-  GroupRecord& rec = group_record(p.tgid);
-  MTR_ENSURE(rec.alive > 0);
-  --rec.alive;
-  if (rec.alive == 0 && mm_.has_space(p.tgid)) mm_.destroy_space(p.tgid);
+  // Last thread of the group releases the address space: a check over the
+  // group's members, not the process table.
+  const bool group_alive = std::ranges::any_of(
+      group_members(p.tgid), [&](Pid m) { return process(m).alive(); });
+  if (!group_alive && mm_.has_space(p.tgid)) mm_.destroy_space(p.tgid);
 
   // Orphan children; zombie orphans are auto-reaped.
   for (const Pid child_pid : p.children) {

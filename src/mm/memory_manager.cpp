@@ -12,15 +12,10 @@ MemoryManager::MemoryManager(std::uint32_t total_frames, std::uint32_t reclaim_b
       reclaim_batch_target_(std::max<std::uint32_t>(1, reclaim_batch)),
       swap_readahead_(std::max<std::uint32_t>(1, swap_readahead)) {}
 
-const MemoryManager::Slot* MemoryManager::slot(Tgid owner) const {
+AddressSpace* MemoryManager::find_space(Tgid owner) const {
   const auto i = static_cast<std::size_t>(owner.v);
-  if (!owner.valid() || i >= spaces_.size() || spaces_[i].space == nullptr) return nullptr;
-  return &spaces_[i];
-}
-
-MemoryManager::Slot& MemoryManager::live_slot(Tgid owner) {
-  MTR_ENSURE_MSG(has_space(owner), "unknown address space " << owner.v);
-  return spaces_[static_cast<std::size_t>(owner.v)];
+  if (!owner.valid() || i >= spaces_.size()) return nullptr;
+  return spaces_[i].get();
 }
 
 AddressSpace& MemoryManager::create_space(Tgid owner) {
@@ -28,14 +23,12 @@ AddressSpace& MemoryManager::create_space(Tgid owner) {
   MTR_ENSURE_MSG(!has_space(owner), "address space already exists for " << owner.v);
   const auto i = static_cast<std::size_t>(owner.v);
   if (i >= spaces_.size()) spaces_.resize(i + 1);
-  spaces_[i] = {std::make_unique<AddressSpace>(owner), MemoryStats{}};
-  return *spaces_[i].space;
+  spaces_[i] = std::make_unique<AddressSpace>(owner);
+  return *spaces_[i];
 }
 
 void MemoryManager::destroy_space(Tgid owner) {
-  const Slot* s = slot(owner);
-  MTR_ENSURE_MSG(s != nullptr, "destroying unknown address space " << owner.v);
-  const AddressSpace& sp = *s->space;
+  const AddressSpace& sp = space(owner);
   // Walk the dying space's page table, not all of RAM: teardown costs what
   // the space mapped. Resident frames are released in ascending id order —
   // the order a scan over frame_info_ would meet them — so the LIFO free
@@ -63,7 +56,7 @@ void MemoryManager::destroy_space(Tgid owner) {
     frame_info_[f.v].in_use = false;
     frames_.release(f);
   }
-  spaces_[static_cast<std::size_t>(owner.v)] = {};
+  spaces_[static_cast<std::size_t>(owner.v)].reset();
 }
 
 void MemoryManager::check_invariants() const {
@@ -72,9 +65,9 @@ void MemoryManager::check_invariants() const {
     const FrameInfo& fi = frame_info_[f];
     if (!fi.in_use) continue;
     ++in_use;
-    const Slot* s = slot(fi.owner);
-    MTR_ENSURE_MSG(s != nullptr, "frame " << f << " owned by dead space " << fi.owner.v);
-    const PageEntry* pe = s->space->find(fi.page);
+    const AddressSpace* sp = find_space(fi.owner);
+    MTR_ENSURE_MSG(sp != nullptr, "frame " << f << " owned by dead space " << fi.owner.v);
+    const PageEntry* pe = sp->find(fi.page);
     MTR_ENSURE_MSG(pe != nullptr && pe->resident && pe->frame.v == f,
                    "frame " << f << " is not the resident frame of page "
                             << fi.page.v << " in space " << fi.owner.v);
@@ -84,10 +77,10 @@ void MemoryManager::check_invariants() const {
 
   std::uint64_t resident = 0;
   std::uint64_t swapped = 0;
-  for (const Slot& s : spaces_) {
-    if (s.space == nullptr) continue;
-    resident += s.space->resident_pages();
-    s.space->for_each_page(
+  for (const auto& sp : spaces_) {
+    if (sp == nullptr) continue;
+    resident += sp->resident_pages();
+    sp->for_each_page(
         [&](PageId, const PageEntry& pe) { swapped += pe.in_swap ? 1 : 0; });
   }
   MTR_ENSURE_MSG(resident == frames_used(),
@@ -97,7 +90,11 @@ void MemoryManager::check_invariants() const {
                  swapped << " pages in swap, swap_used_ is " << swap_used_);
 }
 
-AddressSpace& MemoryManager::space(Tgid owner) { return *live_slot(owner).space; }
+AddressSpace& MemoryManager::space(Tgid owner) {
+  AddressSpace* sp = find_space(owner);
+  MTR_ENSURE_MSG(sp != nullptr, "unknown address space " << owner.v);
+  return *sp;
+}
 
 void MemoryManager::install(AddressSpace& sp, PageEntry& pe, Tgid owner, PageId page,
                             FrameId frame) {
@@ -116,8 +113,7 @@ void MemoryManager::install(AddressSpace& sp, PageEntry& pe, Tgid owner, PageId 
 }
 
 TouchResult MemoryManager::touch(Tgid owner, PageId page) {
-  Slot& s = live_slot(owner);
-  AddressSpace& sp = *s.space;
+  AddressSpace& sp = space(owner);
   PageEntry& pe = sp.entry(page);
 
   if (pe.resident) {
@@ -137,12 +133,10 @@ TouchResult MemoryManager::touch(Tgid owner, PageId page) {
     MTR_ENSURE(frame.has_value());
   }
 
-  MemoryStats& stats = s.stats;
   const bool was_swapped = pe.in_swap;
   install(sp, pe, owner, page, *frame);
   if (was_swapped) {
     result.fault = FaultKind::kMajor;
-    ++stats.major_faults;
     ++global_.major_faults;
     // Swap readahead: the single disk read clusters the next consecutive
     // swapped-out pages of this space.
@@ -152,12 +146,10 @@ TouchResult MemoryManager::touch(Tgid owner, PageId page) {
       auto extra = frames_.allocate();
       if (!extra) break;  // no spare frames: stop the cluster, no reclaim
       install(sp, *next, owner, PageId{page.v + k}, *extra);
-      ++stats.readahead_pages;
       ++global_.readahead_pages;
     }
   } else {
     result.fault = FaultKind::kMinor;  // demand-zero first touch
-    ++stats.minor_faults;
     ++global_.minor_faults;
   }
   return result;
@@ -184,8 +176,8 @@ FrameId MemoryManager::evict_one() {
     clock_hand_ = (clock_hand_ + 1) % frame_info_.size();
     if (!fi.in_use) continue;
 
-    Slot& s = live_slot(fi.owner);
-    PageEntry* pe = s.space->find(fi.page);
+    AddressSpace& sp = space(fi.owner);
+    PageEntry* pe = sp.find(fi.page);
     MTR_ENSURE(pe != nullptr && pe->resident && pe->frame.v == hand);
 
     if (pe->referenced) {
@@ -197,19 +189,12 @@ FrameId MemoryManager::evict_one() {
     pe->resident = false;
     pe->in_swap = true;
     ++swap_used_;
-    s.space->note_made_nonresident();
-    ++s.stats.evictions;
+    sp.note_made_nonresident();
     ++global_.evictions;
     fi.in_use = false;
     return FrameId{static_cast<std::uint32_t>(hand)};
   }
   throw InvariantError("clock replacement failed to find a victim");
-}
-
-const MemoryStats& MemoryManager::stats(Tgid owner) const {
-  const Slot* s = slot(owner);
-  MTR_ENSURE_MSG(s != nullptr, "no memory stats for " << owner.v);
-  return s->stats;
 }
 
 }  // namespace mtr::mm

@@ -65,14 +65,15 @@ class MemoryManager {
   /// O(pages the space mapped), independent of RAM size.
   void destroy_space(Tgid owner);
 
-  bool has_space(Tgid owner) const { return slot(owner) != nullptr; }
+  bool has_space(Tgid owner) const { return find_space(owner) != nullptr; }
   AddressSpace& space(Tgid owner);
 
   /// Resolves a touch of `page` by thread group `owner`. Runs replacement if
   /// RAM is full. The returned fault kind tells the kernel what to charge.
   TouchResult touch(Tgid owner, PageId page);
 
-  const MemoryStats& stats(Tgid owner) const;
+  /// Machine-wide fault, eviction and readahead counts. Per-process fault
+  /// counts are the kernel's (Process::usage).
   MemoryStats global_stats() const { return global_; }
   std::uint32_t frames_total() const { return frames_.total(); }
   std::uint32_t frames_used() const { return frames_.used(); }
@@ -92,16 +93,8 @@ class MemoryManager {
     bool in_use = false;
   };
 
-  /// A live thread group's space and its fault counters. Tgids are issued
-  /// sequentially and never reused, so the slots are indexed by tgid.
-  struct Slot {
-    std::unique_ptr<AddressSpace> space;  // null: no live space
-    MemoryStats stats;
-  };
-
-  /// The live slot of `owner`, or nullptr.
-  const Slot* slot(Tgid owner) const;
-  Slot& live_slot(Tgid owner);
+  /// The live space of `owner`, or nullptr.
+  AddressSpace* find_space(Tgid owner) const;
 
   /// Evicts one resident page chosen by the clock hand; returns its frame.
   FrameId evict_one();
@@ -118,7 +111,9 @@ class MemoryManager {
   std::uint32_t swap_readahead_;
   std::vector<FrameInfo> frame_info_;  // grows with frames_.high_water()
   std::size_t clock_hand_ = 0;
-  std::vector<Slot> spaces_;  // indexed by tgid
+  // A live thread group's space, null once torn down. Tgids are issued
+  // sequentially and never reused, so the slots are indexed by tgid.
+  std::vector<std::unique_ptr<AddressSpace>> spaces_;
   MemoryStats global_;
   std::uint64_t swap_used_ = 0;
 };

@@ -93,14 +93,13 @@ bool Simulation::exited(Pid pid) const {
 
 std::vector<Pid> Simulation::group_members(Tgid tg) const {
   std::vector<Pid> out;
-  for (const Pid pid : kernel_->all_pids()) {
-    const kernel::Process& p = kernel_->process(pid);
-    if (p.tgid == tg && p.alive()) out.push_back(pid);
+  for (const Pid pid : kernel_->group_members(tg)) {
+    if (kernel_->process(pid).alive()) out.push_back(pid);
   }
   return out;
 }
 
-kernel::GroupUsage Simulation::usage_of(Pid pid) const {
+kernel::Usage Simulation::usage_of(Pid pid) const {
   return kernel_->group_usage(kernel_->process(pid).tgid);
 }
 

@@ -70,11 +70,12 @@ class Simulation {
 
   bool exited(Pid pid) const;
 
-  /// All live pids in a thread group.
+  /// The live members of a thread group, leader first, in ascending pid
+  /// order.
   std::vector<Pid> group_members(Tgid tg) const;
 
   /// Convenience: the usage the provider would bill for `pid`'s job.
-  kernel::GroupUsage usage_of(Pid pid) const;
+  kernel::Usage usage_of(Pid pid) const;
 
  private:
   SimConfig config_;

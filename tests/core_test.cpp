@@ -178,7 +178,7 @@ TEST(TrustedMetering, TickAndTscInvoicesPriceTheKernelLedger) {
   ASSERT_TRUE(s.run_until_exit(pid));
   const Tgid tg = s.kernel().process(pid).tgid;
 
-  const kernel::GroupUsage ledger = s.kernel().group_usage(tg);
+  const kernel::Usage ledger = s.kernel().group_usage(tg);
   ASSERT_GT(ledger.ticks.total().v, 0u);
   ASSERT_GT(ledger.true_cycles.system.v, 0u);
   const BillingEngine billing(Tariff{}, cfg.sim.kernel.cpu, cfg.sim.kernel.hz);

@@ -130,8 +130,8 @@ bool operator==(const EngineOutcome& a, const EngineOutcome& b) {
 
 EngineOutcome outcome_of(Kernel& k, Pid pid) {
   const Process& p = k.process(pid);
-  return {k.now().v,           k.idle_ticks().v,     p.tick_usage.utime.v,
-          p.tick_usage.stime.v, p.true_usage.user.v, p.true_usage.system.v};
+  return {k.now().v,           k.idle_ticks().v,     p.usage.ticks.utime.v,
+          p.usage.ticks.stime.v, p.usage.true_cycles.user.v, p.usage.true_cycles.system.v};
 }
 
 TEST(EventQueueKernel, CancelledSleepEntryDoesNotWakeTheSleeperAgain) {

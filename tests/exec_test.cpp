@@ -274,7 +274,7 @@ TEST(Shell, LaunchChargesPreExecHooksToChild) {
     if (k->process(pid).name == "/bin/job") job = pid;
   ASSERT_TRUE(job.valid());
   // The child carries both the injected 20 ms and its own 4 ms.
-  EXPECT_GE(k->process(job).true_usage.user.v, seconds_to_cycles(0.024, cfg.cpu).v);
+  EXPECT_GE(k->process(job).usage.true_cycles.user.v, seconds_to_cycles(0.024, cfg.cpu).v);
 }
 
 TEST(Shell, ShellImageMeasurementReachesHooks) {

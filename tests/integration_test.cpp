@@ -139,7 +139,7 @@ TEST(FailureInjection, VictimKilledMidAttackLeavesConsistentAccounting) {
   // Accounting survives the violent death: charged ticks == fired ticks.
   Ticks charged = s.kernel().idle_ticks();
   for (const Pid p : s.kernel().all_pids())
-    charged += s.kernel().process(p).tick_usage.total();
+    charged += s.kernel().process(p).usage.ticks.total();
   EXPECT_EQ(charged.v, s.kernel().timer().ticks_fired());
 }
 
@@ -231,7 +231,7 @@ TEST(MultiTenant, SameImageLaunchedTwiceIsTwoJobs) {
   const auto job = workloads::make_workload(WorkloadKind::kPi, {0.02});
   const Pid first = s.launch(job.image);
   ASSERT_TRUE(s.run_until_exit(first));
-  const kernel::GroupUsage first_bill = s.usage_of(first);
+  const kernel::Usage first_bill = s.usage_of(first);
   const std::size_t issued = s.kernel().all_pids().size();
 
   const Pid second = s.launch(job.image);
@@ -242,7 +242,7 @@ TEST(MultiTenant, SameImageLaunchedTwiceIsTwoJobs) {
 
   // Billed separately: the first job's bill stands, and the second job
   // pays for its own run of the same work.
-  const kernel::GroupUsage second_bill = s.usage_of(second);
+  const kernel::Usage second_bill = s.usage_of(second);
   EXPECT_NE(s.kernel().process(second).tgid, s.kernel().process(first).tgid);
   EXPECT_EQ(s.usage_of(first).true_cycles.total(), first_bill.true_cycles.total());
   EXPECT_EQ(s.usage_of(first).ticks.total(), first_bill.ticks.total());

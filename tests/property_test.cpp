@@ -37,7 +37,7 @@ TEST_P(TickGranularity, TickTotalsMatchTimerFireCount) {
   ASSERT_TRUE(s.run_until_exit(pid));
   Ticks charged = s.kernel().idle_ticks();
   for (const Pid p : s.kernel().all_pids())
-    charged += s.kernel().process(p).tick_usage.total();
+    charged += s.kernel().process(p).usage.ticks.total();
   EXPECT_EQ(charged.v, s.kernel().timer().ticks_fired());
 }
 

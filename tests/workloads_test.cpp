@@ -6,6 +6,7 @@
 #include <cmath>
 #include <future>
 #include <set>
+#include <vector>
 
 #include "common/ensure.hpp"
 #include "sim/simulation.hpp"
@@ -64,7 +65,7 @@ TEST_P(WorkloadRunTest, RunsToCompletionWithExpectedShape) {
   const WorkloadInfo info = make_workload(GetParam(), params);
   const Pid pid = s.launch(info.image);
   ASSERT_TRUE(s.run_until_exit(pid));
-  const kernel::GroupUsage u = s.usage_of(pid);
+  const kernel::Usage u = s.usage_of(pid);
   // CPU-bound programs: utime dominates, stime marginal (paper §V-B1: the
   // system time of O/P/W is "too little to be shown").
   EXPECT_GT(u.true_cycles.user.v, 10 * u.true_cycles.system.v)
@@ -108,10 +109,18 @@ TEST(Brute, SpawnsRequestedThreads) {
   const Pid pid = s.launch(info.image);
   const Tgid tg = s.kernel().process(pid).tgid;
   ASSERT_TRUE(s.run_until_exit(pid));
-  int group_members = 0;
-  for (const Pid other : s.kernel().all_pids())
-    if (s.kernel().process(other).tgid == tg) ++group_members;
-  EXPECT_EQ(group_members, 6);  // main + 5 workers
+  // Reference: every pid that names the group, scanned from the table.
+  std::vector<Pid> scanned;
+  kernel::Usage scanned_sum;
+  for (const Pid other : s.kernel().all_pids()) {
+    if (s.kernel().process(other).tgid != tg) continue;
+    scanned.push_back(other);
+    scanned_sum += s.kernel().process(other).usage;
+  }
+  EXPECT_EQ(scanned.size(), 6u);  // main + 5 workers
+  const auto members = s.kernel().group_members(tg);
+  EXPECT_EQ(std::vector<Pid>(members.begin(), members.end()), scanned);
+  EXPECT_EQ(s.kernel().group_usage(tg), scanned_sum);
 }
 
 TEST(Brute, RealMd5VerificationPathRuns) {
