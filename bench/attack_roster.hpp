@@ -1,10 +1,12 @@
-// The §IV attack roster with the paper's parameters, shared by the figure
-// sweeps and the table sweeps (tab_attack_comparison, tab_countermeasures)
-// so no two reproductions can disagree about what each attack is.
+// The §IV attack roster with the paper's parameters, shared by the figure,
+// table and ablation sweeps so no two reproductions can disagree about what
+// each attack is.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "attacks/flooding_attacks.hpp"
@@ -89,6 +91,19 @@ inline std::vector<RosterEntry> attack_roster(double scale) {
        "fault handling billed to victim", "stime + wall", "none (any user)",
        "whole system (memory DoS)"},
   };
+}
+
+/// The grid of the §V-C and §VI-B tables: Whetstone at `scale`, the
+/// baseline (no attack) first, then every roster attack in paper order.
+inline core::BatchGrid roster_grid(double scale, std::vector<std::uint64_t> seeds) {
+  core::BatchGrid grid;
+  grid.base.kind = workloads::WorkloadKind::kWhetstone;
+  grid.base.workload.scale = scale;
+  grid.seeds = std::move(seeds);
+  grid.attacks.push_back({"baseline", nullptr});
+  for (RosterEntry& e : attack_roster(scale))
+    grid.attacks.push_back({e.label, std::move(e.make)});
+  return grid;
 }
 
 /// The roster factory for `label` (used by the figure sweeps so figures

@@ -28,7 +28,6 @@
 #include "core/trusted_metering.hpp"
 #include "common/format.hpp"
 #include "common/rng.hpp"
-#include "crypto/md5.hpp"
 #include "crypto/sha256.hpp"
 #include "dist/merge.hpp"
 #include "kernel/cfs_scheduler.hpp"
@@ -43,16 +42,6 @@
 namespace {
 
 using namespace mtr;
-
-void BM_Md5Throughput(benchmark::State& state) {
-  const std::string msg(static_cast<std::size_t>(state.range(0)), 'x');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::md5(msg));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Md5Throughput)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_Sha256Throughput(benchmark::State& state) {
   const std::string msg(static_cast<std::size_t>(state.range(0)), 'x');

@@ -12,14 +12,8 @@ namespace mtr::bench {
 namespace {
 
 void run_tab_attack_comparison(const report::SweepContext& ctx) {
-  const auto kind = workloads::WorkloadKind::kWhetstone;
   const std::vector<RosterEntry> entries = attack_roster(ctx.scale);
-
-  core::BatchGrid grid;
-  grid.base = base_config(kind, ctx.scale);
-  grid.seeds = ctx.seeds;
-  grid.attacks.push_back({"baseline", nullptr});
-  for (const RosterEntry& e : entries) grid.attacks.push_back({e.label, e.make});
+  core::BatchGrid grid = roster_grid(ctx.scale, ctx.seeds);
 
   ctx.begin_progress("tab_attack_comparison", grid.attacks.size());
   const std::size_t n_seeds = grid.seeds.size();

@@ -14,14 +14,7 @@ namespace mtr::bench {
 namespace {
 
 void run_tab_countermeasures(const report::SweepContext& ctx) {
-  const auto kind = workloads::WorkloadKind::kWhetstone;
-
-  core::BatchGrid grid;
-  grid.base = base_config(kind, ctx.scale);
-  grid.seeds = ctx.seeds;
-  grid.attacks.push_back({"baseline", nullptr});
-  for (const RosterEntry& e : attack_roster(ctx.scale))
-    grid.attacks.push_back({e.label, e.make});
+  core::BatchGrid grid = roster_grid(ctx.scale, ctx.seeds);
 
   ctx.begin_progress("tab_countermeasures", grid.attacks.size());
   const std::size_t n_seeds = grid.seeds.size();

@@ -7,7 +7,7 @@
 // CFS-like fair scheduler.
 #include <memory>
 
-#include "attacks/scheduling_attack.hpp"
+#include "bench/attack_roster.hpp"
 #include "bench/bench_util.hpp"
 #include "bench/sweeps.hpp"
 
@@ -25,10 +25,7 @@ void run_tab_scheduler_ablation(const report::SweepContext& ctx) {
   for (const int nice : nices) {
     grid.attacks.push_back(
         {"nice" + std::to_string(nice), [nice, scale] {
-           attacks::SchedulingAttackParams params;
-           params.nice = Nice{static_cast<std::int8_t>(nice)};
-           params.total_forks = static_cast<std::uint64_t>(150'000 * scale);
-           return std::make_unique<attacks::SchedulingAttack>(params);
+           return std::make_unique<attacks::SchedulingAttack>(fork_params(scale, nice));
          }});
   }
 

@@ -4,9 +4,7 @@
 // exploits the clock-tick resolution; finer ticks shrink it and TSC
 // metering eliminates it. One BatchRunner grid — HZ x replicate seeds —
 // fans across the worker pool; rows report cell means.
-#include <memory>
-
-#include "attacks/scheduling_attack.hpp"
+#include "bench/attack_roster.hpp"
 #include "bench/bench_util.hpp"
 #include "bench/sweeps.hpp"
 
@@ -20,14 +18,7 @@ void run_tab_tick_granularity(const report::SweepContext& ctx) {
   grid.base = base_config(workloads::WorkloadKind::kWhetstone, scale);
   grid.ticks = {TimerHz{100}, TimerHz{250}, TimerHz{1000}};
   grid.seeds = ctx.seeds;
-  grid.attacks.push_back({"scheduling", [scale] {
-                            attacks::SchedulingAttackParams params;
-                            params.nice = Nice{-20};
-                            params.total_forks =
-                                static_cast<std::uint64_t>(150'000 * scale);
-                            return std::make_unique<attacks::SchedulingAttack>(
-                                params);
-                          }});
+  grid.attacks.push_back({"scheduling", roster_attack(scale, "scheduling")});
 
   ctx.begin_progress("tab_tick_granularity", grid.ticks.size());
   const std::size_t n_seeds = grid.seeds.size();

@@ -18,6 +18,9 @@ void InterruptFloodAttack::disengage(AttackContext& ctx) {
 
 namespace {
 
+/// Cycle gap between hog page touches (its write/read loop speed).
+constexpr Cycles kHogTouchPeriod{20'000};
+
 /// The hog: mmap a huge region, then continuously write and re-read it so
 /// the kernel must keep (re)allocating frames.
 exec::ProgramFactory make_hog(ExceptionFloodAttack::Params params) {
@@ -28,7 +31,7 @@ exec::ProgramFactory make_hog(ExceptionFloodAttack::Params params) {
 
   // Hog heap placed far above workload data (workloads use pages < 0x1000).
   const kernel::MemoryProfile profile{PageId{0x100'000}, params.hog_pages,
-                                      params.touch_period, {}};
+                                      kHogTouchPeriod, {}};
 
   return exec::make_generator(
       "memhog",
@@ -49,7 +52,6 @@ void ExceptionFloodAttack::engage(AttackContext& ctx) {
   kernel::SpawnSpec spec;
   spec.name = "memhog";
   spec.program = make_hog(params_);
-  spec.nice = params_.nice;
   hog_ = ctx.sim.spawn(std::move(spec));
   attacker_pids_.push_back(hog_);
 }

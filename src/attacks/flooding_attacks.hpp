@@ -31,9 +31,6 @@ struct ExceptionFloodParams {
   /// Pages the hog maps; the default (1.5× of the default 16k-frame RAM)
   /// mirrors the paper's "more than 2 GiB on a smaller-RAM machine".
   std::uint64_t hog_pages = 24 * 1024;
-  /// Cycle gap between hog page touches (its write/read loop speed).
-  Cycles touch_period{20'000};
-  Nice nice{0};
 };
 
 /// A memory hog that maps more pages than the machine has RAM and cycles

@@ -9,12 +9,17 @@ namespace mtr::attacks {
 
 namespace {
 
+/// fork/wait/exit cycles per burst before relinquishing the CPU.
+constexpr unsigned kIterationsPerBurst = 12;
+/// Mid-jiffy relinquish: sleep this fraction of a tick between bursts.
+constexpr double kSleepFractionOfTick = 0.95;
+
 /// The "Fork" program: bursts of fork/wait with no-op children, then a
 /// mid-jiffy CPU relinquish, repeated until `total_forks` is reached.
 exec::ProgramFactory make_fork_program(const SchedulingAttackParams& params,
                                        Cycles tick) {
   const auto sleep_cycles = Cycles{static_cast<std::uint64_t>(
-      params.sleep_fraction_of_tick * static_cast<double>(tick.v))};
+      kSleepFractionOfTick * static_cast<double>(tick.v))};
   MTR_ENSURE_MSG(sleep_cycles.v > 0, "scheduling attack needs a nonzero sleep");
 
   struct State {
@@ -25,11 +30,10 @@ exec::ProgramFactory make_fork_program(const SchedulingAttackParams& params,
   };
   auto state = std::make_shared<State>();
   const std::uint64_t total = params.total_forks;
-  const unsigned per_burst = params.iterations_per_burst;
 
   return exec::make_generator(
       "fork-storm",
-      [state, total, per_burst, sleep_cycles](
+      [state, total, sleep_cycles](
           kernel::ProcessContext&) -> std::optional<kernel::Step> {
         switch (state->next) {
           case State::kFork: {
@@ -42,8 +46,8 @@ exec::ProgramFactory make_fork_program(const SchedulingAttackParams& params,
                 exec::make_step_list("noop-child", {})});
           }
           case State::kWait: {
-            state->next = (state->in_burst >= per_burst) ? State::kSleep
-                                                         : State::kFork;
+            state->next = (state->in_burst >= kIterationsPerBurst) ? State::kSleep
+                                                                   : State::kFork;
             return exec::syscall(kernel::SysWait{});
           }
           case State::kSleep: {

@@ -9,7 +9,7 @@
 // jiffies. The attacker elevates its own priority (needs root) so each
 // wakeup preempts the victim immediately.
 //
-// `bursts` bounds the attack (the paper forks 2^21 children); when the
+// `total_forks` bounds the attack (the paper forks 2^21 children); when the
 // victim exits first, disengage() kills the attacker.
 #pragma once
 
@@ -20,10 +20,6 @@ namespace mtr::attacks {
 struct SchedulingAttackParams {
   /// Attacker nice value; the paper sweeps {0, -5, -10, -15, -20}.
   Nice nice{0};
-  /// fork/wait/exit cycles per burst before relinquishing the CPU.
-  unsigned iterations_per_burst = 12;
-  /// Mid-jiffy relinquish: sleep this fraction of a tick between bursts.
-  double sleep_fraction_of_tick = 0.95;
   /// Total fork() calls before the attacker exits on its own (2^21 in the
   /// paper; scaled like the workloads).
   std::uint64_t total_forks = 150'000;

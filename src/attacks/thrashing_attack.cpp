@@ -8,6 +8,10 @@ namespace mtr::attacks {
 
 namespace {
 
+/// How long engage() may step the simulation waiting for victim threads to
+/// appear, in ticks.
+constexpr unsigned kThreadDiscoveryTicks = 64;
+
 /// One tracer: attach → wait → program DR0 → cont → {wait, cont}* → exit.
 exec::ProgramFactory make_tracer(Pid target, VAddr breakpoint) {
   struct State {
@@ -55,20 +59,16 @@ void ThrashingAttack::engage(AttackContext& ctx) {
 
   // For multi-threaded victims, give the workers a moment to spawn, then
   // trace every thread in the group.
-  std::vector<Pid> targets{ctx.victim_pid};
-  if (params_.attach_all_threads) {
-    const Cycles deadline =
-        sim.kernel().now() + sim.tick() * params_.thread_discovery_ticks;
-    std::size_t count = sim.group_members(ctx.victim_tgid).size();
-    while (sim.kernel().now() < deadline) {
-      sim.run_for(sim.tick());
-      const std::size_t now_count = sim.group_members(ctx.victim_tgid).size();
-      if (now_count == count && now_count > 0) break;  // membership settled
-      count = now_count;
-    }
-    targets = sim.group_members(ctx.victim_tgid);
-    if (targets.empty()) targets = {ctx.victim_pid};
+  const Cycles deadline = sim.kernel().now() + sim.tick() * kThreadDiscoveryTicks;
+  std::size_t count = sim.group_members(ctx.victim_tgid).size();
+  while (sim.kernel().now() < deadline) {
+    sim.run_for(sim.tick());
+    const std::size_t now_count = sim.group_members(ctx.victim_tgid).size();
+    if (now_count == count && now_count > 0) break;  // membership settled
+    count = now_count;
   }
+  std::vector<Pid> targets = sim.group_members(ctx.victim_tgid);
+  if (targets.empty()) targets = {ctx.victim_pid};
 
   for (const Pid target : targets) {
     kernel::SpawnSpec spec;

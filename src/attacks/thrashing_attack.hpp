@@ -16,12 +16,6 @@
 namespace mtr::attacks {
 
 struct ThrashingAttackParams {
-  /// Attach to every thread of the victim's group (Brute) rather than just
-  /// the main thread.
-  bool attach_all_threads = true;
-  /// How long engage() may step the simulation waiting for victim threads
-  /// to appear, in ticks.
-  unsigned thread_discovery_ticks = 64;
   /// Whether the tracer holds the privilege the LSM policy may require.
   bool privileged = true;
 };

@@ -59,13 +59,4 @@ double Xoshiro256::next_exponential(double mean) {
   return -mean * std::log(u);
 }
 
-std::uint64_t Xoshiro256::next_in(std::uint64_t lo, std::uint64_t hi) {
-  MTR_ENSURE(lo <= hi);
-  return lo + next_below(hi - lo + 1);
-}
-
-bool Xoshiro256::next_bool(double p) {
-  return next_double() < p;
-}
-
 }  // namespace mtr

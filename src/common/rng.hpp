@@ -42,12 +42,6 @@ class Xoshiro256 {
   /// Exponentially distributed double with the given mean (> 0).
   double next_exponential(double mean);
 
-  /// Uniform in [lo, hi] inclusive.
-  std::uint64_t next_in(std::uint64_t lo, std::uint64_t hi);
-
-  /// Bernoulli trial with probability p in [0,1].
-  bool next_bool(double p);
-
  private:
   std::array<std::uint64_t, 4> s_{};
 };

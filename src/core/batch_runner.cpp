@@ -10,16 +10,10 @@
 
 #include "common/ensure.hpp"
 #include "common/format.hpp"
+#include "common/rng.hpp"
 
 namespace mtr::core {
 namespace {
-
-constexpr std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 constexpr bool is_scenario(Axis a) { return a >= kCpuAxis; }
 
@@ -200,15 +194,16 @@ bool CellStats::all_source_ok() const {
 }
 
 std::uint64_t cell_seed(std::uint64_t grid_seed, const GridCellIndices& ix) {
-  std::uint64_t h = splitmix64(grid_seed);
+  // Each step is one SplitMix64 output from a fresh state.
+  std::uint64_t h = SplitMix64(grid_seed).next();
   // Attack, scheduler and hz always mix in, each shifted into its own bits.
   for (std::size_t a = kAttackAxis; a < kCpuAxis; ++a)
-    h = splitmix64(h ^ ((static_cast<std::uint64_t>(ix[a]) + 1) << (20 * a)));
+    h = SplitMix64(h ^ ((static_cast<std::uint64_t>(ix[a]) + 1) << (20 * a))).next();
   // Scenario axes mix in only off their base index so unused axes leave
   // the seed stream exactly as it was before the axis existed.
   for_each_axis([&](const auto& row) {
     if (is_scenario(row.axis) && ix[row.axis] != 0)
-      h = splitmix64(h ^ (ix[row.axis] * row.salt));
+      h = SplitMix64(h ^ (ix[row.axis] * row.salt)).next();
   });
   return h;
 }

@@ -29,8 +29,15 @@ struct Digest {
   friend auto operator<=>(const Digest& a, const Digest& b) { return a.bytes <=> b.bytes; }
 };
 
-using Digest16 = Digest<16>;  // MD5
 using Digest32 = Digest<32>;  // SHA-256
+
+/// Appends the lowercase hex encoding of `len` bytes to `out`.
+void append_hex(std::string& out, const std::uint8_t* data, std::size_t len);
+
+template <std::size_t N>
+void append_hex(std::string& out, const Digest<N>& d) {
+  append_hex(out, d.bytes.data(), N);
+}
 
 /// Lowercase hex encoding of arbitrary bytes.
 std::string to_hex(const std::uint8_t* data, std::size_t len);

@@ -4,14 +4,18 @@
 
 namespace mtr::crypto {
 
-std::string to_hex(const std::uint8_t* data, std::size_t len) {
+void append_hex(std::string& out, const std::uint8_t* data, std::size_t len) {
   static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(len * 2);
   for (std::size_t i = 0; i < len; ++i) {
     out += kHex[data[i] >> 4];
     out += kHex[data[i] & 0xf];
   }
+}
+
+std::string to_hex(const std::uint8_t* data, std::size_t len) {
+  std::string out;
+  out.reserve(len * 2);
+  append_hex(out, data, len);
   return out;
 }
 
@@ -37,7 +41,6 @@ Digest<N> digest_from_hex(std::string_view hex) {
   return d;
 }
 
-template Digest<16> digest_from_hex<16>(std::string_view);
 template Digest<32> digest_from_hex<32>(std::string_view);
 
 }  // namespace mtr::crypto

@@ -20,6 +20,7 @@
 
 #include "common/format.hpp"
 #include "common/parse.hpp"
+#include "common/rng.hpp"
 #include "dist/driver.hpp"
 #include "dist/fault.hpp"
 #include "dist/flags.hpp"
@@ -230,12 +231,9 @@ std::uint64_t backoff_delay_ms(std::uint64_t base_ms, unsigned attempt,
   // SplitMix64 over (seed, shard, attempt): the jitter is a pure function
   // of the fleet seed, so chaos runs reproduce exactly, while distinct
   // shards decorrelate instead of thundering back in lockstep.
-  std::uint64_t z = fleet_seed +
-                    0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(shard) + 1) +
-                    0xBF58476D1CE4E5B9ull * attempt;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  z ^= z >> 31;
+  const std::uint64_t z = SplitMix64(fleet_seed + 0x9E3779B97F4A7C15ull * shard +
+                                     0xBF58476D1CE4E5B9ull * attempt)
+                              .next();
   return delay + z % (delay / 2 + 1);
 }
 

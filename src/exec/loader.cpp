@@ -55,17 +55,4 @@ ProgramFactory Loader::build_image(ImageSpec spec) const {
   };
 }
 
-std::vector<Step> Loader::dlopen_steps(const std::string& lib_name) const {
-  const SharedLibrary& lib = registry_->get(lib_name);
-  std::vector<Step> steps;
-  append_lib_load(steps, lib);
-  for (const auto& s : lib.ctor_steps) steps.push_back(s);
-  return steps;
-}
-
-std::vector<Step> Loader::dlclose_steps(const std::string& lib_name) const {
-  const SharedLibrary& lib = registry_->get(lib_name);
-  return lib.dtor_steps;
-}
-
 }  // namespace mtr::exec

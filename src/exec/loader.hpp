@@ -41,12 +41,6 @@ class Loader {
   /// before launch are honoured.
   ProgramFactory build_image(ImageSpec spec) const;
 
-  /// The steps of a runtime dlopen() of `lib`: map + relocate + ctor.
-  std::vector<Step> dlopen_steps(const std::string& lib) const;
-
-  /// The steps of dlclose(): destructor work.
-  std::vector<Step> dlclose_steps(const std::string& lib) const;
-
  private:
   const LibraryRegistry* registry_;
 };

@@ -3,8 +3,9 @@
 // Values are order-of-magnitude calibrated against a 2.5 GHz x86 running
 // Linux 2.6 (the paper's platform): a syscall round trip ~0.2–0.5 µs, a
 // context switch ~1–3 µs, an interrupt handler a few µs, a major page fault
-// several µs of CPU plus milliseconds of disk wait. Every cost is
-// configurable so benches can ablate the cost model itself.
+// several µs of CPU plus milliseconds of disk wait. The costs are fields of
+// `KernelConfig::costs`; the sweeps keep the defaults, and only
+// micro_substrate's I/O cell overrides one (`disk_latency`).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,6 @@ struct CostModel {
   Cycles page_fault_major{60'000};    // handler CPU incl. swap I/O setup
   Cycles direct_reclaim_per_page{1'500};  // LRU scan work per freed frame
   Cycles debug_exception{90'000};     // #DB + ptrace_stop machinery (~35 us)
-  Cycles dl_resolve{8'000};           // lazy PLT resolution of one symbol
 
   // Device service times (elapsed, not CPU).
   Cycles disk_latency{12'500'000};    // ~5 ms at 2.53 GHz: one swap I/O

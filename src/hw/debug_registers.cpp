@@ -10,11 +10,6 @@ void DebugRegisters::arm(int slot, VAddr a) {
   dr7_ |= static_cast<std::uint8_t>(1u << slot);
 }
 
-void DebugRegisters::disarm(int slot) {
-  MTR_ENSURE(slot >= 0 && slot < kSlots);
-  dr7_ &= static_cast<std::uint8_t>(~(1u << slot));
-}
-
 void DebugRegisters::reset() { dr7_ = 0; }
 
 bool DebugRegisters::armed(int slot) const {

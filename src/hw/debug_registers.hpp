@@ -21,9 +21,6 @@ class DebugRegisters {
   /// Programs slot `i` (0..3) with address `a` and sets its DR7 enable bit.
   void arm(int slot, VAddr a);
 
-  /// Clears slot `i`'s enable bit.
-  void disarm(int slot);
-
   /// Clears all slots.
   void reset();
 

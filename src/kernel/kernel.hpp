@@ -195,7 +195,8 @@ class Kernel final {
   void force_kill(Pid pid);
 
   /// Renices a process, repositioning it in the run queue if needed. Used
-  /// by the setpriority syscall and by experiment setup.
+  /// by experiment setup and by the scheduling attack's launch, which
+  /// applies setpriority()'s privilege rule itself.
   void set_nice(Pid pid, Nice nice);
 
  private:

@@ -107,12 +107,11 @@ struct SysKill {
   Signal sig;
 };
 
+/// The ptrace requests the thrashing attack issues.
 enum class PtraceOp : std::uint8_t {
   kAttach,    // become tracer; sends SIGSTOP to target
-  kDetach,
   kCont,      // resume a trace-stopped target
   kPokeUser,  // program debug register `slot` with `addr`
-  kClearDr,   // disarm debug register `slot`
 };
 
 struct SysPtrace {
@@ -121,13 +120,6 @@ struct SysPtrace {
   int slot = 0;
   VAddr addr{};
 };
-
-struct SysSetPriority {
-  Pid target;  // invalid pid = self
-  Nice nice;
-};
-
-struct SysYield {};
 
 struct SysNanosleep {
   Cycles duration;
@@ -155,10 +147,11 @@ struct SysGeneric {
   Cycles body_cost;
 };
 
+/// Every system call a guest program can issue.
 using SyscallRequest =
     std::variant<SysFork, SysClone, SysExecve, SysWait, SysKill, SysPtrace,
-                 SysSetPriority, SysYield, SysNanosleep, SysMmap, SysDiskIo,
-                 SysGetRusage, SysMapCode, SysGeneric>;
+                 SysNanosleep, SysMmap, SysDiskIo, SysGetRusage, SysMapCode,
+                 SysGeneric>;
 
 // ---------------------------------------------------------------------------
 // Steps.

@@ -21,8 +21,6 @@ const char* syscall_name(const SyscallRequest& req) {
     const char* operator()(const SysWait&) const { return "wait"; }
     const char* operator()(const SysKill&) const { return "kill"; }
     const char* operator()(const SysPtrace&) const { return "ptrace"; }
-    const char* operator()(const SysSetPriority&) const { return "setpriority"; }
-    const char* operator()(const SysYield&) const { return "sched_yield"; }
     const char* operator()(const SysNanosleep&) const { return "nanosleep"; }
     const char* operator()(const SysMmap&) const { return "mmap"; }
     const char* operator()(const SysDiskIo&) const { return "disk_io"; }
@@ -95,27 +93,6 @@ void Kernel::apply_syscall(Process& p) {
     void operator()(const SysPtrace& r) {
       k.do_ptrace(p, r);
       k.finish_syscall(p);
-    }
-    void operator()(const SysSetPriority& r) {
-      Process* target = r.target.valid() && k.has_process(r.target)
-                            ? &k.process(r.target)
-                            : &p;
-      // Raising priority (more negative nice) requires privilege — the
-      // paper's scheduling attack presumes a root attacker.
-      if (r.nice < target->nice && !p.privileged) {
-        p.last_syscall_result = -1;  // EPERM
-      } else {
-        k.set_nice(target->pid, r.nice);
-        p.last_syscall_result = 0;
-      }
-      k.finish_syscall(p);
-    }
-    void operator()(const SysYield&) {
-      p.last_syscall_result = 0;
-      k.finish_syscall(p);
-      // Voluntary CPU relinquish: back of the queue, reschedule now. This
-      // mid-jiffy yield is the scheduling attack's core move.
-      k.need_resched_ = true;
     }
     void operator()(const SysNanosleep& r) {
       const Cycles duration = r.duration.v == 0 ? Cycles{1} : r.duration;
@@ -278,22 +255,6 @@ void Kernel::do_ptrace(Process& p, const SysPtrace& req) {
       p.last_syscall_result = 0;
       return;
     }
-    case PtraceOp::kDetach: {
-      if (target.tracer != p.pid) {
-        p.last_syscall_result = -1;
-        return;
-      }
-      target.tracer = Pid{};
-      target.dregs.reset();
-      const auto it = std::find(p.tracees.begin(), p.tracees.end(), target.pid);
-      if (it != p.tracees.end()) p.tracees.erase(it);
-      if (target.state == ProcState::kStopped) {
-        target.trace_stopped = false;
-        wake_process(target);
-      }
-      p.last_syscall_result = 0;
-      return;
-    }
     case PtraceOp::kCont: {
       if (target.tracer != p.pid || target.state != ProcState::kStopped) {
         p.last_syscall_result = -1;
@@ -310,15 +271,6 @@ void Kernel::do_ptrace(Process& p, const SysPtrace& req) {
         return;
       }
       target.dregs.arm(req.slot, req.addr);
-      p.last_syscall_result = 0;
-      return;
-    }
-    case PtraceOp::kClearDr: {
-      if (target.tracer != p.pid) {
-        p.last_syscall_result = -1;
-        return;
-      }
-      target.dregs.disarm(req.slot);
       p.last_syscall_result = 0;
       return;
     }

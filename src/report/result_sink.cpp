@@ -141,20 +141,12 @@ void append_sketch(std::string& out, const QuantileSketch& s) {
   }
 }
 
-void append_hex(std::string& out, const crypto::Digest32& d) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  for (const std::uint8_t b : d.bytes) {
-    out += kHex[b >> 4];
-    out += kHex[b & 0xf];
-  }
-}
-
 /// Appends a computed column's text.
 void append_text(std::string& out, const SketchText& v) {
   append_sketch(out, v.sketch);
 }
 void append_text(std::string& out, const HexText& v) {
-  append_hex(out, v.digest);
+  crypto::append_hex(out, v.digest);
 }
 
 template <typename T>

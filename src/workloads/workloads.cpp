@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/ensure.hpp"
-#include "crypto/md5.hpp"
 #include "exec/program_base.hpp"
 #include "workloads/stdlibs.hpp"
 
@@ -163,20 +162,14 @@ class WhetstoneProgram final : public QueueProgram {
 // B — Brute: multi-threaded MD5 brute force.
 // ---------------------------------------------------------------------------
 
-struct BruteShared {
-  crypto::Digest16 target;
-  bool verify;
-  /// Resolved body of malloc() — workers allocate a candidate buffer per
-  /// batch, so symbol interposition reaches them too.
-  std::vector<Step> malloc_call;
-};
-
 class BruteWorker final : public QueueProgram {
  public:
-  BruteWorker(unsigned index, double scale, BruteShared shared)
+  /// `malloc_call` is the resolved body of malloc(): workers allocate a
+  /// candidate buffer per batch, so symbol interposition reaches them too.
+  BruteWorker(unsigned index, double scale, std::vector<Step> malloc_call)
       : index_(index),
         batches_left_(scaled(1000, scale)),
-        shared_(shared) {}
+        malloc_call_(std::move(malloc_call)) {}
 
   std::string name() const override { return "brute.worker"; }
 
@@ -186,18 +179,7 @@ class BruteWorker final : public QueueProgram {
     if (batches_left_ % 50 == 0)
       push(buffer_pass(0x3000 + 0x200 * index_, 128, "brute.wordlist-pass"));
     --batches_left_;
-    push_all(shared_.malloc_call);
-    if (shared_.verify) {
-      // Anchor the model in the real computation: hash one representative
-      // candidate from this batch and test it against the target.
-      // Built with append (not operator+ chains): GCC 12's -Wrestrict
-      // false-fires on `const char* + std::string&&` under -O3.
-      std::string candidate = "w";
-      candidate += std::to_string(index_);
-      candidate += ':';
-      candidate += std::to_string(batches_left_);
-      if (crypto::md5(candidate) == shared_.target) found_ = true;
-    }
+    push_all(malloc_call_);
     // 10k tries per batch at ~1420 cycles per MD5 candidate.
     push(compute_mem(Cycles{14'200'000},
                      make_profile(0x800, 128, Cycles{2'530'000}, kBruteHotAddr,
@@ -209,20 +191,16 @@ class BruteWorker final : public QueueProgram {
  private:
   unsigned index_;
   std::uint64_t batches_left_;
-  BruteShared shared_;
-  bool found_ = false;
+  std::vector<Step> malloc_call_;
 };
 
 class BruteMain final : public QueueProgram {
  public:
-  BruteMain(double scale, unsigned threads, bool verify, SymbolTable symbols)
-      : scale_(scale), threads_(threads), symbols_(std::move(symbols)) {
-    shared_.verify = verify;
-    shared_.malloc_call = symbols_.call("malloc");
-    // The target digest: a password no candidate matches (honest search to
-    // exhaustion, like running the paper's brutefile to completion).
-    shared_.target = crypto::md5("metertrust-secret-password");
-  }
+  BruteMain(double scale, unsigned threads, SymbolTable symbols)
+      : scale_(scale),
+        threads_(threads),
+        symbols_(std::move(symbols)),
+        malloc_call_(symbols_.call("malloc")) {}
 
   std::string name() const override { return "brute"; }
 
@@ -239,9 +217,8 @@ class BruteMain final : public QueueProgram {
       case 1: {  // spawn workers
         for (unsigned i = 0; i < threads_; ++i) {
           const double scale = scale_;
-          const BruteShared shared = shared_;
-          push(syscall(kernel::SysClone{[i, scale, shared]() {
-            return std::make_unique<BruteWorker>(i, scale, shared);
+          push(syscall(kernel::SysClone{[i, scale, malloc_call = malloc_call_]() {
+            return std::make_unique<BruteWorker>(i, scale, malloc_call);
           }}));
         }
         ++stage_;
@@ -262,7 +239,7 @@ class BruteMain final : public QueueProgram {
   double scale_;
   unsigned threads_;
   SymbolTable symbols_;
-  BruteShared shared_;
+  std::vector<Step> malloc_call_;
   int stage_ = 0;
 };
 
@@ -341,9 +318,8 @@ WorkloadInfo make_workload(WorkloadKind kind, const WorkloadParams& params) {
       img.needed_libs = {"libc", "libpthread"};
       img.imports = {"malloc"};
       const unsigned threads = params.brute_threads;
-      const bool verify = params.brute_verify_hashes;
-      img.main_program = [scale, threads, verify](const SymbolTable& s) {
-        return std::make_unique<BruteMain>(scale, threads, verify, s);
+      img.main_program = [scale, threads](const SymbolTable& s) {
+        return std::make_unique<BruteMain>(scale, threads, s);
       };
       info.hot_addr = kBruteHotAddr;
       info.nominal_cycles =

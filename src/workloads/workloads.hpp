@@ -36,10 +36,6 @@ struct WorkloadParams {
   double scale = 1.0;
   /// Brute worker thread count (the paper's Brute "spawns many threads").
   unsigned brute_threads = 8;
-  /// When true, Brute hashes one real MD5 candidate per work batch via
-  /// mtr_crypto, anchoring the model to the real computation (tests use it;
-  /// benches skip it for speed).
-  bool brute_verify_hashes = false;
 };
 
 /// Everything an experiment needs to launch and attack one workload.

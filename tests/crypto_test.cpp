@@ -1,6 +1,5 @@
-// Crypto substrate tests against the published test vectors (RFC 1321
-// appendix for MD5, FIPS 180-4 / NIST examples for SHA-2, RFC 4231 for
-// HMAC-SHA256).
+// Crypto substrate tests against the published test vectors (FIPS 180-4 /
+// NIST examples for SHA-2, RFC 4231 for HMAC-SHA256).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,54 +9,10 @@
 
 #include "common/ensure.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/md5.hpp"
 #include "crypto/sha256.hpp"
 
 namespace mtr::crypto {
 namespace {
-
-TEST(Md5, Rfc1321Vectors) {
-  EXPECT_EQ(to_hex(md5("")), "d41d8cd98f00b204e9800998ecf8427e");
-  EXPECT_EQ(to_hex(md5("a")), "0cc175b9c0f1b6a831c399e269772661");
-  EXPECT_EQ(to_hex(md5("abc")), "900150983cd24fb0d6963f7d28e17f72");
-  EXPECT_EQ(to_hex(md5("message digest")), "f96b697d7cb7938d525a2f31aaf161d0");
-  EXPECT_EQ(to_hex(md5("abcdefghijklmnopqrstuvwxyz")),
-            "c3fcd3d76192e4007dfb496cca67e13b");
-  EXPECT_EQ(to_hex(md5("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz012345678"
-                       "9")),
-            "d174ab98d277d9f5a5611c2c9f419d9f");
-  EXPECT_EQ(to_hex(md5("123456789012345678901234567890123456789012345678901234567890"
-                       "12345678901234567890")),
-            "57edf4a22be3c955ac49da2e2107b67a");
-}
-
-TEST(Md5, IncrementalMatchesOneShot) {
-  const std::string msg(1000, 'x');
-  Md5 ctx;
-  for (std::size_t i = 0; i < msg.size(); i += 7)
-    ctx.update(msg.substr(i, 7));
-  EXPECT_EQ(to_hex(ctx.finish()), to_hex(md5(msg)));
-}
-
-TEST(Md5, BlockBoundaryLengths) {
-  // 55/56/63/64/65 bytes cross the padding boundaries.
-  for (std::size_t len : {55u, 56u, 63u, 64u, 65u, 119u, 120u, 128u}) {
-    const std::string msg(len, 'q');
-    Md5 a;
-    a.update(msg);
-    Md5 b;
-    b.update(msg.substr(0, len / 2));
-    b.update(msg.substr(len / 2));
-    EXPECT_EQ(a.finish(), b.finish()) << "len=" << len;
-  }
-}
-
-TEST(Md5, FinishTwiceThrows) {
-  Md5 ctx;
-  ctx.update("abc");
-  (void)ctx.finish();
-  EXPECT_THROW((void)ctx.finish(), InvariantError);
-}
 
 TEST(Sha256, Fips180Vectors) {
   EXPECT_EQ(to_hex(sha256("")),
@@ -209,14 +164,14 @@ TEST(DigestUtils, HexRoundTrip) {
 
 TEST(DigestUtils, BadHexRejected) {
   EXPECT_THROW(digest_from_hex<32>("zz"), ConfigError);
-  EXPECT_THROW(digest_from_hex<16>("abcd"), ConfigError);  // wrong length
+  EXPECT_THROW(digest_from_hex<32>("abcd"), ConfigError);  // wrong length
 }
 
 TEST(DigestUtils, ConstantTimeEqualitySemantics) {
-  Digest16 a = md5("x");
-  Digest16 b = a;
+  Digest32 a = sha256("x");
+  Digest32 b = a;
   EXPECT_EQ(a, b);
-  b.bytes[15] ^= 1;
+  b.bytes[31] ^= 1;
   EXPECT_NE(a, b);
   EXPECT_TRUE(a < b || b < a);
 }

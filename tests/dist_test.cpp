@@ -3355,6 +3355,15 @@ TEST(FleetBackoffTest, DeterministicCappedExponentialWithJitter) {
   EXPECT_NE(backoff_delay_ms(250, 1, 42, 0), backoff_delay_ms(250, 1, 43, 0));
   // A zero base floors to 1ms — a restart loop must never go hot.
   EXPECT_EQ(backoff_delay_ms(0, 1, 7, 3), 1u);
+  // The jitter stream is part of a chaos run's reproducible schedule, so
+  // exact delays are pinned too.
+  EXPECT_EQ(first, 349u);
+  EXPECT_EQ(second, 685u);
+  EXPECT_EQ(capped, 38556u);
+  EXPECT_EQ(backoff_delay_ms(250, 1, 42, 1), 321u);
+  EXPECT_EQ(backoff_delay_ms(250, 1, 43, 0), 285u);
+  EXPECT_EQ(backoff_delay_ms(1000, 3, 7, 2), 4723u);
+  EXPECT_EQ(backoff_delay_ms(100, 0, 0, 0), 120u);  // attempt 0 counts as 1
 }
 
 TEST(FleetArgsTest, ParsesFlagsAndRejectsBadFaultSpecs) {

@@ -241,19 +241,6 @@ TEST(LoaderTest, PreloadChangesResolutionAtLaunchTime) {
   EXPECT_TRUE(saw_wrapper);
 }
 
-TEST(LoaderTest, DlopenStepsIncludeCtor) {
-  LibraryRegistry reg;
-  SharedLibrary lib = lib_with("plugin", "run", Cycles{10});
-  lib.ctor_steps.push_back(compute(Cycles{7}, "plugin.ctor"));
-  lib.dtor_steps.push_back(compute(Cycles{3}, "plugin.dtor"));
-  reg.add(std::move(lib));
-  Loader loader(reg);
-  const auto open_steps = loader.dlopen_steps("plugin");
-  EXPECT_EQ(open_steps.size(), 3u);  // map + relocate + ctor
-  const auto close_steps = loader.dlclose_steps("plugin");
-  EXPECT_EQ(close_steps.size(), 1u);  // dtor
-}
-
 // --- shell -----------------------------------------------------------------------------
 
 TEST(Shell, LaunchChargesPreExecHooksToChild) {

@@ -107,7 +107,7 @@ TEST(Disk, IdleDiskStartsFresh) {
 
 // --- debug registers ---------------------------------------------------------------
 
-TEST(DebugRegisters, ArmMatchDisarm) {
+TEST(DebugRegisters, ArmMatchReset) {
   hw::DebugRegisters dr;
   EXPECT_FALSE(dr.any_armed());
   dr.arm(0, VAddr{0x1000});
@@ -117,10 +117,9 @@ TEST(DebugRegisters, ArmMatchDisarm) {
   EXPECT_FALSE(dr.armed(1));
   EXPECT_EQ(dr.match(VAddr{0x2000}), std::optional<int>(2));
   EXPECT_EQ(dr.match(VAddr{0x3000}), std::nullopt);
-  dr.disarm(2);
-  EXPECT_EQ(dr.match(VAddr{0x2000}), std::nullopt);
   dr.reset();
   EXPECT_FALSE(dr.any_armed());
+  EXPECT_EQ(dr.match(VAddr{0x2000}), std::nullopt);
 }
 
 TEST(DebugRegisters, SlotBoundsChecked) {

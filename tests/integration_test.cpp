@@ -1,5 +1,5 @@
 // Cross-module integration and failure-injection scenarios that go beyond
-// the per-module suites: dlopen billing, control-flow tampering vs the
+// the per-module suites: control-flow tampering vs the
 // execution witness, auditor anomaly screens, kill/zombie/reparenting
 // races, and CFS end-to-end runs.
 #include <gtest/gtest.h>
@@ -18,35 +18,6 @@ namespace mtr {
 namespace {
 
 using workloads::WorkloadKind;
-
-// --- dlopen/dlclose billed to the process ------------------------------------------
-
-TEST(DlOpen, RuntimeLoadingBilledToProcess) {
-  sim::Simulation s;
-  exec::SharedLibrary plugin;
-  plugin.name = "plugin";
-  plugin.content_tag = "plugin#1";
-  plugin.load_cost = Cycles{50'000'000};  // ~20 ms of relocation
-  plugin.ctor_steps.push_back(exec::compute(seconds_to_cycles(0.05, CpuHz{}),
-                                            "plugin.ctor"));
-  s.libraries().add(std::move(plugin));
-
-  // A program that dlopens the plugin mid-run.
-  std::vector<kernel::Step> steps;
-  steps.push_back(exec::compute(seconds_to_cycles(0.01, CpuHz{})));
-  for (auto& st : s.loader().dlopen_steps("plugin")) steps.push_back(st);
-  steps.push_back(exec::compute(seconds_to_cycles(0.01, CpuHz{})));
-  for (auto& st : s.loader().dlclose_steps("plugin")) steps.push_back(st);
-
-  kernel::SpawnSpec spec;
-  spec.name = "dlopen-user";
-  spec.program = exec::make_step_list("dlopen-user", std::move(steps));
-  const Pid pid = s.spawn(std::move(spec));
-  ASSERT_TRUE(s.run_until_exit(pid));
-  const auto u = s.usage_of(pid);
-  // 10+10 ms own work + 20 ms relocation + 50 ms constructor, all billed.
-  EXPECT_GE(cycles_to_seconds(u.true_cycles.user, CpuHz{}), 0.085);
-}
 
 // --- execution integrity vs a pure control-flow tamper ------------------------------
 

@@ -262,19 +262,6 @@ TEST(Scheduling, CfsFairWeightedSharing) {
 
 // --- syscalls ------------------------------------------------------------------
 
-TEST(Syscalls, NiceChangeRequiresPrivilege) {
-  auto k = make_kernel();
-  const Pid unpriv = k->spawn(
-      {"u", make_step_list("u", {syscall(SysSetPriority{Pid{}, Nice{-5}})}), Nice{0},
-       /*privileged=*/false});
-  const Pid priv = k->spawn(
-      {"p", make_step_list("p", {syscall(SysSetPriority{Pid{}, Nice{-5}})}), Nice{0},
-       /*privileged=*/true});
-  k->run();
-  EXPECT_EQ(k->process(unpriv).nice, Nice{0});   // EPERM
-  EXPECT_EQ(k->process(priv).nice, Nice{-5});
-}
-
 TEST(Syscalls, NanosleepWakesOnJiffyBoundary) {
   auto k = make_kernel();
   const Pid pid = k->spawn(
@@ -345,8 +332,7 @@ TEST(Ptrace, AttachStopsTargetAndContResumes) {
       {"t",
        make_step_list("t", {syscall(SysPtrace{PtraceOp::kAttach, victim}),
                             syscall(SysWait{}),
-                            syscall(SysPtrace{PtraceOp::kCont, victim}),
-                            syscall(SysPtrace{PtraceOp::kDetach, victim})}),
+                            syscall(SysPtrace{PtraceOp::kCont, victim})}),
        Nice{0}, true});
   k->run();
   EXPECT_FALSE(k->process(victim).alive());  // finished after resume

@@ -123,17 +123,6 @@ TEST(Brute, SpawnsRequestedThreads) {
   EXPECT_EQ(s.kernel().group_usage(tg), scanned_sum);
 }
 
-TEST(Brute, RealMd5VerificationPathRuns) {
-  sim::Simulation s;
-  WorkloadParams params;
-  params.scale = 0.005;
-  params.brute_threads = 2;
-  params.brute_verify_hashes = true;  // hash real candidates per batch
-  const WorkloadInfo info = make_workload(Kind::kBrute, params);
-  const Pid pid = s.launch(info.image);
-  EXPECT_TRUE(s.run_until_exit(pid));
-}
-
 bool same_population(const std::vector<TenantSpec>& a,
                      const std::vector<TenantSpec>& b) {
   if (a.size() != b.size()) return false;
