@@ -43,7 +43,6 @@ void render_ablation(std::ostream& os, const std::string& title,
 void run_abl_cpufreq(const report::SweepContext& ctx) {
   core::BatchGrid grid;
   grid.base = base_config(workloads::WorkloadKind::kWhetstone, ctx.scale);
-  grid.seeds = ctx.seeds;
   grid.attacks.push_back({"baseline", nullptr});
   grid.attacks.push_back({"scheduling", roster_attack(ctx.scale, "scheduling")});
   // Around the paper's E7200 @ 2.53 GHz: a slower and a faster part. HZ is
@@ -52,8 +51,6 @@ void run_abl_cpufreq(const report::SweepContext& ctx) {
   grid.cpu_freqs = {CpuHz{1'600'000'000}, CpuHz{2'530'000'000},
                     CpuHz{3'200'000'000}};
 
-  ctx.begin_progress("abl_cpufreq", core::grid_cell_count(grid));
-  const std::size_t n_seeds = grid.seeds.size();
   const auto cells = ctx.run_grid("abl_cpufreq", std::move(grid));
   if (ctx.partial) return;
   render_ablation(
@@ -64,13 +61,12 @@ void run_abl_cpufreq(const report::SweepContext& ctx) {
       [](const core::CellStats& c) {
         return fmt_double(static_cast<double>(c.cpu.v) / 1e9, 2);
       },
-      n_seeds);
+      ctx.seeds.size());
 }
 
 void run_abl_ramsize(const report::SweepContext& ctx) {
   core::BatchGrid grid;
   grid.base = base_config(workloads::WorkloadKind::kWhetstone, ctx.scale);
-  grid.seeds = ctx.seeds;
   grid.attacks.push_back({"baseline", nullptr});
   grid.attacks.push_back(
       {"exception-flood", roster_attack(ctx.scale, "exception-flood")});
@@ -78,8 +74,6 @@ void run_abl_ramsize(const report::SweepContext& ctx) {
   // The reclaim batch shrinks with RAM, as kswapd tuning would.
   grid.ram = {{4 * 1024, 64}, {8 * 1024, 128}, {16 * 1024, 256}};
 
-  ctx.begin_progress("abl_ramsize", core::grid_cell_count(grid));
-  const std::size_t n_seeds = grid.seeds.size();
   const auto cells = ctx.run_grid("abl_ramsize", std::move(grid));
   if (ctx.partial) return;
   render_ablation(
@@ -91,13 +85,12 @@ void run_abl_ramsize(const report::SweepContext& ctx) {
         return std::to_string(c.ram.frames) + "/" +
                std::to_string(c.ram.reclaim_batch);
       },
-      n_seeds);
+      ctx.seeds.size());
 }
 
 void run_abl_ptrace(const report::SweepContext& ctx) {
   core::BatchGrid grid;
   grid.base = base_config(workloads::WorkloadKind::kWhetstone, ctx.scale);
-  grid.seeds = ctx.seeds;
   grid.attacks.push_back({"baseline", nullptr});
   // An unprivileged tracer: exactly what the LSM gate is meant to stop
   // (the paper's remark that the thrashing attack needs privileges the
@@ -111,8 +104,6 @@ void run_abl_ptrace(const report::SweepContext& ctx) {
   grid.ptrace_policies = {kernel::PtracePolicy::kAllowAll,
                           kernel::PtracePolicy::kPrivilegedOnly};
 
-  ctx.begin_progress("abl_ptrace", core::grid_cell_count(grid));
-  const std::size_t n_seeds = grid.seeds.size();
   const auto cells = ctx.run_grid("abl_ptrace", std::move(grid));
   if (ctx.partial) return;
   render_ablation(
@@ -123,13 +114,12 @@ void run_abl_ptrace(const report::SweepContext& ctx) {
       [](const core::CellStats& c) {
         return std::string(kernel::to_string(c.ptrace));
       },
-      n_seeds);
+      ctx.seeds.size());
 }
 
 void run_abl_jiffy_timer(const report::SweepContext& ctx) {
   core::BatchGrid grid;
   grid.base = base_config(workloads::WorkloadKind::kWhetstone, ctx.scale);
-  grid.seeds = ctx.seeds;
   grid.attacks.push_back({"baseline", nullptr});
   grid.attacks.push_back({"scheduling", roster_attack(ctx.scale, "scheduling")});
   // On = timeouts ride the tick (the attacker's wakeups align just after
@@ -137,8 +127,6 @@ void run_abl_jiffy_timer(const report::SweepContext& ctx) {
   // §VI countermeasure knob.
   grid.jiffy_timers = {true, false};
 
-  ctx.begin_progress("abl_jiffy_timer", core::grid_cell_count(grid));
-  const std::size_t n_seeds = grid.seeds.size();
   const auto cells = ctx.run_grid("abl_jiffy_timer", std::move(grid));
   if (ctx.partial) return;
   render_ablation(
@@ -150,7 +138,7 @@ void run_abl_jiffy_timer(const report::SweepContext& ctx) {
       [](const core::CellStats& c) {
         return std::string(c.jiffy_timers ? "on" : "off");
       },
-      n_seeds);
+      ctx.seeds.size());
 }
 
 }  // namespace

@@ -95,11 +95,10 @@ inline std::vector<RosterEntry> attack_roster(double scale) {
 
 /// The grid of the §V-C and §VI-B tables: Whetstone at `scale`, the
 /// baseline (no attack) first, then every roster attack in paper order.
-inline core::BatchGrid roster_grid(double scale, std::vector<std::uint64_t> seeds) {
+inline core::BatchGrid roster_grid(double scale) {
   core::BatchGrid grid;
   grid.base.kind = workloads::WorkloadKind::kWhetstone;
   grid.base.workload.scale = scale;
-  grid.seeds = std::move(seeds);
   grid.attacks.push_back({"baseline", nullptr});
   for (RosterEntry& e : attack_roster(scale))
     grid.attacks.push_back({e.label, std::move(e.make)});

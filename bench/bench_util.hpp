@@ -102,15 +102,12 @@ inline void run_attack_figure(
     const core::AttackFactory& attack,
     const std::function<void(core::ExperimentConfig&)>& tweak = {}) {
   const auto& kinds = all_workloads();
-  ctx.begin_progress(sweep, kinds.size() * 2);
-
   std::vector<core::CellStats> cells;  // [normal, attacked] per workload
   cells.reserve(kinds.size() * 2);
   for (const auto kind : kinds) {
     core::BatchGrid grid;
     grid.base = base_config(kind, ctx.scale);
     if (tweak) tweak(grid.base);
-    grid.seeds = ctx.seeds;
     // The workload rides in the attack label so progress lines and
     // BatchRunner failure coordinates can tell the four grids apart (the
     // sink rows carry a dedicated workload column regardless).

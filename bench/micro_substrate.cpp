@@ -1,7 +1,8 @@
-// google-benchmark microbenches for the substrate itself: crypto
-// throughput, simulator event rate, scheduler pick cost, meter hook
-// overhead, and end-to-end sweep-cell rates. These are engineering
-// benchmarks (how fast is the simulator), not paper reproductions.
+// google-benchmark microbenches for the substrate itself: witness-chain
+// hashing, record number formatting, shard merge, mm teardown and kernel
+// setup, integrity steps, meter hook overhead on the charge path, and
+// engine and sweep-cell rates. These are engineering benchmarks (how fast
+// is the simulator), not paper reproductions, and every one is tracked.
 //
 // The BM_SweepCell_* family is the tracked perf baseline: each iteration
 // runs one BatchRunner-equivalent cell (one run_experiment) of the
@@ -24,13 +25,11 @@
 #include "bench/attack_roster.hpp"
 #include "core/experiment.hpp"
 #include "core/integrity.hpp"
-#include "core/meters.hpp"
 #include "core/trusted_metering.hpp"
 #include "common/format.hpp"
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "dist/merge.hpp"
-#include "kernel/cfs_scheduler.hpp"
 #include "exec/program_base.hpp"
 #include "kernel/kernel.hpp"
 #include "kernel/o1_scheduler.hpp"
@@ -42,16 +41,6 @@
 namespace {
 
 using namespace mtr;
-
-void BM_Sha256Throughput(benchmark::State& state) {
-  const std::string msg(static_cast<std::size_t>(state.range(0)), 'x');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::sha256(msg));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Sha256Throughput)->Arg(64)->Arg(16384);
 
 // The SHA-256 compression alone, the cost of one witness-chain step. The
 // native bench runs whatever sha256_compress() dispatches to (SHA-NI where
@@ -186,78 +175,6 @@ void BM_MergeJsonl(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_MergeJsonl)->Unit(benchmark::kMillisecond);
-
-/// Virtual seconds simulated per real second: boot a machine, run one
-/// Whetstone through the shell, measure wall cost per simulated run.
-void BM_SimulateWhetstone(benchmark::State& state) {
-  const double scale = 0.01;
-  for (auto _ : state) {
-    sim::Simulation s;
-    const auto info = workloads::make_workload(workloads::WorkloadKind::kWhetstone,
-                                               {scale});
-    const Pid pid = s.launch(info.image);
-    s.run_until_exit(pid);
-    benchmark::DoNotOptimize(s.usage_of(pid).ticks.total().v);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SimulateWhetstone);
-
-/// Same run with the full meter stack attached: the hook overhead.
-void BM_SimulateWhetstoneWithMeters(benchmark::State& state) {
-  const double scale = 0.01;
-  for (auto _ : state) {
-    sim::Simulation s;
-    core::TickMeter tick;
-    core::TscMeter tsc;
-    core::PaisMeter pais;
-    core::SourceIntegrityMonitor source;
-    core::ExecutionIntegrityMonitor execution;
-    s.kernel().add_hook(&tick);
-    s.kernel().add_hook(&tsc);
-    s.kernel().add_hook(&pais);
-    s.kernel().add_hook(&source);
-    s.kernel().add_hook(&execution);
-    const auto info = workloads::make_workload(workloads::WorkloadKind::kWhetstone,
-                                               {scale});
-    const Pid pid = s.launch(info.image);
-    s.run_until_exit(pid);
-    benchmark::DoNotOptimize(tsc.usage(s.kernel().process(pid).tgid).total().v);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SimulateWhetstoneWithMeters);
-
-/// Scheduler pick-next cost under load.
-template <typename SchedulerT, typename... Args>
-void scheduler_pick_bench(benchmark::State& state, Args... args) {
-  SchedulerT sched(args...);
-  std::vector<std::unique_ptr<kernel::Process>> procs;
-  for (int i = 0; i < 64; ++i) {
-    procs.push_back(std::make_unique<kernel::Process>(
-        Pid{i + 1}, Tgid{i + 1}, Pid{}, "p",
-        exec::make_step_list("p", {})(), Nice{static_cast<std::int8_t>(i % 40 - 20)},
-        i));
-    procs.back()->state = kernel::ProcState::kReady;
-    sched.enqueue(*procs.back(), Cycles{0});
-  }
-  for (auto _ : state) {
-    kernel::Process* p = sched.pick_next(Cycles{0});
-    benchmark::DoNotOptimize(p);
-    p->state = kernel::ProcState::kReady;
-    sched.enqueue(*p, Cycles{0});
-  }
-}
-
-void BM_O1PickNext(benchmark::State& state) {
-  scheduler_pick_bench<kernel::O1PriorityScheduler>(state, TimerHz{});
-}
-BENCHMARK(BM_O1PickNext);
-
-void BM_CfsPickNext(benchmark::State& state) {
-  scheduler_pick_bench<kernel::CfsScheduler>(state, CpuHz{});
-}
-BENCHMARK(BM_CfsPickNext);
 
 // ---------------------------------------------------------------------------
 // mm layer — address-space teardown. Every scheduling-attack fork that exits

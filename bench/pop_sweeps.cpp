@@ -28,7 +28,6 @@ std::string fmt_quantiles(const QuantileSketch& s, int precision = 4) {
 void run_pop_billing_gap(const report::SweepContext& ctx) {
   core::BatchGrid grid;
   grid.base = base_config(workloads::WorkloadKind::kWhetstone, ctx.scale);
-  grid.seeds = ctx.seeds;
   grid.attacks.push_back({"baseline", nullptr});
   // Zipf-skewed tenant mixes of growing size, a quarter of the neighbors
   // running the tick-dodging attacker program. The victim's own workload
@@ -41,8 +40,6 @@ void run_pop_billing_gap(const report::SweepContext& ctx) {
   }
   grid.attacker_fractions = {0.25};
 
-  ctx.begin_progress("pop_billing_gap", core::grid_cell_count(grid));
-  const std::size_t n_seeds = grid.seeds.size();
   const auto cells = ctx.run_grid("pop_billing_gap", std::move(grid));
   if (ctx.partial) return;
 
@@ -52,7 +49,7 @@ void run_pop_billing_gap(const report::SweepContext& ctx) {
         "the tenant count (more attackers in absolute terms, more "
         "tick-sharing noise), while the honest victim's own meter stays "
         "within a jiffy\n";
-  os << "(cell aggregates over " << n_seeds << " seed(s))\n\n";
+  os << "(cell aggregates over " << ctx.seeds.size() << " seed(s))\n\n";
   TextTable table({"population", "tenants", "attackers", "err p50/p90/p99(s)",
                    "err mean(s)", "advantage p50/p90/p99(s)", "victim overcharge"});
   for (const core::CellStats& c : cells) {
@@ -71,7 +68,6 @@ void run_pop_billing_gap(const report::SweepContext& ctx) {
 void run_pop_interference(const report::SweepContext& ctx) {
   core::BatchGrid grid;
   grid.base = base_config(workloads::WorkloadKind::kWhetstone, ctx.scale);
-  grid.seeds = ctx.seeds;
   grid.attacks.push_back({"baseline", nullptr});
   // Honest neighbors only (attacker fraction stays 0): any metering drift
   // is pure noisy-neighbor interference — timer ticks landing on whichever
@@ -80,8 +76,6 @@ void run_pop_interference(const report::SweepContext& ctx) {
   grid.population_sizes = {1, 4, 16};
   grid.nice_levels = {{Nice{0}, Nice{0}}, {Nice{10}, Nice{0}}};
 
-  ctx.begin_progress("pop_interference", core::grid_cell_count(grid));
-  const std::size_t n_seeds = grid.seeds.size();
   const auto cells = ctx.run_grid("pop_interference", std::move(grid));
   if (ctx.partial) return;
 
@@ -91,7 +85,7 @@ void run_pop_interference(const report::SweepContext& ctx) {
         "grows with the population (tick attribution gets noisier) and a "
         "deprioritized victim fares worse; population 1 reproduces the "
         "classic single-victim cell exactly\n";
-  os << "(cell aggregates over " << n_seeds << " seed(s))\n\n";
+  os << "(cell aggregates over " << ctx.seeds.size() << " seed(s))\n\n";
   TextTable table({"population", "victim nice", "billed(s)", "true(s)",
                    "overcharge", "err p50/p90/p99(s)", "billed p50/p90/p99(s)"});
   for (const core::CellStats& c : cells) {
@@ -110,7 +104,6 @@ void run_pop_interference(const report::SweepContext& ctx) {
 void run_pop_detection(const report::SweepContext& ctx) {
   core::BatchGrid grid;
   grid.base = base_config(workloads::WorkloadKind::kWhetstone, ctx.scale);
-  grid.seeds = ctx.seeds;
   grid.attacks.push_back({"baseline", nullptr});
   // Fixed 16-tenant cells with a growing attacker share; the auditor's
   // per-tenant divergence check (core/auditor.hpp) flags tenants whose
@@ -119,8 +112,6 @@ void run_pop_detection(const report::SweepContext& ctx) {
   grid.population_sizes = {16};
   grid.attacker_fractions = {0.0, 0.125, 0.25, 0.5};
 
-  ctx.begin_progress("pop_detection", core::grid_cell_count(grid));
-  const std::size_t n_seeds = grid.seeds.size();
   const auto cells = ctx.run_grid("pop_detection", std::move(grid));
   if (ctx.partial) return;
 
@@ -129,7 +120,7 @@ void run_pop_detection(const report::SweepContext& ctx) {
   os << "expectation: the divergence auditor's true-positive rate holds as "
         "the attacker share grows while honest tenants stay below the "
         "tolerance (low FPR); at fraction 0 both rates are trivially 0\n";
-  os << "(cell aggregates over " << n_seeds << " seed(s))\n\n";
+  os << "(cell aggregates over " << ctx.seeds.size() << " seed(s))\n\n";
   TextTable table({"attacker fraction", "attackers", "flagged atk",
                    "flagged honest", "TPR", "FPR", "advantage mean(s)"});
   for (const core::CellStats& c : cells) {

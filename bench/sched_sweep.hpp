@@ -29,7 +29,6 @@ inline void run_sched_sweep(const report::SweepContext& ctx, const std::string& 
 
   core::BatchGrid grid;
   grid.base = base_config(kind, scale);
-  grid.seeds = ctx.seeds;
   grid.attacks.push_back({"no attack", nullptr});
   for (const int nice : nices) {
     grid.attacks.push_back(
@@ -39,7 +38,6 @@ inline void run_sched_sweep(const report::SweepContext& ctx, const std::string& 
          }});
   }
 
-  ctx.begin_progress(sweep, grid.attacks.size());
   const auto cells = ctx.run_grid(sweep, std::move(grid));
   // Partial cell sets (shard/resume/dry run) skip the rendering — and the
   // fork_alone baseline simulation it exists for.

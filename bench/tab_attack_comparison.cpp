@@ -13,11 +13,7 @@ namespace {
 
 void run_tab_attack_comparison(const report::SweepContext& ctx) {
   const std::vector<RosterEntry> entries = attack_roster(ctx.scale);
-  core::BatchGrid grid = roster_grid(ctx.scale, ctx.seeds);
-
-  ctx.begin_progress("tab_attack_comparison", grid.attacks.size());
-  const std::size_t n_seeds = grid.seeds.size();
-  const auto cells = ctx.run_grid("tab_attack_comparison", std::move(grid));
+  const auto cells = ctx.run_grid("tab_attack_comparison", roster_grid(ctx.scale));
   // The table diffs every attack against the baseline cell, so it needs
   // the full grid — sharded/resumed/dry runs leave rendering to mtr_merge
   // consumers.
@@ -26,7 +22,7 @@ void run_tab_attack_comparison(const report::SweepContext& ctx) {
 
   std::ostream& os = ctx.os();
   os << "==== Table (from §V-C) — attack comparison on Whetstone ====\n";
-  os << "(mean over " << n_seeds << " seed(s))\n\n";
+  os << "(mean over " << ctx.seeds.size() << " seed(s))\n\n";
   TextTable table({"attack", "phase", "vulnerability", "inflates",
                    "measured_delta_u(s)", "measured_delta_s(s)", "overcharge",
                    "privilege", "side_effects"});

@@ -14,11 +14,7 @@ namespace mtr::bench {
 namespace {
 
 void run_tab_countermeasures(const report::SweepContext& ctx) {
-  core::BatchGrid grid = roster_grid(ctx.scale, ctx.seeds);
-
-  ctx.begin_progress("tab_countermeasures", grid.attacks.size());
-  const std::size_t n_seeds = grid.seeds.size();
-  const auto cells = ctx.run_grid("tab_countermeasures", std::move(grid));
+  const auto cells = ctx.run_grid("tab_countermeasures", roster_grid(ctx.scale));
   // Detection compares every attack cell against the baseline cell
   // replicate-for-replicate, so partial cell sets skip the rendering.
   if (ctx.partial) return;
@@ -27,7 +23,7 @@ void run_tab_countermeasures(const report::SweepContext& ctx) {
   std::ostream& os = ctx.os();
   os << "==== Table (from §VI-B) — countermeasure effectiveness on "
         "Whetstone ====\n"
-     << "bills are the victim's mean CPU seconds over " << n_seeds
+     << "bills are the victim's mean CPU seconds over " << ctx.seeds.size()
      << " seed(s) under each metering scheme; src/exec = integrity detection\n\n";
 
   TextTable table({"attack", "tick_bill(s)", "tsc_bill(s)", "pais_bill(s)",

@@ -21,7 +21,6 @@ void run_tab_scheduler_ablation(const report::SweepContext& ctx) {
   core::BatchGrid grid;
   grid.base = base_config(workloads::WorkloadKind::kWhetstone, scale);
   grid.schedulers = {sim::SchedulerKind::kO1, sim::SchedulerKind::kCfs};
-  grid.seeds = ctx.seeds;
   for (const int nice : nices) {
     grid.attacks.push_back(
         {"nice" + std::to_string(nice), [nice, scale] {
@@ -29,9 +28,6 @@ void run_tab_scheduler_ablation(const report::SweepContext& ctx) {
          }});
   }
 
-  ctx.begin_progress("tab_scheduler_ablation",
-                     grid.attacks.size() * grid.schedulers.size());
-  const std::size_t n_seeds = grid.seeds.size();
   const std::size_t n_scheds = grid.schedulers.size();
   const auto cells = ctx.run_grid("tab_scheduler_ablation", std::move(grid));
   // The scheduler-major re-ordering below indexes the full grid; partial
@@ -40,7 +36,7 @@ void run_tab_scheduler_ablation(const report::SweepContext& ctx) {
 
   std::ostream& os = ctx.os();
   os << "==== Scheduler ablation — scheduling attack under O(1) vs CFS ====\n";
-  os << "(mean over " << n_seeds << " seed(s))\n\n";
+  os << "(mean over " << ctx.seeds.size() << " seed(s))\n\n";
   TextTable table({"scheduler", "nice", "victim_true(s)", "tick_bill(s)",
                    "overcharge", "attacker_billed(s)", "attacker_true(s)"});
 

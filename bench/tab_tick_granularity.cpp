@@ -17,17 +17,14 @@ void run_tab_tick_granularity(const report::SweepContext& ctx) {
   core::BatchGrid grid;
   grid.base = base_config(workloads::WorkloadKind::kWhetstone, scale);
   grid.ticks = {TimerHz{100}, TimerHz{250}, TimerHz{1000}};
-  grid.seeds = ctx.seeds;
   grid.attacks.push_back({"scheduling", roster_attack(scale, "scheduling")});
 
-  ctx.begin_progress("tab_tick_granularity", grid.ticks.size());
-  const std::size_t n_seeds = grid.seeds.size();
   const auto cells = ctx.run_grid("tab_tick_granularity", std::move(grid));
   if (ctx.partial) return;
 
   std::ostream& os = ctx.os();
   os << "==== Tick-granularity ablation — scheduling attack vs HZ ====\n";
-  os << "(mean over " << n_seeds << " seed(s))\n\n";
+  os << "(mean over " << ctx.seeds.size() << " seed(s))\n\n";
   TextTable table({"HZ", "tick(ms)", "victim_true(s)", "tick_bill(s)",
                    "tick_overcharge", "tsc_bill(s)", "tsc_overcharge"});
 

@@ -1,6 +1,7 @@
 // Strict full-match numeric parsing, shared by every surface that turns
-// untrusted text into numbers: record scanners (src/dist), shard specs,
-// CLI flags, and environment defaults. std::from_chars semantics — no
+// untrusted text into numbers: record scanners (src/dist), the JSON
+// reader's number tokens (metrics and status documents), shard specs, CLI
+// flags, and environment defaults. std::from_chars semantics — no
 // leading whitespace or '+', no locale, no "0x" prefixes, no trailing
 // garbage, overflow is a failure — so "12abc", " 12", "+0x1f" and a
 // negative fed to an unsigned parse all come back nullopt instead of a
@@ -35,6 +36,8 @@ inline std::optional<std::uint64_t> parse_u64(std::string_view s) {
 
 /// Parses all of `s` as a double (std::chars_format::general: decimal or
 /// scientific, "inf"/"nan" accepted, hex floats and trailing garbage not).
+/// Subnormals parse exactly; a value whose magnitude rounds to infinity
+/// or to zero is out of range.
 inline std::optional<double> parse_f64(std::string_view s) {
   double v{};
   const char* last = s.data() + s.size();

@@ -7,7 +7,7 @@
 #include <filesystem>
 #include <functional>
 #include <iostream>
-#include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/ensure.hpp"
@@ -109,27 +109,6 @@ void publish_metrics_file(const std::string& path,
   trace::write_metrics_json(os, sweeps, /*shards=*/1);
   publish_file(path, os.str(), "metrics");
 }
-
-/// The fail-flush-at seam: fires the injector's flush fault before the
-/// wrapped file sink sees the cell, so a failed flush loses the cell
-/// whole and never half-writes it.
-class FlushFaultSink final : public report::ResultSink {
- public:
-  FlushFaultSink(std::unique_ptr<report::ResultSink> sink,
-                 FaultInjector& injector, const char* kind)
-      : sink_(std::move(sink)), injector_(injector), kind_(kind) {}
-
-  void write_cell(const std::string& sweep,
-                  const core::CellStats& cell) override {
-    injector_.on_sink_flush(kind_);
-    sink_->write_cell(sweep, cell);
-  }
-
- private:
-  std::unique_ptr<report::ResultSink> sink_;
-  FaultInjector& injector_;
-  const char* kind_;  // "csv" or "jsonl"
-};
 
 /// The invocation's plan so far, in cell_index order.
 struct PlanCursor {
@@ -372,15 +351,18 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
   // stream.
   if (options.quiet) progress.set_per_cell(false);
 
-  // Per sweep: what it resumes from, its slot in the pool, its sinks
-  // (opened when emission reaches the sweep) and its metrics fold.
+  // Per sweep: what it resumes from, its slot in the pool, its record
+  // files (open while emission is in the sweep, under --out-dir) and its
+  // metrics fold.
   struct SweepState {
     ResumeIndex resume;  // --resume: the cells already on disk
     std::string dir_csv;
     std::string dir_jsonl;
     report::SweepGrids grids;
+    std::size_t cells = 0;    // cells its queued grids hold
     std::size_t skipped = 0;  // cells the gate refused
-    report::MultiSink sinks;
+    std::optional<report::CsvSink> csv;
+    std::optional<report::JsonlSink> jsonl;
     trace::SweepMetrics metrics;
   };
   std::vector<SweepState> sweeps(selected.size());
@@ -392,7 +374,6 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
     ctx.out = options.quiet || !render ? &null_stream() : &out;
     ctx.partial = !render;
     ctx.grids = &sweeps[s].grids;
-    ctx.render = render;
     return ctx;
   };
 
@@ -433,9 +414,11 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
         err << "mtr_sweep: resume: " << name << ": " << st.resume.size()
             << " cell(s) already complete\n";
     }
-    for (report::SweepGrids::Queued& q : st.grids.queued)
+    for (report::SweepGrids::Queued& q : st.grids.queued) {
+      st.cells += core::grid_cell_count(q.grid);
       st.skipped += plan_grid(q, options, options.resume ? &st.resume : nullptr,
                               want_metrics, cursor, out);
+    }
   }
 
   if (options.dry_run) {
@@ -463,33 +446,26 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
   }
 
   // Emission walks the sweeps in order. Entering a sweep closes the last
-  // one's sinks and progress span, opens its own and begins its span, so
+  // one's files and progress span, opens its own and begins its span, so
   // every on-disk prefix is what a sweep-at-a-time run would leave.
   // --out-dir files start fresh — except under --resume, where the kept
   // prefix is appended to.
   std::size_t entered = 0;
   // The current sweep's fold as of its previous cell; see on_cell.
   trace::SweepMetrics published;
-  const auto add_sink = [&](report::MultiSink& sinks,
-                            std::unique_ptr<report::ResultSink> sink,
-                            const char* kind) {
-    if (injector.has_flush_fault())
-      sink = std::make_unique<FlushFaultSink>(std::move(sink), injector, kind);
-    sinks.add(std::move(sink));
-  };
   const auto enter = [&](std::size_t s) {
     progress.finish();
-    if (s > 0) sweeps[s - 1].sinks = report::MultiSink{};
+    if (s > 0) {
+      sweeps[s - 1].csv.reset();
+      sweeps[s - 1].jsonl.reset();
+    }
     SweepState& st = sweeps[s];
     std::vector<std::string> files;
     if (!options.out_dir.empty()) {
       const report::OpenMode mode = options.resume ? report::OpenMode::kAppend
                                                    : report::OpenMode::kTruncate;
-      add_sink(st.sinks, std::make_unique<report::CsvSink>(st.dir_csv, mode),
-               "csv");
-      add_sink(st.sinks,
-               std::make_unique<report::JsonlSink>(st.dir_jsonl, mode),
-               "jsonl");
+      st.csv.emplace(st.dir_csv, mode);
+      st.jsonl.emplace(st.dir_jsonl, mode);
       files = {st.dir_csv, st.dir_jsonl};
     }
     if (injector.active()) {
@@ -498,10 +474,8 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
       // opened (possibly zero-byte) sink files for resume to classify.
       if (s == 0) injector.on_sinks_open();
     }
-    if (!st.grids.progress_label.empty()) {
-      progress.begin(st.grids.progress_label, st.grids.progress_total);
-      progress.shrink_total(st.skipped);
-    }
+    progress.begin(selected[s]->name, st.cells);
+    progress.shrink_total(st.skipped);
     published = st.metrics;
   };
   const auto reach = [&](std::size_t s) {
@@ -531,7 +505,16 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
     const std::size_t s = owner[ev.grid];
     reach(s);
     SweepState& st = sweeps[s];
-    st.sinks.write_cell(*record_sweep[ev.grid], ev.cell);
+    if (st.csv) {
+      // The fail-flush-at seam: each write may fail before any byte of
+      // the cell reaches its file, so a failed flush loses that file's
+      // copy of the cell whole and never half-writes it.
+      const std::string& sweep = *record_sweep[ev.grid];
+      injector.on_sink_flush("csv");
+      st.csv->write_cell(sweep, ev.cell);
+      injector.on_sink_flush("jsonl");
+      st.jsonl->write_cell(sweep, ev.cell);
+    }
     if (want_metrics) {
       trace::SweepMetrics& m = st.metrics;
       ++m.cells;

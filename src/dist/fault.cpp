@@ -110,8 +110,9 @@ void FaultInjector::on_cell_complete() {
 }
 
 void FaultInjector::on_sink_flush(const char* kind) {
+  if (!plan_.fail_flush_at) return;
   const std::uint64_t n = flushes_.fetch_add(1) + 1;
-  if (plan_.fail_flush_at && n == *plan_.fail_flush_at)
+  if (n == *plan_.fail_flush_at)
     throw std::runtime_error("fault injection: sink flush " +
                              std::to_string(n) + " (" + kind +
                              ") failed by plan");

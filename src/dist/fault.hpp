@@ -37,9 +37,11 @@ struct FaultPlan {
   /// the process T milliseconds after the driver arms. The hardest kill:
   /// no unwinding, no flush, any write may tear.
   std::optional<std::uint64_t> sigkill_after_ms;
-  /// fail-flush-at=J: the J-th sink flush (1-based; each per-cell CSV or
-  /// JSONL write counts one) throws before any byte of that cell reaches
-  /// the stream — a transient I/O failure that unwinds the sweep cleanly.
+  /// fail-flush-at=J: the J-th sink flush (1-based) throws before any byte
+  /// of that write reaches its file — a transient I/O failure the sweep
+  /// reports as an error. The driver flushes before each of a cell's two
+  /// writes, CSV then JSONL, so an even J fails a JSONL write whose CSV
+  /// rows are already on disk.
   std::optional<std::uint64_t> fail_flush_at;
 
   bool active() const {
@@ -68,7 +70,6 @@ class FaultInjector {
   explicit FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
 
   bool active() const { return plan_.active(); }
-  bool has_flush_fault() const { return plan_.fail_flush_at.has_value(); }
 
   /// Starts the SIGKILL watchdog thread, if configured. Call once.
   void arm_sigkill();
@@ -83,7 +84,8 @@ class FaultInjector {
   /// crash-after-cell=K fires after the K-th call.
   void on_cell_complete();
 
-  /// fail-flush-at=J throws std::runtime_error on the J-th call.
+  /// fail-flush-at=J throws std::runtime_error on the J-th call. Returns
+  /// at once when the plan has no flush fault.
   void on_sink_flush(const char* kind);
 
  private:

@@ -5,7 +5,6 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
@@ -21,6 +20,7 @@
 #include "common/format.hpp"
 #include "common/parse.hpp"
 #include "common/rng.hpp"
+#include "common/table.hpp"
 #include "dist/driver.hpp"
 #include "dist/fault.hpp"
 #include "dist/flags.hpp"
@@ -78,12 +78,6 @@ constexpr const char* kUsage =
     "gap manifest); 1 a shard exhausted its retries or the merge failed;\n"
     "2 usage error.\n";
 
-std::string fmt_age(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.1f", v);
-  return buf;
-}
-
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration_cast<std::chrono::duration<double>>(to - from)
       .count();
@@ -137,22 +131,16 @@ ExecResult run_capture(const std::vector<std::string>& args,
   return r;
 }
 
-/// The per-shard supervision record.
-struct ShardState {
-  unsigned shard = 0;
+/// The per-shard supervision record: the outcome the fleet report
+/// carries, plus what the supervision loop needs to get there.
+struct ShardState : ShardOutcome {
   pid_t pid = -1;  // -1 = not currently running
-  unsigned attempts = 0;
-  bool done = false;
   bool failed = false;
-  bool hung = false;     // last failure was a supervisor kill
-  int exit_code = -1;    // last exit code (-1 if signaled)
-  int term_signal = 0;   // last terminating signal (0 if exited)
-  double last_heartbeat_age = -1.0;
   Clock::time_point last_alive;
   Clock::time_point next_launch;  // backoff schedule when pid < 0
   fs::file_time_type last_mtime;
   bool have_mtime = false;
-  std::string dir, status_path, log_path;
+  std::string dir, status_path;
 };
 
 std::vector<std::string> shard_argv(const FleetOptions& o,
@@ -451,7 +439,7 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
   for (;;) {
     bool pending = false;
     for (ShardState& s : states) {
-      if (s.done || s.failed) continue;
+      if (s.succeeded || s.failed) continue;
       pending = true;
       if (s.pid < 0) {
         if (Clock::now() >= s.next_launch) launch(s);
@@ -462,7 +450,7 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
       if (r == s.pid) {
         if (WIFEXITED(st) && WEXITSTATUS(st) == 0) {
           s.pid = -1;
-          s.done = true;
+          s.succeeded = true;
           s.exit_code = 0;
           s.term_signal = 0;
           if (!options.quiet)
@@ -489,8 +477,8 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
       const double age = seconds_between(s.last_alive, Clock::now());
       s.last_heartbeat_age = age;
       if (heartbeat_stale(age, options.heartbeat_timeout))
-        kill_hung(s, "heartbeat stale (" + fmt_age(age) + "s > " +
-                         fmt_age(options.heartbeat_timeout) + "s)");
+        kill_hung(s, "heartbeat stale (" + fmt_double(age, 1) + "s > " +
+                         fmt_double(options.heartbeat_timeout, 1) + "s)");
     }
     if (!pending) break;
     std::this_thread::sleep_for(kPollInterval);
@@ -506,7 +494,7 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
     err << "mtr_fleet: shard " << s->shard << " FAILED after " << s->attempts
         << " attempt(s): ";
     if (s->hung)
-      err << "hung (last heartbeat " << fmt_age(s->last_heartbeat_age)
+      err << "hung (last heartbeat " << fmt_double(s->last_heartbeat_age, 1)
           << "s before the kill)";
     else if (s->term_signal != 0)
       err << "killed by signal " << s->term_signal;
@@ -518,19 +506,7 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
   const auto fill_report = [&](bool merged,
                                std::vector<std::uint64_t> missing) {
     if (report == nullptr) return;
-    report->shards.clear();
-    for (const ShardState& s : states) {
-      ShardOutcome o;
-      o.shard = s.shard;
-      o.succeeded = s.done;
-      o.attempts = s.attempts;
-      o.exit_code = s.exit_code;
-      o.term_signal = s.term_signal;
-      o.hung = s.hung;
-      o.last_heartbeat_age = s.last_heartbeat_age;
-      o.log_path = s.log_path;
-      report->shards.push_back(std::move(o));
-    }
+    report->shards.assign(states.begin(), states.end());
     report->total_cells = total_cells;
     report->merged = merged;
     report->missing_cells = std::move(missing);
@@ -572,7 +548,7 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
     m.csv_out = merged_dir + "/" + names[i] + ".csv";
     m.jsonl_out = merged_dir + "/" + names[i] + ".jsonl";
     for (const ShardState& s : states) {
-      if (!s.done) continue;
+      if (!s.succeeded) continue;
       m.csv_in.push_back(s.dir + "/" + names[i] + ".csv");
       m.jsonl_in.push_back(s.dir + "/" + names[i] + ".jsonl");
     }
@@ -581,7 +557,7 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
   fold.what = "metrics fold";
   fold.options.metrics_out = merged_dir + "/metrics.json";
   for (const ShardState& s : states)
-    if (s.done) fold.options.metrics_in.push_back(s.dir + "/metrics.json");
+    if (s.succeeded) fold.options.metrics_in.push_back(s.dir + "/metrics.json");
   {
     std::atomic<std::size_t> next{0};
     const auto worker = [&] {

@@ -1,7 +1,9 @@
 #include "dist/json.hpp"
 
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
+
+#include "common/parse.hpp"
 
 namespace mtr::dist::json {
 namespace {
@@ -223,33 +225,23 @@ const Value& require(const Value& obj, std::string_view name) {
 
 std::uint64_t as_u64(const Value& v, std::string_view what) {
   if (v.kind != Value::Kind::kNumber) field_error(what, "is not a number");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long x = std::strtoull(v.text.c_str(), &end, 10);
-  if (errno != 0 || end != v.text.c_str() + v.text.size() ||
-      v.text.front() == '-')
-    field_error(what, "is not an unsigned integer");
-  return x;
+  const std::optional<std::uint64_t> x = parse_u64(v.text);
+  if (!x) field_error(what, "is not an unsigned integer");
+  return *x;
 }
 
 std::int64_t as_i64(const Value& v, std::string_view what) {
   if (v.kind != Value::Kind::kNumber) field_error(what, "is not a number");
-  errno = 0;
-  char* end = nullptr;
-  const long long x = std::strtoll(v.text.c_str(), &end, 10);
-  if (errno != 0 || end != v.text.c_str() + v.text.size())
-    field_error(what, "is not an integer");
-  return x;
+  const std::optional<std::int64_t> x = parse_number<std::int64_t>(v.text);
+  if (!x) field_error(what, "is not an integer");
+  return *x;
 }
 
 double as_f64(const Value& v, std::string_view what) {
   if (v.kind != Value::Kind::kNumber) field_error(what, "is not a number");
-  errno = 0;
-  char* end = nullptr;
-  const double x = std::strtod(v.text.c_str(), &end);
-  if (errno != 0 || end != v.text.c_str() + v.text.size())
-    field_error(what, "is not a double");
-  return x;
+  const std::optional<double> x = parse_f64(v.text);
+  if (!x) field_error(what, "is not a double");
+  return *x;
 }
 
 std::uint64_t get_u64(const Value& obj, std::string_view name) {

@@ -459,13 +459,4 @@ void JsonlSink::write_cell(const std::string& sweep, const core::CellStats& cell
   MTR_ENSURE_MSG(os_->good(), "JSONL sink write failed (disk full or closed?)");
 }
 
-void MultiSink::add(std::unique_ptr<ResultSink> sink) {
-  MTR_ENSURE(sink != nullptr);
-  sinks_.push_back(std::move(sink));
-}
-
-void MultiSink::write_cell(const std::string& sweep, const core::CellStats& cell) {
-  for (const auto& sink : sinks_) sink->write_cell(sweep, cell);
-}
-
 }  // namespace mtr::report

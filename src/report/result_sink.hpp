@@ -4,10 +4,10 @@
 // incrementally — one flat record per replicate run, flushed per cell — so
 // long sweeps stream to disk as they go and a killed sweep keeps what it
 // finished. CsvSink and JsonlSink share one canonical field list
-// (flatten_run), so the two formats cannot drift apart; MultiSink fans a
-// cell out to several sinks at once. Every record names its cell through
-// the cell key (report/cell_key.hpp): flatten_run and append_cell_record
-// emit its column table, and the dist-layer scanners read it back.
+// (flatten_run), so the two formats cannot drift apart. Every record
+// names its cell through the cell key (report/cell_key.hpp): flatten_run
+// and append_cell_record emit its column table, and the dist-layer
+// scanners read it back.
 #pragma once
 
 #include <cstdint>
@@ -165,19 +165,6 @@ class JsonlSink final : public ResultSink {
   std::ostream* os_;
   /// Reused per-cell line buffer (see CsvSink::buf_).
   std::string buf_;
-};
-
-/// Fans every cell out to each registered sink, in registration order.
-class MultiSink final : public ResultSink {
- public:
-  void add(std::unique_ptr<ResultSink> sink);
-  bool empty() const { return sinks_.empty(); }
-  std::size_t size() const { return sinks_.size(); }
-
-  void write_cell(const std::string& sweep, const core::CellStats& cell) override;
-
- private:
-  std::vector<std::unique_ptr<ResultSink>> sinks_;
 };
 
 }  // namespace mtr::report

@@ -26,16 +26,10 @@ trace::PoolMetrics SweepGrids::pool() const {
   return pm;
 }
 
-void SweepContext::begin_progress(const std::string& label,
-                                  std::size_t total_cells) const {
-  if (grids == nullptr || render) return;
-  grids->progress_label = label;
-  grids->progress_total = total_cells;
-}
-
 std::vector<core::CellStats> SweepContext::run_grid(
     const std::string& sweep_name, core::BatchGrid grid) const {
-  if (grids != nullptr && !render) {
+  grid.seeds = seeds;
+  if (grids != nullptr && partial) {
     grids->queued.push_back({sweep_name, std::move(grid)});
     return {};
   }

@@ -2,15 +2,18 @@
 // sweep body runs against (parameters, where results go, and the
 // run_grid entry point). The bench layer registers its figure/table
 // sweeps here; the CLI driver that builds contexts, owns flag parsing and
-// every invocation policy (cell numbering, shard and resume gating,
-// --dry-run, --engine, tracing, metrics) lives in src/dist
-// (dist::sweep_main), so sweep definitions contain experiment logic only.
+// every invocation policy (replicate seeds, cell numbering, shard and
+// resume gating, progress spans, record sinks, --dry-run, --engine,
+// tracing, metrics) lives in src/dist (dist::sweep_main), so sweep
+// definitions contain experiment logic only: a body builds its grids'
+// experiment axes and renders its figure, nothing more.
 //
 // The driver runs every selected sweep's grids through one BatchRunner
 // pool, so each body runs twice. In the plan pass, run_grid queues the
 // grid in the sweep's SweepGrids and returns {}. The driver then plans
-// every queued grid (the part --dry-run prints), runs them all at once
-// and streams each cell into its own sweep's sinks, in cell_index order.
+// every queued grid (the part --dry-run prints), opens each sweep's
+// progress span over its queued cells, runs them all at once and writes
+// each cell to its own sweep's CSV and JSONL files, in cell_index order.
 // In the render pass, run_grid hands each grid's finished cells back, in
 // the order they were queued, and the body renders its figure from them.
 // A sharded, resumed or dry invocation sees only part of the results and
@@ -44,10 +47,6 @@ struct SweepGrids {
   std::vector<core::GridRun> runs;
   /// Render pass: how many of `runs` run_grid has handed back.
   std::size_t rendered = 0;
-  /// The progress span begin_progress asked for. The driver opens it when
-  /// emission reaches the sweep.
-  std::string progress_label;
-  std::size_t progress_total = 0;
 
   /// The sweep's slice of the pool: wall time from its first run start to
   /// its last run finish, and each worker's busy seconds on its runs.
@@ -63,14 +62,12 @@ struct SweepContext {
   /// True when this invocation cannot see the full result set (dry run,
   /// shard of a larger grid, resume, or the plan pass): sweep bodies skip
   /// their ASCII figure/table rendering — the sinks plus mtr_merge are the
-  /// output.
+  /// output. With `grids`, true exactly in the plan pass.
   bool partial = false;
 
   /// The driver's slot for this sweep in the invocation's pool. Null runs
   /// each grid on the spot, in a pool of its own, streaming into `sink`.
   SweepGrids* grids = nullptr;
-  /// With `grids`: false in the plan pass, true in the render pass.
-  bool render = false;
 
   /// Without `grids`: run_grid's pool size (0 = hardware concurrency),
   /// where it streams each cell (never null then), and the cell counter
@@ -81,17 +78,14 @@ struct SweepContext {
 
   std::ostream& os() const { return *out; }
 
-  /// Runs one BatchRunner grid on behalf of `sweep_name`. The plan pass
-  /// queues the grid and returns {}; the render pass returns the cells the
-  /// pool produced for it, in grid order (a subset when the driver gated
-  /// the grid). A context without `grids` claims the grid's cell-index
-  /// range and runs it on the spot.
+  /// Runs one BatchRunner grid on behalf of `sweep_name`, replicated over
+  /// `seeds` (the grid's own seeds are overwritten). The plan pass queues
+  /// the grid and returns {}; the render pass returns the cells the pool
+  /// produced for it, in grid order (a subset when the driver gated the
+  /// grid). A context without `grids` claims the grid's cell-index range
+  /// and runs it on the spot.
   std::vector<core::CellStats> run_grid(const std::string& sweep_name,
                                         core::BatchGrid grid) const;
-
-  /// Names the sweep's progress span and its cell count. Recorded by the
-  /// plan pass for the driver; a no-op otherwise.
-  void begin_progress(const std::string& label, std::size_t total_cells) const;
 };
 
 struct SweepSpec {

@@ -116,7 +116,6 @@ report::SweepRegistry counting_registry(std::atomic<int>* runs) {
          core::BatchGrid grid;
          grid.base = test::quick_experiment(workloads::WorkloadKind::kOurs,
                                             ctx.scale);
-         grid.seeds = ctx.seeds;
          for (int a = 0; a < 4; ++a) {
            // Append, not `"a" + ...`: GCC 12 -Wrestrict false-positives on
            // the operator+ chain.
@@ -129,7 +128,6 @@ report::SweepRegistry counting_registry(std::atomic<int>* runs) {
                   return nullptr;
                 }});
          }
-         ctx.begin_progress("grid", 4);
          ctx.run_grid("grid", std::move(grid));
        }});
   return registry;
@@ -146,14 +144,12 @@ report::SweepRegistry population_registry() {
          core::BatchGrid grid;
          grid.base = test::quick_experiment(workloads::WorkloadKind::kOurs,
                                             ctx.scale);
-         grid.seeds = ctx.seeds;
          grid.attacks.push_back(
              {"baseline", []() -> std::unique_ptr<attacks::Attack> {
                 return nullptr;
               }});
          grid.population_sizes = {1, 6};
          grid.attacker_fractions = {0.0, 0.4};
-         ctx.begin_progress("pop", 4);
          ctx.run_grid("pop", std::move(grid));
        }});
   return registry;
@@ -426,7 +422,6 @@ report::SweepRegistry mixed_registry() {
                        std::vector<bool> attacked) {
     core::BatchGrid g;
     g.base = test::quick_experiment(workloads::WorkloadKind::kOurs, ctx.scale);
-    g.seeds = ctx.seeds;
     for (std::size_t a = 0; a < attacked.size(); ++a) {
       core::AttackFactory make;
       if (attacked[a]) make = [] { return std::unique_ptr<attacks::Attack>(); };
@@ -615,12 +610,10 @@ TEST(MergeTest, OneCombinedFileIsTheMergeOfAnOutDirRun) {
 report::SweepRegistry two_grid_registry() {
   report::SweepRegistry registry;
   registry.add({"pair", "two 2-cell grids", [](const report::SweepContext& ctx) {
-                  ctx.begin_progress("pair", 4);
                   for (int g = 0; g < 2; ++g) {
                     core::BatchGrid grid;
                     grid.base = test::quick_experiment(
                         workloads::WorkloadKind::kOurs, ctx.scale);
-                    grid.seeds = ctx.seeds;
                     grid.schedulers = {sim::SchedulerKind::kO1,
                                        sim::SchedulerKind::kCfs};
                     ctx.run_grid("pair", std::move(grid));
@@ -676,7 +669,11 @@ TEST(SweepDriverTest, PlanNumbersGatesAndCountsEveryQueuedGrid) {
             "pair: cells [2,4) — runs all 2\n"
             "dry run: 1 sweep(s), 4 cell(s); 3 left to run\n");
   resume.status_file = dir + "/status.json";
-  ASSERT_EQ(run_sweeps(registry, resume, out, err), 0) << err.str();
+  resume.progress = true;
+  std::ostringstream progress;
+  ASSERT_EQ(run_sweeps(registry, resume, out, progress), 0) << progress.str();
+  // The span is the sweep's: its name, and every cell its grids queued.
+  EXPECT_NE(progress.str().find("[pair] 4 cell(s) queued"), std::string::npos);
   const StatusSnapshot status = read_status_file(resume.status_file);
   EXPECT_EQ(status.cells_done, 3u);
   EXPECT_EQ(status.cells_total, 3u);
@@ -1589,9 +1586,7 @@ TEST(SweepDriverTest, DryRunPlanNamesOpenScenarioAxes) {
                   core::BatchGrid grid;
                   grid.base = test::quick_experiment(
                       workloads::WorkloadKind::kOurs, ctx.scale);
-                  grid.seeds = ctx.seeds;
                   grid.jiffy_timers = {true, false};
-                  ctx.begin_progress("abl", 2);
                   ctx.run_grid("abl", std::move(grid));
                 }});
   SweepOptions opts = grid_options("");
@@ -1828,6 +1823,31 @@ TEST(MetricsFoldTest, TelemetrySectionsRoundTripByteStably) {
   std::ostringstream reemit;
   trace::write_metrics_json(reemit, f.sweeps, f.shards);
   EXPECT_EQ(reemit.str(), read_file(path));
+}
+
+TEST(MetricsFoldTest, SubnormalSketchBoundsRoundTripByteStably) {
+  trace::SweepMetrics m = telemetry_metrics("fig04");
+  m.telemetry.billing_error = QuantileSketch{};
+  m.telemetry.billing_error.add(4.9406564584124654e-324);
+  m.telemetry.billing_error.add(2.2250738585072009e-308);
+  const auto path = write_metrics_file("subnormal-roundtrip.json", {m});
+  ASSERT_NE(read_file(path).find("\"min\": 4.9406564584124654e-324"),
+            std::string::npos);
+  const MetricsFile f = read_metrics_json(path);
+  std::ostringstream reemit;
+  trace::write_metrics_json(reemit, f.sweeps, f.shards);
+  EXPECT_EQ(reemit.str(), read_file(path));
+}
+
+TEST(JsonNumberTest, ConversionsRefuseWhatTheirTypeCannotHold) {
+  const auto field = [](const char* token) { return json::parse_document(token); };
+  EXPECT_EQ(json::as_u64(field("18446744073709551615"), "x"), UINT64_MAX);
+  EXPECT_EQ(json::as_i64(field("-9223372036854775808"), "x"), INT64_MIN);
+  for (const char* bad : {"-1", "1e5", "1.0", "18446744073709551616"})
+    EXPECT_THROW(json::as_u64(field(bad), "x"), std::runtime_error) << bad;
+  for (const char* bad : {"9223372036854775808", "1.5"})
+    EXPECT_THROW(json::as_i64(field(bad), "x"), std::runtime_error) << bad;
+  EXPECT_THROW(json::as_f64(field("1e400"), "x"), std::runtime_error);
 }
 
 // --- one schema: every reader refuses every other version -------------------------
@@ -2366,7 +2386,6 @@ TEST(SweepDriverTest, HeartbeatRefreshesAfterEveryRunWhileEmissionIsHeldBack) {
                   core::BatchGrid grid;
                   grid.base = test::quick_experiment(
                       workloads::WorkloadKind::kOurs, ctx.scale);
-                  grid.seeds = ctx.seeds;
                   grid.attacks.push_back({"slow", attack([&] {
                     std::unique_lock<std::mutex> lock(mutex);
                     if (!cv.wait_for(lock, std::chrono::seconds(30),
@@ -2381,7 +2400,6 @@ TEST(SweepDriverTest, HeartbeatRefreshesAfterEveryRunWhileEmissionIsHeldBack) {
                     released = true;
                     cv.notify_all();
                   })});
-                  ctx.begin_progress("held", 5);
                   ctx.run_grid("held", std::move(grid));
                 }});
   std::ostringstream out, err;
@@ -2615,10 +2633,8 @@ TEST(InspectTest, EachSweepsPoolSpanCoversItsRunsWithOrWithoutKeptCells) {
                     core::BatchGrid grid;
                     grid.base = test::quick_experiment(
                         workloads::WorkloadKind::kOurs, ctx.scale);
-                    grid.seeds = ctx.seeds;
                     grid.schedulers = {sim::SchedulerKind::kO1,
                                        sim::SchedulerKind::kCfs};
-                    ctx.begin_progress(name, 2);
                     ctx.run_grid(name, std::move(grid));
                   }});
   }
@@ -2875,7 +2891,6 @@ TEST(SketchMutationTest, AcceptedTokensReencodeToThemselves) {
 TEST(FaultInjectorTest, FlushFaultFiresOnTheConfiguredFlushExactlyOnce) {
   FaultInjector injector(parse_fault_plan("fail-flush-at=2"));
   EXPECT_TRUE(injector.active());
-  EXPECT_TRUE(injector.has_flush_fault());
   EXPECT_NO_THROW(injector.on_sink_flush("csv"));
   EXPECT_THROW(injector.on_sink_flush("jsonl"), std::runtime_error);
   // One-shot: the retry after the transient failure goes through.
@@ -2893,32 +2908,38 @@ TEST(FaultInjectorTest, FailFlushAbortsTheSweepAndResumeHeals) {
 
   // The transient flush failure unwinds as an exception (mtr_sweep's main
   // maps it to exit 1 — what the fleet supervisor observes). Cells flush
-  // in grid order, two flushes per cell (CSV then JSONL), so failing the
-  // 7th flush kills cell 3's first write and leaves a clean 3-cell prefix.
-  SweepOptions opts = grid_options(root + "/run");
-  opts.fault = parse_fault_plan("fail-flush-at=7");
-  try {
-    run_sweeps(registry, opts, out, err);
-    FAIL() << "flush fault did not surface";
-  } catch (const std::exception& e) {
-    EXPECT_NE(std::string(e.what()).find("fault injection"),
-              std::string::npos)
-        << e.what();
-  }
+  // in grid order, two flushes per cell (CSV then JSONL): the 7th flush
+  // kills cell 3's CSV write and leaves a clean 3-cell prefix; the 8th
+  // kills its JSONL write, so the CSV holds one cell more than the JSONL.
+  for (const std::uint64_t flush : {7u, 8u}) {
+    SCOPED_TRACE(flush);
+    SweepOptions opts = grid_options(root + "/run" + std::to_string(flush));
+    opts.fault.fail_flush_at = flush;
+    try {
+      run_sweeps(registry, opts, out, err);
+      FAIL() << "flush fault did not surface";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("fault injection"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(scan_csv(opts.out_dir + "/grid.csv").blocks.size(),
+              flush == 7 ? 3u : 4u);
+    EXPECT_EQ(scan_jsonl(opts.out_dir + "/grid.jsonl").blocks.size(), 3u);
 
-  // The transient failure unwound cleanly; a clean --resume reruns only
-  // the failed cell and lands byte-identical to the uninterrupted
-  // reference.
-  runs = 0;
-  opts.fault = FaultPlan{};
-  opts.resume = true;
-  std::ostringstream err2;
-  ASSERT_EQ(run_sweeps(registry, opts, out, err2), 0) << err2.str();
-  EXPECT_EQ(runs.load(), 2);  // one cell x two seeds
-  EXPECT_EQ(read_file(root + "/run/grid.csv"),
-            read_file(root + "/ref/grid.csv"));
-  EXPECT_EQ(read_file(root + "/run/grid.jsonl"),
-            read_file(root + "/ref/grid.jsonl"));
+    // A clean --resume keeps the cells both files hold, reruns only the
+    // failed one and lands byte-identical to the uninterrupted reference.
+    runs = 0;
+    opts.fault = FaultPlan{};
+    opts.resume = true;
+    std::ostringstream err2;
+    ASSERT_EQ(run_sweeps(registry, opts, out, err2), 0) << err2.str();
+    EXPECT_EQ(runs.load(), 2);  // one cell x two seeds
+    EXPECT_EQ(read_file(opts.out_dir + "/grid.csv"),
+              read_file(root + "/ref/grid.csv"));
+    EXPECT_EQ(read_file(opts.out_dir + "/grid.jsonl"),
+              read_file(root + "/ref/grid.jsonl"));
+  }
   std::filesystem::remove_all(root);
 }
 

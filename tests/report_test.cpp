@@ -1,10 +1,9 @@
 // Report-layer coverage: sink round-trips (every ExperimentResult field
-// survives CSV and JSONL serialization), append safety, MultiSink fan-out,
-// the shared cell-record emitter, the cell key (grid coordinates to record
-// columns, strict per-type parsing, first-difference naming), the sweep
-// registry and the sweep context's two passes, CSV escaping, and the
-// progress reporter. The CLI driver moved
-// to src/dist and is covered by dist_test.
+// survives CSV and JSONL serialization), append safety, the shared
+// cell-record emitter, the cell key (grid coordinates to record columns,
+// strict per-type parsing, first-difference naming), the sweep registry
+// and the sweep context's two passes, CSV escaping, and the progress
+// reporter. The CLI driver moved to src/dist and is covered by dist_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -390,24 +389,6 @@ TEST(CsvSinkTest, TruncateModeStartsFresh) {
   std::filesystem::remove(path);
 }
 
-TEST(MultiSinkTest, FansOutToEveryChildInOrder) {
-  auto csv_a = std::make_unique<std::ostringstream>();
-  auto csv_b = std::make_unique<std::ostringstream>();
-  std::ostringstream ref;
-
-  MultiSink multi;
-  EXPECT_TRUE(multi.empty());
-  multi.add(std::make_unique<CsvSink>(*csv_a));
-  multi.add(std::make_unique<CsvSink>(*csv_b));
-  EXPECT_EQ(multi.size(), 2u);
-
-  const core::CellStats cell = sample_cell();
-  multi.write_cell("fig04", cell);
-  CsvSink(ref).write_cell("fig04", cell);
-  EXPECT_EQ(csv_a->str(), ref.str());
-  EXPECT_EQ(csv_b->str(), ref.str());
-}
-
 TEST(SweepRegistryTest, AddFindAndRejectDuplicates) {
   SweepRegistry registry;
   registry.add({"fig04", "t1", [](const SweepContext&) {}});
@@ -433,7 +414,6 @@ class CaptureSink final : public ResultSink {
 core::BatchGrid two_cell_grid(const SweepContext& ctx) {
   core::BatchGrid grid;
   grid.base = test::quick_experiment(workloads::WorkloadKind::kOurs, ctx.scale);
-  grid.seeds = ctx.seeds;
   grid.schedulers = {sim::SchedulerKind::kO1, sim::SchedulerKind::kCfs};
   return grid;
 }
@@ -449,6 +429,7 @@ TEST(SweepContextTest, WithoutAPoolSlotRunGridRunsOnTheSpot) {
   ctx.cell_cursor = &cursor;
   const std::vector<core::CellStats> cells = ctx.run_grid("solo", two_cell_grid(ctx));
   ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[1].runs.size(), 1u);  // one run per context seed
   EXPECT_EQ(cells[1].cell_index, 4u);
   EXPECT_EQ(cursor, 5u);
   using Streamed = std::pair<std::string, std::uint64_t>;
@@ -460,16 +441,15 @@ TEST(SweepContextTest, PlanPassQueuesGridsAndRenderPassHandsTheirCellsBack) {
   SweepContext plan;
   plan.scale = 0.02;
   plan.seeds = {7};
+  plan.partial = true;
   plan.grids = &slot;
-  plan.begin_progress("pair", 4);
   EXPECT_TRUE(plan.run_grid("pair", two_cell_grid(plan)).empty());
   EXPECT_TRUE(plan.run_grid("pair", two_cell_grid(plan)).empty());
   ASSERT_EQ(slot.queued.size(), 2u);
   EXPECT_EQ(slot.queued[1].sweep, "pair");
+  EXPECT_EQ(slot.queued[1].grid.seeds, plan.seeds);
   // Numbering and gating are the driver's (dist_test pins them).
   EXPECT_EQ(slot.queued[1].grid.cell_index_base, 0u);
-  EXPECT_EQ(slot.progress_label, "pair");
-  EXPECT_EQ(slot.progress_total, 4u);
 
   // Stand in for the driver: number the grids, refuse cell 1, run the pool.
   std::vector<core::BatchGrid> grids;
@@ -479,9 +459,7 @@ TEST(SweepContextTest, PlanPassQueuesGridsAndRenderPassHandsTheirCellsBack) {
   slot.runs = core::BatchRunner(2).run(grids);
 
   SweepContext render = plan;
-  render.render = true;
-  render.begin_progress("ignored", 99);
-  EXPECT_EQ(slot.progress_label, "pair");
+  render.partial = false;
   const std::vector<core::CellStats> first = render.run_grid("pair", two_cell_grid(render));
   ASSERT_EQ(first.size(), 1u);  // the filter refused cell 1
   EXPECT_EQ(first[0].cell_index, 0u);
