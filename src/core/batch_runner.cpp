@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -282,9 +283,15 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
       std::min<std::size_t>(threads_, n_runs > 0 ? n_runs : 1));
 
   // Claim order. A lone worker takes runs in grid order, so it finishes
-  // and emits each cell as early as possible. A wider pool claims by a
-  // deterministic cost estimate instead — runs with an attack first, grid
-  // order within each class — so the long runs do not form the tail.
+  // and emits each cell as early as possible. A wider pool claims every
+  // cell's first replicate before any later one, so a later replicate
+  // finds its first one finished or in flight; within each class, runs
+  // with an attack come first and grid order breaks ties — a deterministic
+  // cost estimate, so the long runs do not form the tail.
+  const auto seed_index = [&](std::size_t r) {
+    const GridLayout& L = grids[cell_grid[run_cell[r]]];
+    return (r - L.first_run) % L.seeds.size();
+  };
   std::vector<std::size_t> order(n_runs);
   for (std::size_t r = 0; r < n_runs; ++r) order[r] = r;
   if (pool > 1) {
@@ -292,6 +299,8 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
       const GridLayout& L = grids[cell_grid[run_cell[r]]];
       return cell_has_attack(*L.g, L.geom, L.active[run_cell[r] - L.first_cell]);
     });
+    std::stable_partition(order.begin(), order.end(),
+                          [&](std::size_t r) { return seed_index(r) == 0; });
   }
 
   // Result slots exist only for cells with a run finished and the cell not
@@ -307,13 +316,19 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
   std::atomic<std::size_t> next{0};
 
   // Everything below the mutex: result slots, per-cell completion counts,
-  // the in-order emission cursor, per-grid timing, and the first-failure
-  // record.
+  // the in-order emission cursor, per-grid timing, the state of each
+  // cell's first replicate, and the first-failure record.
   std::mutex mutex;
+  std::condition_variable first_done;  // a first replicate ended, or a failure
+  enum class First : char { kPending, kInvariant, kRerun };
+  std::vector<First> first(n_active, First::kPending);
   std::vector<std::size_t> runs_done(n_active, 0);
   std::vector<double> cell_wall(n_active, 0.0);
-  std::vector<char> cell_failed(n_active, 0);
   std::size_t next_emit = 0;
+  // Fail-stop: the flat index of the first failed cell. No run of it or of
+  // a later cell starts once it is set, and emission stops before it, so a
+  // failed invocation leaves exactly the cells before it: a clean prefix.
+  std::atomic<std::size_t> stop_cell{n_active};
   std::size_t error_run = n_runs;
   const char* error_callback = nullptr;
   std::exception_ptr error;
@@ -324,6 +339,8 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
     error_run = r;
     error_callback = callback;
     error = std::move(e);
+    stop_cell.store(run_cell[r], std::memory_order_relaxed);
+    first_done.notify_all();
   };
 
   auto aggregate = [&](std::size_t k) {
@@ -356,34 +373,59 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
   std::vector<double> busy(pool, 0.0);
 
   auto worker = [&](unsigned wi) {
+    std::unique_lock<std::mutex> lock(mutex, std::defer_lock);
     for (;;) {
       const std::size_t claim = next.fetch_add(1, std::memory_order_relaxed);
       if (claim >= n_runs) return;
       const std::size_t r = order[claim];
       const std::size_t k = run_cell[r];
+      if (k >= stop_cell.load(std::memory_order_relaxed)) continue;
       const std::size_t gi = cell_grid[k];
       const GridLayout& L = grids[gi];
       const BatchGrid& g = *L.g;
       const std::size_t pos = k - L.first_cell;
-      const std::size_t seed_i = r - L.first_run - pos * L.seeds.size();
+      const std::size_t seed_i = seed_index(r);
       const GridCellIndices ix = L.geom.coords(L.active[pos]);
 
+      // A later replicate of a cell whose first replicate drew no
+      // randomness is that run again: take its result instead of running
+      // it. First replicates never wait and are all claimed earlier, so
+      // the wait ends; it also keeps the set of executed runs the same at
+      // every thread count. A grid that traces runs every replicate: a
+      // traced run observes what an untraced one does not.
       std::exception_ptr run_error;
       ExperimentResult result;
+      bool copied = false;
+      if (seed_i > 0 && !g.trace_path) {
+        lock.lock();
+        first_done.wait(lock, [&] {
+          return first[k] != First::kPending ||
+                 k >= stop_cell.load(std::memory_order_relaxed);
+        });
+        if (k >= stop_cell.load(std::memory_order_relaxed)) {
+          lock.unlock();
+          continue;
+        }
+        copied = first[k] == First::kInvariant;
+        if (copied) result = pending[k][0];
+        else lock.unlock();
+      }
       const auto t0 = std::chrono::steady_clock::now();
-      try {
-        ExperimentConfig cfg = run_config(g, ix, L.seeds[seed_i]);
-        if (g.trace_path) cfg.trace.path = g.trace_path(L.active[pos], seed_i);
-        const AttackFactory& make = attack_at(g, ix[kAttackAxis]).make;
-        const std::unique_ptr<attacks::Attack> attack = make ? make() : nullptr;
-        result = run_experiment(cfg, attack.get());
-      } catch (...) {
-        run_error = std::current_exception();
+      if (!copied) {
+        try {
+          ExperimentConfig cfg = run_config(g, ix, L.seeds[seed_i]);
+          if (g.trace_path) cfg.trace.path = g.trace_path(L.active[pos], seed_i);
+          const AttackFactory& make = attack_at(g, ix[kAttackAxis]).make;
+          const std::unique_ptr<attacks::Attack> attack = make ? make() : nullptr;
+          result = run_experiment(cfg, attack.get());
+        } catch (...) {
+          run_error = std::current_exception();
+        }
       }
       const auto t1 = std::chrono::steady_clock::now();
       const double dt = std::chrono::duration<double>(t1 - t0).count();
 
-      const std::lock_guard<std::mutex> lock(mutex);
+      if (!copied) lock.lock();
       // Under the lock so the callbacks can snapshot every slot.
       busy[wi] += dt;
       GridRun& gr = out[gi];
@@ -392,26 +434,22 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
       if (!grid_started[gi] || start < gr.start_seconds) gr.start_seconds = start;
       grid_started[gi] = 1;
       gr.finish_seconds = std::max(gr.finish_seconds, since_start(t1));
-      if (run_error) {
-        cell_failed[k] = 1;
-        fail(r, nullptr, run_error);
+      if (seed_i == 0) {
+        first[k] = run_error || result.seed_dependent ? First::kRerun : First::kInvariant;
+        first_done.notify_all();
       }
+      if (run_error) fail(r, nullptr, run_error);
       if (pending[k].empty()) pending[k].resize(L.seeds.size());
       pending[k][seed_i] = std::move(result);
       cell_wall[k] += dt;
       ++runs_done[k];
 
-      // Emit every cell that is now ready, in flat order. Failed cells are
-      // skipped (the pool rethrows after the join anyway) but still
-      // advance the cursor.
+      // Emit every cell that is now ready, in flat order, up to the first
+      // failed one.
       std::size_t emitted = 0;
-      while (next_emit < n_active &&
+      while (next_emit < stop_cell.load(std::memory_order_relaxed) &&
              runs_done[next_emit] == grids[cell_grid[next_emit]].seeds.size()) {
         const std::size_t emit = next_emit++;
-        if (cell_failed[emit]) {
-          std::vector<ExperimentResult>().swap(pending[emit]);
-          continue;
-        }
         aggregate(emit);
         ++emitted;
         const std::size_t egi = cell_grid[emit];
@@ -436,6 +474,7 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
           fail(r, "per-run callback", std::current_exception());
         }
       }
+      lock.unlock();
     }
   };
 

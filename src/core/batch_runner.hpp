@@ -19,11 +19,23 @@
 //
 // One pool runs any number of grids: every (cell, seed) run of every grid
 // is one work item, so no grid waits at a barrier for the previous one's
-// tail. With more than one worker, runs are claimed by a deterministic
-// cost estimate — runs with an attack before baseline runs, grid order
-// otherwise — so the long runs start first; one worker claims in grid
-// order. Claim order never reaches the output: cells are still emitted in
-// grid order, grid after grid.
+// tail. With more than one worker, every cell's first replicate is claimed
+// before any later one, and within each of the two classes runs are
+// claimed by a deterministic cost estimate — runs with an attack before
+// baseline runs, grid order otherwise — so the long runs start first; one
+// worker claims in grid order. Claim order never reaches the output: cells
+// are still emitted in grid order, grid after grid.
+//
+// Replicate seeds vary only NIC flood arrivals and population draws. In a
+// grid without trace paths, a later replicate of a cell whose first
+// replicate drew neither (ExperimentResult::seed_dependent false) takes
+// that result instead of running: the cell runs once and still holds one
+// result per seed. A replicate whose first one is still running waits for
+// it, so the same runs execute at every thread count.
+//
+// The pool is fail-stop: after the first failure it starts no run of the
+// failed cell or of any later one and emits no later cell, so a failed
+// invocation leaves a clean prefix of the cells.
 #pragma once
 
 #include <array>
@@ -315,11 +327,13 @@ struct CellStats : GridCellCoords {
 /// the callback observes strictly increasing indices regardless of which
 /// worker finished the cell's last run — late cells are buffered until
 /// every earlier cell has been handled, in this grid and in every grid
-/// before it in the pool. A cell whose run threw is skipped (leaving a gap
-/// in the indices); the pool still finishes and rethrows with that cell's
-/// coordinates after the workers join. Cells excluded by
-/// BatchGrid::cell_filter also leave gaps: `index` and `total` always
-/// describe the full grid, not the filtered subset.
+/// before it in the pool. `cell.runs` holds one result per seed; a
+/// seed-invariant cell's later replicates are copies of its first one (see
+/// the file comment). Emission stops before the first cell whose run threw
+/// and after the first cell whose callback threw; the pool rethrows with
+/// that cell's coordinates after the workers join. Cells excluded by
+/// BatchGrid::cell_filter leave gaps: `index` and `total` always describe
+/// the full grid, not the filtered subset.
 struct CellEvent {
   std::size_t index = 0;      // grid-order cell index
   std::size_t total = 0;      // cells in this grid
@@ -340,8 +354,8 @@ struct CellEvent {
 };
 
 /// Per-cell completion hook; invoked serially (under the runner's emission
-/// lock). A throwing callback is treated like a failed run: the pool
-/// finishes and the exception is rethrown with the cell's coordinates.
+/// lock). A throwing callback is treated like a failed run: the pool stops
+/// and the exception is rethrown with the cell's coordinates.
 using CellCallback = std::function<void(const CellEvent&)>;
 
 /// Fired once per finished run, under the emission lock, after every cell
@@ -387,16 +401,19 @@ class BatchRunner {
   /// Runs every grid through one pool and returns one GridRun per grid,
   /// in the same order. Each GridRun holds one CellStats per admitted axis
   /// combination in attack-major grid order (all of them when
-  /// `grid.cell_filter` is null). `on_cell`, when set, streams each
-  /// admitted cell as soon as it and every earlier admitted cell — of its
-  /// own grid and of every grid before it — are complete; grids therefore
-  /// emit in span order, so callers pass them in cell_index order.
-  /// `on_run`, when set, fires after every finished run. Without
-  /// `keep_cells`, each cell is released once `on_cell` has seen it and the
-  /// GridRuns carry timing only. If any experiment throws, the first
-  /// exception (in grid order) is rethrown after all workers join, wrapped
-  /// in a std::runtime_error naming the failing cell's coordinates (attack,
-  /// scheduler, hz, seed).
+  /// `grid.cell_filter` is null). A cell whose first replicate drew no
+  /// randomness runs once; its other seeds take that result. `on_cell`,
+  /// when set, streams each admitted cell as soon as it and every earlier
+  /// admitted cell — of its own grid and of every grid before it — are
+  /// complete; grids therefore emit in span order, so callers pass them in
+  /// cell_index order. `on_run`, when set, fires after every finished run,
+  /// copied replicates included. Without `keep_cells`, each cell is
+  /// released once `on_cell` has seen it and the GridRuns carry timing
+  /// only. If any experiment or callback throws, the pool stops at that
+  /// cell (no later cell runs or streams; earlier ones finish), and the
+  /// first exception in grid order is rethrown after all workers join,
+  /// wrapped in a std::runtime_error naming the failing cell's coordinates
+  /// (attack, scheduler, hz, seed).
   std::vector<GridRun> run(std::span<const BatchGrid> grids,
                            const CellCallback& on_cell = {},
                            const RunCallback& on_run = {},

@@ -155,6 +155,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   r.voluntary_switches = usage.voluntary_switches;
   r.involuntary_switches = usage.involuntary_switches;
   r.nic_packets = kernel.nic().packets_delivered();
+  // The kernel generator and population generation are the only readers
+  // of the seed.
+  r.seed_dependent = kernel.seed_consumed() || pop.enabled();
 
   if (attack != nullptr && !attack->attacker_pids().empty()) {
     r.has_attacker = true;

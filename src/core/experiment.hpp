@@ -121,6 +121,11 @@ struct ExperimentResult {
   QuantileSketch pop_true_seconds;        // per-tenant ground truth
   QuantileSketch pop_attacker_advantage;  // true − billed, attacker tenants
 
+  /// False when the run drew nothing from the kernel's seeded generator and
+  /// ran no population: nothing it did read the seed, so a run at any other
+  /// seed yields this same result. Never serialized.
+  bool seed_dependent = true;
+
   // Observability (populated only when ExperimentConfig::trace asked for it;
   // never part of the CSV/JSONL result schema).
   trace::KernelStats kstats;

@@ -56,7 +56,11 @@ constexpr const char* kUsage =
     "                     with a JSON heartbeat: cells done/total, elapsed,\n"
     "                     ETA, per-worker busy fractions\n"
     "  --threads N        BatchRunner worker pool (default MTR_BENCH_THREADS)\n"
-    "  --seeds N          replicate seeds per cell (default MTR_BENCH_SEEDS)\n"
+    "  --seeds N          replicate seeds per cell (default MTR_BENCH_SEEDS);\n"
+    "                     a seed varies only NIC flood arrivals and\n"
+    "                     population draws, so a cell whose first replicate\n"
+    "                     drew neither runs once and writes one record per\n"
+    "                     seed\n"
     "  --first-seed S     first replicate seed (default 42)\n"
     "  --scale X          workload scale (default MTR_BENCH_SCALE)\n"
     "  --engine E         kernel step loop: 'event' (calendar queue) or\n"

@@ -41,7 +41,8 @@ struct FaultPlan {
   /// of that write reaches its file — a transient I/O failure the sweep
   /// reports as an error. The driver flushes before each of a cell's two
   /// writes, CSV then JSONL, so an even J fails a JSONL write whose CSV
-  /// rows are already on disk.
+  /// rows are already on disk. The pool writes no later cell, so the files
+  /// hold a clean prefix that a clean --resume completes.
   std::optional<std::uint64_t> fail_flush_at;
 
   bool active() const {

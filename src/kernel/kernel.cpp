@@ -46,7 +46,6 @@ class KernelProcessContext final : public ProcessContext {
   Tgid tgid() const override { return proc_.tgid; }
   std::int64_t last_result() const override { return proc_.last_syscall_result; }
   Cycles now() const override { return kernel_.now_; }
-  Xoshiro256& rng() override { return proc_.rng; }
 
  private:
   Kernel& kernel_;
@@ -87,8 +86,7 @@ Process& Kernel::create_process(std::string name, std::unique_ptr<Program> progr
   const Pid pid = allocate_pid();
   const Tgid group = tgid.valid() ? tgid : Tgid{pid.v};
   auto proc = std::make_unique<Process>(pid, group, parent, std::move(name),
-                                        std::move(program), nice,
-                                        SplitMix64(config_.seed ^ static_cast<std::uint64_t>(pid.v)).next());
+                                        std::move(program), nice);
   proc->privileged = privileged;
   if (!tgid.valid()) mm_.create_space(group);
   Process& ref = *proc;
@@ -1062,7 +1060,7 @@ void Kernel::handle_timer_tick() {
 void Kernel::handle_nic_arrival() {
   const Cycles due = *nic_.next_arrival();
   if (now_ < due) charge_idle(due - now_);
-  nic_.acknowledge(due, rng_);
+  nic_.acknowledge(due, draw_rng());
   // Junk packet: the handler runs in whatever context was interrupted and
   // benefits nobody — the commodity policy still bills the current process.
   charge(current_, WorkKind::kDeviceIrq,
@@ -1131,7 +1129,7 @@ void Kernel::submit_disk_request(Pid waiter) {
 void Kernel::start_nic_flood(double packets_per_second) {
   if (tracer_ != nullptr)
     tracer_->instant(now_, "nic-flood-start", kIdlePid, Tgid{0});
-  nic_.start_flood(now_, packets_per_second, rng_);
+  nic_.start_flood(now_, packets_per_second, draw_rng());
   if (config_.event_driven) {
     if (const auto t = nic_.next_arrival())
       events_.push(*t, EventKind::kNicArrival);

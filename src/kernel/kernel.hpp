@@ -144,7 +144,10 @@ class Kernel final {
   const hw::NicModel& nic() const { return nic_; }
   const hw::DiskModel& disk() const { return disk_; }
   const hw::TimerDevice& timer() const { return timer_; }
-  Xoshiro256& rng() { return rng_; }
+  /// True once anything drew from the seeded generator. A run that ends
+  /// with this false never read KernelConfig::seed, so it is step-for-step
+  /// the run at any other seed.
+  bool seed_consumed() const { return seed_consumed_; }
 
   /// Starts/stops the junk-packet flood (the interrupt-flooding attack's
   /// device side). Routed through the kernel so the first arrival enters
@@ -226,6 +229,12 @@ class Kernel final {
   void handle_nic_arrival();
   void handle_disk_completion();
   void handle_sleep_expiry(Cycles due, Pid pid);
+  // The one way to the seeded generator: every draw marks the run as
+  // seed-dependent (seed_consumed).
+  Xoshiro256& draw_rng() {
+    seed_consumed_ = true;
+    return rng_;
+  }
 
   // Future-event registration, branching on the engine mode. Every path
   // that makes a device completion or timer expiry pending goes through
@@ -306,7 +315,8 @@ class Kernel final {
   hw::TimerDevice timer_;
   hw::NicModel nic_;
   hw::DiskModel disk_;
-  Xoshiro256 rng_;
+  Xoshiro256 rng_;  // draw only through draw_rng()
+  bool seed_consumed_ = false;
   HookList hooks_;
 
   // Opt-in observability sinks (see src/trace); null = off, the default.

@@ -28,14 +28,12 @@ const char* to_string(Signal s) {
 }
 
 Process::Process(Pid pid_in, Tgid tgid_in, Pid parent_in, std::string name_in,
-                 std::unique_ptr<Program> program_in, Nice nice_in,
-                 std::uint64_t rng_seed)
+                 std::unique_ptr<Program> program_in, Nice nice_in, std::uint64_t)
     : pid(pid_in),
       tgid(tgid_in),
       parent(parent_in),
       name(std::move(name_in)),
       program(std::move(program_in)),
-      nice(nice_in),
-      rng(rng_seed) {}
+      nice(nice_in) {}
 
 }  // namespace mtr::kernel

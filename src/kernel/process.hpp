@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "hw/debug_registers.hpp"
 #include "kernel/step.hpp"
@@ -120,8 +119,11 @@ struct Usage {
 
 class Process {
  public:
+  /// The trailing seed is accepted and ignored: a process draws no
+  /// randomness. perfbench/probes.cpp still passes one, and the benchmark's
+  /// files change only in a benchmark change of their own.
   Process(Pid pid, Tgid tgid, Pid parent, std::string name,
-          std::unique_ptr<Program> program, Nice nice, std::uint64_t rng_seed);
+          std::unique_ptr<Program> program, Nice nice, std::uint64_t = 0);
 
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
@@ -180,9 +182,6 @@ class Process {
   // Group leader only: the threads it and its threads cloned, in creation
   // (ascending pid) order. Kept past exit, like the usage it indexes.
   std::vector<Pid> threads;
-
-  // Deterministic per-process randomness.
-  Xoshiro256 rng;
 
   bool runnable() const {
     return state == ProcState::kReady || state == ProcState::kRunning;

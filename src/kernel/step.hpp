@@ -15,7 +15,6 @@
 #include <string>
 #include <variant>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace mtr::kernel {
@@ -191,8 +190,6 @@ class ProcessContext {
   /// wait, 0/-1 for others).
   virtual std::int64_t last_result() const = 0;
   virtual Cycles now() const = 0;
-  /// Per-process deterministic random stream.
-  virtual Xoshiro256& rng() = 0;
 };
 
 /// A guest program: a lazy generator of Steps. Implementations must

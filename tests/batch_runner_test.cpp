@@ -1,10 +1,12 @@
 // BatchRunner coverage: grid shape/order, dimension defaulting, per-cell
-// seed derivation, error propagation, the shared pool's claim and
-// emission order, and — the load-bearing property — bit-identical
-// aggregates regardless of thread count.
+// seed derivation, which runs execute (a seed-invariant cell once), error
+// propagation, the shared pool's claim and emission order, and — the
+// load-bearing property — bit-identical aggregates regardless of thread
+// count.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -12,9 +14,11 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "attacks/flooding_attacks.hpp"
 #include "attacks/scheduling_attack.hpp"
 #include "common/format.hpp"
 #include "core/batch_runner.hpp"
@@ -218,6 +222,63 @@ TEST(BatchRunner, SeedsChangeResultsAcrossCells) {
   // Different scheduler + different derived seed: true cycle counts differ.
   EXPECT_NE(cells[0].first_run().true_cycles.total().v,
             cells[1].first_run().true_cycles.total().v);
+}
+
+/// Every serialized-outcome field of one run, for exact comparison.
+auto outcome(const ExperimentResult& r) {
+  return std::tuple(r.attack_name, r.victim_pid.v, r.victim_exited, r.wall_seconds,
+                    r.billed_ticks.utime.v, r.billed_ticks.stime.v,
+                    r.true_cycles.total().v, r.pais_cycles.total().v, r.overcharge,
+                    r.source_verdict.ok, r.witness.bytes, r.witness_steps, r.minor_faults,
+                    r.major_faults, r.debug_exceptions, r.voluntary_switches,
+                    r.involuntary_switches, r.nic_packets, r.attacker_ticks.total().v,
+                    r.attacker_true_cycles.total().v, r.seed_dependent);
+}
+
+TEST(BatchRunner, RunsASeedInvariantCellOnceAndAFloodedCellOncePerSeed) {
+  // Only the NIC flood draws from the seeded generator. A cell that draws
+  // nothing runs its first seed and copies that result into the others; a
+  // flooded cell runs every seed. Either way the cells hold what one
+  // run_experiment call per seed returns, at any thread count.
+  struct Shape {
+    const char* attack;
+    AttackFactory make;
+    int calls;  // factory calls: executed experiments
+  };
+  const Shape shapes[] = {
+      {"scheduling", tiny_scheduling_attack(), 2},
+      {"interrupt-flood",
+       [] { return std::make_unique<attacks::InterruptFloodAttack>(60'000.0); }, 6},
+  };
+  for (const Shape& shape : shapes) {
+    BatchGrid g;
+    g.base = test::quick_experiment(workloads::WorkloadKind::kOurs);
+    g.schedulers = {sim::SchedulerKind::kO1, sim::SchedulerKind::kCfs};
+    g.seeds = {7, 8, 9};
+    std::atomic<int> calls{0};
+    g.attacks.push_back({shape.attack, [&calls, &shape] {
+                           ++calls;
+                           return shape.make();
+                         }});
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(shape.attack) + " threads=" + std::to_string(threads));
+      calls = 0;
+      const std::vector<CellStats> cells = BatchRunner(threads).run(g);
+      EXPECT_EQ(calls.load(), shape.calls);
+      ASSERT_EQ(cells.size(), 2u);
+      for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+        ASSERT_EQ(cells[cell].runs.size(), g.seeds.size());
+        for (std::size_t i = 0; i < g.seeds.size(); ++i) {
+          ExperimentConfig cfg = g.base;
+          cfg.sim.scheduler = g.schedulers[cell];
+          cfg.sim.kernel.seed = cell_seed(g.seeds[i], only(kSchedulerAxis, cell));
+          const std::unique_ptr<attacks::Attack> attack = shape.make();
+          EXPECT_EQ(outcome(cells[cell].runs[i]), outcome(run_experiment(cfg, attack.get())))
+              << "cell " << cell << " seed " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchRunner, GridGeometryHelpersMatchRunOrder) {
@@ -711,6 +772,27 @@ TEST(BatchRunnerPool, AFailedRunInALaterGridKeepsEarlierCellsAndIsNamed) {
     EXPECT_NE(what.find("factory exploded"), std::string::npos) << what;
   }
   EXPECT_EQ(emitted, (std::vector<std::uint64_t>{0}));
+}
+
+TEST(BatchRunnerPool, AFailedRunStopsEmissionAtItsCell) {
+  // Fail-stop: the cells before the failed one still stream, none after
+  // it does, so whatever a sink wrote is a clean prefix of the grid.
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    std::vector<std::uint64_t> emitted;
+    const std::vector<BatchGrid> grids = {
+        grid_of({{"fine", nullptr},
+                 {"broken", hooked([] { throw std::runtime_error("factory exploded"); })},
+                 {"after", nullptr}},
+                0),
+        grid_of({{"later", nullptr}}, 3)};
+    EXPECT_THROW(BatchRunner(threads).run(grids,
+                                          [&](const CellEvent& ev) {
+                                            emitted.push_back(ev.cell.cell_index);
+                                          }),
+                 std::runtime_error);
+    EXPECT_EQ(emitted, (std::vector<std::uint64_t>{0}));
+  }
 }
 
 TEST(BatchRunnerPool, AThrowingRunCallbackFailsItsCellWithoutBlamingASeed) {

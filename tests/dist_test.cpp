@@ -31,6 +31,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -330,7 +331,9 @@ TEST(SweepDriverTest, RunsGridAndCreatesSinkParentDirs) {
 
   std::ostringstream out, err;
   EXPECT_EQ(run_sweeps(registry, opts, out, err), 0);
-  EXPECT_EQ(runs.load(), 8);  // 4 cells x 2 seeds
+  // 4 cells x 2 seeds, but the grid draws no randomness: each cell's
+  // second seed takes its first seed's result, so 4 cells x 1 run.
+  EXPECT_EQ(runs.load(), 4);
   const std::string csv = opts.out_dir + "/grid.csv";
   const std::string jsonl = opts.out_dir + "/grid.jsonl";
   EXPECT_TRUE(std::filesystem::exists(csv));
@@ -389,7 +392,7 @@ TEST(ShardMergeTest, MergedShardsAreByteIdenticalToSingleRun) {
 
   std::ostringstream out, err;
   ASSERT_EQ(run_sweeps(registry, grid_options(root + "/ref"), out, err), 0);
-  EXPECT_EQ(runs.load(), 8);
+  EXPECT_EQ(runs.load(), 4);  // one run per seed-invariant cell
 
   // 4 cells round-robin over 3 shards: {0,3}, {1}, {2}.
   MergeOptions merge;
@@ -403,7 +406,7 @@ TEST(ShardMergeTest, MergedShardsAreByteIdenticalToSingleRun) {
     merge.csv_in.push_back(opts.out_dir + "/grid.csv");
     merge.jsonl_in.push_back(opts.out_dir + "/grid.jsonl");
   }
-  EXPECT_EQ(runs.load(), 8);  // every cell ran on exactly one shard
+  EXPECT_EQ(runs.load(), 4);  // every cell ran once, on exactly one shard
 
   std::ostringstream merge_out, merge_err;
   ASSERT_EQ(run_merge(merge, merge_out, merge_err), 0) << merge_err.str();
@@ -690,7 +693,7 @@ TEST(ResumeTest, PartialCellIsRerunAndBytesMatchUninterruptedRun) {
 
   std::ostringstream out, err;
   ASSERT_EQ(run_sweeps(registry, grid_options(dir), out, err), 0);
-  EXPECT_EQ(runs.load(), 8);
+  EXPECT_EQ(runs.load(), 4);  // one run per seed-invariant cell
   const std::string ref_csv = read_file(dir + "/grid.csv");
   const std::string ref_jsonl = read_file(dir + "/grid.jsonl");
 
@@ -705,8 +708,9 @@ TEST(ResumeTest, PartialCellIsRerunAndBytesMatchUninterruptedRun) {
   opts.resume = true;
   std::ostringstream err2;
   ASSERT_EQ(run_sweeps(registry, opts, out, err2), 0);
-  // Cell 0 is skipped; the partially-written cell 1 reruns in full.
-  EXPECT_EQ(runs.load(), 6);
+  // Cell 0 is skipped; the partially-written cell 1 reruns in full, one
+  // run per seed-invariant cell.
+  EXPECT_EQ(runs.load(), 3);
   EXPECT_NE(err2.str().find("1 cell(s) already complete"), std::string::npos);
   EXPECT_EQ(read_file(dir + "/grid.csv"), ref_csv);
   EXPECT_EQ(read_file(dir + "/grid.jsonl"), ref_jsonl);
@@ -2934,11 +2938,58 @@ TEST(FaultInjectorTest, FailFlushAbortsTheSweepAndResumeHeals) {
     opts.resume = true;
     std::ostringstream err2;
     ASSERT_EQ(run_sweeps(registry, opts, out, err2), 0) << err2.str();
-    EXPECT_EQ(runs.load(), 2);  // one cell x two seeds
+    EXPECT_EQ(runs.load(), 1);  // one seed-invariant cell runs once
     EXPECT_EQ(read_file(opts.out_dir + "/grid.csv"),
               read_file(root + "/ref/grid.csv"));
     EXPECT_EQ(read_file(opts.out_dir + "/grid.jsonl"),
               read_file(root + "/ref/grid.jsonl"));
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(FaultInjectorTest, AFailedFlushOnAWidePoolLeavesACleanPrefixThatResumeHeals) {
+  // Two sweeps on two workers. Attacked cells are claimed first, so later
+  // cells are ready while cell 0 still waits to be written. Once a flush
+  // fails nothing more is written: the files hold exactly the cells before
+  // the failed one, and a clean --resume appends the rest in order.
+  const report::SweepRegistry registry = mixed_registry();
+  const std::vector<std::string> sweeps = {"mixA", "mixB"};
+  const std::string root = temp_path("dist_fault_prefix");
+  std::filesystem::remove_all(root);
+  SweepOptions ref = mixed_options(root + "/ref");
+  ref.sweeps = sweeps;
+  std::ostringstream out, err;
+  ASSERT_EQ(run_sweeps(registry, ref, out, err), 0) << err.str();
+
+  // Flush 2c+1 fails cell c's CSV write, flush 2c+2 its JSONL write.
+  for (const std::uint64_t flush : {1u, 2u, 3u}) {
+    SCOPED_TRACE(flush);
+    SweepOptions opts = ref;
+    opts.out_dir = root + "/run" + std::to_string(flush);
+    opts.fault.fail_flush_at = flush;
+    EXPECT_THROW(run_sweeps(registry, opts, out, err), std::runtime_error);
+    std::vector<std::uint64_t> written;  // a sweep no cell reached has no files
+    for (const std::string& sweep : sweeps) {
+      const std::string jsonl = opts.out_dir + "/" + sweep + ".jsonl";
+      if (!std::filesystem::exists(jsonl)) continue;
+      for (const CellBlock& b : scan_jsonl(jsonl).blocks)
+        written.push_back(b.key.cell_index);
+    }
+    std::vector<std::uint64_t> prefix((flush - 1) / 2);
+    std::iota(prefix.begin(), prefix.end(), std::uint64_t{0});
+    EXPECT_EQ(written, prefix);
+
+    opts.fault = FaultPlan{};
+    opts.resume = true;
+    std::ostringstream err2;
+    ASSERT_EQ(run_sweeps(registry, opts, out, err2), 0) << err2.str();
+    for (const std::string& sweep : sweeps) {
+      for (const char* ext : {".csv", ".jsonl"}) {
+        EXPECT_EQ(read_file(opts.out_dir + "/" + sweep + ext),
+                  read_file(ref.out_dir + "/" + sweep + ext))
+            << sweep << ext;
+      }
+    }
   }
   std::filesystem::remove_all(root);
 }
@@ -2999,8 +3050,8 @@ TEST(FaultInjectorDeathTest, CrashAfterCellTearsTheTailAndResumeHeals) {
   std::ostringstream err2;
   ASSERT_EQ(run_sweeps(registry, resume, out, err2), 0) << err2.str();
   // The lag-one snapshot covers cell 0 only at the crash point, so cells
-  // 1-3 rerun: 3 cells x 2 seeds = 6 factory bumps.
-  EXPECT_EQ(runs.load(), 6);
+  // 1-3 rerun: 3 seed-invariant cells, one run each = 3 factory bumps.
+  EXPECT_EQ(runs.load(), 3);
   EXPECT_EQ(read_file(root + "/run/grid.csv"),
             read_file(root + "/ref/grid.csv"));
   EXPECT_EQ(read_file(root + "/run/grid.jsonl"),
@@ -3040,7 +3091,7 @@ TEST(FaultInjectorDeathTest, CrashAtSinksOpenLeavesNoCellsAndResumeReruns) {
   resume.resume = true;
   std::ostringstream err2;
   ASSERT_EQ(run_sweeps(registry, resume, out, err2), 0) << err2.str();
-  EXPECT_EQ(runs.load(), 8);  // everything reruns
+  EXPECT_EQ(runs.load(), 4);  // everything reruns, once per cell
   EXPECT_EQ(read_file(root + "/run/grid.csv"),
             read_file(root + "/ref/grid.csv"));
   EXPECT_EQ(read_file(root + "/run/grid.jsonl"),

@@ -30,10 +30,6 @@ class FakeContext final : public kernel::ProcessContext {
   Tgid tgid() const override { return Tgid{1}; }
   std::int64_t last_result() const override { return 0; }
   Cycles now() const override { return Cycles{0}; }
-  Xoshiro256& rng() override { return rng_; }
-
- private:
-  Xoshiro256 rng_{1};
 };
 
 std::vector<Step> drain(Program& p, std::size_t limit = 1000) {

@@ -884,7 +884,7 @@ TEST(ProcessTombstones, HeapCostPerForkIsBounded) {
   // difference between two fork loops over their difference in children,
   // so the kernel's set-up and the victim's run cancel out. The two counts
   // put every vector the loop grows exactly one doubling apart. The bounds
-  // are today's figures (1240.32 bytes in 9.048 calls), so any new per-fork
+  // are today's figures (1208.32 bytes in 9.048 calls), so any new per-fork
   // allocation fails the test.
   constexpr std::size_t kFew = 1000;
   constexpr std::size_t kMany = 2000;
@@ -892,7 +892,7 @@ TEST(ProcessTombstones, HeapCostPerForkIsBounded) {
   const test::HeapCount many = test::heap_used_by([] { run_fork_loop(kMany, false); });
   const double bytes = static_cast<double>(many.bytes - few.bytes) / (kMany - kFew);
   const double calls = static_cast<double>(many.calls - few.calls) / (kMany - kFew);
-  EXPECT_LE(bytes, 1240.4);
+  EXPECT_LE(bytes, 1208.4);
   EXPECT_LE(calls, 9.048);
 }
 

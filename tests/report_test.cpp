@@ -2,18 +2,25 @@
 // survives CSV and JSONL serialization), append safety, the shared
 // cell-record emitter, the cell key (grid coordinates to record columns,
 // strict per-type parsing, first-difference naming), the sweep registry
-// and the sweep context's two passes, CSV escaping, and the progress
-// reporter. The CLI driver moved to src/dist and is covered by dist_test.
+// and the sweep context's two passes, CSV escaping, the progress
+// reporter, and the seed-invariance oracle (a run that reports it read no
+// seed writes the same records at any seed). The CLI driver moved to
+// src/dist and is covered by dist_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "bench/attack_roster.hpp"
 #include "common/ensure.hpp"
 #include "helpers.hpp"
 #include "report/progress.hpp"
@@ -489,6 +496,76 @@ TEST(CellRecordTest, SummaryMatchesJsonlSinkOutput) {
   append_cell_record(record, summarize_cell("fig07", cell));
   EXPECT_EQ(record, "prefix" + lines[2] + "\n");
   EXPECT_EQ(json_raw_value(lines[2], "cell_index"), "5");
+}
+
+/// The CSV and JSONL records of a one-run cell holding `r`. The cell key
+/// and seed columns are fixed, so two results write the same bytes exactly
+/// when they agree in every serialized field.
+std::string records_of(const core::ExperimentResult& r) {
+  core::CellStats cell;
+  cell.seeds = {0};
+  cell.runs = {r};
+  cell.for_each_stat([&](const char*, RunningStats& stat, auto get) { stat.add(get(r)); });
+  cell.for_each_sketch(
+      [&](const char*, QuantileSketch& sketch, auto get) { sketch.merge(get(r)); });
+  std::ostringstream csv, jsonl;
+  CsvSink(csv).write_cell("oracle", cell);
+  JsonlSink(jsonl).write_cell("oracle", cell);
+  return csv.str() + jsonl.str();
+}
+
+TEST(SeedInvarianceOracle, ARunThatReadNoSeedWritesTheSameRecordsAtAnySeed) {
+  // run_experiment straight, no BatchRunner: the baseline, every roster
+  // attack, one non-default value per scenario axis, and a population.
+  // seed_dependent == false must mean the records do not depend on the
+  // seed. The NIC flood and the population draw from it; nothing else
+  // does.
+  constexpr double kScale = 0.02;
+  struct Case {
+    std::string label;
+    core::ExperimentConfig cfg;
+    core::AttackFactory make;
+  };
+  core::ExperimentConfig base = test::quick_experiment(workloads::WorkloadKind::kWhetstone);
+  std::vector<Case> cases = {{"baseline", base, nullptr}};
+  for (bench::RosterEntry& e : bench::attack_roster(kScale))
+    cases.push_back({e.label, base, std::move(e.make)});
+  const auto with = [&](const char* label, auto set) {
+    Case c{label, base, bench::roster_attack(kScale, "scheduling")};
+    set(c.cfg);
+    cases.push_back(std::move(c));
+  };
+  with("scheduler=cfs", [](auto& c) { c.sim.scheduler = sim::SchedulerKind::kCfs; });
+  with("hz=1000", [](auto& c) { c.sim.kernel.hz = TimerHz{1000}; });
+  with("cpu=1.6GHz", [](auto& c) { c.sim.kernel.cpu = CpuHz{1'600'000'000}; });
+  with("ram=4096/64", [](auto& c) {
+    c.sim.kernel.ram_frames = 4 * 1024;
+    c.sim.kernel.reclaim_batch = 64;
+  });
+  with("ptrace=privileged_only",
+       [](auto& c) { c.sim.kernel.ptrace_policy = kernel::PtracePolicy::kPrivilegedOnly; });
+  with("jiffy_timers=off", [](auto& c) { c.sim.kernel.jiffy_resolution_timers = false; });
+  Case pop{"population", base, nullptr};
+  pop.cfg.population.size = 4;
+  pop.cfg.population.attacker_fraction = 0.5;
+  cases.push_back(std::move(pop));
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    std::array<core::ExperimentResult, 2> runs;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      core::ExperimentConfig cfg = c.cfg;
+      cfg.sim.kernel.seed = 7 + 1000 * i;
+      const std::unique_ptr<attacks::Attack> attack = c.make ? c.make() : nullptr;
+      runs[i] = core::run_experiment(cfg, attack.get());
+    }
+    const bool draws = c.label == "interrupt-flood" || c.label == "population";
+    EXPECT_EQ(runs[0].seed_dependent, draws);
+    EXPECT_EQ(runs[1].seed_dependent, draws);
+    if (!runs[0].seed_dependent) {
+      EXPECT_EQ(records_of(runs[0]), records_of(runs[1]));
+    }
+  }
 }
 
 /// sample_cell with the population coordinates off their defaults too.
