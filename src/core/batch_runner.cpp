@@ -283,11 +283,11 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
       std::min<std::size_t>(threads_, n_runs > 0 ? n_runs : 1));
 
   // Claim order. A lone worker takes runs in grid order, so it finishes
-  // and emits each cell as early as possible. A wider pool claims every
+  // and emits each cell as early as possible. A wider pool claims runs
+  // with an attack before baseline runs — a deterministic cost estimate,
+  // so the long runs do not form the tail — and within each class every
   // cell's first replicate before any later one, so a later replicate
-  // finds its first one finished or in flight; within each class, runs
-  // with an attack come first and grid order breaks ties — a deterministic
-  // cost estimate, so the long runs do not form the tail.
+  // mostly finds its first one finished; grid order breaks ties.
   const auto seed_index = [&](std::size_t r) {
     const GridLayout& L = grids[cell_grid[run_cell[r]]];
     return (r - L.first_run) % L.seeds.size();
@@ -295,12 +295,12 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
   std::vector<std::size_t> order(n_runs);
   for (std::size_t r = 0; r < n_runs; ++r) order[r] = r;
   if (pool > 1) {
+    std::stable_partition(order.begin(), order.end(),
+                          [&](std::size_t r) { return seed_index(r) == 0; });
     std::stable_partition(order.begin(), order.end(), [&](std::size_t r) {
       const GridLayout& L = grids[cell_grid[run_cell[r]]];
       return cell_has_attack(*L.g, L.geom, L.active[run_cell[r] - L.first_cell]);
     });
-    std::stable_partition(order.begin(), order.end(),
-                          [&](std::size_t r) { return seed_index(r) == 0; });
   }
 
   // Result slots exist only for cells with a run finished and the cell not
@@ -319,7 +319,8 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
   // the in-order emission cursor, per-grid timing, the state of each
   // cell's first replicate, and the first-failure record.
   std::mutex mutex;
-  std::condition_variable first_done;  // a first replicate ended, or a failure
+  // A first replicate drew from its seed or ended, or a run failed.
+  std::condition_variable first_done;
   enum class First : char { kPending, kInvariant, kRerun };
   std::vector<First> first(n_active, First::kPending);
   std::vector<std::size_t> runs_done(n_active, 0);
@@ -389,14 +390,20 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
 
       // A later replicate of a cell whose first replicate drew no
       // randomness is that run again: take its result instead of running
-      // it. First replicates never wait and are all claimed earlier, so
-      // the wait ends; it also keeps the set of executed runs the same at
-      // every thread count. A grid that traces runs every replicate: a
-      // traced run observes what an untraced one does not.
+      // it. While the first replicate may still turn out seed-invariant,
+      // wait for it: it ends sooner than a rerun would, and the set of
+      // executed runs stays the same at every thread count. A population
+      // reads the seed before anything runs, so its cell never waits; a
+      // first replicate that starts a NIC flood releases its cell's
+      // waiters once it has set up, so they run without waiting for it to
+      // end. First replicates never wait and are claimed earlier, so the
+      // wait ends. A grid that traces runs every replicate: a traced run
+      // observes what an untraced one does not.
+      ExperimentConfig cfg = run_config(g, ix, L.seeds[seed_i]);
       std::exception_ptr run_error;
       ExperimentResult result;
       bool copied = false;
-      if (seed_i > 0 && !g.trace_path) {
+      if (seed_i > 0 && !g.trace_path && !cfg.population.enabled()) {
         lock.lock();
         first_done.wait(lock, [&] {
           return first[k] != First::kPending ||
@@ -413,11 +420,17 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
       const auto t0 = std::chrono::steady_clock::now();
       if (!copied) {
         try {
-          ExperimentConfig cfg = run_config(g, ix, L.seeds[seed_i]);
           if (g.trace_path) cfg.trace.path = g.trace_path(L.active[pos], seed_i);
           const AttackFactory& make = attack_at(g, ix[kAttackAxis]).make;
           const std::unique_ptr<attacks::Attack> attack = make ? make() : nullptr;
-          result = run_experiment(cfg, attack.get());
+          const auto release = [&](bool seed_drawn) {
+            if (!seed_drawn) return;
+            const std::lock_guard<std::mutex> hold(mutex);
+            first[k] = First::kRerun;
+            first_done.notify_all();
+          };
+          result = run_experiment(cfg, attack.get(),
+                                  seed_i == 0 ? SetupCallback(release) : nullptr);
         } catch (...) {
           run_error = std::current_exception();
         }

@@ -19,19 +19,22 @@
 //
 // One pool runs any number of grids: every (cell, seed) run of every grid
 // is one work item, so no grid waits at a barrier for the previous one's
-// tail. With more than one worker, every cell's first replicate is claimed
-// before any later one, and within each of the two classes runs are
-// claimed by a deterministic cost estimate — runs with an attack before
-// baseline runs, grid order otherwise — so the long runs start first; one
-// worker claims in grid order. Claim order never reaches the output: cells
-// are still emitted in grid order, grid after grid.
+// tail. With more than one worker, runs are claimed by a deterministic
+// cost estimate — runs with an attack before baseline runs — so the long
+// runs start first, and within each class every cell's first replicate
+// before any later one, grid order otherwise; one worker claims in grid
+// order. Claim order never reaches the output: cells are still emitted in
+// grid order, grid after grid.
 //
 // Replicate seeds vary only NIC flood arrivals and population draws. In a
 // grid without trace paths, a later replicate of a cell whose first
 // replicate drew neither (ExperimentResult::seed_dependent false) takes
 // that result instead of running: the cell runs once and still holds one
 // result per seed. A replicate whose first one is still running waits for
-// it, so the same runs execute at every thread count.
+// it only while it may turn out seed-invariant: a population cell never
+// waits, and a first replicate that drew while setting up (a NIC flood;
+// run_experiment's SetupCallback) lets the others run at once. So the same
+// runs execute at every thread count.
 //
 // The pool is fail-stop: after the first failure it starts no run of the
 // failed cell or of any later one and emits no later cell, so a failed

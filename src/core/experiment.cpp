@@ -31,7 +31,8 @@ std::vector<std::string> expected_code_tags(workloads::WorkloadKind kind) {
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config,
-                                attacks::Attack* attack) {
+                                attacks::Attack* attack,
+                                const SetupCallback& on_setup) {
   sim::Simulation sim(config.sim);
   kernel::Kernel& kernel = sim.kernel();
 
@@ -109,6 +110,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     for (const Pid apid : attack->attacker_pids())
       kernel.set_nice(apid, config.nice.attacker);
   }
+  if (on_setup) on_setup(kernel.seed_consumed() || pop.enabled());
 
   // Hard cap on simulated time (safety net against runaway scenarios).
   constexpr Cycles kRunLimit{12'000'000'000'000};  // ~79 virtual minutes at 2.53 GHz

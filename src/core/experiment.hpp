@@ -2,6 +2,7 @@
 // every meter attached — the harness behind each figure reproduction.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -134,12 +135,19 @@ struct ExperimentResult {
   std::uint64_t trace_events_dropped = 0;
 };
 
+/// Told, once a run's setup is done (victim, neighbors and attack in place,
+/// nothing simulated yet), whether the run has read its seed so far.
+/// Population generation and the NIC flood's start both read it during
+/// setup, so a seed-dependent run is known long before it ends.
+using SetupCallback = std::function<void(bool seed_drawn)>;
+
 /// Runs one victim (with `attack`, or baseline when null) to completion and
 /// collects every meter's verdict. Each call builds a fresh Simulation with
 /// a fresh TrustedMeteringService, so runs are independent and
 /// deterministic.
 ExperimentResult run_experiment(const ExperimentConfig& config,
-                                attacks::Attack* attack = nullptr);
+                                attacks::Attack* attack = nullptr,
+                                const SetupCallback& on_setup = nullptr);
 
 /// The whitelist a clean launch of `kind` expects: genuine libraries, the
 /// genuine shell, and the workload image itself.

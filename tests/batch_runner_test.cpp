@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -752,6 +753,101 @@ TEST(BatchRunnerPool, AttackedRunsAreClaimedFirstOnAWidePoolAndInGridOrderOnOne)
         EXPECT_EQ(claims[i].rfind(i < 4 ? "attack" : "base", 0), 0u) << claims[i];
     }
   }
+}
+
+TEST(BatchRunnerPool, AWidePoolClaimsAttackedFirstReplicatesThenTheirLaterOnesThenBaseline) {
+  // Two workers; each attacked replicate class meets at a barrier as wide
+  // as the pool right after its claim, so the claim log comes in pairs:
+  // both attacked first replicates, both attacked later ones, then the
+  // baseline cell's two seeds. Traced grids run every replicate.
+  BoundedBarrier firsts(2), laters(2);
+  std::mutex mutex;
+  std::vector<std::string> claims;
+  const auto log = [&](const char* tag, bool meet) {
+    return [&, tag, meet](std::size_t cell, std::size_t seed_i) {
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        std::string claim = tag;
+        (claim += std::to_string(cell)) += '/';
+        claims.push_back(std::move(claim += std::to_string(seed_i)));
+      }
+      if (meet) (seed_i == 0 ? firsts : laters).arrive_and_wait();
+      return std::string();
+    };
+  };
+  std::vector<BatchGrid> grids = {
+      grid_of({{"b0", nullptr}}, 0),
+      grid_of({{"a0", hooked([] {})}, {"a1", hooked([] {})}}, 1)};
+  for (BatchGrid& g : grids) g.seeds = {7, 8};
+  grids[0].trace_path = log("base", false);
+  grids[1].trace_path = log("attack", true);
+
+  BatchRunner(2).run(grids);
+  ASSERT_EQ(claims.size(), 6u);
+  const auto pair = [&](std::size_t i) {
+    return std::set<std::string>{claims[i], claims[i + 1]};
+  };
+  EXPECT_EQ(pair(0), (std::set<std::string>{"attack0/0", "attack1/0"}));
+  EXPECT_EQ(pair(2), (std::set<std::string>{"attack0/1", "attack1/1"}));
+  EXPECT_EQ(pair(4), (std::set<std::string>{"base0/0", "base0/1"}));
+}
+
+TEST(BatchRunnerPool, AFloodedFirstReplicateLetsItsCellsOtherSeedsRunBeforeItEnds) {
+  // The first replicate starts a NIC flood while it sets up, which marks
+  // it seed-dependent before anything is simulated, and its run ends only
+  // once the cell's other two replicates have built their attacks. A pool
+  // that held them until the first replicate ended would leave it waiting
+  // until the bound expires and the run fails.
+  struct Made {
+    std::mutex mutex;
+    std::condition_variable cv;
+    int count = 0;
+  } made;
+  class FloodUntilAllMade final : public attacks::Attack {
+   public:
+    FloodUntilAllMade(Made& made, bool first) : made_(made), first_(first) {}
+    std::string name() const override { return "flood-until-all-made"; }
+    std::string phase() const override { return "runtime"; }
+    void engage(attacks::AttackContext& ctx) override {
+      ctx.sim.kernel().start_nic_flood(60'000.0);
+    }
+    void disengage(attacks::AttackContext& ctx) override {
+      ctx.sim.kernel().stop_nic_flood();
+      std::unique_lock<std::mutex> lock(made_.mutex);
+      if (first_ && !made_.cv.wait_for(lock, std::chrono::seconds(30),
+                                       [&] { return made_.count == 3; }))
+        throw std::runtime_error("later replicates never started");
+    }
+
+   private:
+    Made& made_;
+    bool first_;
+  };
+  BatchGrid g = grid_of({{"flood", [&made]() -> std::unique_ptr<attacks::Attack> {
+                           const std::lock_guard<std::mutex> lock(made.mutex);
+                           const bool first = ++made.count == 1;
+                           made.cv.notify_all();
+                           return std::make_unique<FloodUntilAllMade>(made, first);
+                         }}},
+                        0);
+  g.seeds = {7, 8, 9};
+  const std::vector<CellStats> cells = BatchRunner(3).run(g);
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_EQ(made.count, 3);
+  for (const ExperimentResult& r : cells[0].runs) EXPECT_TRUE(r.seed_dependent);
+}
+
+TEST(BatchRunnerPool, APopulationCellsReplicatesRunSideBySide) {
+  // A population reads its seed before anything is simulated, so its
+  // cell's replicates never wait for the first one: all three build their
+  // attacks before any of them sets up, or the barrier's bound expires.
+  BoundedBarrier all(3);
+  BatchGrid g = grid_of({{"meets", hooked([&] { all.arrive_and_wait(); })}}, 0);
+  g.population_sizes = {4};
+  g.seeds = {7, 8, 9};
+  const std::vector<CellStats> cells = BatchRunner(3).run(g);
+  ASSERT_EQ(cells.size(), 1u);
+  for (const ExperimentResult& r : cells[0].runs) EXPECT_TRUE(r.seed_dependent);
 }
 
 TEST(BatchRunnerPool, AFailedRunInALaterGridKeepsEarlierCellsAndIsNamed) {
