@@ -404,9 +404,11 @@ BENCHMARK(BM_ChargeFlood_service)->Unit(benchmark::kMillisecond);
 // loop on the workload classes where the queue pays off: mostly-idle and
 // I/O-bound cells, where the slice loop burns one iteration (and one hook
 // round) per jiffy while the event loop leaps whole sleep/transfer windows
-// in O(1). The BM_EngineCell_* pairs are tracked in BENCH_sim.json, and CI
-// gates the slice/event wall-time ratio (hardware-independent) via
-// perf_baseline.py --ratio-floor.
+// in O(1), and a compute-bound cell under a NIC flood, where the event
+// loop handles each run of arrivals in place (flood_leap) while the slice
+// loop scans every device per arrival. The BM_EngineCell_* pairs are
+// tracked in BENCH_sim.json, and CI gates the slice/event wall-time ratio
+// (hardware-independent) via perf_baseline.py --ratio-floor.
 // ---------------------------------------------------------------------------
 
 /// A periodic daemon: a sliver of compute, then a 150-jiffy nap (~0.6 s at
@@ -433,7 +435,27 @@ std::vector<exec::Step> io_heavy_steps() {
   return steps;
 }
 
-void engine_cell_bench(benchmark::State& state, bool event_driven, bool io) {
+/// A compute-bound job (0.2 s of plain compute) under the interrupt-
+/// flooding attack's junk stream: ~12,000 arrivals, one every ~42,000
+/// cycles on average, each billing its handler to the job.
+std::vector<exec::Step> nic_flood_steps() {
+  std::vector<exec::Step> steps;
+  for (int i = 0; i < 4; ++i) steps.push_back(exec::compute(Cycles{126'500'000}));
+  return steps;
+}
+
+enum class EngineLoad { kIdleDaemon, kIoHeavy, kNicFlood };
+
+void engine_cell_bench(benchmark::State& state, bool event_driven, EngineLoad load) {
+  const char* name = "idle-daemon";
+  std::vector<exec::Step> (*steps)() = idle_daemon_steps;
+  if (load == EngineLoad::kIoHeavy) {
+    name = "bulk-reader";
+    steps = io_heavy_steps;
+  } else if (load == EngineLoad::kNicFlood) {
+    name = "flooded-job";
+    steps = nic_flood_steps;
+  }
   double virt_mcycles = 0.0;
   for (auto _ : state) {
     kernel::KernelConfig cfg;
@@ -441,7 +463,7 @@ void engine_cell_bench(benchmark::State& state, bool event_driven, bool io) {
     cfg.event_driven = event_driven;
     // The I/O cell models a saturated cold-storage device (~400 ms per
     // request at the default 2.53 GHz) so each transfer spans ~99 jiffies.
-    if (io) cfg.costs.disk_latency = Cycles{1'000'000'000};
+    if (load == EngineLoad::kIoHeavy) cfg.costs.disk_latency = Cycles{1'000'000'000};
     kernel::Kernel k(cfg,
                      std::make_unique<kernel::O1PriorityScheduler>(cfg.hz));
     core::TickMeter tick;
@@ -450,10 +472,8 @@ void engine_cell_bench(benchmark::State& state, bool event_driven, bool io) {
     k.add_hook(&tick);
     k.add_hook(&tsc);
     k.add_hook(&pais);
-    k.spawn({io ? "bulk-reader" : "idle-daemon",
-             exec::make_step_list(io ? "bulk-reader" : "idle-daemon",
-                                  io ? io_heavy_steps() : idle_daemon_steps()),
-             Nice{0}, true});
+    k.spawn({name, exec::make_step_list(name, steps()), Nice{0}, true});
+    if (load == EngineLoad::kNicFlood) k.start_nic_flood(bench::kFloodPacketsPerSecond);
     k.run();
     benchmark::DoNotOptimize(tsc.grand_total().v);
     virt_mcycles += static_cast<double>(k.now().v) / 1e6;
@@ -464,24 +484,34 @@ void engine_cell_bench(benchmark::State& state, bool event_driven, bool io) {
 }
 
 void BM_EngineCell_idle_daemon_event(benchmark::State& state) {
-  engine_cell_bench(state, /*event_driven=*/true, /*io=*/false);
+  engine_cell_bench(state, /*event_driven=*/true, EngineLoad::kIdleDaemon);
 }
 BENCHMARK(BM_EngineCell_idle_daemon_event)->Unit(benchmark::kMillisecond);
 
 void BM_EngineCell_idle_daemon_slice(benchmark::State& state) {
-  engine_cell_bench(state, /*event_driven=*/false, /*io=*/false);
+  engine_cell_bench(state, /*event_driven=*/false, EngineLoad::kIdleDaemon);
 }
 BENCHMARK(BM_EngineCell_idle_daemon_slice)->Unit(benchmark::kMillisecond);
 
 void BM_EngineCell_io_heavy_event(benchmark::State& state) {
-  engine_cell_bench(state, /*event_driven=*/true, /*io=*/true);
+  engine_cell_bench(state, /*event_driven=*/true, EngineLoad::kIoHeavy);
 }
 BENCHMARK(BM_EngineCell_io_heavy_event)->Unit(benchmark::kMillisecond);
 
 void BM_EngineCell_io_heavy_slice(benchmark::State& state) {
-  engine_cell_bench(state, /*event_driven=*/false, /*io=*/true);
+  engine_cell_bench(state, /*event_driven=*/false, EngineLoad::kIoHeavy);
 }
 BENCHMARK(BM_EngineCell_io_heavy_slice)->Unit(benchmark::kMillisecond);
+
+void BM_EngineCell_nic_flood_event(benchmark::State& state) {
+  engine_cell_bench(state, /*event_driven=*/true, EngineLoad::kNicFlood);
+}
+BENCHMARK(BM_EngineCell_nic_flood_event)->Unit(benchmark::kMillisecond);
+
+void BM_EngineCell_nic_flood_slice(benchmark::State& state) {
+  engine_cell_bench(state, /*event_driven=*/false, EngineLoad::kNicFlood);
+}
+BENCHMARK(BM_EngineCell_nic_flood_slice)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

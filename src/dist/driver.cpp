@@ -9,6 +9,7 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/ensure.hpp"
 #include "dist/flags.hpp"
@@ -122,12 +123,18 @@ struct PlanCursor {
   /// cell advances its class's counter, admitted or not, so a cell's class
   /// position depends only on the selected sweeps.
   std::array<std::uint64_t, 2> classes{};
+  /// The current sweep's first owned cell the resume index lacks, if any.
+  /// A complete cell after it is a hole in the records: the caller resets
+  /// it as each sweep's planning begins.
+  std::optional<std::uint64_t> resume_gap;
 };
 
 /// Plans one queued grid: forces --engine, claims the grid's global cell
 /// range and, when sharded or resuming (`resume` non-null), gates each
 /// cell in grid order — shard ownership by class position first, then
 /// the resume index, which throws on output that contradicts the grid.
+/// Resuming also needs the records to be a prefix of the owned cells, so
+/// a complete cell after an owned one that is missing is refused.
 /// Under --dry-run prints the grid's plan line to `out`; otherwise arms
 /// the grid's numbering, cell filter, kernel stats and trace paths.
 /// Returns how many cells the gate refused.
@@ -151,9 +158,18 @@ std::size_t plan_grid(report::SweepGrids::Queued& q, const SweepOptions& o,
       std::uint64_t& in_class =
           cursor.classes[core::cell_has_attack(grid, geom, i) ? 1 : 0];
       bool admit = o.shard.owns(in_class++);
-      if (admit && resume != nullptr)
+      if (admit && resume != nullptr) {
+        const std::uint64_t cell = base + i;
         admit = !resume->completed(
-            report::cell_key(q.sweep, base + i, core::grid_cell_coords(grid, i)));
+            report::cell_key(q.sweep, cell, core::grid_cell_coords(grid, i)));
+        if (admit && !cursor.resume_gap) cursor.resume_gap = cell;
+        if (!admit && cursor.resume_gap)
+          throw std::runtime_error(
+              "resume: " + resume->location(cell) + ": cell " +
+              std::to_string(cell) + " is recorded but cell " +
+              std::to_string(*cursor.resume_gap) +
+              " before it is not — the records have a hole; start fresh");
+      }
       if (!admit) {
         owned[i] = 0;
         --n_owned;
@@ -397,6 +413,7 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
       st.dir_jsonl = (dir / (name + ".jsonl")).string();
     }
     st.metrics.sweep = name;
+    cursor.resume_gap.reset();
     if (options.resume) {
       const auto base =
           std::find_if(metrics_base.sweeps.begin(), metrics_base.sweeps.end(),

@@ -41,6 +41,24 @@ void check_seeds(const std::string& path, const CellBlock& b,
       " — resume with the original --seeds/--first-seed or start fresh");
 }
 
+/// Enforces that a file's complete blocks name cells in plan order, each
+/// cell_index above the last. A run writes its owned cells in that order
+/// and a failed or killed run leaves a prefix of them, so any other order
+/// was edited or concatenated by hand: appending the missing cells to it
+/// could not reproduce the uninterrupted run.
+void check_order(const std::string& path, const std::vector<CellBlock>& done) {
+  for (std::size_t i = 1; i < done.size(); ++i) {
+    const CellBlock& b = done[i];
+    const std::uint64_t before = done[i - 1].key.cell_index;
+    if (b.key.cell_index > before) continue;
+    throw std::runtime_error(
+        "resume: " + path + ":" + std::to_string(b.first_line) + ": cell " +
+        std::to_string(b.key.cell_index) + " follows cell " +
+        std::to_string(before) +
+        " — a sweep records its cells in plan order; start fresh");
+  }
+}
+
 }  // namespace
 
 ResumeIndex ResumeIndex::scan(const std::string& csv_path,
@@ -64,6 +82,7 @@ ResumeIndex ResumeIndex::scan(const std::string& csv_path,
       check_seeds(jsonl_path, b, expected_seeds);
       jsonl_done.push_back(std::move(b));
     }
+    check_order(jsonl_path, jsonl_done);
   }
   if (!csv_path.empty() && std::filesystem::exists(csv_path)) {
     index.have_csv_ = true;
@@ -83,6 +102,7 @@ ResumeIndex ResumeIndex::scan(const std::string& csv_path,
       check_seeds(csv_path, b, expected_seeds);
       csv_done.push_back(std::move(b));
     }
+    check_order(csv_path, csv_done);
   }
 
   // A kill can land between the CSV write and the JSONL write of the same
@@ -156,13 +176,18 @@ void ResumeIndex::truncate_files() const {
   if (have_csv_) truncate(csv_path_, csv_valid_);
 }
 
+std::string ResumeIndex::location(std::uint64_t cell_index) const {
+  const Done& d = done_.at(cell_index);
+  return d.path + ":" + std::to_string(d.line);
+}
+
 bool ResumeIndex::completed(const report::CellKey& cell) const {
   const auto it = done_.find(cell.cell_index);
   if (it == done_.end()) return false;
   const Done& d = it->second;
   if (const char* field = report::first_difference(d.key, cell))
     throw std::runtime_error(
-        "resume: " + d.path + ":" + std::to_string(d.line) + ": recorded " +
+        "resume: " + location(cell.cell_index) + ": recorded " +
         describe(d.key) + " but this invocation's grid puts " +
         describe(cell) + " there (field '" + field +
         "' differs) — resume requires the original sweep selection; start "

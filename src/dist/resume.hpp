@@ -24,8 +24,9 @@ class ResumeIndex {
   /// recorded with another schema version (it cannot be appended to; the
   /// sweep must start fresh) and std::runtime_error when a complete cell
   /// was recorded with a seed set other than `expected_seeds` (resume
-  /// requires the original --seeds/--first-seed), or when the CSV and
-  /// JSONL disagree about a cell. When both files exist, only cells
+  /// requires the original --seeds/--first-seed), when a file's blocks
+  /// are not in ascending cell order, or when the CSV and JSONL disagree
+  /// about a cell. When both files exist, only cells
   /// complete in BOTH count (a kill can land between the two sink writes).
   /// Zero-byte and header-only files — a shard killed before its first
   /// flush — count as "nothing done yet", never as errors.
@@ -63,6 +64,10 @@ class ResumeIndex {
   /// index contradicts the current grid's: resuming into output written by
   /// a different sweep selection.
   bool completed(const report::CellKey& cell) const;
+
+  /// "path:line" where a complete cell's block begins (error reports).
+  /// Throws std::out_of_range unless the cell is complete.
+  std::string location(std::uint64_t cell_index) const;
 
  private:
   struct Done {

@@ -371,12 +371,15 @@ Cycles Kernel::run_slices(Cycles limit) {
 // Event-driven loop.
 //
 // Same phase structure as run_slices, but the next external event comes
-// from the calendar queue instead of a scan over every device, and two
-// coalescing paths (idle_leap, running_leap) collapse stretches the engine
-// can prove observation-free into O(1) updates. Every observable — jiffy
-// counters, ground-truth cycles, hook totals, RNG draws, scheduler state —
-// is bit-identical to the slice loop; the differential suite in
-// kernel_test enforces this across the attack roster.
+// from the calendar queue instead of a scan over every device, and three
+// shortcuts skip the loop's per-event round trip. idle_leap and
+// running_leap collapse tick runs the engine can prove observation-free
+// into O(1) updates; flood_leap replays a run of NIC arrivals charge for
+// charge in one tight loop, popping and pushing the NIC entry once. Every
+// observable — jiffy counters, ground-truth cycles, the hook charge
+// stream, RNG draws, scheduler state, run() return points — is
+// bit-identical to the slice loop; the differential suite in kernel_test
+// enforces this across the attack roster.
 // ---------------------------------------------------------------------------
 
 Cycles Kernel::run_events(Cycles limit) {
@@ -404,6 +407,8 @@ Cycles Kernel::run_events(Cycles limit) {
 
     // Pure-compute stretch spanning several ticks? Coalesce it first.
     running_leap(limit);
+    // A run of NIC arrivals inside one compute step? Replay it in place.
+    if (flood_leap(limit)) continue;
 
     // Run the current process up to the next pending event (or the limit).
     // A stale queue entry only shortens the boundary: the resulting split
@@ -433,12 +438,15 @@ Cycles Kernel::run_events(Cycles limit) {
   return now_;
 }
 
+void Kernel::count_dispatch() {
+  if (stats_ == nullptr) return;
+  ++stats_->events_popped;
+  const std::uint64_t depth = events_.size() + 1;  // including the popped entry
+  if (depth > stats_->max_event_queue_depth) stats_->max_event_queue_depth = depth;
+}
+
 void Kernel::dispatch_event(const Event& e) {
-  if (stats_ != nullptr) {
-    ++stats_->events_popped;
-    const std::uint64_t depth = events_.size() + 1;  // including `e`
-    if (depth > stats_->max_event_queue_depth) stats_->max_event_queue_depth = depth;
-  }
+  count_dispatch();
   switch (e.kind) {
     case EventKind::kTimerTick:
       MTR_ENSURE_MSG(e.at == timer_.next_fire(), "timer event off the fire grid");
@@ -594,6 +602,54 @@ void Kernel::running_leap(Cycles limit) {
   events_.push(timer_.next_fire(), EventKind::kTimerTick);
   // As in idle_leap: one sample for the whole coalesced stretch.
   if (telemetry_ != nullptr) sample_telemetry();
+}
+
+bool Kernel::flood_leap(Cycles limit) {
+  // The head test comes first: without a flood it is the one that fails.
+  const Event* head = events_.peek();
+  if (head == nullptr || head->kind != EventKind::kNicArrival) return false;
+  if (nic_.next_arrival() != head->at) return false;  // a stale entry
+  if (current_ == nullptr || need_resched_) return false;
+  Process& p = *current_;
+  if (!p.kwork.empty() || !p.pending_signals.empty() || !p.user.active) return false;
+  const Cycles first = head->at;  // `head` dies at the pop below
+
+  // Nothing the leap does queues an event, so the entries behind the
+  // arrival stay put: every arrival strictly before the next of them (and
+  // the limit) is the queue head when the main loop would reach it.
+  Cycles horizon = limit;
+  if (const Event* second = events_.peek_second())
+    horizon = std::min(horizon, second->at);
+  // The compute the step can run as one plain slice: strictly before its
+  // end (which fetches the next step), its next page touch and its next
+  // breakpoint hit.
+  const UserWork& u = p.user;
+  const auto room = [&u] {
+    Cycles r = std::min(u.remaining, u.until_hot);
+    if (u.step.mem.touches_memory()) r = std::min(r, u.until_next_touch);
+    return r;
+  };
+  if (first <= now_ || first >= horizon || first - now_ >= room()) return false;
+
+  // What the main loop does per arrival: run the user slice up to it,
+  // dispatch it (its handler acknowledges, draws the next gap and charges
+  // the interrupted process) and go round again. A late arrival (the last
+  // handler outlasted the gap) skips the slice. The main loop drains due
+  // events without checking the limit, so a late arrival is taken only if
+  // its handler ends before the limit: otherwise run() would return before
+  // the drain the main loop finishes.
+  events_.pop();
+  const Cycles irq = nic_irq_cost();
+  Cycles due = first;
+  do {
+    if (due > now_) run_user_compute(due);
+    count_dispatch();
+    handle_nic_arrival();
+    due = *nic_.next_arrival();
+  } while (now_ < limit && due < horizon &&
+           (due > now_ ? due - now_ < room() : now_ + irq < limit));
+  events_.push(due, EventKind::kNicArrival);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -1063,10 +1119,7 @@ void Kernel::handle_nic_arrival() {
   nic_.acknowledge(due, draw_rng());
   // Junk packet: the handler runs in whatever context was interrupted and
   // benefits nobody — the commodity policy still bills the current process.
-  charge(current_, WorkKind::kDeviceIrq,
-         config_.costs.interrupt_entry + config_.costs.nic_handler +
-             config_.costs.interrupt_exit,
-         Pid{});
+  charge(current_, WorkKind::kDeviceIrq, nic_irq_cost(), Pid{});
 }
 
 void Kernel::handle_disk_completion() {

@@ -218,13 +218,20 @@ class Kernel final {
   // loops; the slice loop scans device next-times, the event loop pops the
   // calendar queue).
   Cycles run_slices(Cycles limit);
+  // The calendar-queue loop. Before running the current process up to
+  // the next event it tries two shortcuts, each replaying exactly what the
+  // loop would do: running_leap bulks a run of timer ticks inside one pure
+  // compute step, and flood_leap handles a run of NIC arrivals in place
+  // (one pop and one push of the NIC entry for the whole run).
   Cycles run_events(Cycles limit);
   RunStop run_current(Cycles boundary);
   void dispatch_external();
   std::optional<Cycles> next_external_event() const;
   void dispatch_event(const Event& e);
+  void count_dispatch();  // the counters of one popped event
   bool idle_leap(Cycles limit);
   void running_leap(Cycles limit);
+  bool flood_leap(Cycles limit);  // true if it handled an arrival
   void handle_timer_tick();
   void handle_nic_arrival();
   void handle_disk_completion();
@@ -285,6 +292,10 @@ class Kernel final {
   void bill_ticks(Cycles first, std::uint64_t count, Process* p, CpuMode mode);
   Cycles timer_irq_cost() const {
     return config_.costs.interrupt_entry + config_.costs.timer_handler +
+           config_.costs.interrupt_exit;
+  }
+  Cycles nic_irq_cost() const {
+    return config_.costs.interrupt_entry + config_.costs.nic_handler +
            config_.costs.interrupt_exit;
   }
   void charge_idle(Cycles amount);

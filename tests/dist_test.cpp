@@ -724,6 +724,102 @@ TEST(ResumeTest, PartialCellIsRerunAndBytesMatchUninterruptedRun) {
   std::filesystem::remove_all(dir);
 }
 
+/// Rewrites a `grid` run's two files (2 seeds: 3 JSONL lines and 2 CSV
+/// rows per cell) to hold the blocks of `cells`, in that order.
+void keep_cell_blocks(const std::string& dir, const std::vector<std::size_t>& cells) {
+  const auto jsonl = lines_of(read_file(dir + "/grid.jsonl"));
+  const auto csv = lines_of(read_file(dir + "/grid.csv"));
+  std::string jsonl_out, csv_out = csv[0] + '\n';
+  for (const std::size_t c : cells) {
+    for (std::size_t l = 0; l < 3; ++l) jsonl_out += jsonl[3 * c + l] + '\n';
+    for (std::size_t l = 0; l < 2; ++l) csv_out += csv[1 + 2 * c + l] + '\n';
+  }
+  write_file(dir + "/grid.jsonl", jsonl_out);
+  write_file(dir + "/grid.csv", csv_out);
+}
+
+TEST(ResumeTest, BlocksOutOfCellOrderAreRefused) {
+  // Appending the missing cells after cell 1's block then cell 0's could
+  // never rebuild the uninterrupted run: refuse, naming the second block.
+  const std::string path = temp_path("dist_resume_order.jsonl");
+  write_shard_jsonl(path, {1, 0});
+  try {
+    ResumeIndex::scan("", path, {7, 8});
+    FAIL() << "expected a cell-order error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path + ":4: cell 0 follows cell 1"), std::string::npos) << what;
+  }
+  write_shard_jsonl(path, {0, 0});  // a repeated block is out of order too
+  EXPECT_THROW(ResumeIndex::scan("", path, {7, 8}), std::runtime_error);
+  std::filesystem::remove(path);
+
+  // The same through the driver, on both files of a real run: nothing
+  // runs and nothing is truncated.
+  std::atomic<int> runs{0};
+  const report::SweepRegistry registry = counting_registry(&runs);
+  const std::string dir = temp_path("dist_resume_order");
+  std::filesystem::remove_all(dir);
+  std::ostringstream out, err;
+  ASSERT_EQ(run_sweeps(registry, grid_options(dir), out, err), 0) << err.str();
+  keep_cell_blocks(dir, {1, 0});
+  const std::string swapped_jsonl = read_file(dir + "/grid.jsonl");
+  const std::string swapped_csv = read_file(dir + "/grid.csv");
+  SweepOptions opts = grid_options(dir);
+  opts.resume = true;
+  runs = 0;
+  EXPECT_THROW(run_sweeps(registry, opts, out, err), std::runtime_error);
+  EXPECT_EQ(runs.load(), 0);
+  EXPECT_EQ(read_file(dir + "/grid.jsonl"), swapped_jsonl);
+  EXPECT_EQ(read_file(dir + "/grid.csv"), swapped_csv);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ResumeTest, AHoleInTheOwnedCellsIsRefused) {
+  std::atomic<int> runs{0};
+  const report::SweepRegistry registry = counting_registry(&runs);
+  const std::string dir = temp_path("dist_resume_hole");
+  std::filesystem::remove_all(dir);
+  std::ostringstream out, err;
+  ASSERT_EQ(run_sweeps(registry, grid_options(dir), out, err), 0) << err.str();
+  const std::string ref_jsonl = read_file(dir + "/grid.jsonl");
+
+  // Cells 0 and 2 on disk, cell 1 missing: resuming would append cell 1
+  // after cell 2. Both the plan and the run refuse, naming cell 2's block.
+  keep_cell_blocks(dir, {0, 2});
+  SweepOptions opts = grid_options(dir);
+  opts.resume = true;
+  SweepOptions dry = opts;
+  dry.dry_run = true;
+  for (const SweepOptions& o : {dry, opts}) {
+    runs = 0;
+    try {
+      run_sweeps(registry, o, out, err);
+      FAIL() << "expected a hole error";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(dir + "/grid.jsonl:4: cell 2 is recorded but cell 1"),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_EQ(runs.load(), 0);
+  }
+
+  // A shard's file holds only the cells it owns: their gaps are no hole.
+  SweepOptions shard = grid_options(dir);
+  shard.shard = parse_shard_spec("0/2");
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(run_sweeps(registry, shard, out, err), 0) << err.str();
+  const std::string shard_jsonl = read_file(dir + "/grid.jsonl");
+  keep_lines(dir + "/grid.jsonl", 3);
+  keep_lines(dir + "/grid.csv", 3);
+  shard.resume = true;
+  ASSERT_EQ(run_sweeps(registry, shard, out, err), 0) << err.str();
+  EXPECT_EQ(read_file(dir + "/grid.jsonl"), shard_jsonl);
+  EXPECT_NE(ref_jsonl, shard_jsonl);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(PopulationSweepTest, ThreadsShardsAndResumePreservePopulationBytes) {
   // Populations are regenerated from the cell seed alone, so a populated
   // grid must be byte-identical however the work is split: worker thread

@@ -686,6 +686,106 @@ TEST(EventEngine, MatchesSliceEngineAcrossScenarioAxes) {
   }
 }
 
+// --- the charge stream under a NIC flood ------------------------------------------
+//
+// The event engine handles a run of flood arrivals in place instead of
+// through its main loop. Every charge the hooks see — time, process, kind,
+// amount and beneficiary, in order — and the clock at every run() return
+// must match the slice loop's, wherever the caller's run() limits land:
+// inside a compute slice, inside a handler, or on a tick.
+
+struct ChargeRecord {
+  std::uint64_t now;
+  std::int32_t pid;
+  std::int32_t tgid;
+  WorkKind kind;
+  std::uint64_t amount;
+  std::int32_t beneficiary;
+  bool operator==(const ChargeRecord&) const = default;
+};
+
+struct ChargeRecorder final : AccountingHook {
+  std::vector<ChargeRecord> charges;
+  std::uint8_t events() const override { return event_mask(HookEvent::kCycles); }
+  void on_cycles(Cycles now, Pid pid, Tgid tg, WorkKind kind, Cycles amount,
+                 Pid beneficiary) override {
+    charges.push_back({now.v, pid.v, tg.v, kind, amount.v, beneficiary.v});
+  }
+};
+
+struct FloodRun {
+  std::vector<ChargeRecord> charges;
+  std::vector<std::uint64_t> stops;  // now() after every run()
+};
+
+enum class FloodVictim { kWhetstone, kOurs, kThrashedOurs };
+
+/// Floods `victim` at the roster rate and steps the kernel by hand, one
+/// run(now + stride) at a time (a zero stride is one tick), for at most
+/// 0.15 virtual seconds.
+FloodRun run_flood_by_hand(FloodVictim victim, sim::SchedulerKind sched,
+                           Cycles stride, bool unbatched, bool event_driven) {
+  sim::SimConfig sc;
+  sc.scheduler = sched;
+  sc.kernel.seed = 1234;
+  sc.kernel.unbatched_accounting = unbatched;
+  sc.kernel.event_driven = event_driven;
+  sim::Simulation s(sc);
+  ChargeRecorder recorder;
+  s.kernel().add_hook(&recorder);
+
+  const auto info = workloads::make_workload(victim == FloodVictim::kWhetstone
+                                                 ? workloads::WorkloadKind::kWhetstone
+                                                 : workloads::WorkloadKind::kOurs,
+                                             {0.02});
+  const Pid pid = s.launch(info.image);
+  attacks::ThrashingAttack thrashing;  // arms the victim's breakpoint
+  attacks::AttackContext ctx{s, pid, s.kernel().process(pid).tgid, info.hot_addr};
+  if (victim == FloodVictim::kThrashedOurs) thrashing.engage(ctx);
+  s.kernel().start_nic_flood(bench::kFloodPacketsPerSecond);
+
+  if (stride.v == 0) stride = s.tick();
+  FloodRun run;
+  const Cycles end = s.kernel().now() + seconds_to_cycles(0.15, sc.kernel.cpu);
+  while (!s.exited(pid) && s.kernel().now() < end) {
+    s.kernel().run(s.kernel().now() + stride);
+    run.stops.push_back(s.kernel().now().v);
+  }
+  run.charges = std::move(recorder.charges);
+  return run;
+}
+
+TEST(EventEngine, FloodChargeStreamMatchesSliceEngine) {
+  const std::pair<const char*, FloodVictim> victims[] = {
+      {"whetstone", FloodVictim::kWhetstone},
+      {"ours", FloodVictim::kOurs},
+      {"ours+thrashing", FloodVictim::kThrashedOurs}};
+  for (const auto& [victim_label, victim] : victims) {
+    for (const auto sched : {sim::SchedulerKind::kO1, sim::SchedulerKind::kCfs}) {
+      for (const std::uint64_t stride : {3'000u, 10'000u, 47'000u, 0u}) {
+        for (const bool unbatched : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << victim_label << " " << sim::to_string(sched) << " stride "
+                       << (stride == 0 ? "tick" : std::to_string(stride))
+                       << (unbatched ? " unbatched" : " batched"));
+          const FloodRun event =
+              run_flood_by_hand(victim, sched, Cycles{stride}, unbatched, true);
+          const FloodRun slice =
+              run_flood_by_hand(victim, sched, Cycles{stride}, unbatched, false);
+          EXPECT_EQ(event.stops, slice.stops);
+          ASSERT_GT(event.charges.size(), 1000u);
+          const auto [e, s] = std::mismatch(event.charges.begin(), event.charges.end(),
+                                            slice.charges.begin(), slice.charges.end());
+          EXPECT_TRUE(e == event.charges.end() && s == slice.charges.end())
+              << "charge streams of " << event.charges.size() << " and "
+              << slice.charges.size() << " diverge at charge "
+              << (e - event.charges.begin());
+        }
+      }
+    }
+  }
+}
+
 // group_usage must agree with a brute-force sum over every PCB that names
 // the group, not just the members its leader lists. Exercised on a
 // fork-storm run (thousands of short-lived one-member groups); the thread
