@@ -1,5 +1,5 @@
 // google-benchmark microbenches for the substrate itself: witness-chain
-// hashing, record number formatting, shard merge, mm teardown and kernel
+// hashing, record number formatting and encoding, shard merge, mm teardown and kernel
 // setup, integrity steps, meter hook overhead on the charge path, and
 // engine and sweep-cell rates. These are engineering benchmarks (how fast
 // is the simulator), not paper reproductions, and every one is tracked.
@@ -9,15 +9,17 @@
 // fig07/fig08 scheduling-attack sweeps at a fixed scale, so successive
 // commits can be compared via bench/perf_baseline.py and BENCH_sim.json.
 // BM_EngineCell_*, BM_DestroySpace_*, BM_KernelSetup_*, BM_IntegrityStep_*,
-// BM_Sha256Block_*, BM_FormatF64_* and BM_ChargeFlood_* are tracked
-// alongside, each as a pair whose ratio CI pins; BM_MergeJsonl is tracked on
-// its own.
+// BM_Sha256Block_*, BM_FormatF64_*, BM_ChargeFlood_* and BM_SinkEncode_*
+// are tracked alongside, each as a pair whose ratio CI pins; BM_MergeJsonl
+// is tracked on its own.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -175,6 +177,47 @@ void BM_MergeJsonl(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_MergeJsonl)->Unit(benchmark::kMillisecond);
+
+/// Discards what it is given, so a bench times the encoder, not I/O.
+class NullBuf final : public std::streambuf {
+ protected:
+  int overflow(int c) override { return c; }
+  std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
+};
+
+/// Both record sinks writing one 250-seed cell per iteration. In the
+/// replicated cell every seed holds the same result, as a seed-invariant
+/// cell does; in the distinct one each run's wall time differs, as in a
+/// seed-dependent cell. CI floors distinct/replicated: the sinks encode a
+/// body that repeats the previous run's once, so the replicated cell costs
+/// a fraction of the distinct one.
+void sink_encode(benchmark::State& state, bool replicated) {
+  const core::ExperimentResult r = synthetic_cell(1).runs[0];
+  core::CellStats cell;
+  cell.attack_label = "baseline";
+  for (std::uint64_t i = 0; i < 250; ++i) {
+    cell.seeds.push_back(42 + i);
+    cell.runs.push_back(r);
+    if (!replicated) cell.runs.back().wall_seconds += static_cast<double>(i) * 0x1p-20;
+  }
+  NullBuf null;
+  std::ostream out(&null);
+  report::CsvSink csv(out);
+  report::JsonlSink jsonl(out);
+  for (auto _ : state) {
+    csv.write_cell("synthetic", cell);
+    jsonl.write_cell("synthetic", cell);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cell.runs.size()));
+}
+
+void BM_SinkEncode_distinct(benchmark::State& state) { sink_encode(state, false); }
+BENCHMARK(BM_SinkEncode_distinct)->Unit(benchmark::kMicrosecond);
+
+void BM_SinkEncode_replicated(benchmark::State& state) { sink_encode(state, true); }
+BENCHMARK(BM_SinkEncode_replicated)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // mm layer — address-space teardown. Every scheduling-attack fork that exits

@@ -3,8 +3,8 @@
 
 Runs the tracked BM_SweepCell_*, BM_EngineCell_*, BM_DestroySpace_*,
 BM_KernelSetup_*, BM_IntegrityStep_*, BM_Sha256Block_*, BM_FormatF64_*,
-BM_ChargeFlood_* and BM_MergeJsonl benches of bench/micro_substrate with
-google-benchmark's JSON reporter, REPETITIONS randomly interleaved times
+BM_ChargeFlood_*, BM_SinkEncode_* and BM_MergeJsonl benches of
+bench/micro_substrate with google-benchmark's JSON reporter, REPETITIONS randomly interleaved times
 each, takes each bench's median and either
 
   * distills the results into BENCH_sim.json at the repo root
@@ -36,6 +36,9 @@ snprintf("%.17g") it replaced (BM_FormatF64_printf/BM_FormatF64_native:2.0).
 The charge-flood pair bounds the metering service's cost on a NIC-flood
 cell: the cell with TrustedMeteringService attached may take at most 1/0.75
 of the hookless cell (BM_ChargeFlood_bare/BM_ChargeFlood_service:0.75).
+The sink pair pins the record sinks' body memo: a 250-seed cell of copied
+replicates must encode at least three times as fast as one whose runs all
+differ (BM_SinkEncode_distinct/BM_SinkEncode_replicated:3.0).
 
 Only the Python standard library is used.
 """
@@ -54,7 +57,7 @@ SCHEMA = 1
 # benches' (random interleaving), and reports its median. One pass per bench
 # let a transient slowdown of the host land on one side of a ratio floor.
 REPETITIONS = 5
-DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|KernelSetup|IntegrityStep|Sha256Block|FormatF64|ChargeFlood)_|BM_MergeJsonl"
+DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|KernelSetup|IntegrityStep|Sha256Block|FormatF64|ChargeFlood|SinkEncode)_|BM_MergeJsonl"
 
 
 def cpu_model():

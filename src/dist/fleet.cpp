@@ -14,6 +14,8 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <poll.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -33,7 +35,8 @@ namespace {
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
-/// How often the supervisor reaps exits and reads heartbeats.
+/// How often the supervisor reads heartbeats; it reaps an exit as it
+/// happens (wait_for_exit).
 constexpr std::chrono::milliseconds kPollInterval{50};
 
 constexpr const char* kUsage =
@@ -86,31 +89,47 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
 /// fork+exec with stdout/stderr redirected into `log_path`. `fault_env`,
 /// when non-null, becomes the child's MTR_FAULT_INJECT; otherwise any
 /// inherited value is scrubbed — a fault armed in the supervisor's own
-/// environment must not leak into every shard and every retry.
+/// environment must not leak into every shard and every retry. Everything
+/// is built before the fork, so the child only calls the async-signal-safe
+/// dup2, execve and _exit.
 pid_t spawn_child(const std::vector<std::string>& args,
                   const std::string& log_path, const char* fault_env) {
+  std::vector<char*> argv;
+  argv.reserve(args.size() + 1);
+  for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+  argv.push_back(nullptr);
+  constexpr std::string_view kFaultVar = "MTR_FAULT_INJECT=";
+  std::vector<char*> envp;
+  for (char** e = environ; *e != nullptr; ++e)
+    if (!std::string_view(*e).starts_with(kFaultVar)) envp.push_back(*e);
+  std::string fault_entry;
+  if (fault_env != nullptr) {
+    fault_entry = std::string(kFaultVar) + fault_env;
+    envp.push_back(fault_entry.data());
+  }
+  envp.push_back(nullptr);
+  // Close-on-exec: the child's dup2 copies survive its execve, the
+  // original does not, and no other child inherits it.
+  int fd = ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd >= 0 && fd <= 2) {  // dup2 onto itself would keep close-on-exec
+    const int high = ::fcntl(fd, F_DUPFD_CLOEXEC, 3);
+    ::close(fd);
+    fd = high;
+  }
+
   const pid_t pid = ::fork();
-  if (pid < 0)
-    throw std::runtime_error("fork failed: " + std::string(std::strerror(errno)));
   if (pid == 0) {
-    if (fault_env != nullptr)
-      ::setenv("MTR_FAULT_INJECT", fault_env, 1);
-    else
-      ::unsetenv("MTR_FAULT_INJECT");
-    const int fd =
-        ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd >= 0) {
       ::dup2(fd, 1);
       ::dup2(fd, 2);
-      if (fd > 2) ::close(fd);
     }
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(args[0].c_str(), argv.data());
+    ::execve(argv[0], argv.data(), envp.data());
     ::_exit(127);
   }
+  const int fork_errno = errno;
+  if (fd >= 0) ::close(fd);
+  if (pid < 0)
+    throw std::runtime_error("fork failed: " + std::string(std::strerror(fork_errno)));
   return pid;
 }
 
@@ -223,6 +242,24 @@ std::uint64_t backoff_delay_ms(std::uint64_t base_ms, unsigned attempt,
                                      0xBF58476D1CE4E5B9ull * attempt)
                               .next();
   return delay + z % (delay / 2 + 1);
+}
+
+void wait_for_exit(const std::vector<pid_t>& pids,
+                   std::chrono::milliseconds timeout) {
+  std::vector<pollfd> fds;
+  fds.reserve(pids.size());
+  for (const pid_t pid : pids) {
+    const int fd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+    if (fd >= 0) fds.push_back({fd, POLLIN, 0});
+  }
+  const Clock::time_point deadline = Clock::now() + timeout;
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    const int ms = static_cast<int>(std::max<std::int64_t>(0, left.count()));
+    if (::poll(fds.data(), fds.size(), ms) >= 0 || errno != EINTR) break;
+  }
+  for (const pollfd& p : fds) ::close(p.fd);
 }
 
 FleetOptions default_fleet_options() {
@@ -481,7 +518,20 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
                          fmt_double(options.heartbeat_timeout, 1) + "s)");
     }
     if (!pending) break;
-    std::this_thread::sleep_for(kPollInterval);
+    // Wake for the next exit, heartbeat check or scheduled relaunch,
+    // whichever comes first.
+    std::vector<pid_t> running;
+    std::chrono::milliseconds timeout = kPollInterval;
+    const Clock::time_point now = Clock::now();
+    for (const ShardState& s : states) {
+      if (s.succeeded || s.failed) continue;
+      if (s.pid >= 0)
+        running.push_back(s.pid);
+      else
+        timeout = std::min(timeout, std::chrono::ceil<std::chrono::milliseconds>(
+                                        s.next_launch - now));
+    }
+    wait_for_exit(running, timeout);
   }
 
   std::vector<const ShardState*> failed;

@@ -7,11 +7,14 @@
 // schedule merges byte-identical to a clean single-process run.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <sys/types.h>
 
 namespace mtr::dist {
 
@@ -68,6 +71,14 @@ struct FleetReport {
 /// across shards. Pure so the tests can pin it.
 std::uint64_t backoff_delay_ms(std::uint64_t base_ms, unsigned attempt,
                                std::uint64_t fleet_seed, unsigned shard);
+
+/// Blocks until one of `pids`, unreaped children, exits or `timeout`
+/// passes, whichever comes first: the supervisor's wait between two looks
+/// at its shards. Each child is watched through a pidfd (Linux 5.3+); one
+/// that cannot be opened is not watched, so with none this sleeps the
+/// whole timeout.
+void wait_for_exit(const std::vector<pid_t>& pids,
+                   std::chrono::milliseconds timeout);
 
 FleetOptions default_fleet_options();
 

@@ -25,9 +25,10 @@ constexpr const char* kUsage =
     "Inputs are classified by extension: .csv files merge into --csv,\n"
     ".jsonl files into --jsonl, .json files (mtr_sweep --metrics output)\n"
     "fold into --metrics. Every cell is validated (schema version,\n"
-    "incomplete shard tails, duplicate/conflicting cells, gaps in the cell\n"
-    "index space) and re-emitted in grid order; JSONL cell aggregates are\n"
-    "recomputed from the run records and cross-checked against the shard.\n"
+    "incomplete shard tails, duplicate/conflicting cells, non-consecutive\n"
+    "replicate seeds, gaps in the cell index space) and re-emitted in grid\n"
+    "order; JSONL cell aggregates are recomputed from the run records and\n"
+    "cross-checked against the shard.\n"
     "The merged files are byte-identical to a single-process run of the\n"
     "same grid. Metrics fold by sweep name: counters sum, gauges max, and\n"
     "the shard count adds up.\n"
@@ -53,7 +54,9 @@ constexpr const char* kUsage =
 /// scan_jsonl_records reads them — exactly the way JsonlSink computes it,
 /// from the scan's own parse of each run line — and keeps, per cell whose
 /// recorded summary disagrees or whose runs lack a field, the first
-/// failure.
+/// failure. A run line whose body has the same bytes as the previous run
+/// line's in the block adds that line's parse again instead of parsing
+/// itself: the copied replicates of a seed-invariant cell are read once.
 class AggregateCheck {
  public:
   explicit AggregateCheck(const std::string& path) : path_(path) {
@@ -61,6 +64,13 @@ class AggregateCheck {
       summary_.stats.push_back({key, {}});
     for (const auto& cols : cell_sketch_columns())
       summary_.sketches.emplace_back(cols.first, QuantileSketch{});
+    parse_.values.resize(summary_.stats.size());
+    parse_.sketches.resize(summary_.sketches.size());
+    prefix_keys_.push_back("record");
+    for (std::string& key : report::run_schema_keys()) {
+      if (key == "workload") break;
+      prefix_keys_.push_back(std::move(key));
+    }
   }
 
   JsonlVisitor visitor() {
@@ -76,35 +86,76 @@ class AggregateCheck {
   std::map<std::uint64_t, std::string> failures;
 
  private:
+  /// What the check reads from one run line.
+  struct RunParse {
+    std::string workload;
+    bool source_ok = true;
+    std::vector<double> values;            // summary_.stats order
+    std::vector<QuantileSketch> sketches;  // cell_sketch_columns() order
+  };
+
   void on_run(const CellBlock& b, std::uint64_t line_no, const JsonFields& f) {
     if (b.seeds.size() == 1) start_block();
     if (!error_.empty()) return;
-    const auto missing = [&](std::string_view field) {
-      error_ = path_ + ":" + std::to_string(line_no) + ": run record of " +
-               describe(b.key) + " is missing or has an invalid field '" +
-               std::string(field) + "'";
-    };
-    const auto workload = json_string(f, "workload");
-    const auto source_ok = json_bool(f, "source_ok");
-    if (!workload || !source_ok)
-      return missing(!workload ? "workload" : "source_ok");
-    summary_.workload = *workload;  // constant within a cell
-    summary_.source_ok = summary_.source_ok && *source_ok;
-    for (report::CellStatSummary& st : summary_.stats) {
-      const auto v = json_double(f, st.key);
-      if (!v) return missing(st.key);
-      st.stats.add(*v);
+    const std::string_view body = body_of(f);
+    if (body.empty() || body != last_body_) {
+      last_body_.clear();
+      if (const char* bad = parse(f)) {
+        error_ = path_ + ":" + std::to_string(line_no) + ": run record of " +
+                 describe(b.key) + " is missing or has an invalid field '" +
+                 bad + "'";
+        return;
+      }
+      last_body_ = body;
     }
+    summary_.workload = parse_.workload;  // constant within a cell
+    summary_.source_ok = summary_.source_ok && parse_.source_ok;
+    for (std::size_t k = 0; k < parse_.values.size(); ++k)
+      summary_.stats[k].stats.add(parse_.values[k]);
     // Run records carry the per-run sketches verbatim; merging them is
     // exact (bucket counts sum), so the recomputed cell quantiles come out
     // byte-identical to the single-process run.
+    for (std::size_t k = 0; k < parse_.sketches.size(); ++k)
+      summary_.sketches[k].second.merge(parse_.sketches[k]);
+  }
+
+  /// Reads a run line into parse_; the name of the first missing or
+  /// invalid field, or nullptr.
+  const char* parse(const JsonFields& f) {
+    auto workload = json_string(f, "workload");
+    const auto source_ok = json_bool(f, "source_ok");
+    if (!workload) return "workload";
+    if (!source_ok) return "source_ok";
+    parse_.workload = std::move(*workload);
+    parse_.source_ok = *source_ok;
+    for (std::size_t k = 0; k < parse_.values.size(); ++k) {
+      const std::string& key = summary_.stats[k].key;
+      const auto v = json_double(f, key);
+      if (!v) return key.c_str();
+      parse_.values[k] = *v;
+    }
     const auto& columns = cell_sketch_columns();
     for (std::size_t k = 0; k < columns.size(); ++k) {
       const auto token = json_string(f, columns[k].second);
-      const auto sketch = token ? report::decode_sketch(*token) : std::nullopt;
-      if (!sketch) return missing(columns[k].second);
-      summary_.sketches[k].second.merge(*sketch);
+      auto sketch = token ? report::decode_sketch(*token) : std::nullopt;
+      if (!sketch) return columns[k].second.c_str();
+      parse_.sketches[k] = std::move(*sketch);
     }
+    return nullptr;
+  }
+
+  /// A run line's body — its bytes from the "workload" key to the end of
+  /// its last token — when the fields before it are exactly the prefix
+  /// JsonlSink writes, so every field parse() reads is in the body and
+  /// equal body bytes mean an equal parse. Empty otherwise.
+  std::string_view body_of(const JsonFields& f) const {
+    const std::size_t n = prefix_keys_.size();
+    if (f.size() <= n || f[n].key != "workload") return {};
+    for (std::size_t i = 0; i < n; ++i)
+      if (f[i].key != prefix_keys_[i]) return {};
+    const char* from = f[n].key.data() - 1;  // its opening quote
+    const std::string_view last = f.back().token;
+    return {from, static_cast<std::size_t>(last.data() + last.size() - from)};
   }
 
   void on_cell(const CellBlock& b, std::uint64_t line_no,
@@ -129,6 +180,7 @@ class AggregateCheck {
 
   void start_block() {
     error_.clear();
+    last_body_.clear();
     summary_.source_ok = true;
     for (report::CellStatSummary& st : summary_.stats) st.stats = RunningStats{};
     for (auto& sketch : summary_.sketches) sketch.second = QuantileSketch{};
@@ -136,8 +188,11 @@ class AggregateCheck {
 
   const std::string& path_;
   report::CellSummary summary_;
-  std::string error_;  // the open block's first failure
-  std::string line_;   // reused recompute buffer
+  std::vector<std::string> prefix_keys_;  // a run line's fields before "workload"
+  RunParse parse_;         // the last run line parsed
+  std::string last_body_;  // its body; empty when the next line must parse
+  std::string error_;      // the open block's first failure
+  std::string line_;       // reused recompute buffer
 };
 
 /// A validated shard set: every cell's block in cell-index order, ready to
@@ -232,6 +287,20 @@ MergePlan plan_merge(const std::vector<std::string>& inputs, bool jsonl,
               std::to_string(reference->seeds.size()) +
               " — incomplete shard output? finish it with --resume before "
               "merging");
+  // mtr_sweep gives every cell the consecutive seeds --first-seed,
+  // --first-seed + 1, ..., so any other sequence is an edited record.
+  for (const auto& [index, entry] : cells) {
+    const CellBlock& b = entry.first;
+    for (std::size_t i = 1; i < b.seeds.size(); ++i)
+      if (b.seeds[i] != b.seeds[0] + i)
+        throw MergeError(
+            MergeFault::kCorrupt,
+            inputs[entry.second] + ":" + std::to_string(b.first_line + i) +
+                ": run record of " + describe(b.key) + " has seed " +
+                std::to_string(b.seeds[i]) + " where its cell's consecutive "
+                "seeds need " + std::to_string(b.seeds[0] + i) +
+                " — corrupt shard output?");
+  }
 
   // Contiguity over [min, max]: a missing index means a shard was left out.
   std::uint64_t expect = cells.begin()->first;

@@ -1,7 +1,7 @@
 // mtr_merge: folds per-shard CSV/JSONL sweep outputs back into one
 // canonical grid-order dataset. Inputs are validated hard — schema
-// versions, incomplete shard tails, duplicate or conflicting cells, gaps
-// in the cell-index space — and JSONL `record:"cell"` aggregates are
+// versions, incomplete shard tails, duplicate or conflicting cells,
+// replicate seeds out of sequence, gaps in the cell-index space — and JSONL `record:"cell"` aggregates are
 // recomputed from the shard's run records (and cross-checked against what
 // the shard wrote) in the same pass that scans them. A validated block's
 // bytes are then copied verbatim, so the merged files are byte-identical

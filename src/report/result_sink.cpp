@@ -1,5 +1,6 @@
 #include "report/result_sink.hpp"
 
+#include <bit>
 #include <fstream>
 
 #include "common/ensure.hpp"
@@ -39,85 +40,148 @@ struct HexText {
   const crypto::Digest32& digest;
 };
 
-/// The canonical record for run `seed_i` of `cell`, whose key is `key`, as
-/// f(name, value) calls in emission order: schema, the cell key's head
-/// columns, grid seed, every ExperimentResult field, then the key's
-/// population columns and the per-tenant distributions. Values are bool,
-/// std::uint64_t, std::int64_t, double, text (std::string or
-/// std::string_view), SketchText or HexText. flatten_run and both sinks
-/// walk this one list.
+/// The head of run `seed_i`'s record, as f(name, value) calls: schema, the
+/// cell key's head columns, the grid seed and its index.
 template <typename F>
-void for_each_run_field(const CellKey& key, const core::CellStats& cell,
-                        std::size_t seed_i, F&& f) {
-  const core::ExperimentResult& r = cell.runs.at(seed_i);
+void for_each_prefix_field(const CellKey& key, const core::CellStats& cell,
+                           std::size_t seed_i, F&& f) {
+  f("schema", std::uint64_t{kSchemaVersion});
+  for (std::size_t i = 0; i < kRunHeadColumns; ++i)
+    std::visit([&](auto m) { f(kCellKeyColumns[i].name, key.*m); },
+               kCellKeyColumns[i].member);
+  f("seed", std::uint64_t{cell.seeds.at(seed_i)});
+  f("seed_index", std::uint64_t{seed_i});
+}
+
+/// The rest of a run's record, its body: every ExperimentResult field, then
+/// the key's population columns and the per-tenant distributions, as
+/// f(name, value...) calls with one value per result in `r` (one result
+/// encodes a body, two compare bodies). Values are bool, std::uint64_t,
+/// std::int64_t, double, text (std::string or std::string_view),
+/// SketchText or HexText.
+template <typename F, typename... R>
+void for_each_body_field(const CellKey& key, F&& f, const R&... r) {
   using U = std::uint64_t;
   using I = std::int64_t;
-  const auto key_columns = [&](std::size_t from, std::size_t to) {
-    for (std::size_t i = from; i < to; ++i)
-      std::visit([&](auto m) { f(kCellKeyColumns[i].name, key.*m); },
-                 kCellKeyColumns[i].member);
-  };
+  f("workload", std::string_view(workloads::short_name(r.kind))...);
+  f("attack_name", r.attack_name...);
+  f("victim_pid", I{r.victim_pid.v}...);
+  f("victim_tgid", I{r.victim_tgid.v}...);
+  f("victim_exited", r.victim_exited...);
+  f("wall_seconds", r.wall_seconds...);
+  f("billed_utime_ticks", U{r.billed_ticks.utime.v}...);
+  f("billed_stime_ticks", U{r.billed_ticks.stime.v}...);
+  f("billed_user_seconds", r.billed_user_seconds...);
+  f("billed_system_seconds", r.billed_system_seconds...);
+  f("billed_seconds", r.billed_seconds...);
+  f("true_user_cycles", U{r.true_cycles.user.v}...);
+  f("true_system_cycles", U{r.true_cycles.system.v}...);
+  f("true_seconds", r.true_seconds...);
+  f("tsc_user_cycles", U{r.tsc_cycles.user.v}...);
+  f("tsc_system_cycles", U{r.tsc_cycles.system.v}...);
+  f("tsc_seconds", r.tsc_seconds...);
+  f("pais_user_cycles", U{r.pais_cycles.user.v}...);
+  f("pais_system_cycles", U{r.pais_cycles.system.v}...);
+  f("pais_seconds", r.pais_seconds...);
+  f("overcharge", r.overcharge...);
+  f("source_ok", r.source_verdict.ok...);
+  f("source_violations", join_violations(r.source_verdict.violations)...);
+  f("witness", HexText{r.witness}...);
+  f("witness_steps", U{r.witness_steps}...);
+  f("minor_faults", U{r.minor_faults}...);
+  f("major_faults", U{r.major_faults}...);
+  f("debug_exceptions", U{r.debug_exceptions}...);
+  f("voluntary_switches", U{r.voluntary_switches}...);
+  f("involuntary_switches", U{r.involuntary_switches}...);
+  f("nic_packets", U{r.nic_packets}...);
+  f("has_attacker", r.has_attacker...);
+  f("attacker_utime_ticks", U{r.attacker_ticks.utime.v}...);
+  f("attacker_stime_ticks", U{r.attacker_ticks.stime.v}...);
+  f("attacker_billed_seconds", r.attacker_billed_seconds...);
+  f("attacker_true_user_cycles", U{r.attacker_true_cycles.user.v}...);
+  f("attacker_true_system_cycles", U{r.attacker_true_cycles.system.v}...);
+  f("attacker_true_seconds", r.attacker_true_seconds...);
 
-  f("schema", U{kSchemaVersion});
-  key_columns(0, kRunHeadColumns);
-  f("seed", U{cell.seeds.at(seed_i)});
-  f("seed_index", U{seed_i});
+  // Population coordinates (the key's, so one value per result) and
+  // per-tenant distributions.
+  for (std::size_t i = kRunHeadColumns; i < kCellKeyColumns.size(); ++i)
+    std::visit(
+        [&](auto m) { f(kCellKeyColumns[i].name, (static_cast<void>(r), key.*m)...); },
+        kCellKeyColumns[i].member);
+  f("pop_tenants", U{r.pop_tenants}...);
+  f("pop_attackers", U{r.pop_attackers}...);
+  f("pop_flagged_attackers", U{r.pop_flagged_attackers}...);
+  f("pop_flagged_honest", U{r.pop_flagged_honest}...);
+  f("pop_billing_error_mean", r.pop_billing_error_mean...);
+  f("pop_billing_error_p99", r.pop_billing_error_p99...);
+  f("pop_attacker_advantage_mean", r.pop_attacker_advantage_mean...);
+  f("pop_detection_tpr", r.pop_detection_tpr...);
+  f("pop_detection_fpr", r.pop_detection_fpr...);
+  f("pop_billing_error_sketch", SketchText{r.pop_billing_error}...);
+  f("pop_billed_sketch", SketchText{r.pop_billed_seconds}...);
+  f("pop_true_sketch", SketchText{r.pop_true_seconds}...);
+  f("pop_advantage_sketch", SketchText{r.pop_attacker_advantage}...);
+}
 
-  // ExperimentResult, every field, declaration order.
-  f("workload", std::string_view(workloads::short_name(r.kind)));
-  f("attack_name", r.attack_name);
-  f("victim_pid", I{r.victim_pid.v});
-  f("victim_tgid", I{r.victim_tgid.v});
-  f("victim_exited", r.victim_exited);
-  f("wall_seconds", r.wall_seconds);
-  f("billed_utime_ticks", U{r.billed_ticks.utime.v});
-  f("billed_stime_ticks", U{r.billed_ticks.stime.v});
-  f("billed_user_seconds", r.billed_user_seconds);
-  f("billed_system_seconds", r.billed_system_seconds);
-  f("billed_seconds", r.billed_seconds);
-  f("true_user_cycles", U{r.true_cycles.user.v});
-  f("true_system_cycles", U{r.true_cycles.system.v});
-  f("true_seconds", r.true_seconds);
-  f("tsc_user_cycles", U{r.tsc_cycles.user.v});
-  f("tsc_system_cycles", U{r.tsc_cycles.system.v});
-  f("tsc_seconds", r.tsc_seconds);
-  f("pais_user_cycles", U{r.pais_cycles.user.v});
-  f("pais_system_cycles", U{r.pais_cycles.system.v});
-  f("pais_seconds", r.pais_seconds);
-  f("overcharge", r.overcharge);
-  f("source_ok", r.source_verdict.ok);
-  f("source_violations", join_violations(r.source_verdict.violations));
-  f("witness", HexText{r.witness});
-  f("witness_steps", U{r.witness_steps});
-  f("minor_faults", U{r.minor_faults});
-  f("major_faults", U{r.major_faults});
-  f("debug_exceptions", U{r.debug_exceptions});
-  f("voluntary_switches", U{r.voluntary_switches});
-  f("involuntary_switches", U{r.involuntary_switches});
-  f("nic_packets", U{r.nic_packets});
-  f("has_attacker", r.has_attacker);
-  f("attacker_utime_ticks", U{r.attacker_ticks.utime.v});
-  f("attacker_stime_ticks", U{r.attacker_ticks.stime.v});
-  f("attacker_billed_seconds", r.attacker_billed_seconds);
-  f("attacker_true_user_cycles", U{r.attacker_true_cycles.user.v});
-  f("attacker_true_system_cycles", U{r.attacker_true_cycles.system.v});
-  f("attacker_true_seconds", r.attacker_true_seconds);
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
-  // Population coordinates and per-tenant distributions.
-  key_columns(kRunHeadColumns, kCellKeyColumns.size());
-  f("pop_tenants", U{r.pop_tenants});
-  f("pop_attackers", U{r.pop_attackers});
-  f("pop_flagged_attackers", U{r.pop_flagged_attackers});
-  f("pop_flagged_honest", U{r.pop_flagged_honest});
-  f("pop_billing_error_mean", r.pop_billing_error_mean);
-  f("pop_billing_error_p99", r.pop_billing_error_p99);
-  f("pop_attacker_advantage_mean", r.pop_attacker_advantage_mean);
-  f("pop_detection_tpr", r.pop_detection_tpr);
-  f("pop_detection_fpr", r.pop_detection_fpr);
-  f("pop_billing_error_sketch", SketchText{r.pop_billing_error});
-  f("pop_billed_sketch", SketchText{r.pop_billed_seconds});
-  f("pop_true_sketch", SketchText{r.pop_true_seconds});
-  f("pop_advantage_sketch", SketchText{r.pop_attacker_advantage});
+/// Whether two body values surely encode to the same bytes: doubles
+/// compare by bit pattern (0 and -0 are spelled apart), sketches by what
+/// append_sketch writes.
+template <typename T>
+bool same_value(const T& a, const T& b) {
+  if constexpr (std::is_same_v<T, double>) {
+    return same_bits(a, b);
+  } else if constexpr (std::is_same_v<T, SketchText>) {
+    const QuantileSketch& x = a.sketch;
+    const QuantileSketch& y = b.sketch;
+    return x.count() == y.count() && x.zero_count() == y.zero_count() &&
+           same_bits(x.min(), y.min()) && same_bits(x.max(), y.max()) &&
+           x.positive() == y.positive() && x.negative() == y.negative();
+  } else if constexpr (std::is_same_v<T, HexText>) {
+    return a.digest == b.digest;
+  } else {
+    return a == b;
+  }
+}
+
+/// True when results `a` and `b` of one cell have equal bodies, value for
+/// value, and so encode to equal body bytes in either format.
+bool same_body(const CellKey& key, const core::ExperimentResult& a,
+               const core::ExperimentResult& b) {
+  bool same = true;
+  for_each_body_field(
+      key,
+      [&same](std::string_view, const auto& x, const auto& y) {
+        same = same && same_value(x, y);
+      },
+      a, b);
+  return same;
+}
+
+/// Where a sink's buffer holds the body of the run it encoded last.
+struct BodySpan {
+  std::size_t at = 0;
+  std::size_t size = 0;
+};
+
+/// Appends the body of run `seed_i` to `out` through `emit`, or, when it
+/// equals the previous run's body, copies the bytes `last` locates. Copied
+/// replicates of a seed-invariant cell are encoded once per cell this way;
+/// a replicate that differs anywhere is encoded in full.
+template <typename Emit>
+void append_body(std::string& out, BodySpan& last, const CellKey& key,
+                 const core::CellStats& cell, std::size_t seed_i, Emit&& emit) {
+  const core::ExperimentResult& r = cell.runs.at(seed_i);
+  if (seed_i > 0 && same_body(key, cell.runs[seed_i - 1], r)) {
+    out.append(out, last.at, last.size);
+    return;
+  }
+  last.at = out.size();
+  for_each_body_field(key, emit, r);
+  last.size = out.size() - last.at;
 }
 
 void append_sketch(std::string& out, const QuantileSketch& s) {
@@ -169,7 +233,7 @@ void append_csv_escaped(std::string& out, std::string_view s) {
   out += '"';
 }
 
-/// Appends one for_each_run_field value in its CSV spelling.
+/// Appends one record field value in its CSV spelling.
 template <typename T>
 void append_csv_value(std::string& out, const T& v) {
   if constexpr (kComputed<T>) append_text(out, v);
@@ -178,7 +242,7 @@ void append_csv_value(std::string& out, const T& v) {
   else append_number(out, v);
 }
 
-/// Appends one for_each_run_field value in its JSON spelling; booleans
+/// Appends one record field value in its JSON spelling; booleans
 /// and numbers are spelled as in CSV.
 template <typename T>
 void append_json_value(std::string& out, const T& v) {
@@ -201,7 +265,7 @@ std::vector<Field> flatten_run(const std::string& sweep,
   std::vector<Field> fields;
   fields.reserve(64);
   const CellKey key = cell_key(sweep, cell.cell_index, cell);
-  for_each_run_field(key, cell, seed_i, [&](std::string_view name, const auto& v) {
+  const auto push = [&](std::string_view name, const auto& v) {
     using T = std::decay_t<decltype(v)>;
     if constexpr (kComputed<T>) {
       std::string text;
@@ -212,7 +276,9 @@ std::vector<Field> flatten_run(const std::string& sweep,
     } else {
       fields.push_back({name, v});
     }
-  });
+  };
+  for_each_prefix_field(key, cell, seed_i, push);
+  for_each_body_field(key, push, cell.runs.at(seed_i));
   return fields;
 }
 
@@ -346,13 +412,16 @@ void CsvSink::write_cell(const std::string& sweep, const core::CellStats& cell) 
   if (buf_.capacity() == 0) buf_.reserve(4096);
   buf_.clear();  // keeps capacity: no steady-state reallocation
   const CellKey key = cell_key(sweep, cell.cell_index, cell);
+  BodySpan last;
   for (std::size_t seed_i = 0; seed_i < cell.runs.size(); ++seed_i) {
     bool first = true;
-    for_each_run_field(key, cell, seed_i, [&](std::string_view, const auto& v) {
+    const auto emit = [&](std::string_view, const auto& v) {
       if (!first) buf_ += ',';
       first = false;
       append_csv_value(buf_, v);
-    });
+    };
+    for_each_prefix_field(key, cell, seed_i, emit);
+    append_body(buf_, last, key, cell, seed_i, emit);
     buf_ += '\n';
   }
   *os_ << buf_;
@@ -440,14 +509,17 @@ void JsonlSink::write_cell(const std::string& sweep, const core::CellStats& cell
   if (buf_.capacity() == 0) buf_.reserve(8192);
   buf_.clear();  // keeps capacity: no steady-state reallocation
   const CellKey key = cell_key(sweep, cell.cell_index, cell);
+  BodySpan last;
+  const auto emit = [&](std::string_view name, const auto& v) {
+    buf_ += ',';
+    append_json_quoted(buf_, name);
+    buf_ += ':';
+    append_json_value(buf_, v);
+  };
   for (std::size_t seed_i = 0; seed_i < cell.runs.size(); ++seed_i) {
     buf_ += "{\"record\":\"run\"";
-    for_each_run_field(key, cell, seed_i, [&](std::string_view name, const auto& v) {
-      buf_ += ',';
-      append_json_quoted(buf_, name);
-      buf_ += ':';
-      append_json_value(buf_, v);
-    });
+    for_each_prefix_field(key, cell, seed_i, emit);
+    append_body(buf_, last, key, cell, seed_i, emit);
     buf_ += "}\n";
   }
   // Per-cell aggregate summary — the numbers a figure plots directly.

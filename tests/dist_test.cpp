@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cctype>
 #include <cinttypes>
 #include <condition_variable>
 #include <csignal>
@@ -1222,6 +1223,116 @@ TEST(MergeTest, HandEditedRunLineExitsTwoNamingFileAndLine) {
   EXPECT_NE(err.str().find("run records at lines 4-5"), std::string::npos)
       << err.str();
   EXPECT_FALSE(std::filesystem::exists(o.jsonl_out));
+  std::filesystem::remove_all(root);
+}
+
+/// Cell 0 with three seed-invariant replicates: one result copied into
+/// every seed, aggregated as BatchRunner aggregates.
+core::CellStats invariant_cell() {
+  core::ExperimentResult r = synth_cell(0, {7}).runs[0];
+  r.seed_dependent = false;
+  r.pop_true_seconds.add(1.5);
+  r.pop_true_seconds.add(2.5);
+  core::CellStats cell = synth_cell(0, {});
+  cell.seeds = {7, 8, 9};
+  for (int i = 0; i < 3; ++i) {
+    cell.runs.push_back(r);
+    cell.for_each_stat(
+        [&](const char*, RunningStats& stat, auto get) { stat.add(get(r)); });
+    cell.for_each_sketch(
+        [&](const char*, QuantileSketch& sketch, auto get) { sketch.merge(get(r)); });
+  }
+  return cell;
+}
+
+TEST(MergeTest, TheRepeatedBodyMemoCannotHideAnEditedRun) {
+  // Run 2 (line 2) repeats run 1's body byte for byte, so the merge check
+  // adds run 1's parse again for it. Each edit below must still exit 2
+  // naming the file and line: one digit of run 2's last token (a memo
+  // keyed on a prefix of the body would miss it), one digit inside its
+  // body (the recomputed aggregate no longer matches), and its seed alone
+  // (the body memo hits; the seed check must refuse it).
+  const std::string root = temp_path("dist_merge_memo");
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  const std::string path = root + "/s.jsonl";
+  const std::string csv_path = root + "/s.csv";
+  {
+    report::JsonlSink sink(path);
+    sink.write_cell("grid", invariant_cell());
+    report::CsvSink csv(csv_path);
+    csv.write_cell("grid", invariant_cell());
+  }
+  const std::vector<std::string> clean = lines_of(read_file(path));
+  ASSERT_EQ(clean.size(), 4u);
+  const std::size_t body = clean[1].find("\"workload\":");
+  ASSERT_NE(body, std::string::npos);
+  ASSERT_EQ(clean[1].substr(body), clean[0].substr(clean[0].find("\"workload\":")));
+
+  const auto merge = [&](const std::string& line2) {
+    std::vector<std::string> lines = clean;
+    lines[1] = line2;
+    std::string edited;
+    for (const std::string& line : lines) edited += line + "\n";
+    write_file(path, edited);
+    MergeOptions o;
+    o.jsonl_out = root + "/m.jsonl";
+    o.jsonl_in = {path};
+    std::ostringstream out, err;
+    const int rc = run_merge(o, out, err);
+    return std::make_pair(rc, err.str());
+  };
+  const auto replace_digit = [](std::string line, std::size_t at) {
+    EXPECT_TRUE(std::isdigit(static_cast<unsigned char>(line[at]))) << line;
+    line[at] = line[at] == '1' ? '2' : '1';
+    return line;
+  };
+
+  EXPECT_EQ(merge(clean[1]).first, 0);
+
+  // The last token is run 2's pop_advantage_sketch: its count digit.
+  const std::size_t last = clean[1].rfind("\"pop_advantage_sketch\":\"");
+  ASSERT_NE(last, std::string::npos);
+  auto [rc, err] = merge(replace_digit(clean[1], last + 24));
+  EXPECT_EQ(rc, static_cast<int>(MergeFault::kCorrupt));
+  EXPECT_NE(err.find(path + ":2: run record of cell 0"), std::string::npos) << err;
+  EXPECT_NE(err.find("pop_advantage_sketch"), std::string::npos) << err;
+
+  const std::size_t wall = clean[1].find("\"wall_seconds\":");
+  ASSERT_NE(wall, std::string::npos);
+  std::tie(rc, err) = merge(replace_digit(clean[1], wall + 15));
+  EXPECT_EQ(rc, static_cast<int>(MergeFault::kCorrupt));
+  EXPECT_NE(err.find(path + ":4: recomputed aggregate for cell 0"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("run records at lines 1-3"), std::string::npos) << err;
+
+  const std::size_t seed = clean[1].find("\"seed\":8,");
+  ASSERT_NE(seed, std::string::npos);
+  std::string reseeded = clean[1];
+  reseeded[seed + 7] = '2';
+  std::tie(rc, err) = merge(reseeded);
+  EXPECT_EQ(rc, static_cast<int>(MergeFault::kCorrupt));
+  EXPECT_NE(err.find(path + ":2: run record of cell 0"), std::string::npos) << err;
+  EXPECT_NE(err.find("has seed 2 where its cell's consecutive seeds need 8"),
+            std::string::npos)
+      << err;
+
+  // The seed check reads CSV blocks too (row 3 is run 2).
+  std::vector<std::string> rows = lines_of(read_file(csv_path));
+  ASSERT_EQ(rows.size(), 4u);
+  const std::size_t cell = rows[2].find(",8,1,");
+  ASSERT_NE(cell, std::string::npos);
+  rows[2][cell + 1] = '5';
+  write_file(csv_path, rows[0] + "\n" + rows[1] + "\n" + rows[2] + "\n" + rows[3] + "\n");
+  try {
+    merge_csv({csv_path});
+    FAIL() << "an edited seed was merged";
+  } catch (const MergeError& e) {
+    EXPECT_EQ(e.fault, MergeFault::kCorrupt);
+    EXPECT_NE(std::string(e.what()).find(csv_path + ":3: run record of cell 0"),
+              std::string::npos)
+        << e.what();
+  }
   std::filesystem::remove_all(root);
 }
 
@@ -3532,6 +3643,38 @@ TEST(FleetBackoffTest, DeterministicCappedExponentialWithJitter) {
   EXPECT_EQ(backoff_delay_ms(250, 1, 43, 0), 285u);
   EXPECT_EQ(backoff_delay_ms(1000, 3, 7, 2), 4723u);
   EXPECT_EQ(backoff_delay_ms(100, 0, 0, 0), 120u);  // attempt 0 counts as 1
+}
+
+TEST(FleetWaitTest, WakesWhenAChildExitsAndOtherwiseAtTheTimeout) {
+  using namespace std::chrono_literals;
+  using Clock = std::chrono::steady_clock;
+  const pid_t quick = ::fork();
+  ASSERT_GE(quick, 0);
+  if (quick == 0) ::_exit(0);
+  Clock::time_point t0 = Clock::now();
+  wait_for_exit({quick}, 10s);
+  EXPECT_LT(Clock::now() - t0, 5s);
+  int st = 0;
+  EXPECT_EQ(::waitpid(quick, &st, 0), quick);
+
+  const pid_t idle = ::fork();
+  ASSERT_GE(idle, 0);
+  if (idle == 0) {
+    ::pause();
+    ::_exit(0);
+  }
+  t0 = Clock::now();
+  wait_for_exit({idle}, 200ms);
+  const auto waited = Clock::now() - t0;
+  EXPECT_GE(waited, 200ms);
+  EXPECT_LT(waited, 5s);
+  ::kill(idle, SIGKILL);
+  EXPECT_EQ(::waitpid(idle, &st, 0), idle);
+
+  // Nothing to watch: the wait is a plain sleep.
+  t0 = Clock::now();
+  wait_for_exit({}, 50ms);
+  EXPECT_GE(Clock::now() - t0, 50ms);
 }
 
 TEST(FleetArgsTest, ParsesFlagsAndRejectsBadFaultSpecs) {

@@ -568,6 +568,85 @@ TEST(SeedInvarianceOracle, ARunThatReadNoSeedWritesTheSameRecordsAtAnySeed) {
   }
 }
 
+/// What CsvSink and JsonlSink write for `cell` when they encode every run
+/// in full: flatten_run and append_csv/append_json, run by run.
+std::string records_run_by_run(const core::CellStats& cell) {
+  std::ostringstream csv;
+  write_csv_header(csv);
+  std::string rows, jsonl;
+  for (std::size_t i = 0; i < cell.runs.size(); ++i) {
+    const std::vector<Field> fields = flatten_run("memo", cell, i);
+    jsonl += "{\"record\":\"run\"";
+    for (std::size_t k = 0; k < fields.size(); ++k) {
+      if (k > 0) rows += ',';
+      append_csv(rows, fields[k].value);
+      jsonl += ",\"";
+      jsonl += fields[k].key;
+      jsonl += "\":";
+      append_json(jsonl, fields[k].value);
+    }
+    rows += '\n';
+    jsonl += "}\n";
+  }
+  append_cell_record(jsonl, summarize_cell("memo", cell));
+  return csv.str() + rows + jsonl;
+}
+
+std::string sink_records(const core::CellStats& cell) {
+  std::ostringstream csv, jsonl;
+  CsvSink(csv).write_cell("memo", cell);
+  JsonlSink(jsonl).write_cell("memo", cell);
+  return csv.str() + jsonl.str();
+}
+
+TEST(SinkBodyMemo, EveryRunIsWrittenAsFlattenRunEncodesIt) {
+  // sample_cell's first run with filled sketches, marked seed-invariant:
+  // a sink that copied bodies on that mark alone would miss every case
+  // below in which one replicate differs.
+  const auto run = [](std::initializer_list<double> true_seconds) {
+    core::ExperimentResult r = sample_cell().runs[0];
+    for (const double x : true_seconds) r.pop_true_seconds.add(x);
+    r.pop_billing_error.add(-0.25);
+    r.pop_detection_fpr = 0.0;
+    r.seed_dependent = false;
+    return r;
+  };
+  const core::ExperimentResult a = run({1.0, 1.5, 2.0});
+
+  // The same count, zero count, min and max: only a bucket differs.
+  core::ExperimentResult bucket = run({1.0, 1.7, 2.0});
+  ASSERT_EQ(bucket.pop_true_seconds.count(), a.pop_true_seconds.count());
+  ASSERT_NE(encode_sketch(bucket.pop_true_seconds), encode_sketch(a.pop_true_seconds));
+  core::ExperimentResult witness = a;
+  witness.witness.bytes[17] ^= 0x10;
+  core::ExperimentResult negative_zero = a;  // equal to 0.0, spelled "-0"
+  negative_zero.pop_detection_fpr = -0.0;
+  core::ExperimentResult violation = a;
+  violation.source_verdict.violations.back() += "!";
+
+  struct Case {
+    const char* label;
+    std::vector<core::ExperimentResult> runs;
+  };
+  const std::vector<Case> cases = {
+      {"copied replicates", {a, a, a, a}},
+      {"equal values in distinct objects",
+       {run({1.0, 1.5, 2.0}), run({1.0, 1.5, 2.0}), run({1.0, 1.5, 2.0})}},
+      {"one sketch bucket", {a, bucket, bucket, a}},
+      {"witness", {a, witness, witness, a}},
+      {"negative zero", {a, negative_zero, negative_zero, a}},
+      {"violations", {a, violation, violation, a}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    core::CellStats cell = sample_cell();
+    cell.runs = c.runs;
+    cell.seeds.clear();
+    for (std::size_t i = 0; i < c.runs.size(); ++i) cell.seeds.push_back(7 + i);
+    EXPECT_EQ(sink_records(cell), records_run_by_run(cell));
+  }
+}
+
 /// sample_cell with the population coordinates off their defaults too.
 core::CellStats keyed_cell() {
   core::CellStats cell = sample_cell();
