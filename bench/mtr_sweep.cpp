@@ -8,7 +8,7 @@
 //   mtr_sweep --list
 //   mtr_sweep fig04 --out-dir results/
 //   mtr_sweep --all --out-dir results/ --seeds 5 --threads 8
-//   mtr_merge --csv all.csv --jsonl all.jsonl results/*.csv results/*.jsonl
+//   mtr_merge --csv all.csv --jsonl all.jsonl results/*.jsonl
 //   mtr_sweep --all --shard 1/3 --out-dir shard1/ --quiet
 //   mtr_sweep --all --shard 1/3 --out-dir shard1/ --resume   # after a kill
 #include "bench/sweeps.hpp"

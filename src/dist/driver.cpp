@@ -74,8 +74,9 @@ constexpr const char* kUsage =
     "                     of both; point each shard at its own output and\n"
     "                     stitch them with mtr_merge. All shards must come\n"
     "                     from one build (--dry-run lists a shard's cells)\n"
-    "  --resume           scan the existing output, drop any partial tail a\n"
-    "                     killed run left, and skip cells already complete\n"
+    "  --resume           scan <sweep>.jsonl, drop any partial tail a failed\n"
+    "                     run left, skip cells already complete, and\n"
+    "                     rebuild <sweep>.csv from the kept records\n"
     "  --dry-run          print the selected sweeps, cell counts, and shard\n"
     "                     ownership, then exit without running anything\n"
     "  --fault-inject S   arm a deterministic fault schedule (chaos tests):\n"
@@ -94,7 +95,7 @@ constexpr const char* kUsage =
     "Sharded and resumed runs skip the ASCII rendering (their cell set is\n"
     "partial); the CSV/JSONL sinks plus mtr_merge are the output. For one\n"
     "combined file of every sweep, merge an --out-dir:\n"
-    "  mtr_merge --csv all.csv --jsonl all.jsonl DIR/*.csv DIR/*.jsonl\n"
+    "  mtr_merge --csv all.csv --jsonl all.jsonl DIR/*.jsonl\n"
     "\n"
     "env defaults: MTR_BENCH_SCALE, MTR_BENCH_SEEDS, MTR_BENCH_THREADS,\n"
     "MTR_BENCH_PROGRESS=0 disables progress.\n";
@@ -421,7 +422,7 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
       const bool have_base = base != metrics_base.sweeps.end();
       std::optional<std::uint64_t> cap;
       if (want_metrics) cap = have_base ? base->cells : 0;
-      st.resume = ResumeIndex::scan(st.dir_csv, st.dir_jsonl, options.seeds, cap);
+      st.resume = ResumeIndex::scan(st.dir_jsonl, options.seeds, cap);
       if (st.resume.metrics_overrun())
         err << "mtr_sweep: resume: " << name
             << ": metrics snapshot is ahead of the records — rerunning "
@@ -430,7 +431,13 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
         // Seed the fold with the counters the snapshot already covers; the
         // gate skips exactly those cells, so each cell folds exactly once.
         st.metrics = *base;
-      if (!options.dry_run) st.resume.truncate_files();
+      if (!options.dry_run) {
+        // The CSV is a view of the records: rebuild it from the kept ones.
+        st.resume.truncate();
+        publish_file(st.dir_csv, [&](std::ostream& os) {
+          render_csv(st.dir_jsonl, st.resume.valid_bytes(), os);
+        }, "CSV");
+      }
       if (st.resume.size() > 0)
         err << "mtr_sweep: resume: " << name << ": " << st.resume.size()
             << " cell(s) already complete\n";

@@ -599,7 +599,6 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
     m.jsonl_out = merged_dir + "/" + names[i] + ".jsonl";
     for (const ShardState& s : states) {
       if (!s.succeeded) continue;
-      m.csv_in.push_back(s.dir + "/" + names[i] + ".csv");
       m.jsonl_in.push_back(s.dir + "/" + names[i] + ".jsonl");
     }
   }

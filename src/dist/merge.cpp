@@ -1,5 +1,7 @@
 #include "dist/merge.hpp"
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -22,13 +24,15 @@ constexpr const char* kUsage =
     "                 [--metrics OUT.json] SHARD_FILE...\n"
     "\n"
     "Merges per-shard mtr_sweep outputs back into one canonical dataset.\n"
-    "Inputs are classified by extension: .csv files merge into --csv,\n"
-    ".jsonl files into --jsonl, .json files (mtr_sweep --metrics output)\n"
-    "fold into --metrics. Every cell is validated (schema version,\n"
-    "incomplete shard tails, duplicate/conflicting cells, non-consecutive\n"
-    "replicate seeds, gaps in the cell index space) and re-emitted in grid\n"
-    "order; JSONL cell aggregates are recomputed from the run records and\n"
-    "cross-checked against the shard.\n"
+    "Inputs are classified by extension. .jsonl files are the records:\n"
+    "they merge into --jsonl, and --csv renders the merged records. A .csv\n"
+    "input is only checked: it must come with its same-stem .jsonl input\n"
+    "and equal that file's rendering byte for byte. .json files\n"
+    "(mtr_sweep --metrics output) fold into --metrics. Every cell is\n"
+    "validated (schema version, incomplete shard tails, duplicate cells,\n"
+    "non-consecutive replicate seeds, gaps in the cell index space) and\n"
+    "re-emitted in grid order; cell aggregates are recomputed from the run\n"
+    "records and cross-checked against the shard.\n"
     "The merged files are byte-identical to a single-process run of the\n"
     "same grid. Metrics fold by sweep name: counters sum, gauges max, and\n"
     "the shard count adds up.\n"
@@ -46,7 +50,9 @@ constexpr const char* kUsage =
     "\n"
     "Exit codes: 0 merged and verified; 1 output write failure; 2 usage\n"
     "error or corrupt/unusable input (torn tail, another schema, aggregate\n"
-    "recomputation mismatch — reports name file, line, and byte offset);\n"
+    "recomputation mismatch, a .csv input that is not its .jsonl's\n"
+    "rendering or has no .jsonl beside it — reports name file, line, and\n"
+    "byte offset);\n"
     "3 cell-index gap or duplicate cell (incomplete or overlapping shard\n"
     "set; each file itself may be intact).\n";
 
@@ -196,27 +202,26 @@ class AggregateCheck {
 };
 
 /// A validated shard set: every cell's block in cell-index order, ready to
-/// be spliced into the merged file.
+/// be spliced into the merged files.
 struct MergePlan {
-  bool jsonl = false;
   std::vector<std::string> inputs;
   struct Cell {
     std::uint64_t index = 0;
     std::size_t input = 0;  // into `inputs`
     std::uint64_t begin = 0;
     std::uint64_t end = 0;
+    std::uint64_t first_line = 0;
   };
   std::vector<Cell> cells;
   std::vector<std::uint64_t> missing;  // gaps, with allow_gaps
 };
 
-/// Scans every input, rejecting incomplete shards, empty inputs,
-/// duplicates, gaps, records of another schema version and (JSONL) cells
-/// whose recomputed aggregate disagrees with the recorded one.
-/// `allow_gaps` turns gaps (and an all-empty input set) into entries in
-/// `missing` instead of errors — the partial-fleet merge path.
-MergePlan plan_merge(const std::vector<std::string>& inputs, bool jsonl,
-                     bool allow_gaps) {
+/// Scans every JSONL input, rejecting incomplete shards, empty inputs,
+/// duplicates, gaps, records of another schema version and cells whose
+/// recomputed aggregate disagrees with the recorded one. `allow_gaps`
+/// turns gaps (and an all-empty input set) into entries in `missing`
+/// instead of errors — the partial-fleet merge path.
+MergePlan plan_merge(const std::vector<std::string>& inputs, bool allow_gaps) {
   // cell_index -> (block, input)
   std::map<std::uint64_t, std::pair<CellBlock, std::size_t>> cells;
   std::map<std::uint64_t, std::string> corrupt;
@@ -225,7 +230,7 @@ MergePlan plan_merge(const std::vector<std::string>& inputs, bool jsonl,
     FileScan scan;
     AggregateCheck check(path);
     try {
-      scan = jsonl ? scan_jsonl_records(path, check.visitor()) : scan_csv(path);
+      scan = scan_jsonl_records(path, check.visitor());
     } catch (const SchemaError& e) {
       throw MergeError(MergeFault::kCorrupt, e.what());
     }
@@ -252,7 +257,6 @@ MergePlan plan_merge(const std::vector<std::string>& inputs, bool jsonl,
     }
   }
   MergePlan plan;
-  plan.jsonl = jsonl;
   plan.inputs = inputs;
   if (cells.empty()) {
     if (allow_gaps) return plan;  // every surviving shard owned zero cells
@@ -260,33 +264,17 @@ MergePlan plan_merge(const std::vector<std::string>& inputs, bool jsonl,
                      "no complete cells to merge in any input");
   }
 
-  // Every cell of one invocation carries the same replicate seed count, so
-  // a block with fewer runs — e.g. the unprovable final CSV block of a
-  // killed shard — is an incomplete cell, not a merge candidate. Prefer a
-  // provably closed block as the reference; failing that (every file's
-  // only block is open, possible in CSV-only merges), the largest block —
-  // a killed cell can only be smaller than its siblings.
-  const CellBlock* reference = nullptr;
+  // Every cell of one invocation carries the same replicate seed count.
+  const CellBlock& reference = cells.begin()->second.first;
   for (const auto& [index, entry] : cells)
-    if (entry.first.closed) {
-      reference = &entry.first;
-      break;
-    }
-  if (reference == nullptr)
-    for (const auto& [index, entry] : cells)
-      if (reference == nullptr ||
-          entry.first.seeds.size() > reference->seeds.size())
-        reference = &entry.first;
-  for (const auto& [index, entry] : cells)
-    if (entry.first.seeds.size() != reference->seeds.size())
+    if (entry.first.seeds.size() != reference.seeds.size())
       throw MergeError(
           MergeFault::kCorrupt,
           inputs[entry.second] + ": " + describe(entry.first.key) + " has " +
               std::to_string(entry.first.seeds.size()) +
-              " run record(s) but " + describe(reference->key) + " has " +
-              std::to_string(reference->seeds.size()) +
-              " — incomplete shard output? finish it with --resume before "
-              "merging");
+              " run record(s) but " + describe(reference.key) + " has " +
+              std::to_string(reference.seeds.size()) +
+              " — were the shards run with different --seeds?");
   // mtr_sweep gives every cell the consecutive seeds --first-seed,
   // --first-seed + 1, ..., so any other sequence is an edited record.
   for (const auto& [index, entry] : cells) {
@@ -324,45 +312,87 @@ MergePlan plan_merge(const std::vector<std::string>& inputs, bool jsonl,
 
   plan.cells.reserve(cells.size());
   for (const auto& [index, entry] : cells)
-    plan.cells.push_back(
-        {index, entry.second, entry.first.begin_offset, entry.first.end_offset});
+    plan.cells.push_back({index, entry.second, entry.first.begin_offset,
+                          entry.first.end_offset, entry.first.first_line});
   return plan;
 }
 
-/// Writes the merged file: the canonical CSV header (CSV only), then every
-/// block's bytes, copied verbatim from its input in cell-index order. The
-/// scan validated each byte range, so the copy is the whole output.
-void splice(const MergePlan& plan, std::ostream& out) {
-  if (!plan.jsonl) report::write_csv_header(out);
+/// Writes the merged files: each block, read once in cell-index order, is
+/// copied verbatim into `jsonl` and rendered into `csv` (after its
+/// header). Either stream may be null.
+void splice(const MergePlan& plan, std::ostream* csv, std::ostream* jsonl) {
+  if (csv != nullptr) report::write_csv_header(*csv);
   std::vector<std::ifstream> files(plan.inputs.size());
   std::vector<char> buf;
+  std::string rows;
   for (const MergePlan::Cell& c : plan.cells) {
+    const std::string& path = plan.inputs[c.input];
     std::ifstream& in = files[c.input];
-    if (!in.is_open()) in.open(plan.inputs[c.input], std::ios::binary);
+    if (!in.is_open()) in.open(path, std::ios::binary);
     buf.resize(c.end - c.begin);
     in.seekg(static_cast<std::streamoff>(c.begin));
     in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
     if (!in)
       throw MergeError(MergeFault::kCorrupt,
-                       plan.inputs[c.input] + ": cell " +
-                           std::to_string(c.index) +
+                       path + ": cell " + std::to_string(c.index) +
                            " changed or vanished while merging");
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    if (jsonl != nullptr)
+      jsonl->write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    if (csv == nullptr) continue;
+    rows.clear();
+    try {
+      append_csv_rows(rows, std::string_view(buf.data(), buf.size()), path,
+                      c.first_line);
+    } catch (const std::runtime_error& e) {
+      throw MergeError(MergeFault::kCorrupt, e.what());
+    }
+    *csv << rows;
   }
 }
 
-std::string merge_to_string(const std::vector<std::string>& inputs, bool jsonl,
-                            std::vector<std::uint64_t>* cell_indices,
-                            bool allow_gaps,
-                            std::vector<std::uint64_t>* missing) {
-  const MergePlan plan = plan_merge(inputs, jsonl, allow_gaps);
-  std::ostringstream os;
-  splice(plan, os);
-  for (const MergePlan::Cell& c : plan.cells)
-    if (cell_indices) cell_indices->push_back(c.index);
-  if (missing)
-    missing->insert(missing->end(), plan.missing.begin(), plan.missing.end());
-  return std::move(os).str();
+/// Publishes the merged files the options name, both filled by one splice:
+/// each streams into its OUT.tmp and is renamed into place once written.
+void publish_merge(const MergePlan& plan, const std::string& csv_out,
+                   const std::string& jsonl_out) {
+  const auto with_jsonl = [&](std::ostream* csv) {
+    if (jsonl_out.empty()) return splice(plan, csv, nullptr);
+    publish_file(jsonl_out,
+                 [&](std::ostream& jsonl) { splice(plan, csv, &jsonl); },
+                 "output");
+  };
+  if (csv_out.empty()) return with_jsonl(nullptr);
+  publish_file(csv_out, [&](std::ostream& csv) { with_jsonl(&csv); },
+               "output");
+}
+
+/// The .jsonl input a .csv input must come with.
+std::string same_stem_jsonl(const std::string& csv) {
+  return csv.substr(0, csv.size() - 4) + ".jsonl";
+}
+
+/// A .csv input is checked, never merged: it must be, byte for byte, the
+/// CSV rendering of its .jsonl input, which plan_merge has validated.
+void check_csv_input(const std::string& csv) {
+  const std::string jsonl = same_stem_jsonl(csv);
+  std::ostringstream want;
+  try {
+    render_csv(jsonl, std::filesystem::file_size(jsonl), want);
+  } catch (const std::runtime_error& e) {
+    throw MergeError(MergeFault::kCorrupt, e.what());
+  }
+  const std::string have = read_file(csv, "CSV");
+  if (have == want.view()) return;
+  const auto at = std::mismatch(have.begin(), have.end(), want.view().begin(),
+                                want.view().end()).first;
+  const std::size_t pos = at - have.begin();
+  const std::size_t begin = pos == 0 ? 0 : have.rfind('\n', pos - 1) + 1;
+  throw MergeError(
+      MergeFault::kCorrupt,
+      csv + ":" + std::to_string(1 + std::count(have.begin(), at, '\n')) +
+          ": differs from the CSV rendering of " + jsonl + " (byte " +
+          std::to_string(begin) +
+          ") — a .csv input must equal its records' rendering; drop it and "
+          "let --csv render the records");
 }
 
 }  // namespace
@@ -388,18 +418,10 @@ MergeOptions parse_merge_args(int argc, const char* const* argv) {
   return o;
 }
 
-std::string merge_jsonl(const std::vector<std::string>& inputs,
-                        std::vector<std::uint64_t>* cell_indices,
-                        bool allow_gaps, std::vector<std::uint64_t>* missing) {
-  return merge_to_string(inputs, /*jsonl=*/true, cell_indices, allow_gaps,
-                         missing);
-}
-
-std::string merge_csv(const std::vector<std::string>& inputs,
-                      std::vector<std::uint64_t>* cell_indices,
-                      bool allow_gaps, std::vector<std::uint64_t>* missing) {
-  return merge_to_string(inputs, /*jsonl=*/false, cell_indices, allow_gaps,
-                         missing);
+std::string merge_jsonl(const std::vector<std::string>& inputs) {
+  std::ostringstream os;
+  splice(plan_merge(inputs, /*allow_gaps=*/false), nullptr, &os);
+  return std::move(os).str();
 }
 
 int run_merge(const MergeOptions& o, std::ostream& out, std::ostream& err,
@@ -418,60 +440,42 @@ int run_merge(const MergeOptions& o, std::ostream& out, std::ostream& err,
     err << "mtr_merge: " << message << "\n\n" << kUsage;
     return 2;
   };
-  if (!o.csv_out.empty() && o.csv_in.empty())
-    return usage_error("--csv needs .csv shard inputs");
+  for (const std::string& csv : o.csv_in)
+    if (std::find(o.jsonl_in.begin(), o.jsonl_in.end(),
+                  same_stem_jsonl(csv)) == o.jsonl_in.end())
+      return usage_error(csv + " comes without its records " +
+                         same_stem_jsonl(csv) +
+                         " — the CSV is rendered from the .jsonl inputs");
+  const bool records = !o.csv_out.empty() || !o.jsonl_out.empty();
+  if (records && o.jsonl_in.empty())
+    return usage_error("--csv and --jsonl need .jsonl shard inputs");
+  if (!records && !o.jsonl_in.empty())
+    return usage_error(".jsonl inputs given but no --csv or --jsonl output");
   if (o.csv_out.empty() && !o.csv_in.empty())
     return usage_error(".csv inputs given but no --csv output");
-  if (!o.jsonl_out.empty() && o.jsonl_in.empty())
-    return usage_error("--jsonl needs .jsonl shard inputs");
-  if (o.jsonl_out.empty() && !o.jsonl_in.empty())
-    return usage_error(".jsonl inputs given but no --jsonl output");
   if (!o.metrics_out.empty() && o.metrics_in.empty())
     return usage_error("--metrics needs .json shard inputs");
   if (o.metrics_out.empty() && !o.metrics_in.empty())
     return usage_error(".json inputs given but no --metrics output");
 
   try {
-    // Plan (scan and validate) both formats before writing either.
-    MergePlan csv, jsonl;
-    if (!o.csv_out.empty()) csv = plan_merge(o.csv_in, false, o.allow_gaps);
-    if (!o.jsonl_out.empty()) jsonl = plan_merge(o.jsonl_in, true, o.allow_gaps);
-    const auto indices = [](const MergePlan& plan) {
-      std::vector<std::uint64_t> v;
-      v.reserve(plan.cells.size());
-      for (const MergePlan::Cell& c : plan.cells) v.push_back(c.index);
-      return v;
-    };
-    const std::vector<std::uint64_t> csv_cells = indices(csv);
-    const std::vector<std::uint64_t> jsonl_cells = indices(jsonl);
-    if (!o.csv_out.empty() && !o.jsonl_out.empty() && csv_cells != jsonl_cells)
-      throw MergeError(
-          MergeFault::kCorrupt,
-          "the .csv and .jsonl shard sets cover different cells — are they "
-          "from the same sweep invocation?");
-    if (merged_cells != nullptr)
-      *merged_cells = !o.csv_out.empty() ? csv_cells : jsonl_cells;
-
-    const auto publish = [](const std::string& path, const MergePlan& plan) {
-      publish_file(path, [&plan](std::ostream& os) { splice(plan, os); },
-                   "output");
-    };
-    if (!o.csv_out.empty()) {
-      publish(o.csv_out, csv);
-      out << "mtr_merge: " << csv_cells.size() << " cell(s) from "
-          << o.csv_in.size() << " shard file(s) -> " << o.csv_out << '\n';
+    // Validate every input before writing any output.
+    MergePlan plan;
+    if (records) {
+      plan = plan_merge(o.jsonl_in, o.allow_gaps);
+      for (const std::string& csv : o.csv_in) check_csv_input(csv);
+      publish_merge(plan, o.csv_out, o.jsonl_out);
+      for (const std::string* path : {&o.csv_out, &o.jsonl_out})
+        if (!path->empty())
+          out << "mtr_merge: " << plan.cells.size() << " cell(s) from "
+              << o.jsonl_in.size() << " shard file(s) -> " << *path << '\n';
     }
-    if (!o.jsonl_out.empty()) {
-      publish(o.jsonl_out, jsonl);
-      out << "mtr_merge: " << jsonl_cells.size() << " cell(s) from "
-          << o.jsonl_in.size() << " shard file(s) -> " << o.jsonl_out << '\n';
-    }
-    const std::vector<std::uint64_t>& missing =
-        !o.csv_out.empty() ? csv.missing : jsonl.missing;
-    if (!missing.empty()) {
-      err << "mtr_merge: " << missing.size()
+    for (const MergePlan::Cell& c : plan.cells)
+      if (merged_cells != nullptr) merged_cells->push_back(c.index);
+    if (!plan.missing.empty()) {
+      err << "mtr_merge: " << plan.missing.size()
           << " cell(s) missing (merged with --allow-gaps):";
-      for (const std::uint64_t c : missing) err << ' ' << c;
+      for (const std::uint64_t c : plan.missing) err << ' ' << c;
       err << '\n';
     }
     if (!o.metrics_out.empty()) {

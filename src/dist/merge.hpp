@@ -1,12 +1,14 @@
-// mtr_merge: folds per-shard CSV/JSONL sweep outputs back into one
-// canonical grid-order dataset. Inputs are validated hard — schema
-// versions, incomplete shard tails, duplicate or conflicting cells,
-// replicate seeds out of sequence, gaps in the cell-index space — and JSONL `record:"cell"` aggregates are
-// recomputed from the shard's run records (and cross-checked against what
-// the shard wrote) in the same pass that scans them. A validated block's
-// bytes are then copied verbatim, so the merged files are byte-identical
-// to a single-process run of the same grid, and the merge holds memory per
-// cell, not per byte.
+// mtr_merge: folds per-shard JSONL sweep records back into one canonical
+// grid-order dataset. Inputs are validated hard — schema versions,
+// incomplete shard tails, duplicate or conflicting cells, replicate seeds
+// out of sequence, gaps in the cell-index space — and `record:"cell"`
+// aggregates are recomputed from the shard's run records (and
+// cross-checked against what the shard wrote) in the same pass that scans
+// them. Each validated block is then read once, copied verbatim into the
+// merged JSONL and rendered into the merged CSV, so both are
+// byte-identical to a single-process run and the merge holds memory per
+// cell, not per byte. A `.csv` input is only checked against the
+// rendering of its same-stem `.jsonl` input.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +41,7 @@ struct MergeOptions {
   std::string csv_out;                // --csv
   std::string jsonl_out;              // --jsonl
   std::string metrics_out;            // --metrics
-  std::vector<std::string> csv_in;    // positional *.csv
+  std::vector<std::string> csv_in;    // positional *.csv (checked only)
   std::vector<std::string> jsonl_in;  // positional *.jsonl
   std::vector<std::string> metrics_in;  // positional *.json (metrics files)
 };
@@ -47,26 +49,15 @@ struct MergeOptions {
 /// Parses mtr_merge argv; throws UsageError on malformed input.
 MergeOptions parse_merge_args(int argc, const char* const* argv);
 
-/// Merges shard JSONL files into the canonical byte stream. `cell_indices`,
-/// when non-null, receives the merged cell indices in emission order (for
-/// cross-format consistency checks). Throws MergeError on any validation
-/// failure. `allow_gaps` downgrades cell-index gaps (and empty input sets)
-/// from errors to entries in `missing` — the partial-fleet merge path.
-std::string merge_jsonl(const std::vector<std::string>& inputs,
-                        std::vector<std::uint64_t>* cell_indices = nullptr,
-                        bool allow_gaps = false,
-                        std::vector<std::uint64_t>* missing = nullptr);
-
-/// Same for shard CSV files (canonical header + rows in cell-index order).
-std::string merge_csv(const std::vector<std::string>& inputs,
-                      std::vector<std::uint64_t>* cell_indices = nullptr,
-                      bool allow_gaps = false,
-                      std::vector<std::uint64_t>* missing = nullptr);
+/// Merges shard JSONL files into the canonical byte stream. Throws
+/// MergeError on any validation failure.
+std::string merge_jsonl(const std::vector<std::string>& inputs);
 
 /// Runs a full merge: validates the option combination, scans and
-/// validates each configured format, cross-checks them, and only then
-/// writes the outputs (creating parent directories): each validated block
-/// is copied byte for byte into OUT.tmp, which is renamed into place.
+/// validates the .jsonl inputs, checks each .csv input against the
+/// rendering of its same-stem .jsonl input, and only then writes the
+/// outputs (creating parent directories) into OUT.tmp files, which are
+/// renamed into place.
 /// `merged_cells`, when non-null, receives the merged cell indices. Returns
 /// a process exit code (0 ok, 1 output write failure, 2 usage error or
 /// corrupt input, 3 gap/duplicate — see MergeFault).

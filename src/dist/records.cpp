@@ -222,24 +222,6 @@ class LineReader {
   bool eof_ = false;
 };
 
-/// Splits a CSV row into cell views. A row without quotes is split in
-/// place; a quoted one goes through report::split_csv_line, whose strings
-/// `unquoted` keeps alive for the views.
-void split_row(std::string_view line, std::vector<std::string_view>& row,
-               std::vector<std::string>& unquoted) {
-  row.clear();
-  if (line.find('"') != std::string_view::npos) {
-    unquoted = report::split_csv_line(line);
-    row.assign(unquoted.begin(), unquoted.end());
-    return;
-  }
-  std::size_t from = 0;
-  for (std::size_t comma; (comma = line.find(',', from)) != std::string_view::npos;
-       from = comma + 1)
-    row.push_back(line.substr(from, comma - from));
-  row.push_back(line.substr(from));
-}
-
 }  // namespace
 
 FileScan scan_jsonl(const std::string& path) {
@@ -338,7 +320,6 @@ FileScan scan_jsonl_records(const std::string& path,
         break;
       }
       if (visitor.on_cell) visitor.on_cell(open, line_no, line, f);
-      open.closed = true;
       open.end_offset = line_end;
       scan.valid_bytes = line_end;
       scan.blocks.push_back(std::move(open));
@@ -393,11 +374,8 @@ FileScan scan_csv(const std::string& path) {
   std::uint64_t offset = line.size() + 1;
   std::uint64_t line_no = 1;
   scan.valid_bytes = offset;
-  scan.header_bytes = offset;
   CellBlock open;
   bool has_open = false;
-  std::vector<std::string_view> row;
-  std::vector<std::string> unquoted;
   // As in scan_jsonl: `offset` is the start of the row under examination
   // when stop() fires — the first unusable byte.
   const auto stop = [&](std::string why) {
@@ -412,7 +390,7 @@ FileScan scan_csv(const std::string& path) {
       break;
     }
     const std::uint64_t line_end = offset + line.size() + 1;
-    split_row(line, row, unquoted);
+    const std::vector<std::string> row = report::split_csv_line(line);
     if (row.size() != header.size()) {
       stop(where(path, line_no) + ": malformed row (" +
            std::to_string(row.size()) + " of " +
@@ -431,9 +409,8 @@ FileScan scan_csv(const std::string& path) {
     if (*schema != report::kSchemaVersion)
       throw_schema_error(path, line_no, offset, "record", *schema,
                          report::kSchemaVersion);
-    // Strict full-match parsing of every key column: a corrupt row must
-    // stop the scan at a named field, not round-trip a mangled value into
-    // resume/merge decisions.
+    // Strict full-match parsing of every key column: a corrupt row stops
+    // the scan at a named field.
     report::CellKey key;
     std::size_t bad = 0;
     while (bad < c_key.size() &&
@@ -465,7 +442,6 @@ FileScan scan_csv(const std::string& path) {
     } else {
       if (has_open) {
         // The next cell starts, which proves the previous one ended.
-        open.closed = true;
         scan.valid_bytes = open.end_offset;
         scan.blocks.push_back(std::move(open));
       }
@@ -486,13 +462,108 @@ FileScan scan_csv(const std::string& path) {
     offset = line_end;
   }
 
-  // EOF cannot prove the final block complete; hand it over open and let
-  // the caller decide against its expected seed set. The open block
-  // survives an unclean scan too: its rows were all validated before the
-  // stop, and a tear that cut into the NEXT cell's first row must not
-  // discard the complete rows of the cell before it.
+  // EOF cannot prove the final block complete; it is handed over past
+  // valid_bytes. It survives an unclean scan too: its rows were all
+  // validated before the stop.
   if (has_open) scan.blocks.push_back(std::move(open));
   return scan;
+}
+
+namespace {
+
+/// Appends the CSV cells of run keys [begin, end), which `fields` hold,
+/// exactly and in order, from `fields[first]` on; false when they do not,
+/// or when a string does not decode.
+bool append_cells(std::string& out, const JsonFields& fields,
+                  std::size_t first, std::size_t begin, std::size_t end) {
+  static const std::vector<std::string> keys = report::run_schema_keys();
+  if (fields.size() != first + end - begin) return false;
+  std::string text;
+  for (std::size_t i = begin; i < end; ++i) {
+    const JsonField& f = fields[first + i - begin];
+    if (f.key != keys[i]) return false;
+    if (i > 0) out += ',';
+    if (f.token.front() != '"') {
+      out += f.token;
+      continue;
+    }
+    // Without a backslash the decode is the identity, and without a comma
+    // or a quote the CSV escape is too: most strings are copied.
+    const std::string_view body = f.token.substr(1, f.token.size() - 2);
+    if (std::none_of(body.begin(), body.end(), [](char c) {
+          return c == '\\' || c == ',' || c == '"' || c == '\n';
+        })) {
+      out += body;
+      continue;
+    }
+    text.clear();
+    if (json::decode_string(body, text) != nullptr) return false;
+    report::append_csv_escaped(out, text);
+  }
+  return true;
+}
+
+}  // namespace
+
+void append_csv_rows(std::string& out, std::string_view lines,
+                     const std::string& path, std::uint64_t first_line) {
+  // A run line's head is "record" and the keys before "workload"; its body,
+  // the unit the sinks repeat, is the rest.
+  static const std::size_t n_keys = report::run_schema_keys().size();
+  static const std::size_t head = [] {
+    const std::vector<std::string> keys = report::run_schema_keys();
+    return static_cast<std::size_t>(
+        std::find(keys.begin(), keys.end(), "workload") - keys.begin());
+  }();
+  JsonFields f;
+  std::string part;            // a line's head or body, as an object
+  std::string_view last_body;  // the last run line's body bytes
+  std::string csv_body;        // and their cells, newline included
+  for (std::size_t from = 0; from < lines.size(); ++first_line) {
+    const std::size_t end = std::min(lines.find('\n', from), lines.size());
+    const std::string_view line = lines.substr(from, end - from);
+    from = end + 1;
+    // A JSON string holds no unescaped quote, so the body starts here.
+    const std::size_t at = std::min(line.find(",\"workload\":"), line.size());
+    const std::string_view body = line.substr(at);
+    part.assign(line.substr(0, at));
+    part += '}';
+    bool ok = tokenize_json_line(part, f) && !f.empty() && f[0].key == "record";
+    if (ok && f[0].token == "\"cell\"") continue;
+    ok = ok && f[0].token == "\"run\"" && append_cells(out, f, 1, 0, head) &&
+         !body.empty();
+    if (ok && body != last_body) {
+      // Equal body bytes render to equal cells, so only a new body is read.
+      part.assign(body);
+      part[0] = '{';
+      csv_body.clear();
+      ok = tokenize_json_line(part, f) &&
+           append_cells(csv_body, f, 0, head, n_keys);
+      csv_body += '\n';
+      last_body = body;
+    }
+    out += csv_body;
+    if (!ok)
+      throw std::runtime_error(
+          where(path, first_line) +
+          ": record has no CSV row: it is not a cell summary, and not a run "
+          "record with the schema v" +
+          std::to_string(report::kSchemaVersion) +
+          " keys in order and strings that decode");
+  }
+}
+
+void render_csv(const std::string& path, std::uint64_t bytes,
+                std::ostream& out) {
+  if (bytes == 0) return;
+  std::string text(bytes, '\0');
+  std::ifstream in(path, std::ios::binary);
+  if (!in.read(text.data(), static_cast<std::streamsize>(bytes)))
+    throw std::runtime_error("cannot read " + path);
+  std::string rows;
+  append_csv_rows(rows, text, path, 1);
+  report::write_csv_header(out);
+  out << rows;
 }
 
 }  // namespace mtr::dist

@@ -1,26 +1,24 @@
-// Reading the sink formats back: block-level scanners over the CSV/JSONL
-// files CsvSink/JsonlSink write. A valid file is a sequence of cell blocks
-// (the run records of one grid cell, in JSONL followed by its
+// Reading the records back. The JSONL file is the record every decision
+// reads: a sequence of cell blocks (a cell's run records, then its
 // `record:"cell"` summary), possibly ending in the partial tail a killed
-// sweep left behind. Scanners collect the complete blocks, remember where
-// the valid prefix ends (so resume can truncate the tail away), and refuse
-// any record stamped with a schema version other than the one this build
-// writes (report::kSchemaVersion): files from older builds are rejected
-// with a SchemaError naming the file, line, byte, and version found.
-// Both scanners read a record's coordinates through the cell key's column
-// table (report::CellKeyColumn::parse), so they share one strict parser
-// per type; a record whose key differs from its block's stops the scan.
-// Blocks are kept as byte ranges and files are read through a fixed
-// buffer, so a scan holds memory per cell, not per byte. Every JSONL line
-// goes through one tokenizer (tokenize_json_line) exactly once; mtr_merge
-// recomputes each cell's aggregate from that same parse through a
-// JsonlVisitor. Shared by ResumeIndex, mtr_merge and mtr_inspect.
+// sweep left behind. scan_jsonl collects the complete blocks, remembers
+// where the valid prefix ends (so resume can truncate the tail away), and
+// refuses records of any schema version but report::kSchemaVersion with a
+// SchemaError naming the file, line, byte, and version found. Coordinates
+// are read through the cell key's column table; a record whose key differs
+// from its block's stops the scan. Blocks are kept as byte ranges and
+// files are read through a fixed buffer, so a scan holds memory per cell,
+// not per byte. A scan tokenizes every line (tokenize_json_line) exactly
+// once; mtr_merge recomputes each cell's aggregate from that same parse
+// through a JsonlVisitor. The CSV is a view of the JSONL (append_csv_rows),
+// which resume and `mtr_merge --csv` render in a second pass over the lines.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -64,20 +62,15 @@ struct CellBlock {
   /// run records and, in JSONL, the summary line that closes it.
   std::uint64_t begin_offset = 0;
   std::uint64_t end_offset = 0;
-  /// True when the block provably ended: JSONL blocks close on their cell
-  /// record; CSV blocks close when the next block starts (the final CSV
-  /// block at EOF stays open — the file alone cannot prove it complete).
-  bool closed = false;
 };
 
 struct FileScan {
-  std::vector<CellBlock> blocks;  // in file order; only the last may be open
-  /// Offset just past the last closed block (for CSV: at least the header),
-  /// i.e. the safe truncation point that drops any partial tail.
+  /// In file order; only a CSV scan's final block may be open (ending past
+  /// valid_bytes), as EOF cannot prove a CSV cell complete.
+  std::vector<CellBlock> blocks;
+  /// Offset just past the last complete block (for CSV: at least the
+  /// header), i.e. the safe truncation point that drops any partial tail.
   std::uint64_t valid_bytes = 0;
-  /// CSV only: offset just past the header row (0 when the file is empty,
-  /// and always 0 for JSONL) — the truncation point when no cell survives.
-  std::uint64_t header_bytes = 0;
   bool clean = true;        // false: scanning stopped at a malformed tail
   std::string tail_error;   // why, when !clean
 };
@@ -149,8 +142,27 @@ FileScan scan_jsonl_records(const std::string& path,
 
 /// Scans a CsvSink file. Throws on open failure, and SchemaError on a
 /// header other than run_schema_keys() or a row stamped with another
-/// schema version.
+/// schema version. Only perfbench's scanner probe still calls it.
 FileScan scan_csv(const std::string& path);
+
+/// Appends CsvSink's rows for whole JSONL lines of `path`, the first being
+/// line `first_line`: a run record's row is the record with "record"
+/// dropped, each string token decoded (json::decode_string) and
+/// CSV-escaped, every other token copied verbatim (exact by
+/// report/result_sink.hpp's contract); a `record:"cell"` summary has none.
+/// A run line whose body repeats the previous run line's byte for byte
+/// reuses its cells. Throws std::runtime_error naming "path:line" at a run
+/// record whose keys are not "record" then run_schema_keys() in order or
+/// whose string does not decode.
+void append_csv_rows(std::string& out, std::string_view lines,
+                     const std::string& path, std::uint64_t first_line);
+
+/// Writes the CSV view of the first `bytes` bytes (whole lines, e.g. a
+/// scan's valid prefix) of the JSONL file `path`, read into memory: the
+/// header and the rows, or nothing when `bytes` is 0, as CsvSink writes
+/// nothing before its first cell. Throws as append_csv_rows does.
+void render_csv(const std::string& path, std::uint64_t bytes,
+                std::ostream& out);
 
 /// The canonical aggregate keys of a `record:"cell"` line, in
 /// CellStats::for_each_stat order — what mtr_merge recomputes.

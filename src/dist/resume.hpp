@@ -1,9 +1,10 @@
-// Resumable sweeps: ResumeIndex scans the output a previous (possibly
-// killed) mtr_sweep invocation left behind, identifies the cells that are
-// already complete — full seed set, current schema version, CSV and JSONL
-// agreeing — and lets the driver (1) truncate any partial tail back to the
-// last complete cell and (2) skip completed cells, so appending the rest
-// reproduces the uninterrupted run byte for byte.
+// Resumable sweeps: ResumeIndex scans the JSONL records a killed or failed
+// mtr_sweep invocation left behind — the only file it reads — identifies
+// the complete cells (full seed set, current schema version, plan order)
+// and lets the driver (1) truncate any partial tail back to the last kept
+// cell and (2) skip kept cells, so appending the rest reproduces the
+// uninterrupted run byte for byte. The driver rebuilds `<sweep>.csv` from
+// the kept records (render_csv).
 #pragma once
 
 #include <cstdint>
@@ -18,18 +19,14 @@ namespace mtr::dist {
 
 class ResumeIndex {
  public:
-  /// Scans the existing outputs of one sweep invocation. Either path may
-  /// be empty (sink not configured) or name a file that does not exist yet
-  /// (fresh start) — both contribute nothing. Throws SchemaError on output
-  /// recorded with another schema version (it cannot be appended to; the
-  /// sweep must start fresh) and std::runtime_error when a complete cell
-  /// was recorded with a seed set other than `expected_seeds` (resume
-  /// requires the original --seeds/--first-seed), when a file's blocks
-  /// are not in ascending cell order, or when the CSV and JSONL disagree
-  /// about a cell. When both files exist, only cells
-  /// complete in BOTH count (a kill can land between the two sink writes).
-  /// Zero-byte and header-only files — a shard killed before its first
-  /// flush — count as "nothing done yet", never as errors.
+  /// Scans the JSONL records of one sweep. A path that does not exist yet
+  /// (fresh start) contributes nothing. Throws SchemaError on records of
+  /// another schema version (they cannot be appended to; the sweep must
+  /// start fresh) and std::runtime_error when a complete cell was
+  /// recorded with a seed set other than `expected_seeds` (resume requires
+  /// the original --seeds/--first-seed) or when the blocks are not in
+  /// ascending cell order. A zero-byte file — a shard killed before its
+  /// first flush — counts as "nothing done yet", never as an error.
   ///
   /// `metrics_cells`, when set, caps the completed prefix at the number of
   /// cells the run's crash-consistent metrics snapshot covers: cells the
@@ -40,8 +37,7 @@ class ResumeIndex {
   /// cells than the records hold (a tear spanning whole cells), the index
   /// resets to zero completed cells and flags metrics_overrun() so the
   /// caller discards the stale snapshot too.
-  static ResumeIndex scan(const std::string& csv_path,
-                          const std::string& jsonl_path,
+  static ResumeIndex scan(const std::string& jsonl_path,
                           const std::vector<std::uint64_t>& expected_seeds,
                           std::optional<std::uint64_t> metrics_cells =
                               std::nullopt);
@@ -54,10 +50,14 @@ class ResumeIndex {
   /// scratch instead of seeding from the snapshot.
   bool metrics_overrun() const { return metrics_overrun_; }
 
-  /// Truncates the scanned files back to the end of the last complete
-  /// cell, dropping the partial tail a kill left behind. Call once before
-  /// reopening the files in append mode.
-  void truncate_files() const;
+  /// Length of the kept prefix: the records file's bytes up to the end of
+  /// the last complete cell resume keeps.
+  std::uint64_t valid_bytes() const { return valid_bytes_; }
+
+  /// Truncates the records file to valid_bytes(), dropping the partial
+  /// tail a kill left behind. Call once before reopening it in append
+  /// mode.
+  void truncate() const;
 
   /// True when this cell is already on disk. Throws std::runtime_error,
   /// naming the first differing column, if the key recorded at this cell
@@ -72,14 +72,11 @@ class ResumeIndex {
  private:
   struct Done {
     report::CellKey key;
-    /// Where the block was recorded (error reports): path + first line.
-    std::string path;
-    std::uint64_t line = 0;
+    std::uint64_t line = 0;  // the block's first line (error reports)
   };
   std::map<std::uint64_t, Done> done_;
-  std::string csv_path_, jsonl_path_;
-  std::uint64_t csv_valid_ = 0, jsonl_valid_ = 0;
-  bool have_csv_ = false, have_jsonl_ = false;
+  std::string path_;
+  std::uint64_t valid_bytes_ = 0;
   bool metrics_overrun_ = false;
 };
 

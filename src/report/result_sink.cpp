@@ -219,20 +219,6 @@ constexpr bool kComputed =
 template <typename T>
 constexpr bool kText = std::is_convertible_v<T, std::string_view>;
 
-/// csv_escape, appended to `out`.
-void append_csv_escaped(std::string& out, std::string_view s) {
-  if (s.find_first_of(",\"\n") == std::string_view::npos) {
-    out += s;
-    return;
-  }
-  out += '"';
-  for (const char ch : s) {
-    if (ch == '"') out += '"';
-    out += ch;
-  }
-  out += '"';
-}
-
 /// Appends one record field value in its CSV spelling.
 template <typename T>
 void append_csv_value(std::string& out, const T& v) {
@@ -382,10 +368,17 @@ void write_csv_header(std::ostream& os) {
   os << row;
 }
 
-std::string csv_escape(const std::string& s) {
-  std::string out;
-  append_csv_escaped(out, s);
-  return out;
+void append_csv_escaped(std::string& out, std::string_view s) {
+  if (s.find_first_of(",\"\n") == std::string_view::npos) {
+    out += s;
+    return;
+  }
+  out += '"';
+  for (const char ch : s) {
+    if (ch == '"') out += '"';
+    out += ch;
+  }
+  out += '"';
 }
 
 void append_csv(std::string& out, const FieldValue& v) {

@@ -67,18 +67,20 @@ std::vector<Field> flatten_run(const std::string& sweep,
 /// flatten_run of a default-constructed cell.
 std::vector<std::string> run_schema_keys();
 
-/// Append one field value in CSV (csv_escape'd text) or JSON (quoted
+/// Append one field value in CSV (append_csv_escaped text) or JSON (quoted
 /// text) spelling. Doubles render as printf's %.17g (mtr::append_number).
+/// The CSV view (dist::append_csv_rows) rests on this contract: every
+/// non-string value has one spelling in both formats, byte for byte.
 void append_csv(std::string& out, const FieldValue& v);
 void append_json(std::string& out, const FieldValue& v);
 
-/// RFC-4180 escaping: wraps in quotes (doubling embedded quotes) when the
-/// cell contains a comma, quote, or newline.
-std::string csv_escape(const std::string& s);
+/// Appends `s` RFC-4180 escaped: wrapped in quotes (embedded quotes
+/// doubled) when it contains a comma, quote, or newline.
+void append_csv_escaped(std::string& out, std::string_view s);
 
-/// Inverse of csv_escape for one line: splits on unquoted commas, undoing
-/// quoting and doubled quotes. Our records never embed newlines, so a line
-/// is always a whole row.
+/// Inverse of append_csv_escaped for one line: splits on unquoted commas,
+/// undoing quoting and doubled quotes. Our records never embed newlines,
+/// so a line is always a whole row.
 std::vector<std::string> split_csv_line(std::string_view line);
 
 /// Writes the canonical CSV header row (run_schema_keys, escaped). Shared

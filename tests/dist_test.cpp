@@ -555,18 +555,17 @@ TEST(ShardAssignmentTest, DryRunListsExactlyTheCellsAShardWritesAcrossAResume) {
     EXPECT_EQ(written_cells(opts.out_dir, sweeps), planned);
     const std::string full_a = read_file(opts.out_dir + "/mixA.jsonl");
 
-    // A kill after the shard's first cell: every later byte is gone. The
-    // resumed shard keeps that cell and runs exactly the rest of its own.
+    const std::string full_csv_a = read_file(opts.out_dir + "/mixA.csv");
+
+    // A kill after the shard's first cell: every later record is gone. The
+    // CSVs stay whole, ahead of their records; the resumed shard keeps that
+    // cell, runs exactly the rest of its own and rebuilds each CSV.
     bool kept = false;
     for (const std::string& sweep : sweeps) {
-      const std::string stem = opts.out_dir + "/" + sweep;
-      const FileScan csv = scan_csv(stem + ".csv");
-      const FileScan jsonl = scan_jsonl(stem + ".jsonl");
-      const bool keep = !kept && !jsonl.blocks.empty();
-      std::filesystem::resize_file(
-          stem + ".csv", keep ? csv.blocks[0].end_offset : csv.header_bytes);
-      std::filesystem::resize_file(stem + ".jsonl",
-                                   keep ? jsonl.blocks[0].end_offset : 0);
+      const std::string jsonl = opts.out_dir + "/" + sweep + ".jsonl";
+      const FileScan scan = scan_jsonl(jsonl);
+      const bool keep = !kept && !scan.blocks.empty();
+      std::filesystem::resize_file(jsonl, keep ? scan.blocks[0].end_offset : 0);
       kept = kept || keep;
     }
     opts.resume = true;
@@ -574,14 +573,15 @@ TEST(ShardAssignmentTest, DryRunListsExactlyTheCellsAShardWritesAcrossAResume) {
     ASSERT_EQ(run_sweeps(registry, opts, out, err), 0) << err.str();
     EXPECT_EQ(written_cells(opts.out_dir, sweeps), planned);
     EXPECT_EQ(read_file(opts.out_dir + "/mixA.jsonl"), full_a);
+    EXPECT_EQ(read_file(opts.out_dir + "/mixA.csv"), full_csv_a);
   }
   std::filesystem::remove_all(root);
 }
 
 TEST(MergeTest, OneCombinedFileIsTheMergeOfAnOutDirRun) {
-  // The recipe for one combined file: mtr_merge over every per-sweep file
-  // of one --out-dir run, in any order (a shell glob sorts by name, not by
-  // cell_index).
+  // The recipe for one combined file: mtr_merge over every per-sweep
+  // record file of one --out-dir run, in any order (a shell glob sorts by
+  // name, not by cell_index); --csv renders the merged records.
   const report::SweepRegistry registry = mixed_registry();
   const std::string root = temp_path("dist_merge_combined");
   std::filesystem::remove_all(root);
@@ -593,10 +593,8 @@ TEST(MergeTest, OneCombinedFileIsTheMergeOfAnOutDirRun) {
   MergeOptions merge;
   merge.csv_out = root + "/all.csv";
   merge.jsonl_out = root + "/all.jsonl";
-  for (const char* sweep : {"mixB", "mixA"}) {
-    merge.csv_in.push_back(opts.out_dir + "/" + sweep + ".csv");
+  for (const char* sweep : {"mixB", "mixA"})
     merge.jsonl_in.push_back(opts.out_dir + "/" + sweep + ".jsonl");
-  }
   ASSERT_EQ(run_merge(merge, out, err), 0) << err.str();
   const std::string csv_b = read_file(opts.out_dir + "/mixB.csv");
   const std::string rows_b = csv_b.substr(csv_b.find('\n') + 1);
@@ -745,14 +743,14 @@ TEST(ResumeTest, BlocksOutOfCellOrderAreRefused) {
   const std::string path = temp_path("dist_resume_order.jsonl");
   write_shard_jsonl(path, {1, 0});
   try {
-    ResumeIndex::scan("", path, {7, 8});
+    ResumeIndex::scan(path, {7, 8});
     FAIL() << "expected a cell-order error";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find(path + ":4: cell 0 follows cell 1"), std::string::npos) << what;
   }
   write_shard_jsonl(path, {0, 0});  // a repeated block is out of order too
-  EXPECT_THROW(ResumeIndex::scan("", path, {7, 8}), std::runtime_error);
+  EXPECT_THROW(ResumeIndex::scan(path, {7, 8}), std::runtime_error);
   std::filesystem::remove(path);
 
   // The same through the driver, on both files of a real run: nothing
@@ -882,16 +880,16 @@ TEST(PopulationSweepTest, ThreadsShardsAndResumePreservePopulationBytes) {
 TEST(ResumeTest, SeedMismatchIsRejected) {
   const std::string path = temp_path("dist_resume_seeds.jsonl");
   write_shard_jsonl(path, {0});
-  EXPECT_THROW(ResumeIndex::scan("", path, {7, 8, 9}), std::runtime_error);
-  EXPECT_THROW(ResumeIndex::scan("", path, {8, 9}), std::runtime_error);
-  EXPECT_NO_THROW(ResumeIndex::scan("", path, {7, 8}));
+  EXPECT_THROW(ResumeIndex::scan(path, {7, 8, 9}), std::runtime_error);
+  EXPECT_THROW(ResumeIndex::scan(path, {8, 9}), std::runtime_error);
+  EXPECT_NO_THROW(ResumeIndex::scan(path, {7, 8}));
   std::filesystem::remove(path);
 }
 
 TEST(ResumeTest, CoordinateMismatchIsRejected) {
   const std::string path = temp_path("dist_resume_coords.jsonl");
   write_shard_jsonl(path, {0});
-  const ResumeIndex index = ResumeIndex::scan("", path, {7, 8});
+  const ResumeIndex index = ResumeIndex::scan(path, {7, 8});
   ASSERT_EQ(index.size(), 1u);
 
   report::CellKey match;
@@ -939,43 +937,50 @@ TEST(ResumeTest, CoordinateMismatchIsRejected) {
   std::filesystem::remove(path);
 }
 
-TEST(ResumeTest, MissingCounterpartFileIsRejected) {
-  const std::string jsonl = temp_path("dist_resume_missing.jsonl");
-  const std::string csv = temp_path("dist_resume_missing.csv");
-  std::filesystem::remove(csv);
-  write_shard_jsonl(jsonl, {0});
-  // Skipping cells recorded only in the JSONL would leave the (fresh) CSV
-  // without them — refuse rather than emit a silently incomplete file.
-  EXPECT_THROW(ResumeIndex::scan(csv, jsonl, {7, 8}), std::runtime_error);
-  // With nothing complete anywhere, a missing counterpart is just a fresh
-  // start.
-  write_file(jsonl, "");
-  EXPECT_EQ(ResumeIndex::scan(csv, jsonl, {7, 8}).size(), 0u);
-  std::filesystem::remove(jsonl);
-}
-
-TEST(ResumeTest, CorruptJsonlRollsTheCsvBackToo) {
-  const std::string csv = temp_path("dist_resume_corrupt.csv");
-  const std::string jsonl = temp_path("dist_resume_corrupt.jsonl");
-  {
-    report::CsvSink sink(csv);
-    sink.write_cell("grid", synth_cell(0, {7, 8}));
-    sink.write_cell("grid", synth_cell(1, {7, 8}));
+TEST(ResumeTest, TheCsvIsRebuiltFromTheKeptRecords) {
+  // The CSV is a view of the JSONL records. Whatever a failure left in it
+  // — nothing, a row cut short, another file's bytes, more cells than the
+  // records — one resume rebuilds it from the records it keeps.
+  std::atomic<int> runs{0};
+  const report::SweepRegistry registry = counting_registry(&runs);
+  const std::string root = temp_path("dist_resume_csv_view");
+  std::filesystem::remove_all(root);
+  std::ostringstream out, err;
+  ASSERT_EQ(run_sweeps(registry, grid_options(root + "/ref"), out, err), 0)
+      << err.str();
+  const std::string ref_csv = read_file(root + "/ref/grid.csv");
+  const std::string ref_jsonl = read_file(root + "/ref/grid.jsonl");
+  const std::string dir = root + "/run";
+  const std::string csv = dir + "/grid.csv";
+  const std::string jsonl = dir + "/grid.jsonl";
+  struct Damage {
+    const char* what;
+    std::function<void()> apply;
+    int reruns;  // one run per seed-invariant cell
+  };
+  const std::vector<Damage> damages = {
+      {"no CSV", [&] { std::filesystem::remove(csv); }, 0},
+      {"CSV cut mid-row", [&] { chop_bytes(csv, 40); }, 0},
+      {"CSV of another file", [&] { write_file(csv, "junk\n"); }, 0},
+      {"CSV ahead of two cells of records", [&] { keep_lines(jsonl, 6); }, 2},
+      {"records unreadable, CSV whole",
+       [&] { write_file(jsonl, "garbage, not a record\n"); }, 4},
+  };
+  for (const Damage& d : damages) {
+    SCOPED_TRACE(d.what);
+    std::filesystem::create_directories(dir);
+    write_file(csv, ref_csv);
+    write_file(jsonl, ref_jsonl);
+    d.apply();
+    SweepOptions opts = grid_options(dir);
+    opts.resume = true;
+    runs = 0;
+    ASSERT_EQ(run_sweeps(registry, opts, out, err), 0) << err.str();
+    EXPECT_EQ(runs.load(), d.reruns);
+    EXPECT_EQ(read_file(csv), ref_csv);
+    EXPECT_EQ(read_file(jsonl), ref_jsonl);
   }
-  write_file(jsonl, "garbage, not a record\n");
-
-  // The files agree on zero complete cells, so nothing is skippable and
-  // the CSV must roll back to its header — otherwise the re-run cells
-  // would append duplicate rows.
-  const ResumeIndex index = ResumeIndex::scan(csv, jsonl, {7, 8});
-  EXPECT_EQ(index.size(), 0u);
-  index.truncate_files();
-  const auto lines = lines_of(read_file(csv));
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(report::split_csv_line(lines[0]), report::run_schema_keys());
-  EXPECT_EQ(read_file(jsonl), "");
-  std::filesystem::remove(csv);
-  std::filesystem::remove(jsonl);
+  std::filesystem::remove_all(root);
 }
 
 TEST(SweepArgsTest, EnvDefaultsAreStrictToo) {
@@ -1014,14 +1019,22 @@ TEST(RecordsTest, OlderCsvLayoutIsRefusedAtTheHeader) {
     EXPECT_NE(what.find("(byte 0)"), std::string::npos) << what;
     EXPECT_NE(what.find("older metertrust"), std::string::npos) << what;
   }
-  EXPECT_THROW(ResumeIndex::scan(csv, "", {7, 8}), SchemaError);
-  try {
-    merge_csv({csv});
-    FAIL() << "stale header merged";
-  } catch (const MergeError& e) {
-    EXPECT_EQ(e.fault, MergeFault::kCorrupt);
-  }
+  // Beside records of this build, mtr_merge refuses it at line 1: a .csv
+  // input must be its records' rendering.
+  const std::string jsonl = temp_path("dist_schema.jsonl");
+  write_shard_jsonl(jsonl, {0});
+  MergeOptions merge;
+  merge.csv_out = temp_path("dist_schema_merged.csv");
+  merge.csv_in = {csv};
+  merge.jsonl_in = {jsonl};
+  std::ostringstream out, err;
+  EXPECT_EQ(run_merge(merge, out, err), 2);
+  EXPECT_NE(err.str().find(csv + ":1: differs from the CSV rendering of " + jsonl),
+            std::string::npos)
+      << err.str();
+  EXPECT_FALSE(std::filesystem::exists(merge.csv_out));
   std::filesystem::remove(csv);
+  std::filesystem::remove(jsonl);
 }
 
 TEST(RecordsTest, ScanRecoversCompletePrefixFromKilledFile) {
@@ -1035,7 +1048,6 @@ TEST(RecordsTest, ScanRecoversCompletePrefixFromKilledFile) {
   EXPECT_FALSE(scan.clean);
   ASSERT_EQ(scan.blocks.size(), 1u);
   EXPECT_EQ(scan.blocks[0].key.cell_index, 0u);
-  EXPECT_TRUE(scan.blocks[0].closed);
   // The valid prefix ends exactly where cell 0's block ends.
   const auto lines = lines_of(full);
   std::size_t block0_bytes = 0;
@@ -1132,45 +1144,6 @@ TEST(MergeTest, GapsMissingEmptyAndIncompleteInputsFail) {
   std::filesystem::remove_all(root);
 }
 
-TEST(MergeTest, CsvOnlyMergeRejectsShortFinalBlock) {
-  // Every file's only block is open (EOF cannot prove a CSV cell done), so
-  // the merge falls back to the largest block as the seed-count reference
-  // — a killed single-cell shard must still be rejected.
-  const std::string root = temp_path("dist_merge_csv_short");
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
-  {
-    report::CsvSink full(root + "/s0.csv");
-    full.write_cell("grid", synth_cell(0, {7, 8}));
-    report::CsvSink killed(root + "/s1.csv");
-    killed.write_cell("grid", synth_cell(1, {7}));  // 1 of 2 seed rows
-  }
-  try {
-    merge_csv({root + "/s0.csv", root + "/s1.csv"});
-    FAIL() << "expected incomplete-cell error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("--resume"), std::string::npos)
-        << e.what();
-  }
-  std::filesystem::remove_all(root);
-}
-
-TEST(ResumeTest, CsvOnlyResumeDistinguishesPartialTailFromSeedMismatch) {
-  const std::string path = temp_path("dist_resume_csv.csv");
-  {
-    report::CsvSink sink(path);
-    sink.write_cell("grid", synth_cell(0, {7, 8}));
-  }
-  // A strict prefix of the expected seed run is a kill artifact: re-run it.
-  EXPECT_EQ(ResumeIndex::scan(path, "", {7, 8, 9}).size(), 0u);
-  // A complete or contradictory seed set is not — it must throw, not be
-  // silently truncated away.
-  EXPECT_THROW(ResumeIndex::scan(path, "", {8, 9}), std::runtime_error);
-  EXPECT_THROW(ResumeIndex::scan(path, "", {9, 10, 11}), std::runtime_error);
-  EXPECT_EQ(ResumeIndex::scan(path, "", {7, 8}).size(), 1u);
-  std::filesystem::remove(path);
-}
-
 TEST(MergeTest, CorruptAggregateIsDetected) {
   const std::string root = temp_path("dist_merge_corrupt");
   std::filesystem::remove_all(root);
@@ -1256,12 +1229,9 @@ TEST(MergeTest, TheRepeatedBodyMemoCannotHideAnEditedRun) {
   std::filesystem::remove_all(root);
   std::filesystem::create_directories(root);
   const std::string path = root + "/s.jsonl";
-  const std::string csv_path = root + "/s.csv";
   {
     report::JsonlSink sink(path);
     sink.write_cell("grid", invariant_cell());
-    report::CsvSink csv(csv_path);
-    csv.write_cell("grid", invariant_cell());
   }
   const std::vector<std::string> clean = lines_of(read_file(path));
   ASSERT_EQ(clean.size(), 4u);
@@ -1316,23 +1286,6 @@ TEST(MergeTest, TheRepeatedBodyMemoCannotHideAnEditedRun) {
   EXPECT_NE(err.find("has seed 2 where its cell's consecutive seeds need 8"),
             std::string::npos)
       << err;
-
-  // The seed check reads CSV blocks too (row 3 is run 2).
-  std::vector<std::string> rows = lines_of(read_file(csv_path));
-  ASSERT_EQ(rows.size(), 4u);
-  const std::size_t cell = rows[2].find(",8,1,");
-  ASSERT_NE(cell, std::string::npos);
-  rows[2][cell + 1] = '5';
-  write_file(csv_path, rows[0] + "\n" + rows[1] + "\n" + rows[2] + "\n" + rows[3] + "\n");
-  try {
-    merge_csv({csv_path});
-    FAIL() << "an edited seed was merged";
-  } catch (const MergeError& e) {
-    EXPECT_EQ(e.fault, MergeFault::kCorrupt);
-    EXPECT_NE(std::string(e.what()).find(csv_path + ":3: run record of cell 0"),
-              std::string::npos)
-        << e.what();
-  }
   std::filesystem::remove_all(root);
 }
 
@@ -1484,7 +1437,7 @@ std::string with_csv_value(const std::string& header, const std::string& row,
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (names[i] == key) cells[i] = value;
     if (i) out += ',';
-    out += report::csv_escape(cells[i]);
+    report::append_csv_escaped(out, cells[i]);
   }
   return out;
 }
@@ -1545,36 +1498,37 @@ TEST(CellKeyScanTest, EveryCoordinateChangedInACellsSecondCsvRowConflicts) {
   std::filesystem::remove(path);
 }
 
-TEST(CellKeyScanTest, ResumeNamesTheCoordinateTheTwoFilesDisagreeOn) {
+TEST(CellKeyScanTest, ACsvInputWithAnyCoordinateChangedIsRefusedAtItsRow) {
+  // No decision reads the CSV: mtr_merge checks a .csv input against its
+  // records' rendering, so one changed coordinate stops it at that row.
   const std::vector<std::string> lines = lines_of(read_file(kGoldenCsv));
   ASSERT_EQ(lines.size(), 17u);
-  const std::string csv = temp_path("key_resume.csv");
-  const std::string jsonl = temp_path("key_resume.jsonl");
+  const std::string dir = temp_path("key_check");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string csv = dir + "/fig04.csv";
+  const std::string jsonl = dir + "/fig04.jsonl";
   write_file(jsonl, read_file(kGoldenJsonl));
   for (const Coordinate& c : kCoordinates) {
     SCOPED_TRACE(c.name);
     std::vector<std::string> mutated = lines;
-    const std::string value =
-        other_value(csv_value(lines[0], lines[5], c.name), c.text);
-    for (const std::size_t row : {5, 6})  // both rows of cell 2: a clean scan
-      mutated[row] = with_csv_value(lines[0], lines[row], c.name, value);
+    mutated[5] = with_csv_value(  // cell 2, first row
+        lines[0], lines[5], c.name,
+        other_value(csv_value(lines[0], lines[5], c.name), c.text));
     write_file(csv, join_lines(mutated));
-    ASSERT_TRUE(scan_csv(csv).clean);
-    try {
-      ResumeIndex::scan(csv, jsonl, kGoldenSeeds);
-      ADD_FAILURE() << "resume accepted disagreeing outputs";
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(csv + ":6 and " + jsonl + ":7 disagree at block 2"),
-                std::string::npos)
-          << what;
-      EXPECT_NE(what.find(std::string("field '") + c.name + "'"),
-                std::string::npos)
-          << what;
-    }
+    MergeOptions o;
+    o.csv_out = dir + "/merged.csv";
+    o.csv_in = {csv};
+    o.jsonl_in = {jsonl};
+    std::ostringstream out, err;
+    EXPECT_EQ(run_merge(o, out, err), 2);
+    EXPECT_NE(err.str().find(csv + ":6: differs from the CSV rendering of " +
+                             jsonl + at_byte(line_offset(lines, 6))),
+              std::string::npos)
+        << err.str();
+    EXPECT_FALSE(std::filesystem::exists(o.csv_out));
   }
-  std::filesystem::remove(csv);
-  std::filesystem::remove(jsonl);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CellKeyScanTest, MalformedEscapesAreRefusedNamingTheField) {
@@ -1638,10 +1592,11 @@ TEST(CellKeyScanTest, CoordinateNumbersAreStrictInBothFormats) {
           << scan.tail_error;
       EXPECT_TRUE(scan.tail_error.ends_with(at_byte(offset)))
           << scan.tail_error;
+      if (path == csv) continue;  // mtr_merge reads only the records
 
       MergeOptions o;
-      (path == jsonl ? o.jsonl_out : o.csv_out) = temp_path("key_strict_out");
-      (path == jsonl ? o.jsonl_in : o.csv_in) = {path};
+      o.jsonl_out = temp_path("key_strict_out");
+      o.jsonl_in = {path};
       std::ostringstream out, err;
       EXPECT_EQ(run_merge(o, out, err), 2) << path;
       EXPECT_NE(err.str().find("'attacker_fraction'"), std::string::npos)
@@ -1723,13 +1678,13 @@ void fuzz_scanner(const std::string& golden, const std::string& name,
       ASSERT_TRUE(byte.has_value()) << e;
       EXPECT_LE(*byte, bytes.size()) << e;
     }
-    // The valid prefix is exactly the closed blocks, and scans clean.
+    // The valid prefix is exactly the complete blocks, and scans clean.
     write_file(prefix_path, bytes.substr(0, scan.valid_bytes));
     const FileScan again = scanner(prefix_path);
     EXPECT_TRUE(again.clean) << again.tail_error;
     std::vector<const CellBlock*> closed;
     for (const CellBlock& b : scan.blocks)
-      if (b.closed) closed.push_back(&b);
+      if (b.end_offset <= scan.valid_bytes) closed.push_back(&b);
     ASSERT_EQ(again.blocks.size(), closed.size());
     for (std::size_t k = 0; k < closed.size(); ++k)
       EXPECT_TRUE(same_block(again.blocks[k], *closed[k])) << "block " << k;
@@ -1791,6 +1746,247 @@ TEST(ScannerMutationTest, DamagedGoldensFailAtANamedByteAndTheirPrefixRescans) {
   fuzz_scanner(kGoldenCsv, "fig04.csv", scan_csv);
 }
 
+// ---------------------------------------------------------------------------
+// The CSV view: every run record renders as CsvSink writes it, and a .csv
+// merge input is checked against that rendering.
+
+/// Cell `index` of three replicates whose text and numbers take the
+/// spellings the two formats treat differently: JSON escapes, CSV
+/// quoting, non-ASCII, empty strings, -0, infinities, NaN, a subnormal and
+/// sketches.
+core::CellStats awkward_cell(std::uint64_t index, const std::string& label) {
+  core::CellStats cell = synth_cell(index, {7, 8, 9});
+  cell.attack_label = label;
+  core::ExperimentResult& r = cell.runs[0];
+  r.attack_name = "comma, \"quote\" and \\backslash";
+  r.source_verdict.ok = false;
+  r.source_verdict.violations = {"tab\there", "bell\x07unit\x1f", "new\nline",
+                                 "cr\rreturn", "non-ASCII: \xc3\xa9 \xe2\x9c\x93",
+                                 ""};
+  r.wall_seconds = -0.0;
+  cell.runs[1].overcharge = std::numeric_limits<double>::infinity();
+  cell.runs[1].billed_seconds = -std::numeric_limits<double>::infinity();
+  cell.runs[2].true_seconds = std::numeric_limits<double>::quiet_NaN();
+  cell.runs[2].tsc_seconds = std::numeric_limits<double>::denorm_min();
+  cell.runs[1].pop_true_seconds.add(1.5);
+  cell.runs[1].pop_true_seconds.add(-2.5e-300);
+  cell.runs[1].pop_true_seconds.add(0.0);
+  return cell;
+}
+
+TEST(CsvViewTest, EveryRunRecordRendersAsCsvSinkWritesIt) {
+  std::ostringstream csv_bytes, jsonl_bytes;
+  {
+    report::CsvSink csv(csv_bytes);
+    report::JsonlSink jsonl(jsonl_bytes);
+    // Copied replicates repeat a body, which the renderer reuses; the last
+    // two cells' third replicate differs from the second only in the last
+    // or the first body token.
+    core::CellStats last_token = invariant_cell();
+    last_token.runs[2].pop_attacker_advantage.add(1.0);
+    core::CellStats first_token = invariant_cell();
+    first_token.runs[2].kind = workloads::WorkloadKind::kPi;
+    const std::vector<std::pair<std::string, core::CellStats>> cells = {
+        {"grid", awkward_cell(0, "a,\"b\"\\c\x01\nd \xc3\xa9")},
+        {"we,ird \"sweep\"\\", awkward_cell(1, "")},
+        {"grid", invariant_cell()},
+        {"grid", last_token},
+        {"grid", first_token},
+    };
+    for (const auto& [sweep, cell] : cells) {
+      csv.write_cell(sweep, cell);
+      jsonl.write_cell(sweep, cell);
+    }
+  }
+  const std::string jsonl = jsonl_bytes.str();
+  // The records do hold the awkward spellings.
+  for (const char* token :
+       {"\\u0001", "\\\"", "\\\\", "\\n", "\\r", "\\t", "\\u0007", "\xc3\xa9",
+        "\"attack\":\"\"", "\"wall_seconds\":-0,", ":inf,", ":-inf,", ":nan,",
+        ":4.9406564584124654e-324,", "\"pop_true_sketch\":\"3;1;"})
+    EXPECT_NE(jsonl.find(token), std::string::npos) << token;
+
+  const std::string path = temp_path("csv_view.jsonl");
+  write_file(path, jsonl);
+  std::ostringstream rendered;
+  render_csv(path, jsonl.size(), rendered);
+  EXPECT_EQ(rendered.str(), csv_bytes.str());
+  std::ostringstream header;
+  report::write_csv_header(header);
+  std::string rows;
+  append_csv_rows(rows, jsonl, path, 1);
+  EXPECT_EQ(header.str() + rows, csv_bytes.str());
+
+  // The checked-in golden renders to the checked-in golden CSV.
+  std::ostringstream golden;
+  render_csv(kGoldenJsonl, std::filesystem::file_size(kGoldenJsonl), golden);
+  EXPECT_EQ(golden.str(), read_file(kGoldenCsv));
+  // A prefix renders to the CSV of its cells; no cells, no bytes.
+  const std::vector<std::string> golden_jsonl = lines_of(read_file(kGoldenJsonl));
+  const std::vector<std::string> golden_csv = lines_of(read_file(kGoldenCsv));
+  std::ostringstream prefix, none;
+  render_csv(kGoldenJsonl, line_offset(golden_jsonl, 7), prefix);
+  EXPECT_EQ(prefix.str(), join_lines({golden_csv.begin(), golden_csv.begin() + 5}));
+  render_csv(kGoldenJsonl, 0, none);
+  EXPECT_EQ(none.str(), "");
+  std::filesystem::remove(path);
+}
+
+TEST(CsvViewTest, OnlyARunRecordInTheSchemaLayoutHasARow) {
+  const std::vector<std::string> lines = lines_of(read_file(kGoldenJsonl));
+  const std::vector<std::string> rows = lines_of(read_file(kGoldenCsv));
+  // The rows of some lines, or nullopt when the renderer refuses one.
+  const auto render = [](const std::vector<std::string>& jsonl)
+      -> std::optional<std::string> {
+    std::string out;
+    try {
+      append_csv_rows(out, join_lines(jsonl), "x.jsonl", 1);
+    } catch (const std::runtime_error&) {
+      return std::nullopt;
+    }
+    return out;
+  };
+  EXPECT_EQ(render({lines[2]}), "");  // cell 0's summary has no row
+  EXPECT_EQ(render({lines[0]}), rows[1] + "\n");
+  // Cell 1's two runs share their body bytes; the second reuses its cells.
+  ASSERT_EQ(lines[3].substr(lines[3].find(",\"workload\":")),
+            lines[4].substr(lines[4].find(",\"workload\":")));
+  EXPECT_EQ(render({lines[3], lines[4], lines[5]}),
+            rows[3] + "\n" + rows[4] + "\n");
+
+  const std::string run = lines[4];  // cell 1's second run, line 5
+  const std::string seeds = "\"seed\":43,\"seed_index\":1";
+  ASSERT_NE(run.find(seeds), std::string::npos);
+  std::string swapped = run;
+  swapped.replace(run.find(seeds), seeds.size(), "\"seed_index\":1,\"seed\":43");
+  std::string extra = run;
+  extra.insert(extra.size() - 1, ",\"extra\":1");
+  const std::string bad_escape = with_json_token(run, "attack_name", "\"a\\qb\"");
+  for (const std::string& bad :
+       {swapped, extra, run.substr(0, 1) + run.substr(16), bad_escape}) {
+    SCOPED_TRACE(bad.substr(0, 80));
+    EXPECT_EQ(render({bad}), std::nullopt);
+    // Also after a run whose body the bad line repeats or nearly repeats.
+    EXPECT_EQ(render({lines[3], bad}), std::nullopt);
+  }
+
+  // In a file, the refusal names the line, and mtr_merge --csv exits 2.
+  // The records still scan and merge: the key order is the CSV's concern.
+  const std::string dir = temp_path("csv_view_refusal");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::vector<std::string> edited = lines;
+  edited[4] = swapped;
+  const std::string path = dir + "/fig04.jsonl";
+  write_file(path, join_lines(edited));
+  std::ostringstream sink;
+  try {
+    render_csv(path, std::filesystem::file_size(path), sink);
+    FAIL() << "a swapped key order rendered";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":5: record has no CSV row"),
+              std::string::npos)
+        << e.what();
+  }
+  MergeOptions o;
+  o.csv_out = dir + "/m.csv";
+  o.jsonl_out = dir + "/m.jsonl";
+  o.jsonl_in = {path};
+  std::ostringstream merge_out, merge_err;
+  EXPECT_EQ(run_merge(o, merge_out, merge_err), 2);
+  EXPECT_NE(merge_err.str().find(path + ":5: record has no CSV row"),
+            std::string::npos)
+      << merge_err.str();
+  EXPECT_FALSE(std::filesystem::exists(o.csv_out));
+  EXPECT_FALSE(std::filesystem::exists(o.jsonl_out));
+  o.csv_out.clear();
+  EXPECT_EQ(run_merge(o, merge_out, merge_err), 0) << merge_err.str();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(MergeTest, ACsvInputIsCheckedAgainstItsRecordsRendering) {
+  // A .csv input is no source of cells: it is accepted only beside its
+  // same-stem .jsonl input, and only when it equals that file's CSV
+  // rendering byte for byte.
+  const std::string root = temp_path("dist_merge_csv_check");
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  const auto write_pair = [&](const std::string& stem,
+                              const std::vector<std::uint64_t>& cells) {
+    report::CsvSink csv(root + "/" + stem + ".csv");
+    report::JsonlSink jsonl(root + "/" + stem + ".jsonl");
+    for (const std::uint64_t c : cells) {
+      csv.write_cell("grid", synth_cell(c, {7, 8}));
+      jsonl.write_cell("grid", synth_cell(c, {7, 8}));
+    }
+  };
+  write_pair("all", {0, 1, 2, 3});
+  write_pair("s0", {0, 2});
+  write_pair("s1", {1, 3});
+  const std::string merged = root + "/m.csv";
+  const auto merge = [&](const std::vector<std::string>& csv_in,
+                         const std::vector<std::string>& jsonl_in) {
+    MergeOptions o;
+    o.csv_out = merged;
+    for (const std::string& stem : csv_in) o.csv_in.push_back(root + "/" + stem + ".csv");
+    for (const std::string& stem : jsonl_in)
+      o.jsonl_in.push_back(root + "/" + stem + ".jsonl");
+    std::filesystem::remove(merged);
+    std::ostringstream out, err;
+    const int rc = run_merge(o, out, err);
+    return std::make_pair(rc, err.str());
+  };
+
+  // The records alone render the merged CSV; checked CSVs change nothing.
+  EXPECT_EQ(merge({}, {"s1", "s0"}).first, 0);
+  EXPECT_EQ(read_file(merged), read_file(root + "/all.csv"));
+  EXPECT_EQ(merge({"s0", "s1"}, {"s1", "s0"}).first, 0);
+  EXPECT_EQ(read_file(merged), read_file(root + "/all.csv"));
+
+  // One byte off anywhere, a lost final newline, an extra row: exit 2
+  // naming the CSV's line and the byte it starts at, nothing written.
+  const std::string good = read_file(root + "/s1.csv");
+  const std::vector<std::string> rows = lines_of(good);
+  ASSERT_EQ(rows.size(), 5u);
+  std::vector<std::pair<std::string, std::size_t>> damaged;  // bytes, line
+  for (const std::size_t line : {1u, 3u, 5u}) {
+    std::string bad = good;
+    const std::size_t at = line_offset(rows, line) + rows[line - 1].size() / 2;
+    bad[at] = bad[at] == 'x' ? 'y' : 'x';
+    damaged.emplace_back(bad, line);
+  }
+  damaged.emplace_back(good.substr(0, good.size() - 1), 5);
+  damaged.emplace_back(good + rows[4] + "\n", 6);
+  for (const auto& [bytes, line] : damaged) {
+    SCOPED_TRACE("line " + std::to_string(line));
+    write_file(root + "/s1.csv", bytes);
+    const auto [rc, err] = merge({"s1"}, {"s0", "s1"});
+    EXPECT_EQ(rc, 2);
+    const std::uint64_t begin =
+        line <= rows.size() ? line_offset(rows, line) : good.size();
+    EXPECT_NE(err.find(root + "/s1.csv:" + std::to_string(line) +
+                       ": differs from the CSV rendering of " + root +
+                       "/s1.jsonl" + at_byte(begin)),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(std::filesystem::exists(merged));
+  }
+
+  // A .csv input without its records exits 2, whatever else comes.
+  write_file(root + "/s1.csv", good);
+  for (const std::vector<std::string>& jsonl :
+       {std::vector<std::string>{"s0"}, std::vector<std::string>{}}) {
+    const auto [rc, err] = merge({"s1"}, jsonl);
+    EXPECT_EQ(rc, 2);
+    EXPECT_NE(err.find(root + "/s1.csv comes without its records " + root +
+                       "/s1.jsonl"),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(std::filesystem::exists(merged));
+  }
+  std::filesystem::remove_all(root);
+}
+
 TEST(SweepDriverTest, DryRunPlanNamesOpenScenarioAxes) {
   report::SweepRegistry registry;
   registry.add({"abl", "jiffy ablation", [](const report::SweepContext& ctx) {
@@ -1838,6 +2034,16 @@ TEST(MergeArgsTest, ClassifiesInputsAndValidatesCombinations) {
   orphan_inputs.jsonl_in = {"a.jsonl"};
   orphan_inputs.csv_in = {"a.csv"};  // .csv inputs but no --csv
   EXPECT_EQ(run_merge(orphan_inputs, out, err), 2);
+
+  MergeOptions csv_only;  // a CSV is rendered from records, never merged
+  csv_only.csv_out = "out.csv";
+  csv_only.csv_in = {"a.csv", "b.csv"};
+  csv_only.jsonl_in = {"a.jsonl"};
+  std::ostringstream csv_err;
+  EXPECT_EQ(run_merge(csv_only, out, csv_err), 2);
+  EXPECT_NE(csv_err.str().find("b.csv comes without its records b.jsonl"),
+            std::string::npos)
+      << csv_err.str();
 
   MergeOptions help;
   help.help = true;
@@ -2138,9 +2344,11 @@ TEST(SchemaRejectionTest, RecordsOfAnyOtherVersionAreRefusedEverywhere) {
     const std::string& path = is_csv ? csv : jsonl;
     const std::string& original = is_csv ? v4_csv : v4_jsonl;
     const auto scan = [&] { return is_csv ? scan_csv(path) : scan_jsonl(path); };
+    write_file(jsonl, v4_jsonl);  // a CSV input comes with its records
     MergeOptions merge;
     (is_csv ? merge.csv_out : merge.jsonl_out) = root + "/merged";
-    (is_csv ? merge.csv_in : merge.jsonl_in) = {path};
+    merge.jsonl_in = {jsonl};
+    if (is_csv) merge.csv_in = {csv};
 
     // Every record restamped: refused at the first record.
     for (const std::uint64_t version : {1u, 3u, 5u}) {
@@ -2154,8 +2362,20 @@ TEST(SchemaRejectionTest, RecordsOfAnyOtherVersionAreRefusedEverywhere) {
       } catch (const SchemaError& e) {
         expect_refusal(e.what(), path, line, byte, version, 4);
       }
+      std::ostringstream out, err;
+      EXPECT_EQ(run_merge(merge, out, err),
+                static_cast<int>(MergeFault::kCorrupt));
+      if (is_csv) {
+        // No decision reads a CSV: beside its intact records it is
+        // refused as not their rendering, at its first restamped row.
+        EXPECT_NE(err.str().find(path + ":2: differs from the CSV rendering"),
+                  std::string::npos)
+            << err.str();
+        continue;
+      }
+      expect_refusal(err.str(), path, line, byte, version, 4);
       try {
-        ResumeIndex::scan(is_csv ? path : "", is_csv ? "" : path, {7, 8});
+        ResumeIndex::scan(path, {7, 8});
         FAIL() << "resume accepted schema " << version;
       } catch (const SchemaError& e) {
         expect_refusal(e.what(), path, line, byte, version, 4);
@@ -2163,10 +2383,6 @@ TEST(SchemaRejectionTest, RecordsOfAnyOtherVersionAreRefusedEverywhere) {
                   std::string::npos)
             << e.what();
       }
-      std::ostringstream out, err;
-      EXPECT_EQ(run_merge(merge, out, err),
-                static_cast<int>(MergeFault::kCorrupt));
-      expect_refusal(err.str(), path, line, byte, version, 4);
     }
 
     // One v3 record mid-file (the first run of cell 1, line 4 in both
@@ -3121,7 +3337,8 @@ TEST(FaultInjectorTest, FailFlushAbortsTheSweepAndResumeHeals) {
   // maps it to exit 1 — what the fleet supervisor observes). Cells flush
   // in grid order, two flushes per cell (CSV then JSONL): the 7th flush
   // kills cell 3's CSV write and leaves a clean 3-cell prefix; the 8th
-  // kills its JSONL write, so the CSV holds one cell more than the JSONL.
+  // kills its JSONL write, so the CSV holds one cell more than the JSONL
+  // (header plus two rows per cell).
   for (const std::uint64_t flush : {7u, 8u}) {
     SCOPED_TRACE(flush);
     SweepOptions opts = grid_options(root + "/run" + std::to_string(flush));
@@ -3134,12 +3351,13 @@ TEST(FaultInjectorTest, FailFlushAbortsTheSweepAndResumeHeals) {
                 std::string::npos)
           << e.what();
     }
-    EXPECT_EQ(scan_csv(opts.out_dir + "/grid.csv").blocks.size(),
-              flush == 7 ? 3u : 4u);
+    EXPECT_EQ(lines_of(read_file(opts.out_dir + "/grid.csv")).size(),
+              flush == 7 ? 7u : 9u);
     EXPECT_EQ(scan_jsonl(opts.out_dir + "/grid.jsonl").blocks.size(), 3u);
 
-    // A clean --resume keeps the cells both files hold, reruns only the
-    // failed one and lands byte-identical to the uninterrupted reference.
+    // A clean --resume keeps the cells the JSONL holds, rebuilds the CSV
+    // from them, reruns only the failed one and lands byte-identical to
+    // the uninterrupted reference.
     runs = 0;
     opts.fault = FaultPlan{};
     opts.resume = true;
@@ -3195,6 +3413,107 @@ TEST(FaultInjectorTest, AFailedFlushOnAWidePoolLeavesACleanPrefixThatResumeHeals
         EXPECT_EQ(read_file(opts.out_dir + "/" + sweep + ext),
                   read_file(ref.out_dir + "/" + sweep + ext))
             << sweep << ext;
+      }
+    }
+  }
+  std::filesystem::remove_all(root);
+}
+
+/// Two sweeps, fsA and fsB, of four attacked cells each (global cells
+/// 0-7). The attack factory of cell `*throw_at` throws, so a run fails
+/// there; every other one builds nothing and runs as a cheap baseline.
+report::SweepRegistry fail_stop_registry(const std::atomic<int>* throw_at) {
+  report::SweepRegistry registry;
+  for (int s = 0; s < 2; ++s) {
+    std::string name = "fs";
+    name += static_cast<char>('A' + s);
+    registry.add({name, "fail-stop grid", [=](const report::SweepContext& ctx) {
+                    core::BatchGrid grid;
+                    grid.base = test::quick_experiment(
+                        workloads::WorkloadKind::kOurs, ctx.scale);
+                    for (int a = 0; a < 4; ++a) {
+                      std::string label = "a";
+                      label += std::to_string(a);
+                      const int cell = 4 * s + a;
+                      grid.attacks.push_back(
+                          {std::move(label),
+                           [throw_at, cell]() -> std::unique_ptr<attacks::Attack> {
+                             if (throw_at->load() == cell)
+                               throw std::runtime_error("factory fails");
+                             return nullptr;
+                           }});
+                    }
+                    ctx.run_grid(name, std::move(grid));
+                  }});
+  }
+  return registry;
+}
+
+TEST(FailStopTest, EveryFailedRunPlusOneResumeIsTheUninterruptedRun) {
+  // Flushes 1, 2, 7 and 8 fail cell 0's CSV write, its JSONL write, and
+  // the fourth written cell's two writes; a factory throws in cell 1 or
+  // in cell 5 (the second sweep). Each at 1, 2 and 4 threads, plain, as
+  // shard 1/2 (cells 1, 3, 5, 7) and with --metrics, whose lag-one
+  // snapshot covers cells before the failure. One clean --resume must
+  // then write both files of both sweeps exactly as an uninterrupted
+  // run, and fold the same counters.
+  std::atomic<int> throw_at{-1};
+  const report::SweepRegistry registry = fail_stop_registry(&throw_at);
+  const std::string root = temp_path("dist_fail_stop");
+  std::filesystem::remove_all(root);
+  const std::vector<std::string> sweeps = {"fsA", "fsB"};
+  const auto options = [&](const std::string& mode, unsigned threads,
+                           const std::string& dir) {
+    SweepOptions o = grid_options(dir);
+    o.sweeps = sweeps;
+    o.threads = threads;
+    if (mode == "shard") o.shard = parse_shard_spec("1/2");
+    if (mode == "metrics") o.metrics_path = dir + "/metrics.json";
+    return o;
+  };
+  struct Failure {
+    std::string what;
+    std::uint64_t flush = 0;  // fail-flush-at, or 0
+    int cell = -1;            // the throwing factory's cell, or -1
+  };
+  const std::vector<Failure> failures = {
+      {"fail-flush-at=1", 1}, {"fail-flush-at=2", 2},
+      {"fail-flush-at=7", 7}, {"fail-flush-at=8", 8},
+      {"factory throws at cell 1", 0, 1}, {"factory throws at cell 5", 0, 5}};
+  std::ostringstream out, err;
+  for (const std::string mode : {"plain", "shard", "metrics"}) {
+    const std::string ref = root + "/ref-" + mode;
+    ASSERT_EQ(run_sweeps(registry, options(mode, 1, ref), out, err), 0)
+        << err.str();
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      for (const Failure& f : failures) {
+        SCOPED_TRACE(mode + ", " + std::to_string(threads) + " thread(s), " +
+                     f.what);
+        const std::string dir = root + "/run";
+        std::filesystem::remove_all(dir);
+        SweepOptions o = options(mode, threads, dir);
+        if (f.flush != 0) o.fault.fail_flush_at = f.flush;
+        throw_at = f.cell;
+        EXPECT_ANY_THROW(run_sweeps(registry, o, out, err));
+
+        throw_at = -1;
+        o.fault = FaultPlan{};
+        o.resume = true;
+        std::ostringstream resume_err;
+        ASSERT_EQ(run_sweeps(registry, o, out, resume_err), 0)
+            << resume_err.str();
+        for (const std::string& sweep : sweeps)
+          for (const char* ext : {".csv", ".jsonl"})
+            EXPECT_EQ(read_file(dir + "/" + sweep + ext),
+                      read_file(ref + "/" + sweep + ext))
+                << sweep << ext;
+        if (mode != "metrics") continue;
+        std::ostringstream cmp;
+        EXPECT_EQ(compare_metrics(cmp, "resumed",
+                                  read_metrics_json(o.metrics_path), "single",
+                                  read_metrics_json(ref + "/metrics.json")),
+                  0)
+            << cmp.str();
       }
     }
   }
@@ -3289,8 +3608,7 @@ TEST(FaultInjectorDeathTest, CrashAtSinksOpenLeavesNoCellsAndResumeReruns) {
 
   // Whatever the crash left (zero-byte files, at most a CSV header) means
   // "no completed cells" — never an error.
-  const ResumeIndex idx = ResumeIndex::scan(
-      root + "/run/grid.csv", root + "/run/grid.jsonl", {7, 8});
+  const ResumeIndex idx = ResumeIndex::scan(root + "/run/grid.jsonl", {7, 8});
   EXPECT_EQ(idx.size(), 0u);
 
   runs = 0;
@@ -3322,41 +3640,22 @@ TEST(FaultInjectorDeathTest, SigkillWatchdogDeliversTheSignal) {
 // ---------------------------------------------------------------------------
 // Resume edge cases the supervisor depends on.
 
-TEST(ResumeTest, ZeroByteAndHeaderOnlyOutputsMeanNoCompletedCells) {
+TEST(ResumeTest, ZeroByteOrMissingRecordsMeanNoCompletedCells) {
   const std::string dir = temp_path("dist_resume_zero");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  const std::string csv = dir + "/grid.csv";
   const std::string jsonl = dir + "/grid.jsonl";
 
-  // Zero-byte pair: the files a kill right after open leaves.
-  write_file(csv, "");
+  // The file a kill right after open leaves, and no file at all.
   write_file(jsonl, "");
-  ResumeIndex empty = ResumeIndex::scan(csv, jsonl, {7, 8});
-  EXPECT_EQ(empty.size(), 0u);
-  EXPECT_NO_THROW(empty.truncate_files());
-
-  // Header-only CSV next to a zero-byte JSONL: still zero cells, and
-  // truncation keeps the header.
-  {
-    report::CsvSink sink(csv);
-    sink.write_cell("grid", synth_cell(0, {7, 8}));
+  for (int missing = 0; missing < 2; ++missing) {
+    if (missing) std::filesystem::remove(jsonl);
+    const ResumeIndex index = ResumeIndex::scan(jsonl, {7, 8});
+    EXPECT_EQ(index.size(), 0u);
+    EXPECT_EQ(index.valid_bytes(), 0u);
+    EXPECT_NO_THROW(index.truncate());
+    EXPECT_EQ(std::filesystem::exists(jsonl), missing == 0);
   }
-  keep_lines(csv, 1);
-  const std::string header = read_file(csv);
-  ResumeIndex header_only = ResumeIndex::scan(csv, jsonl, {7, 8});
-  EXPECT_EQ(header_only.size(), 0u);
-  header_only.truncate_files();
-  EXPECT_EQ(read_file(csv), header);
-
-  // A zero-byte CSV next to a complete JSONL: cells count only when both
-  // files have them, so the JSONL rolls back to zero too.
-  write_file(csv, "");
-  write_shard_jsonl(jsonl, {0});
-  ResumeIndex mixed = ResumeIndex::scan(csv, jsonl, {7, 8});
-  EXPECT_EQ(mixed.size(), 0u);
-  mixed.truncate_files();
-  EXPECT_EQ(std::filesystem::file_size(jsonl), 0u);
   std::filesystem::remove_all(dir);
 }
 
@@ -3375,46 +3674,56 @@ TEST(CrashConsistencyTest, EveryTornByteOfTheFinalRecordRecoversThePrefix) {
   const std::string ref_csv = read_file(root + "/ref/grid.csv");
   const std::string ref_jsonl = read_file(root + "/ref/grid.jsonl");
 
-  // The canonical 3-cell prefix: tear one byte, scan, truncate.
+  // The canonical 3-cell prefix: tear one byte, scan, truncate. Its CSV
+  // is the header and the first three cells' rows.
   const std::string dir = root + "/cut";
   std::filesystem::create_directories(dir);
   const std::string cut_csv = dir + "/grid.csv";
   const std::string cut_jsonl = dir + "/grid.jsonl";
-  write_file(cut_csv, ref_csv);
   write_file(cut_jsonl, ref_jsonl);
-  chop_bytes(cut_csv, 1);
   chop_bytes(cut_jsonl, 1);
-  ResumeIndex probe = ResumeIndex::scan(cut_csv, cut_jsonl, {7, 8});
+  ResumeIndex probe = ResumeIndex::scan(cut_jsonl, {7, 8});
   ASSERT_EQ(probe.size(), 3u);
-  probe.truncate_files();
-  const std::string prefix_csv = read_file(cut_csv);
+  probe.truncate();
   const std::string prefix_jsonl = read_file(cut_jsonl);
-  ASSERT_LT(prefix_csv.size(), ref_csv.size());
   ASSERT_LT(prefix_jsonl.size(), ref_jsonl.size());
-  const std::uint64_t csv_block = ref_csv.size() - prefix_csv.size();
   const std::uint64_t jsonl_block = ref_jsonl.size() - prefix_jsonl.size();
+  const std::vector<std::string> csv_rows = lines_of(ref_csv);
+  ASSERT_EQ(csv_rows.size(), 9u);
+  const std::string prefix_csv = join_lines({csv_rows.begin(), csv_rows.begin() + 7});
 
-  // Tear the JSONL at every byte of its final cell block (CSV intact).
+  // Tear the JSONL at every byte of its final cell block: the same prefix
+  // survives, and it renders to the same CSV.
   for (std::uint64_t b = 1; b <= jsonl_block; ++b) {
-    write_file(cut_csv, ref_csv);
     write_file(cut_jsonl, ref_jsonl);
     chop_bytes(cut_jsonl, b);
-    ResumeIndex idx = ResumeIndex::scan(cut_csv, cut_jsonl, {7, 8});
+    const ResumeIndex idx = ResumeIndex::scan(cut_jsonl, {7, 8});
     ASSERT_EQ(idx.size(), 3u) << "jsonl cut " << b;
-    idx.truncate_files();
+    idx.truncate();
     ASSERT_EQ(read_file(cut_jsonl), prefix_jsonl) << "jsonl cut " << b;
-    ASSERT_EQ(read_file(cut_csv), prefix_csv) << "jsonl cut " << b;
+    std::ostringstream csv;
+    render_csv(cut_jsonl, idx.valid_bytes(), csv);
+    ASSERT_EQ(csv.str(), prefix_csv) << "jsonl cut " << b;
   }
-  // And the CSV at every byte of its final cell block (JSONL intact).
-  for (std::uint64_t b = 1; b <= csv_block; ++b) {
+
+  // A CSV torn inside or between its final cell's rows, beside whole
+  // records: the resume runs nothing and rebuilds it. (No byte of it is
+  // read, so a few cut points stand for all.)
+  const std::uint64_t csv_block = ref_csv.size() - prefix_csv.size();
+  const std::uint64_t last_row = csv_rows.back().size() + 1;
+  SweepOptions opts = grid_options(dir);
+  opts.resume = true;
+  std::ostringstream err2;
+  for (const std::uint64_t b :
+       {std::uint64_t{1}, std::uint64_t{2}, last_row - 1, last_row,
+        last_row + 1, csv_block - 1, csv_block}) {
     write_file(cut_csv, ref_csv);
     write_file(cut_jsonl, ref_jsonl);
     chop_bytes(cut_csv, b);
-    ResumeIndex idx = ResumeIndex::scan(cut_csv, cut_jsonl, {7, 8});
-    ASSERT_EQ(idx.size(), 3u) << "csv cut " << b;
-    idx.truncate_files();
-    ASSERT_EQ(read_file(cut_csv), prefix_csv) << "csv cut " << b;
-    ASSERT_EQ(read_file(cut_jsonl), prefix_jsonl) << "csv cut " << b;
+    runs = 0;
+    ASSERT_EQ(run_sweeps(registry, opts, out, err2), 0) << err2.str();
+    ASSERT_EQ(runs.load(), 0) << "csv cut " << b;
+    ASSERT_EQ(read_file(cut_csv), ref_csv) << "csv cut " << b;
   }
 
   // End to end: tear both mid-record, resume, land byte-identical.
@@ -3422,9 +3731,6 @@ TEST(CrashConsistencyTest, EveryTornByteOfTheFinalRecordRecoversThePrefix) {
   write_file(cut_jsonl, ref_jsonl);
   chop_bytes(cut_csv, csv_block / 2);
   chop_bytes(cut_jsonl, jsonl_block / 2);
-  SweepOptions opts = grid_options(dir);
-  opts.resume = true;
-  std::ostringstream err2;
   ASSERT_EQ(run_sweeps(registry, opts, out, err2), 0) << err2.str();
   EXPECT_EQ(read_file(cut_csv), ref_csv);
   EXPECT_EQ(read_file(cut_jsonl), ref_jsonl);
@@ -3498,22 +3804,19 @@ TEST(MergeTaxonomyTest, AllowGapsMergesSurvivorsAndReportsTheMissing) {
   write_shard_jsonl(root + "/s0.jsonl", {0});
   write_shard_jsonl(root + "/s2.jsonl", {2, 3});
 
-  std::vector<std::uint64_t> indices, missing;
-  const std::string text = merge_jsonl(
-      {root + "/s0.jsonl", root + "/s2.jsonl"}, &indices, true, &missing);
-  EXPECT_EQ(indices, (std::vector<std::uint64_t>{0, 2, 3}));
-  EXPECT_EQ(missing, (std::vector<std::uint64_t>{1}));
-  EXPECT_EQ(text,
-            read_file(root + "/s0.jsonl") + read_file(root + "/s2.jsonl"));
-
   MergeOptions o;
   o.allow_gaps = true;
   o.jsonl_out = root + "/m.jsonl";
   o.jsonl_in = {root + "/s0.jsonl", root + "/s2.jsonl"};
+  std::vector<std::uint64_t> cells;
   std::ostringstream out, err;
-  EXPECT_EQ(run_merge(o, out, err), 0) << err.str();
-  EXPECT_NE(err.str().find("missing"), std::string::npos) << err.str();
-  EXPECT_EQ(read_file(root + "/m.jsonl"), text);
+  EXPECT_EQ(run_merge(o, out, err, &cells), 0) << err.str();
+  EXPECT_EQ(cells, (std::vector<std::uint64_t>{0, 2, 3}));
+  EXPECT_NE(err.str().find("1 cell(s) missing (merged with --allow-gaps): 1\n"),
+            std::string::npos)
+      << err.str();
+  EXPECT_EQ(read_file(root + "/m.jsonl"),
+            read_file(root + "/s0.jsonl") + read_file(root + "/s2.jsonl"));
   std::filesystem::remove_all(root);
 }
 

@@ -163,7 +163,9 @@ TEST(CsvEscapeTest, QuotesOnlyWhatRfc4180NeedsAndSplitsBack) {
   std::string row;
   std::vector<std::string> cells;
   for (const auto& [raw, escaped] : cases) {
-    EXPECT_EQ(csv_escape(raw), escaped) << raw;
+    std::string out;
+    append_csv_escaped(out, raw);
+    EXPECT_EQ(out, escaped) << raw;
     if (!cells.empty()) row += ',';
     row += escaped;
     cells.push_back(raw);
