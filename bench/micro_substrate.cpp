@@ -9,9 +9,9 @@
 // fig07/fig08 scheduling-attack sweeps at a fixed scale, so successive
 // commits can be compared via bench/perf_baseline.py and BENCH_sim.json.
 // BM_EngineCell_*, BM_DestroySpace_*, BM_KernelSetup_*, BM_IntegrityStep_*,
-// BM_Sha256Block_*, BM_FormatF64_*, BM_ChargeFlood_* and BM_SinkEncode_*
-// are tracked alongside, each as a pair whose ratio CI pins; BM_MergeJsonl
-// is tracked on its own.
+// BM_Sha256Block_*, BM_FormatF64_*, BM_ChargeFlood_*, BM_SinkEncode_* and
+// BM_ReplicaFold_* are tracked alongside, each as a pair whose ratio CI
+// pins; BM_MergeJsonl is tracked on its own.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -25,6 +25,7 @@
 
 #include "attacks/scheduling_attack.hpp"
 #include "bench/attack_roster.hpp"
+#include "core/batch_runner.hpp"
 #include "core/experiment.hpp"
 #include "core/integrity.hpp"
 #include "core/trusted_metering.hpp"
@@ -218,6 +219,33 @@ BENCHMARK(BM_SinkEncode_distinct)->Unit(benchmark::kMicrosecond);
 
 void BM_SinkEncode_replicated(benchmark::State& state) { sink_encode(state, true); }
 BENCHMARK(BM_SinkEncode_replicated)->Unit(benchmark::kMicrosecond);
+
+/// One 250-seed seed-invariant cell through BatchRunner per iteration: the
+/// cell runs once and copies that result into its other 249 seeds. With
+/// `metrics`, every run also collects kernel counters and telemetry, as
+/// each mtr_fleet shard does. CI floors plain/metrics: a copied replicate
+/// carries no telemetry, and the cell folds the first run's once with the
+/// copies as multiplicity, so the counters cost O(1) per copy.
+void replica_fold(benchmark::State& state, bool metrics) {
+  core::BatchGrid grid;
+  grid.base.kind = workloads::WorkloadKind::kOurs;
+  grid.base.workload.scale = 0.002;
+  grid.base.trace.collect_stats = metrics;
+  for (std::uint64_t seed = 42; seed < 42 + 250; ++seed) grid.seeds.push_back(seed);
+  const core::BatchRunner runner(1);
+  for (auto _ : state) {
+    const std::vector<core::CellStats> cells = runner.run(grid);
+    benchmark::DoNotOptimize(cells.front().kstats.timer_ticks);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(grid.seeds.size()));
+}
+
+void BM_ReplicaFold_plain(benchmark::State& state) { replica_fold(state, false); }
+BENCHMARK(BM_ReplicaFold_plain)->Unit(benchmark::kMicrosecond);
+
+void BM_ReplicaFold_metrics(benchmark::State& state) { replica_fold(state, true); }
+BENCHMARK(BM_ReplicaFold_metrics)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // mm layer — address-space teardown. Every scheduling-attack fork that exits

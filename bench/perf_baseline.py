@@ -3,7 +3,7 @@
 
 Runs the tracked BM_SweepCell_*, BM_EngineCell_*, BM_DestroySpace_*,
 BM_KernelSetup_*, BM_IntegrityStep_*, BM_Sha256Block_*, BM_FormatF64_*,
-BM_ChargeFlood_*, BM_SinkEncode_* and BM_MergeJsonl benches of
+BM_ChargeFlood_*, BM_SinkEncode_*, BM_ReplicaFold_* and BM_MergeJsonl benches of
 bench/micro_substrate with google-benchmark's JSON reporter, REPETITIONS randomly interleaved times
 each, takes each bench's median and either
 
@@ -38,7 +38,11 @@ cell: the cell with TrustedMeteringService attached may take at most 1/0.75
 of the hookless cell (BM_ChargeFlood_bare/BM_ChargeFlood_service:0.75).
 The sink pair pins the record sinks' body memo: a 250-seed cell of copied
 replicates must encode at least three times as fast as one whose runs all
-differ (BM_SinkEncode_distinct/BM_SinkEncode_replicated:3.0).
+differ (BM_SinkEncode_distinct/BM_SinkEncode_replicated:3.0). The
+replica-fold pair pins the O(1) fold of a copied replicate's metrics: a
+250-seed seed-invariant cell run with kernel counters and telemetry may take
+at most 1/0.6 of the same cell without them
+(BM_ReplicaFold_plain/BM_ReplicaFold_metrics:0.6).
 
 Only the Python standard library is used.
 """
@@ -57,7 +61,7 @@ SCHEMA = 1
 # benches' (random interleaving), and reports its median. One pass per bench
 # let a transient slowdown of the host land on one side of a ratio floor.
 REPETITIONS = 5
-DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|KernelSetup|IntegrityStep|Sha256Block|FormatF64|ChargeFlood|SinkEncode)_|BM_MergeJsonl"
+DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|KernelSetup|IntegrityStep|Sha256Block|FormatF64|ChargeFlood|SinkEncode|ReplicaFold)_|BM_MergeJsonl"
 
 
 def cpu_model():

@@ -68,8 +68,8 @@ void QuantileSketch::add(double x, std::uint64_t n) {
   }
 }
 
-void QuantileSketch::merge(const QuantileSketch& o) {
-  if (o.count_ == 0) return;
+void QuantileSketch::merge(const QuantileSketch& o, std::uint64_t times) {
+  if (o.count_ == 0 || times == 0) return;
   if (count_ == 0) {
     min_ = o.min_;
     max_ = o.max_;
@@ -77,10 +77,10 @@ void QuantileSketch::merge(const QuantileSketch& o) {
     min_ = std::min(min_, o.min_);
     max_ = std::max(max_, o.max_);
   }
-  count_ += o.count_;
-  zero_ += o.zero_;
-  for (const auto& [i, n] : o.pos_) pos_[i] += n;
-  for (const auto& [i, n] : o.neg_) neg_[i] += n;
+  count_ += o.count_ * times;
+  zero_ += o.zero_ * times;
+  for (const auto& [i, n] : o.pos_) pos_[i] += n * times;
+  for (const auto& [i, n] : o.neg_) neg_[i] += n * times;
 }
 
 double QuantileSketch::quantile(double q) const {

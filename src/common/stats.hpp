@@ -53,9 +53,10 @@ class QuantileSketch {
   using Buckets = std::map<std::int32_t, std::uint64_t>;
 
   void add(double x, std::uint64_t n = 1);
-  /// Bucket-wise add; min/max combine exactly, so merge order is
-  /// irrelevant down to the last bit.
-  void merge(const QuantileSketch& o);
+  /// Bucket-wise add of `times` copies of `o` (counts scale, min/max
+  /// combine exactly), so merge order is irrelevant down to the last bit
+  /// and the result equals `times` merges of `o`.
+  void merge(const QuantileSketch& o, std::uint64_t times = 1);
 
   std::uint64_t count() const { return count_; }
   bool empty() const { return count_ == 0; }

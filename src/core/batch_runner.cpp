@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include "common/ensure.hpp"
 #include "common/format.hpp"
@@ -129,6 +130,17 @@ ExperimentConfig run_config(const BatchGrid& grid, const GridCellIndices& ix,
   for_each_axis([&](const auto& row) { row.apply(cfg, row.at(grid, ix[row.axis])); });
   cfg.sim.kernel.seed = cell_seed(grid_seed, ix);
   return cfg;
+}
+
+/// A seed-invariant replicate: `first` without its kernel counters and
+/// telemetry, which the cell folds from the first run once, with the copies
+/// as multiplicity. The telemetry steps aside while the rest is copied.
+ExperimentResult replicate_of(ExperimentResult& first) {
+  trace::Telemetry telemetry = std::exchange(first.telemetry, {});
+  ExperimentResult copy = first;
+  first.telemetry = std::move(telemetry);
+  copy.kstats = {};
+  return copy;
 }
 
 }  // namespace
@@ -324,6 +336,7 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
   enum class First : char { kPending, kInvariant, kRerun };
   std::vector<First> first(n_active, First::kPending);
   std::vector<std::size_t> runs_done(n_active, 0);
+  std::vector<std::uint64_t> copies(n_active, 0);  // replicates copied
   std::vector<double> cell_wall(n_active, 0.0);
   std::size_t next_emit = 0;
   // Fail-stop: the flat index of the first failed cell. No run of it or of
@@ -362,8 +375,11 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
       s.for_each_sketch([&](const char*, QuantileSketch& sketch, auto get) {
         sketch.merge(get(r));
       });
-      s.kstats.merge(r.kstats);
-      s.telemetry.merge(r.telemetry);
+      // A copied replicate holds no counters or telemetry: the first run
+      // folds in once for itself and once per copy.
+      const std::uint64_t times = s.runs.size() == 1 ? 1 + copies[k] : 1;
+      s.kstats.merge(r.kstats, times);
+      s.telemetry.merge(r.telemetry, times);
     }
     std::vector<ExperimentResult>().swap(pending[k]);
   };
@@ -414,8 +430,12 @@ std::vector<GridRun> BatchRunner::run(std::span<const BatchGrid> grid_span,
           continue;
         }
         copied = first[k] == First::kInvariant;
-        if (copied) result = pending[k][0];
-        else lock.unlock();
+        if (copied) {
+          result = replicate_of(pending[k][0]);
+          ++copies[k];
+        } else {
+          lock.unlock();
+        }
       }
       const auto t0 = std::chrono::steady_clock::now();
       if (!copied) {

@@ -30,11 +30,13 @@
 // grid without trace paths, a later replicate of a cell whose first
 // replicate drew neither (ExperimentResult::seed_dependent false) takes
 // that result instead of running: the cell runs once and still holds one
-// result per seed. A replicate whose first one is still running waits for
-// it only while it may turn out seed-invariant: a population cell never
-// waits, and a first replicate that drew while setting up (a NIC flood;
-// run_experiment's SetupCallback) lets the others run at once. So the same
-// runs execute at every thread count.
+// result per seed. A copy leaves out the first run's kernel counters and
+// telemetry; the cell folds those once, with the copies as multiplicity,
+// which equals folding every copy. A replicate whose first one is still
+// running waits for it only while it may turn out seed-invariant: a
+// population cell never waits, and a first replicate that drew while
+// setting up (a NIC flood; run_experiment's SetupCallback) lets the others
+// run at once. So the same runs execute at every thread count.
 //
 // The pool is fail-stop: after the first failure it starts no run of the
 // failed cell or of any later one and emits no later cell, so a failed
@@ -331,10 +333,11 @@ struct CellStats : GridCellCoords {
 /// worker finished the cell's last run — late cells are buffered until
 /// every earlier cell has been handled, in this grid and in every grid
 /// before it in the pool. `cell.runs` holds one result per seed; a
-/// seed-invariant cell's later replicates are copies of its first one (see
-/// the file comment). Emission stops before the first cell whose run threw
-/// and after the first cell whose callback threw; the pool rethrows with
-/// that cell's coordinates after the workers join. Cells excluded by
+/// seed-invariant cell's later replicates are copies of its first one
+/// without its kstats and telemetry (see the file comment). Emission stops
+/// before the first cell whose run threw and after the first cell whose
+/// callback threw; the pool rethrows with that cell's coordinates after
+/// the workers join. Cells excluded by
 /// BatchGrid::cell_filter leave gaps: `index` and `total` always describe
 /// the full grid, not the filtered subset.
 struct CellEvent {

@@ -262,6 +262,23 @@ void wait_for_exit(const std::vector<pid_t>& pids,
   for (const pollfd& p : fds) ::close(p.fd);
 }
 
+std::optional<FleetWait> next_wait(std::span<const ShardWait> shards,
+                                   Clock::time_point now,
+                                   std::chrono::milliseconds poll) {
+  std::optional<FleetWait> wait;
+  for (const ShardWait& s : shards) {
+    if (s.settled) continue;
+    if (!wait) wait = FleetWait{{}, poll};
+    if (s.pid >= 0)
+      wait->pids.push_back(s.pid);
+    else
+      wait->timeout = std::clamp(
+          std::chrono::ceil<std::chrono::milliseconds>(s.next_launch - now),
+          std::chrono::milliseconds{0}, wait->timeout);
+  }
+  return wait;
+}
+
 FleetOptions default_fleet_options() {
   FleetOptions o;
   o.heartbeat_timeout = kDefaultStaleAfterSeconds;
@@ -474,10 +491,8 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
   // The supervision loop: reap exits, observe heartbeats, kill the hung,
   // relaunch the scheduled.
   for (;;) {
-    bool pending = false;
     for (ShardState& s : states) {
       if (s.succeeded || s.failed) continue;
-      pending = true;
       if (s.pid < 0) {
         if (Clock::now() >= s.next_launch) launch(s);
         continue;
@@ -517,21 +532,16 @@ int run_fleet(const FleetOptions& options, std::ostream& out, std::ostream& err,
         kill_hung(s, "heartbeat stale (" + fmt_double(age, 1) + "s > " +
                          fmt_double(options.heartbeat_timeout, 1) + "s)");
     }
-    if (!pending) break;
     // Wake for the next exit, heartbeat check or scheduled relaunch,
-    // whichever comes first.
-    std::vector<pid_t> running;
-    std::chrono::milliseconds timeout = kPollInterval;
-    const Clock::time_point now = Clock::now();
-    for (const ShardState& s : states) {
-      if (s.succeeded || s.failed) continue;
-      if (s.pid >= 0)
-        running.push_back(s.pid);
-      else
-        timeout = std::min(timeout, std::chrono::ceil<std::chrono::milliseconds>(
-                                        s.next_launch - now));
-    }
-    wait_for_exit(running, timeout);
+    // whichever comes first; leave once every shard has settled.
+    std::vector<ShardWait> view;
+    view.reserve(states.size());
+    for (const ShardState& s : states)
+      view.push_back({s.succeeded || s.failed, s.pid, s.next_launch});
+    const std::optional<FleetWait> wait =
+        next_wait(view, Clock::now(), kPollInterval);
+    if (!wait) break;
+    wait_for_exit(wait->pids, wait->timeout);
   }
 
   std::vector<const ShardState*> failed;

@@ -9,7 +9,9 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,6 +81,29 @@ std::uint64_t backoff_delay_ms(std::uint64_t base_ms, unsigned attempt,
 /// whole timeout.
 void wait_for_exit(const std::vector<pid_t>& pids,
                    std::chrono::milliseconds timeout);
+
+/// One shard as the supervisor's wait sees it.
+struct ShardWait {
+  bool settled = false;  // succeeded, or failed with no retry left
+  pid_t pid = -1;        // the running attempt; -1 while a relaunch waits
+  std::chrono::steady_clock::time_point next_launch;  // when pid < 0
+};
+
+/// What the supervisor blocks on between two looks at its shards: the
+/// running shards' exits, for at most `timeout`.
+struct FleetWait {
+  std::vector<pid_t> pids;
+  std::chrono::milliseconds timeout{};
+};
+
+/// The supervisor's wait decision. Nothing once every shard has settled,
+/// so the loop ends at the last reap or the last exhausted retry; else
+/// the running shards' pids, for `poll` (the heartbeat interval) or until
+/// the earliest relaunch falls due, whichever is sooner. Pure so the tests
+/// can pin it.
+std::optional<FleetWait> next_wait(std::span<const ShardWait> shards,
+                                   std::chrono::steady_clock::time_point now,
+                                   std::chrono::milliseconds poll);
 
 FleetOptions default_fleet_options();
 

@@ -46,20 +46,27 @@ void publish_file(const std::string& path,
   const std::string what = std::string(label) + " file";
   create_parent_dirs(path);
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot open " + what + ": " + tmp);
-    write(out);
-    out.flush();
-    if (!out) throw std::runtime_error("cannot write " + what + ": " + tmp);
+  try {
+    {
+      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+      if (!out) throw std::runtime_error("cannot open " + what + ": " + tmp);
+      write(out);
+      out.flush();
+      if (!out) throw std::runtime_error("cannot write " + what + ": " + tmp);
+    }
+    // rename(2) within one directory is atomic: a concurrent reader sees
+    // either the previous document or this one, never a prefix.
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec)
+      throw std::runtime_error("cannot publish " + what + " " + path + ": " +
+                               ec.message());
+  } catch (...) {
+    // A refused document leaves nothing behind, not even its draft.
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+    throw;
   }
-  // rename(2) within one directory is atomic: a concurrent reader sees
-  // either the previous document or this one, never a prefix.
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec)
-    throw std::runtime_error("cannot publish " + what + " " + path + ": " +
-                             ec.message());
 }
 
 void write_status_file(const std::string& path, const StatusSnapshot& s) {

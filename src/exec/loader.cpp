@@ -41,16 +41,19 @@ ProgramFactory Loader::build_image(ImageSpec spec) const {
       for (const auto& s : lib.dtor_steps) epilogue.push_back(s);
     }
 
-    const SymbolTable symbols = registry->resolve_all(spec.imports, spec.needed_libs);
-    ProgramBuilder builder = spec.main_program;
-    ProgramFactory main_factory = [builder, symbols]() {
-      return builder(symbols);
-    };
-
+    // Each phase is built in its own slot of a list sized up front, so no
+    // phase is ever moved: GCC cannot follow which alternative a moved
+    // phase holds and warns about the other one.
     std::vector<ChainPhase> phases;
-    phases.push_back(std::move(prologue));
-    phases.push_back(std::move(main_factory));
-    phases.push_back(std::move(epilogue));
+    phases.reserve(3);
+    phases.emplace_back(std::move(prologue));
+    phases.emplace_back(
+        std::in_place_type<ProgramFactory>,
+        [builder = spec.main_program,
+         symbols = registry->resolve_all(spec.imports, spec.needed_libs)]() {
+          return builder(symbols);
+        });
+    phases.emplace_back(std::move(epilogue));
     return std::make_unique<ChainProgram>(spec.path, std::move(phases));
   };
 }

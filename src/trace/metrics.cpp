@@ -7,16 +7,17 @@
 
 namespace mtr::trace {
 
-void KernelStats::merge(const KernelStats& o) {
-  events_popped += o.events_popped;
-  idle_leaps += o.idle_leaps;
-  running_leaps += o.running_leaps;
-  ticks_coalesced += o.ticks_coalesced;
-  timer_ticks += o.timer_ticks;
-  charges_enqueued += o.charges_enqueued;
-  charge_flushes += o.charge_flushes;
-  context_switches += o.context_switches;
-  stale_events += o.stale_events;
+void KernelStats::merge(const KernelStats& o, std::uint64_t times) {
+  if (times == 0) return;
+  events_popped += o.events_popped * times;
+  idle_leaps += o.idle_leaps * times;
+  running_leaps += o.running_leaps * times;
+  ticks_coalesced += o.ticks_coalesced * times;
+  timer_ticks += o.timer_ticks * times;
+  charges_enqueued += o.charges_enqueued * times;
+  charge_flushes += o.charge_flushes * times;
+  context_switches += o.context_switches * times;
+  stale_events += o.stale_events * times;
   max_event_queue_depth = std::max(max_event_queue_depth, o.max_event_queue_depth);
 }
 

@@ -17,7 +17,7 @@ namespace mtr::trace {
 
 /// Per-run kernel engine counters. A plain struct of uint64s so collection
 /// is a guarded increment and aggregation is addition; `merge` sums every
-/// counter and maxes the gauge.
+/// counter (`times` over) and maxes the gauge.
 struct KernelStats {
   std::uint64_t events_popped = 0;     // calendar-queue pops (event engine)
   std::uint64_t idle_leaps = 0;        // bulk idle coalescings taken
@@ -30,7 +30,10 @@ struct KernelStats {
   std::uint64_t stale_events = 0;      // lazily-invalidated queue entries
   std::uint64_t max_event_queue_depth = 0;  // gauge: deepest calendar queue
 
-  void merge(const KernelStats& o);
+  /// Equal to `times` merges of `o`.
+  void merge(const KernelStats& o, std::uint64_t times = 1);
+
+  friend bool operator==(const KernelStats&, const KernelStats&) = default;
 
   /// Visits every counter as f(name, field) — the single list serializers
   /// and parsers key on; the mutable overload serves field-by-name parsers.

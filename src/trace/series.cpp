@@ -8,16 +8,23 @@
 namespace mtr::trace {
 namespace {
 
-SeriesBucket combine(const SeriesBucket& a, const SeriesBucket& b) {
-  if (a.count == 0) return b;
-  if (b.count == 0) return a;
+/// `a` with `times` copies of `b` folded in. The exact result is formed
+/// in 128 bits, so a fold that would wrap is refused whether it comes from
+/// one merge or from the multiplicity.
+SeriesBucket combine(const SeriesBucket& a, const SeriesBucket& b,
+                     std::uint64_t times = 1) {
+  if (a.count == 0 && times == 1) return b;
+  if (b.count == 0 || times == 0) return a;
+  const SeriesBucket base = a.count == 0 ? SeriesBucket{0, b.min, b.max, 0} : a;
+  __extension__ using Wide = __int128;
+  const Wide count = Wide{base.count} + Wide{b.count} * Wide{times};
+  const Wide sum = Wide{base.sum} + Wide{b.sum} * Wide{times};
   // Buckets read from a metrics file can sit near the integer limits; a
   // fold that would wrap is refused instead of written out corrupted.
-  SeriesBucket out{0, std::min(a.min, b.min), std::max(a.max, b.max), 0};
-  if (__builtin_add_overflow(a.count, b.count, &out.count) ||
-      __builtin_add_overflow(a.sum, b.sum, &out.sum))
+  if (count > Wide{UINT64_MAX} || sum < Wide{INT64_MIN} || sum > Wide{INT64_MAX})
     throw std::overflow_error("a series bucket overflows when folded");
-  return out;
+  return {static_cast<std::uint64_t>(count), std::min(base.min, b.min),
+          std::max(base.max, b.max), static_cast<std::int64_t>(sum)};
 }
 
 }  // namespace
@@ -47,11 +54,11 @@ void TimeSeries::sample(std::uint64_t t, std::int64_t v) {
   used_ = std::max(used_, static_cast<std::size_t>(t / width_) + 1);
 }
 
-void TimeSeries::merge(const TimeSeries& o) {
-  if (o.samples_ == 0) return;
+void TimeSeries::merge(const TimeSeries& o, std::uint64_t times) {
+  if (o.samples_ == 0 || times == 0) return;
   if (samples_ == 0) {
     *this = o;
-    return;
+    if (--times == 0) return;
   }
   // Coarsen the finer series to the wider width. Both spans already fit
   // kCapacity buckets at their own widths, so the common width never needs
@@ -63,10 +70,10 @@ void TimeSeries::merge(const TimeSeries& o) {
     const SeriesBucket& src = o.buckets_[j];
     if (src.count == 0) continue;
     SeriesBucket& dst = buckets_[j / ratio];
-    dst = combine(dst, src);
+    dst = combine(dst, src, times);
     used_ = std::max(used_, j / ratio + 1);
   }
-  samples_ += o.samples_;
+  samples_ += o.samples_ * times;
 }
 
 void TimeSeries::load(std::uint64_t width, std::vector<SeriesBucket> buckets) {
@@ -104,15 +111,15 @@ bool Telemetry::empty() const {
   return !any;
 }
 
-void Telemetry::merge(const Telemetry& o) {
-  run_queue.merge(o.run_queue);
-  runnable.merge(o.runnable);
-  free_frames.merge(o.free_frames);
-  event_depth.merge(o.event_depth);
-  victim_gap.merge(o.victim_gap);
-  billing_error.merge(o.billing_error);
-  charge_batch.merge(o.charge_batch);
-  cell_seconds.merge(o.cell_seconds);
+void Telemetry::merge(const Telemetry& o, std::uint64_t times) {
+  run_queue.merge(o.run_queue, times);
+  runnable.merge(o.runnable, times);
+  free_frames.merge(o.free_frames, times);
+  event_depth.merge(o.event_depth, times);
+  victim_gap.merge(o.victim_gap, times);
+  billing_error.merge(o.billing_error, times);
+  charge_batch.merge(o.charge_batch, times);
+  cell_seconds.merge(o.cell_seconds, times);
 }
 
 }  // namespace mtr::trace

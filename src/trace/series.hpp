@@ -47,9 +47,11 @@ class TimeSeries {
   /// at most log2(span / kBaseWidth) halvings over a series' lifetime.
   void sample(std::uint64_t t, std::int64_t v);
 
-  /// Exact bucket-wise fold of `o` into this series (see file comment).
-  /// Throws std::overflow_error when a bucket's count or sum would wrap.
-  void merge(const TimeSeries& o);
+  /// Exact bucket-wise fold of `o` into this series, `times` over (see
+  /// file comment): counts and sums scale by `times`, min and max stay, so
+  /// the result equals `times` merges of `o`. Throws std::overflow_error
+  /// when a bucket's count or sum would wrap.
+  void merge(const TimeSeries& o, std::uint64_t times = 1);
 
   bool empty() const { return samples_ == 0; }
   std::uint64_t samples() const { return samples_; }
@@ -96,7 +98,10 @@ struct Telemetry {
   QuantileSketch cell_seconds;   // per-cell wall seconds (sweep-level only)
 
   bool empty() const;
-  void merge(const Telemetry& o);
+  /// Folds `o` in `times` over: equal to `times` merges of `o`.
+  void merge(const Telemetry& o, std::uint64_t times = 1);
+
+  friend bool operator==(const Telemetry&, const Telemetry&) = default;
 
   /// The single name<->member lists metrics serialization and parsing key
   /// on; order is load-bearing for byte-stable round trips.

@@ -616,6 +616,42 @@ TEST(BatchRunner, ObservabilityCollectionLeavesAggregatesIdentical) {
   }
 }
 
+TEST(BatchRunner, ACopiedReplicateCountsInTheCellsCountersWithoutCarryingThem) {
+  // 250 seeds of two seed-invariant cells: each cell runs once, and its
+  // kernel counters and telemetry are the first run's, folded once per
+  // seed, while the copies hold none of their own.
+  BatchGrid g = small_grid();
+  g.schedulers = {sim::SchedulerKind::kO1};
+  g.base.trace.collect_stats = true;
+  g.seeds.clear();
+  for (std::uint64_t seed = 1; seed <= 250; ++seed) g.seeds.push_back(seed);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::vector<CellStats> cells = BatchRunner(threads).run(g);
+    ASSERT_EQ(cells.size(), 2u);
+    for (const CellStats& cell : cells) {
+      ASSERT_EQ(cell.runs.size(), 250u);
+      const ExperimentResult& first = cell.first_run();
+      ASSERT_FALSE(first.seed_dependent);
+      EXPECT_GT(first.kstats.timer_ticks, 0u);
+      EXPECT_FALSE(first.telemetry.empty());
+      trace::KernelStats kstats;
+      trace::Telemetry telemetry;
+      for (int i = 0; i < 250; ++i) {
+        kstats.merge(first.kstats);
+        telemetry.merge(first.telemetry);
+      }
+      EXPECT_EQ(cell.kstats, kstats) << cell.attack_label;
+      EXPECT_TRUE(cell.telemetry == telemetry) << cell.attack_label;
+      for (std::size_t i = 1; i < cell.runs.size(); ++i) {
+        EXPECT_EQ(cell.runs[i].kstats, trace::KernelStats{}) << i;
+        EXPECT_TRUE(cell.runs[i].telemetry.empty()) << i;
+        EXPECT_EQ(outcome(cell.runs[i]), outcome(first)) << i;
+      }
+    }
+  }
+}
+
 // --- one pool, many grids ---------------------------------------------------
 
 /// Blocks until `parties` threads have arrived, or throws after a bound so

@@ -267,6 +267,26 @@ TEST(QuantileSketchTest, MergeIsCommutativeAssociativeAndExact) {
   EXPECT_EQ(onto_empty, whole);
 }
 
+TEST(QuantileSketchTest, AMultiplicityFoldEqualsThatManyMerges) {
+  // Negative, zero and positive buckets, folded onto an empty sketch and
+  // onto one whose envelope is wider on one side and narrower on the other.
+  QuantileSketch one;
+  for (const double v : {-3.5, -0.001, 0.0, 0.0, 0.25, 7.0, 7.0}) one.add(v);
+  QuantileSketch wider;
+  wider.add(-100.0);
+  wider.add(0.5, 9);
+  for (const QuantileSketch& target : {QuantileSketch{}, wider, one}) {
+    for (const std::uint64_t times : {0u, 1u, 2u, 250u}) {
+      QuantileSketch folded = target;
+      folded.merge(one, times);
+      QuantileSketch merged = target;
+      for (std::uint64_t i = 0; i < times; ++i) merged.merge(one);
+      EXPECT_EQ(folded, merged) << "times " << times;
+      EXPECT_EQ(folded.count(), target.count() + times * one.count());
+    }
+  }
+}
+
 TEST(QuantileSketchTest, OutOfRangeMagnitudesClampToEdgeBuckets) {
   QuantileSketch s;
   s.add(1e300);   // far past gamma^kMaxIndex

@@ -1904,6 +1904,30 @@ TEST(CsvViewTest, OnlyARunRecordInTheSchemaLayoutHasARow) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(MergeTest, ARefusedMergeLeavesNoTemporaryFile) {
+  // The golden with line 5's seed and seed_index swapped: the merge
+  // refuses it while writing both outputs, and neither output nor its
+  // temporary draft is left behind.
+  const std::string dir = temp_path("dist_merge_refused");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/out");
+  std::vector<std::string> lines = lines_of(read_file(kGoldenJsonl));
+  const std::string seeds = "\"seed\":43,\"seed_index\":1";
+  ASSERT_NE(lines[4].find(seeds), std::string::npos);
+  lines[4].replace(lines[4].find(seeds), seeds.size(),
+                   "\"seed_index\":1,\"seed\":43");
+  write_file(dir + "/fig04.jsonl", join_lines(lines));
+  MergeOptions o;
+  o.csv_out = dir + "/out/m.csv";
+  o.jsonl_out = dir + "/out/m.jsonl";
+  o.jsonl_in = {dir + "/fig04.jsonl"};
+  std::ostringstream out, err;
+  EXPECT_EQ(run_merge(o, out, err), 2);
+  EXPECT_NE(err.str().find(":5: "), std::string::npos) << err.str();
+  EXPECT_TRUE(std::filesystem::is_empty(dir + "/out"));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(MergeTest, ACsvInputIsCheckedAgainstItsRecordsRendering) {
   // A .csv input is no source of cells: it is accepted only beside its
   // same-stem .jsonl input, and only when it equals that file's CSV
@@ -3980,6 +4004,46 @@ TEST(FleetWaitTest, WakesWhenAChildExitsAndOtherwiseAtTheTimeout) {
   EXPECT_GE(Clock::now() - t0, 50ms);
 }
 
+TEST(FleetWaitTest, TheSupervisorWaitsOnlyWhileAShardIsUnsettled) {
+  using namespace std::chrono_literals;
+  const auto now = std::chrono::steady_clock::now();
+  const ShardWait done{true, -1, now};
+  const ShardWait failed{true, -1, now + 5s};  // no retry left
+  // Every shard settled: no wait at all, however the last one ended.
+  EXPECT_FALSE(next_wait(std::vector<ShardWait>{}, now, 50ms).has_value());
+  EXPECT_FALSE(next_wait(std::vector{done, failed}, now, 50ms).has_value());
+
+  // Running shards: their pids, at the heartbeat interval.
+  const std::optional<FleetWait> running =
+      next_wait(std::vector{done, ShardWait{false, 101, now},
+                            ShardWait{false, 102, now}},
+                now, 50ms);
+  ASSERT_TRUE(running.has_value());
+  EXPECT_EQ(running->pids, (std::vector<pid_t>{101, 102}));
+  EXPECT_EQ(running->timeout, 50ms);
+
+  // A shard awaiting its relaunch: no pid, and the wait ends when the
+  // backoff does, or at once when it is already due.
+  const ShardWait relaunch{false, -1, now + 20ms};
+  const std::optional<FleetWait> backoff =
+      next_wait(std::vector{done, relaunch}, now, 50ms);
+  ASSERT_TRUE(backoff.has_value());
+  EXPECT_TRUE(backoff->pids.empty());
+  EXPECT_EQ(backoff->timeout, 20ms);
+  const std::optional<FleetWait> due = next_wait(
+      std::vector{ShardWait{false, -1, now - 5ms}, ShardWait{false, 7, now}},
+      now, 50ms);
+  ASSERT_TRUE(due.has_value());
+  EXPECT_EQ(due->pids, (std::vector<pid_t>{7}));
+  EXPECT_EQ(due->timeout, 0ms);
+  // A backoff longer than the interval still wakes for the heartbeats.
+  const std::optional<FleetWait> later = next_wait(
+      std::vector{ShardWait{false, -1, now + 2s}, ShardWait{false, 7, now}},
+      now, 50ms);
+  ASSERT_TRUE(later.has_value());
+  EXPECT_EQ(later->timeout, 50ms);
+}
+
 TEST(FleetArgsTest, ParsesFlagsAndRejectsBadFaultSpecs) {
   const char* argv[] = {
       "mtr_fleet",     "fig04",          "--shards",       "8",
@@ -4210,6 +4274,44 @@ TEST(FleetTest, ExhaustedRetriesFailTheFleetWithAPerShardReport) {
   EXPECT_NE(err.str().find("exit code 70"), std::string::npos) << err.str();
   EXPECT_NE(err.str().find("log: "), std::string::npos) << err.str();
   EXPECT_TRUE(std::filesystem::exists(report.shards[0].log_path));
+  std::filesystem::remove_all(root);
+}
+
+TEST(FleetTest, TheLastExhaustedRetryEndsTheFleetWithoutAWait) {
+  // One shard whose only attempt fails: the supervisor returns as soon as
+  // it reaps it, instead of sleeping a heartbeat interval (50 ms) with
+  // nothing left to watch. Each run pays two short-lived children; the
+  // fastest of five must beat the interval that a wait would add alone.
+  const std::string root = temp_path("dist_fleet_last_retry");
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  const std::string script = root + "/fail.sh";
+  write_file(script,
+             "#!/bin/sh\n"
+             "case \"$*\" in\n"
+             "  *--dry-run*) echo 'dry run: 1 sweep(s), 8 cell(s)'; exit 0;;\n"
+             "esac\n"
+             "exit 3\n");
+  std::filesystem::permissions(script, std::filesystem::perms::owner_all,
+                               std::filesystem::perm_options::add);
+  auto fastest = std::chrono::steady_clock::duration::max();
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    FleetOptions o = quick_fleet(root + "/fleet" + std::to_string(attempt));
+    o.sweep_bin = script;
+    o.shards = 1;
+    o.max_retries = 0;
+    std::ostringstream out, err;
+    FleetReport report;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(run_fleet(o, out, err, &report), 1);
+    fastest = std::min(fastest, std::chrono::steady_clock::now() - t0);
+    ASSERT_EQ(report.shards.size(), 1u);
+    EXPECT_FALSE(report.shards[0].succeeded);
+    EXPECT_EQ(report.shards[0].exit_code, 3);
+    EXPECT_NE(err.str().find("retries exhausted"), std::string::npos)
+        << err.str();
+  }
+  EXPECT_LT(fastest, std::chrono::milliseconds(50));
   std::filesystem::remove_all(root);
 }
 

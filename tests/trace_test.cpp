@@ -111,6 +111,27 @@ TEST(KernelStatsTest, MergeSumsCountersAndMaxesGauge) {
   EXPECT_EQ(a.max_event_queue_depth, 99u);
 }
 
+TEST(KernelStatsTest, AMultiplicityFoldEqualsThatManyMerges) {
+  KernelStats one;
+  std::uint64_t v = 3;
+  one.for_each([&](const char*, std::uint64_t& field) { field = v++; });
+  for (const std::uint64_t depth : {std::uint64_t{2}, std::uint64_t{50}}) {
+    for (const std::uint64_t times : {0u, 1u, 2u, 7u, 250u}) {
+      KernelStats folded, merged;
+      folded.events_popped = merged.events_popped = 11;
+      folded.max_event_queue_depth = merged.max_event_queue_depth = depth;
+      folded.merge(one, times);
+      for (std::uint64_t i = 0; i < times; ++i) merged.merge(one);
+      EXPECT_EQ(folded, merged) << "depth " << depth << " times " << times;
+    }
+  }
+  // The gauge keeps the deeper queue, never a multiple of it.
+  KernelStats deep;
+  deep.merge(one, 250);
+  EXPECT_EQ(deep.max_event_queue_depth, one.max_event_queue_depth);
+  EXPECT_EQ(deep.events_popped, 250 * one.events_popped);
+}
+
 TEST(KernelStatsTest, ForEachVisitsAllCountersInFixedOrder) {
   KernelStats s;
   std::vector<std::string> names;
@@ -249,6 +270,70 @@ TEST(TimeSeriesTest, MergeEqualsSingleStreamForAnySplitAndEitherOrder) {
   EXPECT_EQ(onto_empty, whole);
 }
 
+/// `n` pseudo-random signed samples over `span` base-width buckets.
+TimeSeries sampled(std::uint64_t seed, int n, std::uint64_t span) {
+  TimeSeries s;
+  std::uint64_t x = seed;
+  for (int i = 0; i < n; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const std::uint64_t t = (x >> 11) % (span * TimeSeries::kBaseWidth);
+    s.sample(t, static_cast<std::int64_t>((x >> 40) % 2001) - 1000);
+  }
+  return s;
+}
+
+TEST(TimeSeriesTest, AMultiplicityFoldEqualsThatManyMerges) {
+  // The target is empty, at the source's width, coarser than it (the
+  // source's buckets land several to one) or finer (the target halves).
+  const TimeSeries fine = sampled(7, 200, 40);
+  const TimeSeries coarse = sampled(8, 300, 900);
+  ASSERT_LT(fine.width(), coarse.width());
+  const TimeSeries same = sampled(9, 50, 40);
+  ASSERT_EQ(same.width(), fine.width());
+  for (const auto& [target, source] :
+       std::vector<std::pair<TimeSeries, TimeSeries>>{{TimeSeries{}, fine},
+                                                      {same, fine},
+                                                      {coarse, fine},
+                                                      {fine, coarse}}) {
+    for (const std::uint64_t times : {0u, 1u, 2u, 3u, 250u}) {
+      TimeSeries folded = target;
+      folded.merge(source, times);
+      TimeSeries merged = target;
+      for (std::uint64_t i = 0; i < times; ++i) merged.merge(source);
+      EXPECT_EQ(folded, merged) << "times " << times << " onto width "
+                                << target.width();
+      EXPECT_EQ(folded.samples(), target.samples() + times * source.samples());
+    }
+  }
+}
+
+TEST(TimeSeriesTest, AMultiplicityFoldThatWouldWrapIsRefused) {
+  // A bucket sum of max/3: one plus two copies fit, one plus three do not,
+  // whether folded at once or one merge at a time.
+  TimeSeries third;
+  third.load(TimeSeries::kBaseWidth, {{1, 0, INT64_MAX / 3, INT64_MAX / 3}});
+  EXPECT_NO_THROW(TimeSeries(third).merge(third, 2));
+  EXPECT_THROW(TimeSeries(third).merge(third, 3), std::overflow_error);
+  TimeSeries merged = third;
+  EXPECT_THROW(
+      {
+        for (int i = 0; i < 3; ++i) merged.merge(third);
+      },
+      std::overflow_error);
+  // Downwards: two halves of INT64_MIN reach it exactly, three pass it.
+  TimeSeries low;
+  low.load(TimeSeries::kBaseWidth, {{1, INT64_MIN / 2, INT64_MIN / 2, INT64_MIN / 2}});
+  EXPECT_NO_THROW(TimeSeries(low).merge(low, 1));
+  EXPECT_THROW(TimeSeries(low).merge(low, 2), std::overflow_error);
+  // The count: four quarters of 2^64 - 1 fit, five do not, and a
+  // multiplicity whose product alone passes 2^64 is refused, not wrapped.
+  TimeSeries count;
+  count.load(TimeSeries::kBaseWidth, {{UINT64_MAX / 4, 1, 1, 1}});
+  EXPECT_NO_THROW(TimeSeries(count).merge(count, 3));
+  EXPECT_THROW(TimeSeries(count).merge(count, 4), std::overflow_error);
+  EXPECT_THROW(TimeSeries(count).merge(count, UINT64_MAX), std::overflow_error);
+}
+
 TEST(TimeSeriesTest, LoadRebuildsTheExactBucketLayout) {
   TimeSeries s;
   for (std::uint64_t i = 0; i < 300; ++i)
@@ -276,6 +361,24 @@ TEST(TelemetryTest, MergeFoldsEverySeriesAndSketch) {
   EXPECT_EQ(a.free_frames.samples(), 1u);
   EXPECT_EQ(a.billing_error.count(), 2u);
   EXPECT_EQ(a.charge_batch.count(), 1u);
+}
+
+TEST(TelemetryTest, AMultiplicityFoldEqualsThatManyMerges) {
+  Telemetry one;
+  one.run_queue = sampled(1, 40, 30);
+  one.runnable = sampled(2, 40, 300);
+  one.victim_gap = sampled(3, 40, 30);
+  for (const double v : {-0.25, 0.0, 0.5}) one.billing_error.add(v);
+  one.charge_batch.add(16.0, 3);
+  Telemetry base;
+  base.runnable = sampled(4, 40, 30);
+  base.billing_error.add(2.0);
+  for (const std::uint64_t times : {1u, 4u, 250u}) {
+    Telemetry folded = base, merged = base;
+    folded.merge(one, times);
+    for (std::uint64_t i = 0; i < times; ++i) merged.merge(one);
+    EXPECT_TRUE(folded == merged) << "times " << times;
+  }
 }
 
 TEST(MetricsJson, WriterEmitsSchemaAndFullCounterBlock) {
