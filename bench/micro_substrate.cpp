@@ -186,12 +186,14 @@ class NullBuf final : public std::streambuf {
   std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
 };
 
-/// Both record sinks writing one 250-seed cell per iteration. In the
-/// replicated cell every seed holds the same result, as a seed-invariant
-/// cell does; in the distinct one each run's wall time differs, as in a
-/// seed-dependent cell. CI floors distinct/replicated: the sinks encode a
-/// body that repeats the previous run's once, so the replicated cell costs
-/// a fraction of the distinct one.
+/// Both record sinks writing one 250-seed cell per iteration, as the
+/// driver writes them: the cell is encoded once, and the CSV rows are
+/// rendered from its lines. In the replicated cell every seed holds the
+/// same result, as a seed-invariant cell does; in the distinct one each
+/// run's wall time differs, as in a seed-dependent cell. CI floors
+/// distinct/replicated: the encoder writes a body that repeats the
+/// previous run's once, and the renderer reads it once, so the replicated
+/// cell costs a fraction of the distinct one.
 void sink_encode(benchmark::State& state, bool replicated) {
   const core::ExperimentResult r = synthetic_cell(1).runs[0];
   core::CellStats cell;
@@ -205,9 +207,12 @@ void sink_encode(benchmark::State& state, bool replicated) {
   std::ostream out(&null);
   report::CsvSink csv(out);
   report::JsonlSink jsonl(out);
+  std::string lines;
   for (auto _ : state) {
-    csv.write_cell("synthetic", cell);
-    jsonl.write_cell("synthetic", cell);
+    lines.clear();
+    report::encode_cell(lines, "synthetic", cell);
+    csv.write_lines(lines);
+    jsonl.write_lines(lines);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *

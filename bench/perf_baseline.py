@@ -36,9 +36,10 @@ snprintf("%.17g") it replaced (BM_FormatF64_printf/BM_FormatF64_native:2.0).
 The charge-flood pair bounds the metering service's cost on a NIC-flood
 cell: the cell with TrustedMeteringService attached may take at most 1/0.75
 of the hookless cell (BM_ChargeFlood_bare/BM_ChargeFlood_service:0.75).
-The sink pair pins the record sinks' body memo: a 250-seed cell of copied
-replicates must encode at least three times as fast as one whose runs all
-differ (BM_SinkEncode_distinct/BM_SinkEncode_replicated:3.0). The
+The sink pair pins the record path's body memo: a 250-seed cell of copied
+replicates must be encoded and rendered to CSV at least three times as fast
+as one whose runs all differ
+(BM_SinkEncode_distinct/BM_SinkEncode_replicated:3.0). The
 replica-fold pair pins the O(1) fold of a copied replicate's metrics: a
 250-seed seed-invariant cell run with kernel counters and telemetry may take
 at most 1/0.6 of the same cell without them

@@ -1,6 +1,8 @@
 // JSON literals for every emitter: the result sinks, metrics.json, status
 // heartbeats and Perfetto traces. The append_* forms write straight into a
-// caller's reused buffer; the string forms wrap them.
+// caller's reused buffer; the string forms wrap them. The string reader
+// beside them serves every JSON reader: the record tokenizer
+// (report/result_sink) and the document parser (dist/json).
 #pragma once
 
 #include <cstdint>
@@ -14,6 +16,17 @@ namespace mtr {
 /// becomes \u00XX, so any input yields valid JSON.
 void append_json_quoted(std::string& out, std::string_view s);
 std::string json_quote(std::string_view s);
+
+/// The end of the JSON string whose opening quote is at text[from]: the
+/// index just past its closing quote, or npos when it never closes.
+/// Escapes are stepped over here and checked by decode_json_string.
+std::size_t skip_json_string(std::string_view text, std::size_t from);
+
+/// Appends the text a JSON string's body (the bytes between its quotes)
+/// spells to `out`. Returns nullptr, or why the body is malformed: an
+/// unknown escape, a bad, truncated or non-ASCII \u escape, or a dangling
+/// backslash.
+const char* decode_json_string(std::string_view body, std::string& out);
 
 /// Appends `v` exactly as printf's "%.17g" renders it in the C locale
 /// (std::to_chars, general format, precision 17): round-trippable, so

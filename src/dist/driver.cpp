@@ -529,19 +529,22 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
     write_status_file(options.status_file, snap);
   };
 
+  std::string lines;  // the emitted cell's JSONL lines, reused
   const auto on_cell = [&](const core::CellEvent& ev) {
     const std::size_t s = owner[ev.grid];
     reach(s);
     SweepState& st = sweeps[s];
     if (st.csv) {
-      // The fail-flush-at seam: each write may fail before any byte of
-      // the cell reaches its file, so a failed flush loses that file's
-      // copy of the cell whole and never half-writes it.
-      const std::string& sweep = *record_sweep[ev.grid];
+      // The cell is encoded once; its CSV rows are rendered from the same
+      // lines. The fail-flush-at seam: each write may fail before any
+      // byte of the cell reaches its file, so a failed flush loses that
+      // file's copy of the cell whole and never half-writes it.
+      lines.clear();
+      report::encode_cell(lines, *record_sweep[ev.grid], ev.cell);
       injector.on_sink_flush("csv");
-      st.csv->write_cell(sweep, ev.cell);
+      st.csv->write_lines(lines);
       injector.on_sink_flush("jsonl");
-      st.jsonl->write_cell(sweep, ev.cell);
+      st.jsonl->write_lines(lines);
     }
     if (want_metrics) {
       trace::SweepMetrics& m = st.metrics;

@@ -507,7 +507,7 @@ struct CellGap {
 
 /// The per-stat tokens are nested one-line objects; re-parse them through
 /// the strict JSON reader to pull the mean.
-double stat_mean(const JsonFields& fields, std::string_view key,
+double stat_mean(const report::JsonFields& fields, std::string_view key,
                  const std::string& where) {
   const auto token = json_token(fields, key);
   if (!token)
@@ -526,7 +526,7 @@ int run_top_cells(const InspectOptions& options, std::ostream& out) {
   std::vector<CellGap> cells;
   JsonlVisitor visitor;
   visitor.on_cell = [&](const CellBlock& b, std::uint64_t, std::string_view,
-                        const JsonFields& f) {
+                        const report::JsonFields& f) {
     const std::string where =
         options.jsonl_path + " cell " + std::to_string(b.key.cell_index);
     CellGap c;

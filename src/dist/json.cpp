@@ -3,6 +3,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "common/format.hpp"
 #include "common/parse.hpp"
 
 namespace mtr::dist::json {
@@ -118,10 +119,11 @@ class Parser {
 
   std::string parse_string() {
     expect('"');
-    const std::size_t end = skip_string(s_, pos_ - 1);
+    const std::size_t end = skip_json_string(s_, pos_ - 1);
     if (end == std::string_view::npos) fail("unterminated string");
     std::string out;
-    if (const char* why = decode_string(s_.substr(pos_, end - 1 - pos_), out))
+    if (const char* why =
+            decode_json_string(s_.substr(pos_, end - 1 - pos_), out))
       fail(why);
     pos_ = end;
     return out;
@@ -160,56 +162,6 @@ class Parser {
 }
 
 }  // namespace
-
-std::size_t skip_string(std::string_view text, std::size_t from) {
-  for (std::size_t j = from + 1; j < text.size(); ++j) {
-    if (text[j] == '\\') {
-      ++j;
-    } else if (text[j] == '"') {
-      return j + 1;
-    }
-  }
-  return std::string_view::npos;
-}
-
-const char* decode_string(std::string_view body, std::string& out) {
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    if (body[i] != '\\') {
-      out += body[i];
-      continue;
-    }
-    if (++i == body.size()) return "unterminated escape";
-    switch (body[i]) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (body.size() - i <= 4) return "truncated \\u escape";
-        unsigned code = 0;
-        for (int k = 0; k < 4; ++k) {
-          const char h = body[++i];
-          code <<= 4;
-          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-          else return "bad \\u escape";
-        }
-        // The writers only escape control characters, so non-ASCII code
-        // points here mean a hand-edited file; reject rather than guess.
-        if (code > 0x7F) return "unsupported non-ASCII \\u escape";
-        out += static_cast<char>(code);
-        break;
-      }
-      default: return "unknown escape";
-    }
-  }
-  return nullptr;
-}
 
 Value parse_document(std::string_view text) {
   return Parser(text).parse_document();

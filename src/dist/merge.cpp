@@ -72,18 +72,15 @@ class AggregateCheck {
       summary_.sketches.emplace_back(cols.first, QuantileSketch{});
     parse_.values.resize(summary_.stats.size());
     parse_.sketches.resize(summary_.sketches.size());
-    prefix_keys_.push_back("record");
-    for (std::string& key : report::run_schema_keys()) {
-      if (key == "workload") break;
-      prefix_keys_.push_back(std::move(key));
-    }
   }
 
   JsonlVisitor visitor() {
     return {[this](const CellBlock& b, std::uint64_t line_no,
-                   const JsonFields& f) { on_run(b, line_no, f); },
+                   std::string_view line, const report::JsonFields& f) {
+              on_run(b, line_no, line, f);
+            },
             [this](const CellBlock& b, std::uint64_t line_no,
-                   std::string_view line, const JsonFields&) {
+                   std::string_view line, const report::JsonFields&) {
               on_cell(b, line_no, line);
             }};
   }
@@ -100,10 +97,16 @@ class AggregateCheck {
     std::vector<QuantileSketch> sketches;  // cell_sketch_columns() order
   };
 
-  void on_run(const CellBlock& b, std::uint64_t line_no, const JsonFields& f) {
+  void on_run(const CellBlock& b, std::uint64_t line_no, std::string_view line,
+              const report::JsonFields& f) {
     if (b.seeds.size() == 1) start_block();
     if (!error_.empty()) return;
-    const std::string_view body = body_of(f);
+    // When the line's fields before its body are exactly the prefix
+    // JsonlSink writes, every field parse() reads is in the body, and
+    // equal body bytes mean an equal parse.
+    const std::size_t at = report::run_body_begin(line);
+    const std::string_view body =
+        at == std::string_view::npos ? std::string_view() : line.substr(at);
     if (body.empty() || body != last_body_) {
       last_body_.clear();
       if (const char* bad = parse(f)) {
@@ -127,7 +130,7 @@ class AggregateCheck {
 
   /// Reads a run line into parse_; the name of the first missing or
   /// invalid field, or nullptr.
-  const char* parse(const JsonFields& f) {
+  const char* parse(const report::JsonFields& f) {
     auto workload = json_string(f, "workload");
     const auto source_ok = json_bool(f, "source_ok");
     if (!workload) return "workload";
@@ -148,20 +151,6 @@ class AggregateCheck {
       parse_.sketches[k] = std::move(*sketch);
     }
     return nullptr;
-  }
-
-  /// A run line's body — its bytes from the "workload" key to the end of
-  /// its last token — when the fields before it are exactly the prefix
-  /// JsonlSink writes, so every field parse() reads is in the body and
-  /// equal body bytes mean an equal parse. Empty otherwise.
-  std::string_view body_of(const JsonFields& f) const {
-    const std::size_t n = prefix_keys_.size();
-    if (f.size() <= n || f[n].key != "workload") return {};
-    for (std::size_t i = 0; i < n; ++i)
-      if (f[i].key != prefix_keys_[i]) return {};
-    const char* from = f[n].key.data() - 1;  // its opening quote
-    const std::string_view last = f.back().token;
-    return {from, static_cast<std::size_t>(last.data() + last.size() - from)};
   }
 
   void on_cell(const CellBlock& b, std::uint64_t line_no,
@@ -194,7 +183,6 @@ class AggregateCheck {
 
   const std::string& path_;
   report::CellSummary summary_;
-  std::vector<std::string> prefix_keys_;  // a run line's fields before "workload"
   RunParse parse_;         // the last run line parsed
   std::string last_body_;  // its body; empty when the next line must parse
   std::string error_;      // the open block's first failure
@@ -341,8 +329,8 @@ void splice(const MergePlan& plan, std::ostream* csv, std::ostream* jsonl) {
     if (csv == nullptr) continue;
     rows.clear();
     try {
-      append_csv_rows(rows, std::string_view(buf.data(), buf.size()), path,
-                      c.first_line);
+      report::append_csv_rows(rows, std::string_view(buf.data(), buf.size()),
+                              path, c.first_line);
     } catch (const std::runtime_error& e) {
       throw MergeError(MergeFault::kCorrupt, e.what());
     }

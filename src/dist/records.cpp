@@ -6,57 +6,12 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "dist/json.hpp"
+#include "common/format.hpp"
 #include "report/result_sink.hpp"
 
 namespace mtr::dist {
 
-bool tokenize_json_line(std::string_view line, JsonFields& out) {
-  out.clear();
-  if (line.empty() || line.front() != '{') return false;
-  std::size_t i = 1;
-  if (i < line.size() && line[i] == '}') return i + 1 == line.size();
-  for (;;) {
-    if (i >= line.size() || line[i] != '"') return false;
-    const std::size_t key_end = json::skip_string(line, i);
-    if (key_end == std::string_view::npos) return false;
-    const std::string_view key = line.substr(i + 1, key_end - i - 2);
-    i = key_end;
-    if (i >= line.size() || line[i] != ':') return false;
-    ++i;
-    const std::size_t val_start = i;
-    if (i < line.size() && line[i] == '"') {
-      i = json::skip_string(line, i);
-      if (i == std::string_view::npos) return false;
-    } else if (i < line.size() && line[i] == '{') {
-      // One level of nesting (the per-stat {...} objects), strings inside
-      // respected.
-      int depth = 1;
-      ++i;
-      while (i < line.size() && depth > 0) {
-        if (line[i] == '"') {
-          i = json::skip_string(line, i);
-          if (i == std::string_view::npos) return false;
-        } else {
-          if (line[i] == '{') ++depth;
-          if (line[i] == '}') --depth;
-          ++i;
-        }
-      }
-      if (depth != 0) return false;
-    } else {
-      while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
-      if (i == val_start) return false;
-    }
-    out.push_back({key, line.substr(val_start, i - val_start)});
-    if (i >= line.size()) return false;
-    if (line[i] == '}') return i + 1 == line.size();
-    if (line[i] != ',') return false;
-    ++i;
-  }
-}
-
-std::optional<std::string_view> json_token(const JsonFields& fields,
+std::optional<std::string_view> json_token(const report::JsonFields& fields,
                                            std::string_view key) {
   for (auto it = fields.rbegin(); it != fields.rend(); ++it)
     if (it->key == key) return it->token;
@@ -65,41 +20,42 @@ std::optional<std::string_view> json_token(const JsonFields& fields,
 
 bool parse_json_line(const std::string& line,
                      std::map<std::string, std::string>& out) {
-  thread_local JsonFields fields;  // reused: no per-line vector growth
-  const bool ok = tokenize_json_line(line, fields);
+  thread_local report::JsonFields fields;  // reused: no per-line vector growth
+  const bool ok = report::tokenize_json_line(line, fields);
   out.clear();
-  for (const JsonField& f : fields)
+  for (const report::JsonField& f : fields)
     out.insert_or_assign(std::string(f.key), std::string(f.token));
   return ok;
 }
 
-std::optional<std::string> json_string(const JsonFields& fields,
+std::optional<std::string> json_string(const report::JsonFields& fields,
                                        std::string_view key) {
   const auto token = json_token(fields, key);
   if (!token || token->size() < 2 || token->front() != '"' ||
       token->back() != '"')
     return std::nullopt;
   std::string text;
-  if (json::decode_string(token->substr(1, token->size() - 2), text))
+  if (decode_json_string(token->substr(1, token->size() - 2), text))
     return std::nullopt;
   return text;
 }
 
-std::optional<std::uint64_t> json_u64(const JsonFields& fields,
+std::optional<std::uint64_t> json_u64(const report::JsonFields& fields,
                                       std::string_view key) {
   const auto token = json_token(fields, key);
   if (!token) return std::nullopt;
   return parse_u64(*token);
 }
 
-std::optional<double> json_double(const JsonFields& fields,
+std::optional<double> json_double(const report::JsonFields& fields,
                                   std::string_view key) {
   const auto token = json_token(fields, key);
   if (!token) return std::nullopt;
   return parse_f64(*token);
 }
 
-std::optional<bool> json_bool(const JsonFields& fields, std::string_view key) {
+std::optional<bool> json_bool(const report::JsonFields& fields,
+                              std::string_view key) {
   const auto token = json_token(fields, key);
   if (!token) return std::nullopt;
   if (*token == "true") return true;
@@ -158,7 +114,7 @@ namespace {
 
 /// Reads the key columns of a tokenized JSONL record into `key`; returns
 /// the name of the first missing or invalid one, nullptr when all parse.
-const char* read_json_key(const JsonFields& f, report::CellKey& key) {
+const char* read_json_key(const report::JsonFields& f, report::CellKey& key) {
   for (const report::CellKeyColumn& col : report::kCellKeyColumns) {
     if (col.is_text()) {
       const std::optional<std::string> text = json_string(f, col.name);
@@ -238,7 +194,7 @@ FileScan scan_jsonl_records(const std::string& path,
   std::uint64_t line_no = 0;
   std::string_view line;
   bool terminated = false;
-  JsonFields f;
+  report::JsonFields f;
   // `offset` is the start of the line being examined when stop() fires,
   // which is exactly where the unusable tail begins.
   const auto stop = [&](std::string why) {
@@ -254,7 +210,7 @@ FileScan scan_jsonl_records(const std::string& path,
     }
     const std::uint64_t line_end = offset + line.size() + 1;
 
-    if (!tokenize_json_line(line, f)) {
+    if (!report::tokenize_json_line(line, f)) {
       stop(where(path, line_no) + ": unparseable record");
       break;
     }
@@ -306,7 +262,7 @@ FileScan scan_jsonl_records(const std::string& path,
         break;
       }
       open.seeds.push_back(*seed);
-      if (visitor.on_run) visitor.on_run(open, line_no, f);
+      if (visitor.on_run) visitor.on_run(open, line_no, line, f);
     } else if (*record == "cell") {
       const auto n = json_u64(f, "seeds");
       if (!has_open || key != open.key) {
@@ -469,90 +425,6 @@ FileScan scan_csv(const std::string& path) {
   return scan;
 }
 
-namespace {
-
-/// Appends the CSV cells of run keys [begin, end), which `fields` hold,
-/// exactly and in order, from `fields[first]` on; false when they do not,
-/// or when a string does not decode.
-bool append_cells(std::string& out, const JsonFields& fields,
-                  std::size_t first, std::size_t begin, std::size_t end) {
-  static const std::vector<std::string> keys = report::run_schema_keys();
-  if (fields.size() != first + end - begin) return false;
-  std::string text;
-  for (std::size_t i = begin; i < end; ++i) {
-    const JsonField& f = fields[first + i - begin];
-    if (f.key != keys[i]) return false;
-    if (i > 0) out += ',';
-    if (f.token.front() != '"') {
-      out += f.token;
-      continue;
-    }
-    // Without a backslash the decode is the identity, and without a comma
-    // or a quote the CSV escape is too: most strings are copied.
-    const std::string_view body = f.token.substr(1, f.token.size() - 2);
-    if (std::none_of(body.begin(), body.end(), [](char c) {
-          return c == '\\' || c == ',' || c == '"' || c == '\n';
-        })) {
-      out += body;
-      continue;
-    }
-    text.clear();
-    if (json::decode_string(body, text) != nullptr) return false;
-    report::append_csv_escaped(out, text);
-  }
-  return true;
-}
-
-}  // namespace
-
-void append_csv_rows(std::string& out, std::string_view lines,
-                     const std::string& path, std::uint64_t first_line) {
-  // A run line's head is "record" and the keys before "workload"; its body,
-  // the unit the sinks repeat, is the rest.
-  static const std::size_t n_keys = report::run_schema_keys().size();
-  static const std::size_t head = [] {
-    const std::vector<std::string> keys = report::run_schema_keys();
-    return static_cast<std::size_t>(
-        std::find(keys.begin(), keys.end(), "workload") - keys.begin());
-  }();
-  JsonFields f;
-  std::string part;            // a line's head or body, as an object
-  std::string_view last_body;  // the last run line's body bytes
-  std::string csv_body;        // and their cells, newline included
-  for (std::size_t from = 0; from < lines.size(); ++first_line) {
-    const std::size_t end = std::min(lines.find('\n', from), lines.size());
-    const std::string_view line = lines.substr(from, end - from);
-    from = end + 1;
-    // A JSON string holds no unescaped quote, so the body starts here.
-    const std::size_t at = std::min(line.find(",\"workload\":"), line.size());
-    const std::string_view body = line.substr(at);
-    part.assign(line.substr(0, at));
-    part += '}';
-    bool ok = tokenize_json_line(part, f) && !f.empty() && f[0].key == "record";
-    if (ok && f[0].token == "\"cell\"") continue;
-    ok = ok && f[0].token == "\"run\"" && append_cells(out, f, 1, 0, head) &&
-         !body.empty();
-    if (ok && body != last_body) {
-      // Equal body bytes render to equal cells, so only a new body is read.
-      part.assign(body);
-      part[0] = '{';
-      csv_body.clear();
-      ok = tokenize_json_line(part, f) &&
-           append_cells(csv_body, f, 0, head, n_keys);
-      csv_body += '\n';
-      last_body = body;
-    }
-    out += csv_body;
-    if (!ok)
-      throw std::runtime_error(
-          where(path, first_line) +
-          ": record has no CSV row: it is not a cell summary, and not a run "
-          "record with the schema v" +
-          std::to_string(report::kSchemaVersion) +
-          " keys in order and strings that decode");
-  }
-}
-
 void render_csv(const std::string& path, std::uint64_t bytes,
                 std::ostream& out) {
   if (bytes == 0) return;
@@ -561,7 +433,7 @@ void render_csv(const std::string& path, std::uint64_t bytes,
   if (!in.read(text.data(), static_cast<std::streamsize>(bytes)))
     throw std::runtime_error("cannot read " + path);
   std::string rows;
-  append_csv_rows(rows, text, path, 1);
+  report::append_csv_rows(rows, text, path, 1);
   report::write_csv_header(out);
   out << rows;
 }

@@ -8,10 +8,12 @@
 // are read through the cell key's column table; a record whose key differs
 // from its block's stops the scan. Blocks are kept as byte ranges and
 // files are read through a fixed buffer, so a scan holds memory per cell,
-// not per byte. A scan tokenizes every line (tokenize_json_line) exactly
-// once; mtr_merge recomputes each cell's aggregate from that same parse
-// through a JsonlVisitor. The CSV is a view of the JSONL (append_csv_rows),
-// which resume and `mtr_merge --csv` render in a second pass over the lines.
+// not per byte. A scan tokenizes every line (report::tokenize_json_line)
+// exactly once; mtr_merge recomputes each cell's aggregate from that same
+// parse through a JsonlVisitor. The CSV is a view of the JSONL
+// (report::append_csv_rows, the renderer the sweep's own CSV comes from
+// too), which resume and `mtr_merge --csv` render in a second pass over
+// the lines.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +27,7 @@
 #include <vector>
 
 #include "common/parse.hpp"
-#include "report/cell_key.hpp"
+#include "report/result_sink.hpp"
 
 namespace mtr::dist {
 
@@ -75,26 +77,9 @@ struct FileScan {
   std::string tail_error;   // why, when !clean
 };
 
-/// One key of a one-line JSON object and its raw token, both views into
-/// the line: the key between its quotes (escapes left as written), the
-/// token verbatim (string tokens keep their quotes, nested objects their
-/// braces).
-struct JsonField {
-  std::string_view key;
-  std::string_view token;
-};
-using JsonFields = std::vector<JsonField>;
-
-/// The one tokenizer for our one-line JSON objects: fills `out` with the
-/// line's fields in line order, finding each string's end with the
-/// document parser's scanner (json::skip_string). Returns false on malformed input (e.g. a
-/// truncated tail) instead of throwing; `out` then holds the fields read
-/// before the fault.
-bool tokenize_json_line(std::string_view line, JsonFields& out);
-
 /// The token of `key`, or nullopt when the line lacks it. A repeated key
 /// reads as its last occurrence, as in a JSON object.
-std::optional<std::string_view> json_token(const JsonFields& fields,
+std::optional<std::string_view> json_token(const report::JsonFields& fields,
                                            std::string_view key);
 
 /// tokenize_json_line into a key -> token map (the last duplicate wins).
@@ -102,18 +87,18 @@ bool parse_json_line(const std::string& line,
                      std::map<std::string, std::string>& out);
 
 /// Typed readers over json_token; nullopt when the key is missing or the
-/// token has the wrong shape. Strings decode through the document
-/// parser's decoder (json::decode_string), so a malformed escape reads as
-/// a wrong shape. Numbers are strict (mtr::parse_u64 /
+/// token has the wrong shape. Strings decode through mtr::decode_json_string,
+/// so a malformed escape reads as a wrong shape. Numbers are strict (mtr::parse_u64 /
 /// mtr::parse_f64); json_double takes the writer's %.17g tokens, inf and
 /// nan included.
-std::optional<std::string> json_string(const JsonFields& fields,
+std::optional<std::string> json_string(const report::JsonFields& fields,
                                        std::string_view key);
-std::optional<std::uint64_t> json_u64(const JsonFields& fields,
+std::optional<std::uint64_t> json_u64(const report::JsonFields& fields,
                                       std::string_view key);
-std::optional<double> json_double(const JsonFields& fields,
+std::optional<double> json_double(const report::JsonFields& fields,
                                   std::string_view key);
-std::optional<bool> json_bool(const JsonFields& fields, std::string_view key);
+std::optional<bool> json_bool(const report::JsonFields& fields,
+                              std::string_view key);
 
 /// Scans a JsonlSink file. Throws std::runtime_error when the file cannot
 /// be opened and SchemaError (naming the file, line, and byte) when any
@@ -123,16 +108,16 @@ std::optional<bool> json_bool(const JsonFields& fields, std::string_view key);
 FileScan scan_jsonl(const std::string& path);
 
 /// Sees each record scan_jsonl_records accepts, tokenized once for the
-/// scan and the visitor together. `on_run` gets every run record after it
-/// joined `block` (so block.seeds already counts it); `on_cell` gets the
-/// summary line that closes `block` (without its newline). Either may be
-/// empty.
+/// scan and the visitor together, with its line (without its newline).
+/// `on_run` gets every run record after it joined `block` (so block.seeds
+/// already counts it); `on_cell` gets the summary line that closes
+/// `block`. Either may be empty.
 struct JsonlVisitor {
   std::function<void(const CellBlock& block, std::uint64_t line_no,
-                     const JsonFields& fields)>
+                     std::string_view line, const report::JsonFields& fields)>
       on_run;
   std::function<void(const CellBlock& block, std::uint64_t line_no,
-                     std::string_view line, const JsonFields& fields)>
+                     std::string_view line, const report::JsonFields& fields)>
       on_cell;
 };
 
@@ -145,22 +130,10 @@ FileScan scan_jsonl_records(const std::string& path,
 /// schema version. Only perfbench's scanner probe still calls it.
 FileScan scan_csv(const std::string& path);
 
-/// Appends CsvSink's rows for whole JSONL lines of `path`, the first being
-/// line `first_line`: a run record's row is the record with "record"
-/// dropped, each string token decoded (json::decode_string) and
-/// CSV-escaped, every other token copied verbatim (exact by
-/// report/result_sink.hpp's contract); a `record:"cell"` summary has none.
-/// A run line whose body repeats the previous run line's byte for byte
-/// reuses its cells. Throws std::runtime_error naming "path:line" at a run
-/// record whose keys are not "record" then run_schema_keys() in order or
-/// whose string does not decode.
-void append_csv_rows(std::string& out, std::string_view lines,
-                     const std::string& path, std::uint64_t first_line);
-
 /// Writes the CSV view of the first `bytes` bytes (whole lines, e.g. a
 /// scan's valid prefix) of the JSONL file `path`, read into memory: the
 /// header and the rows, or nothing when `bytes` is 0, as CsvSink writes
-/// nothing before its first cell. Throws as append_csv_rows does.
+/// nothing before its first cell. Throws as report::append_csv_rows does.
 void render_csv(const std::string& path, std::uint64_t bytes,
                 std::ostream& out);
 

@@ -9,10 +9,6 @@
 
 namespace mtr::report {
 
-FieldValue CellKeyColumn::value(const CellKey& key) const {
-  return std::visit([&](auto m) { return FieldValue{key.*m}; }, member);
-}
-
 bool CellKeyColumn::parse(CellKey& key, std::string_view text) const {
   return std::visit(
       [&](auto m) {

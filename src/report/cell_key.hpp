@@ -17,11 +17,6 @@ struct GridCellCoords;
 
 namespace mtr::report {
 
-/// One serialized field. The variant arm picks the CSV/JSON rendering:
-/// bools become true/false, doubles render round-trippably (%.17g).
-using FieldValue =
-    std::variant<bool, std::int64_t, std::uint64_t, double, std::string>;
-
 /// One cell's identity: the values its records hold in the coordinate
 /// columns, typed as the records write them.
 struct CellKey {
@@ -57,7 +52,6 @@ struct CellKeyColumn {
   bool is_bool() const {
     return std::holds_alternative<bool CellKey::*>(member);
   }
-  FieldValue value(const CellKey& key) const;
   /// Strict parse of one (unquoted) value into `key`: text as is, exactly
   /// true/false, decimal integers (mtr::parse_number), and doubles that
   /// pass mtr::parse_f64 and are finite. False on anything else.

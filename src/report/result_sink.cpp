@@ -1,7 +1,9 @@
 #include "report/result_sink.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <fstream>
+#include <stdexcept>
 
 #include "common/ensure.hpp"
 #include "common/format.hpp"
@@ -148,7 +150,7 @@ bool same_value(const T& a, const T& b) {
 }
 
 /// True when results `a` and `b` of one cell have equal bodies, value for
-/// value, and so encode to equal body bytes in either format.
+/// value, and so encode to equal body bytes.
 bool same_body(const CellKey& key, const core::ExperimentResult& a,
                const core::ExperimentResult& b) {
   bool same = true;
@@ -159,29 +161,6 @@ bool same_body(const CellKey& key, const core::ExperimentResult& a,
       },
       a, b);
   return same;
-}
-
-/// Where a sink's buffer holds the body of the run it encoded last.
-struct BodySpan {
-  std::size_t at = 0;
-  std::size_t size = 0;
-};
-
-/// Appends the body of run `seed_i` to `out` through `emit`, or, when it
-/// equals the previous run's body, copies the bytes `last` locates. Copied
-/// replicates of a seed-invariant cell are encoded once per cell this way;
-/// a replicate that differs anywhere is encoded in full.
-template <typename Emit>
-void append_body(std::string& out, BodySpan& last, const CellKey& key,
-                 const core::CellStats& cell, std::size_t seed_i, Emit&& emit) {
-  const core::ExperimentResult& r = cell.runs.at(seed_i);
-  if (seed_i > 0 && same_body(key, cell.runs[seed_i - 1], r)) {
-    out.append(out, last.at, last.size);
-    return;
-  }
-  last.at = out.size();
-  for_each_body_field(key, emit, r);
-  last.size = out.size() - last.at;
 }
 
 void append_sketch(std::string& out, const QuantileSketch& s) {
@@ -219,17 +198,7 @@ constexpr bool kComputed =
 template <typename T>
 constexpr bool kText = std::is_convertible_v<T, std::string_view>;
 
-/// Appends one record field value in its CSV spelling.
-template <typename T>
-void append_csv_value(std::string& out, const T& v) {
-  if constexpr (kComputed<T>) append_text(out, v);
-  else if constexpr (kText<T>) append_csv_escaped(out, v);
-  else if constexpr (std::is_same_v<T, bool>) out += v ? "true" : "false";
-  else append_number(out, v);
-}
-
-/// Appends one record field value in its JSON spelling; booleans
-/// and numbers are spelled as in CSV.
+/// Appends one record field value in its JSON spelling.
 template <typename T>
 void append_json_value(std::string& out, const T& v) {
   if constexpr (kComputed<T>) {
@@ -238,44 +207,105 @@ void append_json_value(std::string& out, const T& v) {
     out += '"';
   } else if constexpr (kText<T>) {
     append_json_quoted(out, v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out += v ? "true" : "false";
   } else {
-    append_csv_value(out, v);
+    append_number(out, v);
   }
+}
+
+/// Appends `cell`'s run records, one line per replicate: encode_cell
+/// without the summary line, which has no CSV row. A run whose body equals
+/// the previous run's, value for value, copies its bytes.
+void append_run_lines(std::string& out, const std::string& sweep,
+                      const core::CellStats& cell) {
+  const CellKey key = cell_key(sweep, cell.cell_index, cell);
+  const auto emit = [&out](std::string_view name, const auto& v) {
+    out += ',';
+    append_json_quoted(out, name);
+    out += ':';
+    append_json_value(out, v);
+  };
+  // Where `out` holds the body of the run encoded last.
+  std::size_t body_at = 0;
+  std::size_t body_size = 0;
+  for (std::size_t seed_i = 0; seed_i < cell.runs.size(); ++seed_i) {
+    out += "{\"record\":\"run\"";
+    for_each_prefix_field(key, cell, seed_i, emit);
+    const core::ExperimentResult& r = cell.runs[seed_i];
+    if (seed_i > 0 && same_body(key, cell.runs[seed_i - 1], r)) {
+      out.append(out, body_at, body_size);
+    } else {
+      body_at = out.size();
+      for_each_body_field(key, emit, r);
+      body_size = out.size() - body_at;
+    }
+    out += "}\n";
+  }
+}
+
+/// A run record's keys, named by the field visitors: all of them in
+/// emission order, and the prefix ones as the `,"key":` marks that open
+/// them on a run line.
+struct RunKeys {
+  std::vector<std::string> keys;
+  std::vector<std::string> prefix_marks;
+};
+
+const RunKeys& run_keys() {
+  static const RunKeys k = [] {
+    RunKeys k;
+    core::CellStats cell;
+    cell.seeds = {0};
+    cell.runs.emplace_back();
+    const CellKey key;
+    const auto name = [&k](std::string_view n, const auto&) {
+      k.keys.emplace_back(n);
+    };
+    for_each_prefix_field(key, cell, 0, name);
+    for (const std::string& n : k.keys)
+      k.prefix_marks.push_back(",\"" + n + "\":");
+    for_each_body_field(key, name, cell.runs[0]);
+    return k;
+  }();
+  return k;
+}
+
+/// Appends the CSV cells of run keys [begin, end), which `fields` hold,
+/// exactly and in order, from `fields[first]` on; false when they do not,
+/// or when a string does not decode.
+bool append_cells(std::string& out, const JsonFields& fields,
+                  std::size_t first, std::size_t begin, std::size_t end) {
+  const std::vector<std::string>& keys = run_keys().keys;
+  if (fields.size() != first + end - begin) return false;
+  std::string text;
+  for (std::size_t i = begin; i < end; ++i) {
+    const JsonField& f = fields[first + i - begin];
+    if (f.key != keys[i]) return false;
+    if (i > 0) out += ',';
+    if (f.token.front() != '"') {
+      out += f.token;
+      continue;
+    }
+    // Without a backslash the decode is the identity, and without a comma
+    // or a quote the CSV escape is too: most strings are copied.
+    const std::string_view body = f.token.substr(1, f.token.size() - 2);
+    if (std::none_of(body.begin(), body.end(), [](char c) {
+          return c == '\\' || c == ',' || c == '"' || c == '\n';
+        })) {
+      out += body;
+      continue;
+    }
+    text.clear();
+    if (decode_json_string(body, text) != nullptr) return false;
+    append_csv_escaped(out, text);
+  }
+  return true;
 }
 
 }  // namespace
 
-std::vector<Field> flatten_run(const std::string& sweep,
-                               const core::CellStats& cell,
-                               std::size_t seed_i) {
-  std::vector<Field> fields;
-  fields.reserve(64);
-  const CellKey key = cell_key(sweep, cell.cell_index, cell);
-  const auto push = [&](std::string_view name, const auto& v) {
-    using T = std::decay_t<decltype(v)>;
-    if constexpr (kComputed<T>) {
-      std::string text;
-      append_text(text, v);
-      fields.push_back({name, std::move(text)});
-    } else if constexpr (kText<T>) {
-      fields.push_back({name, std::string(v)});
-    } else {
-      fields.push_back({name, v});
-    }
-  };
-  for_each_prefix_field(key, cell, seed_i, push);
-  for_each_body_field(key, push, cell.runs.at(seed_i));
-  return fields;
-}
-
-std::vector<std::string> run_schema_keys() {
-  core::CellStats cell;
-  cell.seeds = {0};
-  cell.runs.emplace_back();
-  std::vector<std::string> keys;
-  for (const Field& f : flatten_run("", cell, 0)) keys.emplace_back(f.key);
-  return keys;
-}
+const std::vector<std::string>& run_schema_keys() { return run_keys().keys; }
 
 std::string encode_sketch(const QuantileSketch& s) {
   std::string out;
@@ -381,14 +411,6 @@ void append_csv_escaped(std::string& out, std::string_view s) {
   out += '"';
 }
 
-void append_csv(std::string& out, const FieldValue& v) {
-  std::visit([&out](const auto& x) { append_csv_value(out, x); }, v);
-}
-
-void append_json(std::string& out, const FieldValue& v) {
-  std::visit([&out](const auto& x) { append_json_value(out, x); }, v);
-}
-
 CsvSink::CsvSink(const std::string& path, OpenMode mode)
     : owned_(open_file(path, mode)), os_(owned_.get()) {
   // Appending to a non-empty file: the header is already on disk.
@@ -396,33 +418,6 @@ CsvSink::CsvSink(const std::string& path, OpenMode mode)
 }
 
 CsvSink::CsvSink(std::ostream& os) : os_(&os) {}
-
-void CsvSink::write_cell(const std::string& sweep, const core::CellStats& cell) {
-  if (!header_written_) {
-    write_csv_header(*os_);
-    header_written_ = true;
-  }
-  if (buf_.capacity() == 0) buf_.reserve(4096);
-  buf_.clear();  // keeps capacity: no steady-state reallocation
-  const CellKey key = cell_key(sweep, cell.cell_index, cell);
-  BodySpan last;
-  for (std::size_t seed_i = 0; seed_i < cell.runs.size(); ++seed_i) {
-    bool first = true;
-    const auto emit = [&](std::string_view, const auto& v) {
-      if (!first) buf_ += ',';
-      first = false;
-      append_csv_value(buf_, v);
-    };
-    for_each_prefix_field(key, cell, seed_i, emit);
-    append_body(buf_, last, key, cell, seed_i, emit);
-    buf_ += '\n';
-  }
-  *os_ << buf_;
-  os_->flush();
-  // ofstream swallows I/O errors into badbit; surface them (ENOSPC etc.)
-  // instead of exiting 0 with a truncated artifact.
-  MTR_ENSURE_MSG(os_->good(), "CSV sink write failed (disk full or closed?)");
-}
 
 JsonlSink::JsonlSink(const std::string& path, OpenMode mode)
     : owned_(open_file(path, mode)), os_(owned_.get()) {}
@@ -454,7 +449,7 @@ void append_cell_record(std::string& out, const CellSummary& s) {
   append_number(out, kSchemaVersion);
   for (const CellKeyColumn& col : kCellKeyColumns) {
     key(col.name);
-    append_json(out, col.value(s.key));
+    std::visit([&](auto m) { append_json_value(out, s.key.*m); }, col.member);
   }
   key("workload");
   append_json_quoted(out, s.workload);
@@ -498,28 +493,150 @@ void append_cell_record(std::string& out, const CellSummary& s) {
   out += "}\n";
 }
 
-void JsonlSink::write_cell(const std::string& sweep, const core::CellStats& cell) {
-  if (buf_.capacity() == 0) buf_.reserve(8192);
-  buf_.clear();  // keeps capacity: no steady-state reallocation
-  const CellKey key = cell_key(sweep, cell.cell_index, cell);
-  BodySpan last;
-  const auto emit = [&](std::string_view name, const auto& v) {
-    buf_ += ',';
-    append_json_quoted(buf_, name);
-    buf_ += ':';
-    append_json_value(buf_, v);
-  };
-  for (std::size_t seed_i = 0; seed_i < cell.runs.size(); ++seed_i) {
-    buf_ += "{\"record\":\"run\"";
-    for_each_prefix_field(key, cell, seed_i, emit);
-    append_body(buf_, last, key, cell, seed_i, emit);
-    buf_ += "}\n";
+bool tokenize_json_line(std::string_view line, JsonFields& out) {
+  out.clear();
+  if (line.empty() || line.front() != '{') return false;
+  std::size_t i = 1;
+  if (i < line.size() && line[i] == '}') return i + 1 == line.size();
+  for (;;) {
+    if (i >= line.size() || line[i] != '"') return false;
+    const std::size_t key_end = skip_json_string(line, i);
+    if (key_end == std::string_view::npos) return false;
+    const std::string_view key = line.substr(i + 1, key_end - i - 2);
+    i = key_end;
+    if (i >= line.size() || line[i] != ':') return false;
+    ++i;
+    const std::size_t val_start = i;
+    if (i < line.size() && line[i] == '"') {
+      i = skip_json_string(line, i);
+      if (i == std::string_view::npos) return false;
+    } else if (i < line.size() && line[i] == '{') {
+      // One level of nesting (the per-stat {...} objects), strings inside
+      // respected.
+      int depth = 1;
+      ++i;
+      while (i < line.size() && depth > 0) {
+        if (line[i] == '"') {
+          i = skip_json_string(line, i);
+          if (i == std::string_view::npos) return false;
+        } else {
+          if (line[i] == '{') ++depth;
+          if (line[i] == '}') --depth;
+          ++i;
+        }
+      }
+      if (depth != 0) return false;
+    } else {
+      while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
+      if (i == val_start) return false;
+    }
+    out.push_back({key, line.substr(val_start, i - val_start)});
+    if (i >= line.size()) return false;
+    if (line[i] == '}') return i + 1 == line.size();
+    if (line[i] != ',') return false;
+    ++i;
   }
+}
+
+std::size_t run_body_begin(std::string_view line) {
+  constexpr std::size_t npos = std::string_view::npos;
+  constexpr std::string_view kRun = "{\"record\":\"run\"";
+  if (!line.starts_with(kRun)) return npos;
+  std::size_t i = kRun.size();
+  for (const std::string& mark : run_keys().prefix_marks) {
+    if (!line.substr(i).starts_with(mark)) return npos;
+    i += mark.size();
+    const std::size_t token = i;
+    if (i < line.size() && line[i] == '"') {
+      i = skip_json_string(line, i);
+      if (i == npos) return npos;
+    } else {
+      while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
+      if (i == token) return npos;
+    }
+  }
+  return i < line.size() && line[i] == ',' ? i : npos;
+}
+
+void encode_cell(std::string& out, const std::string& sweep,
+                 const core::CellStats& cell) {
+  append_run_lines(out, sweep, cell);
   // Per-cell aggregate summary — the numbers a figure plots directly.
   // Emitted through the shared append_cell_record so merged shard output
   // stays byte-identical to this line.
-  append_cell_record(buf_, summarize_cell(sweep, cell));
+  append_cell_record(out, summarize_cell(sweep, cell));
+}
+
+void append_csv_rows(std::string& out, std::string_view lines,
+                     std::string_view path, std::uint64_t first_line) {
+  const std::size_t head = run_keys().prefix_marks.size();
+  const std::size_t n_keys = run_keys().keys.size();
+  JsonFields f;
+  std::string part;            // a line's head or body, as an object
+  std::string_view last_body;  // the last run line's body bytes
+  std::string csv_body;        // and their cells, newline included
+  for (std::size_t from = 0; from < lines.size(); ++first_line) {
+    const std::size_t end = std::min(lines.find('\n', from), lines.size());
+    const std::string_view line = lines.substr(from, end - from);
+    from = end + 1;
+    if (line.starts_with("{\"record\":\"cell\"")) continue;
+    const std::size_t at = run_body_begin(line);
+    bool ok = at != std::string_view::npos;
+    if (ok) {
+      part.assign(line.substr(0, at));
+      part += '}';
+      ok = tokenize_json_line(part, f) && append_cells(out, f, 1, 0, head);
+    }
+    const std::string_view body = ok ? line.substr(at) : std::string_view();
+    if (ok && body != last_body) {
+      // Equal body bytes render to equal cells, so only a new body is read.
+      part.assign(body);
+      part[0] = '{';
+      csv_body.clear();
+      ok = tokenize_json_line(part, f) &&
+           append_cells(csv_body, f, 0, head, n_keys);
+      csv_body += '\n';
+      last_body = body;
+    }
+    if (!ok)
+      throw std::runtime_error(
+          std::string(path) + ":" + std::to_string(first_line) +
+          ": record has no CSV row: it is not a cell summary, and not a run "
+          "record with the schema v" +
+          std::to_string(kSchemaVersion) +
+          " keys in order and strings that decode");
+    out += csv_body;
+  }
+}
+
+void CsvSink::write_cell(const std::string& sweep, const core::CellStats& cell) {
+  lines_.clear();  // keeps capacity: no steady-state reallocation
+  append_run_lines(lines_, sweep, cell);
+  write_lines(lines_);
+}
+
+void CsvSink::write_lines(std::string_view lines) {
+  buf_.clear();
+  append_csv_rows(buf_, lines, "encoded cell", 1);
+  if (!header_written_) {
+    write_csv_header(*os_);
+    header_written_ = true;
+  }
   *os_ << buf_;
+  os_->flush();
+  // ofstream swallows I/O errors into badbit; surface them (ENOSPC etc.)
+  // instead of exiting 0 with a truncated artifact.
+  MTR_ENSURE_MSG(os_->good(), "CSV sink write failed (disk full or closed?)");
+}
+
+void JsonlSink::write_cell(const std::string& sweep, const core::CellStats& cell) {
+  buf_.clear();
+  encode_cell(buf_, sweep, cell);
+  write_lines(buf_);
+}
+
+void JsonlSink::write_lines(std::string_view lines) {
+  *os_ << lines;
   os_->flush();
   MTR_ENSURE_MSG(os_->good(), "JSONL sink write failed (disk full or closed?)");
 }

@@ -3,11 +3,12 @@
 // A ResultSink receives every completed BatchRunner cell and persists it
 // incrementally — one flat record per replicate run, flushed per cell — so
 // long sweeps stream to disk as they go and a killed sweep keeps what it
-// finished. CsvSink and JsonlSink share one canonical field list
-// (flatten_run), so the two formats cannot drift apart. Every record
-// names its cell through the cell key (report/cell_key.hpp): flatten_run
-// and append_cell_record emit its column table, and the dist-layer
-// scanners read it back.
+// finished. A record has one encoder: encode_cell writes a cell's JSONL
+// lines, and every CSV row is rendered from those lines (append_csv_rows),
+// in the sweep, in resume and in merge alike, so the two formats cannot
+// drift apart. Every record names its cell through the cell key
+// (report/cell_key.hpp): the encoder writes its column table, and the
+// dist-layer scanners read it back.
 #pragma once
 
 #include <cstdint>
@@ -50,29 +51,9 @@ std::string encode_sketch(const QuantileSketch& sketch);
 /// above max) — the check read_metrics_json makes too.
 std::optional<QuantileSketch> decode_sketch(std::string_view token);
 
-struct Field {
-  std::string_view key;  // a string literal or a kCellKeyColumns name
-  FieldValue value;
-};
-
-/// The canonical record for run `seed_i` of `cell`: schema, the cell key's
-/// head columns, grid seed, every ExperimentResult field, then the key's
-/// population columns and the per-tenant distributions. Both sinks emit
-/// exactly this list in exactly this order.
-std::vector<Field> flatten_run(const std::string& sweep,
-                               const core::CellStats& cell,
-                               std::size_t seed_i);
-
-/// The record's keys in emission order (the CSV header), derived from a
-/// flatten_run of a default-constructed cell.
-std::vector<std::string> run_schema_keys();
-
-/// Append one field value in CSV (append_csv_escaped text) or JSON (quoted
-/// text) spelling. Doubles render as printf's %.17g (mtr::append_number).
-/// The CSV view (dist::append_csv_rows) rests on this contract: every
-/// non-string value has one spelling in both formats, byte for byte.
-void append_csv(std::string& out, const FieldValue& v);
-void append_json(std::string& out, const FieldValue& v);
+/// The record's keys in emission order (the CSV header): the names the
+/// encoder's field visitors give, computed once.
+const std::vector<std::string>& run_schema_keys();
 
 /// Appends `s` RFC-4180 escaped: wrapped in quotes (embedded quotes
 /// doubled) when it contains a comma, quote, or newline.
@@ -112,6 +93,52 @@ CellSummary summarize_cell(const std::string& sweep, const core::CellStats& cell
 /// from run records come out byte-identical to the single-machine line.
 void append_cell_record(std::string& out, const CellSummary& summary);
 
+/// One key of a one-line JSON object and its raw token, both views into
+/// the line: the key between its quotes (escapes left as written), the
+/// token verbatim (string tokens keep their quotes, nested objects their
+/// braces).
+struct JsonField {
+  std::string_view key;
+  std::string_view token;
+};
+using JsonFields = std::vector<JsonField>;
+
+/// The one tokenizer for our one-line JSON objects: fills `out` with the
+/// line's fields in line order, finding each string's end with
+/// mtr::skip_json_string. Returns false on malformed input (e.g. a
+/// truncated tail) instead of throwing; `out` then holds the fields read
+/// before the fault.
+bool tokenize_json_line(std::string_view line, JsonFields& out);
+
+/// Where a run record's body begins: the offset of the comma before its
+/// first body key ("workload"), when `line` opens with "record":"run" and
+/// then exactly the run prefix keys (schema, the cell key's head columns,
+/// seed, seed_index); npos otherwise. The body — every result field, the
+/// population columns and the distributions — is the unit a cell's copied
+/// replicates repeat. The one definition of the split: the encoder's
+/// prefix visitor names the keys, and the renderer and mtr_merge's
+/// aggregate check find the body through this.
+std::size_t run_body_begin(std::string_view line);
+
+/// Appends `cell`'s JSONL lines: one run record per replicate, then the
+/// cell summary (append_cell_record). The one record encoder. A run whose
+/// body equals the previous run's, value for value, copies its bytes, so
+/// the copied replicates of a seed-invariant cell are encoded once.
+void encode_cell(std::string& out, const std::string& sweep,
+                 const core::CellStats& cell);
+
+/// Appends the CSV rows of whole JSONL lines (each ending in a newline,
+/// the last one optionally not), the first being line `first_line` of
+/// `path`: a run record's row is the record with "record" dropped, each
+/// string token decoded (mtr::decode_json_string) and CSV-escaped, every
+/// other token copied verbatim; a `record:"cell"` summary has none. A run
+/// line whose body repeats the previous run line's byte for byte reuses
+/// its cells. Throws std::runtime_error naming "path:line" at a run record
+/// whose keys are not "record" then run_schema_keys() in order or whose
+/// string does not decode.
+void append_csv_rows(std::string& out, std::string_view lines,
+                     std::string_view path, std::uint64_t first_line);
+
 /// Streaming consumer of completed sweep cells.
 class ResultSink {
  public:
@@ -128,9 +155,10 @@ enum class OpenMode {
   kAppend,    // append; the header is only written if the file was empty
 };
 
-/// One CSV row per run. The header row is written once per file —
-/// appending to a non-empty file is safe and yields one concatenated
-/// table (the schema column lets readers reject mixed versions).
+/// One CSV row per run, rendered from the run's JSONL record. The header
+/// row is written once per file — appending to a non-empty file is safe
+/// and yields one concatenated table (the schema column lets readers
+/// reject mixed versions).
 class CsvSink final : public ResultSink {
  public:
   explicit CsvSink(const std::string& path, OpenMode mode = OpenMode::kTruncate);
@@ -138,14 +166,20 @@ class CsvSink final : public ResultSink {
   /// exactly once.
   explicit CsvSink(std::ostream& os);
 
+  /// Encodes the cell's run records as encode_cell does, then writes
+  /// their rows.
   void write_cell(const std::string& sweep, const core::CellStats& cell) override;
+  /// Writes the rows of whole JSONL lines encode_cell wrote (one cell's,
+  /// as the driver hands them to both sinks) and flushes.
+  void write_lines(std::string_view lines);
 
  private:
   std::unique_ptr<std::ostream> owned_;
   std::ostream* os_;
   bool header_written_ = false;
-  /// Reused per-cell line buffer: rows are assembled here and written with
+  /// Reused per-cell buffers: the cell's lines and its rows, written with
   /// one stream insertion, so steady-state sweeps stop reallocating.
+  std::string lines_;
   std::string buf_;
 };
 
@@ -160,7 +194,10 @@ class JsonlSink final : public ResultSink {
   explicit JsonlSink(const std::string& path, OpenMode mode = OpenMode::kTruncate);
   explicit JsonlSink(std::ostream& os);
 
+  /// Encodes the cell (encode_cell) and writes its lines.
   void write_cell(const std::string& sweep, const core::CellStats& cell) override;
+  /// Writes whole JSONL lines encode_cell wrote and flushes.
+  void write_lines(std::string_view lines);
 
  private:
   std::unique_ptr<std::ostream> owned_;

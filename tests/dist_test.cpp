@@ -57,6 +57,7 @@
 #include "dist/shard.hpp"
 #include "dist/status.hpp"
 #include "helpers.hpp"
+#include "record_columns.hpp"
 #include "report/result_sink.hpp"
 #include "trace/series.hpp"
 
@@ -1721,14 +1722,14 @@ TEST(TokenizerMutationTest, FlatFieldsAgreeWithTheMapReaderOnDamagedLines) {
       default: break;  // intact
     }
     SCOPED_TRACE(line);
-    JsonFields fields;
+    report::JsonFields fields;
     std::map<std::string, std::string> map;
-    const bool flat_ok = tokenize_json_line(line, fields);
+    const bool flat_ok = report::tokenize_json_line(line, fields);
     ASSERT_EQ(parse_json_line(line, map), flat_ok);
     if (!flat_ok) continue;
     ++parsed;
     std::set<std::string_view> keys;
-    for (const JsonField& f : fields) keys.insert(f.key);
+    for (const report::JsonField& f : fields) keys.insert(f.key);
     EXPECT_EQ(keys.size(), map.size());
     for (const auto& [key, token] : map)
       EXPECT_EQ(json_token(fields, key), std::optional<std::string_view>(token))
@@ -1747,8 +1748,8 @@ TEST(ScannerMutationTest, DamagedGoldensFailAtANamedByteAndTheirPrefixRescans) {
 }
 
 // ---------------------------------------------------------------------------
-// The CSV view: every run record renders as CsvSink writes it, and a .csv
-// merge input is checked against that rendering.
+// The CSV view: every run record renders to its values, and a .csv merge
+// input is checked against that rendering.
 
 /// Cell `index` of three replicates whose text and numbers take the
 /// spellings the two formats treat differently: JSON escapes, CSV
@@ -1774,25 +1775,25 @@ core::CellStats awkward_cell(std::uint64_t index, const std::string& label) {
   return cell;
 }
 
-TEST(CsvViewTest, EveryRunRecordRendersAsCsvSinkWritesIt) {
+TEST(CsvViewTest, EveryRowSplitsBackToItsRecordsValues) {
+  // Copied replicates repeat a body, which the renderer reuses; the last
+  // two cells' third replicate differs from the second only in the last
+  // or the first body token.
+  core::CellStats last_token = invariant_cell();
+  last_token.runs[2].pop_attacker_advantage.add(1.0);
+  core::CellStats first_token = invariant_cell();
+  first_token.runs[2].kind = workloads::WorkloadKind::kPi;
+  const std::vector<std::pair<std::string, core::CellStats>> cells = {
+      {"grid", awkward_cell(0, "a,\"b\"\\c\x01\nd \xc3\xa9")},
+      {"we,ird \"sweep\"\\", awkward_cell(1, "")},
+      {"grid", invariant_cell()},
+      {"grid", last_token},
+      {"grid", first_token},
+  };
   std::ostringstream csv_bytes, jsonl_bytes;
   {
     report::CsvSink csv(csv_bytes);
     report::JsonlSink jsonl(jsonl_bytes);
-    // Copied replicates repeat a body, which the renderer reuses; the last
-    // two cells' third replicate differs from the second only in the last
-    // or the first body token.
-    core::CellStats last_token = invariant_cell();
-    last_token.runs[2].pop_attacker_advantage.add(1.0);
-    core::CellStats first_token = invariant_cell();
-    first_token.runs[2].kind = workloads::WorkloadKind::kPi;
-    const std::vector<std::pair<std::string, core::CellStats>> cells = {
-        {"grid", awkward_cell(0, "a,\"b\"\\c\x01\nd \xc3\xa9")},
-        {"we,ird \"sweep\"\\", awkward_cell(1, "")},
-        {"grid", invariant_cell()},
-        {"grid", last_token},
-        {"grid", first_token},
-    };
     for (const auto& [sweep, cell] : cells) {
       csv.write_cell(sweep, cell);
       jsonl.write_cell(sweep, cell);
@@ -1806,16 +1807,58 @@ TEST(CsvViewTest, EveryRunRecordRendersAsCsvSinkWritesIt) {
         ":4.9406564584124654e-324,", "\"pop_true_sketch\":\"3;1;"})
     EXPECT_NE(jsonl.find(token), std::string::npos) << token;
 
+  // Row by row, split_csv_line gives back every string the structs hold,
+  // and every other cell is its JSONL token verbatim. The rows are lines
+  // because CsvSink's rows hold newlines only inside quotes, which the
+  // row-reading splitter below reassembles.
+  const std::string csv = csv_bytes.str();
+  std::vector<std::string> rows;
+  for (std::size_t from = 0, quotes = 0, begin = 0; from < csv.size(); ++from) {
+    if (csv[from] == '"') ++quotes;
+    if (csv[from] == '\n' && quotes % 2 == 0) {
+      rows.push_back(csv.substr(begin, from - begin));
+      begin = from + 1;
+    }
+  }
+  const std::vector<std::string>& keys = report::run_schema_keys();
+  ASSERT_EQ(report::split_csv_line(rows[0]), keys);
+  std::size_t row = 1;
+  std::size_t strings = 0;
+  const std::vector<std::string> lines = lines_of(jsonl);
+  std::size_t line = 0;
+  for (const auto& [sweep, cell] : cells) {
+    for (std::size_t seed_i = 0; seed_i < cell.runs.size(); ++seed_i) {
+      SCOPED_TRACE("row " + std::to_string(row));
+      ASSERT_LT(row, rows.size());
+      const std::vector<std::string> got = report::split_csv_line(rows[row++]);
+      const std::vector<test::Want> want = test::expected_run(sweep, cell, seed_i);
+      ASSERT_EQ(got.size(), want.size());
+      report::JsonFields fields;
+      ASSERT_TRUE(report::tokenize_json_line(lines[line++], fields));
+      for (std::size_t c = 0; c < want.size(); ++c) {
+        const std::optional<std::string_view> token = json_token(fields, want[c].key);
+        ASSERT_TRUE(token.has_value()) << want[c].key;
+        if (token->front() != '"') {
+          EXPECT_EQ(got[c], *token) << want[c].key;
+          continue;
+        }
+        ++strings;
+        EXPECT_EQ(got[c], want[c].text) << want[c].key;
+      }
+    }
+    ++line;  // the cell summary, which has no row
+  }
+  EXPECT_EQ(row, rows.size());
+  EXPECT_EQ(line, lines.size());
+  EXPECT_EQ(strings, 12u * (row - 1));  // every string column was compared
+
+  // The file rendering is the sink's.
   const std::string path = temp_path("csv_view.jsonl");
   write_file(path, jsonl);
   std::ostringstream rendered;
   render_csv(path, jsonl.size(), rendered);
-  EXPECT_EQ(rendered.str(), csv_bytes.str());
-  std::ostringstream header;
-  report::write_csv_header(header);
-  std::string rows;
-  append_csv_rows(rows, jsonl, path, 1);
-  EXPECT_EQ(header.str() + rows, csv_bytes.str());
+  EXPECT_EQ(rendered.str(), csv);
+  std::filesystem::remove(path);
 
   // The checked-in golden renders to the checked-in golden CSV.
   std::ostringstream golden;
@@ -1829,7 +1872,6 @@ TEST(CsvViewTest, EveryRunRecordRendersAsCsvSinkWritesIt) {
   EXPECT_EQ(prefix.str(), join_lines({golden_csv.begin(), golden_csv.begin() + 5}));
   render_csv(kGoldenJsonl, 0, none);
   EXPECT_EQ(none.str(), "");
-  std::filesystem::remove(path);
 }
 
 TEST(CsvViewTest, OnlyARunRecordInTheSchemaLayoutHasARow) {
@@ -1840,7 +1882,7 @@ TEST(CsvViewTest, OnlyARunRecordInTheSchemaLayoutHasARow) {
       -> std::optional<std::string> {
     std::string out;
     try {
-      append_csv_rows(out, join_lines(jsonl), "x.jsonl", 1);
+      report::append_csv_rows(out, join_lines(jsonl), "x.jsonl", 1);
     } catch (const std::runtime_error&) {
       return std::nullopt;
     }
@@ -2766,9 +2808,9 @@ TEST(JsonQuoteTest, EveryEscapeRoundTripsThroughBothReaders) {
     SCOPED_TRACE(quoted);
     EXPECT_EQ(json_quote(raw), quoted);
     EXPECT_EQ(json::parse_document(quoted).text, raw);
-    JsonFields fields;
+    report::JsonFields fields;
     const std::string line = "{\"k\":" + quoted + "}";
-    ASSERT_TRUE(tokenize_json_line(line, fields));
+    ASSERT_TRUE(report::tokenize_json_line(line, fields));
     EXPECT_EQ(json_string(fields, "k"), raw);
   }
 }

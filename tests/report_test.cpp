@@ -23,6 +23,7 @@
 #include "bench/attack_roster.hpp"
 #include "common/ensure.hpp"
 #include "helpers.hpp"
+#include "record_columns.hpp"
 #include "report/progress.hpp"
 #include "report/result_sink.hpp"
 #include "report/sweep.hpp"
@@ -265,25 +266,14 @@ TEST(CsvSinkTest, RoundTripsEveryField) {
   ASSERT_EQ(header, run_schema_keys());
 
   for (std::size_t seed_i = 0; seed_i < 2; ++seed_i) {
+    // Strings survive escaping; numbers re-parse to the exact value
+    // (doubles render as %.17g, which round-trips binary64).
     const auto row = split_csv_line(lines[1 + seed_i]);
-    ASSERT_EQ(row.size(), header.size());
-    const auto fields = flatten_run("fig04", cell, seed_i);
-    ASSERT_EQ(fields.size(), row.size());
+    const std::vector<test::Want> want = test::expected_run("fig04", cell, seed_i);
+    ASSERT_EQ(row.size(), want.size());
     for (std::size_t c = 0; c < row.size(); ++c) {
-      // Strings survive escaping; numbers re-parse to the exact value
-      // (doubles render as %.17g, which round-trips binary64).
-      const FieldValue& v = fields[c].value;
-      if (const auto* s = std::get_if<std::string>(&v)) {
-        EXPECT_EQ(row[c], *s) << header[c];
-      } else if (const auto* d = std::get_if<double>(&v)) {
-        EXPECT_EQ(std::strtod(row[c].c_str(), nullptr), *d) << header[c];
-      } else if (const auto* u = std::get_if<std::uint64_t>(&v)) {
-        EXPECT_EQ(std::strtoull(row[c].c_str(), nullptr, 10), *u) << header[c];
-      } else if (const auto* i = std::get_if<std::int64_t>(&v)) {
-        EXPECT_EQ(std::strtoll(row[c].c_str(), nullptr, 10), *i) << header[c];
-      } else {
-        EXPECT_EQ(row[c], std::get<bool>(v) ? "true" : "false") << header[c];
-      }
+      EXPECT_EQ(header[c], want[c].key);
+      test::expect_value(row[c], want[c]);
     }
   }
 
@@ -324,23 +314,17 @@ TEST(JsonlSinkTest, RoundTripsRunsAndCellSummary) {
   EXPECT_EQ(json_raw_value(lines[1], "record"), "run");
   EXPECT_EQ(json_raw_value(lines[2], "record"), "cell");
 
-  // Every schema key appears on every run line with the exact value.
+  // Every schema key appears on every run line, in order, with the exact
+  // value.
   for (std::size_t seed_i = 0; seed_i < 2; ++seed_i) {
     const std::string& line = lines[seed_i];
-    for (const Field& f : flatten_run("fig07", cell, seed_i)) {
-      const std::string raw = json_raw_value(line, f.key);
-      ASSERT_NE(raw, "<missing>") << f.key;
-      if (const auto* s = std::get_if<std::string>(&f.value)) {
-        EXPECT_EQ(raw, *s) << f.key;
-      } else if (const auto* d = std::get_if<double>(&f.value)) {
-        EXPECT_EQ(std::strtod(raw.c_str(), nullptr), *d) << f.key;
-      } else if (const auto* u = std::get_if<std::uint64_t>(&f.value)) {
-        EXPECT_EQ(std::strtoull(raw.c_str(), nullptr, 10), *u) << f.key;
-      } else if (const auto* i = std::get_if<std::int64_t>(&f.value)) {
-        EXPECT_EQ(std::strtoll(raw.c_str(), nullptr, 10), *i) << f.key;
-      } else {
-        EXPECT_EQ(raw, std::get<bool>(f.value) ? "true" : "false") << f.key;
-      }
+    const std::vector<test::Want> want = test::expected_run("fig07", cell, seed_i);
+    JsonFields fields;
+    ASSERT_TRUE(tokenize_json_line(line, fields));
+    ASSERT_EQ(fields.size(), 1 + want.size());
+    for (std::size_t c = 0; c < want.size(); ++c) {
+      EXPECT_EQ(fields[1 + c].key, want[c].key);
+      test::expect_value(json_raw_value(line, want[c].key), want[c]);
     }
   }
 
@@ -570,38 +554,29 @@ TEST(SeedInvarianceOracle, ARunThatReadNoSeedWritesTheSameRecordsAtAnySeed) {
   }
 }
 
-/// What CsvSink and JsonlSink write for `cell` when they encode every run
-/// in full: flatten_run and append_csv/append_json, run by run.
-std::string records_run_by_run(const core::CellStats& cell) {
-  std::ostringstream csv;
-  write_csv_header(csv);
-  std::string rows, jsonl;
-  for (std::size_t i = 0; i < cell.runs.size(); ++i) {
-    const std::vector<Field> fields = flatten_run("memo", cell, i);
-    jsonl += "{\"record\":\"run\"";
-    for (std::size_t k = 0; k < fields.size(); ++k) {
-      if (k > 0) rows += ',';
-      append_csv(rows, fields[k].value);
-      jsonl += ",\"";
-      jsonl += fields[k].key;
-      jsonl += "\":";
-      append_json(jsonl, fields[k].value);
-    }
-    rows += '\n';
-    jsonl += "}\n";
-  }
-  append_cell_record(jsonl, summarize_cell("memo", cell));
-  return csv.str() + rows + jsonl;
+/// Run `i` of `cell` as a one-run cell writes it — with nothing before it
+/// to copy — in JSONL and in CSV (without the header), its seed_index
+/// spelled as run `i`'s.
+std::pair<std::string, std::vector<std::string>> one_run_records(
+    const core::CellStats& cell, std::size_t i) {
+  core::CellStats one = cell;
+  one.seeds = {cell.seeds.at(i)};
+  one.runs = {cell.runs.at(i)};
+  std::ostringstream jsonl, csv;
+  JsonlSink(jsonl).write_cell("memo", one);
+  CsvSink(csv).write_cell("memo", one);
+  std::string line = lines_of(jsonl.str())[0];
+  const std::string index = "\"seed_index\":0,";
+  line.replace(line.find(index), index.size(),
+               "\"seed_index\":" + std::to_string(i) + ",");
+  std::vector<std::string> row = split_csv_line(lines_of(csv.str())[1]);
+  const auto& keys = run_schema_keys();
+  row[std::find(keys.begin(), keys.end(), "seed_index") - keys.begin()] =
+      std::to_string(i);
+  return {line, row};
 }
 
-std::string sink_records(const core::CellStats& cell) {
-  std::ostringstream csv, jsonl;
-  CsvSink(csv).write_cell("memo", cell);
-  JsonlSink(jsonl).write_cell("memo", cell);
-  return csv.str() + jsonl.str();
-}
-
-TEST(SinkBodyMemo, EveryRunIsWrittenAsFlattenRunEncodesIt) {
+TEST(SinkBodyMemo, EveryRunIsWrittenAsAOneRunCellWritesIt) {
   // sample_cell's first run with filled sketches, marked seed-invariant:
   // a sink that copied bodies on that mark alone would miss every case
   // below in which one replicate differs.
@@ -645,7 +620,22 @@ TEST(SinkBodyMemo, EveryRunIsWrittenAsFlattenRunEncodesIt) {
     cell.runs = c.runs;
     cell.seeds.clear();
     for (std::size_t i = 0; i < c.runs.size(); ++i) cell.seeds.push_back(7 + i);
-    EXPECT_EQ(sink_records(cell), records_run_by_run(cell));
+    std::ostringstream jsonl, csv;
+    JsonlSink(jsonl).write_cell("memo", cell);
+    CsvSink(csv).write_cell("memo", cell);
+    const std::vector<std::string> lines = lines_of(jsonl.str());
+    const std::vector<std::string> rows = lines_of(csv.str());
+    ASSERT_EQ(lines.size(), c.runs.size() + 1);
+    ASSERT_EQ(rows.size(), c.runs.size() + 1);
+    for (std::size_t i = 0; i < c.runs.size(); ++i) {
+      SCOPED_TRACE("run " + std::to_string(i));
+      const auto [line, row] = one_run_records(cell, i);
+      const std::size_t at = run_body_begin(lines[i]);
+      ASSERT_NE(at, std::string::npos);
+      EXPECT_EQ(lines[i].substr(at), line.substr(at));  // the body
+      EXPECT_EQ(lines[i], line);
+      EXPECT_EQ(split_csv_line(rows[1 + i]), row);
+    }
   }
 }
 
@@ -685,30 +675,59 @@ TEST(CellKeyTest, GridCoordinatesBecomeTheRecordColumns) {
             "cell 5 [sweep=fig07, attack=shell, \"quoted\", scheduler=cfs, "
             "hz=1000]");
 
-  // The run record carries every key column under its table name.
-  const std::vector<Field> fields = flatten_run("fig07", keyed_cell(), 0);
-  for (const CellKeyColumn& col : kCellKeyColumns) {
-    const auto it =
-        std::find_if(fields.begin(), fields.end(),
-                     [&](const Field& f) { return f.key == col.name; });
-    ASSERT_NE(it, fields.end()) << col.name;
-    EXPECT_EQ(it->value, col.value(key)) << col.name;
-  }
 }
 
 TEST(CellKeyTest, EveryColumnRoundTripsThroughItsRecordText) {
-  const CellKey key = sample_key();
+  // The rendered CSV row carries every key column under its table name;
+  // split_csv_line undoes the CSV quoting the way the scanner does.
+  std::ostringstream os;
+  CsvSink(os).write_cell("fig07", keyed_cell());
+  const std::vector<std::string> lines = lines_of(os.str());
+  ASSERT_EQ(lines.size(), 3u);
+  const std::vector<std::string> header = split_csv_line(lines[0]);
+  const std::vector<std::string> row = split_csv_line(lines[1]);
+  ASSERT_EQ(row.size(), header.size());
   CellKey back;
   for (const CellKeyColumn& col : kCellKeyColumns) {
-    // split_csv_line undoes the CSV quoting the way the scanner does.
-    std::string text;
-    append_csv(text, col.value(key));
-    const std::vector<std::string> cells = split_csv_line(text);
-    ASSERT_EQ(cells.size(), 1u) << col.name;
-    EXPECT_TRUE(col.parse(back, cells[0])) << col.name;
+    const auto at = std::find(header.begin(), header.end(), col.name);
+    ASSERT_NE(at, header.end()) << col.name;
+    EXPECT_TRUE(col.parse(back, row[at - header.begin()])) << col.name;
   }
-  EXPECT_EQ(back, key);
-  EXPECT_EQ(first_difference(back, key), nullptr);
+  EXPECT_EQ(back, sample_key());
+  EXPECT_EQ(first_difference(back, sample_key()), nullptr);
+}
+
+TEST(RunBodyTest, TheBodyBeginsAtTheWorkloadKey) {
+  // A run line's prefix is "record", schema, the key's head columns, seed
+  // and seed_index; its body — what copied replicates repeat — begins at
+  // the comma before "workload".
+  std::ostringstream os;
+  JsonlSink(os).write_cell("fig07", keyed_cell());
+  const std::vector<std::string> lines = lines_of(os.str());
+  ASSERT_EQ(lines.size(), 3u);
+  const std::string& run = lines[1];
+  const std::size_t at = run_body_begin(run);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(run.substr(at, 12), ",\"workload\":");
+  const std::string prefix = run.substr(0, at) + "}";
+  JsonFields head;
+  ASSERT_TRUE(tokenize_json_line(prefix, head));
+  std::vector<std::string_view> keys;
+  for (const JsonField& f : head) keys.push_back(f.key);
+  EXPECT_EQ(keys, (std::vector<std::string_view>{
+                      "record", "schema", "sweep", "cell_index", "attack",
+                      "scheduler", "hz", "cpu_hz", "ram_frames", "reclaim_batch",
+                      "ptrace", "jiffy_timers", "seed", "seed_index"}));
+
+  // Only a run line in the prefix layout has a body.
+  std::string swapped = run;
+  const std::string seeds = "\"seed\":8,\"seed_index\":1";
+  ASSERT_NE(run.find(seeds), std::string::npos);
+  swapped.replace(run.find(seeds), seeds.size(), "\"seed_index\":1,\"seed\":8");
+  for (const std::string& none :
+       {lines[2], swapped, "{" + run.substr(16), run.substr(0, at),
+        run.substr(0, at) + "}", std::string()})
+    EXPECT_EQ(run_body_begin(none), std::string::npos) << none.substr(0, 40);
 }
 
 TEST(CellKeyTest, ParsingIsStrictPerColumnType) {
