@@ -9,9 +9,9 @@
 // fig07/fig08 scheduling-attack sweeps at a fixed scale, so successive
 // commits can be compared via bench/perf_baseline.py and BENCH_sim.json.
 // BM_EngineCell_*, BM_DestroySpace_*, BM_KernelSetup_*, BM_IntegrityStep_*,
-// BM_Sha256Block_*, BM_FormatF64_*, BM_ChargeFlood_*, BM_SinkEncode_* and
-// BM_ReplicaFold_* are tracked alongside, each as a pair whose ratio CI
-// pins; BM_MergeJsonl is tracked on its own.
+// BM_Sha256Block_*, BM_FormatF64_*, BM_ChargeFlood_*, BM_SinkEncode_*,
+// BM_ScanJsonl_* and BM_ReplicaFold_* are tracked alongside, each as a pair
+// whose ratio CI pins; BM_MergeJsonl is tracked on its own.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -33,6 +33,7 @@
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "dist/merge.hpp"
+#include "dist/records.hpp"
 #include "exec/program_base.hpp"
 #include "kernel/kernel.hpp"
 #include "kernel/o1_scheduler.hpp"
@@ -186,15 +187,10 @@ class NullBuf final : public std::streambuf {
   std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
 };
 
-/// Both record sinks writing one 250-seed cell per iteration, as the
-/// driver writes them: the cell is encoded once, and the CSV rows are
-/// rendered from its lines. In the replicated cell every seed holds the
-/// same result, as a seed-invariant cell does; in the distinct one each
-/// run's wall time differs, as in a seed-dependent cell. CI floors
-/// distinct/replicated: the encoder writes a body that repeats the
-/// previous run's once, and the renderer reads it once, so the replicated
-/// cell costs a fraction of the distinct one.
-void sink_encode(benchmark::State& state, bool replicated) {
+/// A 250-seed cell. In the replicated cell every seed holds the same
+/// result, as a seed-invariant cell does; in the distinct one each run's
+/// wall time differs, as in a seed-dependent cell.
+core::CellStats seeds_cell(bool replicated) {
   const core::ExperimentResult r = synthetic_cell(1).runs[0];
   core::CellStats cell;
   cell.attack_label = "baseline";
@@ -203,6 +199,17 @@ void sink_encode(benchmark::State& state, bool replicated) {
     cell.runs.push_back(r);
     if (!replicated) cell.runs.back().wall_seconds += static_cast<double>(i) * 0x1p-20;
   }
+  return cell;
+}
+
+/// Both record sinks writing one 250-seed cell (seeds_cell) per iteration,
+/// as the driver writes them: the cell is encoded once, and the CSV rows
+/// are rendered from its lines. CI floors distinct/replicated: the encoder
+/// writes a body that repeats the previous run's once, and the renderer
+/// reads it once, so the replicated cell costs a fraction of the distinct
+/// one.
+void sink_encode(benchmark::State& state, bool replicated) {
+  const core::CellStats cell = seeds_cell(replicated);
   NullBuf null;
   std::ostream out(&null);
   report::CsvSink csv(out);
@@ -224,6 +231,39 @@ BENCHMARK(BM_SinkEncode_distinct)->Unit(benchmark::kMicrosecond);
 
 void BM_SinkEncode_replicated(benchmark::State& state) { sink_encode(state, true); }
 BENCHMARK(BM_SinkEncode_replicated)->Unit(benchmark::kMicrosecond);
+
+/// scan_jsonl of a file of four 250-seed cells (seeds_cell) per iteration,
+/// as resume and mtr_merge scan a shard. CI floors distinct/replicated: the
+/// scanner walks a run body that repeats the previous run's only up to its
+/// head, so the replicated cells cost a fraction of the distinct ones.
+void scan_jsonl(benchmark::State& state, bool replicated) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("mtr_bm_scan_" + std::to_string(::getpid()) + ".jsonl");
+  {
+    core::CellStats cell = seeds_cell(replicated);
+    report::JsonlSink sink(path.string());
+    for (std::uint64_t c = 0; c < 4; ++c) {
+      cell.cell_index = c;
+      sink.write_cell("synthetic", cell);
+    }
+  }
+  std::size_t runs = 0;
+  for (auto _ : state) {
+    const dist::FileScan scan = dist::scan_jsonl(path.string());
+    runs = 0;
+    for (const dist::CellBlock& b : scan.blocks) runs += b.seeds.size();
+    benchmark::DoNotOptimize(runs);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(runs));
+  std::filesystem::remove(path);
+}
+
+void BM_ScanJsonl_distinct(benchmark::State& state) { scan_jsonl(state, false); }
+BENCHMARK(BM_ScanJsonl_distinct)->Unit(benchmark::kMicrosecond);
+
+void BM_ScanJsonl_replicated(benchmark::State& state) { scan_jsonl(state, true); }
+BENCHMARK(BM_ScanJsonl_replicated)->Unit(benchmark::kMicrosecond);
 
 /// One 250-seed seed-invariant cell through BatchRunner per iteration: the
 /// cell runs once and copies that result into its other 249 seeds. With

@@ -3,7 +3,8 @@
 
 Runs the tracked BM_SweepCell_*, BM_EngineCell_*, BM_DestroySpace_*,
 BM_KernelSetup_*, BM_IntegrityStep_*, BM_Sha256Block_*, BM_FormatF64_*,
-BM_ChargeFlood_*, BM_SinkEncode_*, BM_ReplicaFold_* and BM_MergeJsonl benches of
+BM_ChargeFlood_*, BM_SinkEncode_*, BM_ScanJsonl_*, BM_ReplicaFold_* and
+BM_MergeJsonl benches of
 bench/micro_substrate with google-benchmark's JSON reporter, REPETITIONS randomly interleaved times
 each, takes each bench's median and either
 
@@ -39,7 +40,11 @@ of the hookless cell (BM_ChargeFlood_bare/BM_ChargeFlood_service:0.75).
 The sink pair pins the record path's body memo: a 250-seed cell of copied
 replicates must be encoded and rendered to CSV at least three times as fast
 as one whose runs all differ
-(BM_SinkEncode_distinct/BM_SinkEncode_replicated:3.0). The
+(BM_SinkEncode_distinct/BM_SinkEncode_replicated:3.0). The scan pair pins
+the scanner's body memo: four 250-seed cells of copied replicates must scan
+at least 1.5 times as fast as cells whose runs all differ, since a run body
+that repeats the previous run's is read only up to its head
+(BM_ScanJsonl_distinct/BM_ScanJsonl_replicated:1.5). The
 replica-fold pair pins the O(1) fold of a copied replicate's metrics: a
 250-seed seed-invariant cell run with kernel counters and telemetry may take
 at most 1/0.6 of the same cell without them
@@ -62,7 +67,7 @@ SCHEMA = 1
 # benches' (random interleaving), and reports its median. One pass per bench
 # let a transient slowdown of the host land on one side of a ratio floor.
 REPETITIONS = 5
-DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|KernelSetup|IntegrityStep|Sha256Block|FormatF64|ChargeFlood|SinkEncode|ReplicaFold)_|BM_MergeJsonl"
+DEFAULT_FILTER = "BM_((Sweep|Engine)Cell|DestroySpace|KernelSetup|IntegrityStep|Sha256Block|FormatF64|ChargeFlood|SinkEncode|ScanJsonl|ReplicaFold)_|BM_MergeJsonl"
 
 
 def cpu_model():

@@ -55,6 +55,29 @@ std::size_t skip_json_string(std::string_view text, std::size_t from) {
   return std::string_view::npos;
 }
 
+std::size_t skip_json_value(std::string_view text, std::size_t from) {
+  constexpr std::size_t npos = std::string_view::npos;
+  std::size_t i = from;
+  if (i < text.size() && text[i] == '"') return skip_json_string(text, i);
+  if (i < text.size() && text[i] == '{') {
+    int depth = 1;
+    ++i;
+    while (i < text.size() && depth > 0) {
+      if (text[i] == '"') {
+        i = skip_json_string(text, i);
+        if (i == npos) return npos;
+      } else {
+        if (text[i] == '{') ++depth;
+        if (text[i] == '}') --depth;
+        ++i;
+      }
+    }
+    return depth == 0 ? i : npos;
+  }
+  while (i < text.size() && text[i] != ',' && text[i] != '}') ++i;
+  return i == from ? npos : i;
+}
+
 const char* decode_json_string(std::string_view body, std::string& out) {
   for (std::size_t i = 0; i < body.size(); ++i) {
     if (body[i] != '\\') {

@@ -1,8 +1,9 @@
 // JSON literals for every emitter: the result sinks, metrics.json, status
 // heartbeats and Perfetto traces. The append_* forms write straight into a
-// caller's reused buffer; the string forms wrap them. The string reader
-// beside them serves every JSON reader: the record tokenizer
-// (report/result_sink) and the document parser (dist/json).
+// caller's reused buffer; the string forms wrap them. The string and
+// value readers beside them serve every JSON reader: the record walker
+// (report/result_sink), dist::parse_json_line and the document parser
+// (dist/json).
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,12 @@ std::string json_quote(std::string_view s);
 /// index just past its closing quote, or npos when it never closes.
 /// Escapes are stepped over here and checked by decode_json_string.
 std::size_t skip_json_string(std::string_view text, std::size_t from);
+
+/// The end of the JSON value that begins at text[from]: a string, an
+/// object whose values are strings, objects or scalars, or a scalar running
+/// to the next comma or brace. npos when it is malformed or unterminated.
+/// The token grammar of every one-line record reader.
+std::size_t skip_json_value(std::string_view text, std::size_t from);
 
 /// Appends the text a JSON string's body (the bytes between its quotes)
 /// spells to `out`. Returns nullptr, or why the body is malformed: an

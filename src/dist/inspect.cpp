@@ -505,35 +505,33 @@ struct CellGap {
   double gap = 0.0;
 };
 
-/// The per-stat tokens are nested one-line objects; re-parse them through
-/// the strict JSON reader to pull the mean.
-double stat_mean(const report::JsonFields& fields, std::string_view key,
-                 const std::string& where) {
-  const auto token = json_token(fields, key);
-  if (!token)
-    throw std::runtime_error(where + ": cell record missing '" +
-                             std::string(key) + "'");
-  try {
-    return json::get_f64(json::parse_document(*token), "mean");
-  } catch (const std::exception& e) {
-    throw std::runtime_error(where + ": bad '" + std::string(key) + "': " +
-                             e.what());
-  }
+/// The mean of the summary's aggregate `key`, read by position: the
+/// aggregate's token walked as the {n, mean, ...} object the writer emits.
+double mean_of(const report::RecordWalker& cell, std::string_view key,
+               const std::string& where) {
+  static const std::size_t mean_at = report::stat_layout().index("mean");
+  const std::string bad = where + ": bad '" + std::string(key) + "': ";
+  report::RecordWalker stat(report::stat_layout());
+  if (!stat.start(cell.token(cell.layout().index(key))) || !stat.read_all())
+    throw std::runtime_error(bad + "the aggregate " + stat.error());
+  const std::optional<double> mean = parse_f64(stat.token(mean_at));
+  if (!mean) throw std::runtime_error(bad + "its mean is not a number");
+  return *mean;
 }
 
 int run_top_cells(const InspectOptions& options, std::ostream& out) {
   // Every closed block's summary line, read as the scan passes it.
   std::vector<CellGap> cells;
   JsonlVisitor visitor;
-  visitor.on_cell = [&](const CellBlock& b, std::uint64_t, std::string_view,
-                        const report::JsonFields& f) {
+  visitor.on_cell = [&](const CellBlock& b, std::uint64_t,
+                        const report::RecordWalker& f) {
     const std::string where =
         options.jsonl_path + " cell " + std::to_string(b.key.cell_index);
     CellGap c;
     c.key = b.key;
-    c.billed = stat_mean(f, "billed_seconds", where);
-    c.true_s = stat_mean(f, "true_seconds", where);
-    c.overcharge = stat_mean(f, "overcharge", where);
+    c.billed = mean_of(f, "billed_seconds", where);
+    c.true_s = mean_of(f, "true_seconds", where);
+    c.overcharge = mean_of(f, "overcharge", where);
     c.gap = c.billed - c.true_s;
     cells.push_back(std::move(c));
   };

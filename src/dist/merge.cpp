@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/format.hpp"
 #include "dist/flags.hpp"
 #include "dist/metrics.hpp"
 #include "dist/records.hpp"
@@ -49,40 +50,37 @@ constexpr const char* kUsage =
     "  --help             print this message\n"
     "\n"
     "Exit codes: 0 merged and verified; 1 output write failure; 2 usage\n"
-    "error or corrupt/unusable input (torn tail, another schema, aggregate\n"
-    "recomputation mismatch, a .csv input that is not its .jsonl's\n"
-    "rendering or has no .jsonl beside it — reports name file, line, and\n"
-    "byte offset);\n"
+    "error or corrupt/unusable input (torn tail, another schema, a record\n"
+    "not in the writer's key order, aggregate recomputation mismatch, a\n"
+    ".csv input that is not its .jsonl's rendering or has no .jsonl beside\n"
+    "it — reports name file, line, and byte offset);\n"
     "3 cell-index gap or duplicate cell (incomplete or overlapping shard\n"
     "set; each file itself may be intact).\n";
 
 /// Rebuilds each block's `record:"cell"` line from its run records while
 /// scan_jsonl_records reads them — exactly the way JsonlSink computes it,
-/// from the scan's own parse of each run line — and keeps, per cell whose
-/// recorded summary disagrees or whose runs lack a field, the first
-/// failure. A run line whose body has the same bytes as the previous run
-/// line's in the block adds that line's parse again instead of parsing
-/// itself: the copied replicates of a seed-invariant cell are read once.
+/// from the tokens the scan's walk left — and keeps, per cell whose
+/// recorded summary disagrees or whose runs hold an invalid value, the
+/// first failure. A run line whose body repeats the previous run line's in
+/// the block adds that line's parse again instead of parsing itself: the
+/// copied replicates of a seed-invariant cell are read once.
 class AggregateCheck {
  public:
-  explicit AggregateCheck(const std::string& path) : path_(path) {
-    for (const std::string& key : cell_stat_keys())
-      summary_.stats.push_back({key, {}});
-    for (const auto& cols : cell_sketch_columns())
-      summary_.sketches.emplace_back(cols.first, QuantileSketch{});
-    parse_.values.resize(summary_.stats.size());
-    parse_.sketches.resize(summary_.sketches.size());
+  explicit AggregateCheck(const std::string& path)
+      : path_(path), summary_(report::summarize_cell("", core::CellStats{})) {
+    const report::RecordLayout& run = report::run_layout();
+    for (const report::CellStatSummary& st : summary_.stats)
+      stat_at_.push_back(run.index(st.key));
+    // A cell summary's "pop_<x>_dist" merges the run records' "pop_<x>_sketch".
+    for (const auto& [dist, sketch] : summary_.sketches)
+      sketch_at_.push_back(run.index(dist.substr(0, dist.size() - 5) + "_sketch"));
+    parse_.values.resize(stat_at_.size());
+    parse_.sketches.resize(sketch_at_.size());
   }
 
   JsonlVisitor visitor() {
-    return {[this](const CellBlock& b, std::uint64_t line_no,
-                   std::string_view line, const report::JsonFields& f) {
-              on_run(b, line_no, line, f);
-            },
-            [this](const CellBlock& b, std::uint64_t line_no,
-                   std::string_view line, const report::JsonFields&) {
-              on_cell(b, line_no, line);
-            }};
+    return {[this](const auto&... a) { on_run(a...); },
+            [this](const auto&... a) { on_cell(a...); }};
   }
 
   /// cell_index -> why its block failed the check.
@@ -94,28 +92,24 @@ class AggregateCheck {
     std::string workload;
     bool source_ok = true;
     std::vector<double> values;            // summary_.stats order
-    std::vector<QuantileSketch> sketches;  // cell_sketch_columns() order
+    std::vector<QuantileSketch> sketches;  // summary_.sketches order
   };
 
-  void on_run(const CellBlock& b, std::uint64_t line_no, std::string_view line,
-              const report::JsonFields& f) {
-    if (b.seeds.size() == 1) start_block();
+  void on_run(const CellBlock& b, std::uint64_t line_no,
+              const report::RecordWalker& run, bool repeats) {
+    if (b.seeds.size() == 1) {  // a new block
+      error_.clear();
+      summary_.source_ok = true;
+      for (report::CellStatSummary& st : summary_.stats) st.stats = RunningStats{};
+      for (auto& sketch : summary_.sketches) sketch.second = QuantileSketch{};
+    }
     if (!error_.empty()) return;
-    // When the line's fields before its body are exactly the prefix
-    // JsonlSink writes, every field parse() reads is in the body, and
-    // equal body bytes mean an equal parse.
-    const std::size_t at = report::run_body_begin(line);
-    const std::string_view body =
-        at == std::string_view::npos ? std::string_view() : line.substr(at);
-    if (body.empty() || body != last_body_) {
-      last_body_.clear();
-      if (const char* bad = parse(f)) {
+    if (!repeats) {
+      if (const char* bad = parse(run)) {
         error_ = path_ + ":" + std::to_string(line_no) + ": run record of " +
-                 describe(b.key) + " is missing or has an invalid field '" +
-                 bad + "'";
+                 describe(b.key) + " has an invalid field '" + bad + "'";
         return;
       }
-      last_body_ = body;
     }
     summary_.workload = parse_.workload;  // constant within a cell
     summary_.source_ok = summary_.source_ok && parse_.source_ok;
@@ -128,33 +122,38 @@ class AggregateCheck {
       summary_.sketches[k].second.merge(parse_.sketches[k]);
   }
 
-  /// Reads a run line into parse_; the name of the first missing or
-  /// invalid field, or nullptr.
-  const char* parse(const report::JsonFields& f) {
-    auto workload = json_string(f, "workload");
-    const auto source_ok = json_bool(f, "source_ok");
-    if (!workload) return "workload";
-    if (!source_ok) return "source_ok";
-    parse_.workload = std::move(*workload);
-    parse_.source_ok = *source_ok;
-    for (std::size_t k = 0; k < parse_.values.size(); ++k) {
-      const std::string& key = summary_.stats[k].key;
-      const auto v = json_double(f, key);
-      if (!v) return key.c_str();
+  /// Reads a run line's tokens into parse_; the name of the first invalid
+  /// field, or nullptr.
+  const char* parse(const report::RecordWalker& run) {
+    const report::RecordLayout& layout = run.layout();
+    const auto text = [&](std::string_view token, std::string& out) {
+      out.clear();
+      return token.front() == '"' &&
+             decode_json_string(token.substr(1, token.size() - 2), out) ==
+                 nullptr;
+    };
+    if (!text(run.token(workload_at_), parse_.workload)) return "workload";
+    const std::string_view source_ok = run.token(source_ok_at_);
+    if (source_ok != "true" && source_ok != "false") return "source_ok";
+    parse_.source_ok = source_ok == "true";
+    for (std::size_t k = 0; k < stat_at_.size(); ++k) {
+      const auto v = parse_f64(run.token(stat_at_[k]));
+      if (!v) return layout.keys[stat_at_[k]].c_str();
       parse_.values[k] = *v;
     }
-    const auto& columns = cell_sketch_columns();
-    for (std::size_t k = 0; k < columns.size(); ++k) {
-      const auto token = json_string(f, columns[k].second);
-      auto sketch = token ? report::decode_sketch(*token) : std::nullopt;
-      if (!sketch) return columns[k].second.c_str();
+    for (std::size_t k = 0; k < sketch_at_.size(); ++k) {
+      auto sketch = text(run.token(sketch_at_[k]), text_)
+                        ? report::decode_sketch(text_)
+                        : std::nullopt;
+      if (!sketch) return layout.keys[sketch_at_[k]].c_str();
       parse_.sketches[k] = std::move(*sketch);
     }
     return nullptr;
   }
 
   void on_cell(const CellBlock& b, std::uint64_t line_no,
-               std::string_view line) {
+               const report::RecordWalker& cell) {
+    const std::string_view line = cell.line();
     if (error_.empty()) {
       summary_.key = b.key;
       summary_.seeds = b.seeds.size();
@@ -173,20 +172,17 @@ class AggregateCheck {
     if (!error_.empty()) failures.emplace(b.key.cell_index, std::move(error_));
   }
 
-  void start_block() {
-    error_.clear();
-    last_body_.clear();
-    summary_.source_ok = true;
-    for (report::CellStatSummary& st : summary_.stats) st.stats = RunningStats{};
-    for (auto& sketch : summary_.sketches) sketch.second = QuantileSketch{};
-  }
-
   const std::string& path_;
   report::CellSummary summary_;
-  RunParse parse_;         // the last run line parsed
-  std::string last_body_;  // its body; empty when the next line must parse
-  std::string error_;      // the open block's first failure
-  std::string line_;       // reused recompute buffer
+  // Where the run layout puts what the check reads.
+  const std::size_t workload_at_ = report::run_layout().index("workload");
+  const std::size_t source_ok_at_ = report::run_layout().index("source_ok");
+  std::vector<std::size_t> stat_at_;    // summary_.stats order
+  std::vector<std::size_t> sketch_at_;  // summary_.sketches order
+  RunParse parse_;     // the last run line parsed
+  std::string error_;  // the open block's first failure
+  std::string line_;   // reused recompute buffer
+  std::string text_;   // a decoded sketch
 };
 
 /// A validated shard set: every cell's block in cell-index order, ready to

@@ -11,78 +11,24 @@
 
 namespace mtr::dist {
 
-std::optional<std::string_view> json_token(const report::JsonFields& fields,
-                                           std::string_view key) {
-  for (auto it = fields.rbegin(); it != fields.rend(); ++it)
-    if (it->key == key) return it->token;
-  return std::nullopt;
-}
-
 bool parse_json_line(const std::string& line,
                      std::map<std::string, std::string>& out) {
-  thread_local report::JsonFields fields;  // reused: no per-line vector growth
-  const bool ok = report::tokenize_json_line(line, fields);
+  constexpr std::size_t npos = std::string::npos;
   out.clear();
-  for (const report::JsonField& f : fields)
-    out.insert_or_assign(std::string(f.key), std::string(f.token));
-  return ok;
-}
-
-std::optional<std::string> json_string(const report::JsonFields& fields,
-                                       std::string_view key) {
-  const auto token = json_token(fields, key);
-  if (!token || token->size() < 2 || token->front() != '"' ||
-      token->back() != '"')
-    return std::nullopt;
-  std::string text;
-  if (decode_json_string(token->substr(1, token->size() - 2), text))
-    return std::nullopt;
-  return text;
-}
-
-std::optional<std::uint64_t> json_u64(const report::JsonFields& fields,
-                                      std::string_view key) {
-  const auto token = json_token(fields, key);
-  if (!token) return std::nullopt;
-  return parse_u64(*token);
-}
-
-std::optional<double> json_double(const report::JsonFields& fields,
-                                  std::string_view key) {
-  const auto token = json_token(fields, key);
-  if (!token) return std::nullopt;
-  return parse_f64(*token);
-}
-
-std::optional<bool> json_bool(const report::JsonFields& fields,
-                              std::string_view key) {
-  const auto token = json_token(fields, key);
-  if (!token) return std::nullopt;
-  if (*token == "true") return true;
-  if (*token == "false") return false;
-  return std::nullopt;
-}
-
-std::vector<std::string> cell_stat_keys() {
-  std::vector<std::string> k;
-  core::CellStats cell;
-  cell.for_each_stat(
-      [&](const char* name, const RunningStats&, auto) { k.emplace_back(name); });
-  return k;
-}
-
-const std::vector<std::pair<std::string, std::string>>& cell_sketch_columns() {
-  static const std::vector<std::pair<std::string, std::string>> cols = [] {
-    std::vector<std::pair<std::string, std::string>> c;
-    core::CellStats cell;
-    cell.for_each_sketch([&](const char* name, const QuantileSketch&, auto) {
-      std::string dist = name;  // "pop_<x>_dist" -> run column "pop_<x>_sketch"
-      std::string run = dist.substr(0, dist.size() - 5) + "_sketch";
-      c.emplace_back(std::move(dist), std::move(run));
-    });
-    return c;
-  }();
-  return cols;
+  if (!line.starts_with('{')) return false;
+  if (line.size() > 1 && line[1] == '}') return line.size() == 2;
+  for (std::size_t i = 1;;) {
+    if (i >= line.size() || line[i] != '"') return false;
+    const std::size_t key_end = skip_json_string(line, i);
+    if (key_end == npos || key_end >= line.size() || line[key_end] != ':')
+      return false;
+    const std::size_t end = skip_json_value(line, key_end + 1);
+    if (end == npos) return false;
+    out.insert_or_assign(line.substr(i + 1, key_end - i - 2),
+                         line.substr(key_end + 1, end - key_end - 1));
+    if (end == line.size() || line[end] != ',') return end + 1 == line.size();
+    i = end + 1;
+  }
 }
 
 namespace {
@@ -112,19 +58,13 @@ void throw_schema_error(const std::string& path, std::uint64_t line,
 
 namespace {
 
-/// Reads the key columns of a tokenized JSONL record into `key`; returns
-/// the name of the first missing or invalid one, nullptr when all parse.
-const char* read_json_key(const report::JsonFields& f, report::CellKey& key) {
-  for (const report::CellKeyColumn& col : report::kCellKeyColumns) {
-    if (col.is_text()) {
-      const std::optional<std::string> text = json_string(f, col.name);
-      if (!text || !col.parse(key, *text)) return col.name;
-    } else {
-      const std::optional<std::string_view> token = json_token(f, col.name);
-      if (!token || !col.parse(key, *token)) return col.name;
-    }
-  }
-  return nullptr;
+/// Where each key column's token sits in `layout`, in kCellKeyColumns order.
+std::array<std::size_t, report::kCellKeyColumns.size()> key_tokens(
+    const report::RecordLayout& layout) {
+  std::array<std::size_t, report::kCellKeyColumns.size()> at{};
+  for (std::size_t c = 0; c < at.size(); ++c)
+    at[c] = layout.index(report::kCellKeyColumns[c].name);
+  return at;
 }
 
 /// Reads a file line by line through one fixed buffer (grown only for a
@@ -186,6 +126,14 @@ FileScan scan_jsonl(const std::string& path) {
 
 FileScan scan_jsonl_records(const std::string& path,
                             const JsonlVisitor& visitor) {
+  using report::kCellKeyColumns;
+  const report::RecordLayout& run_layout = report::run_layout();
+  const report::RecordLayout& cell_layout = report::cell_layout();
+  static const auto run_keys = key_tokens(run_layout);
+  static const auto cell_keys = key_tokens(cell_layout);
+  static const std::size_t seed_at = run_layout.index("seed");
+  static const std::size_t seed_index_at = run_layout.index("seed_index");
+  static const std::size_t seeds_at = cell_layout.index("seeds");
   LineReader in(path);
   FileScan scan;
   CellBlock open;
@@ -194,95 +142,111 @@ FileScan scan_jsonl_records(const std::string& path,
   std::uint64_t line_no = 0;
   std::string_view line;
   bool terminated = false;
-  report::JsonFields f;
-  // `offset` is the start of the line being examined when stop() fires,
-  // which is exactly where the unusable tail begins.
-  const auto stop = [&](std::string why) {
-    scan.clean = false;
-    scan.tail_error = std::move(why) + at_byte(offset);
+  report::RecordWalker run(run_layout);
+  report::RecordWalker cell(cell_layout);
+  std::string text;       // a decoded key string
+  std::string last_body;  // the open block's last run body
+
+  // Reads key columns [0, end) of `w`'s record into `key`, a text column's
+  // string decoded; the name of the first that does not parse, or nullptr.
+  const auto read_key = [&text](const report::RecordWalker& w, const auto& at,
+                                std::size_t end,
+                                report::CellKey& key) -> const char* {
+    for (std::size_t c = 0; c < end; ++c) {
+      std::string_view token = w.token(at[c]);
+      if (kCellKeyColumns[c].is_text()) {
+        text.clear();
+        if (token.front() != '"' ||
+            decode_json_string(token.substr(1, token.size() - 2), text))
+          return kCellKeyColumns[c].name;
+        token = text;
+      }
+      if (!kCellKeyColumns[c].parse(key, token)) return kCellKeyColumns[c].name;
+    }
+    return nullptr;
   };
-
-  while (in.next(line, terminated)) {
-    ++line_no;
-    if (!terminated) {
-      stop(where(path, line_no) + ": truncated final line");
-      break;
-    }
-    const std::uint64_t line_end = offset + line.size() + 1;
-
-    if (!report::tokenize_json_line(line, f)) {
-      stop(where(path, line_no) + ": unparseable record");
-      break;
-    }
-    const auto record = json_string(f, "record");
-    const auto schema = json_u64(f, "schema");
-    if (!record || !schema) {
-      stop(where(path, line_no) + ": record missing or invalid field '" +
-           (!record ? "record" : "schema") + "'");
-      break;
-    }
+  const auto invalid = [](const char* field) {
+    return std::string("record missing or invalid field '") + field + "'";
+  };
+  // Adds `line` to the scan; why it cannot be, or "".
+  const auto read = [&](std::uint64_t line_end) -> std::string {
+    // The kind and the schema stamp open every record, whatever its
+    // version; only a record of this version is held to its layout.
+    const bool is_run = !line.starts_with(cell_layout.opening);
+    report::RecordWalker& w = is_run ? run : cell;
+    if (!w.start(line)) return "record is neither a run record nor a cell summary";
+    const std::string kind = is_run ? "run record " : "cell summary ";
+    if (!w.read(1)) return kind + w.error();
+    const std::optional<std::uint64_t> schema = parse_u64(w.token(0));
+    if (!schema) return invalid("schema");
     if (*schema != report::kSchemaVersion)
       throw_schema_error(path, line_no, offset, "record", *schema,
                          report::kSchemaVersion);
 
-    report::CellKey key;
-    if (const char* bad = read_json_key(f, key)) {
-      stop(where(path, line_no) + ": record missing or invalid field '" +
-           bad + "'");
-      break;
-    }
-
-    if (*record == "run") {
-      const auto seed = json_u64(f, "seed");
-      const auto seed_index = json_u64(f, "seed_index");
-      if (!seed || !seed_index) {
-        stop(where(path, line_no) + ": run record missing or invalid field '" +
-             (!seed ? "seed" : "seed_index") + "'");
-        break;
-      }
-      if (!has_open) {
-        if (*seed_index != 0) {
-          stop(where(path, line_no) + ": run records of cell " +
-               std::to_string(key.cell_index) + " start mid-cell");
-          break;
-        }
-        open = CellBlock{};
-        open.first_line = line_no;
-        open.begin_offset = offset;
-        open.key = std::move(key);
-        has_open = true;
-      } else if (key != open.key) {
-        stop(where(path, line_no) + ": cell " +
-             std::to_string(open.key.cell_index) +
-             " has run records but no summary");
-        break;
-      } else if (*seed_index != open.seeds.size()) {
-        stop(where(path, line_no) + ": seed_index discontinuity in cell " +
-             std::to_string(key.cell_index));
-        break;
-      }
-      open.seeds.push_back(*seed);
-      if (visitor.on_run) visitor.on_run(open, line_no, line, f);
-    } else if (*record == "cell") {
-      const auto n = json_u64(f, "seeds");
-      if (!has_open || key != open.key) {
-        stop(where(path, line_no) + ": cell summary for cell " +
-             std::to_string(key.cell_index) + " without its run records");
-        break;
-      }
-      if (!n || *n != open.seeds.size()) {
-        stop(where(path, line_no) + ": cell " + std::to_string(key.cell_index) +
-             " summary seed count disagrees with its run records");
-        break;
-      }
-      if (visitor.on_cell) visitor.on_cell(open, line_no, line, f);
+    // A run whose body repeats holds the open block's population columns.
+    report::CellKey key = has_open ? open.key : report::CellKey{};
+    if (!is_run) {
+      if (!cell.read_all()) return kind + cell.error();
+      if (const char* bad = read_key(cell, cell_keys, cell_keys.size(), key))
+        return invalid(bad);
+      if (!has_open || key != open.key)
+        return "cell summary for cell " + std::to_string(key.cell_index) +
+               " without its run records";
+      const auto n = parse_u64(cell.token(seeds_at));
+      if (!n || *n != open.seeds.size())
+        return "cell " + std::to_string(key.cell_index) +
+               " summary seed count disagrees with its run records";
+      if (visitor.on_cell) visitor.on_cell(open, line_no, cell);
       open.end_offset = line_end;
       scan.valid_bytes = line_end;
       scan.blocks.push_back(std::move(open));
-      open = CellBlock{};
       has_open = false;
-    } else {
-      stop(where(path, line_no) + ": unknown record type '" + *record + "'");
+      return {};
+    }
+
+    if (!run.read(run_layout.head)) return kind + run.error();
+    // A body that repeats the open block's last one byte for byte holds the
+    // same tokens, so only a new body is walked and read.
+    const std::string_view body = run.rest();
+    const bool repeats = has_open && body == last_body;
+    if (!repeats && !run.read_all()) return kind + run.error();
+    if (const char* bad = read_key(
+            run, run_keys, repeats ? report::kRunHeadColumns : run_keys.size(), key))
+      return invalid(bad);
+    const auto seed = parse_u64(run.token(seed_at));
+    const auto seed_index = parse_u64(run.token(seed_index_at));
+    if (!seed || !seed_index)
+      return "run " + invalid(!seed ? "seed" : "seed_index");
+    if (!has_open) {
+      if (*seed_index != 0)
+        return "run records of cell " + std::to_string(key.cell_index) +
+               " start mid-cell";
+      open = CellBlock{};
+      open.first_line = line_no;
+      open.begin_offset = offset;
+      open.key = std::move(key);
+      has_open = true;
+    } else if (key != open.key) {
+      return "cell " + std::to_string(open.key.cell_index) +
+             " has run records but no summary";
+    } else if (*seed_index != open.seeds.size()) {
+      return "seed_index discontinuity in cell " + std::to_string(key.cell_index);
+    }
+    if (!repeats) last_body = body;
+    open.seeds.push_back(*seed);
+    if (visitor.on_run) visitor.on_run(open, line_no, run, repeats);
+    return {};
+  };
+
+  while (in.next(line, terminated)) {
+    ++line_no;
+    const std::uint64_t line_end = offset + line.size() + 1;
+    const std::string why = terminated ? read(line_end) : "truncated final line";
+    if (!why.empty()) {
+      // `offset` is the start of the refused line: where the unusable tail
+      // begins.
+      scan.clean = false;
+      scan.tail_error = where(path, line_no) + ": " + why + at_byte(offset);
       break;
     }
     offset = line_end;
@@ -290,10 +254,11 @@ FileScan scan_jsonl_records(const std::string& path,
 
   if (scan.clean && has_open) {
     // The orphan runs begin right after the last complete cell.
-    offset = scan.valid_bytes;
-    stop(where(path, open.first_line) + ": incomplete cell " +
-         std::to_string(open.key.cell_index) +
-         " at end of file (runs without a summary)");
+    scan.clean = false;
+    scan.tail_error = where(path, open.first_line) + ": incomplete cell " +
+                      std::to_string(open.key.cell_index) +
+                      " at end of file (runs without a summary)" +
+                      at_byte(scan.valid_bytes);
   }
   return scan;
 }
@@ -310,7 +275,7 @@ FileScan scan_csv(const std::string& path) {
     return scan;
   }
   const std::vector<std::string> header = report::split_csv_line(line);
-  if (header != report::run_schema_keys())
+  if (header != report::run_layout().keys)
     throw SchemaError(where(path, 1) +
                       ": CSV header is not the schema v" +
                       std::to_string(report::kSchemaVersion) +

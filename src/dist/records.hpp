@@ -4,22 +4,22 @@
 // sweep left behind. scan_jsonl collects the complete blocks, remembers
 // where the valid prefix ends (so resume can truncate the tail away), and
 // refuses records of any schema version but report::kSchemaVersion with a
-// SchemaError naming the file, line, byte, and version found. Coordinates
-// are read through the cell key's column table; a record whose key differs
-// from its block's stops the scan. Blocks are kept as byte ranges and
-// files are read through a fixed buffer, so a scan holds memory per cell,
-// not per byte. A scan tokenizes every line (report::tokenize_json_line)
-// exactly once; mtr_merge recomputes each cell's aggregate from that same
-// parse through a JsonlVisitor. The CSV is a view of the JSONL
-// (report::append_csv_rows, the renderer the sweep's own CSV comes from
-// too), which resume and `mtr_merge --csv` render in a second pass over
-// the lines.
+// SchemaError naming the file, line, byte, and version found. Any other
+// record out of its writer's layout (report::RecordWalker: a key moved,
+// repeated, dropped or added) stops the scan, as it stops every reader.
+// Coordinates are read by position through the cell key's column table; a
+// record whose key differs from its block's stops the scan. A run whose
+// body repeats the previous run's byte for byte is read only to its body.
+// Blocks are kept as byte ranges and files are read through a fixed
+// buffer, so a scan holds memory per cell, not per byte. mtr_merge
+// recomputes each cell's aggregate from the scan's walk through a
+// JsonlVisitor. The CSV is a view of the JSONL (report::append_csv_rows),
+// which resume and `mtr_merge --csv` render in a second pass.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -77,28 +77,11 @@ struct FileScan {
   std::string tail_error;   // why, when !clean
 };
 
-/// The token of `key`, or nullopt when the line lacks it. A repeated key
-/// reads as its last occurrence, as in a JSON object.
-std::optional<std::string_view> json_token(const report::JsonFields& fields,
-                                           std::string_view key);
-
-/// tokenize_json_line into a key -> token map (the last duplicate wins).
+/// Any one-line JSON object into a key -> token map (the last duplicate
+/// wins); false on malformed input. Records are read through
+/// report::RecordWalker instead.
 bool parse_json_line(const std::string& line,
                      std::map<std::string, std::string>& out);
-
-/// Typed readers over json_token; nullopt when the key is missing or the
-/// token has the wrong shape. Strings decode through mtr::decode_json_string,
-/// so a malformed escape reads as a wrong shape. Numbers are strict (mtr::parse_u64 /
-/// mtr::parse_f64); json_double takes the writer's %.17g tokens, inf and
-/// nan included.
-std::optional<std::string> json_string(const report::JsonFields& fields,
-                                       std::string_view key);
-std::optional<std::uint64_t> json_u64(const report::JsonFields& fields,
-                                      std::string_view key);
-std::optional<double> json_double(const report::JsonFields& fields,
-                                  std::string_view key);
-std::optional<bool> json_bool(const report::JsonFields& fields,
-                              std::string_view key);
 
 /// Scans a JsonlSink file. Throws std::runtime_error when the file cannot
 /// be opened and SchemaError (naming the file, line, and byte) when any
@@ -107,17 +90,19 @@ std::optional<bool> json_bool(const report::JsonFields& fields,
 /// tail as a crash artifact.
 FileScan scan_jsonl(const std::string& path);
 
-/// Sees each record scan_jsonl_records accepts, tokenized once for the
-/// scan and the visitor together, with its line (without its newline).
+/// Sees each record scan_jsonl_records accepts, through the walker the
+/// scan read it with, so the visitor reads its tokens by position.
 /// `on_run` gets every run record after it joined `block` (so block.seeds
-/// already counts it); `on_cell` gets the summary line that closes
-/// `block`. Either may be empty.
+/// already counts it); when `repeats`, its body repeats the block's
+/// previous run line byte for byte and only its head tokens were read.
+/// `on_cell` gets the summary line that closes `block`, walked in full.
+/// Either may be empty.
 struct JsonlVisitor {
   std::function<void(const CellBlock& block, std::uint64_t line_no,
-                     std::string_view line, const report::JsonFields& fields)>
+                     const report::RecordWalker& run, bool repeats)>
       on_run;
   std::function<void(const CellBlock& block, std::uint64_t line_no,
-                     std::string_view line, const report::JsonFields& fields)>
+                     const report::RecordWalker& cell)>
       on_cell;
 };
 
@@ -126,7 +111,7 @@ FileScan scan_jsonl_records(const std::string& path,
                             const JsonlVisitor& visitor);
 
 /// Scans a CsvSink file. Throws on open failure, and SchemaError on a
-/// header other than run_schema_keys() or a row stamped with another
+/// header other than run_layout()'s keys or a row stamped with another
 /// schema version. Only perfbench's scanner probe still calls it.
 FileScan scan_csv(const std::string& path);
 
@@ -136,15 +121,5 @@ FileScan scan_csv(const std::string& path);
 /// nothing before its first cell. Throws as report::append_csv_rows does.
 void render_csv(const std::string& path, std::uint64_t bytes,
                 std::ostream& out);
-
-/// The canonical aggregate keys of a `record:"cell"` line, in
-/// CellStats::for_each_stat order — what mtr_merge recomputes.
-std::vector<std::string> cell_stat_keys();
-
-/// The distribution aggregates of a cell record as (cell-record key,
-/// run-record column) pairs in CellStats::for_each_sketch order — e.g.
-/// ("pop_billing_error_dist", "pop_billing_error_sketch"). mtr_merge
-/// decodes the run column of every run, merges, and re-emits the summary.
-const std::vector<std::pair<std::string, std::string>>& cell_sketch_columns();
 
 }  // namespace mtr::dist

@@ -125,6 +125,45 @@ void for_each_body_field(const CellKey& key, F&& f, const R&... r) {
   f("pop_advantage_sketch", SketchText{r.pop_attacker_advantage}...);
 }
 
+/// One aggregate of a cell summary, as f(name, value) calls.
+template <typename F>
+void for_each_aggregate_field(const RunningStats& s, F&& f) {
+  f("n", static_cast<std::uint64_t>(s.count()));
+  f("mean", s.mean());
+  f("stddev", s.stddev());
+  f("min", s.min());
+  f("max", s.max());
+}
+
+/// One distribution aggregate of a cell summary: derived (not stored)
+/// values only. The full sketch lives in the run records, which is what
+/// lets mtr_merge recompute the summary byte-exactly.
+template <typename F>
+void for_each_aggregate_field(const QuantileSketch& s, F&& f) {
+  f("n", s.count());
+  f("min", s.min());
+  f("max", s.max());
+  f("p50", s.quantile(0.5));
+  f("p90", s.quantile(0.9));
+  f("p99", s.quantile(0.99));
+}
+
+/// A cell summary line after "record", as f(name, value) calls: schema,
+/// every key column, the workload, the seed count, the source verdict, then
+/// the aggregates (RunningStats) and distribution aggregates
+/// (QuantileSketch).
+template <typename F>
+void for_each_cell_field(const CellSummary& s, F&& f) {
+  f("schema", std::uint64_t{kSchemaVersion});
+  for (const CellKeyColumn& col : kCellKeyColumns)
+    std::visit([&](auto m) { f(col.name, s.key.*m); }, col.member);
+  f("workload", std::string_view(s.workload));
+  f("seeds", std::uint64_t{s.seeds});
+  f("source_ok", s.source_ok);
+  for (const CellStatSummary& st : s.stats) f(st.key, st.stats);
+  for (const auto& [name, sketch] : s.sketches) f(name, sketch);
+}
+
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
@@ -198,10 +237,20 @@ constexpr bool kComputed =
 template <typename T>
 constexpr bool kText = std::is_convertible_v<T, std::string_view>;
 
-/// Appends one record field value in its JSON spelling.
+/// Appends field `name` with `v` in its JSON spelling, after a comma
+/// unless it opens an object.
 template <typename T>
-void append_json_value(std::string& out, const T& v) {
-  if constexpr (kComputed<T>) {
+void append_json_field(std::string& out, std::string_view name, const T& v) {
+  if (out.back() != '{') out += ',';
+  append_json_quoted(out, name);
+  out += ':';
+  if constexpr (std::is_same_v<T, RunningStats> || std::is_same_v<T, QuantileSketch>) {
+    out += '{';
+    for_each_aggregate_field(v, [&out](std::string_view n, const auto& x) {
+      append_json_field(out, n, x);
+    });
+    out += '}';
+  } else if constexpr (kComputed<T>) {
     out += '"';
     append_text(out, v);
     out += '"';
@@ -221,10 +270,7 @@ void append_run_lines(std::string& out, const std::string& sweep,
                       const core::CellStats& cell) {
   const CellKey key = cell_key(sweep, cell.cell_index, cell);
   const auto emit = [&out](std::string_view name, const auto& v) {
-    out += ',';
-    append_json_quoted(out, name);
-    out += ':';
-    append_json_value(out, v);
+    append_json_field(out, name, v);
   };
   // Where `out` holds the body of the run encoded last.
   std::size_t body_at = 0;
@@ -244,68 +290,125 @@ void append_run_lines(std::string& out, const std::string& sweep,
   }
 }
 
-/// A run record's keys, named by the field visitors: all of them in
-/// emission order, and the prefix ones as the `,"key":` marks that open
-/// them on a run line.
-struct RunKeys {
+/// The names a field visitor gives, in order: `visit(f)` calls f(name, ...).
+template <typename Visit>
+std::vector<std::string> names(Visit&& visit) {
   std::vector<std::string> keys;
-  std::vector<std::string> prefix_marks;
-};
-
-const RunKeys& run_keys() {
-  static const RunKeys k = [] {
-    RunKeys k;
-    core::CellStats cell;
-    cell.seeds = {0};
-    cell.runs.emplace_back();
-    const CellKey key;
-    const auto name = [&k](std::string_view n, const auto&) {
-      k.keys.emplace_back(n);
-    };
-    for_each_prefix_field(key, cell, 0, name);
-    for (const std::string& n : k.keys)
-      k.prefix_marks.push_back(",\"" + n + "\":");
-    for_each_body_field(key, name, cell.runs[0]);
-    return k;
-  }();
-  return k;
+  visit([&keys](std::string_view name, const auto&) { keys.emplace_back(name); });
+  return keys;
 }
 
-/// Appends the CSV cells of run keys [begin, end), which `fields` hold,
-/// exactly and in order, from `fields[first]` on; false when they do not,
-/// or when a string does not decode.
-bool append_cells(std::string& out, const JsonFields& fields,
-                  std::size_t first, std::size_t begin, std::size_t end) {
-  const std::vector<std::string>& keys = run_keys().keys;
-  if (fields.size() != first + end - begin) return false;
-  std::string text;
-  for (std::size_t i = begin; i < end; ++i) {
-    const JsonField& f = fields[first + i - begin];
-    if (f.key != keys[i]) return false;
-    if (i > 0) out += ',';
-    if (f.token.front() != '"') {
-      out += f.token;
-      continue;
-    }
-    // Without a backslash the decode is the identity, and without a comma
-    // or a quote the CSV escape is too: most strings are copied.
-    const std::string_view body = f.token.substr(1, f.token.size() - 2);
-    if (std::none_of(body.begin(), body.end(), [](char c) {
-          return c == '\\' || c == ',' || c == '"' || c == '\n';
-        })) {
-      out += body;
-      continue;
-    }
-    text.clear();
-    if (decode_json_string(body, text) != nullptr) return false;
-    append_csv_escaped(out, text);
+/// The layout of `keys`, the record's first `head` of them its head.
+RecordLayout layout_of(std::string opening, std::vector<std::string> keys,
+                       std::size_t head = 0) {
+  RecordLayout l{std::move(opening), std::move(keys), {}, head};
+  for (const std::string& key : l.keys) {
+    std::string mark = l.marks.empty() && l.opening.ends_with('{') ? "" : ",";
+    append_json_quoted(mark, key);
+    mark += ':';
+    l.marks.push_back(std::move(mark));
   }
+  return l;
+}
+
+/// Appends a token's CSV cell: a string decoded and CSV-escaped, any other
+/// token verbatim. False when the string does not decode.
+bool append_cell(std::string& out, std::string_view token, std::string& text) {
+  if (token.front() != '"') {
+    out += token;
+    return true;
+  }
+  // Without a backslash the decode is the identity, and without a comma
+  // or a quote the CSV escape is too: most strings are copied.
+  const std::string_view body = token.substr(1, token.size() - 2);
+  if (std::none_of(body.begin(), body.end(), [](char c) {
+        return c == '\\' || c == ',' || c == '"' || c == '\n';
+      })) {
+    out += body;
+    return true;
+  }
+  text.clear();
+  if (decode_json_string(body, text) != nullptr) return false;
+  append_csv_escaped(out, text);
   return true;
 }
 
 }  // namespace
 
-const std::vector<std::string>& run_schema_keys() { return run_keys().keys; }
+std::size_t RecordLayout::index(std::string_view key) const {
+  const auto at = std::find(keys.begin(), keys.end(), key);
+  MTR_ENSURE_MSG(at != keys.end(), "the writer writes no record key " << key);
+  return static_cast<std::size_t>(at - keys.begin());
+}
+
+const RecordLayout& run_layout() {
+  static const RecordLayout l = [] {
+    core::CellStats cell;
+    cell.seeds = {0};
+    cell.runs.emplace_back();
+    const CellKey key;
+    const auto head = [&](auto f) { for_each_prefix_field(key, cell, 0, f); };
+    return layout_of("{\"record\":\"run\"", names([&](auto f) {
+                       head(f);
+                       for_each_body_field(key, f, cell.runs[0]);
+                     }),
+                     names(head).size());
+  }();
+  return l;
+}
+
+const RecordLayout& cell_layout() {
+  static const RecordLayout l = layout_of("{\"record\":\"cell\"", names([](auto f) {
+    for_each_cell_field(summarize_cell("", core::CellStats{}), f);
+  }));
+  return l;
+}
+
+const RecordLayout& stat_layout() {
+  static const RecordLayout l =
+      layout_of("{", names([](auto f) { for_each_aggregate_field(RunningStats{}, f); }));
+  return l;
+}
+
+RecordWalker::RecordWalker(const RecordLayout& layout)
+    : layout_(&layout), tokens_(layout.keys.size()) {}
+
+bool RecordWalker::start(std::string_view line) {
+  line_ = line;
+  next_ = 0;
+  at_ = line.starts_with(layout_->opening) ? layout_->opening.size() : 0;
+  return at_ > 0;
+}
+
+bool RecordWalker::read(std::size_t end) {
+  for (; next_ < end; ++next_) {
+    const std::string& mark = layout_->marks[next_];
+    if (!rest().starts_with(mark)) return false;
+    const std::size_t to = skip_json_value(line_, at_ + mark.size());
+    if (to == std::string_view::npos) return false;
+    tokens_[next_] = line_.substr(at_ + mark.size(), to - at_ - mark.size());
+    at_ = to;
+  }
+  return end < layout_->keys.size() || rest() == "}";
+}
+
+std::string RecordWalker::error() const {
+  const std::vector<std::string>& keys = layout_->keys;
+  if (at_ == 0) return "does not open with " + layout_->opening;
+  const std::string column = " at column " + std::to_string(at_);
+  std::string_view rest = this->rest();
+  if (next_ < keys.size() && rest.starts_with(layout_->marks[next_]))
+    return "has a malformed '" + keys[next_] + "' value" + column;
+  if (rest.starts_with(',')) rest.remove_prefix(1);
+  const std::size_t key_end =
+      rest.starts_with('"') ? skip_json_string(rest, 0) : std::string_view::npos;
+  std::string found = rest.empty() || rest == "}" ? "ends" : "has unexpected text";
+  if (key_end != std::string_view::npos)
+    found = "has '" + std::string(rest.substr(1, key_end - 2)) + "'";
+  if (next_ < keys.size())
+    return found + column + " where the writer puts '" + keys[next_] + "'";
+  return found + column + " after its last key '" + keys.back() + "'";
+}
 
 std::string encode_sketch(const QuantileSketch& s) {
   std::string out;
@@ -390,7 +493,7 @@ std::vector<std::string> split_csv_line(std::string_view line) {
 
 void write_csv_header(std::ostream& os) {
   std::string row;
-  for (const std::string& key : run_schema_keys()) {
+  for (const std::string& key : run_layout().keys) {
     if (!row.empty()) row += ',';
     append_csv_escaped(row, key);
   }
@@ -440,122 +543,11 @@ CellSummary summarize_cell(const std::string& sweep, const core::CellStats& cell
 }
 
 void append_cell_record(std::string& out, const CellSummary& s) {
-  const auto key = [&out](std::string_view k) {
-    out += ',';
-    append_json_quoted(out, k);
-    out += ':';
-  };
-  out += "{\"record\":\"cell\",\"schema\":";
-  append_number(out, kSchemaVersion);
-  for (const CellKeyColumn& col : kCellKeyColumns) {
-    key(col.name);
-    std::visit([&](auto m) { append_json_value(out, s.key.*m); }, col.member);
-  }
-  key("workload");
-  append_json_quoted(out, s.workload);
-  key("seeds");
-  append_number(out, s.seeds);
-  key("source_ok");
-  out += s.source_ok ? "true" : "false";
-  for (const CellStatSummary& st : s.stats) {
-    key(st.key);
-    out += "{\"n\":";
-    append_number(out, static_cast<std::uint64_t>(st.stats.count()));
-    out += ",\"mean\":";
-    append_number(out, st.stats.mean());
-    out += ",\"stddev\":";
-    append_number(out, st.stats.stddev());
-    out += ",\"min\":";
-    append_number(out, st.stats.min());
-    out += ",\"max\":";
-    append_number(out, st.stats.max());
-    out += '}';
-  }
-  // Distribution aggregates: quantile summaries of the merged sketches.
-  // Derived (not stored) values only — the full sketch lives in the run
-  // records, which is what lets mtr_merge recompute this line byte-exactly.
-  for (const auto& [name, sk] : s.sketches) {
-    key(name);
-    out += "{\"n\":";
-    append_number(out, sk.count());
-    out += ",\"min\":";
-    append_number(out, sk.min());
-    out += ",\"max\":";
-    append_number(out, sk.max());
-    out += ",\"p50\":";
-    append_number(out, sk.quantile(0.5));
-    out += ",\"p90\":";
-    append_number(out, sk.quantile(0.9));
-    out += ",\"p99\":";
-    append_number(out, sk.quantile(0.99));
-    out += '}';
-  }
+  out += "{\"record\":\"cell\"";
+  for_each_cell_field(s, [&out](std::string_view name, const auto& v) {
+    append_json_field(out, name, v);
+  });
   out += "}\n";
-}
-
-bool tokenize_json_line(std::string_view line, JsonFields& out) {
-  out.clear();
-  if (line.empty() || line.front() != '{') return false;
-  std::size_t i = 1;
-  if (i < line.size() && line[i] == '}') return i + 1 == line.size();
-  for (;;) {
-    if (i >= line.size() || line[i] != '"') return false;
-    const std::size_t key_end = skip_json_string(line, i);
-    if (key_end == std::string_view::npos) return false;
-    const std::string_view key = line.substr(i + 1, key_end - i - 2);
-    i = key_end;
-    if (i >= line.size() || line[i] != ':') return false;
-    ++i;
-    const std::size_t val_start = i;
-    if (i < line.size() && line[i] == '"') {
-      i = skip_json_string(line, i);
-      if (i == std::string_view::npos) return false;
-    } else if (i < line.size() && line[i] == '{') {
-      // One level of nesting (the per-stat {...} objects), strings inside
-      // respected.
-      int depth = 1;
-      ++i;
-      while (i < line.size() && depth > 0) {
-        if (line[i] == '"') {
-          i = skip_json_string(line, i);
-          if (i == std::string_view::npos) return false;
-        } else {
-          if (line[i] == '{') ++depth;
-          if (line[i] == '}') --depth;
-          ++i;
-        }
-      }
-      if (depth != 0) return false;
-    } else {
-      while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
-      if (i == val_start) return false;
-    }
-    out.push_back({key, line.substr(val_start, i - val_start)});
-    if (i >= line.size()) return false;
-    if (line[i] == '}') return i + 1 == line.size();
-    if (line[i] != ',') return false;
-    ++i;
-  }
-}
-
-std::size_t run_body_begin(std::string_view line) {
-  constexpr std::size_t npos = std::string_view::npos;
-  constexpr std::string_view kRun = "{\"record\":\"run\"";
-  if (!line.starts_with(kRun)) return npos;
-  std::size_t i = kRun.size();
-  for (const std::string& mark : run_keys().prefix_marks) {
-    if (!line.substr(i).starts_with(mark)) return npos;
-    i += mark.size();
-    const std::size_t token = i;
-    if (i < line.size() && line[i] == '"') {
-      i = skip_json_string(line, i);
-      if (i == npos) return npos;
-    } else {
-      while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
-      if (i == token) return npos;
-    }
-  }
-  return i < line.size() && line[i] == ',' ? i : npos;
 }
 
 void encode_cell(std::string& out, const std::string& sweep,
@@ -569,42 +561,41 @@ void encode_cell(std::string& out, const std::string& sweep,
 
 void append_csv_rows(std::string& out, std::string_view lines,
                      std::string_view path, std::uint64_t first_line) {
-  const std::size_t head = run_keys().prefix_marks.size();
-  const std::size_t n_keys = run_keys().keys.size();
-  JsonFields f;
-  std::string part;            // a line's head or body, as an object
+  const RecordLayout& layout = run_layout();
+  RecordWalker run(layout);
+  std::string text;            // a decoded string
   std::string_view last_body;  // the last run line's body bytes
   std::string csv_body;        // and their cells, newline included
+  const auto fail = [&](const std::string& why) {
+    throw std::runtime_error(std::string(path) + ":" +
+                             std::to_string(first_line) +
+                             ": record has no CSV row: " + why);
+  };
+  const auto cells = [&](std::string& row, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (i > 0) row += ',';
+      if (!append_cell(row, run.token(i), text))
+        fail("its '" + layout.keys[i] + "' string does not decode");
+    }
+  };
   for (std::size_t from = 0; from < lines.size(); ++first_line) {
     const std::size_t end = std::min(lines.find('\n', from), lines.size());
     const std::string_view line = lines.substr(from, end - from);
     from = end + 1;
-    if (line.starts_with("{\"record\":\"cell\"")) continue;
-    const std::size_t at = run_body_begin(line);
-    bool ok = at != std::string_view::npos;
-    if (ok) {
-      part.assign(line.substr(0, at));
-      part += '}';
-      ok = tokenize_json_line(part, f) && append_cells(out, f, 1, 0, head);
-    }
-    const std::string_view body = ok ? line.substr(at) : std::string_view();
-    if (ok && body != last_body) {
+    if (line.starts_with(cell_layout().opening)) continue;
+    if (!run.start(line))
+      fail("it is neither a run record nor a cell summary");
+    if (!run.read(layout.head)) fail("the run record " + run.error());
+    cells(out, 0, layout.head);
+    const std::string_view body = run.rest();
+    if (body != last_body) {
       // Equal body bytes render to equal cells, so only a new body is read.
-      part.assign(body);
-      part[0] = '{';
+      if (!run.read_all()) fail("the run record " + run.error());
       csv_body.clear();
-      ok = tokenize_json_line(part, f) &&
-           append_cells(csv_body, f, 0, head, n_keys);
+      cells(csv_body, layout.head, layout.keys.size());
       csv_body += '\n';
       last_body = body;
     }
-    if (!ok)
-      throw std::runtime_error(
-          std::string(path) + ":" + std::to_string(first_line) +
-          ": record has no CSV row: it is not a cell summary, and not a run "
-          "record with the schema v" +
-          std::to_string(kSchemaVersion) +
-          " keys in order and strings that decode");
     out += csv_body;
   }
 }

@@ -6,9 +6,11 @@
 // finished. A record has one encoder: encode_cell writes a cell's JSONL
 // lines, and every CSV row is rendered from those lines (append_csv_rows),
 // in the sweep, in resume and in merge alike, so the two formats cannot
-// drift apart. Every record names its cell through the cell key
+// drift apart. A record line has one reader too: RecordWalker holds it to
+// the key layout its encoder names, so every reader means the same by a
+// valid record. Every record names its cell through the cell key
 // (report/cell_key.hpp): the encoder writes its column table, and the
-// dist-layer scanners read it back.
+// scanner reads it back.
 #pragma once
 
 #include <cstdint>
@@ -51,10 +53,6 @@ std::string encode_sketch(const QuantileSketch& sketch);
 /// above max) — the check read_metrics_json makes too.
 std::optional<QuantileSketch> decode_sketch(std::string_view token);
 
-/// The record's keys in emission order (the CSV header): the names the
-/// encoder's field visitors give, computed once.
-const std::vector<std::string>& run_schema_keys();
-
 /// Appends `s` RFC-4180 escaped: wrapped in quotes (embedded quotes
 /// doubled) when it contains a comma, quote, or newline.
 void append_csv_escaped(std::string& out, std::string_view s);
@@ -64,7 +62,7 @@ void append_csv_escaped(std::string& out, std::string_view s);
 /// so a line is always a whole row.
 std::vector<std::string> split_csv_line(std::string_view line);
 
-/// Writes the canonical CSV header row (run_schema_keys, escaped). Shared
+/// Writes the canonical CSV header row (run_layout's keys, escaped). Shared
 /// by CsvSink and mtr_merge so merged files are byte-identical.
 void write_csv_header(std::ostream& os);
 
@@ -93,32 +91,64 @@ CellSummary summarize_cell(const std::string& sweep, const core::CellStats& cell
 /// from run records come out byte-identical to the single-machine line.
 void append_cell_record(std::string& out, const CellSummary& summary);
 
-/// One key of a one-line JSON object and its raw token, both views into
-/// the line: the key between its quotes (escapes left as written), the
-/// token verbatim (string tokens keep their quotes, nested objects their
-/// braces).
-struct JsonField {
-  std::string_view key;
-  std::string_view token;
+/// What a valid line of one record kind is: its opening, then exactly
+/// these keys in the order its encoder writes them, then its closing brace.
+/// The encoder's field visitors name the keys, so a layout cannot drift
+/// from its writer.
+struct RecordLayout {
+  std::string opening;            // e.g. {"record":"run"
+  std::vector<std::string> keys;  // in emission order
+  std::vector<std::string> marks;  // each key's ,"key": (no comma first in {)
+  /// Run records: keys [0, head) are the head; the rest, the body, is what
+  /// a cell's copied replicates repeat byte for byte.
+  std::size_t head = 0;
+
+  /// The position of `key`, which the writer must write.
+  std::size_t index(std::string_view key) const;
 };
-using JsonFields = std::vector<JsonField>;
 
-/// The one tokenizer for our one-line JSON objects: fills `out` with the
-/// line's fields in line order, finding each string's end with
-/// mtr::skip_json_string. Returns false on malformed input (e.g. a
-/// truncated tail) instead of throwing; `out` then holds the fields read
-/// before the fault.
-bool tokenize_json_line(std::string_view line, JsonFields& out);
+/// A `record:"run"` line; its keys are the CSV columns.
+const RecordLayout& run_layout();
+/// A `record:"cell"` summary line, as append_cell_record writes it.
+const RecordLayout& cell_layout();
+/// One {n, mean, stddev, min, max} aggregate of a cell summary.
+const RecordLayout& stat_layout();
 
-/// Where a run record's body begins: the offset of the comma before its
-/// first body key ("workload"), when `line` opens with "record":"run" and
-/// then exactly the run prefix keys (schema, the cell key's head columns,
-/// seed, seed_index); npos otherwise. The body — every result field, the
-/// population columns and the distributions — is the unit a cell's copied
-/// replicates repeat. The one definition of the split: the encoder's
-/// prefix visitor names the keys, and the renderer and mtr_merge's
-/// aggregate check find the body through this.
-std::size_t run_body_begin(std::string_view line);
+/// The one reader of a record line: checks it against a layout and keeps
+/// each key's token (mtr::skip_json_value) as a view into the line. A walk
+/// may stop after any key and resume there: read(layout.head) reads a run
+/// line's head, and a later read_all() its body.
+class RecordWalker {
+ public:
+  explicit RecordWalker(const RecordLayout& layout);
+
+  /// Begins walking `line`, which must outlive the walk; false when it
+  /// does not open with the layout's opening.
+  bool start(std::string_view line);
+  /// Reads the keys before `end` not read yet, and after the last key the
+  /// closing brace that ends the line; false at the first key out of place
+  /// or malformed token.
+  bool read(std::size_t end);
+  bool read_all() { return read(layout_->keys.size()); }
+
+  const RecordLayout& layout() const { return *layout_; }
+  std::string_view line() const { return line_; }
+  /// Key `i`'s token, once read: strings keep quotes and escapes.
+  std::string_view token(std::size_t i) const { return tokens_[i]; }
+  /// The unread rest of the line: after read(layout.head), the body.
+  std::string_view rest() const { return line_.substr(at_); }
+  /// Why the walk stopped, naming the column (byte in the line) and the
+  /// first key out of place: "has 'seed_index' at column 95 where the
+  /// writer puts 'seed'".
+  std::string error() const;
+
+ private:
+  const RecordLayout* layout_;
+  std::string_view line_;
+  std::size_t at_ = 0;    // where the next key's mark must begin
+  std::size_t next_ = 0;  // keys read
+  std::vector<std::string_view> tokens_;
+};
 
 /// Appends `cell`'s JSONL lines: one run record per replicate, then the
 /// cell summary (append_cell_record). The one record encoder. A run whose
@@ -129,13 +159,13 @@ void encode_cell(std::string& out, const std::string& sweep,
 
 /// Appends the CSV rows of whole JSONL lines (each ending in a newline,
 /// the last one optionally not), the first being line `first_line` of
-/// `path`: a run record's row is the record with "record" dropped, each
-/// string token decoded (mtr::decode_json_string) and CSV-escaped, every
-/// other token copied verbatim; a `record:"cell"` summary has none. A run
-/// line whose body repeats the previous run line's byte for byte reuses
-/// its cells. Throws std::runtime_error naming "path:line" at a run record
-/// whose keys are not "record" then run_schema_keys() in order or whose
-/// string does not decode.
+/// `path`: a run record's row is its tokens (RecordWalker over
+/// run_layout()), each string decoded (mtr::decode_json_string) and
+/// CSV-escaped, every other token copied verbatim; a `record:"cell"`
+/// summary has none. A run line whose body repeats the previous run line's
+/// byte for byte reuses its cells. Throws std::runtime_error naming
+/// "path:line" at a run record out of its layout or whose string does not
+/// decode.
 void append_csv_rows(std::string& out, std::string_view lines,
                      std::string_view path, std::uint64_t first_line);
 

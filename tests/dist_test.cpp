@@ -1457,22 +1457,194 @@ std::string csv_value(const std::string& header, const std::string& row,
 // then the summary); CSV cell k is rows 2k+2 and 2k+3 after the header.
 
 TEST(CellKeyScanTest, EveryCoordinateChangedInOneJsonlRunLineStopsThere) {
+  // Cell 2's second run (line 8) repeats its first run's body byte for
+  // byte, so the scan reads it only up to its head: a changed head column,
+  // a changed population column (which sits in the body) and a skipped
+  // seed_index must each still stop the scan there.
   const std::vector<std::string> lines = lines_of(read_file(kGoldenJsonl));
   ASSERT_EQ(lines.size(), 24u);
+  const auto body = [](const std::string& line) {
+    return line.substr(line.find(",\"workload\":"));
+  };
+  ASSERT_EQ(body(lines[6]), body(lines[7]));
   const std::string path = temp_path("key_pin.jsonl");
-  for (const Coordinate& c : kCoordinates) {
-    SCOPED_TRACE(c.name);
+  std::vector<std::pair<std::string, std::string>> edits;  // line 8, error
+  for (const Coordinate& c : kCoordinates)
+    edits.emplace_back(with_other_json(lines[7], c),
+                       "cell 2 has run records but no summary");
+  edits.emplace_back(with_json_token(lines[7], "seed_index", "2"),
+                     "seed_index discontinuity in cell 2");
+  for (const auto& [edited, error] : edits) {
+    SCOPED_TRACE(edited.substr(0, 200));
     std::vector<std::string> mutated = lines;
-    mutated[7] = with_other_json(mutated[7], c);  // cell 2, second run
+    mutated[7] = edited;
     ASSERT_NE(mutated[7], lines[7]);
     write_file(path, join_lines(mutated));
     const FileScan scan = scan_jsonl(path);
     EXPECT_FALSE(scan.clean);
     EXPECT_EQ(scan.tail_error,
-              path + ":8: cell 2 has run records but no summary" +
-                  at_byte(line_offset(lines, 8)));
+              path + ":8: " + error + at_byte(line_offset(lines, 8)));
     EXPECT_EQ(scan.valid_bytes, line_offset(lines, 7));
     EXPECT_EQ(scan.blocks.size(), 2u);
+  }
+  std::filesystem::remove(path);
+}
+
+/// A field of a flat JSONL line, as its offset and its `,"key":token` text.
+std::pair<std::size_t, std::string> field_at(const std::string& line,
+                                             const std::string& key) {
+  const auto [from, n] = json_token_at(line, key);
+  const std::size_t begin = from - key.size() - 4;  // the comma before "key":
+  return {begin, line.substr(begin, from + n - begin)};
+}
+
+TEST(RecordLayoutScanTest, AKeyMovedRepeatedDroppedOrAddedStopsEveryReader) {
+  // fig04's cell 2: its second run record (line 8) and its summary (line
+  // 9), each edited once. The scan stops at the edited line naming the
+  // first key out of place, resume keeps cells 0 and 1, and mtr_merge
+  // refuses the file.
+  const std::vector<std::string> lines = lines_of(read_file(kGoldenJsonl));
+  ASSERT_EQ(lines.size(), 24u);
+  const std::string& run = lines[7];
+  const std::string& summary = lines[8];
+  struct Edit {
+    std::size_t line;  // 1-based
+    std::string label;
+    std::string text;
+    std::string error;
+  };
+  std::vector<Edit> edits;
+  const auto edit = [&](std::size_t line, const std::string& label,
+                        const std::string& key, const std::string& how,
+                        const std::string& found, const std::string& puts) {
+    const std::string& original = lines[line - 1];
+    const auto [at, field] = field_at(original, key);
+    std::string text = original;
+    std::size_t column = at;
+    if (how == "moved") {
+      text.erase(at, field.size());
+      text.insert(text.size() - 1, field);
+    } else if (how == "repeated") {
+      text.insert(at + field.size(), field);
+      column = at + field.size();
+    } else if (how == "dropped") {
+      text.erase(at, field.size());
+    } else {  // an extra key before this one
+      text.insert(at, ",\"extra\":1");
+    }
+    const std::string kind = line == 8 ? "run record" : "cell summary";
+    edits.push_back({line, label, text,
+                     kind + " has '" + found + "' at column " +
+                         std::to_string(column) + " where the writer puts '" +
+                         puts + "'"});
+  };
+  edit(8, "run: a body key moved", "minor_faults", "moved", "major_faults",
+       "minor_faults");
+  edit(8, "run: a head key repeated", "seed", "repeated", "seed", "seed_index");
+  edit(8, "run: a key dropped", "witness", "dropped", "witness_steps", "witness");
+  edit(8, "run: a key added", "workload", "added", "extra", "workload");
+  edit(9, "summary: a key moved", "seeds", "moved", "source_ok", "seeds");
+  edit(9, "summary: a key repeated", "workload", "repeated", "workload", "seeds");
+  edit(9, "summary: a key dropped", "source_ok", "dropped", "overcharge",
+       "source_ok");
+  edit(9, "summary: a key added", "sweep", "added", "extra", "sweep");
+  // A key added after the last one.
+  edits.push_back({8, "run: a key added at the end",
+                   std::string(run).insert(run.size() - 1, ",\"extra\":1"),
+                   "run record has 'extra' at column " +
+                       std::to_string(run.size() - 1) +
+                       " after its last key 'pop_advantage_sketch'"});
+  const std::size_t last = summary.find(",\"pop_advantage_dist\":");
+  edits.push_back({9, "summary: its last key dropped",
+                   summary.substr(0, last) + "}",
+                   "cell summary ends at column " + std::to_string(last) +
+                       " where the writer puts 'pop_advantage_dist'"});
+
+  const std::string dir = temp_path("key_layout");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/fig04.jsonl";
+  for (const Edit& e : edits) {
+    SCOPED_TRACE(e.label);
+    std::vector<std::string> edited = lines;
+    ASSERT_NE(e.text, edited[e.line - 1]);
+    edited[e.line - 1] = e.text;
+    write_file(path, join_lines(edited));
+
+    const std::string refusal = path + ":" + std::to_string(e.line) + ": " +
+                                e.error + at_byte(line_offset(lines, e.line));
+    const FileScan scan = scan_jsonl(path);
+    EXPECT_FALSE(scan.clean);
+    EXPECT_EQ(scan.tail_error, refusal);
+    EXPECT_EQ(scan.blocks.size(), 2u);
+    EXPECT_EQ(scan.valid_bytes, line_offset(lines, 7));
+
+    const ResumeIndex resume = ResumeIndex::scan(path, {42, 43});
+    EXPECT_EQ(resume.size(), 2u);
+    EXPECT_EQ(resume.valid_bytes(), line_offset(lines, 7));
+
+    MergeOptions o;
+    o.jsonl_out = dir + "/merged.jsonl";
+    o.jsonl_in = {path};
+    std::ostringstream out, err;
+    EXPECT_EQ(run_merge(o, out, err), 2);
+    EXPECT_NE(err.str().find(refusal), std::string::npos) << err.str();
+    EXPECT_FALSE(std::filesystem::exists(o.jsonl_out));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ScanMemoTest, CopiedReplicatesScanToTheirBlockAndSummary) {
+  // A 250-seed cell whose every run is the first's, as a seed-invariant
+  // cell is written: the scan reads one body, and the block and the
+  // recomputed summary are still the cell's.
+  core::CellStats cell = synth_cell(3, {});
+  const core::ExperimentResult r = synth_cell(3, {42}).runs[0];
+  for (std::uint64_t s = 42; s < 42 + 250; ++s) {
+    cell.seeds.push_back(s);
+    cell.runs.push_back(r);
+    cell.for_each_stat(
+        [&](const char*, RunningStats& stat, auto get) { stat.add(get(r)); });
+  }
+  const std::string path = temp_path("scan_memo_250.jsonl");
+  report::JsonlSink(path).write_cell("grid", cell);
+  const std::string bytes = read_file(path);
+  const std::vector<std::string> lines = lines_of(bytes);
+  ASSERT_EQ(lines.size(), 251u);
+
+  std::size_t repeats = 0;
+  JsonlVisitor count;
+  count.on_run = [&repeats](const CellBlock&, std::uint64_t,
+                            const report::RecordWalker&, bool repeat) {
+    repeats += repeat;
+  };
+  const FileScan scan = scan_jsonl_records(path, count);
+  EXPECT_EQ(repeats, 249u);  // every run after the first
+  ASSERT_TRUE(scan.clean) << scan.tail_error;
+  ASSERT_EQ(scan.blocks.size(), 1u);
+  const CellBlock& b = scan.blocks[0];
+  EXPECT_EQ(b.key, report::cell_key("grid", 3, cell));
+  EXPECT_EQ(b.first_line, 1u);
+  EXPECT_EQ(b.seeds, cell.seeds);
+  EXPECT_EQ(b.begin_offset, 0u);
+  EXPECT_EQ(b.end_offset, bytes.size());
+  EXPECT_EQ(scan.valid_bytes, bytes.size());
+  // mtr_merge recomputes the summary from the run records and refuses a
+  // mismatch, so an equal merge is an equal recomputed summary.
+  EXPECT_EQ(merge_jsonl({path}), bytes);
+  // A summary recomputed from one run read 250 times differs from one
+  // recomputed from a changed run: the check still reads the copies.
+  std::vector<std::string> edited = lines;
+  edited[249] = with_json_token(edited[249], "billed_seconds", "9");
+  write_file(path, join_lines(edited));
+  EXPECT_TRUE(scan_jsonl(path).clean);
+  try {
+    merge_jsonl({path});
+    ADD_FAILURE() << "a changed run merged";
+  } catch (const MergeError& e) {
+    EXPECT_NE(std::string(e.what()).find("recomputed aggregate"),
+              std::string::npos)
+        << e.what();
   }
   std::filesystem::remove(path);
 }
@@ -1694,19 +1866,50 @@ void fuzz_scanner(const std::string& golden, const std::string& name,
   std::filesystem::remove(prefix_path);
 }
 
-TEST(TokenizerMutationTest, FlatFieldsAgreeWithTheMapReaderOnDamagedLines) {
-  // Every golden line, byte-flipped, cut short, or given a repeated key:
-  // the flat tokenizer's lookups and parse_json_line's map must agree on
-  // success and on every key's token (a repeated key reads as its last
-  // occurrence in both).
+/// The token of `key`, reading a repeated key as its last occurrence, as
+/// a JSON object does; nullopt when the line lacks it.
+std::optional<std::string_view> last_token(const std::vector<test::JsonField>& fields,
+                                           std::string_view key) {
+  for (auto it = fields.rbegin(); it != fields.rend(); ++it)
+    if (it->key == key) return it->token;
+  return std::nullopt;
+}
+
+/// `line` with one of its fields (never "record") moved before the close,
+/// dropped, or joined by an extra field at a field boundary, as `how`
+/// (0, 1, 2) and `r` pick.
+std::string with_field_edited(const std::string& line, int how,
+                              std::uint64_t r) {
+  const std::vector<test::JsonField> fields = test::json_fields(line).value();
+  const test::JsonField& f = fields[1 + r % (fields.size() - 1)];
+  const std::size_t from = static_cast<std::size_t>(f.key.data() - line.data()) - 2;
+  const std::size_t to =
+      static_cast<std::size_t>(f.token.data() + f.token.size() - line.data());
+  const std::string field = line.substr(from, to - from);  // ,"key":token
+  std::string out = line;
+  if (how == 2) return out.insert(from, ",\"extra\":" + std::to_string(r % 10));
+  out.erase(from, to - from);
+  if (how == 0) out.insert(out.size() - 1, field);
+  return out;
+}
+
+TEST(TokenizerMutationTest, TheWalkerAcceptsExactlyTheWritersLayoutOnDamagedLines) {
+  // Every golden line, byte-flipped, cut short, given a repeated key, or
+  // with a field moved, dropped or added. parse_json_line's map and an
+  // order-keeping read of the fields (test::json_fields) agree on success
+  // and on every key's token (a repeated key reads as its last
+  // occurrence). The record walker accepts a line exactly when that read
+  // finds "record" naming the walker's kind and then the layout's keys in
+  // order, and it then holds the same tokens.
   const std::vector<std::string> golden = lines_of(read_file(kGoldenJsonl));
   ASSERT_FALSE(golden.empty());
   SplitMix64 rng(0x70CE);
-  int parsed = 0;
-  for (int i = 0; i < 2000; ++i) {
+  int walked = 0;
+  int refused = 0;
+  for (int i = 0; i < 2800; ++i) {
     std::string line = golden[rng.next() % golden.size()];
     const std::uint64_t r = rng.next();
-    switch (i % 4) {
+    switch (i % 7) {
       case 0: line[r % line.size()] ^= static_cast<char>(1 + rng.next() % 255); break;
       case 1: line.resize(r % line.size()); break;
       case 2: {
@@ -1719,27 +1922,50 @@ TEST(TokenizerMutationTest, FlatFieldsAgreeWithTheMapReaderOnDamagedLines) {
         line.insert(line.size() - 1, repeat);
         break;
       }
+      case 3: case 4: case 5: line = with_field_edited(line, i % 7 - 3, r); break;
       default: break;  // intact
     }
     SCOPED_TRACE(line);
-    report::JsonFields fields;
+    const std::optional<std::vector<test::JsonField>> read = test::json_fields(line);
+    const std::vector<test::JsonField> fields = read.value_or(std::vector<test::JsonField>{});
+    const bool flat_ok = read.has_value();
     std::map<std::string, std::string> map;
-    const bool flat_ok = report::tokenize_json_line(line, fields);
     ASSERT_EQ(parse_json_line(line, map), flat_ok);
-    if (!flat_ok) continue;
-    ++parsed;
-    std::set<std::string_view> keys;
-    for (const report::JsonField& f : fields) keys.insert(f.key);
-    EXPECT_EQ(keys.size(), map.size());
-    for (const auto& [key, token] : map)
-      EXPECT_EQ(json_token(fields, key), std::optional<std::string_view>(token))
-          << key;
-    if (i % 4 == 2) {
-      EXPECT_EQ(json_token(fields, "record"),
-                std::optional<std::string_view>(std::to_string(r % 1000)));
+    if (flat_ok) {
+      std::set<std::string_view> keys;
+      for (const test::JsonField& f : fields) keys.insert(f.key);
+      EXPECT_EQ(keys.size(), map.size());
+      for (const auto& [key, token] : map)
+        EXPECT_EQ(last_token(fields, key), std::optional<std::string_view>(token))
+            << key;
+      if (i % 7 == 2) {
+        EXPECT_EQ(last_token(fields, "record"),
+                  std::optional<std::string_view>(std::to_string(r % 1000)));
+      }
     }
+
+    const bool is_run = !line.starts_with("{\"record\":\"cell\"");
+    const report::RecordLayout& layout =
+        is_run ? report::run_layout() : report::cell_layout();
+    bool in_layout = flat_ok && fields.size() == 1 + layout.keys.size() &&
+                     fields[0].key == "record" &&
+                     fields[0].token == (is_run ? "\"run\"" : "\"cell\"");
+    for (std::size_t k = 0; in_layout && k < layout.keys.size(); ++k)
+      in_layout = fields[1 + k].key == layout.keys[k];
+    report::RecordWalker w(layout);
+    const bool walks = w.start(line) && w.read_all();
+    ASSERT_EQ(walks, in_layout) << w.error();
+    if (!walks) {
+      ++refused;
+      EXPECT_FALSE(w.error().empty());
+      continue;
+    }
+    ++walked;
+    for (std::size_t k = 0; k < layout.keys.size(); ++k)
+      EXPECT_EQ(w.token(k), fields[1 + k].token) << layout.keys[k];
   }
-  EXPECT_GT(parsed, 500);
+  EXPECT_GT(walked, 500);
+  EXPECT_GT(refused, 1000);
 }
 
 TEST(ScannerMutationTest, DamagedGoldensFailAtANamedByteAndTheirPrefixRescans) {
@@ -1820,7 +2046,7 @@ TEST(CsvViewTest, EveryRowSplitsBackToItsRecordsValues) {
       begin = from + 1;
     }
   }
-  const std::vector<std::string>& keys = report::run_schema_keys();
+  const std::vector<std::string>& keys = report::run_layout().keys;
   ASSERT_EQ(report::split_csv_line(rows[0]), keys);
   std::size_t row = 1;
   std::size_t strings = 0;
@@ -1833,13 +2059,14 @@ TEST(CsvViewTest, EveryRowSplitsBackToItsRecordsValues) {
       const std::vector<std::string> got = report::split_csv_line(rows[row++]);
       const std::vector<test::Want> want = test::expected_run(sweep, cell, seed_i);
       ASSERT_EQ(got.size(), want.size());
-      report::JsonFields fields;
-      ASSERT_TRUE(report::tokenize_json_line(lines[line++], fields));
+      report::RecordWalker run(report::run_layout());
+      ASSERT_TRUE(run.start(lines[line]) && run.read_all()) << run.error();
+      ++line;
       for (std::size_t c = 0; c < want.size(); ++c) {
-        const std::optional<std::string_view> token = json_token(fields, want[c].key);
-        ASSERT_TRUE(token.has_value()) << want[c].key;
-        if (token->front() != '"') {
-          EXPECT_EQ(got[c], *token) << want[c].key;
+        ASSERT_EQ(keys[c], want[c].key);
+        const std::string_view token = run.token(c);
+        if (token.front() != '"') {
+          EXPECT_EQ(got[c], token) << want[c].key;
           continue;
         }
         ++strings;
@@ -1912,8 +2139,9 @@ TEST(CsvViewTest, OnlyARunRecordInTheSchemaLayoutHasARow) {
     EXPECT_EQ(render({lines[3], bad}), std::nullopt);
   }
 
-  // In a file, the refusal names the line, and mtr_merge --csv exits 2.
-  // The records still scan and merge: the key order is the CSV's concern.
+  // In a file, the refusal names the line. The records do not scan
+  // either: a key out of place stops every reader, so mtr_merge exits 2
+  // with or without --csv.
   const std::string dir = temp_path("csv_view_refusal");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
@@ -1935,30 +2163,33 @@ TEST(CsvViewTest, OnlyARunRecordInTheSchemaLayoutHasARow) {
   o.jsonl_out = dir + "/m.jsonl";
   o.jsonl_in = {path};
   std::ostringstream merge_out, merge_err;
+  const std::string refusal =
+      path + ":5: run record has 'seed_index' at column " +
+      std::to_string(run.find(seeds) - 1) + " where the writer puts 'seed'" +
+      at_byte(line_offset(lines, 5));
+  EXPECT_EQ(scan_jsonl(path).tail_error, refusal);
   EXPECT_EQ(run_merge(o, merge_out, merge_err), 2);
-  EXPECT_NE(merge_err.str().find(path + ":5: record has no CSV row"),
-            std::string::npos)
-      << merge_err.str();
+  EXPECT_NE(merge_err.str().find(refusal), std::string::npos) << merge_err.str();
   EXPECT_FALSE(std::filesystem::exists(o.csv_out));
   EXPECT_FALSE(std::filesystem::exists(o.jsonl_out));
   o.csv_out.clear();
-  EXPECT_EQ(run_merge(o, merge_out, merge_err), 0) << merge_err.str();
+  EXPECT_EQ(run_merge(o, merge_out, merge_err), 2);
+  EXPECT_FALSE(std::filesystem::exists(o.jsonl_out));
   std::filesystem::remove_all(dir);
 }
 
 TEST(MergeTest, ARefusedMergeLeavesNoTemporaryFile) {
-  // The golden with line 5's seed and seed_index swapped: the merge
-  // refuses it while writing both outputs, and neither output nor its
-  // temporary draft is left behind.
+  // The golden with an escape no decoder reads in line 5's attack_name,
+  // which neither the scan nor the aggregate check decodes: the merge
+  // refuses it while rendering the CSV it writes beside the JSONL, and
+  // neither output nor its temporary draft is left behind.
   const std::string dir = temp_path("dist_merge_refused");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir + "/out");
   std::vector<std::string> lines = lines_of(read_file(kGoldenJsonl));
-  const std::string seeds = "\"seed\":43,\"seed_index\":1";
-  ASSERT_NE(lines[4].find(seeds), std::string::npos);
-  lines[4].replace(lines[4].find(seeds), seeds.size(),
-                   "\"seed_index\":1,\"seed\":43");
+  lines[4] = with_json_token(lines[4], "attack_name", "\"a\\qb\"");
   write_file(dir + "/fig04.jsonl", join_lines(lines));
+  EXPECT_TRUE(scan_jsonl(dir + "/fig04.jsonl").clean);
   MergeOptions o;
   o.csv_out = dir + "/out/m.csv";
   o.jsonl_out = dir + "/out/m.jsonl";
@@ -2808,10 +3039,10 @@ TEST(JsonQuoteTest, EveryEscapeRoundTripsThroughBothReaders) {
     SCOPED_TRACE(quoted);
     EXPECT_EQ(json_quote(raw), quoted);
     EXPECT_EQ(json::parse_document(quoted).text, raw);
-    report::JsonFields fields;
-    const std::string line = "{\"k\":" + quoted + "}";
-    ASSERT_TRUE(report::tokenize_json_line(line, fields));
-    EXPECT_EQ(json_string(fields, "k"), raw);
+    std::string text;
+    EXPECT_EQ(decode_json_string(quoted.substr(1, quoted.size() - 2), text),
+              nullptr);
+    EXPECT_EQ(text, raw);
   }
 }
 

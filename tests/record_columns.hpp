@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/batch_runner.hpp"
+#include "common/format.hpp"
 #include "crypto/digest.hpp"
 #include "report/cell_key.hpp"
 #include "report/result_sink.hpp"
@@ -124,6 +125,37 @@ inline void expect_value(const std::string& got, const Want& want) {
     EXPECT_EQ(std::strtod(got.c_str(), nullptr), *want.number) << want.key;
   } else {
     EXPECT_EQ(got, want.text) << want.key;
+  }
+}
+
+/// One field of a one-line JSON object: its key as written between its
+/// quotes and its raw token.
+struct JsonField {
+  std::string_view key;
+  std::string_view token;
+};
+
+/// The fields of any one-line JSON object in line order, read with the
+/// record token grammar (mtr::skip_json_value) but checked against no
+/// layout: the tests' order-keeping oracle for the record walker. nullopt
+/// when the line is malformed.
+inline std::optional<std::vector<JsonField>> json_fields(std::string_view line) {
+  constexpr std::size_t npos = std::string_view::npos;
+  std::vector<JsonField> out;
+  if (!line.starts_with('{')) return std::nullopt;
+  if (line == "{}") return out;
+  for (std::size_t i = 1;;) {
+    if (i >= line.size() || line[i] != '"') return std::nullopt;
+    const std::size_t key_end = skip_json_string(line, i);
+    if (key_end == npos || key_end >= line.size() || line[key_end] != ':')
+      return std::nullopt;
+    const std::size_t end = skip_json_value(line, key_end + 1);
+    if (end == npos) return std::nullopt;
+    out.push_back({line.substr(i + 1, key_end - i - 2),
+                   line.substr(key_end + 1, end - key_end - 1)});
+    if (end == line.size() || line[end] != ',')
+      return end + 1 == line.size() ? std::optional(out) : std::nullopt;
+    i = end + 1;
   }
 }
 

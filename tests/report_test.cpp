@@ -125,7 +125,7 @@ std::string temp_path(const std::string& name) {
 }
 
 TEST(ResultSinkSchema, KeysAreUniqueAndVersioned) {
-  const auto keys = run_schema_keys();
+  const auto keys = run_layout().keys;
   EXPECT_GT(keys.size(), 40u);  // every ExperimentResult field + coordinates
   EXPECT_EQ(keys.front(), "schema");
   for (std::size_t i = 0; i < keys.size(); ++i)
@@ -134,7 +134,7 @@ TEST(ResultSinkSchema, KeysAreUniqueAndVersioned) {
 }
 
 TEST(ResultSinkSchema, ScenarioCoordinatesSitBeforeTheSeed) {
-  const auto keys = run_schema_keys();
+  const auto keys = run_layout().keys;
   // The scenario-axis coordinates sit with the other cell coordinates.
   const auto at = [&](const std::string& key) {
     return static_cast<std::size_t>(
@@ -263,7 +263,7 @@ TEST(CsvSinkTest, RoundTripsEveryField) {
   const auto lines = lines_of(os.str());
   ASSERT_EQ(lines.size(), 3u);  // header + 2 runs
   const auto header = split_csv_line(lines[0]);
-  ASSERT_EQ(header, run_schema_keys());
+  ASSERT_EQ(header, run_layout().keys);
 
   for (std::size_t seed_i = 0; seed_i < 2; ++seed_i) {
     // Strings survive escaping; numbers re-parse to the exact value
@@ -319,11 +319,11 @@ TEST(JsonlSinkTest, RoundTripsRunsAndCellSummary) {
   for (std::size_t seed_i = 0; seed_i < 2; ++seed_i) {
     const std::string& line = lines[seed_i];
     const std::vector<test::Want> want = test::expected_run("fig07", cell, seed_i);
-    JsonFields fields;
-    ASSERT_TRUE(tokenize_json_line(line, fields));
-    ASSERT_EQ(fields.size(), 1 + want.size());
+    const auto fields = test::json_fields(line);
+    ASSERT_TRUE(fields.has_value());
+    ASSERT_EQ(fields->size(), 1 + want.size());
     for (std::size_t c = 0; c < want.size(); ++c) {
-      EXPECT_EQ(fields[1 + c].key, want[c].key);
+      EXPECT_EQ((*fields)[1 + c].key, want[c].key);
       test::expect_value(json_raw_value(line, want[c].key), want[c]);
     }
   }
@@ -362,7 +362,7 @@ TEST(CsvSinkTest, AppendModeWritesHeaderExactlyOnce) {
   content << in.rdbuf();
   const auto lines = lines_of(content.str());
   EXPECT_EQ(lines.size(), 1u + 3 * 2);
-  EXPECT_EQ(split_csv_line(lines[0]), run_schema_keys());
+  EXPECT_EQ(split_csv_line(lines[0]), run_layout().keys);
   for (std::size_t i = 1; i < lines.size(); ++i)
     EXPECT_NE(split_csv_line(lines[i])[0], "schema") << "duplicated header";
   std::filesystem::remove(path);
@@ -570,10 +570,18 @@ std::pair<std::string, std::vector<std::string>> one_run_records(
   line.replace(line.find(index), index.size(),
                "\"seed_index\":" + std::to_string(i) + ",");
   std::vector<std::string> row = split_csv_line(lines_of(csv.str())[1]);
-  const auto& keys = run_schema_keys();
+  const auto& keys = run_layout().keys;
   row[std::find(keys.begin(), keys.end(), "seed_index") - keys.begin()] =
       std::to_string(i);
   return {line, row};
+}
+
+/// Where a run line's body begins: the end of the head the walker reads;
+/// npos when the head is out of the writer's layout.
+std::size_t body_at(std::string_view line) {
+  RecordWalker run(run_layout());
+  if (!run.start(line) || !run.read(run_layout().head)) return std::string::npos;
+  return line.size() - run.rest().size();
 }
 
 TEST(SinkBodyMemo, EveryRunIsWrittenAsAOneRunCellWritesIt) {
@@ -630,7 +638,7 @@ TEST(SinkBodyMemo, EveryRunIsWrittenAsAOneRunCellWritesIt) {
     for (std::size_t i = 0; i < c.runs.size(); ++i) {
       SCOPED_TRACE("run " + std::to_string(i));
       const auto [line, row] = one_run_records(cell, i);
-      const std::size_t at = run_body_begin(lines[i]);
+      const std::size_t at = body_at(lines[i]);
       ASSERT_NE(at, std::string::npos);
       EXPECT_EQ(lines[i].substr(at), line.substr(at));  // the body
       EXPECT_EQ(lines[i], line);
@@ -697,37 +705,93 @@ TEST(CellKeyTest, EveryColumnRoundTripsThroughItsRecordText) {
   EXPECT_EQ(first_difference(back, sample_key()), nullptr);
 }
 
-TEST(RunBodyTest, TheBodyBeginsAtTheWorkloadKey) {
-  // A run line's prefix is "record", schema, the key's head columns, seed
-  // and seed_index; its body — what copied replicates repeat — begins at
-  // the comma before "workload".
+TEST(RecordWalkerTest, TheRunHeadEndsAtTheWorkloadKey) {
+  // A run line's head is schema, the key's head columns, seed and
+  // seed_index; its body — what copied replicates repeat — begins at the
+  // comma before "workload".
   std::ostringstream os;
   JsonlSink(os).write_cell("fig07", keyed_cell());
   const std::vector<std::string> lines = lines_of(os.str());
   ASSERT_EQ(lines.size(), 3u);
   const std::string& run = lines[1];
-  const std::size_t at = run_body_begin(run);
+  const std::size_t at = body_at(run);
   ASSERT_NE(at, std::string::npos);
   EXPECT_EQ(run.substr(at, 12), ",\"workload\":");
-  const std::string prefix = run.substr(0, at) + "}";
-  JsonFields head;
-  ASSERT_TRUE(tokenize_json_line(prefix, head));
-  std::vector<std::string_view> keys;
-  for (const JsonField& f : head) keys.push_back(f.key);
-  EXPECT_EQ(keys, (std::vector<std::string_view>{
-                      "record", "schema", "sweep", "cell_index", "attack",
-                      "scheduler", "hz", "cpu_hz", "ram_frames", "reclaim_batch",
-                      "ptrace", "jiffy_timers", "seed", "seed_index"}));
+  const RecordLayout& layout = run_layout();
+  EXPECT_EQ(std::vector<std::string>(layout.keys.begin(),
+                                     layout.keys.begin() + layout.head),
+            (std::vector<std::string>{
+                "schema", "sweep", "cell_index", "attack", "scheduler", "hz",
+                "cpu_hz", "ram_frames", "reclaim_batch", "ptrace",
+                "jiffy_timers", "seed", "seed_index"}));
+  EXPECT_EQ(layout.opening, "{\"record\":\"run\"");
 
-  // Only a run line in the prefix layout has a body.
-  std::string swapped = run;
-  const std::string seeds = "\"seed\":8,\"seed_index\":1";
-  ASSERT_NE(run.find(seeds), std::string::npos);
-  swapped.replace(run.find(seeds), seeds.size(), "\"seed_index\":1,\"seed\":8");
-  for (const std::string& none :
-       {lines[2], swapped, "{" + run.substr(16), run.substr(0, at),
-        run.substr(0, at) + "}", std::string()})
-    EXPECT_EQ(run_body_begin(none), std::string::npos) << none.substr(0, 40);
+  // The summary walks in full, and its aggregates as {n, mean, ...}.
+  RecordWalker cell(cell_layout());
+  ASSERT_TRUE(cell.start(lines[2]) && cell.read_all()) << cell.error();
+  EXPECT_EQ(cell.token(cell_layout().index("seeds")), "2");
+  RecordWalker stat(stat_layout());
+  ASSERT_TRUE(stat.start(cell.token(cell_layout().index("billed_seconds"))) &&
+              stat.read_all())
+      << stat.error();
+  EXPECT_EQ(stat.token(stat_layout().index("n")), "2");
+}
+
+TEST(RecordWalkerTest, AKeyOutOfPlaceStopsTheWalkNamingIt) {
+  std::ostringstream os;
+  JsonlSink(os).write_cell("fig07", keyed_cell());
+  const std::string run = lines_of(os.str())[1];
+  const std::size_t at = body_at(run);
+  ASSERT_NE(at, std::string::npos);
+  const auto field = [&run](const std::string& key) {
+    const std::size_t from = run.find(",\"" + key + "\":");
+    return run.substr(from, run.find_first_of(",}", run.find(':', from)) - from);
+  };
+  const auto without = [&run](const std::string& f) {
+    std::string out = run;
+    return out.erase(out.find(f), f.size());
+  };
+  const auto column = [&run](const std::string& f) {
+    return std::to_string(run.find(f));
+  };
+  const std::string faults = field("minor_faults");
+  const std::string seed = field("seed");
+  const std::string last = field("pop_advantage_sketch");
+  struct Case {
+    std::string line;
+    std::string error;
+  };
+  const std::vector<Case> cases = {
+      {without(faults).insert(run.size() - faults.size() - 1, faults),
+       "has 'major_faults' at column " + column(faults) +
+           " where the writer puts 'minor_faults'"},
+      {std::string(run).insert(run.find(seed) + seed.size(), seed),
+       "has 'seed' at column " + std::to_string(run.find(seed) + seed.size()) +
+           " where the writer puts 'seed_index'"},
+      {without(faults),
+       "has 'major_faults' at column " + column(faults) +
+           " where the writer puts 'minor_faults'"},
+      {std::string(run).insert(run.size() - 1, ",\"extra\":1"),
+       "has 'extra' at column " + std::to_string(run.size() - 1) +
+           " after its last key 'pop_advantage_sketch'"},
+      {without(last), "ends at column " + column(last) +
+                          " where the writer puts 'pop_advantage_sketch'"},
+      {run.substr(0, at) + "}",
+       "ends at column " + std::to_string(at) + " where the writer puts 'workload'"},
+      {run.substr(0, at + 12) + "\"whetstone",
+       "has a malformed 'workload' value at column " + std::to_string(at)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.line.substr(0, 60));
+    ASSERT_NE(c.line, run);
+    RecordWalker w(run_layout());
+    ASSERT_TRUE(w.start(c.line));
+    EXPECT_FALSE(w.read(run_layout().head) && w.read_all());
+    EXPECT_EQ(w.error(), c.error);
+  }
+  RecordWalker w(run_layout());
+  EXPECT_FALSE(w.start("{" + run.substr(16)));
+  EXPECT_EQ(w.error(), "does not open with {\"record\":\"run\"");
 }
 
 TEST(CellKeyTest, ParsingIsStrictPerColumnType) {
